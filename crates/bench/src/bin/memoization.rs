@@ -7,18 +7,16 @@
 //! cargo run -p natix-bench --release --bin memoization [--scale 0.05]
 //! ```
 //!
-//! Besides cell counts, the table reports the memory side of the arena
-//! refactor (peak workspace bytes of the flat-arena engine versus the heap
-//! bytes the old `HashMap<s, Vec<Entry>>`-per-node layout would allocate —
-//! an undercount, see `natix_core::baseline::hashmap_bytes_estimate`) and
-//! the structure-sharing layer of `natix_core::dag`: distinct weighted
-//! subtree shapes (fingerprints), nodes-per-shape dedup ratio, shape-cache
-//! hit rate, and the dominance-pruning counters. The cached run's output
-//! is asserted identical to the uncached run on every generator.
+//! Rows are the per-node DP runs of the one engine: one per distinct inner
+//! subtree shape, dominance pruning on. Besides cell counts, the table
+//! reports the peak workspace bytes of the flat-arena tables and the
+//! structure sharing of `natix_core::dag`: distinct weighted subtree shapes
+//! (fingerprints), nodes-per-shape dedup ratio, shape-cache hit rate, and
+//! the dominance-pruning counters.
 
 use natix_bench::json_row;
 use natix_bench::{natix_core, natix_datagen, write_json, Args, Table};
-use natix_core::{baseline, dhw_cached_with_statistics, dhw_with_statistics};
+use natix_core::dhw_with_statistics;
 
 json_row! {
     struct Row {
@@ -30,12 +28,9 @@ json_row! {
         full_table_cells: u64,
         arena_cells: u64,
         arena_peak_bytes: u64,
-        hashmap_bytes_estimate: u64,
         dag_distinct_fingerprints: u64,
         dag_dedup_ratio: f64,
         dag_hit_rate: f64,
-        cached_table_cells: u64,
-        cached_inner_nodes: u64,
         pruned_candidates: u64,
         pruned_scans: u64,
     }
@@ -45,29 +40,23 @@ fn main() {
     let args = Args::parse();
     let mut table = Table::new(&[
         "Document",
-        "Inner nodes",
-        "avg s/node",
+        "Inner shapes",
+        "avg s/shape",
         "cells used",
         "cells full table",
         "saved",
         "arena KB",
-        "hashmap KB",
         "shapes",
         "dedup",
         "hit",
-        "cached cells",
         "pruned",
     ]);
     let mut results = Vec::new();
     for (name, doc) in natix_datagen::evaluation_suite(args.scale, args.seed) {
         let tree = doc.tree();
-        let (plain, stats) = dhw_with_statistics(tree, args.k).expect("feasible");
-        let (cached_p, cached) = dhw_cached_with_statistics(tree, args.k).expect("feasible");
-        assert_eq!(
-            cached_p.intervals, plain.intervals,
-            "cached DHW diverged from uncached on {name}"
-        );
-        // The naive table materializes every s in [w(v), K] for every j.
+        let (_, stats) = dhw_with_statistics(tree, args.k).expect("feasible");
+        // The naive table materializes every s in [w(v), K] for every j of
+        // every inner node.
         let full: u64 = tree
             .node_ids()
             .filter(|&v| tree.child_count(v) > 0)
@@ -76,7 +65,6 @@ fn main() {
                 s_range * (tree.child_count(v) as u64 + 1)
             })
             .sum();
-        let hashmap_bytes = baseline::hashmap_bytes_estimate(&stats);
         table.row(vec![
             name.to_string(),
             stats.inner_nodes.to_string(),
@@ -88,21 +76,16 @@ fn main() {
                 100.0 * (1.0 - stats.total_entries as f64 / full as f64)
             ),
             (stats.bytes_allocated / 1024).to_string(),
-            (hashmap_bytes / 1024).to_string(),
-            cached.dag_distinct.to_string(),
-            format!("{:.1}x", cached.dag_dedup_ratio()),
-            format!("{:.0}%", cached.dag_hit_rate() * 100.0),
-            cached.total_entries.to_string(),
-            cached.pruned_candidates.to_string(),
+            stats.dag_distinct.to_string(),
+            format!("{:.1}x", stats.dag_dedup_ratio()),
+            format!("{:.0}%", stats.dag_hit_rate() * 100.0),
+            stats.pruned_candidates.to_string(),
         ]);
         eprintln!(
-            "done: {name} (avg {:.2} s values, {} of {} shapes distinct, \
-             cached cells {} vs {})",
+            "done: {name} (avg {:.2} s values, {} of {} shapes distinct)",
             stats.avg_rows(),
-            cached.dag_distinct,
-            cached.dag_nodes,
-            cached.total_entries,
-            stats.total_entries,
+            stats.dag_distinct,
+            stats.dag_nodes,
         );
         results.push(Row {
             document: name.to_string(),
@@ -113,14 +96,11 @@ fn main() {
             full_table_cells: full,
             arena_cells: stats.arena_entries,
             arena_peak_bytes: stats.bytes_allocated,
-            hashmap_bytes_estimate: hashmap_bytes,
-            dag_distinct_fingerprints: cached.dag_distinct,
-            dag_dedup_ratio: cached.dag_dedup_ratio(),
-            dag_hit_rate: cached.dag_hit_rate(),
-            cached_table_cells: cached.total_entries,
-            cached_inner_nodes: cached.inner_nodes,
-            pruned_candidates: cached.pruned_candidates,
-            pruned_scans: cached.pruned_scans,
+            dag_distinct_fingerprints: stats.dag_distinct,
+            dag_dedup_ratio: stats.dag_dedup_ratio(),
+            dag_hit_rate: stats.dag_hit_rate(),
+            pruned_candidates: stats.pruned_candidates,
+            pruned_scans: stats.pruned_scans,
         });
     }
     println!(
@@ -130,12 +110,11 @@ fn main() {
     println!("{}", table.render());
     println!("Paper Sec. 3.3.6 reference point: < 4 avg s values on a 20 MB document at K = 256.");
     println!(
-        "arena KB = peak reusable workspace of the flat-arena DP; hashmap KB = estimated\n\
-         heap bytes of the former per-node HashMap row layout for the same run (undercount).\n\
-         shapes = distinct weighted subtree fingerprints (minimal-DAG nodes); dedup = nodes\n\
-         per shape; hit = fraction of nodes served from the shape cache; cached cells = DP\n\
-         cells the structure-sharing engine actually computed (one run per shape); pruned =\n\
-         interval candidates dominance pruning removed from those runs."
+        "Inner shapes = per-node DP runs (one per distinct inner subtree shape); cells full\n\
+         table = the naive table over every inner node. arena KB = peak reusable workspace of\n\
+         the flat-arena DP. shapes = distinct weighted subtree fingerprints (minimal-DAG\n\
+         nodes); dedup = nodes per shape; hit = fraction of nodes served from the shape cache;\n\
+         pruned = interval candidates dominance pruning removed."
     );
     write_json(&args, &results);
 }

@@ -38,11 +38,13 @@ pub struct Args {
     pub json: Option<String>,
     /// Skip the slow optimal algorithm (DHW) if set.
     pub skip_dhw: bool,
-    /// Worker threads for parallel partitioning (`--threads`); defaults to
-    /// the machine's available parallelism.
+    /// Worker threads over the (document × algorithm) grid of `table1` and
+    /// `table2` (`--threads`); defaults to the machine's available
+    /// parallelism.
     pub threads: usize,
     /// CI smoke mode (`--quick`): tiny scale, one timed run, deterministic
-    /// correctness gates, nonzero exit on regression. Honored by `dp_speed`.
+    /// correctness gates, nonzero exit on regression. Honored by
+    /// `store_speed` and `bulk_speed`.
     pub quick: bool,
 }
 

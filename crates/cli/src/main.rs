@@ -2,9 +2,8 @@
 //! store.
 //!
 //! ```text
-//! natix partition <file.xml> [--alg ekm|dhw|ghdw|km|rs|dfs|bfs|lukes] [--k 256] [--threads N]
-//!                 [--stats] [--no-dag-cache]
-//! natix load      <file.xml> <store.natix> [--alg ekm] [--k 256] [--threads N] [--no-dag-cache]
+//! natix partition <file.xml> [--alg ekm|dhw|ghdw|km|rs|dfs|bfs|lukes] [--k 256] [--stats]
+//! natix load      <file.xml> <store.natix> [--alg ekm] [--k 256]
 //! natix query     <store.natix> '<xpath>' [--count]
 //! natix dump      <store.natix> [--degraded]
 //! natix stats     <store.natix>
@@ -135,26 +134,18 @@
 //! default full campaign runs ≥ 1000 interleavings. Every failure prints
 //! its interleaving seed and a one-command reproduction.
 //!
-//! `--threads N` runs the table-building algorithms (DHW, GHDW) on N worker
-//! threads; the output is identical to the sequential run. It defaults to
-//! the machine's available parallelism and is ignored by the single-pass
-//! heuristics.
-//!
-//! DHW and GHDW use the structure-sharing engine (`natix_core::dag`: one
-//! DP run per distinct weighted subtree shape, dominance-pruned rows) by
-//! default; `--no-dag-cache` is the escape hatch back to the plain
-//! per-node engine. Both produce byte-identical partitionings. `natix
-//! partition --stats` prints the cache and pruning counters so users can
-//! see why a document did or didn't benefit.
+//! DHW and GHDW run one DP per distinct weighted subtree shape with
+//! dominance-pruned rows (`natix_core::dag`). `natix partition --stats`
+//! prints the sharing and pruning counters of that run so users can see
+//! why a document did or didn't benefit.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use natix_bench::Json;
 use natix_core::{
-    dhw_cached_with_statistics, dhw_with_statistics, ghdw_cached_with_statistics,
-    ghdw_with_statistics, parallel, Bfs, CachedDhw, CachedGhdw, Dfs, Dhw, DpStats, Ekm, Ghdw, Km,
-    Lukes, ParallelDhw, ParallelGhdw, Partitioner, Rs,
+    dhw_with_statistics, ghdw_with_statistics, Bfs, Dfs, Dhw, DpStats, Ekm, Ghdw, Km, Lukes,
+    PartitionError, Partitioner, Rs,
 };
 use natix_server::{
     serve as serve_daemon, Client, ClientError, ProtoError, Request, ResponseBody, ServeConfig,
@@ -164,7 +155,7 @@ use natix_store::{
     bulkload_collection, bulkload_with, fsck, fsck_collection, BulkloadOptions, Collection,
     ErrorCategory, FilePager, OpenMode, StoreConfig, StoreError, XmlStore,
 };
-use natix_tree::validate;
+use natix_tree::{validate, Partitioning, Tree, Weight};
 use natix_xml::NodeKind;
 use natix_xpath::{eval_query, EvalError, StoreNavigator};
 
@@ -243,10 +234,8 @@ impl From<&str> for CliError {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  natix partition <file.xml> [--alg NAME] [--k SLOTS] [--threads N] \
-         [--stats] [--no-dag-cache]\n  \
-         natix load <file.xml> <store.natix> [--alg NAME] [--k SLOTS] [--threads N] \
-         [--no-dag-cache] [--pool-pages N]\n  \
+        "usage:\n  natix partition <file.xml> [--alg NAME] [--k SLOTS] [--stats]\n  \
+         natix load <file.xml> <store.natix> [--alg NAME] [--k SLOTS] [--pool-pages N]\n  \
          natix query <store.natix> '<xpath>' [--count] [--pool-pages N]\n  \
          natix dump <store.natix> [--degraded] [--pool-pages N]\n  \
          natix stats <store.natix> [--pool-pages N]\n  \
@@ -264,51 +253,35 @@ fn usage() -> ExitCode {
          fsck | update '<xpath>' <append-element|append-text|insert-before|delete> [VALUE] | \
          shed-probe [--pins N] | promote | shutdown   (all: [--retries N])\n\
          algorithms: ekm (default), dhw, ghdw, km, rs, dfs, bfs, lukes\n\
-         --threads N parallelizes dhw/ghdw (default: available parallelism)\n\
-         --no-dag-cache disables the structure-sharing engine for dhw/ghdw\n\
          --stats prints DP cache and dominance-pruning counters (dhw/ghdw)\n\
          --pool-pages N caps the buffer pool at N 8 KB pages (default 8192)"
     );
     ExitCode::from(2)
 }
 
-/// Resolve an algorithm name. For the table-building algorithms (DHW,
-/// GHDW) `threads > 1` selects the parallel engines and `dag_cache`
-/// toggles the structure-sharing engine of `natix_core::dag` — all four
-/// combinations produce byte-identical output. The single-pass heuristics
-/// ignore both knobs.
-fn algorithm(name: &str, threads: usize, dag_cache: bool) -> Option<Box<dyn Partitioner>> {
-    Some(match (name.to_ascii_lowercase().as_str(), dag_cache) {
-        ("ekm", _) => Box::new(Ekm),
-        ("dhw", cache) if threads > 1 => Box::new(ParallelDhw {
-            threads,
-            job_target: None,
-            dag_cache: cache,
-        }),
-        ("dhw", true) => Box::new(CachedDhw),
-        ("dhw", false) => Box::new(Dhw),
-        ("ghdw", cache) if threads > 1 => Box::new(ParallelGhdw {
-            threads,
-            job_target: None,
-            dag_cache: cache,
-        }),
-        ("ghdw", true) => Box::new(CachedGhdw),
-        ("ghdw", false) => Box::new(Ghdw),
-        ("km", _) => Box::new(Km),
-        ("rs", _) => Box::new(Rs),
-        ("dfs", _) => Box::new(Dfs),
-        ("bfs", _) => Box::new(Bfs),
-        ("lukes", _) => Box::new(Lukes),
+/// Resolve an algorithm name.
+fn algorithm(name: &str) -> Option<Box<dyn Partitioner>> {
+    Some(match name.to_ascii_lowercase().as_str() {
+        "ekm" => Box::new(Ekm),
+        "dhw" => Box::new(Dhw),
+        "ghdw" => Box::new(Ghdw),
+        "km" => Box::new(Km),
+        "rs" => Box::new(Rs),
+        "dfs" => Box::new(Dfs),
+        "bfs" => Box::new(Bfs),
+        "lukes" => Box::new(Lukes),
         _ => return None,
     })
 }
 
+/// A `*_with_statistics` entry point of `natix_core`.
+type StatsFn = fn(&Tree, Weight) -> Result<(Partitioning, DpStats), PartitionError>;
+
 struct Flags {
     alg: Box<dyn Partitioner>,
-    alg_name: String,
     k: u64,
-    dag_cache: bool,
-    stats: bool,
+    /// `--stats`: the counting entry point of the chosen DP algorithm.
+    stats: Option<StatsFn>,
     pool_pages: Option<usize>,
 }
 
@@ -344,11 +317,14 @@ fn store_config(pool_pages: Option<usize>) -> StoreConfig {
     config
 }
 
-fn parse_flags(rest: &[String]) -> Result<Flags, String> {
-    let mut alg_name = String::from("ekm");
+/// Parse the options of `partition`/`load`; every error is a usage error.
+fn parse_flags(rest: &[String]) -> Result<Flags, CliError> {
+    parse_flags_inner(rest).map_err(|msg| CliError::new(2, msg))
+}
+
+fn parse_flags_inner(rest: &[String]) -> Result<Flags, String> {
+    let mut alg: Box<dyn Partitioner> = Box::new(Ekm);
     let mut k = 256;
-    let mut threads = parallel::default_threads();
-    let mut dag_cache = true;
     let mut stats = false;
     let (pool_pages, rest) = extract_pool_pages(rest)?;
     let mut it = rest.iter();
@@ -356,10 +332,7 @@ fn parse_flags(rest: &[String]) -> Result<Flags, String> {
         match a.as_str() {
             "--alg" => {
                 let name = it.next().ok_or("missing value for --alg")?;
-                if algorithm(name, 1, true).is_none() {
-                    return Err(format!("unknown algorithm {name}"));
-                }
-                alg_name = name.clone();
+                alg = algorithm(name).ok_or_else(|| format!("unknown algorithm {name}"))?;
             }
             "--k" => {
                 k = it
@@ -368,28 +341,20 @@ fn parse_flags(rest: &[String]) -> Result<Flags, String> {
                     .parse()
                     .map_err(|_| "--k expects a positive integer".to_string())?;
             }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .ok_or("missing value for --threads")?
-                    .parse()
-                    .map_err(|_| "--threads expects a positive integer".to_string())?;
-                if threads == 0 {
-                    return Err("--threads expects a positive integer".to_string());
-                }
-            }
-            "--no-dag-cache" => dag_cache = false,
             "--stats" => stats = true,
             "--count" => {} // handled by the caller
             other => return Err(format!("unknown option {other}")),
         }
     }
-    let alg = algorithm(&alg_name, threads, dag_cache).expect("validated above");
+    let stats: Option<StatsFn> = match (stats, alg.name()) {
+        (false, _) => None,
+        (true, "DHW") => Some(dhw_with_statistics),
+        (true, "GHDW") => Some(ghdw_with_statistics),
+        (true, other) => return Err(format!("--stats supports dhw/ghdw, not {other}")),
+    };
     Ok(Flags {
         alg,
-        alg_name: alg_name.to_ascii_lowercase(),
         k,
-        dag_cache,
         stats,
         pool_pages,
     })
@@ -411,10 +376,11 @@ fn cmd_partition(args: &[String]) -> Result<(), CliError> {
     let flags = parse_flags(&args[1..])?;
     let doc = read_document(file)?;
     let tree = doc.tree();
-    let p = flags
-        .alg
-        .partition(tree, flags.k)
-        .map_err(|e| e.to_string())?;
+    let (p, dp_stats) = match flags.stats {
+        Some(run) => run(tree, flags.k).map(|(p, dp_stats)| (p, Some(dp_stats))),
+        None => flags.alg.partition(tree, flags.k).map(|p| (p, None)),
+    }
+    .map_err(|e| e.to_string())?;
     let stats = validate(tree, flags.k, &p).map_err(|e| e.to_string())?;
     println!(
         "document   : {} nodes, {} slots",
@@ -429,48 +395,33 @@ fn cmd_partition(args: &[String]) -> Result<(), CliError> {
         "lower bound: {} (total weight / K)",
         tree.total_weight().div_ceil(flags.k)
     );
-    if flags.stats {
-        print_dp_stats(tree, &flags)?;
+    if let Some(dp_stats) = dp_stats {
+        print_dp_stats(&dp_stats);
     }
     Ok(())
 }
 
-/// `--stats`: run the DHW/GHDW engine once more with counters enabled and
-/// print the structure-sharing and dominance-pruning statistics.
-fn print_dp_stats(tree: &natix_tree::Tree, flags: &Flags) -> Result<(), CliError> {
-    let run = |cached: bool| -> Result<DpStats, String> {
-        let r = match (flags.alg_name.as_str(), cached) {
-            ("dhw", true) => dhw_cached_with_statistics(tree, flags.k),
-            ("dhw", false) => dhw_with_statistics(tree, flags.k),
-            ("ghdw", true) => ghdw_cached_with_statistics(tree, flags.k),
-            ("ghdw", false) => ghdw_with_statistics(tree, flags.k),
-            _ => return Err(format!("--stats supports dhw/ghdw, not {}", flags.alg_name)),
-        };
-        Ok(r.map_err(|e| e.to_string())?.1)
-    };
-    let stats = run(flags.dag_cache)?;
-    if flags.dag_cache {
-        println!(
-            "dag shapes : {} distinct of {} nodes ({:.1}x dedup)",
-            stats.dag_distinct,
-            stats.dag_nodes,
-            stats.dag_dedup_ratio()
-        );
-        println!(
-            "cache hits : {} ({:.1}% of nodes), {} cross-run",
-            stats.dag_hits,
-            stats.dag_hit_rate() * 100.0,
-            stats.dag_cross_run_hits
-        );
-        println!(
-            "pruned     : {} candidates, {} scans cut short",
-            stats.pruned_candidates, stats.pruned_scans
-        );
-    } else {
-        println!("dag shapes : (disabled via --no-dag-cache)");
-    }
+/// `--stats`: the structure-sharing and dominance-pruning counters of the
+/// run that produced the partitioning.
+fn print_dp_stats(stats: &DpStats) {
     println!(
-        "dp tables  : {} inner nodes, {} rows (avg {:.2} s values), {} cells",
+        "dag shapes : {} distinct of {} nodes ({:.1}x dedup)",
+        stats.dag_distinct,
+        stats.dag_nodes,
+        stats.dag_dedup_ratio()
+    );
+    println!(
+        "cache hits : {} ({:.1}% of nodes), {} cross-run",
+        stats.dag_hits,
+        stats.dag_hit_rate() * 100.0,
+        stats.dag_cross_run_hits
+    );
+    println!(
+        "pruned     : {} candidates, {} scans cut short",
+        stats.pruned_candidates, stats.pruned_scans
+    );
+    println!(
+        "dp tables  : {} inner shapes, {} rows (avg {:.2} s values), {} cells",
         stats.inner_nodes,
         stats.total_rows,
         stats.avg_rows(),
@@ -480,7 +431,6 @@ fn print_dp_stats(tree: &natix_tree::Tree, flags: &Flags) -> Result<(), CliError
         "workspace  : {} KB peak",
         stats.bytes_allocated.div_ceil(1024)
     );
-    Ok(())
 }
 
 fn cmd_load(args: &[String]) -> Result<(), CliError> {

@@ -56,6 +56,51 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn partition_option_errors_exit_2_before_any_output() {
+    let dir = tmpdir("flags");
+    let xml = dir.join("doc.xml");
+    std::fs::write(&xml, "<list><e>alpha</e><e>beta</e></list>").unwrap();
+    let xml = xml.to_str().unwrap();
+    let store = dir.join("out.natix");
+    let store = store.to_str().unwrap();
+
+    // --stats needs a DP algorithm; the default is ekm.
+    for args in [
+        &["partition", xml, "--stats"][..],
+        &["partition", xml, "--alg", "km", "--stats"],
+    ] {
+        let out = natix(args);
+        assert_eq!(code(&out), 2, "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result first");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("--stats supports dhw/ghdw"));
+    }
+    let out = natix(&["partition", xml, "--alg", "dhw", "--stats"]);
+    assert_eq!(code(&out), 0);
+
+    // Unknown options — the retired engine knobs among them; `--threads`
+    // survives on `bulkload` only — are usage errors.
+    for args in [
+        &["partition", xml, "--alg", "dhw", "--threads", "2"][..],
+        &["partition", xml, "--alg", "dhw", "--frobnicate"],
+        &["load", xml, store, "--alg", "dhw", "--threads", "2"],
+        &["load", xml, store, "--frobnicate"],
+    ] {
+        let out = natix(args);
+        assert_eq!(code(&out), 2, "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown option"),
+            "{args:?}"
+        );
+    }
+    assert!(
+        !Path::new(store).exists(),
+        "a rejected load created a store"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn missing_store_exits_5() {
     let dir = tmpdir("io");
     let ghost = dir.join("does-not-exist.natix");

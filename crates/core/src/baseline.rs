@@ -1,13 +1,9 @@
-//! Pre-arena reference implementation of the GHDW/DHW engine.
+//! Independent reference implementation of the GHDW/DHW engine.
 //!
-//! This is the original `HashMap<Weight, Vec<Entry>>`-per-node version of
-//! `crate::dp`, retained verbatim (modulo minor renames) for two purposes:
-//!
-//! * **Differential testing** — property tests check the arena engine
-//!   against it interval-for-interval on random trees.
-//! * **Benchmarking** — the `dp_speed` and `memoization` bench binaries
-//!   report the speed and memory win of the flat-arena layout against this
-//!   allocation-heavy baseline.
+//! A per-node, unpruned transcription of Figs. 5 and 7 over
+//! `HashMap<Weight, Vec<Entry>>` rows that shares no code with [`crate::dp`]
+//! or [`crate::dag`]. The differential tests check the engine against it
+//! interval-for-interval on trees too large for [`crate::brute_force`].
 //!
 //! Do not use it for real work: every table cell clones interval chains'
 //! boxed nearly-sets, and every row is a separate heap allocation behind a
@@ -17,7 +13,7 @@ use std::collections::HashMap;
 
 use natix_tree::{Partitioning, SiblingInterval, Tree, Weight};
 
-use crate::{check_input, DpStats, PartitionError};
+use crate::{check_input, PartitionError};
 
 const NO_IV: u32 = u32::MAX;
 const INFEASIBLE: u64 = u64::MAX;
@@ -283,28 +279,14 @@ fn extract(tree: &Tree, plans: &[NodePlan]) -> Partitioning {
     p
 }
 
-/// DHW via the pre-arena `HashMap`-row engine.
+/// DHW via the reference `HashMap`-row engine.
 pub fn dhw_hashmap(tree: &Tree, k: Weight) -> Result<Partitioning, PartitionError> {
     partition_dp(tree, k, true)
 }
 
-/// GHDW via the pre-arena `HashMap`-row engine.
+/// GHDW via the reference `HashMap`-row engine.
 pub fn ghdw_hashmap(tree: &Tree, k: Weight) -> Result<Partitioning, PartitionError> {
     partition_dp(tree, k, false)
-}
-
-/// Estimated heap bytes the pre-arena representation would allocate for a
-/// run described by `stats`: one [`Entry`] per computed cell, one `Vec` row
-/// plus one hash-map slot per materialized row. (Boxed nearly-sets and
-/// allocator slack are ignored, so this undercounts.)
-pub fn hashmap_bytes_estimate(stats: &DpStats) -> u64 {
-    let entry = std::mem::size_of::<Entry>() as u64;
-    // Vec header on the heap side is counted as its triple on the stack of
-    // the map slot; a HashMap slot stores (hash metadata, key, value).
-    let row_overhead = (std::mem::size_of::<Weight>()
-        + std::mem::size_of::<Vec<Entry>>()
-        + std::mem::size_of::<u64>()) as u64;
-    stats.total_entries * entry + stats.total_rows * row_overhead
 }
 
 #[cfg(test)]

@@ -1,19 +1,19 @@
-//! Structure-sharing DP: hash-consed subtree DAG + `(fingerprint, K)` plan
-//! cache + dominance-pruned rows.
+//! The whole-tree driver of **GHDW** (Fig. 5) and **DHW** (Fig. 7):
+//! hash-consed subtree DAG + `(fingerprint, K)` plan cache around the
+//! dominance-pruned per-node DP of [`crate::dp`].
 //!
-//! The per-node DP of [`crate::dp`] is a pure function of the node's
-//! *weighted subtree shape*: its own weight, the ordered shapes of its
-//! children, and the run parameters `(K, nearly_mode)`. Labels never enter
-//! the recurrence. Real XML — especially relational dumps like the paper's
+//! The per-node DP is a pure function of the node's *weighted subtree
+//! shape*: its own weight, the ordered shapes of its children, and the run
+//! parameters `(K, nearly_mode)`. Labels never enter the recurrence. Real
+//! XML — especially relational dumps like the paper's
 //! `partsupp.xml`/`orders.xml` — is extremely repetitive under exactly this
 //! equivalence: "XML Compression via DAGs" (Bousquet-Mélou, Lohrey,
 //! Maneth, Noeth) measures that typical documents collapse to minimal DAGs
-//! a small fraction of their tree size. The plain engine recomputes the
-//! same table for every one of those identical subtrees; this module
-//! computes it **once per distinct shape** and splices the cached result
-//! into every occurrence.
+//! a small fraction of their tree size. The driver therefore runs the DP
+//! **once per distinct shape** and shares the resulting plan between every
+//! occurrence.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! 1. [`SubtreeDag`] — bottom-up hash-consing of weighted subtree shapes
 //!    into a minimal-DAG node index. Interning is *exact* (structural
@@ -22,23 +22,16 @@
 //!    distinct shape also gets a 128-bit [`Fingerprint`] over
 //!    (weight, child fingerprints) for cross-run identity.
 //! 2. [`DagCache`] — a reusable workspace holding the flat-arena
-//!    [`DpWorkspace`] plus a plan cache keyed by `(fingerprint, K,
-//!    nearly_mode)`. Within a run, each distinct shape's [`NodePlan`] is
+//!    `DpWorkspace` plus a plan cache keyed by `(fingerprint, K,
+//!    nearly_mode)`. Within a run, each distinct shape's `NodePlan` is
 //!    computed once; across runs (k-sweeps, repeated imports of
 //!    overlapping corpora) plans whose key matches are reused outright.
-//! 3. Dominance pruning — the cached engine runs the per-node DP with the
-//!    Pareto-dominance candidate filter of `NodeDp::compute` enabled, so
-//!    rows that *are* computed stop fanning candidates into the `O(K³)`
-//!    combine step as soon as the incumbent entry dominates every
-//!    remaining start position.
 //!
-//! Output is **byte-identical** to the plain engine (the same interval
-//! list): plans are pure per shape, pruning only skips provably
-//! non-improving candidates, and extraction walks the same chains. The
-//! property and differential suites (`tests/properties.rs`,
-//! `tests/dag_equivalence.rs`) enforce this against both the arena engine
-//! and the pre-arena `natix_core::baseline` oracle, across the
-//! `natix-datagen` corpus and the parallel scheduler.
+//! Output is **byte-identical** to a per-node, unpruned run: plans are pure
+//! per shape, pruning only skips provably non-improving candidates, and
+//! extraction walks the same chains. `tests/differential.rs` enforces this
+//! against the independent `natix_core::baseline` implementation across the
+//! `natix-datagen` corpus and random trees.
 
 use std::collections::HashMap;
 
@@ -186,8 +179,8 @@ struct PlanKey {
     nearly_mode: bool,
 }
 
-/// Reusable structure-sharing engine state: the flat-arena DP workspace
-/// plus the persistent `(fingerprint, K)` plan cache.
+/// Reusable driver state: the flat-arena DP workspace plus the persistent
+/// `(fingerprint, K)` plan cache.
 ///
 /// One `DagCache` serves arbitrarily many trees and limits; repeated runs
 /// over equal shapes (k-sweeps, re-imports) hit the cache outright. Drop
@@ -221,12 +214,11 @@ impl DagCache {
     }
 }
 
-/// Run the structure-sharing engine over the whole tree.
+/// Run the DP over the whole tree.
 ///
 /// `nearly_mode = false` is GHDW; `true` is DHW. Each distinct weighted
-/// subtree shape is processed once (dominance pruning enabled); every
-/// other occurrence splices the cached plan.
-pub(crate) fn partition_dag_into(
+/// subtree shape is processed once; every other occurrence shares its plan.
+fn partition_dag_into(
     tree: &Tree,
     k: Weight,
     nearly_mode: bool,
@@ -276,7 +268,6 @@ pub(crate) fn partition_dag_into(
                 k,
                 tree.weight(v),
                 nearly_mode,
-                true,
                 &mut plan,
                 stats.as_deref_mut(),
             );
@@ -305,8 +296,8 @@ pub(crate) fn partition_dag_into(
     Ok(())
 }
 
-/// DHW with structure sharing into caller-provided buffers: reuses the
-/// cache's DP workspace *and* its cross-run `(fingerprint, K)` plans.
+/// DHW into caller-provided buffers: reuses the cache's DP workspace *and*
+/// its cross-run `(fingerprint, K)` plans.
 pub fn dhw_cached_into(
     tree: &Tree,
     k: Weight,
@@ -316,7 +307,7 @@ pub fn dhw_cached_into(
     partition_dag_into(tree, k, true, cache, None, out)
 }
 
-/// GHDW with structure sharing into caller-provided buffers.
+/// GHDW into caller-provided buffers.
 pub fn ghdw_cached_into(
     tree: &Tree,
     k: Weight,
@@ -326,110 +317,90 @@ pub fn ghdw_cached_into(
     partition_dag_into(tree, k, false, cache, None, out)
 }
 
-/// Run cached DHW while collecting [`DpStats`] (cache hit rates, dedup
-/// ratio, dominance-pruning counters; see the `memoization` and `dp_speed`
-/// bench binaries and `natix partition --stats`).
-pub fn dhw_cached_with_statistics(
+/// Run DHW while collecting [`DpStats`]: table sizes (the Sec. 3.3.6
+/// memoization experiment), cache hit rates, dedup ratio and
+/// dominance-pruning counters; see the `memoization` bench binary and
+/// `natix partition --stats`.
+pub fn dhw_with_statistics(
     tree: &Tree,
     k: Weight,
 ) -> Result<(Partitioning, DpStats), PartitionError> {
-    cached_with_statistics(tree, k, true)
+    with_statistics(tree, k, true)
 }
 
-/// Run cached GHDW while collecting [`DpStats`].
-pub fn ghdw_cached_with_statistics(
+/// Run GHDW while collecting [`DpStats`].
+pub fn ghdw_with_statistics(
     tree: &Tree,
     k: Weight,
 ) -> Result<(Partitioning, DpStats), PartitionError> {
-    cached_with_statistics(tree, k, false)
+    with_statistics(tree, k, false)
 }
 
-fn cached_with_statistics(
+fn with_statistics(
     tree: &Tree,
     k: Weight,
     nearly_mode: bool,
 ) -> Result<(Partitioning, DpStats), PartitionError> {
     let mut stats = DpStats::default();
-    let mut cache = DagCache::new();
-    let mut out = Partitioning::new();
-    partition_dag_into(tree, k, nearly_mode, &mut cache, Some(&mut stats), &mut out)?;
-    Ok((out, stats))
+    let p = partition(tree, k, nearly_mode, Some(&mut stats))?;
+    Ok((p, stats))
 }
 
-fn partition_cached(
+/// One run with a throwaway cache, as a [`Partitioner`] call pays it.
+fn partition(
     tree: &Tree,
     k: Weight,
     nearly_mode: bool,
+    stats: Option<&mut DpStats>,
 ) -> Result<Partitioning, PartitionError> {
-    let mut cache = DagCache::new();
     let mut out = Partitioning::new();
-    partition_dag_into(tree, k, nearly_mode, &mut cache, None, &mut out)?;
+    partition_dag_into(tree, k, nearly_mode, &mut DagCache::new(), stats, &mut out)?;
     Ok(out)
 }
 
-/// [`crate::Dhw`] on the structure-sharing engine: optimal tree sibling
-/// partitioning with one DP run per distinct weighted subtree shape and
-/// dominance-pruned rows. Output is byte-identical to plain DHW.
+/// **GHDW** — *Greedy Height / Dynamic Width* (paper Fig. 5, Sec. 3.3.1).
+///
+/// Bottom-up flat-tree DP using the locally optimal partitioning of every
+/// subtree. Near-optimal in practice (within 4% of DHW on the paper's
+/// documents) but not always optimal (Fig. 6). `O(nK²)`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CachedDhw;
+pub struct Ghdw;
 
-impl Partitioner for CachedDhw {
+impl Partitioner for Ghdw {
     fn name(&self) -> &'static str {
-        "DHW-C"
+        "GHDW"
     }
 
     fn partition(&self, tree: &Tree, k: Weight) -> Result<Partitioning, PartitionError> {
-        partition_cached(tree, k, true)
+        partition(tree, k, false, None)
     }
 
     fn is_main_memory_friendly(&self) -> bool {
-        false
-    }
-}
-
-/// [`crate::Ghdw`] on the structure-sharing engine; output is
-/// byte-identical to plain GHDW.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CachedGhdw;
-
-impl Partitioner for CachedGhdw {
-    fn name(&self) -> &'static str {
-        "GHDW-C"
-    }
-
-    fn partition(&self, tree: &Tree, k: Weight) -> Result<Partitioning, PartitionError> {
-        partition_cached(tree, k, false)
-    }
-
-    fn is_main_memory_friendly(&self) -> bool {
+        // The paper classifies GHDW as memory-friendly: it fixes a definitive
+        // partitioning for every subtree heavier than K as soon as it leaves
+        // it (Sec. 4.3.1).
         true
     }
 }
 
-/// [`crate::Fdw`] on the structure-sharing engine. Accepts exactly the flat
-/// trees FDW accepts; on those the cached table-building engine emits the
-/// same optimal (minimal + lean) interval chain as the paper-literal
-/// Fig. 4 transcription — leaves dedup to one shape per weight, so the
-/// root's DP runs over a handful of distinct child summaries.
+/// **DHW** — *Dynamic Height and Width* (paper Fig. 7, Sec. 3.3.5): the
+/// linear-time algorithm for **optimal** (minimal and lean) tree sibling
+/// partitioning. `O(nK³)`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CachedFdw;
+pub struct Dhw;
 
-impl Partitioner for CachedFdw {
+impl Partitioner for Dhw {
     fn name(&self) -> &'static str {
-        "FDW-C"
+        "DHW"
     }
 
     fn partition(&self, tree: &Tree, k: Weight) -> Result<Partitioning, PartitionError> {
-        check_input(tree, k)?;
-        for &c in tree.children(tree.root()) {
-            if !tree.is_leaf(c) {
-                return Err(PartitionError::NotFlat { node: c });
-            }
-        }
-        partition_cached(tree, k, true)
+        partition(tree, k, true, None)
     }
 
     fn is_main_memory_friendly(&self) -> bool {
+        // The optimal/nearly-optimal choice for every subtree is only fixed
+        // at the next higher level, ultimately at the root (Sec. 4.1).
         false
     }
 }
@@ -437,7 +408,6 @@ impl Partitioner for CachedFdw {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dhw, Fdw, Ghdw};
     use natix_tree::{parse_spec, validate};
 
     #[test]
@@ -496,57 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_engines_match_plain_engines() {
-        let specs = [
-            "a:5(b:1 c:1(d:2 e:2) f:1)",
-            "a:3(b:2 c:2 d:2 e:2 f:2)",
-            "a:1(b:4 c:4 d:1)",
-            "r:1(a:1(x:2 y:3) b:1(x:2 y:3) c:1(x:2 y:3))",
-        ];
-        for spec in specs {
-            let t = parse_spec(spec).unwrap();
-            for k in [5u64, 8, 9, 16, 64] {
-                if t.max_node_weight() > k {
-                    continue;
-                }
-                let d = Dhw.partition(&t, k).unwrap();
-                let dc = CachedDhw.partition(&t, k).unwrap();
-                assert_eq!(d.intervals, dc.intervals, "DHW {spec} K={k}");
-                let g = Ghdw.partition(&t, k).unwrap();
-                let gc = CachedGhdw.partition(&t, k).unwrap();
-                assert_eq!(g.intervals, gc.intervals, "GHDW {spec} K={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn cached_fdw_matches_fdw_exactly() {
-        let specs = [
-            "a:3(b:2 c:2 d:2 e:2 f:2)",
-            "a:1(b:1 c:2 d:3 e:4 f:5 g:1 h:1)",
-            "a:2(b:1 c:1 d:1 e:1 f:1 g:1 h:1 i:1 j:1)",
-            "a:4",
-        ];
-        for spec in specs {
-            let t = parse_spec(spec).unwrap();
-            for k in [5u64, 7, 10, 20] {
-                if t.max_node_weight() > k {
-                    continue;
-                }
-                let pf = Fdw.partition(&t, k).unwrap();
-                let pc = CachedFdw.partition(&t, k).unwrap();
-                assert_eq!(pf.intervals, pc.intervals, "{spec} K={k}");
-            }
-        }
-        // And it rejects what FDW rejects.
-        let deep = parse_spec("a:1(b:1(c:1))").unwrap();
-        assert!(matches!(
-            CachedFdw.partition(&deep, 10),
-            Err(PartitionError::NotFlat { .. })
-        ));
-    }
-
-    #[test]
     fn cross_run_cache_reuses_plans() {
         let t = parse_spec("r:1(a:1(x:2 y:3) b:1(x:2 y:3) c:1(x:2 y:3))").unwrap();
         let mut cache = DagCache::new();
@@ -579,7 +498,7 @@ mod tests {
     #[test]
     fn statistics_report_sharing() {
         let t = parse_spec("r:1(a:1(x:2 y:3) b:1(x:2 y:3) c:1(x:2 y:3) d:1(x:2 y:3))").unwrap();
-        let (p, stats) = dhw_cached_with_statistics(&t, 8).unwrap();
+        let (p, stats) = dhw_with_statistics(&t, 8).unwrap();
         validate(&t, 8, &p).unwrap();
         // Shapes: root, row(2,3), leaf-2, leaf-3.
         assert_eq!(stats.dag_nodes, 13);

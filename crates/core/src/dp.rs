@@ -1,9 +1,9 @@
-//! The bottom-up dynamic-programming engine behind **GHDW** (Fig. 5) and
-//! **DHW** (Fig. 7).
+//! The per-node dynamic-programming kernel behind **GHDW** (Fig. 5) and
+//! **DHW** (Fig. 7); the whole-tree driver lives in [`crate::dag`].
 //!
-//! Both algorithms traverse the tree in postorder and, for every inner node
-//! `v`, run a flat-tree DP over `v`'s children (whose subtrees have already
-//! been collapsed to their partitioning's *root weight*). The DP table `D`
+//! Both algorithms work bottom-up and, for every inner node `v`, run a
+//! flat-tree DP over `v`'s children (whose subtrees have already been
+//! collapsed to their partitioning's *root weight*). The DP table `D`
 //! is indexed by `(s, j)`: `s` is the weight of the root partition so far
 //! (`v`'s own weight plus the children placed with it) and `j` is the number
 //! of children processed. Each entry stores the best (minimum cardinality,
@@ -31,16 +31,12 @@
 //! too large for a dense index). Entries are plain `Copy` structs whose
 //! nearly-optimal member sets are ranges of a shared `u32` pool, so the
 //! `(s, j)` recurrence and the backtracking [`NodeDp::chain`] move indices,
-//! never heap clones. The workspace is reused across nodes *and* across
-//! calls ([`dhw_partition_into`]/[`ghdw_partition_into`]), which makes
-//! repeated partitioning (k-sweeps, benchmarks, property tests) allocation
-//! free in steady state. The pre-arena `HashMap<Weight, Vec<Entry>>`
-//! implementation is retained in [`crate::baseline`] for differential tests
-//! and benchmarks.
+//! never heap clones. The workspace is reused across nodes and, through
+//! [`crate::DagCache`], across calls. The independent
+//! `HashMap<Weight, Vec<Entry>>` implementation in [`crate::baseline`] is
+//! the reference the differential tests compare against.
 
 use natix_tree::{NodeId, Partitioning, SiblingInterval, Tree, Weight};
-
-use crate::{check_input, PartitionError, Partitioner};
 
 /// Sentinel for "no interval introduced by this entry".
 const NO_IV: u32 = u32::MAX;
@@ -159,9 +155,9 @@ struct RowMeta {
 ///
 /// One workspace serves arbitrarily many nodes and calls; buffers are
 /// cleared (capacity kept) per node, so steady-state partitioning performs
-/// no heap allocation in the hot path. Create once and pass to
-/// [`dhw_partition_into`]/[`ghdw_partition_into`] for repeated runs.
-pub struct DpWorkspace {
+/// no heap allocation in the hot path.
+#[derive(Default)]
+pub(crate) struct DpWorkspace {
     /// Flat arena of row slabs.
     entries: Vec<Entry>,
     /// Directory of materialized rows for the current node.
@@ -175,24 +171,9 @@ pub struct DpWorkspace {
     cand: Vec<(Weight, u32)>,
     /// Collapsed child summaries of the current node.
     child_stats: Vec<ChildStats>,
-    /// Per-node plans of the last sequential run (reused across calls).
-    plans: Vec<NodePlan>,
 }
 
 impl DpWorkspace {
-    /// Fresh, empty workspace.
-    pub fn new() -> DpWorkspace {
-        DpWorkspace {
-            entries: Vec::new(),
-            rows: Vec::new(),
-            index: Vec::new(),
-            nearly_pool: Vec::new(),
-            cand: Vec::new(),
-            child_stats: Vec::new(),
-            plans: Vec::new(),
-        }
-    }
-
     /// Load the collapsed child summaries for the node about to be
     /// processed.
     pub(crate) fn set_children<I: IntoIterator<Item = ChildStats>>(&mut self, children: I) {
@@ -212,12 +193,6 @@ impl DpWorkspace {
     }
 }
 
-impl Default for DpWorkspace {
-    fn default() -> Self {
-        DpWorkspace::new()
-    }
-}
-
 /// Per-node view of the DP table: split borrows of the workspace buffers
 /// plus the node parameters.
 struct NodeDp<'a> {
@@ -228,9 +203,6 @@ struct NodeDp<'a> {
     slab: usize,
     /// Whether the dense `s`-index is in use for this node.
     dense: bool,
-    /// Whether dominance pruning is enabled (the structure-sharing engine
-    /// of [`crate::dag`]; the plain engine keeps the paper-literal scan).
-    prune: bool,
     /// Interval candidates skipped because their best-possible
     /// `(cardinality, root weight)` was Pareto-dominated by the incumbent.
     pruned_candidates: u64,
@@ -325,7 +297,7 @@ impl NodeDp<'_> {
     /// `(c_{j-1-m}, c_{j-1})`, possibly forcing some members to
     /// nearly-optimal subtree partitionings.
     ///
-    /// ## Dominance pruning (`self.prune`)
+    /// ## Dominance pruning
     ///
     /// The forced-member count `taken` is non-decreasing in `m`: growing the
     /// interval by one member raises the excess weight by `rw` while the new
@@ -342,10 +314,10 @@ impl NodeDp<'_> {
     ///   (`taken_floor + 1 > best.card`), *every* remaining candidate is,
     ///   and the whole scan stops instead of fanning out to `m = K`.
     ///
-    /// Only non-improving candidates are skipped — the original code ignores
-    /// those too — so the selected entry (and the final partitioning) is
-    /// byte-identical with pruning on or off; the differential suites
-    /// enforce this.
+    /// Only non-improving candidates are skipped — the paper-literal scan
+    /// ignores those too — so the selected entry (and the final
+    /// partitioning) is byte-identical to the unpruned scan of
+    /// [`crate::baseline`]; the differential suite enforces this.
     fn compute(&mut self, s: Weight, j: usize) -> Entry {
         let s2 = s + self.children[j - 1].rw;
         let mut best = self.get(s2, j - 1);
@@ -364,7 +336,7 @@ impl NodeDp<'_> {
         let mut taken_floor: u64 = 0; // monotone lower bound on `taken`
         let mut m = 0usize;
         while m < j && (m as u64) < self.k && w - dw_sum < self.k {
-            if self.prune && best.card != INFEASIBLE && taken_floor + 1 > best.card {
+            if best.card != INFEASIBLE && taken_floor + 1 > best.card {
                 // Even a predecessor of cardinality 0 needs at least
                 // `taken_floor` forced members: no remaining interval can
                 // reach best.card, let alone beat it.
@@ -383,17 +355,15 @@ impl NodeDp<'_> {
             if w - dw_sum <= self.k {
                 let prev = self.entries[s_start + ci];
                 if prev.card != INFEASIBLE {
-                    if self.prune {
-                        let crd_lb = prev.card + 1 + taken_floor;
-                        if crd_lb > best.card
-                            || (crd_lb == best.card && prev.rootweight >= best.rootweight)
-                        {
-                            // Dominated: the candidate's best possible
-                            // (card, rootweight) cannot strictly improve.
-                            self.pruned_candidates += 1;
-                            m += 1;
-                            continue;
-                        }
+                    let crd_lb = prev.card + 1 + taken_floor;
+                    if crd_lb > best.card
+                        || (crd_lb == best.card && prev.rootweight >= best.rootweight)
+                    {
+                        // Dominated: the candidate's best possible
+                        // (card, rootweight) cannot strictly improve.
+                        self.pruned_candidates += 1;
+                        m += 1;
+                        continue;
                     }
                     // Greedily force nearly-optimal partitionings (largest
                     // ΔW first) until the interval fits.
@@ -455,14 +425,12 @@ impl NodeDp<'_> {
 
 /// Run the per-node DP for an inner node of weight `w_v` whose collapsed
 /// child summaries were loaded via [`DpWorkspace::set_children`], writing
-/// the node's plan into `plan`. Shared by the sequential driver and the
-/// parallel subtree workers (`crate::parallel`).
+/// the node's plan into `plan`.
 pub(crate) fn process_node(
     ws: &mut DpWorkspace,
     k: Weight,
     w_v: Weight,
     nearly_mode: bool,
-    prune: bool,
     plan: &mut NodePlan,
     stats: Option<&mut DpStats>,
 ) {
@@ -473,7 +441,6 @@ pub(crate) fn process_node(
         nearly_pool,
         cand,
         child_stats,
-        ..
     } = ws;
     let nc = child_stats.len();
     debug_assert!(nc > 0, "leaves are handled by NodePlan::set_leaf");
@@ -494,7 +461,6 @@ pub(crate) fn process_node(
         base: w_v,
         slab: nc + 1,
         dense,
-        prune,
         pruned_candidates: 0,
         scan_breaks: 0,
         children: child_stats,
@@ -561,9 +527,10 @@ pub(crate) fn process_node(
 /// `s` actually occur for inner nodes").
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DpStats {
-    /// Inner nodes processed (nodes with children).
+    /// Per-node DP runs: distinct inner shapes (nodes with children) not
+    /// served by a cache.
     pub inner_nodes: u64,
-    /// Total materialized rows (distinct `s` values) across inner nodes.
+    /// Total materialized rows (distinct `s` values) across those runs.
     pub total_rows: u64,
     /// Largest per-node row count observed.
     pub max_rows: usize,
@@ -572,12 +539,9 @@ pub struct DpStats {
     /// Total arena slab cells reserved (rows × (nc + 1)); the gap to
     /// `total_entries` is the cost of fixed-capacity row slabs.
     pub arena_entries: u64,
-    /// Peak bytes held by the DP workspace buffers over the run (the old
-    /// row representation instead paid per-row `HashMap` + `Vec` + boxed
-    /// nearly-set allocations; see the `memoization` bench binary).
+    /// Peak bytes held by the DP workspace buffers over the run.
     pub bytes_allocated: u64,
-    /// Nodes covered by the structure-sharing engine (0 for the plain
-    /// engine, which never builds a DAG).
+    /// Tree nodes covered by the run.
     pub dag_nodes: u64,
     /// Distinct weighted subtree shapes (minimal-DAG nodes / distinct
     /// fingerprints) among `dag_nodes`.
@@ -597,7 +561,7 @@ pub struct DpStats {
 }
 
 impl DpStats {
-    /// Average number of distinct `s` values per inner node.
+    /// Average number of distinct `s` values per DP run.
     pub fn avg_rows(&self) -> f64 {
         if self.inner_nodes == 0 {
             0.0
@@ -617,7 +581,7 @@ impl DpStats {
     }
 
     /// Fraction of nodes served from the shape cache instead of running
-    /// the per-node DP (0.0 for the plain engine).
+    /// the per-node DP.
     pub fn dag_hit_rate(&self) -> f64 {
         if self.dag_nodes == 0 {
             0.0
@@ -627,125 +591,10 @@ impl DpStats {
     }
 }
 
-/// Run DHW while collecting [`DpStats`] (for the Sec. 3.3.6 memoization
-/// experiment; the plain [`Dhw`] partitioner skips the bookkeeping).
-pub fn dhw_with_statistics(
-    tree: &Tree,
-    k: Weight,
-) -> Result<(Partitioning, DpStats), PartitionError> {
-    let mut stats = DpStats::default();
-    let mut ws = DpWorkspace::new();
-    let mut out = Partitioning::new();
-    partition_dp_into(tree, k, true, &mut ws, Some(&mut stats), &mut out)?;
-    Ok((out, stats))
-}
-
-/// Run GHDW while collecting [`DpStats`].
-pub fn ghdw_with_statistics(
-    tree: &Tree,
-    k: Weight,
-) -> Result<(Partitioning, DpStats), PartitionError> {
-    let mut stats = DpStats::default();
-    let mut ws = DpWorkspace::new();
-    let mut out = Partitioning::new();
-    partition_dp_into(tree, k, false, &mut ws, Some(&mut stats), &mut out)?;
-    Ok((out, stats))
-}
-
-/// Run the engine over the whole tree with a throwaway workspace.
-///
-/// `nearly_mode = false` is GHDW; `true` is DHW.
-fn partition_dp(tree: &Tree, k: Weight, nearly_mode: bool) -> Result<Partitioning, PartitionError> {
-    let mut ws = DpWorkspace::new();
-    let mut out = Partitioning::new();
-    partition_dp_into(tree, k, nearly_mode, &mut ws, None, &mut out)?;
-    Ok(out)
-}
-
-/// GHDW into caller-provided buffers: reuses the workspace's tables and the
-/// output's interval vector across calls.
-pub fn ghdw_partition_into(
-    tree: &Tree,
-    k: Weight,
-    ws: &mut DpWorkspace,
-    out: &mut Partitioning,
-) -> Result<(), PartitionError> {
-    partition_dp_into(tree, k, false, ws, None, out)
-}
-
-/// DHW into caller-provided buffers: reuses the workspace's tables and the
-/// output's interval vector across calls.
-pub fn dhw_partition_into(
-    tree: &Tree,
-    k: Weight,
-    ws: &mut DpWorkspace,
-    out: &mut Partitioning,
-) -> Result<(), PartitionError> {
-    partition_dp_into(tree, k, true, ws, None, out)
-}
-
-pub(crate) fn partition_dp_into(
-    tree: &Tree,
-    k: Weight,
-    nearly_mode: bool,
-    ws: &mut DpWorkspace,
-    mut stats: Option<&mut DpStats>,
-    out: &mut Partitioning,
-) -> Result<(), PartitionError> {
-    check_input(tree, k)?;
-
-    let n = tree.len();
-    // Detach the plan buffer so the workspace can be borrowed per node.
-    let mut plans = std::mem::take(&mut ws.plans);
-    if plans.len() < n {
-        plans.resize_with(n, NodePlan::default);
-    }
-
-    for v in tree.postorder() {
-        let w_v = tree.weight(v);
-        let children = tree.children(v);
-        if children.is_empty() {
-            plans[v.index()].set_leaf(w_v);
-            continue;
-        }
-        ws.set_children(children.iter().map(|c| {
-            let p = &plans[c.index()];
-            ChildStats {
-                rw: p.rw_opt,
-                dw: p.dw,
-            }
-        }));
-        let mut plan = std::mem::take(&mut plans[v.index()]);
-        process_node(
-            ws,
-            k,
-            w_v,
-            nearly_mode,
-            false,
-            &mut plan,
-            stats.as_deref_mut(),
-        );
-        plans[v.index()] = plan;
-    }
-
-    extract_into(tree, &plans, out);
-    ws.plans = plans;
-    if let Some(st) = stats {
-        st.bytes_allocated = ws.bytes();
-    }
-    Ok(())
-}
-
 /// Assemble the global partitioning from the per-node plans, top-down,
 /// switching a subtree to its nearly-optimal plan exactly where an interval
-/// entry forced it (`N` sets).
-pub(crate) fn extract_into(tree: &Tree, plans: &[NodePlan], out: &mut Partitioning) {
-    extract_with(tree, |v| &plans[v.index()], out);
-}
-
-/// [`extract_into`] over an arbitrary node → plan mapping; the
-/// structure-sharing engine reads one shared plan per distinct subtree
-/// shape instead of a dense per-node array.
+/// entry forced it (`N` sets). `plan_of` maps a node to the one plan shared
+/// by every node of its shape.
 pub(crate) fn extract_with<'a>(
     tree: &Tree,
     plan_of: impl Fn(NodeId) -> &'a NodePlan,
@@ -787,56 +636,10 @@ pub(crate) fn extract_with<'a>(
     }
 }
 
-/// **GHDW** — *Greedy Height / Dynamic Width* (paper Fig. 5, Sec. 3.3.1).
-///
-/// Bottom-up flat-tree DP using the locally optimal partitioning of every
-/// subtree. Near-optimal in practice (within 4% of DHW on the paper's
-/// documents) but not always optimal (Fig. 6). `O(nK²)`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Ghdw;
-
-impl Partitioner for Ghdw {
-    fn name(&self) -> &'static str {
-        "GHDW"
-    }
-
-    fn partition(&self, tree: &Tree, k: Weight) -> Result<Partitioning, PartitionError> {
-        partition_dp(tree, k, false)
-    }
-
-    fn is_main_memory_friendly(&self) -> bool {
-        // The paper classifies GHDW as memory-friendly: it fixes a definitive
-        // partitioning for every subtree heavier than K as soon as it leaves
-        // it (Sec. 4.3.1).
-        true
-    }
-}
-
-/// **DHW** — *Dynamic Height and Width* (paper Fig. 7, Sec. 3.3.5): the
-/// linear-time algorithm for **optimal** (minimal and lean) tree sibling
-/// partitioning. `O(nK³)`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Dhw;
-
-impl Partitioner for Dhw {
-    fn name(&self) -> &'static str {
-        "DHW"
-    }
-
-    fn partition(&self, tree: &Tree, k: Weight) -> Result<Partitioning, PartitionError> {
-        partition_dp(tree, k, true)
-    }
-
-    fn is_main_memory_friendly(&self) -> bool {
-        // The optimal/nearly-optimal choice for every subtree is only fixed
-        // at the next higher level, ultimately at the root (Sec. 4.1).
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dhw, Ghdw, Partitioner};
     use natix_tree::{parse_spec, validate};
 
     fn run(alg: &dyn Partitioner, spec: &str, k: Weight) -> (usize, Weight) {
@@ -969,36 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn workspace_reuse_is_transparent() {
-        // One workspace across different trees, limits and modes must give
-        // exactly the throwaway-workspace results.
-        let mut ws = DpWorkspace::new();
-        let mut out = Partitioning::new();
-        let specs = [
-            "a:5(b:1 c:1(d:2 e:2) f:1)",
-            "a:3(b:2 c:2 d:2 e:2 f:2)",
-            "a:1(b:4 c:4 d:1)",
-            "a:2(b:2 c:2 d:2)",
-        ];
-        for spec in specs {
-            let t = parse_spec(spec).unwrap();
-            for k in [5u64, 8, 9, 16] {
-                for nearly in [false, true] {
-                    let fresh = partition_dp(&t, k, nearly);
-                    let reused = partition_dp_into(&t, k, nearly, &mut ws, None, &mut out);
-                    match fresh {
-                        Ok(p) => {
-                            reused.unwrap();
-                            assert_eq!(p.intervals, out.intervals, "{spec} k={k}");
-                        }
-                        Err(_) => assert!(reused.is_err(), "{spec} k={k}"),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sparse_row_index_used_for_huge_limits() {
         // K - w(v) beyond DENSE_LIMIT exercises the linear-scan row lookup.
         let t = parse_spec("a:1(b:4 c:4 d:1)").unwrap();
@@ -1011,7 +784,7 @@ mod tests {
 
 #[cfg(test)]
 mod memo_tests {
-    use super::*;
+    use crate::{dhw_with_statistics, Dhw, Partitioner};
     use natix_tree::{parse_spec, validate};
 
     #[test]

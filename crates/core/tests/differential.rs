@@ -1,0 +1,162 @@
+//! Differential tests: the DHW/GHDW engine against the independent
+//! `natix_core::baseline` reference.
+//!
+//! The engine computes one dominance-pruned plan per distinct weighted
+//! subtree shape; the reference runs the unpruned paper-literal scan for
+//! every node and shares no code with it. Every comparison asserts **exact
+//! interval equality**, not merely equal cardinality — over every
+//! `natix-datagen` generator (flat relational tables and nested
+//! hierarchies) and over random trees too large for `brute_force`.
+
+mod common;
+
+use common::{flat_tree_and_limit, medium_tree_and_limit};
+use natix_core::{
+    baseline, check_input, dhw_cached_into, dhw_with_statistics, ghdw_cached_into,
+    ghdw_with_statistics, DagCache, Dhw, Fdw, Ghdw, Partitioner,
+};
+use natix_tree::{validate, Partitioning};
+use proptest::prelude::*;
+
+const SCALE: f64 = 0.004;
+const SEED: u64 = 1337;
+
+#[test]
+fn engine_matches_baseline_on_every_generator() {
+    for (name, doc) in natix_datagen::evaluation_suite(SCALE, SEED) {
+        let tree = doc.tree();
+        for k in [64u64, 256] {
+            let dhw = Dhw.partition(tree, k).unwrap();
+            let base = baseline::dhw_hashmap(tree, k).unwrap();
+            assert_eq!(
+                dhw.intervals, base.intervals,
+                "DHW diverged on {name} K={k}"
+            );
+            validate(tree, k, &dhw).unwrap();
+
+            let ghdw = Ghdw.partition(tree, k).unwrap();
+            let base = baseline::ghdw_hashmap(tree, k).unwrap();
+            assert_eq!(
+                ghdw.intervals, base.intervals,
+                "GHDW diverged on {name} K={k}"
+            );
+            validate(tree, k, &ghdw).unwrap();
+        }
+    }
+}
+
+#[test]
+fn relational_data_dedups_and_prunes() {
+    let doc = natix_datagen::partsupp(natix_datagen::GenConfig {
+        scale: SCALE,
+        seed: SEED,
+    });
+    let tree = doc.tree();
+    let (_, dhw) = dhw_with_statistics(tree, 256).unwrap();
+    let (_, ghdw) = ghdw_with_statistics(tree, 256).unwrap();
+    for (alg, stats) in [("DHW", &dhw), ("GHDW", &ghdw)] {
+        assert_eq!(stats.dag_nodes as usize, tree.len());
+        assert!(
+            stats.dag_dedup_ratio() >= 2.0,
+            "{alg}: dedup ratio {:.2} — rows must share shapes",
+            stats.dag_dedup_ratio()
+        );
+        // The default engine shares: most nodes never run the DP.
+        assert!(
+            stats.dag_hit_rate() > 0.9,
+            "{alg}: hit rate {:.3}",
+            stats.dag_hit_rate()
+        );
+        // The per-node DP runs at most once per distinct shape.
+        assert!(
+            stats.inner_nodes <= stats.dag_distinct,
+            "{alg}: {} DP runs for {} distinct shapes",
+            stats.inner_nodes,
+            stats.dag_distinct
+        );
+    }
+    assert!(
+        dhw.pruned_candidates > 0,
+        "dominance pruning eliminated no DHW candidates"
+    );
+}
+
+#[test]
+fn one_cache_across_the_whole_suite() {
+    // A single cross-run cache serving every document, both algorithms and
+    // several limits stays transparent (k-sweep / re-import scenario).
+    let mut cache = DagCache::new();
+    let mut out = Partitioning::new();
+    for round in 0..2 {
+        for (name, doc) in natix_datagen::evaluation_suite(SCALE, SEED) {
+            let tree = doc.tree();
+            for k in [64u64, 256] {
+                dhw_cached_into(tree, k, &mut cache, &mut out).unwrap();
+                let fresh = Dhw.partition(tree, k).unwrap();
+                assert_eq!(
+                    out.intervals, fresh.intervals,
+                    "round {round}: DHW cache reuse diverged on {name} K={k}"
+                );
+                ghdw_cached_into(tree, k, &mut cache, &mut out).unwrap();
+                let fresh = Ghdw.partition(tree, k).unwrap();
+                assert_eq!(
+                    out.intervals, fresh.intervals,
+                    "round {round}: GHDW cache reuse diverged on {name} K={k}"
+                );
+            }
+        }
+    }
+    assert!(!cache.is_empty());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// DHW and GHDW agree interval-for-interval with the reference.
+    #[test]
+    fn engine_matches_baseline_on_random_trees((tree, k) in medium_tree_and_limit()) {
+        prop_assume!(check_input(&tree, k).is_ok());
+        let dhw = Dhw.partition(&tree, k).unwrap();
+        let base_d = baseline::dhw_hashmap(&tree, k).unwrap();
+        prop_assert_eq!(&dhw.intervals, &base_d.intervals, "DHW tree={} K={}", tree, k);
+        let ghdw = Ghdw.partition(&tree, k).unwrap();
+        let base_g = baseline::ghdw_hashmap(&tree, k).unwrap();
+        prop_assert_eq!(&ghdw.intervals, &base_g.intervals, "GHDW tree={} K={}", tree, k);
+    }
+
+    /// On flat trees DHW emits the identical interval chain as the
+    /// paper-literal Fig. 4 transcription.
+    #[test]
+    fn dhw_identical_to_fdw_on_flat_trees((tree, k) in flat_tree_and_limit()) {
+        prop_assume!(check_input(&tree, k).is_ok());
+        let pf = Fdw.partition(&tree, k).unwrap();
+        let pd = Dhw.partition(&tree, k).unwrap();
+        prop_assert_eq!(&pd.intervals, &pf.intervals, "tree={} K={}", tree, k);
+    }
+
+    /// Reusing one `DagCache` across many trees and limits (the cross-run
+    /// `(fingerprint, K)` plan cache) never changes any result, and its
+    /// statistics stay consistent.
+    #[test]
+    fn dag_cache_reuse_is_transparent(
+        (t1, k1) in medium_tree_and_limit(),
+        (t2, k2) in medium_tree_and_limit(),
+    ) {
+        prop_assume!(check_input(&t1, k1).is_ok());
+        prop_assume!(check_input(&t2, k2).is_ok());
+        let mut cache = DagCache::new();
+        let mut out = Partitioning::new();
+        for (t, k) in [(&t1, k1), (&t2, k2), (&t1, k1), (&t1, k2), (&t2, k1)] {
+            if check_input(t, k).is_err() {
+                continue;
+            }
+            dhw_cached_into(t, k, &mut cache, &mut out).unwrap();
+            let fresh = Dhw.partition(t, k).unwrap();
+            prop_assert_eq!(&out.intervals, &fresh.intervals, "tree={} K={}", t, k);
+        }
+        let (_, stats) = dhw_with_statistics(&t1, k1).unwrap();
+        prop_assert_eq!(stats.dag_nodes as usize, t1.len());
+        prop_assert!(stats.dag_distinct <= stats.dag_nodes);
+        prop_assert_eq!(stats.dag_hits, stats.dag_nodes - stats.dag_distinct);
+    }
+}

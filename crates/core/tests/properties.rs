@@ -5,64 +5,14 @@
 //! *and* lean. Everything else is checked against the recomputing validator
 //! and against DHW as a lower bound.
 
+mod common;
+
+use common::{flat_tree_and_limit, small_tree_and_limit};
 use natix_core::{
-    baseline, brute_force, check_input, dhw_cached_into, dhw_cached_with_statistics,
-    evaluation_algorithms, CachedDhw, CachedFdw, CachedGhdw, DagCache, Dhw, Fdw, Ghdw, Km,
-    ParallelDhw, ParallelGhdw, Partitioner,
+    brute_force, check_input, evaluation_algorithms, Dhw, Fdw, Ghdw, Km, Partitioner,
 };
-use natix_tree::Partitioning;
-use natix_tree::{validate, NodeId, Tree, TreeBuilder, Weight};
+use natix_tree::validate;
 use proptest::prelude::*;
-
-/// Build a random tree from `(parent_selector, weight)` pairs; node `i`'s
-/// parent is `parent_selector % i`, guaranteeing a valid topology.
-fn build_tree(root_weight: Weight, nodes: &[(u32, Weight)]) -> Tree {
-    let mut b = TreeBuilder::new("n0", root_weight).unwrap();
-    let mut ids = vec![NodeId::ROOT];
-    for (i, &(psel, w)) in nodes.iter().enumerate() {
-        let parent = ids[(psel as usize) % (i + 1)];
-        let id = b
-            .add_child(parent, &format!("n{}", i + 1), w)
-            .expect("positive weight");
-        ids.push(id);
-    }
-    b.build()
-}
-
-/// Random trees of up to 10 nodes with weights 1..=6, and a limit K that
-/// keeps the instance feasible.
-fn small_tree_and_limit() -> impl Strategy<Value = (Tree, Weight)> {
-    (
-        1..=6u64,
-        prop::collection::vec((any::<u32>(), 1..=6u64), 0..9),
-        6..=14u64,
-    )
-        .prop_map(|(rw, nodes, k)| (build_tree(rw, &nodes), k))
-}
-
-/// Larger random trees (up to ~40 nodes) so forced job targets produce
-/// genuinely multi-job parallel schedules.
-fn medium_tree_and_limit() -> impl Strategy<Value = (Tree, Weight)> {
-    (
-        1..=6u64,
-        prop::collection::vec((any::<u32>(), 1..=6u64), 0..40),
-        6..=20u64,
-    )
-        .prop_map(|(rw, nodes, k)| (build_tree(rw, &nodes), k))
-}
-
-/// Random *flat* trees (all children are leaves).
-fn flat_tree_and_limit() -> impl Strategy<Value = (Tree, Weight)> {
-    (1..=6u64, prop::collection::vec(1..=6u64, 0..9), 6..=14u64).prop_map(
-        |(rw, leaf_weights, k)| {
-            let mut b = TreeBuilder::new("t", rw).unwrap();
-            for (i, &w) in leaf_weights.iter().enumerate() {
-                b.add_child(NodeId::ROOT, &format!("c{i}"), w).unwrap();
-            }
-            (b.build(), k)
-        },
-    )
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -167,108 +117,6 @@ proptest! {
             .unwrap()
             .cardinality;
         prop_assert!(c2 <= c1, "K={} gave {}, K={} gave {}", k, c1, k + 1, c2);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The parallel engines are interval-for-interval identical to their
-    /// sequential counterparts — not merely equally good — for every thread
-    /// count and forced job schedule. `job_target` overrides the size
-    /// heuristic so even these small trees split into many jobs.
-    #[test]
-    fn parallel_engines_identical_to_sequential(
-        (tree, k) in medium_tree_and_limit(),
-        threads in 1usize..=4,
-        job_target in 1usize..=8,
-    ) {
-        prop_assume!(check_input(&tree, k).is_ok());
-        let seq_d = Dhw.partition(&tree, k).unwrap();
-        let seq_g = Ghdw.partition(&tree, k).unwrap();
-        for dag_cache in [false, true] {
-            let par_d = ParallelDhw { threads, job_target: Some(job_target), dag_cache }
-                .partition(&tree, k)
-                .unwrap();
-            prop_assert_eq!(
-                &par_d.intervals, &seq_d.intervals,
-                "DHW tree={} K={} threads={} job_target={} cache={}",
-                tree, k, threads, job_target, dag_cache
-            );
-            let par_g = ParallelGhdw { threads, job_target: Some(job_target), dag_cache }
-                .partition(&tree, k)
-                .unwrap();
-            prop_assert_eq!(
-                &par_g.intervals, &seq_g.intervals,
-                "GHDW tree={} K={} threads={} job_target={} cache={}",
-                tree, k, threads, job_target, dag_cache
-            );
-        }
-    }
-
-    /// The flat-arena DP agrees interval-for-interval with the retained
-    /// pre-arena `HashMap`-row implementation (`natix_core::baseline`).
-    #[test]
-    fn arena_matches_hashmap_baseline((tree, k) in small_tree_and_limit()) {
-        prop_assume!(check_input(&tree, k).is_ok());
-        let arena_d = Dhw.partition(&tree, k).unwrap();
-        let base_d = baseline::dhw_hashmap(&tree, k).unwrap();
-        prop_assert_eq!(&arena_d.intervals, &base_d.intervals, "DHW tree={} K={}", tree, k);
-        let arena_g = Ghdw.partition(&tree, k).unwrap();
-        let base_g = baseline::ghdw_hashmap(&tree, k).unwrap();
-        prop_assert_eq!(&arena_g.intervals, &base_g.intervals, "GHDW tree={} K={}", tree, k);
-    }
-
-    /// The structure-sharing engine (hash-consed subtree DAG + dominance
-    /// pruning) is interval-for-interval identical to the plain engine AND
-    /// to the pre-arena `HashMap` baseline, for DHW and GHDW alike.
-    #[test]
-    fn dag_cached_identical_to_uncached((tree, k) in medium_tree_and_limit()) {
-        prop_assume!(check_input(&tree, k).is_ok());
-        let plain_d = Dhw.partition(&tree, k).unwrap();
-        let cached_d = CachedDhw.partition(&tree, k).unwrap();
-        prop_assert_eq!(&cached_d.intervals, &plain_d.intervals, "DHW tree={} K={}", tree, k);
-        let base_d = baseline::dhw_hashmap(&tree, k).unwrap();
-        prop_assert_eq!(&cached_d.intervals, &base_d.intervals, "DHW/base tree={} K={}", tree, k);
-        let plain_g = Ghdw.partition(&tree, k).unwrap();
-        let cached_g = CachedGhdw.partition(&tree, k).unwrap();
-        prop_assert_eq!(&cached_g.intervals, &plain_g.intervals, "GHDW tree={} K={}", tree, k);
-    }
-
-    /// Cached FDW accepts exactly the flat trees FDW accepts and emits the
-    /// identical interval chain.
-    #[test]
-    fn dag_cached_fdw_identical_to_fdw((tree, k) in flat_tree_and_limit()) {
-        prop_assume!(check_input(&tree, k).is_ok());
-        let pf = Fdw.partition(&tree, k).unwrap();
-        let pc = CachedFdw.partition(&tree, k).unwrap();
-        prop_assert_eq!(&pc.intervals, &pf.intervals, "tree={} K={}", tree, k);
-    }
-
-    /// Reusing one `DagCache` across many trees and limits (the cross-run
-    /// `(fingerprint, K)` plan cache) never changes any result, and its
-    /// statistics stay consistent.
-    #[test]
-    fn dag_cache_reuse_is_transparent(
-        (t1, k1) in medium_tree_and_limit(),
-        (t2, k2) in medium_tree_and_limit(),
-    ) {
-        prop_assume!(check_input(&t1, k1).is_ok());
-        prop_assume!(check_input(&t2, k2).is_ok());
-        let mut cache = DagCache::new();
-        let mut out = Partitioning::new();
-        for (t, k) in [(&t1, k1), (&t2, k2), (&t1, k1), (&t1, k2), (&t2, k1)] {
-            if check_input(t, k).is_err() {
-                continue;
-            }
-            dhw_cached_into(t, k, &mut cache, &mut out).unwrap();
-            let fresh = Dhw.partition(t, k).unwrap();
-            prop_assert_eq!(&out.intervals, &fresh.intervals, "tree={} K={}", t, k);
-        }
-        let (_, stats) = dhw_cached_with_statistics(&t1, k1).unwrap();
-        prop_assert_eq!(stats.dag_nodes as usize, t1.len());
-        prop_assert!(stats.dag_distinct <= stats.dag_nodes);
-        prop_assert_eq!(stats.dag_hits, stats.dag_nodes - stats.dag_distinct);
     }
 }
 

@@ -13,8 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test -q
 
-echo "==> dp_speed --quick (DP engine smoke: cached == uncached, sharing + pruning active)"
-cargo run --release -p natix-bench --bin dp_speed -- --quick
+echo "==> benchmark package (frozen: must build and run against the current crates/* API)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload partition-docs --quick | tail -n 1
 
 echo "==> store_speed --quick (buffer pool + group commit smoke: out-of-budget dump identical, evictions active, fsck clean after eviction, one flip per batch)"
 cargo run --release -p natix-bench --bin store_speed -- --quick
