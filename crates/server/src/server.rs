@@ -8,28 +8,38 @@
 //!   decode it, forward the request to the store service over a *bounded*
 //!   queue, and write the reply. A full queue is the first backpressure
 //!   gate: the worker answers [`ResponseBody::RetryAfter`] without ever
-//!   touching the store;
+//!   touching the store. Snapshot reads (`query`, `dump`) are *evaluated*
+//!   here too: the service answers them with a [`ReadTicket`] — a lent
+//!   pin plus the `Send` seed of its epoch — and the worker opens its
+//!   own pager and pool, runs the XPath evaluation and rendering, and
+//!   hands the pin back through a drop guard. Read parallelism is
+//!   [`ServeConfig::workers`];
 //! * **store service** — the single thread that owns the [`SharedStore`]
 //!   (the concurrent facade is deliberately single-threaded; see
-//!   `natix_store::concurrent`). It maps connections onto snapshot pins:
-//!   [`Request::Begin`] pins the committed epoch for the connection, and
-//!   every read on a pinned connection is served from that epoch until
-//!   [`Request::End`] or disconnect. Unpinned reads open a per-request
-//!   snapshot. Admission control ([`natix_store::AdmissionConfig`]) is
-//!   the second backpressure gate; its `Overloaded`/`Timeout` errors map
-//!   to typed retry-after responses.
+//!   `natix_store::concurrent`). It pins, renews, releases and writes —
+//!   it never evaluates a primary's read. [`Request::Begin`] pins the
+//!   committed epoch for the connection, and every read on a pinned
+//!   connection is lent that pin until [`Request::End`] or disconnect;
+//!   an unpinned read is lent a pin of its own. Admission control
+//!   ([`natix_store::AdmissionConfig`]) is the second backpressure gate;
+//!   its `Overloaded`/`Timeout` errors map to typed retry-after
+//!   responses. A pin with a read in flight is never reaped, and since
+//!   checkpoints wait for every pin, never checkpointed under.
 //!
 //! Graceful shutdown ([`Request::Shutdown`] or [`ServerHandle::shutdown`])
 //! stops the acceptor, lets every worker finish the frame it is reading
-//! (with a drain grace period), answers everything already queued, and
-//! only then releases the remaining session pins and runs deferred store
-//! maintenance — in-flight requests drain before pins are torn down.
+//! (with a drain grace period) and the read it is evaluating, answers
+//! everything already queued, and only then releases the remaining
+//! session pins and runs deferred store maintenance — in-flight requests
+//! drain before pins are torn down.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
@@ -38,7 +48,7 @@ use std::time::{Duration, Instant};
 
 use natix_store::{
     fsck, AdmissionConfig, ApplyOutcome, CapturePager, ErrorCategory, FilePager, Follower,
-    ReplicaSource, ServedRead, SharedStore, Snapshot, StoreConfig, StoreError, XmlStore,
+    ReplicaSource, SharedStore, SnapshotSeed, StoreConfig, StoreError, XmlStore,
     READ_ONLY_RETRY_HINT_MS,
 };
 use natix_xml::NodeKind;
@@ -57,14 +67,17 @@ pub struct ServeConfig {
     /// Listen address; use port 0 for an ephemeral port (the bound
     /// address is in [`ServerHandle::addr`]).
     pub addr: String,
-    /// Connection workers (concurrent connections served).
+    /// Connection workers: concurrent connections served, and — since
+    /// each worker evaluates its connection's reads itself — snapshot
+    /// reads running in parallel.
     pub workers: usize,
     /// Bound of the store-service request queue — the first backpressure
     /// gate. Requests arriving at a full queue are shed with a typed
     /// retry-after response.
     pub queue_depth: usize,
-    /// Snapshot pins allowed in flight at once (session pins plus
-    /// per-request snapshots) — the second backpressure gate.
+    /// Snapshot pins allowed in flight at once (session pins plus one
+    /// per unpinned read being evaluated) — the second backpressure
+    /// gate.
     pub max_pins: u32,
     /// Per-snapshot backend page-read budget (0 = unlimited); exhaustion
     /// sheds the read with a timeout retry-after.
@@ -133,10 +146,12 @@ struct Counters {
     worker_panics: AtomicU64,
     lease_expirations: AtomicU64,
     write_timeout_kills: AtomicU64,
+    reads_in_flight: AtomicU64,
+    peak_reads_in_flight: AtomicU64,
 }
 
 /// Point-in-time snapshot of the server's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServeSummary {
     /// Connections accepted.
     pub connections: u64,
@@ -161,13 +176,18 @@ pub struct ServeSummary {
     /// Connections closed because a response write hit the write
     /// deadline (stalled reader).
     pub write_timeout_kills: u64,
+    /// Snapshot reads being evaluated on workers right now (pins lent
+    /// out and not yet handed back; 0 after a drain).
+    pub reads_in_flight: u64,
+    /// Most reads that were ever in flight at once.
+    pub peak_reads_in_flight: u64,
 }
 
 impl std::fmt::Display for ServeSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} conn, {} req ({} ok, {} err, {} shed of which {} queue, {} proto), {} panics, {} leases expired, {} write kills",
+            "{} conn, {} req ({} ok, {} err, {} shed of which {} queue, {} proto), {} panics, {} leases expired, {} write kills, {} reads in flight (peak {})",
             self.connections,
             self.requests,
             self.ok,
@@ -177,21 +197,70 @@ impl std::fmt::Display for ServeSummary {
             self.proto_errors,
             self.worker_panics,
             self.lease_expirations,
-            self.write_timeout_kills
+            self.write_timeout_kills,
+            self.reads_in_flight,
+            self.peak_reads_in_flight
         )
     }
 }
 
-/// One request in flight from a worker to the store service.
+/// What flows from the workers to the store service.
 enum ServiceMsg {
     Request {
         conn: u64,
         req: Request,
-        reply: Sender<Response>,
+        reply: Sender<Envelope>,
+    },
+    /// A lent pin coming back: the read of a [`ReadTicket`] ended (see
+    /// [`ReadGuard`]).
+    ReadDone {
+        conn: u64,
+        pin: u64,
+        timed_out: bool,
     },
     Disconnect {
         conn: u64,
     },
+}
+
+/// What the store service answers a request with.
+enum Reply {
+    /// Answered on the service thread.
+    Done(Response),
+    /// A snapshot read for the worker to evaluate.
+    Read(ReadTicket),
+}
+
+/// A reply, plus the connection's reply sender on its way back to the
+/// worker for the next request. The worker holds no sender while it
+/// waits, so a dead store service is a closed channel, not a hang.
+struct Envelope {
+    reply: Reply,
+    back: Sender<Envelope>,
+}
+
+/// The read a [`ReadTicket`] asks its worker to evaluate.
+enum ReadOp {
+    Query {
+        path: natix_xpath::Path,
+        count_only: bool,
+    },
+    Dump {
+        degraded_ok: bool,
+    },
+}
+
+/// A pin lent to a worker for one read, with the seed of the pinned
+/// epoch to open (or re-use) a view from.
+struct ReadTicket {
+    /// `None` for the unpinned degraded read of a dump admission shed:
+    /// nothing is lent, nothing comes back.
+    pin: Option<u64>,
+    /// The pin is the connection's session pin: the worker keeps the
+    /// view, warm, for the session's later reads.
+    session: bool,
+    seed: SnapshotSeed,
+    op: ReadOp,
 }
 
 /// Handle over a running server. Dropping it does *not* stop the server;
@@ -229,6 +298,8 @@ impl ServerHandle {
             worker_panics: c.worker_panics.load(Ordering::Relaxed),
             lease_expirations: c.lease_expirations.load(Ordering::Relaxed),
             write_timeout_kills: c.write_timeout_kills.load(Ordering::Relaxed),
+            reads_in_flight: c.reads_in_flight.load(Ordering::Relaxed),
+            peak_reads_in_flight: c.peak_reads_in_flight.load(Ordering::Relaxed),
         }
     }
 
@@ -295,12 +366,13 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     for i in 0..config.workers.max(1) {
         let conn_rx = Arc::clone(&conn_rx);
         let store_tx = store_tx.clone();
+        let store = config.store.clone();
         let shutdown = Arc::clone(&shutdown);
         let counters = Arc::clone(&counters);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("natix-worker-{i}"))
-                .spawn(move || worker_loop(conn_rx, store_tx, shutdown, counters))
+                .spawn(move || worker_loop(conn_rx, store_tx, store, shutdown, counters))
                 .expect("spawn worker"),
         );
     }
@@ -371,6 +443,7 @@ fn acceptor_loop(
 fn worker_loop(
     conn_rx: Arc<Mutex<Receiver<(TcpStream, u64)>>>,
     store_tx: SyncSender<ServiceMsg>,
+    store: PathBuf,
     shutdown: Arc<AtomicBool>,
     counters: Arc<Counters>,
 ) {
@@ -385,7 +458,7 @@ fn worker_loop(
                 // A panicking handler must not shrink the pool: count it,
                 // drop the connection, keep serving.
                 let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    handle_conn(stream, conn, &store_tx, &shutdown, &counters)
+                    handle_conn(stream, conn, &store_tx, &store, &shutdown, &counters)
                 }));
                 if r.is_err() {
                     counters.worker_panics.fetch_add(1, Ordering::Relaxed);
@@ -536,12 +609,20 @@ fn handle_conn(
     mut stream: TcpStream,
     conn: u64,
     store_tx: &SyncSender<ServiceMsg>,
+    store: &Path,
     shutdown: &AtomicBool,
     counters: &Counters,
 ) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_write_timeout(Some(WRITE_DEADLINE));
+    // One reply channel per connection; its sender travels with each
+    // request and comes back in the reply's envelope.
+    let (reply_tx, reply_rx) = mpsc::channel::<Envelope>();
+    let mut reply_tx = Some(reply_tx);
+    // The open view of a pinned epoch; a session's stays, warm, across
+    // its requests.
+    let mut view: Option<View> = None;
     loop {
         let body = match read_frame_shutdown_aware(&mut stream, shutdown) {
             FrameOutcome::Frame(b) => b,
@@ -598,40 +679,50 @@ fn handle_conn(
             shutdown.store(true, Ordering::SeqCst);
             break;
         }
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let resp = match store_tx.try_send(ServiceMsg::Request {
-            conn,
-            req,
-            reply: reply_tx,
-        }) {
-            Ok(()) => match reply_rx.recv() {
-                Ok(resp) => resp,
-                Err(_) => Response {
-                    epoch: 0,
-                    body: ResponseBody::Error {
-                        kind: ErrKind::Internal,
-                        message: "store service unavailable".to_string(),
-                    },
-                },
-            },
-            Err(TrySendError::Full(_)) => {
-                counters.queue_shed.fetch_add(1, Ordering::Relaxed);
-                Response {
-                    epoch: 0,
-                    body: ResponseBody::RetryAfter {
-                        kind: ShedKind::Overloaded,
-                        millis: 2,
-                        what: "queue".to_string(),
-                    },
-                }
-            }
-            Err(TrySendError::Disconnected(_)) => Response {
+        if matches!(req, Request::Begin | Request::End) {
+            // The pin the view belongs to is about to go.
+            view = None;
+        }
+        let internal = |message: &str| {
+            Reply::Done(Response {
                 epoch: 0,
                 body: ResponseBody::Error {
                     kind: ErrKind::Internal,
-                    message: "store service stopped".to_string(),
+                    message: message.to_string(),
                 },
+            })
+        };
+        let reply = match reply_tx.take() {
+            // The sender died with the store service on an earlier request.
+            None => internal("store service unavailable"),
+            Some(reply) => match store_tx.try_send(ServiceMsg::Request { conn, req, reply }) {
+                Ok(()) => match reply_rx.recv() {
+                    Ok(envelope) => {
+                        reply_tx = Some(envelope.back);
+                        envelope.reply
+                    }
+                    Err(_) => internal("store service unavailable"),
+                },
+                Err(TrySendError::Full(msg)) => {
+                    if let ServiceMsg::Request { reply, .. } = msg {
+                        reply_tx = Some(reply);
+                    }
+                    counters.queue_shed.fetch_add(1, Ordering::Relaxed);
+                    Reply::Done(Response {
+                        epoch: 0,
+                        body: ResponseBody::RetryAfter {
+                            kind: ShedKind::Overloaded,
+                            millis: 2,
+                            what: "queue".to_string(),
+                        },
+                    })
+                }
+                Err(TrySendError::Disconnected(_)) => internal("store service stopped"),
             },
+        };
+        let resp = match reply {
+            Reply::Done(resp) => resp,
+            Reply::Read(ticket) => run_read(ticket, conn, store_tx, store, &mut view),
         };
         match &resp.body {
             ResponseBody::Error { .. } => counters.errors.fetch_add(1, Ordering::Relaxed),
@@ -644,22 +735,170 @@ fn handle_conn(
     }
 }
 
+// ------------------------------------------------- worker-side reads
+
+/// A worker's open view of one pinned epoch: a read-only store over the
+/// worker's own pager and pool.
+struct View {
+    pin: Option<u64>,
+    store: XmlStore,
+    /// Raised when the view ran out of page-read budget.
+    exhausted: Rc<Cell<bool>>,
+}
+
+fn open_view(seed: &SnapshotSeed, pin: Option<u64>, path: &Path) -> Result<View, StoreError> {
+    let (store, exhausted) = seed.open(Box::new(FilePager::open(path)?))?;
+    Ok(View {
+        pin,
+        store,
+        exhausted,
+    })
+}
+
+/// Hands a lent pin back to the store service when the read ends —
+/// by completing, by the handler unwinding from a panic, or with the
+/// connection. The send blocks on a full queue rather than losing the
+/// pin; the service never waits on a worker, so it cannot deadlock.
+struct ReadGuard<'a> {
+    tx: &'a SyncSender<ServiceMsg>,
+    conn: u64,
+    pin: u64,
+    timed_out: bool,
+}
+
+impl Drop for ReadGuard<'_> {
+    fn drop(&mut self) {
+        let _ = self.tx.send(ServiceMsg::ReadDone {
+            conn: self.conn,
+            pin: self.pin,
+            timed_out: self.timed_out,
+        });
+    }
+}
+
+/// Evaluate a ticket's read on this worker and build the response.
+fn run_read(
+    ticket: ReadTicket,
+    conn: u64,
+    store_tx: &SyncSender<ServiceMsg>,
+    path: &Path,
+    slot: &mut Option<View>,
+) -> Response {
+    let epoch = ticket.seed.epoch();
+    let mut guard = ticket.pin.map(|pin| ReadGuard {
+        tx: store_tx,
+        conn,
+        pin,
+        timed_out: false,
+    });
+    #[cfg(test)]
+    if let ReadOp::Query { path, .. } = &ticket.op {
+        assert!(!path.to_string().contains(tests::PANIC_PROBE), "injected");
+    }
+    // A session's later reads find the view of their pin already open.
+    if slot.as_ref().map(|v| v.pin) != Some(ticket.pin) {
+        *slot = None;
+        match open_view(&ticket.seed, ticket.pin, path) {
+            Ok(view) => *slot = Some(view),
+            Err(e) => return store_error_response(epoch, &e),
+        }
+    }
+    let view = slot.as_mut().expect("opened above");
+    let degraded = ticket.pin.is_none();
+    let mut body = match &ticket.op {
+        ReadOp::Query { path, count_only } => run_query(&mut view.store, path, *count_only)
+            .map(|(count, lines)| ResponseBody::QueryResult { count, lines }),
+        ReadOp::Dump { .. } => dump_body(&mut view.store, degraded),
+    };
+    if let Some(g) = &mut guard {
+        g.timed_out = view.exhausted.get();
+    }
+    if let (Err(e), ReadOp::Dump { degraded_ok: true }) = (&body, &ticket.op) {
+        if e.is_overload() && !degraded {
+            // Out of page budget: serve what an unbudgeted,
+            // damage-tolerant pass can reach instead of failing.
+            body = open_view(&ticket.seed.unbudgeted(), None, path)
+                .and_then(|mut v| dump_body(&mut v.store, true));
+        }
+    }
+    if !ticket.session {
+        *slot = None;
+    }
+    // The pin goes back before the response meets the socket.
+    drop(guard);
+    match body {
+        Ok(body) => Response { epoch, body },
+        Err(e) => store_error_response(epoch, &e),
+    }
+}
+
+/// Evaluate `path` over `store`: the exact hit count, and unless
+/// `count_only` the first [`MAX_QUERY_LINES`] hits rendered.
+fn run_query(
+    store: &mut XmlStore,
+    path: &natix_xpath::Path,
+    count_only: bool,
+) -> Result<(u32, Vec<String>), StoreError> {
+    let hits = {
+        let mut nav = natix_xpath::StoreNavigator::new(store);
+        eval(&mut nav, path)?
+    };
+    let mut lines = Vec::new();
+    if !count_only {
+        for r in hits.iter().take(MAX_QUERY_LINES) {
+            lines.push(render_hit(store, *r)?);
+        }
+    }
+    Ok((hits.len() as u32, lines))
+}
+
+/// The whole document as a dump response body: strict, or the
+/// damage-tolerant pass with its report.
+fn dump_body(store: &mut XmlStore, degraded: bool) -> Result<ResponseBody, StoreError> {
+    let (doc, damage) = if degraded {
+        let (doc, damage) = store.to_document_degraded()?;
+        (doc, damage.to_string())
+    } else {
+        (store.to_document()?, String::new())
+    };
+    Ok(ResponseBody::DumpResult {
+        full: !degraded,
+        xml: doc.to_xml(),
+        damage,
+    })
+}
+
 // ------------------------------------------------------- store service
 
-/// One pinned session: the snapshot pin plus its lease bookkeeping.
+/// One pinned session: the pin, the seed its reads are lent, and the
+/// lease bookkeeping. Dropping it gives the pin back (the store applies
+/// the release on its next write or maintenance pass, unblocking
+/// reclamation). The session's *view* lives with its worker.
 struct Session {
-    snap: Snapshot,
+    shared: SharedStore,
+    pin_id: u64,
+    seed: SnapshotSeed,
     /// When the pin was acquired (for oldest-pin-age observability).
     pinned_at: Instant,
     /// Last time any request arrived on this session (lease renewal).
     renewed: Instant,
+    /// The pin is lent to the worker for a read that has not come back.
+    reading: bool,
+    /// Some read of the session ran out of page budget.
+    timed_out: bool,
 }
 
-/// Release every session whose lease is overdue. Dropping the
-/// [`Snapshot`] releases the pin (the store applies the deferred release
-/// on its next write or maintenance pass, unblocking reclamation); the
-/// connection is remembered in `expired` so its next request is answered
-/// with [`ResponseBody::SessionExpired`] exactly once.
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.shared.release_read(self.pin_id, self.timed_out);
+    }
+}
+
+/// Release every session whose lease is overdue — except one whose pin
+/// is lent out: its worker is still reading under it, and the reaper
+/// gets it on a later tick. The connection is remembered in `expired`
+/// so its next request is answered with [`ResponseBody::SessionExpired`]
+/// exactly once.
 fn reap_leases(
     sessions: &mut HashMap<u64, Session>,
     expired: &mut HashSet<u64>,
@@ -669,7 +908,7 @@ fn reap_leases(
     let now = Instant::now();
     let overdue: Vec<u64> = sessions
         .iter()
-        .filter(|(_, s)| now.duration_since(s.renewed) > ttl)
+        .filter(|(_, s)| !s.reading && now.duration_since(s.renewed) > ttl)
         .map(|(&conn, _)| conn)
         .collect();
     for conn in overdue {
@@ -786,11 +1025,13 @@ fn store_service(
     let mut sessions: HashMap<u64, Session> = HashMap::new();
     let mut expired: HashSet<u64> = HashSet::new();
     // Drain until every worker has dropped its sender: all in-flight
-    // requests are answered before the session pins below are released.
+    // requests are answered — and every lent pin is back, a worker sends
+    // its `ReadDone` before it can exit — before the session pins below
+    // are released.
     loop {
         match rx.recv_timeout(tick) {
             Ok(ServiceMsg::Request { conn, req, reply }) => {
-                let resp = handle_request(
+                let r = handle_request(
                     &mut role,
                     &mut sessions,
                     &mut expired,
@@ -799,7 +1040,28 @@ fn store_service(
                     conn,
                     req,
                 );
-                let _ = reply.send(resp);
+                let back = reply.clone();
+                let _ = reply.send(Envelope { reply: r, back });
+            }
+            // A lent pin is back: a session's stays pinned for its next
+            // read, an unpinned read's is released.
+            Ok(ServiceMsg::ReadDone {
+                conn,
+                pin,
+                timed_out,
+            }) => {
+                counters.reads_in_flight.fetch_sub(1, Ordering::Relaxed);
+                match sessions.get_mut(&conn) {
+                    Some(s) if s.pin_id == pin => {
+                        s.reading = false;
+                        s.timed_out |= timed_out;
+                    }
+                    _ => {
+                        if let Role::Primary { shared, .. } = &role {
+                            shared.release_read(pin, timed_out);
+                        }
+                    }
+                }
             }
             Ok(ServiceMsg::Disconnect { conn }) => {
                 sessions.remove(&conn);
@@ -823,6 +1085,45 @@ fn store_service(
     if let Role::Primary { shared, .. } = &role {
         let _ = shared.maintain();
     }
+}
+
+/// Lend a pin to the connection's worker for one read: the session's if
+/// the connection holds one, else a fresh one that the read's completion
+/// gives back.
+fn lend_read(
+    shared: &SharedStore,
+    sessions: &mut HashMap<u64, Session>,
+    counters: &Counters,
+    conn: u64,
+    op: ReadOp,
+) -> Reply {
+    let (pin, seed, session) = match sessions.get_mut(&conn) {
+        Some(s) => {
+            s.reading = true;
+            (Some(s.pin_id), s.seed.clone(), true)
+        }
+        None => match shared.pin_read() {
+            Ok((pin, seed)) => (Some(pin), seed, false),
+            // Reads are served, never hung: a dump that tolerates it
+            // degrades to an unpinned best-effort pass when shed.
+            Err(e) if e.is_overload() && matches!(op, ReadOp::Dump { degraded_ok: true }) => {
+                (None, shared.degraded_seed(), false)
+            }
+            Err(e) => return Reply::Done(store_error_response(shared.committed_epoch(), &e)),
+        },
+    };
+    if pin.is_some() {
+        let now = counters.reads_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        counters
+            .peak_reads_in_flight
+            .fetch_max(now, Ordering::Relaxed);
+    }
+    Reply::Read(ReadTicket {
+        pin,
+        session,
+        seed,
+        op,
+    })
 }
 
 /// Map a store failure onto the wire: sheds become retry-after, the rest
@@ -874,7 +1175,6 @@ fn bad_request(epoch: u64, message: String) -> Response {
 /// counted but not rendered (the count field is always exact).
 const MAX_QUERY_LINES: usize = 10_000;
 
-#[allow(clippy::too_many_arguments)]
 fn handle_request(
     role: &mut Role,
     sessions: &mut HashMap<u64, Session>,
@@ -883,7 +1183,7 @@ fn handle_request(
     promoted: &AtomicBool,
     conn: u64,
     req: Request,
-) -> Response {
+) -> Reply {
     match role {
         Role::Primary {
             shared,
@@ -891,7 +1191,7 @@ fn handle_request(
             fence,
         } => {
             let committed = shared.committed_epoch();
-            match req {
+            Reply::Done(match req {
                 Request::ReplSubscribe { last_epoch } => {
                     repl.subscribe(conn, last_epoch);
                     Response {
@@ -932,11 +1232,15 @@ fn handle_request(
                 },
                 Request::ReplPromote => bad_request(committed, "already a primary".to_string()),
                 other => {
-                    handle_primary_request(shared, repl, sessions, expired, counters, conn, other)
+                    return handle_primary_request(
+                        shared, repl, sessions, expired, counters, conn, other,
+                    )
                 }
-            }
+            })
         }
-        Role::Replica { .. } => handle_replica_request(role, counters, promoted, conn, req),
+        Role::Replica { .. } => {
+            Reply::Done(handle_replica_request(role, counters, promoted, conn, req))
+        }
     }
 }
 
@@ -990,21 +1294,7 @@ fn handle_replica_request(
                 Ok(s) => s,
                 Err(e) => return store_error_response(applied, &e),
             };
-            let mut run = || -> Result<(u32, Vec<String>), StoreError> {
-                let hits = {
-                    let mut nav = natix_xpath::StoreNavigator::new(store);
-                    eval(&mut nav, &path_q)?
-                };
-                let count = hits.len() as u32;
-                let mut lines = Vec::new();
-                if !count_only {
-                    for r in hits.iter().take(MAX_QUERY_LINES) {
-                        lines.push(render_hit(store, *r)?);
-                    }
-                }
-                Ok((count, lines))
-            };
-            match run() {
+            match run_query(store, &path_q, count_only) {
                 Ok((count, lines)) => Response {
                     epoch: applied,
                     body: ResponseBody::QueryResult { count, lines },
@@ -1017,14 +1307,10 @@ fn handle_replica_request(
                 Ok(s) => s,
                 Err(e) => return store_error_response(applied, &e),
             };
-            match store.to_document() {
-                Ok(doc) => Response {
+            match dump_body(store, false) {
+                Ok(body) => Response {
                     epoch: applied,
-                    body: ResponseBody::DumpResult {
-                        full: true,
-                        xml: doc.to_xml(),
-                        damage: String::new(),
-                    },
+                    body,
                 },
                 Err(e) => store_error_response(applied, &e),
             }
@@ -1138,7 +1424,6 @@ fn replica_reader<'a>(
     Ok(reader.as_mut().expect("just opened"))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn handle_primary_request(
     shared: &SharedStore,
     repl: &mut ReplicaSource,
@@ -1147,22 +1432,22 @@ fn handle_primary_request(
     counters: &Counters,
     conn: u64,
     req: Request,
-) -> Response {
+) -> Reply {
     let committed = shared.committed_epoch();
     // A session the reaper expired is told so exactly once; `begin`
     // (re-pin) and `end` (already released) proceed normally so the
     // recovery path is never itself refused.
     if expired.remove(&conn) && !matches!(req, Request::Begin | Request::End) {
-        return Response {
+        return Reply::Done(Response {
             epoch: committed,
             body: ResponseBody::SessionExpired,
-        };
+        });
     }
     // Any request on a pinned session renews its lease.
     if let Some(s) = sessions.get_mut(&conn) {
         s.renewed = Instant::now();
     }
-    match req {
+    Reply::Done(match req {
         Request::Ping => Response {
             epoch: committed,
             body: ResponseBody::Pong,
@@ -1171,16 +1456,20 @@ fn handle_primary_request(
             // Re-pinning moves the session to the latest epoch; release
             // the old pin first so it cannot occupy an admission slot.
             sessions.remove(&conn);
-            match shared.begin_read() {
-                Ok(snap) => {
-                    let epoch = snap.epoch();
+            match shared.pin_read() {
+                Ok((pin_id, seed)) => {
+                    let epoch = seed.epoch();
                     let now = Instant::now();
                     sessions.insert(
                         conn,
                         Session {
-                            snap,
+                            shared: shared.clone(),
+                            pin_id,
+                            seed,
                             pinned_at: now,
                             renewed: now,
+                            reading: false,
+                            timed_out: false,
                         },
                     );
                     Response {
@@ -1198,112 +1487,30 @@ fn handle_primary_request(
                 body: ResponseBody::SessionReleased,
             }
         }
-        Request::Query { xpath, count_only } => {
-            let path = match natix_xpath::parse(&xpath) {
-                Ok(p) => p,
-                Err(e) => return bad_request(committed, format!("xpath: {e}")),
-            };
-            let run = |snap: &mut Snapshot| -> Result<(u32, Vec<String>), StoreError> {
-                let store = snap.store();
-                let hits = {
-                    let mut nav = natix_xpath::StoreNavigator::new(store);
-                    eval(&mut nav, &path)?
-                };
-                let count = hits.len() as u32;
-                let mut lines = Vec::new();
-                if !count_only {
-                    for r in hits.iter().take(MAX_QUERY_LINES) {
-                        lines.push(render_hit(store, *r)?);
-                    }
-                }
-                Ok((count, lines))
-            };
-            match sessions.get_mut(&conn) {
-                Some(s) => {
-                    let snap = &mut s.snap;
-                    let epoch = snap.epoch();
-                    match run(snap) {
-                        Ok((count, lines)) => Response {
-                            epoch,
-                            body: ResponseBody::QueryResult { count, lines },
-                        },
-                        Err(e) => store_error_response(epoch, &e),
-                    }
-                }
-                None => match shared.begin_read() {
-                    Ok(mut snap) => {
-                        let epoch = snap.epoch();
-                        match run(&mut snap) {
-                            Ok((count, lines)) => Response {
-                                epoch,
-                                body: ResponseBody::QueryResult { count, lines },
-                            },
-                            Err(e) => store_error_response(epoch, &e),
-                        }
-                    }
-                    Err(e) => store_error_response(committed, &e),
-                },
+        Request::Query { xpath, count_only } => match natix_xpath::parse(&xpath) {
+            Ok(path) => {
+                let op = ReadOp::Query { path, count_only };
+                return lend_read(shared, sessions, counters, conn, op);
             }
-        }
-        Request::Dump { degraded_ok } => match sessions.get_mut(&conn) {
-            Some(s) => {
-                let snap = &mut s.snap;
-                let epoch = snap.epoch();
-                match snap.document() {
-                    Ok(doc) => Response {
-                        epoch,
-                        body: ResponseBody::DumpResult {
-                            full: true,
-                            xml: doc.to_xml(),
-                            damage: String::new(),
-                        },
-                    },
-                    Err(e) => store_error_response(epoch, &e),
-                }
-            }
-            None if degraded_ok => match shared.read_document() {
-                Ok(served) => {
-                    let (full, damage) = match &served {
-                        ServedRead::Full(_) => (true, String::new()),
-                        ServedRead::Degraded(_, damage) => (false, damage.to_string()),
-                    };
-                    Response {
-                        epoch: committed,
-                        body: ResponseBody::DumpResult {
-                            full,
-                            xml: served.document().to_xml(),
-                            damage,
-                        },
-                    }
-                }
-                Err(e) => store_error_response(committed, &e),
-            },
-            None => match shared.begin_read() {
-                Ok(mut snap) => {
-                    let epoch = snap.epoch();
-                    match snap.document() {
-                        Ok(doc) => Response {
-                            epoch,
-                            body: ResponseBody::DumpResult {
-                                full: true,
-                                xml: doc.to_xml(),
-                                damage: String::new(),
-                            },
-                        },
-                        Err(e) => store_error_response(epoch, &e),
-                    }
-                }
-                Err(e) => store_error_response(committed, &e),
-            },
+            Err(e) => bad_request(committed, format!("xpath: {e}")),
         },
+        Request::Dump { degraded_ok } => {
+            return lend_read(
+                shared,
+                sessions,
+                counters,
+                conn,
+                ReadOp::Dump { degraded_ok },
+            )
+        }
         Request::Update { target, op } => {
             let path = match natix_xpath::parse(&target) {
                 Ok(p) => p,
-                Err(e) => return bad_request(committed, format!("xpath: {e}")),
+                Err(e) => return Reply::Done(bad_request(committed, format!("xpath: {e}"))),
             };
             let mut writer = match shared.begin_write() {
                 Ok(w) => w,
-                Err(e) => return store_error_response(committed, &e),
+                Err(e) => return Reply::Done(store_error_response(committed, &e)),
             };
             let r = writer.mutate(|store| {
                 let hit = {
@@ -1359,6 +1566,7 @@ fn handle_primary_request(
                  pages        : {}\n\
                  occupied     : {} KB\n\
                  snapshots    : {} opened, {} active\n\
+                 reads        : {} in flight, peak {} in flight\n\
                  pins         : {} session-pinned, oldest {} ms\n\
                  leases       : {} expired\n\
                  write kills  : {} connections\n\
@@ -1375,6 +1583,8 @@ fn handle_primary_request(
                 storage.occupied_bytes / 1024,
                 c.snapshots_opened,
                 c.snapshots_active,
+                counters.reads_in_flight.load(Ordering::Relaxed),
+                counters.peak_reads_in_flight.load(Ordering::Relaxed),
                 sessions.len(),
                 oldest_pin_ms,
                 counters.lease_expirations.load(Ordering::Relaxed),
@@ -1421,7 +1631,7 @@ fn handle_primary_request(
         | Request::ReplAck { .. }
         | Request::ReplApply { .. }
         | Request::ReplPromote => bad_request(committed, "replication verb".to_string()),
-    }
+    })
 }
 
 // ---------------------------------------------------- replica fetch loop
@@ -1472,7 +1682,12 @@ fn repl_client_loop(
                 req: req.clone(),
                 reply: tx,
             }) {
-                Ok(()) => return rx.recv().ok(),
+                Ok(()) => {
+                    return match rx.recv().ok()?.reply {
+                        Reply::Done(resp) => Some(resp),
+                        Reply::Read(_) => None,
+                    }
+                }
                 Err(TrySendError::Full(_)) => {
                     if stop() {
                         return None;
@@ -1604,4 +1819,96 @@ fn render_hit(store: &mut XmlStore, r: natix_store::NodeRef) -> Result<String, S
 pub(crate) fn read_response(stream: &mut TcpStream) -> Result<Response, ProtoError> {
     let body = read_frame(stream)?;
     Response::decode(&body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Client, UpdateOp};
+
+    /// A query naming this makes the worker evaluating it panic with the
+    /// pin lent (see `run_read`).
+    pub(super) const PANIC_PROBE: &str = "injected-worker-panic";
+
+    /// The number in front of `what` on the stats line labelled `line`.
+    fn gauge(stats: &str, line: &str, what: &str) -> u64 {
+        let row = stats
+            .lines()
+            .find(|l| l.trim_start().starts_with(line))
+            .unwrap_or_else(|| panic!("no {line} line in {stats}"));
+        let words: Vec<&str> = row.split(&[' ', ','][..]).collect();
+        let at = words.iter().position(|w| *w == what).expect(what);
+        words[at - 1].parse().expect("number")
+    }
+
+    /// Satellite: a worker that panics mid-read — unpinned, and inside a
+    /// session that commits have piled up behind — hands its pin back.
+    #[test]
+    fn lent_pin_survives_a_panicking_worker() {
+        let dir = std::env::temp_dir().join(format!("natix-serve-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = dir.join("store.natix");
+        let doc = natix_xml::parse("<list><e>one entry</e><e>two entry</e></list>").unwrap();
+        let pager = FilePager::create(&store).unwrap();
+        drop(
+            natix_store::bulkload_with(
+                &doc,
+                &natix_core::Ekm,
+                16,
+                Box::new(pager),
+                StoreConfig::default(),
+            )
+            .unwrap(),
+        );
+        let handle = serve(ServeConfig {
+            store,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let probe = format!("//{PANIC_PROBE}");
+        let mut writer = Client::connect(handle.addr()).unwrap();
+        let mut commit = |i: usize| {
+            let resp = writer
+                .request(&Request::Update {
+                    target: "/list".to_string(),
+                    op: UpdateOp::AppendElement {
+                        name: format!("x{i}"),
+                    },
+                })
+                .unwrap();
+            assert_eq!(resp.body, ResponseBody::UpdateDone);
+        };
+
+        let mut unpinned = Client::connect(handle.addr()).unwrap();
+        assert!(unpinned.query(&probe).is_err(), "connection must drop");
+
+        let mut pinned = Client::connect(handle.addr()).unwrap();
+        pinned.begin().unwrap();
+        (0..6).for_each(&mut commit);
+        let mut observer = Client::connect(handle.addr()).unwrap();
+        let peak = gauge(&observer.stats().unwrap(), "backlog", "superseded");
+        assert!(peak > 0, "the session pin must hold reclamation back");
+        assert!(pinned.query(&probe).is_err(), "connection must drop");
+
+        // The worker sends its disconnect after the socket closes: wait
+        // for the service to have seen it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gauge(&observer.stats().unwrap(), "snapshots", "active") > 0 {
+            assert!(Instant::now() < deadline, "pin never came back");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        commit(6);
+        let stats = observer.stats().unwrap();
+        assert_eq!(gauge(&stats, "snapshots", "active"), 0, "{stats}");
+        assert_eq!(gauge(&stats, "reads", "in"), 0, "{stats}");
+        assert!(gauge(&stats, "backlog", "superseded") < peak, "{stats}");
+
+        observer.shutdown_server().unwrap();
+        let summary = handle.join();
+        assert_eq!(summary.worker_panics, 2, "{summary}");
+        assert_eq!(summary.reads_in_flight, 0, "{summary}");
+        assert!(summary.peak_reads_in_flight >= 1, "{summary}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -30,8 +30,12 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 fn build_store(dir: &Path) -> PathBuf {
+    build_store_of(dir, SEED_XML)
+}
+
+fn build_store_of(dir: &Path, xml: &str) -> PathBuf {
     let path = dir.join("store.natix");
-    let doc = natix_xml::parse(SEED_XML).unwrap();
+    let doc = natix_xml::parse(xml).unwrap();
     let pager = FilePager::create(&path).unwrap();
     drop(bulkload_with(&doc, &Ekm, 16, Box::new(pager), StoreConfig::default()).unwrap());
     path
@@ -468,17 +472,15 @@ fn concurrent_clients_observe_single_epoch_states() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Pull `{n} active` out of the stats text's snapshots line.
-fn active_snapshots(stats: &str) -> u64 {
-    let line = stats
+/// The number in front of `what` on the stats line labelled `line`.
+fn gauge(stats: &str, line: &str, what: &str) -> u64 {
+    let row = stats
         .lines()
-        .find(|l| l.trim_start().starts_with("snapshots"))
-        .expect("snapshots line");
-    line.split(',')
-        .nth(1)
-        .and_then(|s| s.trim().split(' ').next())
-        .and_then(|s| s.parse().ok())
-        .expect("active count")
+        .find(|l| l.trim_start().starts_with(line))
+        .unwrap_or_else(|| panic!("no {line} line in {stats}"));
+    let words: Vec<&str> = row.split(&[' ', ','][..]).collect();
+    let at = words.iter().position(|w| *w == what).expect(what);
+    words[at - 1].parse().expect("number")
 }
 
 /// A session that goes idle past its lease TTL has its pin reaped: the
@@ -553,7 +555,7 @@ fn shutdown_does_not_double_release_a_reaped_pin() {
     probe.end().unwrap();
     let stats = probe.stats().unwrap();
     assert!(stats.contains("0 session-pinned"), "{stats}");
-    assert!(active_snapshots(&stats) <= 1, "{stats}");
+    assert!(gauge(&stats, "snapshots", "active") <= 1, "{stats}");
 
     // Shutdown immediately after: the drain clears a session table that
     // no longer holds the reaped pin.
@@ -564,6 +566,273 @@ fn shutdown_does_not_double_release_a_reaped_pin() {
 
     // The drain's deferred maintenance ran on exact pin accounting: the
     // store file reopens and scrubs clean.
+    let mut pager = FilePager::open(&store).unwrap();
+    let report = natix_store::fsck(&mut pager, false);
+    assert!(report.clean(), "{report}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Poll the stats verb until `ready` holds (the conditions below are
+/// all reached by the server on its own; the deadline only bounds a
+/// failing run).
+fn await_stats(c: &mut Client, what: &str, ready: impl Fn(&str) -> bool) -> String {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    loop {
+        let stats = c.stats().unwrap();
+        if ready(&stats) {
+            return stats;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "never saw {what}: {stats}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+}
+
+/// A flat list wide enough that [`SLOW_QUERY`] — quadratic in the
+/// number of siblings — stays in flight for over a second, in either
+/// build profile.
+const SLOW_SIBLINGS: usize = if cfg!(debug_assertions) { 1500 } else { 5000 };
+const SLOW_QUERY: &str = "/list/e/following-sibling::e";
+
+fn build_slow_store(dir: &Path) -> PathBuf {
+    build_store_of(
+        dir,
+        &format!("<list>{}</list>", "<e/>".repeat(SLOW_SIBLINGS)),
+    )
+}
+
+fn slow_request() -> Request {
+    Request::Query {
+        xpath: SLOW_QUERY.to_string(),
+        count_only: true,
+    }
+}
+
+fn slow_count(c: &mut Client) -> Response {
+    c.request(&slow_request()).unwrap()
+}
+
+/// Tentpole (a): unpinned reads evaluated on four workers race fifty
+/// commits. A response's body is the model document of the epoch it
+/// carries — every update acked at or below that epoch is in it, at
+/// most the one being committed beyond them, equal epochs read equal
+/// documents on every connection — epochs never regress on a
+/// connection, and no pin survives the drain.
+#[test]
+fn parallel_unpinned_reads_match_the_model_of_their_epoch() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const UPDATES: usize = 50;
+    let dir = scratch_dir("parallel");
+    let handle = start(build_store(&dir), |c| c.workers = 6);
+    let addr = handle.addr();
+    // The model after `k` updates, as the server dumps it.
+    let model = |k: usize| {
+        let added: String = (0..k).map(|i| format!("<u{i}/>")).collect();
+        natix_xml::parse(&SEED_XML.replace("</list>", &format!("{added}</list>")))
+            .unwrap()
+            .to_xml()
+    };
+    let done = std::sync::Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..4)
+        .map(|r| {
+            let done = std::sync::Arc::clone(&done);
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                let mut seen: Vec<(u64, usize)> = Vec::new();
+                let mut turn = r;
+                while !done.load(Ordering::SeqCst) || seen.len() < 8 {
+                    turn += 1;
+                    let (epoch, k) = if turn % 2 == 0 {
+                        let (epoch, xml) = c.dump().unwrap();
+                        let k = xml.matches("<u").count();
+                        assert_eq!(xml, model(k), "reader {r}: no prefix of the updates");
+                        (epoch, k)
+                    } else {
+                        let (epoch, count, lines) = c.query("/list/*").unwrap();
+                        let k = count as usize - 3;
+                        let mut want = vec!["<e>".to_string(); 3];
+                        want.extend((0..k).map(|i| format!("<u{i}>")));
+                        assert_eq!(lines, want, "reader {r}");
+                        (epoch, k)
+                    };
+                    if let Some(&(last, _)) = seen.last() {
+                        assert!(epoch >= last, "reader {r}: epoch regressed");
+                    }
+                    seen.push((epoch, k));
+                }
+                seen
+            })
+        })
+        .collect();
+
+    let mut w = Client::connect(addr).unwrap();
+    let mut acked = Vec::new();
+    for i in 0..UPDATES {
+        let resp = w
+            .request(&Request::Update {
+                target: "/list".to_string(),
+                op: natix_server::UpdateOp::AppendElement {
+                    name: format!("u{i}"),
+                },
+            })
+            .unwrap();
+        assert_eq!(resp.body, ResponseBody::UpdateDone, "update {i}");
+        acked.push(resp.epoch);
+    }
+    done.store(true, Ordering::SeqCst);
+
+    let mut by_epoch: HashMap<u64, usize> = HashMap::new();
+    for t in readers {
+        for (epoch, k) in t.join().unwrap() {
+            // Update i committed somewhere in (acked[i-1], acked[i]].
+            let visible = acked.iter().filter(|&&e| e <= epoch).count();
+            let begun = acked.iter().filter(|&&e| e < epoch).count() + 1;
+            assert!(
+                visible <= k && k <= begun,
+                "epoch {epoch} read {k} updates, acks allow {visible}..={begun}"
+            );
+            assert_eq!(
+                *by_epoch.entry(epoch).or_insert(k),
+                k,
+                "two documents at epoch {epoch}"
+            );
+        }
+    }
+
+    let stats = w.stats().unwrap();
+    assert_eq!(gauge(&stats, "snapshots", "active"), 0, "{stats}");
+    assert_eq!(gauge(&stats, "reads", "in"), 0, "{stats}");
+    w.shutdown_server().unwrap();
+    let summary = handle.join();
+    assert_eq!(summary.worker_panics + summary.errors, 0, "{summary}");
+    assert_eq!(summary.reads_in_flight, 0, "{summary}");
+    assert!(summary.peak_reads_in_flight >= 1, "{summary}");
+    let mut pager = FilePager::open(&dir.join("store.natix")).unwrap();
+    let report = natix_store::fsck(&mut pager, false);
+    assert!(report.clean(), "{report}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Tentpole (b): a session whose lease runs out while its read is in
+/// flight keeps its pin until the read is back — and loses it then.
+#[test]
+fn lease_is_not_reaped_under_a_read_in_flight() {
+    const TTL_MS: u64 = 100;
+    let dir = scratch_dir("lease-read");
+    let handle = start(build_slow_store(&dir), |c| c.lease_ttl_ms = TTL_MS);
+    let addr = handle.addr();
+
+    let reader = std::thread::spawn(move || {
+        let mut c = Client::connect(addr).unwrap();
+        let pinned = c.begin().unwrap();
+        (slow_count(&mut c), pinned, c)
+    });
+    // The read is in flight, its lease long overdue, its pin still held.
+    let mut observer = Client::connect(addr).unwrap();
+    let overdue = await_stats(&mut observer, "an overdue read in flight", |s| {
+        gauge(s, "reads", "in") == 1 && gauge(s, "pins", "ms") >= 3 * TTL_MS
+    });
+    assert_eq!(gauge(&overdue, "pins", "session-pinned"), 1, "{overdue}");
+    assert_eq!(gauge(&overdue, "leases", "expired"), 0, "{overdue}");
+
+    let (resp, pinned, mut c) = reader.join().unwrap();
+    let pairs = (SLOW_SIBLINGS - 1) as u32;
+    assert_eq!(
+        resp.body,
+        ResponseBody::QueryResult {
+            count: pairs,
+            lines: vec![]
+        }
+    );
+    assert_eq!(resp.epoch, pinned);
+    // Back with the service, the overdue lease is fair game.
+    let reaped = await_stats(&mut observer, "the lease reaped", |s| {
+        gauge(s, "leases", "expired") == 1
+    });
+    assert_eq!(gauge(&reaped, "pins", "session-pinned"), 0, "{reaped}");
+    assert_eq!(gauge(&reaped, "reads", "in"), 0, "{reaped}");
+    match c.query("//e") {
+        Err(natix_server::ClientError::SessionExpired) => {}
+        other => panic!("expected the typed session-expired answer, got {other:?}"),
+    }
+
+    c.shutdown_server().unwrap();
+    let summary = handle.join();
+    assert_eq!(summary.lease_expirations, 1, "{summary}");
+    assert_eq!(summary.worker_panics, 0, "{summary}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Satellite: a client that hangs up while its unpinned read is being
+/// evaluated does not take the lent pin with it.
+#[test]
+fn hung_up_client_returns_its_lent_pin() {
+    let dir = scratch_dir("hangup");
+    let handle = start(build_slow_store(&dir), |_| {});
+    let mut gone = TcpStream::connect(handle.addr()).unwrap();
+    write_frame(&mut gone, &slow_request().encode()).unwrap();
+    let mut observer = Client::connect(handle.addr()).unwrap();
+    let busy = await_stats(&mut observer, "the read in flight", |s| {
+        gauge(s, "reads", "in") == 1
+    });
+    assert_eq!(gauge(&busy, "snapshots", "active"), 1, "{busy}");
+    drop(gone);
+    await_stats(&mut observer, "the pin back", |s| {
+        gauge(s, "reads", "in") == 0 && gauge(s, "snapshots", "active") == 0
+    });
+    observer.shutdown_server().unwrap();
+    let summary = handle.join();
+    assert_eq!(summary.worker_panics + summary.errors, 0, "{summary}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Tentpole (c): with three reads in flight — one pinned, one unpinned, one whose
+/// client has hung up — `shutdown` answers the two that can still be
+/// answered, in full, and only then lets go of the pins.
+#[test]
+fn shutdown_answers_reads_in_flight_before_releasing_pins() {
+    let dir = scratch_dir("drain-reads");
+    let store = build_slow_store(&dir);
+    let handle = start(store.clone(), |c| c.workers = 4);
+    let addr = handle.addr();
+
+    let readers: Vec<_> = [true, false]
+        .into_iter()
+        .map(|pin| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                if pin {
+                    c.begin().unwrap();
+                }
+                slow_count(&mut c)
+            })
+        })
+        .collect();
+    let mut gone = TcpStream::connect(addr).unwrap();
+    write_frame(&mut gone, &slow_request().encode()).unwrap();
+    let mut observer = Client::connect(addr).unwrap();
+    await_stats(&mut observer, "three reads in flight", |s| {
+        gauge(s, "reads", "in") == 3
+    });
+    drop(gone);
+    observer.shutdown_server().unwrap();
+
+    for t in readers {
+        let resp = t.join().unwrap();
+        assert_eq!(
+            resp.body,
+            ResponseBody::QueryResult {
+                count: (SLOW_SIBLINGS - 1) as u32,
+                lines: vec![]
+            }
+        );
+    }
+    let summary = handle.join();
+    assert_eq!(summary.reads_in_flight, 0, "{summary}");
+    assert_eq!(summary.peak_reads_in_flight, 3, "{summary}");
+    assert_eq!(summary.worker_panics + summary.errors, 0, "{summary}");
     let mut pager = FilePager::open(&store).unwrap();
     let report = natix_store::fsck(&mut pager, false);
     assert!(report.clean(), "{report}");

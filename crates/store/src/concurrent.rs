@@ -12,7 +12,11 @@
 //!   images overlaid above the checksum layer. While any pin is held the
 //!   writer defers checkpoints, so the backend only ever sees appends to
 //!   fresh pages plus header-slot writes — no page a snapshot references
-//!   is ever overwritten.
+//!   is ever overwritten. It is exactly [`SharedStore::pin_read`] (take
+//!   the pin and a [`SnapshotSeed`] on the writer's thread) followed by
+//!   [`SnapshotSeed::open`]; the seed is `Send`, so a server opens and
+//!   evaluates the view on another thread and hands the pin back with
+//!   [`SharedStore::release_read`].
 //! * **One serialized writer** — [`SharedStore::begin_write`] grants the
 //!   single [`WriteGuard`]; a second request is shed with
 //!   [`StoreError::Overloaded`]. Mutations run the ordinary journal
@@ -36,14 +40,15 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use natix_xml::Document;
 
-use crate::catalog::RecordLoc;
+use crate::catalog::{decode_catalog, Header, RecordLoc};
 use crate::fsck::{fsck, FsckReport};
 use crate::page::{set_page_class, PageClass, PAGE_SIZE, PAYLOAD_SIZE};
 use crate::pager::{BufferPool, ChecksummingPager, PageId, Pager, StoreError, StoreResult};
-use crate::store::{overflow_page_span, DamageReport, StoreConfig, XmlStore};
+use crate::store::{overflow_page_span, DamageReport, Overlay, StoreConfig, XmlStore};
 
 /// Opens fresh [`Pager`] handles over the same underlying pages, one per
 /// snapshot reader. [`crate::SharedMemPager`] implements it by cloning
@@ -164,9 +169,9 @@ enum Release {
 
 struct PinInfo {
     epoch: u64,
-    /// Every backend page the snapshot may read: record pages, overflow
-    /// chains and overlaid journal targets at pin time.
-    pages: HashSet<PageId>,
+    /// Every backend page the snapshot may read (see
+    /// [`Inner::reachable`]).
+    pages: Arc<HashSet<PageId>>,
 }
 
 struct Inner {
@@ -185,6 +190,9 @@ struct Inner {
     /// [`StoreError::ReadOnly`] until the space probe clears it.
     read_only: Option<&'static str>,
     garbage: Vec<GarbageSet>,
+    /// Reachable-page set of the committed state, keyed by its epoch
+    /// (every commit and every checkpoint publishes a new one).
+    reachable: Option<(u64, Arc<HashSet<PageId>>)>,
     stats: ConcurrencyStats,
 }
 
@@ -195,7 +203,8 @@ struct Inner {
 /// crate); "concurrent" means interleaved logical readers and writers
 /// with snapshot isolation, which the deterministic chaos scheduler in
 /// `natix-testkit` drives through every interleaving a thread scheduler
-/// could produce at commit granularity.
+/// could produce at commit granularity. The one thing that crosses
+/// threads is a [`SnapshotSeed`].
 pub struct SharedStore {
     inner: Rc<RefCell<Inner>>,
     releases: Rc<RefCell<Vec<Release>>>,
@@ -234,6 +243,7 @@ impl SharedStore {
                 writer_active: false,
                 read_only: None,
                 garbage: Vec::new(),
+                reachable: None,
                 stats: ConcurrencyStats::default(),
             })),
             releases: Rc::new(RefCell::new(Vec::new())),
@@ -311,6 +321,27 @@ impl SharedStore {
     /// over it, or shed the request with [`StoreError::Overloaded`] when
     /// [`AdmissionConfig::max_inflight_reads`] snapshots are in flight.
     pub fn begin_read(&self) -> StoreResult<Snapshot> {
+        let (pin_id, seed) = self.pin_read()?;
+        match self.open_seed(&seed) {
+            Ok((store, exhausted)) => Ok(Snapshot {
+                store,
+                shared: self.clone(),
+                pin_id,
+                exhausted,
+                released: false,
+            }),
+            Err(e) => {
+                self.release_read(pin_id, false);
+                Err(e)
+            }
+        }
+    }
+
+    /// The writer-thread half of [`SharedStore::begin_read`]: admission,
+    /// the epoch pin, and the seed of the pinned state. The caller owes
+    /// one [`SharedStore::release_read`] for the returned pin id, after
+    /// every view opened from the seed is done reading.
+    pub fn pin_read(&self) -> StoreResult<(u64, SnapshotSeed)> {
         self.process_releases();
         let mut inner = self.inner.borrow_mut();
         let limit = inner.admission.max_inflight_reads;
@@ -323,10 +354,9 @@ impl SharedStore {
                 limit,
             });
         }
-        let budget = inner.admission.read_page_budget;
-        let (store, exhausted) = inner.snapshot_store(budget)?;
-        let epoch = store.current_epoch();
-        let pages = reachable_pages(&store);
+        let seed = inner.seed(inner.admission.read_page_budget);
+        let epoch = seed.epoch();
+        let pages = inner.reachable()?;
         let pin_id = inner.next_pin;
         inner.next_pin += 1;
         *inner.pins.entry(epoch).or_insert(0) += 1;
@@ -337,13 +367,28 @@ impl SharedStore {
         inner.pinned.insert(pin_id, PinInfo { epoch, pages });
         inner.stats.snapshots_opened += 1;
         inner.stats.snapshots_active += 1;
-        Ok(Snapshot {
-            store,
-            shared: self.clone(),
-            pin_id,
-            exhausted,
-            released: false,
-        })
+        Ok((pin_id, seed))
+    }
+
+    /// Give back a pin taken by [`SharedStore::pin_read`] (`timed_out`:
+    /// a view of it ran out of page-read budget). May run the deferred
+    /// checkpoint and reclamation the pin was holding up.
+    pub fn release_read(&self, pin_id: u64, timed_out: bool) {
+        self.release(Release::Pin { pin_id, timed_out });
+    }
+
+    /// Unpinned, unbudgeted seed of the committed state for a shed
+    /// request's damage-tolerant read: the shed path trades isolation
+    /// guarantees for guaranteed progress.
+    pub fn degraded_seed(&self) -> SnapshotSeed {
+        let mut inner = self.inner.borrow_mut();
+        inner.stats.degraded_fallbacks += 1;
+        inner.seed(0)
+    }
+
+    fn open_seed(&self, seed: &SnapshotSeed) -> StoreResult<(XmlStore, Rc<Cell<bool>>)> {
+        let raw = self.inner.borrow().factory.open_pager()?;
+        seed.open(raw)
     }
 
     /// Serve one full document read under admission control. A request
@@ -367,12 +412,7 @@ impl SharedStore {
     }
 
     fn degraded_read(&self) -> StoreResult<ServedRead> {
-        let mut inner = self.inner.borrow_mut();
-        // Unpinned and unbudgeted: the shed path trades isolation
-        // guarantees for guaranteed progress.
-        let (mut store, _) = inner.snapshot_store(0)?;
-        inner.stats.degraded_fallbacks += 1;
-        drop(inner);
+        let (mut store, _) = self.open_seed(&self.degraded_seed())?;
         let (doc, damage) = store.to_document_degraded()?;
         Ok(ServedRead::Degraded(doc, damage))
     }
@@ -485,47 +525,48 @@ impl ServedRead {
 }
 
 impl Inner {
-    /// Build a read-only snapshot store of the current committed state:
-    /// catalog bytes and pending-journal page images come from the
-    /// writer's memory, data pages from a fresh factory pager. With
-    /// `budget > 0` the store's backend reads are deadline-limited.
-    fn snapshot_store(&mut self, budget: u64) -> StoreResult<(XmlStore, Rc<Cell<bool>>)> {
-        let header = self.store.committed_header();
-        let catalog_bytes = self.store.committed_catalog_bytes.clone();
-        let overlay = self.store.committed_overlay.clone();
-        let format = self.store.format;
-        let raw = self.factory.open_pager()?;
-        // The overlay must sit *above* the checksum layer: journal images
-        // are unsealed page payloads (sealing happens on write).
-        let checked: Box<dyn Pager> = if format >= 3 {
-            Box::new(ChecksummingPager::new(raw))
-        } else {
-            raw
-        };
-        let stacked: Box<dyn Pager> = Box::new(OverlayPager {
-            inner: checked,
-            overlay,
-        });
-        let exhausted = Rc::new(Cell::new(false));
-        let limited: Box<dyn Pager> = if budget > 0 {
-            Box::new(BudgetPager {
-                inner: stacked,
-                remaining: budget,
-                budget,
-                exhausted: Rc::clone(&exhausted),
-            })
-        } else {
-            stacked
-        };
-        let pool = BufferPool::new(limited, self.config.buffer_pages);
-        let mut store =
-            XmlStore::open_snapshot(pool, &self.config, catalog_bytes, &header, format)?;
-        if budget > 0 {
-            // A deadline-budgeted read must not spend its page budget on
-            // speculation.
-            store.readahead_records = 0;
+    /// Seed of the current committed state: header, catalog bytes and
+    /// pending-journal page images, all shared with the writer's memory.
+    fn seed(&self, budget: u64) -> SnapshotSeed {
+        SnapshotSeed {
+            header: self.store.committed_header(),
+            catalog_bytes: Arc::clone(&self.store.committed_catalog_bytes),
+            overlay: Arc::clone(&self.store.committed_overlay),
+            format: self.store.format,
+            config: self.config,
+            budget,
         }
-        Ok((store, exhausted))
+    }
+
+    /// Every backend page a snapshot of the committed state may read:
+    /// the record pages and overflow chains of its directory (overlay
+    /// images shadow some of them, they add none). Walked once per
+    /// committed epoch, then shared by every pin of that epoch.
+    fn reachable(&mut self) -> StoreResult<Arc<HashSet<PageId>>> {
+        let header = self.store.committed_header();
+        if let Some((epoch, pages)) = &self.reachable {
+            if *epoch == header.epoch {
+                return Ok(Arc::clone(pages));
+            }
+        }
+        let cat = decode_catalog(&self.store.committed_catalog_bytes, header.root_record)?;
+        let mut pages = HashSet::new();
+        for loc in &cat.directory {
+            match *loc {
+                RecordLoc::InPage { page, .. } => {
+                    pages.insert(page);
+                }
+                RecordLoc::Overflow { first_page, len } => {
+                    pages.extend(
+                        (0..overflow_page_span(len as usize) as u32).map(|i| first_page + i),
+                    );
+                }
+                RecordLoc::Free => {}
+            }
+        }
+        let pages = Arc::new(pages);
+        self.reachable = Some((header.epoch, Arc::clone(&pages)));
+        Ok(pages)
     }
 
     fn apply_release(&mut self, r: Release) {
@@ -666,29 +707,78 @@ fn chunk_span(first: PageId, len: u64, chunk: usize) -> Vec<PageId> {
     (first..first + n).collect()
 }
 
-/// Every backend page a snapshot may read: record pages and overflow
-/// chains from its directory. (Overlay pages are served from memory but
-/// belong to the snapshot's footprint too — they are the journal's write
-/// targets.)
-fn reachable_pages(store: &XmlStore) -> HashSet<PageId> {
-    let mut pages = HashSet::new();
-    for loc in &store.directory {
-        match *loc {
-            RecordLoc::InPage { page, .. } => {
-                pages.insert(page);
-            }
-            RecordLoc::Overflow { first_page, len } => {
-                for i in 0..overflow_page_span(len as usize) as u32 {
-                    pages.insert(first_page + i);
-                }
-            }
-            RecordLoc::Free => {}
+/// Everything needed to open a read-only view of one committed epoch:
+/// the pinned header, the catalog bytes and the pending journal's page
+/// images (both shared with the writer, never copied), format, config
+/// and page-read budget. Taken on the writer's thread by
+/// [`SharedStore::pin_read`]; `Send`, so [`SnapshotSeed::open`] can run
+/// on whichever thread will do the reading.
+#[derive(Clone)]
+pub struct SnapshotSeed {
+    header: Header,
+    catalog_bytes: Arc<Vec<u8>>,
+    overlay: Arc<Overlay>,
+    format: u8,
+    config: StoreConfig,
+    budget: u64,
+}
+
+impl SnapshotSeed {
+    /// Epoch of the committed state the seed describes.
+    pub fn epoch(&self) -> u64 {
+        self.header.epoch
+    }
+
+    /// The same state without a page-read budget (the degraded path a
+    /// budget-exhausted read falls back to).
+    pub fn unbudgeted(mut self) -> SnapshotSeed {
+        self.budget = 0;
+        self
+    }
+
+    /// Build the read-only store and its own buffer pool over `raw`, a
+    /// fresh pager on the backing pages the seed was taken from. Data
+    /// pages come from `raw`; the catalog and the overlaid page images
+    /// come from the seed. Returns the store and the flag its
+    /// page-read budget (if any) raises on exhaustion.
+    pub fn open(&self, raw: Box<dyn Pager>) -> StoreResult<(XmlStore, Rc<Cell<bool>>)> {
+        // The overlay must sit *above* the checksum layer: journal images
+        // are unsealed page payloads (sealing happens on write).
+        let checked: Box<dyn Pager> = if self.format >= 3 {
+            Box::new(ChecksummingPager::new(raw))
+        } else {
+            raw
+        };
+        let stacked: Box<dyn Pager> = Box::new(OverlayPager {
+            inner: checked,
+            overlay: Arc::clone(&self.overlay),
+        });
+        let exhausted = Rc::new(Cell::new(false));
+        let limited: Box<dyn Pager> = if self.budget > 0 {
+            Box::new(BudgetPager {
+                inner: stacked,
+                remaining: self.budget,
+                budget: self.budget,
+                exhausted: Rc::clone(&exhausted),
+            })
+        } else {
+            stacked
+        };
+        let pool = BufferPool::new(limited, self.config.buffer_pages);
+        let mut store = XmlStore::open_snapshot(
+            pool,
+            &self.config,
+            Arc::clone(&self.catalog_bytes),
+            &self.header,
+            self.format,
+        )?;
+        if self.budget > 0 {
+            // A deadline-budgeted read must not spend its page budget on
+            // speculation.
+            store.readahead_records = 0;
         }
+        Ok((store, exhausted))
     }
-    for id in store.committed_overlay.keys() {
-        pages.insert(*id);
-    }
-    pages
 }
 
 /// A pinned, read-only view of one committed epoch. Dropping the
@@ -739,10 +829,7 @@ impl Drop for Snapshot {
     fn drop(&mut self) {
         if !self.released {
             self.released = true;
-            self.shared.release(Release::Pin {
-                pin_id: self.pin_id,
-                timed_out: self.exhausted.get(),
-            });
+            self.shared.release_read(self.pin_id, self.exhausted.get());
         }
     }
 }
@@ -917,7 +1004,7 @@ impl Drop for WriteGuard {
 /// Writes are rejected: a snapshot must never touch the backend.
 struct OverlayPager {
     inner: Box<dyn Pager>,
-    overlay: HashMap<PageId, Box<[u8; PAGE_SIZE]>>,
+    overlay: Arc<Overlay>,
 }
 
 impl Pager for OverlayPager {
@@ -1296,5 +1383,71 @@ mod tests {
             .unwrap()
             .to_xml()
             .contains("committed payload"));
+    }
+
+    /// `begin_read` is `pin_read` + `seed.open` on one thread; the same
+    /// seed opened on a spawned thread must read the same bytes — with
+    /// an empty overlay and with commits piled up under a held pin.
+    #[test]
+    fn seed_opens_identically_on_another_thread() {
+        fn assert_send<T: Send>() {}
+        assert_send::<SnapshotSeed>();
+
+        let dir = std::env::temp_dir().join(format!("natix-seed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seed.natix");
+        let doc = parse("<list><e>one entry of text</e><e>two entry of text</e></list>").unwrap();
+        let config = StoreConfig {
+            record_limit_slots: 16,
+            ..Default::default()
+        };
+        let pager = crate::FilePager::create(&path).unwrap();
+        let store = bulkload_with(&doc, &Ekm, 16, Box::new(pager), config).unwrap();
+        let shared = SharedStore::new(
+            store,
+            Box::new(path.clone()),
+            config,
+            AdmissionConfig::default(),
+        );
+        let check = |want_overlay: bool| {
+            let here = xml_of(&mut shared.begin_read().unwrap());
+            let (pin_id, seed) = shared.pin_read().unwrap();
+            assert_eq!(seed.overlay.is_empty(), !want_overlay);
+            let epoch = seed.epoch();
+            let path = path.clone();
+            let there = std::thread::spawn(move || {
+                let raw = Box::new(crate::FilePager::open(&path).unwrap());
+                let (mut store, _) = seed.open(raw).unwrap();
+                assert_eq!(store.current_epoch(), epoch);
+                store.to_document().unwrap().to_xml()
+            })
+            .join()
+            .unwrap();
+            shared.release_read(pin_id, false);
+            assert_eq!(here, there);
+            here
+        };
+        let before = check(false);
+        let pin = shared.begin_read().unwrap();
+        let mut writer = shared.begin_write().unwrap();
+        for i in 0..3 {
+            writer
+                .mutate(|s| {
+                    let root = s.root()?;
+                    s.append_child(root, NodeKind::Text, "#text", Some(&format!("payload {i}")))
+                        .map(|_| ())
+                })
+                .unwrap();
+        }
+        drop(writer);
+        let after = check(true);
+        assert_ne!(after, before);
+        assert!(after.contains("payload 2"));
+        drop(pin);
+        shared.maintain().unwrap();
+        assert_eq!(shared.active_pins(), 0);
+        assert_eq!(check(false), after);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -43,7 +43,7 @@ pub use collection::{
 };
 pub use concurrent::{
     AdmissionConfig, BatchOp, ConcurrencyStats, PagerFactory, ServedRead, SharedStore, Snapshot,
-    StorageStats, WriteGuard,
+    SnapshotSeed, StorageStats, WriteGuard,
 };
 pub use fsck::{fsck, FsckFinding, FsckReport, FsckSeverity};
 pub use page::{

@@ -710,7 +710,7 @@ fn open_replica_reader(path: &Path, config: &StoreConfig) -> StoreResult<XmlStor
         header.catalog_len as usize,
         chunk,
     )?;
-    XmlStore::open_snapshot(pool, config, catalog_bytes, &header, format)
+    XmlStore::open_snapshot(pool, config, catalog_bytes.into(), &header, format)
 }
 
 #[cfg(test)]

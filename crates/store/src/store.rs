@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use natix_tree::{NodeId, Partitioning};
 use natix_xml::{Document, DocumentBuilder, NodeKind};
@@ -274,6 +275,9 @@ impl RecordCache {
     }
 }
 
+/// Committed-but-uncheckpointed page images, keyed by their target page.
+pub(crate) type Overlay = HashMap<PageId, Arc<[u8; PAGE_SIZE]>>;
+
 /// A bulkloaded XML store.
 pub struct XmlStore {
     pub(crate) pool: BufferPool,
@@ -300,7 +304,8 @@ pub struct XmlStore {
     /// In-memory copy of the last committed catalog, so rollback can
     /// restore the directory and label table without touching the backend
     /// (which may be the very thing that just failed).
-    pub(crate) committed_catalog_bytes: Vec<u8>,
+    /// Behind an `Arc` so a snapshot seed shares it instead of copying.
+    pub(crate) committed_catalog_bytes: Arc<Vec<u8>>,
     /// On-disk format version backing this store: 3 (page frames,
     /// checksummed reads) or 2 (legacy, read-only).
     pub(crate) format: u8,
@@ -323,8 +328,10 @@ pub struct XmlStore {
     /// their committed state. Rollback re-admits these as dirty frames
     /// (plain `discard_dirty` would lose the committed images, which live
     /// only in pool frames until the deferred checkpoint runs); snapshot
-    /// readers overlay them over the backend.
-    pub(crate) committed_overlay: HashMap<PageId, Box<[u8; PAGE_SIZE]>>,
+    /// readers overlay them over the backend, sharing map and images
+    /// through the `Arc`s (a commit under a pin copies the map of
+    /// pointers, never a page).
+    pub(crate) committed_overlay: Arc<Overlay>,
     /// Location `(first_page, len)` of the journal referenced by the last
     /// durable commit, for reconstructing the committed header while its
     /// checkpoint is pending.
@@ -457,13 +464,13 @@ pub(crate) fn assemble_fresh(
         hot: None,
         epoch: 1,
         committed_catalog: (catalog_first_page, catalog_bytes.len() as u64),
-        committed_catalog_bytes: catalog_bytes,
+        committed_catalog_bytes: Arc::new(catalog_bytes),
         format: 3,
         mode: OpenMode::Strict,
         quarantined: BTreeSet::new(),
         defer_checkpoint: false,
         pending_checkpoint: false,
-        committed_overlay: HashMap::new(),
+        committed_overlay: Arc::default(),
         last_commit_journal: (0, 0),
         batch: None,
         readahead_records: config.readahead_records,
@@ -802,7 +809,7 @@ impl XmlStore {
         self.pool.sync_backend()?;
         self.epoch = header.epoch;
         self.committed_catalog = (catalog_first_page, catalog_bytes.len() as u64);
-        self.committed_catalog_bytes = catalog_bytes;
+        self.committed_catalog_bytes = Arc::new(catalog_bytes);
         self.last_commit_journal = (journal_first_page, header.journal_len);
         // Every page on the backend now belongs to the committed state
         // (the flip published the catalog and journal just appended).
@@ -812,10 +819,9 @@ impl XmlStore {
             // them so rollback of a later failed op cannot lose them and
             // snapshot readers can overlay them without replaying the
             // journal from disk.
-            for seg in entry_segments {
-                for (id, image) in seg {
-                    self.committed_overlay.insert(id, image);
-                }
+            let overlay = Arc::make_mut(&mut self.committed_overlay);
+            for (id, image) in entry_segments.into_iter().flatten() {
+                overlay.insert(id, Arc::from(image));
             }
         }
         Ok(())
@@ -843,7 +849,7 @@ impl XmlStore {
             .write_through(header.slot(), &catalog::encode_header(&header))?;
         self.epoch = header.epoch;
         self.pending_checkpoint = false;
-        self.committed_overlay.clear();
+        self.committed_overlay = Arc::default();
         Ok(())
     }
 
@@ -1032,7 +1038,7 @@ impl XmlStore {
         // them back, or the eventual checkpoint would silently skip them
         // and reads between now and then would see pre-commit backend
         // bytes.
-        for (id, image) in &self.committed_overlay {
+        for (id, image) in self.committed_overlay.iter() {
             self.pool.restore_dirty(*id, image);
         }
         self.cache.clear();
@@ -1127,13 +1133,13 @@ impl XmlStore {
             hot: None,
             epoch: header.epoch,
             committed_catalog: (header.catalog_first_page, header.catalog_len),
-            committed_catalog_bytes: catalog_bytes,
+            committed_catalog_bytes: Arc::new(catalog_bytes),
             format,
             mode,
             quarantined: cat.quarantined.into_iter().collect(),
             defer_checkpoint: false,
             pending_checkpoint: false,
-            committed_overlay: HashMap::new(),
+            committed_overlay: Arc::default(),
             last_commit_journal: (0, 0),
             batch: None,
             readahead_records: config.readahead_records,
@@ -1153,7 +1159,7 @@ impl XmlStore {
     pub(crate) fn open_snapshot(
         pool: BufferPool,
         config: &StoreConfig,
-        catalog_bytes: Vec<u8>,
+        catalog_bytes: Arc<Vec<u8>>,
         header: &Header,
         format: u8,
     ) -> StoreResult<XmlStore> {
@@ -1182,7 +1188,7 @@ impl XmlStore {
             quarantined: cat.quarantined.into_iter().collect(),
             defer_checkpoint: false,
             pending_checkpoint: false,
-            committed_overlay: HashMap::new(),
+            committed_overlay: Arc::default(),
             last_commit_journal: (0, 0),
             batch: None,
             readahead_records: config.readahead_records,

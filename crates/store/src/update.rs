@@ -989,13 +989,13 @@ impl XmlStore {
             hot: None,
             epoch: 1,
             committed_catalog: (catalog_first_page, catalog_bytes.len() as u64),
-            committed_catalog_bytes: catalog_bytes,
+            committed_catalog_bytes: std::sync::Arc::new(catalog_bytes),
             format: 3,
             mode: crate::store::OpenMode::Strict,
             quarantined: self.quarantined.clone(),
             defer_checkpoint: false,
             pending_checkpoint: false,
-            committed_overlay: std::collections::HashMap::new(),
+            committed_overlay: Default::default(),
             last_commit_journal: (0, 0),
             batch: None,
             readahead_records: config.readahead_records,

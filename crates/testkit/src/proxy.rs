@@ -599,18 +599,7 @@ pub fn run_proxy_chaos(config: &ProxyChaosConfig) -> ProxyChaosReport {
         Ok(s) => s,
         Err(_) => {
             failures.push("server did not drain within 30s (wedged worker)".to_string());
-            ServeSummary {
-                connections: 0,
-                requests: 0,
-                ok: 0,
-                errors: 0,
-                shed: 0,
-                queue_shed: 0,
-                proto_errors: 0,
-                worker_panics: 0,
-                lease_expirations: 0,
-                write_timeout_kills: 0,
-            }
+            ServeSummary::default()
         }
     };
     let _ = std::fs::remove_dir_all(&dir);

@@ -16,6 +16,10 @@ cargo test -q
 echo "==> benchmark package (frozen: must build and run against the current crates/* API)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload partition-docs --quick | tail -n 1
+# The served path: a pin or threading regression (a leaked pin, a wrong
+# answer, a shed, a handler panic) fails the workload's own checks.
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload serve-read --quick | tail -n 1
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload serve-write --quick | tail -n 1
 
 echo "==> store_speed --quick (buffer pool + group commit smoke: out-of-budget dump identical, evictions active, fsck clean after eviction, one flip per batch)"
 cargo run --release -p natix-bench --bin store_speed -- --quick
@@ -113,6 +117,8 @@ natix net "$addr" stats > "$serve_dir/stats.out"
 grep -q "live records" "$serve_dir/stats.out"
 # Resource observability: pin/lease/backlog/read-only gauges are served.
 grep -q "session-pinned" "$serve_dir/stats.out"
+# Reads run on the workers; with nothing running the gauge reads zero.
+grep -q "reads        : 0 in flight, peak" "$serve_dir/stats.out"
 grep -q "read-only    : no" "$serve_dir/stats.out"
 grep -q "superseded pages" "$serve_dir/stats.out"
 natix net "$addr" fsck > /dev/null
