@@ -139,6 +139,48 @@ fn corrupted_store_exits_4() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn format_2_store_exits_4_and_is_left_alone() {
+    let dir = tmpdir("v2");
+    let store = build_store(&dir);
+    // Turn the winning header (epoch 1, page 1) into a format-2 one: its
+    // magic, and the store's FNV-style sum over the first 52 bytes redone to match (a
+    // slot whose checksum fails is a torn slot, whatever its magic says).
+    let mut bytes = std::fs::read(&store).unwrap();
+    let slot = &mut bytes[8192..8192 + 60];
+    slot[..8].copy_from_slice(b"NATIXST2");
+    let mut sum: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in &slot[..52] {
+        sum = (sum ^ u64::from(b)).wrapping_mul(0x1_0000_0000_01b3);
+    }
+    slot[52..60].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&store, &bytes).unwrap();
+    let before = std::fs::read(&store).unwrap();
+
+    for args in [
+        &["dump", &store][..],
+        &["query", &store, "//e"],
+        &["fsck", &store],
+        &["fsck", &store, "--repair"],
+    ] {
+        let out = natix(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            code(&out),
+            4,
+            "{args:?}\nstdout: {stdout}\nstderr: {stderr}"
+        );
+        if args[0] == "fsck" {
+            assert!(stdout.contains("code=unsupported-format"), "{stdout}");
+        } else {
+            assert!(stderr.contains("format 2"), "{args:?}: {stderr}");
+        }
+        assert!(std::fs::read(&store).unwrap() == before, "{args:?} wrote");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 struct ServerGuard {
     child: Child,
     addr: String,

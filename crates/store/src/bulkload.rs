@@ -28,7 +28,8 @@
 //!
 //! The loader maintains an honest resident-bytes counter (slab payload
 //! plus driver state) whose peak is reported in [`LoadStats`]; the
-//! `bulk_speed` bench and the bounded-memory tests read it.
+//! bounded-memory tests, the `bulk_speed` bench and the repo benchmark's
+//! `store.bulkload.slab_peak_bytes` row read it.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -38,9 +39,9 @@ use natix_core::{PendingChild, SekmDriver};
 use natix_tree::Weight;
 use natix_xml::{node_weight, parse_sax, NodeKind, ParseOptions, SaxError, SaxHandler, XmlError};
 
-use crate::catalog::{self, Header, RecordLoc};
-use crate::page::{PageClass, SlottedPage};
-use crate::pager::{BufferPool, ChecksummingPager, Pager, StoreError, StoreResult};
+use crate::catalog::{Catalog, RecordLoc};
+use crate::page::SlottedPage;
+use crate::pager::{BufferPool, Pager, StoreError, StoreResult};
 use crate::record::{ChildEntry, ImageNode, RecordImage, NONE_U16, NONE_U32};
 use crate::store::{self, RecordPlacer, StoreConfig, XmlStore};
 
@@ -567,16 +568,8 @@ struct FreshSink {
 
 impl FreshSink {
     fn new(backend: Box<dyn Pager>, config: &StoreConfig) -> StoreResult<FreshSink> {
-        let backend: Box<dyn Pager> = Box::new(ChecksummingPager::new(backend));
-        let mut pool = BufferPool::new(backend, config.buffer_pages);
-        // No committed state yet: let eviction stream dirty pages out so
-        // the load runs in bounded memory (same as the batch path).
-        pool.set_writeback_floor(0);
-        let header_slot0 = pool.allocate()?;
-        let header_slot1 = pool.allocate()?;
-        debug_assert_eq!((header_slot0, header_slot1), (0, 1));
         Ok(FreshSink {
-            pool,
+            pool: store::begin_fresh(backend, config)?,
             directory: Vec::new(),
             labels: Vec::new(),
             label_ids: HashMap::new(),
@@ -584,41 +577,19 @@ impl FreshSink {
         })
     }
 
-    fn finish(mut self, root_record: u32, config: &StoreConfig) -> StoreResult<XmlStore> {
-        let catalog_bytes = catalog::encode_catalog(
-            &self.directory,
-            &self.labels,
-            &[],
-            root_record,
-            config.record_limit_slots,
-            1,
-        );
-        let catalog_first_page = self
-            .pool
-            .append_chunked(&catalog_bytes, PageClass::Catalog)?;
-        let header = catalog::encode_header(&Header {
-            epoch: 1,
-            root_record,
-            catalog_first_page,
-            catalog_len: catalog_bytes.len() as u64,
-            record_limit: config.record_limit_slots,
-            journal_first_page: 0,
-            journal_len: 0,
-        });
-        self.pool
-            .with_page(1, true, |buf| buf.copy_from_slice(&header))?;
-        self.pool.flush()?;
-        let floor = self.pool.page_count();
-        self.pool.set_writeback_floor(floor);
-        Ok(store::assemble_fresh(
+    fn finish(self, root_record: u32, config: &StoreConfig) -> StoreResult<XmlStore> {
+        store::finish_fresh(
             self.pool,
-            self.directory,
-            self.labels,
-            self.label_ids,
-            root_record,
-            (catalog_first_page, catalog_bytes),
             config,
-        ))
+            Catalog {
+                epoch: 1,
+                root_record,
+                record_limit: config.record_limit_slots,
+                directory: self.directory,
+                labels: self.labels,
+                quarantined: Vec::new(),
+            },
+        )
     }
 }
 

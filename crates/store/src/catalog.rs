@@ -15,17 +15,18 @@
 //! slots are gone.
 //!
 //! Format version 2 (`NATIXST2` headers, bare catalog blobs, no page
-//! frames) is still decoded for read-only access to old stores.
+//! frames) is recognised only to be refused by name; nothing decodes it.
 
 use crate::page::{fnv64, set_page_class, PageClass, PAGE_SIZE};
-use crate::pager::{PageId, StoreError, StoreResult};
+use crate::pager::{ChecksummingPager, PageId, Pager, StoreError, StoreResult};
 
 /// Magic bytes identifying a Natix store page file (format version 3:
 /// dual checksummed headers + redo journal + per-page frames).
 pub const MAGIC: &[u8; 8] = b"NATIXST3";
 
-/// Magic of the previous format (no page frames); readable, not writable.
-pub const MAGIC_V2: &[u8; 8] = b"NATIXST2";
+/// Magic of the previous format (no page frames), which no writer has
+/// produced since format 3; see [`decode_header_slot`].
+const MAGIC_V2: &[u8; 8] = b"NATIXST2";
 
 /// Magic prefix of a serialized format-3 catalog blob.
 pub(crate) const CATALOG_MAGIC: &[u8; 4] = b"NCT3";
@@ -93,48 +94,67 @@ pub(crate) fn encode_header(h: &Header) -> [u8; PAGE_SIZE] {
 }
 
 /// Decode one header slot; `None` if the slot does not hold a valid header
-/// (wrong magic, bad checksum — e.g. a torn header write). Returns the
-/// header and the store format version it announces (2 or 3).
-pub(crate) fn decode_header_slot(buf: &[u8; PAGE_SIZE]) -> Option<(Header, u8)> {
-    let version = if &buf[0..8] == MAGIC {
-        3
-    } else if &buf[0..8] == MAGIC_V2 {
-        2
-    } else {
-        return None;
-    };
+/// (wrong magic, bad checksum — e.g. a torn header write). A slot whose
+/// checksum verifies under the format-2 magic is an error, not `None`:
+/// such a file must be refused by name, never mistaken for a store that
+/// lost its headers. The checksum is judged first — `NATIXST3` is one bit
+/// away from `NATIXST2`, and a rotted slot must stay merely invalid.
+pub(crate) fn decode_header_slot(buf: &[u8; PAGE_SIZE]) -> StoreResult<Option<Header>> {
     let sum = u64::from_le_bytes(buf[CHECKSUM_AT..CHECKSUM_AT + 8].try_into().expect("8"));
     if fnv64(&buf[..CHECKSUM_AT]) != sum {
-        return None;
+        return Ok(None);
     }
-    Some((
-        Header {
-            epoch: u64::from_le_bytes(buf[8..16].try_into().expect("8")),
-            root_record: u32::from_le_bytes(buf[16..20].try_into().expect("4")),
-            catalog_first_page: u32::from_le_bytes(buf[20..24].try_into().expect("4")),
-            catalog_len: u64::from_le_bytes(buf[24..32].try_into().expect("8")),
-            record_limit: u64::from_le_bytes(buf[32..40].try_into().expect("8")),
-            journal_first_page: u32::from_le_bytes(buf[40..44].try_into().expect("4")),
-            journal_len: u64::from_le_bytes(buf[44..52].try_into().expect("8")),
-        },
-        version,
-    ))
+    if &buf[0..8] == MAGIC_V2 {
+        return Err(StoreError::corrupt(
+            "unsupported store format 2 (NATIXST2 header): this build reads format 3 only",
+        ));
+    }
+    if &buf[0..8] != MAGIC {
+        return Ok(None);
+    }
+    Ok(Some(Header {
+        epoch: u64::from_le_bytes(buf[8..16].try_into().expect("8")),
+        root_record: u32::from_le_bytes(buf[16..20].try_into().expect("4")),
+        catalog_first_page: u32::from_le_bytes(buf[20..24].try_into().expect("4")),
+        catalog_len: u64::from_le_bytes(buf[24..32].try_into().expect("8")),
+        record_limit: u64::from_le_bytes(buf[32..40].try_into().expect("8")),
+        journal_first_page: u32::from_le_bytes(buf[40..44].try_into().expect("4")),
+        journal_len: u64::from_le_bytes(buf[44..52].try_into().expect("8")),
+    }))
 }
 
-/// Pick the winning header from the two slots: highest valid epoch.
-/// Returns the header and its format version.
-pub(crate) fn pick_header(
-    slot0: &[u8; PAGE_SIZE],
-    slot1: &[u8; PAGE_SIZE],
-) -> StoreResult<(Header, u8)> {
+/// Pick the winning header from the two slots: highest valid epoch. A
+/// format-2 slot is refused only when no format-3 header stands beside it.
+pub(crate) fn pick_header(slot0: &[u8; PAGE_SIZE], slot1: &[u8; PAGE_SIZE]) -> StoreResult<Header> {
     match (decode_header_slot(slot0), decode_header_slot(slot1)) {
-        (Some(a), Some(b)) => Ok(if a.0.epoch >= b.0.epoch { a } else { b }),
-        (Some(a), None) => Ok(a),
-        (None, Some(b)) => Ok(b),
-        (None, None) => Err(StoreError::corrupt(
+        (Ok(Some(a)), Ok(Some(b))) => Ok(if a.epoch >= b.epoch { a } else { b }),
+        (Ok(Some(h)), _) | (_, Ok(Some(h))) => Ok(h),
+        (Err(e), _) | (_, Err(e)) => Err(e),
+        (Ok(None), Ok(None)) => Err(StoreError::corrupt(
             "no valid header slot: not a Natix store file",
         )),
     }
+}
+
+/// The committed header of the page file behind `backend`. Both slots are
+/// read raw, below any checksum verification: the ping-pong protocol
+/// relies on decoding *both* and falling back past a torn one.
+pub(crate) fn read_header(backend: &mut dyn Pager) -> StoreResult<Header> {
+    if backend.page_count() < 2 {
+        return Err(StoreError::corrupt("file too small for header slots"));
+    }
+    let mut slot0 = Box::new([0u8; PAGE_SIZE]);
+    let mut slot1 = Box::new([0u8; PAGE_SIZE]);
+    backend.read(0, &mut slot0)?;
+    backend.read(1, &mut slot1)?;
+    pick_header(&slot0, &slot1)
+}
+
+/// [`read_header`], then the checksum-verifying layer every other page of
+/// a committed file is read through.
+pub(crate) fn open_verified(mut raw: Box<dyn Pager>) -> StoreResult<(Header, ChecksummingPager)> {
+    let header = read_header(raw.as_mut())?;
+    Ok((header, ChecksummingPager::new(raw)))
 }
 
 /// Serialize a format-3 catalog blob. The blob is self-describing
@@ -257,69 +277,51 @@ fn decode_labels(r: &mut R<'_>) -> StoreResult<Vec<Box<str>>> {
     Ok(labels)
 }
 
-/// Decode a catalog blob; auto-detects the format-3 `NCT3` framing and
-/// falls back to the bare format-2 layout. `header_root` is the root
-/// record the winning header announces — authoritative for format 2
-/// (which did not store it in the blob) and cross-checked for format 3.
-pub(crate) fn decode_catalog(bytes: &[u8], header_root: u32) -> StoreResult<Catalog> {
-    if bytes.len() >= 4 && &bytes[..4] == CATALOG_MAGIC {
-        let announced = catalog_blob_len(bytes).expect("magic checked");
-        if announced as usize != bytes.len() || bytes.len() < 12 + 8 {
-            return Err(StoreError::corrupt("catalog blob length mismatch"));
-        }
-        let sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8"));
-        if fnv64(&bytes[..bytes.len() - 8]) != sum {
-            return Err(StoreError::corrupt("catalog checksum mismatch"));
-        }
-        let mut r = R {
-            b: &bytes[..bytes.len() - 8],
-            p: 12,
-        };
-        let epoch = r.u64()?;
-        let root_record = r.u32()?;
-        let record_limit = r.u64()?;
-        let directory = decode_directory(&mut r)?;
-        let labels = decode_labels(&mut r)?;
-        let nq = r.u32()? as usize;
-        let mut quarantined = Vec::with_capacity(nq.min(1 << 20));
-        for _ in 0..nq {
-            quarantined.push(r.u32()?);
-        }
-        if r.p != r.b.len() {
-            return Err(StoreError::corrupt("catalog has trailing bytes"));
-        }
-        if root_record as usize >= directory.len() {
-            return Err(StoreError::corrupt("root record out of range"));
-        }
-        return Ok(Catalog {
-            epoch,
-            root_record,
-            record_limit,
-            directory,
-            labels,
-            quarantined,
-        });
+/// Decode and verify a catalog blob (`NCT3` framing, announced length,
+/// trailing checksum).
+pub(crate) fn decode_catalog(bytes: &[u8]) -> StoreResult<Catalog> {
+    let Some(announced) = catalog_blob_len(bytes) else {
+        return Err(StoreError::corrupt("catalog blob magic missing"));
+    };
+    if announced as usize != bytes.len() || bytes.len() < 12 + 8 {
+        return Err(StoreError::corrupt("catalog blob length mismatch"));
     }
-    // Legacy format 2: bare directory + labels; root and limit live only
-    // in the header.
-    let mut r = R { b: bytes, p: 0 };
+    let sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8"));
+    if fnv64(&bytes[..bytes.len() - 8]) != sum {
+        return Err(StoreError::corrupt("catalog checksum mismatch"));
+    }
+    let mut r = R {
+        b: &bytes[..bytes.len() - 8],
+        p: 12,
+    };
+    let epoch = r.u64()?;
+    let root_record = r.u32()?;
+    let record_limit = r.u64()?;
     let directory = decode_directory(&mut r)?;
     let labels = decode_labels(&mut r)?;
-    if header_root as usize >= directory.len() {
+    let nq = r.u32()? as usize;
+    let mut quarantined = Vec::with_capacity(nq.min(1 << 20));
+    for _ in 0..nq {
+        quarantined.push(r.u32()?);
+    }
+    if r.p != r.b.len() {
+        return Err(StoreError::corrupt("catalog has trailing bytes"));
+    }
+    if root_record as usize >= directory.len() {
         return Err(StoreError::corrupt("root record out of range"));
     }
     Ok(Catalog {
-        epoch: 0,
-        root_record: header_root,
-        record_limit: 0,
+        epoch,
+        root_record,
+        record_limit,
         directory,
         labels,
-        quarantined: Vec::new(),
+        quarantined,
     })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn sample_header() -> Header {
@@ -367,8 +369,7 @@ mod tests {
     #[test]
     fn header_roundtrip() {
         let buf = encode_header(&sample_header());
-        let (back, version) = decode_header_slot(&buf).unwrap();
-        assert_eq!(version, 3);
+        let back = decode_header_slot(&buf).unwrap().unwrap();
         assert_eq!(back.epoch, 5);
         assert_eq!(back.root_record, 7);
         assert_eq!(back.catalog_first_page, 123);
@@ -380,24 +381,58 @@ mod tests {
         assert_eq!(crate::page::page_class_of(&buf), PageClass::Header);
     }
 
-    #[test]
-    fn legacy_v2_header_is_recognized() {
+    /// A well-formed format-2 header page (valid checksum, no page
+    /// frame), as the last writer of that format produced it.
+    pub(crate) fn v2_header_page() -> [u8; PAGE_SIZE] {
         let mut buf = encode_header(&sample_header());
         buf[0..8].copy_from_slice(MAGIC_V2);
         let sum = fnv64(&buf[..CHECKSUM_AT]);
         buf[CHECKSUM_AT..CHECKSUM_AT + 8].copy_from_slice(&sum.to_le_bytes());
-        let (back, version) = decode_header_slot(&buf).unwrap();
-        assert_eq!(version, 2);
-        assert_eq!(back.epoch, 5);
+        buf[crate::page::PAYLOAD_SIZE..].fill(0);
+        buf
+    }
+
+    #[test]
+    fn v2_header_is_refused_by_name() {
+        let v2 = v2_header_page();
+        let err = decode_header_slot(&v2).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        assert!(err.to_string().contains("format 2"), "{err}");
+        // Whichever slot holds it, unless a format-3 header stands beside.
+        let v3 = encode_header(&sample_header());
+        let zero = [0u8; PAGE_SIZE];
+        for (s0, s1) in [(&v2, &zero), (&zero, &v2), (&v2, &v2)] {
+            let err = pick_header(s0, s1).unwrap_err();
+            assert!(err.to_string().contains("format 2"), "{err}");
+        }
+        assert_eq!(pick_header(&v2, &v3).unwrap().epoch, 5);
+        assert_eq!(pick_header(&v3, &v2).unwrap().epoch, 5);
+    }
+
+    #[test]
+    fn one_bit_from_the_v2_magic_is_a_torn_slot_not_a_refusal() {
+        // '3' and '2' differ in bit 0 of byte 7; the checksum covers the
+        // magic, so the rotted slot is invalid and the other one wins.
+        let mut rotted = encode_header(&sample_header());
+        rotted[7] ^= 0x01;
+        assert_eq!(&rotted[0..8], MAGIC_V2);
+        assert!(decode_header_slot(&rotted).unwrap().is_none());
+        let mut old = sample_header();
+        old.epoch = 4;
+        let good = encode_header(&old);
+        assert_eq!(pick_header(&rotted, &good).unwrap().epoch, 4);
+        assert_eq!(pick_header(&good, &rotted).unwrap().epoch, 4);
+        let err = pick_header(&rotted, &rotted).unwrap_err();
+        assert!(!err.to_string().contains("format 2"), "{err}");
     }
 
     #[test]
     fn bad_magic_rejected() {
         let buf = [0u8; PAGE_SIZE];
-        assert!(decode_header_slot(&buf).is_none());
+        assert!(decode_header_slot(&buf).unwrap().is_none());
         let mut v1 = [0u8; PAGE_SIZE];
         v1[..8].copy_from_slice(b"NATIXST1");
-        assert!(decode_header_slot(&v1).is_none());
+        assert!(decode_header_slot(&v1).unwrap().is_none());
     }
 
     #[test]
@@ -405,7 +440,7 @@ mod tests {
         let mut buf = encode_header(&sample_header());
         // Any flipped byte in the covered region invalidates the slot.
         buf[17] ^= 0x01;
-        assert!(decode_header_slot(&buf).is_none());
+        assert!(decode_header_slot(&buf).unwrap().is_none());
     }
 
     #[test]
@@ -415,11 +450,11 @@ mod tests {
         let new = sample_header();
         let s0 = encode_header(&old);
         let s1 = encode_header(&new);
-        assert_eq!(pick_header(&s0, &s1).unwrap().0.epoch, 5);
-        assert_eq!(pick_header(&s1, &s0).unwrap().0.epoch, 5);
+        assert_eq!(pick_header(&s0, &s1).unwrap().epoch, 5);
+        assert_eq!(pick_header(&s1, &s0).unwrap().epoch, 5);
         let torn = [0xABu8; PAGE_SIZE];
-        assert_eq!(pick_header(&s0, &torn).unwrap().0.epoch, 4);
-        assert_eq!(pick_header(&torn, &s1).unwrap().0.epoch, 5);
+        assert_eq!(pick_header(&s0, &torn).unwrap().epoch, 4);
+        assert_eq!(pick_header(&torn, &s1).unwrap().epoch, 5);
         assert!(pick_header(&torn, &torn).is_err());
     }
 
@@ -427,7 +462,7 @@ mod tests {
     fn catalog_roundtrip() {
         let bytes = encode_sample(&sample_catalog());
         assert_eq!(catalog_blob_len(&bytes), Some(bytes.len() as u64));
-        let cat = decode_catalog(&bytes, 0).unwrap();
+        let cat = decode_catalog(&bytes).unwrap();
         assert_eq!(cat.epoch, 9);
         assert_eq!(cat.root_record, 0);
         assert_eq!(cat.record_limit, 64);
@@ -448,13 +483,13 @@ mod tests {
     fn catalog_checksum_catches_bit_rot() {
         let mut bytes = encode_sample(&sample_catalog());
         bytes[20] ^= 0x40;
-        let err = decode_catalog(&bytes, 0).unwrap_err();
+        let err = decode_catalog(&bytes).unwrap_err();
         assert!(err.is_corruption(), "{err}");
     }
 
     #[test]
-    fn legacy_v2_catalog_still_decodes() {
-        // Hand-build a format-2 blob: bare directory + labels.
+    fn catalog_without_its_magic_is_corrupt() {
+        // The bare directory + labels layout format 2 used.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&2u32.to_le_bytes());
         bytes.push(0);
@@ -464,18 +499,15 @@ mod tests {
         bytes.extend_from_slice(&1u32.to_le_bytes());
         bytes.extend_from_slice(&4u16.to_le_bytes());
         bytes.extend_from_slice(b"site");
-        let cat = decode_catalog(&bytes, 0).unwrap();
-        assert_eq!(cat.epoch, 0);
-        assert_eq!(cat.directory.len(), 2);
-        assert_eq!(&*cat.labels[0], "site");
-        assert!(cat.quarantined.is_empty());
+        let err = decode_catalog(&bytes).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
     }
 
     #[test]
     fn truncated_catalog_rejected() {
         let bytes = encode_sample(&sample_catalog());
-        for cut in [0, 3, 16, bytes.len() - 1] {
-            assert!(decode_catalog(&bytes[..cut], 0).is_err(), "cut {cut}");
+        for cut in [0, 3, 8, 16, bytes.len() - 1] {
+            assert!(decode_catalog(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 
@@ -484,6 +516,6 @@ mod tests {
         let mut cat = sample_catalog();
         cat.root_record = 5;
         let bytes = encode_sample(&cat);
-        assert!(decode_catalog(&bytes, 5).is_err());
+        assert!(decode_catalog(&bytes).is_err());
     }
 }

@@ -44,11 +44,14 @@ use std::sync::Arc;
 
 use natix_xml::Document;
 
-use crate::catalog::{decode_catalog, Header, RecordLoc};
+use crate::catalog::{self, decode_catalog, Header, RecordLoc};
 use crate::fsck::{fsck, FsckReport};
+use crate::journal;
 use crate::page::{set_page_class, PageClass, PAGE_SIZE, PAYLOAD_SIZE};
-use crate::pager::{BufferPool, ChecksummingPager, PageId, Pager, StoreError, StoreResult};
-use crate::store::{overflow_page_span, DamageReport, Overlay, StoreConfig, XmlStore};
+use crate::pager::{
+    read_chunked, BufferPool, ChecksummingPager, PageId, Pager, StoreError, StoreResult,
+};
+use crate::store::{overflow_page_span, DamageReport, OpenMode, Overlay, StoreConfig, XmlStore};
 
 /// Opens fresh [`Pager`] handles over the same underlying pages, one per
 /// snapshot reader. [`crate::SharedMemPager`] implements it by cloning
@@ -532,7 +535,6 @@ impl Inner {
             header: self.store.committed_header(),
             catalog_bytes: Arc::clone(&self.store.committed_catalog_bytes),
             overlay: Arc::clone(&self.store.committed_overlay),
-            format: self.store.format,
             config: self.config,
             budget,
         }
@@ -549,7 +551,7 @@ impl Inner {
                 return Ok(Arc::clone(pages));
             }
         }
-        let cat = decode_catalog(&self.store.committed_catalog_bytes, header.root_record)?;
+        let cat = decode_catalog(&self.store.committed_catalog_bytes)?;
         let mut pages = HashSet::new();
         for loc in &cat.directory {
             match *loc {
@@ -588,6 +590,24 @@ impl Inner {
                 }
             }
             Release::Writer => self.writer_active = false,
+        }
+    }
+
+    /// A commit published `after_epoch`: its header supersedes the previous
+    /// catalog chain — and the previous journal chain too, since every
+    /// page image it held that is still uncheckpointed was re-journaled
+    /// by the new commit. Both wait for reclamation.
+    fn retire_superseded(
+        &mut self,
+        before_catalog: (PageId, u64),
+        before_journal: Option<(PageId, u64)>,
+        after_epoch: u64,
+    ) {
+        for (first, len) in std::iter::once(before_catalog).chain(before_journal) {
+            self.garbage.push(GarbageSet {
+                retired_epoch: after_epoch,
+                pages: chunk_span(first, len),
+            });
         }
     }
 
@@ -641,21 +661,13 @@ impl Inner {
             // The checkpoint epoch's header is journal-free: the replayed
             // journal chain is garbage once the slot that referenced it
             // is overwritten (gated by retired_epoch below).
-            let pages = chunk_span(journal.0, journal.1, self.chunk());
+            let pages = chunk_span(journal.0, journal.1);
             self.garbage.push(GarbageSet {
                 retired_epoch: self.store.current_epoch(),
                 pages,
             });
         }
         self.reclaim()
-    }
-
-    fn chunk(&self) -> usize {
-        if self.store.format >= 3 {
-            PAYLOAD_SIZE
-        } else {
-            PAGE_SIZE
-        }
     }
 
     /// Zero-fill retired chains that are provably unreachable: a later
@@ -701,29 +713,62 @@ impl Inner {
     }
 }
 
-/// Pages `first .. first + ceil(len / chunk)`.
-fn chunk_span(first: PageId, len: u64, chunk: usize) -> Vec<PageId> {
-    let n = (len as usize).div_ceil(chunk) as u32;
+/// Pages of a catalog or journal chain of `len` bytes starting at `first`.
+fn chunk_span(first: PageId, len: u64) -> Vec<PageId> {
+    let n = (len as usize).div_ceil(PAYLOAD_SIZE) as u32;
     (first..first + n).collect()
 }
 
 /// Everything needed to open a read-only view of one committed epoch:
 /// the pinned header, the catalog bytes and the pending journal's page
-/// images (both shared with the writer, never copied), format, config
-/// and page-read budget. Taken on the writer's thread by
-/// [`SharedStore::pin_read`]; `Send`, so [`SnapshotSeed::open`] can run
-/// on whichever thread will do the reading.
+/// images (both shared with the writer, never copied), config and
+/// page-read budget. Taken on the writer's thread by
+/// [`SharedStore::pin_read`] — or, for a page file no writer holds in
+/// memory, read from it by `SnapshotSeed::from_disk`; `Send`, so
+/// [`SnapshotSeed::open`] can run on whichever thread will do the reading.
 #[derive(Clone)]
 pub struct SnapshotSeed {
     header: Header,
     catalog_bytes: Arc<Vec<u8>>,
     overlay: Arc<Overlay>,
-    format: u8,
     config: StoreConfig,
     budget: u64,
 }
 
 impl SnapshotSeed {
+    /// Unbudgeted seed of the committed state of the page file behind
+    /// `raw`, without writing it: where [`XmlStore::open`] would replay a
+    /// pending journal in place and publish a new header, its page
+    /// images become the seed's overlay. (A replica reads its applied
+    /// state this way; running recovery there would silently diverge
+    /// from the primary.)
+    pub(crate) fn from_disk(raw: Box<dyn Pager>, config: StoreConfig) -> StoreResult<Self> {
+        let (header, mut checked) = catalog::open_verified(raw)?;
+        let mut overlay = Overlay::new();
+        if header.journal_len > 0 {
+            let bytes = read_chunked(
+                &mut checked,
+                header.journal_first_page,
+                header.journal_len as usize,
+            )?;
+            for (page, image) in journal::decode(&bytes)? {
+                overlay.insert(page, Arc::from(image));
+            }
+        }
+        let catalog_bytes = read_chunked(
+            &mut checked,
+            header.catalog_first_page,
+            header.catalog_len as usize,
+        )?;
+        Ok(SnapshotSeed {
+            header,
+            catalog_bytes: Arc::new(catalog_bytes),
+            overlay: Arc::new(overlay),
+            config,
+            budget: 0,
+        })
+    }
+
     /// Epoch of the committed state the seed describes.
     pub fn epoch(&self) -> u64 {
         self.header.epoch
@@ -742,15 +787,10 @@ impl SnapshotSeed {
     /// come from the seed. Returns the store and the flag its
     /// page-read budget (if any) raises on exhaustion.
     pub fn open(&self, raw: Box<dyn Pager>) -> StoreResult<(XmlStore, Rc<Cell<bool>>)> {
-        // The overlay must sit *above* the checksum layer: journal images
-        // are unsealed page payloads (sealing happens on write).
-        let checked: Box<dyn Pager> = if self.format >= 3 {
-            Box::new(ChecksummingPager::new(raw))
-        } else {
-            raw
-        };
+        // The overlay sits *above* the checksum layer: journal images are
+        // unsealed page payloads (sealing happens on write).
         let stacked: Box<dyn Pager> = Box::new(OverlayPager {
-            inner: checked,
+            inner: Box::new(ChecksummingPager::new(raw)),
             overlay: Arc::clone(&self.overlay),
         });
         let exhausted = Rc::new(Cell::new(false));
@@ -765,13 +805,15 @@ impl SnapshotSeed {
             stacked
         };
         let pool = BufferPool::new(limited, self.config.buffer_pages);
-        let mut store = XmlStore::open_snapshot(
+        let cat = catalog::decode_catalog(&self.catalog_bytes)?;
+        let mut store = XmlStore::from_committed(
             pool,
             &self.config,
-            Arc::clone(&self.catalog_bytes),
+            OpenMode::Degraded,
             &self.header,
-            self.format,
-        )?;
+            Arc::clone(&self.catalog_bytes),
+            cat,
+        );
         if self.budget > 0 {
             // A deadline-budgeted read must not spend its page budget on
             // speculation.
@@ -876,21 +918,7 @@ impl WriteGuard {
                 if inner.store.has_pending_checkpoint() {
                     inner.stats.checkpoints_deferred += 1;
                 }
-                let chunk = inner.chunk();
-                // The new header supersedes the previous catalog chain —
-                // and the previous journal chain too: every page image it
-                // held that is still uncheckpointed was re-journaled by
-                // this commit.
-                inner.garbage.push(GarbageSet {
-                    retired_epoch: after_epoch,
-                    pages: chunk_span(before_catalog.0, before_catalog.1, chunk),
-                });
-                if let Some((first, len)) = before_journal {
-                    inner.garbage.push(GarbageSet {
-                        retired_epoch: after_epoch,
-                        pages: chunk_span(first, len, chunk),
-                    });
-                }
+                inner.retire_superseded(before_catalog, before_journal, after_epoch);
             }
             match r {
                 // A resource-class failure (disk full) already rolled the
@@ -956,17 +984,7 @@ impl WriteGuard {
                 if inner.store.has_pending_checkpoint() {
                     inner.stats.checkpoints_deferred += 1;
                 }
-                let chunk = inner.chunk();
-                inner.garbage.push(GarbageSet {
-                    retired_epoch: after_epoch,
-                    pages: chunk_span(before_catalog.0, before_catalog.1, chunk),
-                });
-                if let Some((first, len)) = before_journal {
-                    inner.garbage.push(GarbageSet {
-                        retired_epoch: after_epoch,
-                        pages: chunk_span(first, len, chunk),
-                    });
-                }
+                inner.retire_superseded(before_catalog, before_journal, after_epoch);
             }
             match commit {
                 Ok(_) => Ok(acks),

@@ -6,7 +6,9 @@
 //!
 //! 1. **Headers** — both ping-pong slots are decoded raw (they carry
 //!    their own checksums); an invalid loser slot is crash debris, not
-//!    damage.
+//!    damage. A header of another format version ends the run with one
+//!    `unsupported-format` error: such a file is neither scrubbed nor,
+//!    with `repair`, touched.
 //! 2. **Pending journal** — a journal left by a crash between commit
 //!    point and checkpoint is replayed into an in-memory overlay, so the
 //!    scrub judges the state recovery would produce, not the torn
@@ -23,7 +25,7 @@
 //!    record is reachable twice or leaked; label ids resolve; every
 //!    fragment respects the weight limit `K` (feasibility).
 //!
-//! Repair (`repair = true`, format 3 only) rebuilds the newest
+//! Repair (`repair = true`) rebuilds the newest
 //! consistent state from surviving pages. Every intact page is scanned
 //! for self-describing blobs — `NRC3` records in slotted pages, `NOV3`
 //! overflow chains, `NCT3` catalogs — duplicate claims to a record
@@ -45,7 +47,7 @@ use crate::catalog::{self, Catalog, Header, RecordLoc};
 use crate::journal;
 use crate::page::{
     is_zero_page, page_class_of, seal_frame, set_page_class, verify_frame, FrameCheck, PageClass,
-    SlottedPage, PAGE_SIZE, PAYLOAD_SIZE,
+    SlottedPage, FORMAT_VERSION, PAGE_SIZE, PAYLOAD_SIZE,
 };
 use crate::pager::{PageId, Pager};
 use crate::record::{self, RecordData, NONE_U32};
@@ -240,13 +242,13 @@ impl Scan<'_> {
         self.backend.read(id, buf).map_err(|e| e.to_string())
     }
 
-    fn read_chunked(&mut self, first: PageId, len: usize, chunk: usize) -> Result<Vec<u8>, String> {
+    fn read_chunked(&mut self, first: PageId, len: usize) -> Result<Vec<u8>, String> {
         let mut out = Vec::with_capacity(len);
         let mut remaining = len;
         let mut page = first;
         let mut buf = Box::new([0u8; PAGE_SIZE]);
         while remaining > 0 {
-            let take = remaining.min(chunk);
+            let take = remaining.min(PAYLOAD_SIZE);
             self.read(page, &mut buf)?;
             out.extend_from_slice(&buf[..take]);
             remaining -= take;
@@ -287,16 +289,24 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
         report.error("io-error", Some(1), None, e.to_string());
         return report;
     }
-    let decoded = [
-        catalog::decode_header_slot(&slot0),
-        catalog::decode_header_slot(&slot1),
-    ];
-    let winner = catalog::pick_header(&slot0, &slot1).ok();
-    for (slot, (buf, dec)) in [(&slot0, decoded[0]), (&slot1, decoded[1])]
-        .into_iter()
-        .enumerate()
-    {
-        if dec.is_some() {
+    let decoded = [&slot0, &slot1].map(|slot| catalog::decode_header_slot(slot));
+    let winner = match catalog::pick_header(&slot0, &slot1) {
+        Ok(header) => Some(header),
+        Err(e) if decoded.iter().any(Result::is_err) => {
+            // A format-2 file. Nothing below can judge it, and a repair
+            // would find no framed page to salvage and overwrite it.
+            report.error(
+                "unsupported-format",
+                None,
+                None,
+                format!("{e}; not scrubbed, and never modified by --repair"),
+            );
+            return report;
+        }
+        Err(_) => None,
+    };
+    for (slot, (buf, dec)) in [&slot0, &slot1].into_iter().zip(&decoded).enumerate() {
+        if matches!(dec, Ok(Some(_))) {
             continue;
         }
         if is_zero_page(buf) || verify_frame(buf) == FrameCheck::Ok {
@@ -311,7 +321,7 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
             "slot does not decode as a header (torn publish or bit rot)",
         );
     }
-    let Some((header, format)) = winner else {
+    let Some(header) = winner else {
         report.error(
             "headers-lost",
             None,
@@ -323,22 +333,7 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
         }
         return report;
     };
-    report.format = format;
-    if format < 3 {
-        report.info(
-            "legacy-format",
-            "format-2 store: no page frames to verify; scrub limited to catalog and record graph",
-        );
-        if repair {
-            report.warn(
-                "repair-unsupported",
-                None,
-                None,
-                "repair requires a format-3 store; migrate with compact() first",
-            );
-        }
-    }
-    let chunk = if format >= 3 { PAYLOAD_SIZE } else { PAGE_SIZE };
+    report.format = FORMAT_VERSION;
 
     // Pass 2: pending journal. Replay into an overlay (scrub judges the
     // post-recovery state); with `repair` the replay goes to disk.
@@ -349,11 +344,7 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
     let mut header = header;
     if header.journal_len > 0 {
         match scan
-            .read_chunked(
-                header.journal_first_page,
-                header.journal_len as usize,
-                chunk,
-            )
+            .read_chunked(header.journal_first_page, header.journal_len as usize)
             .map_err(Some)
             .and_then(|bytes| journal::decode_segments(&bytes).map_err(|_| None))
         {
@@ -388,17 +379,15 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
                 );
                 for (page, image) in entries {
                     let mut sealed = image;
-                    if format >= 3 {
-                        seal_frame(&mut sealed);
-                    }
-                    if repair && format >= 3 {
+                    seal_frame(&mut sealed);
+                    if repair {
                         if let Err(e) = scan.backend.write(page, &sealed) {
                             report.error("io-error", Some(page), None, e.to_string());
                         }
                     }
                     scan.overlay.insert(page, sealed);
                 }
-                if repair && format >= 3 {
+                if repair {
                     // Retire the journal, exactly as recovery would.
                     header.epoch += 1;
                     header.journal_first_page = 0;
@@ -428,14 +417,9 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
 
     // Pass 3: catalog decode.
     let catalog = match scan
-        .read_chunked(
-            header.catalog_first_page,
-            header.catalog_len as usize,
-            chunk,
-        )
-        .and_then(|bytes| {
-            catalog::decode_catalog(&bytes, header.root_record).map_err(|e| e.to_string())
-        }) {
+        .read_chunked(header.catalog_first_page, header.catalog_len as usize)
+        .and_then(|bytes| catalog::decode_catalog(&bytes).map_err(|e| e.to_string()))
+    {
         Ok(cat) => Some(cat),
         Err(cause) => {
             report.error(
@@ -448,79 +432,72 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
         }
     };
 
-    // Pass 4 (format 3): frame verification, split by whether the
-    // committed state references the page.
-    if format >= 3 {
-        let referenced = referenced_pages(&header, catalog.as_ref(), chunk);
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
-        for id in 2..count {
-            match scan.read(id, &mut buf) {
-                Ok(()) => {}
-                Err(e) => {
-                    report.error("io-error", Some(id), None, e);
-                    continue;
-                }
-            }
-            if is_zero_page(&buf) {
+    // Pass 4: frame verification, split by whether the committed state
+    // references the page.
+    let referenced = referenced_pages(&header, catalog.as_ref());
+    let mut buf = Box::new([0u8; PAGE_SIZE]);
+    for id in 2..count {
+        match scan.read(id, &mut buf) {
+            Ok(()) => {}
+            Err(e) => {
+                report.error("io-error", Some(id), None, e);
                 continue;
             }
-            let hit = referenced.get(&id);
-            match verify_frame(&buf) {
-                FrameCheck::Ok => {
-                    if let Some(&(class, record)) = hit {
-                        let found = page_class_of(&buf);
-                        if found != class {
-                            report.error(
-                                "class-mismatch",
-                                Some(id),
-                                record,
-                                format!("committed state expects a {class} page, found {found}"),
-                            );
-                        }
+        }
+        if is_zero_page(&buf) {
+            continue;
+        }
+        let hit = referenced.get(&id);
+        match verify_frame(&buf) {
+            FrameCheck::Ok => {
+                if let Some(&(class, record)) = hit {
+                    let found = page_class_of(&buf);
+                    if found != class {
+                        report.error(
+                            "class-mismatch",
+                            Some(id),
+                            record,
+                            format!("committed state expects a {class} page, found {found}"),
+                        );
                     }
                 }
-                FrameCheck::NotFramed => match hit {
-                    Some(&(class, record)) => report.error(
-                        "page-corrupt",
-                        Some(id),
-                        record,
-                        format!("referenced {class} page has no valid frame"),
-                    ),
-                    None => report.warn(
-                        "debris-page",
-                        Some(id),
-                        None,
-                        "unreferenced page without a valid frame (torn append debris)",
-                    ),
-                },
-                FrameCheck::Mismatch { expected, found } => match hit {
-                    Some(&(class, record)) => report.error(
-                        "page-corrupt",
-                        Some(id),
-                        record,
-                        format!(
-                            "referenced {class} page checksum mismatch \
-                             (stored {expected:#018x}, computed {found:#018x})"
-                        ),
-                    ),
-                    None => report.warn(
-                        "debris-page",
-                        Some(id),
-                        None,
-                        "unreferenced page fails its checksum (decayed debris)",
-                    ),
-                },
             }
+            FrameCheck::NotFramed => match hit {
+                Some(&(class, record)) => report.error(
+                    "page-corrupt",
+                    Some(id),
+                    record,
+                    format!("referenced {class} page has no valid frame"),
+                ),
+                None => report.warn(
+                    "debris-page",
+                    Some(id),
+                    None,
+                    "unreferenced page without a valid frame (torn append debris)",
+                ),
+            },
+            FrameCheck::Mismatch { expected, found } => match hit {
+                Some(&(class, record)) => report.error(
+                    "page-corrupt",
+                    Some(id),
+                    record,
+                    format!(
+                        "referenced {class} page checksum mismatch \
+                         (stored {expected:#018x}, computed {found:#018x})"
+                    ),
+                ),
+                None => report.warn(
+                    "debris-page",
+                    Some(id),
+                    None,
+                    "unreferenced page fails its checksum (decayed debris)",
+                ),
+            },
         }
     }
 
     // Pass 5: tolerant record-graph walk.
     if let Some(cat) = &catalog {
-        let record_limit = if cat.record_limit > 0 {
-            cat.record_limit
-        } else {
-            header.record_limit
-        };
         let mut records: BTreeMap<u32, RecordData> = BTreeMap::new();
         for (no, loc) in cat.directory.iter().enumerate() {
             let no = no as u32;
@@ -528,10 +505,10 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
                 continue;
             }
             report.records_checked += 1;
-            match read_record_bytes(&mut scan, *loc, format, count) {
+            match read_record_bytes(&mut scan, *loc, count) {
                 Ok(bytes) => match record::decode(bytes) {
                     Ok(rec) => {
-                        if rec.self_no != NONE_U32 && rec.self_no != no {
+                        if rec.self_no != no {
                             report.error(
                                 "self-no-mismatch",
                                 None,
@@ -547,10 +524,10 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
                 Err((page, cause)) => report.error("record-unreadable", page, Some(no), cause),
             }
         }
-        check_graph(cat, &records, record_limit, &mut report);
+        check_graph(cat, &records, cat.record_limit, &mut report);
     }
 
-    if repair && format >= 3 && !report.clean() {
+    if repair && !report.clean() {
         repair_store(scan.backend, Some(&header), &mut report);
     }
     report
@@ -560,12 +537,10 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
 fn referenced_pages(
     header: &Header,
     catalog: Option<&Catalog>,
-    chunk: usize,
 ) -> HashMap<PageId, (PageClass, Option<u32>)> {
     let mut map = HashMap::new();
     fn span(
         map: &mut HashMap<PageId, (PageClass, Option<u32>)>,
-        chunk: usize,
         first: PageId,
         len: usize,
         class: PageClass,
@@ -574,7 +549,7 @@ fn referenced_pages(
         let pages = if class == PageClass::Overflow {
             overflow_page_span(len)
         } else {
-            len.div_ceil(chunk)
+            len.div_ceil(PAYLOAD_SIZE)
         };
         for i in 0..pages as u32 {
             map.insert(first + i, (class, record));
@@ -583,7 +558,6 @@ fn referenced_pages(
     if header.catalog_len > 0 {
         span(
             &mut map,
-            chunk,
             header.catalog_first_page,
             header.catalog_len as usize,
             PageClass::Catalog,
@@ -593,7 +567,6 @@ fn referenced_pages(
     if header.journal_len > 0 {
         span(
             &mut map,
-            chunk,
             header.journal_first_page,
             header.journal_len as usize,
             PageClass::Journal,
@@ -609,7 +582,6 @@ fn referenced_pages(
                 RecordLoc::Overflow { first_page, len } => {
                     span(
                         &mut map,
-                        chunk,
                         first_page,
                         len as usize,
                         PageClass::Overflow,
@@ -624,11 +596,10 @@ fn referenced_pages(
 }
 
 /// Extract a record's raw bytes from its directory location, verifying
-/// page frames (format 3) along the way.
+/// page frames along the way.
 fn read_record_bytes(
     scan: &mut Scan<'_>,
     loc: RecordLoc,
-    format: u8,
     count: u32,
 ) -> Result<Vec<u8>, (Option<PageId>, String)> {
     let mut buf = Box::new([0u8; PAGE_SIZE]);
@@ -640,7 +611,7 @@ fn read_record_bytes(
             return Err((Some(id), "page out of range".into()));
         }
         scan.read(id, buf).map_err(|e| (Some(id), e))?;
-        if format >= 3 && verify_frame(buf) != FrameCheck::Ok {
+        if verify_frame(buf) != FrameCheck::Ok {
             return Err((Some(id), "page fails frame verification".into()));
         }
         Ok(())
@@ -655,16 +626,6 @@ fn read_record_bytes(
         }
         RecordLoc::Overflow { first_page, len } => {
             let len = len as usize;
-            if format < 3 {
-                let pages = len.div_ceil(PAGE_SIZE).max(1);
-                let mut bytes = Vec::with_capacity(len);
-                for i in 0..pages as u32 {
-                    read_checked(scan, first_page + i, &mut buf)?;
-                    let take = (len - bytes.len()).min(PAGE_SIZE);
-                    bytes.extend_from_slice(&buf[..take]);
-                }
-                return Ok(bytes);
-            }
             read_checked(scan, first_page, &mut buf)?;
             if &buf[..4] != OVERFLOW_MAGIC {
                 return Err((Some(first_page), "overflow chain magic missing".into()));
@@ -896,9 +857,6 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
                         continue;
                     }
                     if let Ok(data) = record::decode(bytes.to_vec()) {
-                        if data.self_no == NONE_U32 {
-                            continue;
-                        }
                         offer(
                             &mut candidates,
                             Salvaged {
@@ -923,9 +881,6 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
                     continue;
                 };
                 if let Ok(data) = record::decode(bytes) {
-                    if data.self_no == NONE_U32 {
-                        continue;
-                    }
                     offer(
                         &mut candidates,
                         Salvaged {
@@ -948,10 +903,10 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
                 if id + span > count {
                     continue;
                 }
-                let Some(bytes) = read_intact_chain(backend, id, len, PAYLOAD_SIZE) else {
+                let Some(bytes) = read_intact_chain(backend, id, len) else {
                     continue;
                 };
-                if let Ok(cat) = catalog::decode_catalog(&bytes, 0) {
+                if let Ok(cat) = catalog::decode_catalog(&bytes) {
                     if best_catalog.as_ref().is_none_or(|(e, _)| cat.epoch > *e) {
                         best_catalog = Some((cat.epoch, cat));
                     }
@@ -1000,11 +955,10 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
                     overlay: HashMap::new(),
                 },
                 committed,
-                3,
                 count,
             ) {
                 if let Ok(data) = record::decode(bytes) {
-                    if (data.self_no == no || data.self_no == NONE_U32) && labels_ok(&data) {
+                    if data.self_no == no && labels_ok(&data) {
                         recovered.insert(
                             no,
                             Salvaged {
@@ -1138,7 +1092,7 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
     );
 }
 
-/// Read a format-3 overflow chain whose every page verifies, or `None`.
+/// Read an overflow chain whose every page verifies, or `None`.
 fn read_intact_overflow(backend: &mut dyn Pager, first: PageId, len: usize) -> Option<Vec<u8>> {
     let mut buf = Box::new([0u8; PAGE_SIZE]);
     backend.read(first, &mut buf).ok()?;
@@ -1162,12 +1116,7 @@ fn read_intact_overflow(backend: &mut dyn Pager, first: PageId, len: usize) -> O
 }
 
 /// Read a chunked blob whose every page verifies, or `None`.
-fn read_intact_chain(
-    backend: &mut dyn Pager,
-    first: PageId,
-    len: usize,
-    chunk: usize,
-) -> Option<Vec<u8>> {
+fn read_intact_chain(backend: &mut dyn Pager, first: PageId, len: usize) -> Option<Vec<u8>> {
     let mut buf = Box::new([0u8; PAGE_SIZE]);
     let mut bytes = Vec::with_capacity(len);
     let mut page = first;
@@ -1176,7 +1125,7 @@ fn read_intact_chain(
         if verify_frame(&buf) != FrameCheck::Ok {
             return None;
         }
-        let take = (len - bytes.len()).min(chunk);
+        let take = (len - bytes.len()).min(PAYLOAD_SIZE);
         bytes.extend_from_slice(&buf[..take]);
         page += 1;
     }

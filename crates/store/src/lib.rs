@@ -223,217 +223,50 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_store_opens_read_only() {
-        use crate::page::fnv64;
-        use crate::record::{ImageNode, RecordImage, NONE_U16, NONE_U32};
-
-        // Fabricate a format-2 page file by hand: zero slot 0, a
-        // `NATIXST2` header at epoch 1 in slot 1, the record bytes in a
-        // bare (headerless, PAGE_SIZE-chunked) overflow chain at page 2,
-        // and the bare catalog blob at page 3.
-        let img = RecordImage {
-            parent_record: NONE_U32,
-            parent_local: NONE_U16,
-            proxy_pos: NONE_U16,
-            roots: vec![0],
-            nodes: vec![
-                ImageNode {
-                    kind: NodeKind::Element,
-                    label: 0,
-                    parent_local: NONE_U16,
-                    entry_pos: NONE_U16,
-                    content: None,
-                    entries: vec![ChildEntry::Local(1)],
-                },
-                ImageNode {
-                    kind: NodeKind::Text,
-                    label: 1,
-                    parent_local: 0,
-                    entry_pos: 0,
-                    content: Some("hello".into()),
-                    entries: Vec::new(),
-                },
-            ],
-        };
-        // A format-2 record is the current encoding minus its 16-byte
-        // `NRC3` prefix.
-        let rec_bytes = crate::record::encode(&img, 0, 1)[16..].to_vec();
-        assert!(rec_bytes.len() <= PAGE_SIZE);
-
-        let mut cat = Vec::new();
-        cat.extend_from_slice(&1u32.to_le_bytes());
-        cat.push(1); // Overflow location
-        cat.extend_from_slice(&2u32.to_le_bytes());
-        cat.extend_from_slice(&(rec_bytes.len() as u32).to_le_bytes());
-        cat.extend_from_slice(&2u32.to_le_bytes());
-        for l in ["site", "#text"] {
-            cat.extend_from_slice(&(l.len() as u16).to_le_bytes());
-            cat.extend_from_slice(l.as_bytes());
+    fn compact_streams_through_a_tiny_pool_budget() {
+        // One record spanning a multi-page overflow chain, so that
+        // compacting it through a 2-page destination pool must stream
+        // pages out by eviction.
+        let mut xml = String::from("<site>");
+        for _ in 0..10 {
+            xml.push_str(&format!("<t>{}</t>", "v".repeat(3000)));
         }
-
-        let header = crate::catalog::Header {
-            epoch: 1,
-            root_record: 0,
-            catalog_first_page: 3,
-            catalog_len: cat.len() as u64,
-            record_limit: 1024,
-            journal_first_page: 0,
-            journal_len: 0,
-        };
-        let mut hpage = crate::catalog::encode_header(&header);
-        hpage[0..8].copy_from_slice(crate::catalog::MAGIC_V2);
-        let sum = fnv64(&hpage[..52]);
-        hpage[52..60].copy_from_slice(&sum.to_le_bytes());
-        // Format 2 had no page frames: clear what encode_header sealed.
-        hpage[PAGE_SIZE - 12..].fill(0);
-
-        let mut pager = MemPager::new();
-        for _ in 0..4 {
-            pager.allocate().unwrap();
-        }
-        pager.write(1, &hpage).unwrap();
-        let mut page = [0u8; PAGE_SIZE];
-        page[..rec_bytes.len()].copy_from_slice(&rec_bytes);
-        pager.write(2, &page).unwrap();
-        let mut page = [0u8; PAGE_SIZE];
-        page[..cat.len()].copy_from_slice(&cat);
-        pager.write(3, &page).unwrap();
-
-        let mut store = XmlStore::open(Box::new(pager), StoreConfig::default()).unwrap();
-        assert_eq!(store.format_version(), 2);
-        let doc = store.to_document().unwrap();
-        assert_eq!(doc.to_xml(), parse("<site>hello</site>").unwrap().to_xml());
-
-        // Old-format stores are read-only; compact() is the migration.
-        let root = store.root().unwrap();
-        let err = store
-            .append_child(root, NodeKind::Element, "x", None)
-            .unwrap_err();
-        assert!(matches!(err, StoreError::InvalidUpdate(_)), "{err}");
-        let mut migrated = store
-            .compact(Box::new(MemPager::new()), StoreConfig::default())
-            .unwrap();
-        assert_eq!(migrated.format_version(), 3);
-        assert_eq!(migrated.to_document().unwrap().to_xml(), doc.to_xml());
-        let kid = migrated.root().unwrap();
-        migrated
-            .append_child(kid, NodeKind::Element, "x", None)
-            .unwrap();
-    }
-
-    #[test]
-    fn legacy_v2_migrates_under_tiny_pool_budget() {
-        use crate::page::fnv64;
-        use crate::record::{ImageNode, RecordImage, NONE_U16, NONE_U32};
-
-        // Fabricate a format-2 store whose single record spans a
-        // multi-page overflow chain, so that migrating it through a
-        // 2-page destination pool must stream pages out by eviction.
-        let payload = "v".repeat(3000);
-        let mut nodes = vec![ImageNode {
-            kind: NodeKind::Element,
-            label: 0,
-            parent_local: NONE_U16,
-            entry_pos: NONE_U16,
-            content: None,
-            entries: (1..=10).map(ChildEntry::Local).collect(),
-        }];
-        for i in 0..10u16 {
-            nodes.push(ImageNode {
-                kind: NodeKind::Text,
-                label: 1,
-                parent_local: 0,
-                entry_pos: i,
-                content: Some(payload.clone().into()),
-                entries: Vec::new(),
-            });
-        }
-        let img = RecordImage {
-            parent_record: NONE_U32,
-            parent_local: NONE_U16,
-            proxy_pos: NONE_U16,
-            roots: vec![0],
-            nodes,
-        };
-        let rec_bytes = crate::record::encode(&img, 0, 1)[16..].to_vec();
-        assert!(rec_bytes.len() > 2 * PAGE_SIZE, "want a multi-page chain");
-        let chunks = rec_bytes.len().div_ceil(PAGE_SIZE) as u32;
-
-        let mut cat = Vec::new();
-        cat.extend_from_slice(&1u32.to_le_bytes());
-        cat.push(1); // Overflow location
-        cat.extend_from_slice(&2u32.to_le_bytes());
-        cat.extend_from_slice(&(rec_bytes.len() as u32).to_le_bytes());
-        cat.extend_from_slice(&2u32.to_le_bytes());
-        for l in ["site", "#text"] {
-            cat.extend_from_slice(&(l.len() as u16).to_le_bytes());
-            cat.extend_from_slice(l.as_bytes());
-        }
-
-        let header = crate::catalog::Header {
-            epoch: 1,
-            root_record: 0,
-            catalog_first_page: 2 + chunks,
-            catalog_len: cat.len() as u64,
-            record_limit: 1 << 20,
-            journal_first_page: 0,
-            journal_len: 0,
-        };
-        let mut hpage = crate::catalog::encode_header(&header);
-        hpage[0..8].copy_from_slice(crate::catalog::MAGIC_V2);
-        let sum = fnv64(&hpage[..52]);
-        hpage[52..60].copy_from_slice(&sum.to_le_bytes());
-        hpage[PAGE_SIZE - 12..].fill(0);
-
-        let mut pager = MemPager::new();
-        for _ in 0..2 + chunks + 1 {
-            pager.allocate().unwrap();
-        }
-        pager.write(1, &hpage).unwrap();
-        for c in 0..chunks {
-            let mut page = [0u8; PAGE_SIZE];
-            let start = c as usize * PAGE_SIZE;
-            let end = rec_bytes.len().min(start + PAGE_SIZE);
-            page[..end - start].copy_from_slice(&rec_bytes[start..end]);
-            pager.write(2 + c, &page).unwrap();
-        }
-        let mut page = [0u8; PAGE_SIZE];
-        page[..cat.len()].copy_from_slice(&cat);
-        pager.write(2 + chunks, &page).unwrap();
-
+        xml.push_str("</site>");
+        let doc = parse(&xml).unwrap();
         let tiny = StoreConfig {
             buffer_pages: 2,
+            record_limit_slots: 1 << 20,
             ..StoreConfig::default()
         };
-        let mut store = XmlStore::open(Box::new(pager), tiny).unwrap();
-        assert_eq!(store.format_version(), 2);
+        let mut store =
+            bulkload_with(&doc, &Ekm, 1 << 20, Box::new(MemPager::new()), tiny).unwrap();
+        assert_eq!(store.record_count(), 1);
         let source_xml = store.to_document().unwrap().to_xml();
 
-        // Migrate onto a shared backend so the at-rest bytes can be
+        // Compact onto a shared backend so the at-rest bytes can be
         // scrubbed and reopened independently of the returned store.
         let shared = SharedMemPager::new();
-        let mut migrated = store.compact(Box::new(shared.clone()), tiny).unwrap();
-        assert_eq!(migrated.format_version(), 3);
-        assert_eq!(migrated.to_document().unwrap().to_xml(), source_xml);
+        let mut compacted = store.compact(Box::new(shared.clone()), tiny).unwrap();
+        assert_eq!(compacted.to_document().unwrap().to_xml(), source_xml);
         assert!(
-            migrated.page_count() as usize > 2 * tiny.buffer_pages,
+            compacted.page_count() as usize > 2 * tiny.buffer_pages,
             "store must exceed the pool budget for the test to mean anything"
         );
-        let stats = migrated.buffer_stats();
+        let stats = compacted.buffer_stats();
         assert!(
             stats.evicted_dirty > 0,
-            "migration under a tiny pool must stream dirty pages out: {stats:?}"
+            "compaction under a tiny pool must stream dirty pages out: {stats:?}"
         );
 
-        // The migrated file is complete and clean at rest.
+        // The compacted file is complete and clean at rest.
         let report = fsck::fsck(&mut shared.clone(), false);
         assert!(report.clean(), "{report}");
         let mut reopened = XmlStore::open(Box::new(shared.clone()), tiny).unwrap();
         assert_eq!(reopened.to_document().unwrap().to_xml(), source_xml);
 
-        // And the migrated store is writable.
-        let root = migrated.root().unwrap();
-        migrated
+        // And the compacted store is writable.
+        let root = compacted.root().unwrap();
+        compacted
             .append_child(root, NodeKind::Element, "x", None)
             .unwrap();
     }

@@ -1133,9 +1133,9 @@ impl Pager for RetryingPager {
 /// including torn half-page writes, since the checksum lives in the last
 /// bytes of the page.
 ///
-/// The store wraps its backend in this pager *inside* `bulkload`/`open`
-/// (for format-3 stores), so fault injectors layered by tests stay
-/// outermost and see sealed pages.
+/// The store wraps its backend in this pager *inside* `bulkload`/`open`,
+/// so fault injectors layered by tests stay outermost and see sealed
+/// pages.
 pub struct ChecksummingPager {
     inner: Box<dyn Pager>,
 }
@@ -1186,6 +1186,27 @@ impl Pager for ChecksummingPager {
     fn sync(&mut self) -> StoreResult<()> {
         self.inner.sync()
     }
+}
+
+/// Read `len` bytes laid out from page `first` on in [`PAYLOAD_SIZE`]
+/// pieces (a catalog or journal chain, as [`BufferPool::append_chunked`]
+/// writes them) through `pager`, which decides
+/// whether the page frames are verified on the way.
+pub(crate) fn read_chunked(
+    pager: &mut dyn Pager,
+    first: PageId,
+    len: usize,
+) -> StoreResult<Vec<u8>> {
+    let mut out = Vec::with_capacity(len);
+    let mut page = first;
+    let mut buf = Box::new([0u8; PAGE_SIZE]);
+    while out.len() < len {
+        let take = (len - out.len()).min(PAYLOAD_SIZE);
+        pager.read(page, &mut buf)?;
+        out.extend_from_slice(&buf[..take]);
+        page += 1;
+    }
+    Ok(out)
 }
 
 fn splitmix64(x: &mut u64) -> u64 {
@@ -1709,30 +1730,6 @@ impl BufferPool {
             self.frames.remove(&id);
         }
         Ok(first)
-    }
-
-    /// Read `len` bytes starting at page `first` in `chunk`-byte pieces
-    /// ([`PAYLOAD_SIZE`] for format-3 stores, [`PAGE_SIZE`] for legacy
-    /// format-2 blobs, which had no page frames).
-    pub fn read_chunked(
-        &mut self,
-        first: PageId,
-        len: usize,
-        chunk: usize,
-    ) -> StoreResult<Vec<u8>> {
-        let mut out = Vec::with_capacity(len);
-        let mut remaining = len;
-        let mut page = first;
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
-        while remaining > 0 {
-            let take = remaining.min(chunk);
-            // Bypass frames: this data is read once during open/recovery.
-            self.backend.read(page, &mut buf)?;
-            out.extend_from_slice(&buf[..take]);
-            remaining -= take;
-            page += 1;
-        }
-        Ok(out)
     }
 
     /// Read page `id` straight from the backend, skipping any resident

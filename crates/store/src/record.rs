@@ -25,7 +25,7 @@ pub const NONE_U16: u16 = u16::MAX;
 /// Sentinel: no record.
 pub const NONE_U32: u32 = u32::MAX;
 
-/// Magic prefix of a format-3 record: makes records self-describing
+/// Magic prefix of a record: makes records self-describing
 /// (`[magic][self record number][commit epoch]` before the body), so
 /// `fsck --repair` can rebuild the catalog by scanning raw pages, and
 /// resolve duplicate claims to a record number by the highest epoch.
@@ -63,11 +63,10 @@ pub struct RecNode {
 /// A decoded record.
 #[derive(Debug, Clone)]
 pub struct RecordData {
-    /// The record number these bytes claim to be ([`NONE_U32`] for
-    /// legacy format-2 records, which did not store it). `fetch`
-    /// cross-checks it against the directory entry being resolved.
+    /// The record number these bytes claim to be. `fetch` cross-checks
+    /// it against the directory entry being resolved.
     pub self_no: u32,
-    /// Commit epoch that wrote these bytes (0 for legacy records).
+    /// Commit epoch that wrote these bytes.
     pub epoch: u64,
     /// Record containing our parent node (`u32::MAX` for the root
     /// record).
@@ -304,20 +303,18 @@ pub fn encode(rec: &RecordImage, self_no: u32, epoch: u64) -> Vec<u8> {
 }
 
 /// Deserialize a record, taking ownership of the bytes (content strings
-/// are served from them without copying). Auto-detects the format-3
-/// prefix; bytes without it decode as legacy format 2 (`self_no` and
-/// `epoch` come back as sentinels).
+/// are served from them without copying). Bytes that do not start with
+/// the self-describing prefix are corrupt.
 pub fn decode(bytes: Vec<u8>) -> StoreResult<RecordData> {
+    if !bytes.starts_with(RECORD_MAGIC) {
+        return Err(StoreError::corrupt("record prefix missing"));
+    }
     let mut r = Reader {
         buf: &bytes,
-        pos: 0,
+        pos: RECORD_MAGIC.len(),
     };
-    let (self_no, epoch) = if bytes.len() >= 4 && &bytes[..4] == RECORD_MAGIC {
-        r.pos = 4;
-        (r.u32()?, r.u64()?)
-    } else {
-        (NONE_U32, 0)
-    };
+    let self_no = r.u32()?;
+    let epoch = r.u64()?;
     let parent_record = r.u32()?;
     let parent_local = r.u16()?;
     let proxy_pos = r.u16()?;
@@ -482,15 +479,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_unprefixed_record_still_decodes() {
-        // A format-2 record is the same body without the prefix.
+    fn record_without_its_prefix_is_corrupt() {
         let v3 = encode(&sample(), 7, 3);
-        let legacy = v3[16..].to_vec();
-        let back = decode(legacy).unwrap();
-        assert_eq!(back.self_no, NONE_U32);
-        assert_eq!(back.epoch, 0);
-        assert_eq!(back.parent_record, 3);
-        assert_eq!(back.content(&back.nodes[1]), Some("hello world"));
+        // The body alone (what format 2 stored), and a damaged magic.
+        let mut bent = v3.clone();
+        bent[1] ^= 0x20;
+        for bytes in [v3[16..].to_vec(), bent] {
+            let err = decode(bytes).unwrap_err();
+            assert!(err.is_corruption(), "{err}");
+        }
     }
 
     #[test]

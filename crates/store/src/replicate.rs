@@ -19,19 +19,18 @@
 //! whole file at the cut epoch. The cut is taken at a committed epoch
 //! while the primary keeps committing — bootstrap never blocks writes.
 //!
-//! A follower serves reads without ever writing its file: the reader
-//! stack mirrors the concurrent layer's snapshot stack (raw pager →
-//! checksum verification → pending-journal overlay → buffer pool →
-//! degraded-mode [`XmlStore`]), because running real `open` recovery
-//! would replay the journal in place and publish a new header — silently
-//! diverging from the primary. Recovery runs exactly once, at
-//! [`Follower::promote`]: the pending journal of the last applied batch
-//! is replayed, a journal-free header is published, and the resulting
-//! epoch becomes the *fencing epoch* — from then on every incoming batch
-//! is refused, so a deposed primary that comes back cannot roll the
-//! promoted store behind its clients' acked reads. A partially staged
-//! batch (the divergent unacked tail of a dead primary) is discarded by
-//! promote and counted, never applied.
+//! A follower serves reads without ever writing its file: its reader
+//! *is* the concurrent layer's snapshot view ([`SnapshotSeed`], seeded
+//! from the file instead of a writer's memory), because running real
+//! `open` recovery would replay the journal in place and publish a new
+//! header — silently diverging from the primary. Recovery runs exactly
+//! once, at [`Follower::promote`]: the pending journal of the last
+//! applied batch is replayed, a journal-free header is published, and
+//! the resulting epoch becomes the *fencing epoch* — from then on every
+//! incoming batch is refused, so a deposed primary that comes back
+//! cannot roll the promoted store behind its clients' acked reads. A
+//! partially staged batch (the divergent unacked tail of a dead primary)
+//! is discarded by promote and counted, never applied.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -39,12 +38,9 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use crate::catalog;
-use crate::concurrent::PagerFactory;
-use crate::journal;
-use crate::page::{fnv64, PAGE_SIZE, PAYLOAD_SIZE};
-use crate::pager::{
-    BufferPool, ChecksummingPager, FilePager, PageId, Pager, StoreError, StoreResult,
-};
+use crate::concurrent::{PagerFactory, SnapshotSeed};
+use crate::page::{fnv64, PAGE_SIZE};
+use crate::pager::{FilePager, PageId, Pager, StoreError, StoreResult};
 use crate::store::{StoreConfig, XmlStore};
 
 /// Magic prefix of one replication batch part.
@@ -583,15 +579,17 @@ impl Follower {
     }
 
     /// Open a read-only store over the applied state without writing the
-    /// file: raw pager → checksum layer → pending-journal overlay →
-    /// buffer pool → degraded-mode snapshot store.
+    /// file: the same view a primary's snapshot reader gets, with the
+    /// pending journal of the last applied batch overlaid from disk.
     pub fn reader(&self) -> StoreResult<XmlStore> {
         if self.epoch == 0 {
             return Err(StoreError::InvalidUpdate(
                 "replica has not bootstrapped yet",
             ));
         }
-        open_replica_reader(&self.path, &self.config)
+        let open = || FilePager::open(&self.path).map(Box::new);
+        let seed = SnapshotSeed::from_disk(open()?, self.config)?;
+        Ok(seed.open(open()?)?.0)
     }
 
     /// Catch-up is over: discard any staged tail, run real crash
@@ -618,99 +616,7 @@ impl Follower {
 /// Epoch of the winning header slot of the file at `path`, if it parses.
 fn read_disk_epoch(path: &Path) -> Option<u64> {
     let mut pager = FilePager::open(path).ok()?;
-    if pager.page_count() < 2 {
-        return None;
-    }
-    let mut slot0 = Box::new([0u8; PAGE_SIZE]);
-    let mut slot1 = Box::new([0u8; PAGE_SIZE]);
-    pager.read(0, &mut slot0).ok()?;
-    pager.read(1, &mut slot1).ok()?;
-    let (header, _) = catalog::pick_header(&slot0, &slot1).ok()?;
-    Some(header.epoch)
-}
-
-/// Journal-image overlay used by the replica reader (the concurrent
-/// layer has its own, fed from the writer's memory; this one is fed from
-/// the on-disk pending journal).
-struct JournalOverlayPager {
-    inner: Box<dyn Pager>,
-    overlay: HashMap<PageId, Box<[u8; PAGE_SIZE]>>,
-}
-
-impl Pager for JournalOverlayPager {
-    fn page_count(&self) -> u32 {
-        self.inner.page_count()
-    }
-
-    fn allocate(&mut self) -> StoreResult<PageId> {
-        self.inner.allocate()
-    }
-
-    fn read(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> StoreResult<()> {
-        if let Some(image) = self.overlay.get(&id) {
-            buf.copy_from_slice(&image[..]);
-            return Ok(());
-        }
-        self.inner.read(id, buf)
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> StoreResult<()> {
-        self.inner.write(id, buf)
-    }
-
-    fn sync(&mut self) -> StoreResult<()> {
-        self.inner.sync()
-    }
-}
-
-/// Build the replica's read-only store (see [`Follower::reader`]).
-fn open_replica_reader(path: &Path, config: &StoreConfig) -> StoreResult<XmlStore> {
-    let mut raw = FilePager::open(path)?;
-    if raw.page_count() < 2 {
-        return Err(StoreError::corrupt("file too small for header slots"));
-    }
-    let mut slot0 = Box::new([0u8; PAGE_SIZE]);
-    let mut slot1 = Box::new([0u8; PAGE_SIZE]);
-    raw.read(0, &mut slot0)?;
-    raw.read(1, &mut slot1)?;
-    let (header, format) = catalog::pick_header(&slot0, &slot1)?;
-    let chunk = if format >= 3 { PAYLOAD_SIZE } else { PAGE_SIZE };
-    // The pending journal of the last shipped commit is read through its
-    // own checksum-verifying pool, then overlaid above the checksum layer
-    // of the serving stack (journal images are unsealed page payloads).
-    let overlay: HashMap<PageId, Box<[u8; PAGE_SIZE]>> = if header.journal_len > 0 {
-        let checked: Box<dyn Pager> = if format >= 3 {
-            Box::new(ChecksummingPager::new(Box::new(raw)))
-        } else {
-            Box::new(raw)
-        };
-        let mut pool = BufferPool::new(checked, config.buffer_pages);
-        let bytes = pool.read_chunked(
-            header.journal_first_page,
-            header.journal_len as usize,
-            chunk,
-        )?;
-        journal::decode(&bytes)?.into_iter().collect()
-    } else {
-        HashMap::new()
-    };
-    let raw: Box<dyn Pager> = Box::new(FilePager::open(path)?);
-    let checked: Box<dyn Pager> = if format >= 3 {
-        Box::new(ChecksummingPager::new(raw))
-    } else {
-        raw
-    };
-    let stacked: Box<dyn Pager> = Box::new(JournalOverlayPager {
-        inner: checked,
-        overlay,
-    });
-    let mut pool = BufferPool::new(stacked, config.buffer_pages);
-    let catalog_bytes = pool.read_chunked(
-        header.catalog_first_page,
-        header.catalog_len as usize,
-        chunk,
-    )?;
-    XmlStore::open_snapshot(pool, config, catalog_bytes.into(), &header, format)
+    Some(catalog::read_header(&mut pager).ok()?.epoch)
 }
 
 #[cfg(test)]
@@ -829,6 +735,9 @@ mod tests {
         assert_eq!(follower.epoch(), shared.committed_epoch());
 
         for round in 0..4 {
+            // A pin held across the commit defers its checkpoint, so the
+            // shipped state carries a pending journal.
+            let pin = shared.begin_read().unwrap();
             append_marker(&shared, &format!("marker-{round}"));
             let committed = shared.committed_epoch();
             sync_follower(&mut source, committed, &mut follower);
@@ -838,6 +747,21 @@ mod tests {
                 std::fs::read(&replica).unwrap(),
                 "files diverged after round {round}"
             );
+            // The replica's reader (overlay decoded from its file) and a
+            // primary snapshot of the same epoch (overlay shared from the
+            // writer's memory) are the same view.
+            let on_disk = catalog::read_header(&mut FilePager::open(&replica).unwrap()).unwrap();
+            assert!(on_disk.journal_len > 0, "round {round}: no journal pending");
+            let mut snapshot = shared.begin_read().unwrap();
+            let mut reader = follower.reader().unwrap();
+            assert_eq!(snapshot.epoch(), committed);
+            assert_eq!(reader.current_epoch(), committed);
+            assert_eq!(
+                reader.to_document().unwrap().to_xml(),
+                snapshot.document().unwrap().to_xml(),
+                "round {round}"
+            );
+            drop((pin, snapshot));
         }
         // The replica serves the same document, read-only.
         let mut reader = follower.reader().unwrap();
@@ -847,6 +771,61 @@ mod tests {
         assert!(reader
             .append_child(root, natix_xml::NodeKind::Element, "x", None)
             .is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A format-2 header is refused by name — same typed error — by every
+    /// way of opening a page file, and none of them writes to it.
+    #[test]
+    fn v2_header_is_refused_by_every_open_path() {
+        let dir = scratch("v2");
+        let path = dir.join("old.natix");
+        seed_store(&path);
+        // A follower attached while the file still parsed (reader()
+        // re-reads the disk on every call).
+        let follower = Follower::open(path.clone(), StoreConfig::default());
+        assert!(follower.epoch() > 0);
+        // Bulkload left slot 0 zeroed and the epoch-1 header in slot 1:
+        // put a format-2 header there instead.
+        let mut raw = FilePager::open(&path).unwrap();
+        raw.write(1, &crate::catalog::tests::v2_header_page())
+            .unwrap();
+        raw.sync().unwrap();
+        drop(raw);
+        let before = std::fs::read(&path).unwrap();
+
+        let backend = || Box::new(FilePager::open(&path).unwrap());
+        type Open<'a> = Box<dyn Fn() -> StoreResult<()> + 'a>;
+        let entry_points: [(&str, Open<'_>); 3] = [
+            (
+                "XmlStore::open",
+                Box::new(|| XmlStore::open(backend(), StoreConfig::default()).map(drop)),
+            ),
+            (
+                "SharedStore::open",
+                Box::new(|| {
+                    SharedStore::open(
+                        backend(),
+                        Box::new(path.clone()),
+                        StoreConfig::default(),
+                        AdmissionConfig::default(),
+                    )
+                    .map(drop)
+                }),
+            ),
+            ("Follower::reader", Box::new(|| follower.reader().map(drop))),
+        ];
+        for (name, open) in &entry_points {
+            let err = open().expect_err(name);
+            assert!(err.is_corruption(), "{name}: {err}");
+            assert!(err.to_string().contains("format 2"), "{name}: {err}");
+            assert_eq!(std::fs::read(&path).unwrap(), before, "{name} wrote");
+        }
+        // A follower attaching now sees no applied state to serve.
+        assert_eq!(
+            Follower::open(path.clone(), StoreConfig::default()).epoch(),
+            0
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

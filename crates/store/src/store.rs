@@ -1,5 +1,21 @@
 //! The XML store: partitioner-driven bulkload, record directory, and
 //! navigation primitives that cross record boundaries through proxies.
+//!
+//! A page file becomes a store through exactly three pager stacks:
+//!
+//! * the **fresh-store writer** ([`begin_fresh`] / [`finish_fresh`]):
+//!   checksum sealing under a pool with write-back floor 0, header slots
+//!   0/1, then catalog → epoch-1 header → flush → floor. Used by
+//!   [`XmlStore::bulkload`], `stream_bulkload` and [`XmlStore::compact`];
+//! * the **writer open** ([`XmlStore::open_with`]): checksum
+//!   verification, journal replay and catalog read on it, then a pool;
+//! * the **read-only view** (`SnapshotSeed::open` in `concurrent.rs`):
+//!   checksum verification, the pending journal's page images, an
+//!   optional read budget, a pool — for snapshots of a live writer and
+//!   for a replica's reads of its applied state alike.
+//!
+//! The committed header is read in one place (`catalog::read_header`),
+//! which is also where a file of another format version is refused.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
@@ -8,11 +24,12 @@ use std::sync::Arc;
 use natix_tree::{NodeId, Partitioning};
 use natix_xml::{Document, DocumentBuilder, NodeKind};
 
-use crate::catalog::{self, Header, RecordLoc};
+use crate::catalog::{self, Catalog, Header, RecordLoc};
 use crate::journal;
 use crate::page::{set_page_class, PageClass, SlottedPage, MAX_IN_PAGE, PAGE_SIZE, PAYLOAD_SIZE};
 use crate::pager::{
-    BufferPool, BufferStats, ChecksummingPager, PageId, Pager, StoreError, StoreResult,
+    read_chunked, BufferPool, BufferStats, ChecksummingPager, PageId, Pager, StoreError,
+    StoreResult,
 };
 use crate::record::{
     self, ChildEntry, ImageNode, RecNode, RecordData, RecordImage, NONE_U16, NONE_U32,
@@ -81,7 +98,7 @@ impl std::fmt::Display for DamageReport {
     }
 }
 
-/// Magic prefix on the first page of a format-3 overflow chain:
+/// Magic prefix on the first page of an overflow chain:
 /// `[magic][record byte length]` before the record bytes, so a raw-page
 /// scan can find and bound overflow records without a catalog.
 pub(crate) const OVERFLOW_MAGIC: &[u8; 4] = b"NOV3";
@@ -89,7 +106,7 @@ pub(crate) const OVERFLOW_MAGIC: &[u8; 4] = b"NOV3";
 /// Record bytes the first page of an overflow chain can carry.
 pub(crate) const OVERFLOW_HEAD: usize = PAYLOAD_SIZE - 8;
 
-/// Write `bytes` as a format-3 overflow chain on freshly allocated pages
+/// Write `bytes` as an overflow chain on freshly allocated pages
 /// (dirty frames: they commit through the journal like any other page).
 /// Returns the first page id.
 pub(crate) fn write_overflow_chain(pool: &mut BufferPool, bytes: &[u8]) -> StoreResult<PageId> {
@@ -114,35 +131,19 @@ pub(crate) fn write_overflow_chain(pool: &mut BufferPool, bytes: &[u8]) -> Store
     Ok(first)
 }
 
-/// Number of pages a format-3 overflow chain of `len` record bytes spans.
+/// Number of pages an overflow chain of `len` record bytes spans.
 pub(crate) fn overflow_page_span(len: usize) -> usize {
     1 + len.saturating_sub(OVERFLOW_HEAD).div_ceil(PAYLOAD_SIZE)
 }
 
-/// Read back an overflow chain written by [`write_overflow_chain`] (or,
-/// with `legacy`, the headerless format-2 layout chunked at the full
-/// page size).
+/// Read back an overflow chain written by [`write_overflow_chain`].
 pub(crate) fn read_overflow_chain(
     pool: &mut BufferPool,
     no: u32,
     first_page: PageId,
     len: usize,
-    legacy: bool,
 ) -> StoreResult<Vec<u8>> {
     let mut bytes = Vec::with_capacity(len);
-    if legacy {
-        let mut remaining = len;
-        let mut page = first_page;
-        while remaining > 0 {
-            let take = remaining.min(PAGE_SIZE);
-            pool.with_page(page, false, |buf| {
-                bytes.extend_from_slice(&buf[..take]);
-            })?;
-            remaining -= take;
-            page += 1;
-        }
-        return Ok(bytes);
-    }
     let head = len.min(OVERFLOW_HEAD);
     pool.with_page(first_page, false, |buf| {
         if &buf[..4] != OVERFLOW_MAGIC {
@@ -306,9 +307,6 @@ pub struct XmlStore {
     /// (which may be the very thing that just failed).
     /// Behind an `Arc` so a snapshot seed shares it instead of copying.
     pub(crate) committed_catalog_bytes: Arc<Vec<u8>>,
-    /// On-disk format version backing this store: 3 (page frames,
-    /// checksummed reads) or 2 (legacy, read-only).
-    pub(crate) format: u8,
     /// How reads treat corrupt/quarantined partitions.
     pub(crate) mode: OpenMode,
     /// Records quarantined by `fsck --repair` (unrecoverable partitions);
@@ -437,47 +435,121 @@ impl RecordPlacer {
     }
 }
 
-/// Assemble the in-memory [`XmlStore`] for a freshly bulkloaded backend
-/// whose epoch-1 header has just been flushed (batch and streaming
-/// loaders share this tail).
-pub(crate) fn assemble_fresh(
-    pool: BufferPool,
-    directory: Vec<RecordLoc>,
-    labels: Vec<Box<str>>,
-    label_ids: HashMap<Box<str>, u16>,
-    root_record: u32,
-    catalog: (PageId, Vec<u8>),
+/// Name → id index over a label table.
+fn label_index(labels: &[Box<str>]) -> HashMap<Box<str>, u16> {
+    labels
+        .iter()
+        .enumerate()
+        .map(|(i, l)| (l.clone(), i as u16))
+        .collect()
+}
+
+/// First half of the fresh-store writer: every page written through the
+/// returned pool is sealed (class + FNV-64) on its way to `backend`, and
+/// pages 0 and 1 are reserved as the header slots.
+///
+/// A fresh backend has no committed state, so every page is past the
+/// write-back floor: eviction may stream dirty pages out and the load
+/// runs in bounded memory even for out-of-budget documents. (A crash
+/// mid-load leaves a headerless file either way.)
+pub(crate) fn begin_fresh(
+    backend: Box<dyn Pager>,
     config: &StoreConfig,
-) -> XmlStore {
-    let (catalog_first_page, catalog_bytes) = catalog;
-    XmlStore {
+) -> StoreResult<BufferPool> {
+    let mut pool = BufferPool::new(
+        Box::new(ChecksummingPager::new(backend)),
+        config.buffer_pages,
+    );
+    pool.set_writeback_floor(0);
+    let slots = (pool.allocate()?, pool.allocate()?);
+    debug_assert_eq!(slots, (0, 1));
+    Ok(pool)
+}
+
+/// Second half of the fresh-store writer: publish `cat` (epoch 1) over
+/// the records placed through `pool` since [`begin_fresh`]. The catalog
+/// goes after the data pages so the store can be reopened from its page
+/// file alone. No pre-state exists, so no journal is needed; epoch 1
+/// lands in slot 1 and slot 0 stays invalid (zeroed).
+pub(crate) fn finish_fresh(
+    mut pool: BufferPool,
+    config: &StoreConfig,
+    cat: Catalog,
+) -> StoreResult<XmlStore> {
+    let catalog_bytes = catalog::encode_catalog(
+        &cat.directory,
+        &cat.labels,
+        &cat.quarantined,
+        cat.root_record,
+        cat.record_limit,
+        cat.epoch,
+    );
+    let catalog_first_page = pool.append_chunked(&catalog_bytes, PageClass::Catalog)?;
+    let header = Header {
+        epoch: cat.epoch,
+        root_record: cat.root_record,
+        catalog_first_page,
+        catalog_len: catalog_bytes.len() as u64,
+        record_limit: cat.record_limit,
+        journal_first_page: 0,
+        journal_len: 0,
+    };
+    let image = catalog::encode_header(&header);
+    pool.with_page(header.slot(), true, |buf| buf.copy_from_slice(&image))?;
+    pool.flush()?;
+    // Everything written so far is now the committed state: raise the
+    // floor so only future appends qualify for dirty write-back.
+    pool.set_writeback_floor(pool.page_count());
+    Ok(XmlStore::from_committed(
         pool,
-        directory,
-        labels,
-        label_ids,
-        root_record,
-        cache: RecordCache::new(config.record_cache),
-        nav: NavStats::default(),
-        last_fetched: NONE_U32,
-        record_limit: config.record_limit_slots,
-        open_page: None,
-        hot: None,
-        epoch: 1,
-        committed_catalog: (catalog_first_page, catalog_bytes.len() as u64),
-        committed_catalog_bytes: Arc::new(catalog_bytes),
-        format: 3,
-        mode: OpenMode::Strict,
-        quarantined: BTreeSet::new(),
-        defer_checkpoint: false,
-        pending_checkpoint: false,
-        committed_overlay: Arc::default(),
-        last_commit_journal: (0, 0),
-        batch: None,
-        readahead_records: config.readahead_records,
-    }
+        config,
+        OpenMode::Strict,
+        &header,
+        Arc::new(catalog_bytes),
+        cat,
+    ))
 }
 
 impl XmlStore {
+    /// The in-memory store over `pool` for the committed state `header`
+    /// publishes; `cat` is `catalog_bytes` decoded. Performs no backend
+    /// access. ([`OpenMode::Degraded`] is also the read-only mode of a
+    /// snapshot: updates are rejected, strict reads still fail loudly on
+    /// corruption.)
+    pub(crate) fn from_committed(
+        pool: BufferPool,
+        config: &StoreConfig,
+        mode: OpenMode,
+        header: &Header,
+        catalog_bytes: Arc<Vec<u8>>,
+        cat: Catalog,
+    ) -> XmlStore {
+        XmlStore {
+            pool,
+            label_ids: label_index(&cat.labels),
+            directory: cat.directory,
+            labels: cat.labels,
+            root_record: cat.root_record,
+            cache: RecordCache::new(config.record_cache),
+            nav: NavStats::default(),
+            last_fetched: NONE_U32,
+            record_limit: header.record_limit,
+            open_page: None,
+            hot: None,
+            epoch: header.epoch,
+            committed_catalog: (header.catalog_first_page, header.catalog_len),
+            committed_catalog_bytes: catalog_bytes,
+            mode,
+            quarantined: cat.quarantined.into_iter().collect(),
+            defer_checkpoint: false,
+            pending_checkpoint: false,
+            committed_overlay: Arc::default(),
+            last_commit_journal: (0, 0),
+            batch: None,
+            readahead_records: config.readahead_records,
+        }
+    }
+
     /// Load `doc`, decomposed by `partitioning`, into a store over
     /// `backend`.
     ///
@@ -617,66 +689,25 @@ impl XmlStore {
         // Place the encoded records onto pages: first fit over a small set
         // of open pages, like a record manager that keeps a free-space
         // inventory. Fragmentation is real and reported (paper Sec. 6.4).
-        // Every page write goes through the checksumming layer, which
-        // seals the typed page frame (class + FNV-64) on the way out.
-        let backend: Box<dyn Pager> = Box::new(ChecksummingPager::new(backend));
-        let mut pool = BufferPool::new(backend, config.buffer_pages);
-        // A fresh backend has no committed state: every page is past the
-        // write-back floor, so eviction may stream dirty pages out and
-        // bulkload runs in bounded memory even for out-of-budget
-        // documents. (A crash mid-load leaves a headerless file either
-        // way.)
-        pool.set_writeback_floor(0);
-        // Pages 0 and 1 are the two header slots; the catalog goes after
-        // the data pages so the store can be reopened from its page file
-        // alone.
-        let header_slot0 = pool.allocate()?;
-        let header_slot1 = pool.allocate()?;
-        debug_assert_eq!((header_slot0, header_slot1), (0, 1));
+        let mut pool = begin_fresh(backend, &config)?;
         let mut directory = Vec::with_capacity(p_count);
         let mut placer = RecordPlacer::new();
         for (no, rec) in records.iter().enumerate() {
             let bytes = record::encode(rec, no as u32, 1);
             directory.push(placer.place(&mut pool, &bytes)?);
         }
-        // Persist the catalog: directory + label table across dedicated
-        // pages, located from the header page.
-        let root_record = owner[tree.root().index()];
-        let catalog_bytes = catalog::encode_catalog(
-            &directory,
-            &labels,
-            &[],
-            root_record,
-            config.record_limit_slots,
-            1,
-        );
-        let catalog_first_page = pool.append_chunked(&catalog_bytes, PageClass::Catalog)?;
-        // Initial commit: no pre-state exists yet, so no journal is needed;
-        // epoch 1 lands in slot 1 and slot 0 stays invalid (zeroed).
-        let header = catalog::encode_header(&Header {
-            epoch: 1,
-            root_record,
-            catalog_first_page,
-            catalog_len: catalog_bytes.len() as u64,
-            record_limit: config.record_limit_slots,
-            journal_first_page: 0,
-            journal_len: 0,
-        });
-        pool.with_page(header_slot1, true, |buf| buf.copy_from_slice(&header))?;
-        pool.flush()?;
-        // Everything written so far is now the committed state: raise the
-        // floor so only future appends qualify for dirty write-back.
-        pool.set_writeback_floor(pool.page_count());
-
-        Ok(assemble_fresh(
+        finish_fresh(
             pool,
-            directory,
-            labels,
-            label_ids,
-            root_record,
-            (catalog_first_page, catalog_bytes),
             &config,
-        ))
+            Catalog {
+                epoch: 1,
+                root_record: owner[tree.root().index()],
+                record_limit: config.record_limit_slots,
+                directory,
+                labels,
+                quarantined: Vec::new(),
+            },
+        )
     }
 
     /// Number of live (non-deleted) records.
@@ -685,12 +716,6 @@ impl XmlStore {
             .iter()
             .filter(|l| !matches!(l, RecordLoc::Free))
             .count()
-    }
-
-    /// Durably commit all pending changes (alias of [`XmlStore::commit`];
-    /// kept for callers written against the pre-journal API).
-    pub fn persist(&mut self) -> StoreResult<()> {
-        self.commit()
     }
 
     /// Atomically commit every pending change (dirty pages, catalog and
@@ -1045,14 +1070,10 @@ impl XmlStore {
         self.hot = None;
         self.last_fetched = NONE_U32;
         self.open_page = None;
-        let cat = catalog::decode_catalog(&self.committed_catalog_bytes, self.root_record)?;
-        let mut label_ids = HashMap::with_capacity(cat.labels.len());
-        for (i, l) in cat.labels.iter().enumerate() {
-            label_ids.insert(l.clone(), i as u16);
-        }
+        let cat = catalog::decode_catalog(&self.committed_catalog_bytes)?;
+        self.label_ids = label_index(&cat.labels);
         self.directory = cat.directory;
         self.labels = cat.labels;
-        self.label_ids = label_ids;
         self.quarantined = cat.quarantined.into_iter().collect();
         Ok(())
     }
@@ -1068,136 +1089,46 @@ impl XmlStore {
 
     /// [`XmlStore::open`] with an explicit [`OpenMode`].
     pub fn open_with(
-        mut backend: Box<dyn Pager>,
+        backend: Box<dyn Pager>,
         config: StoreConfig,
         mode: OpenMode,
     ) -> StoreResult<XmlStore> {
-        if backend.page_count() < 2 {
-            return Err(StoreError::corrupt("file too small for header slots"));
-        }
-        // Header slots are read raw (below any checksum verification):
-        // the ping-pong protocol relies on decoding *both* slots and
-        // falling back past a torn one, and the slots also announce the
-        // format version that decides whether frames exist at all.
-        let mut slot0 = Box::new([0u8; PAGE_SIZE]);
-        let mut slot1 = Box::new([0u8; PAGE_SIZE]);
-        backend.read(0, &mut slot0)?;
-        backend.read(1, &mut slot1)?;
-        let (mut header, format) = catalog::pick_header(&slot0, &slot1)?;
-        let backend: Box<dyn Pager> = if format >= 3 {
-            Box::new(ChecksummingPager::new(backend))
-        } else {
-            backend
-        };
-        let chunk = if format >= 3 { PAYLOAD_SIZE } else { PAGE_SIZE };
-        let mut pool = BufferPool::new(backend, config.buffer_pages);
+        let (mut header, mut checked) = catalog::open_verified(backend)?;
+        // Recovery runs below the pool, which is built over the file it
+        // leaves behind.
         if header.journal_len > 0 {
-            let bytes = pool.read_chunked(
+            let bytes = read_chunked(
+                &mut checked,
                 header.journal_first_page,
                 header.journal_len as usize,
-                chunk,
             )?;
             for (page, image) in journal::decode(&bytes)? {
-                pool.write_through(page, &image)?;
+                checked.write(page, &image)?;
             }
             header.epoch += 1;
             header.journal_first_page = 0;
             header.journal_len = 0;
-            pool.write_through(header.slot(), &catalog::encode_header(&header))?;
+            checked.write(header.slot(), &catalog::encode_header(&header))?;
         }
-        let catalog_bytes = pool.read_chunked(
+        let catalog_bytes = read_chunked(
+            &mut checked,
             header.catalog_first_page,
             header.catalog_len as usize,
-            chunk,
         )?;
-        let cat = catalog::decode_catalog(&catalog_bytes, header.root_record)?;
-        let mut label_ids = HashMap::with_capacity(cat.labels.len());
-        for (i, l) in cat.labels.iter().enumerate() {
-            label_ids.insert(l.clone(), i as u16);
-        }
+        let cat = catalog::decode_catalog(&catalog_bytes)?;
+        let mut pool = BufferPool::new(Box::new(checked), config.buffer_pages);
         // The file now holds exactly the committed state (recovery above
         // replayed any pending journal): appends past here may be
         // written back by eviction.
         pool.set_writeback_floor(pool.page_count());
-        Ok(XmlStore {
+        Ok(XmlStore::from_committed(
             pool,
-            directory: cat.directory,
-            labels: cat.labels,
-            label_ids,
-            root_record: cat.root_record,
-            cache: RecordCache::new(config.record_cache),
-            nav: NavStats::default(),
-            last_fetched: NONE_U32,
-            record_limit: header.record_limit,
-            open_page: None,
-            hot: None,
-            epoch: header.epoch,
-            committed_catalog: (header.catalog_first_page, header.catalog_len),
-            committed_catalog_bytes: Arc::new(catalog_bytes),
-            format,
+            &config,
             mode,
-            quarantined: cat.quarantined.into_iter().collect(),
-            defer_checkpoint: false,
-            pending_checkpoint: false,
-            committed_overlay: Arc::default(),
-            last_commit_journal: (0, 0),
-            batch: None,
-            readahead_records: config.readahead_records,
-        })
-    }
-
-    /// Assemble a read-only snapshot store from an already-committed
-    /// state held in memory: the pinned header and catalog bytes come
-    /// from the writer (never re-read from the backend, whose header
-    /// slots the writer will reuse), and `pool` wraps a backend stack
-    /// that overlays the pending journal's page images. Used by
-    /// `concurrent::SharedStore`; performs no backend writes.
-    ///
-    /// The store is opened [`OpenMode::Degraded`]: updates are rejected
-    /// (`require_writable`), strict reads still fail loudly on
-    /// corruption, and degraded reads are available for shed requests.
-    pub(crate) fn open_snapshot(
-        pool: BufferPool,
-        config: &StoreConfig,
-        catalog_bytes: Arc<Vec<u8>>,
-        header: &Header,
-        format: u8,
-    ) -> StoreResult<XmlStore> {
-        let cat = catalog::decode_catalog(&catalog_bytes, header.root_record)?;
-        let mut label_ids = HashMap::with_capacity(cat.labels.len());
-        for (i, l) in cat.labels.iter().enumerate() {
-            label_ids.insert(l.clone(), i as u16);
-        }
-        Ok(XmlStore {
-            pool,
-            directory: cat.directory,
-            labels: cat.labels,
-            label_ids,
-            root_record: cat.root_record,
-            cache: RecordCache::new(config.record_cache),
-            nav: NavStats::default(),
-            last_fetched: NONE_U32,
-            record_limit: header.record_limit,
-            open_page: None,
-            hot: None,
-            epoch: header.epoch,
-            committed_catalog: (header.catalog_first_page, header.catalog_len),
-            committed_catalog_bytes: catalog_bytes,
-            format,
-            mode: OpenMode::Degraded,
-            quarantined: cat.quarantined.into_iter().collect(),
-            defer_checkpoint: false,
-            pending_checkpoint: false,
-            committed_overlay: Arc::default(),
-            last_commit_journal: (0, 0),
-            batch: None,
-            readahead_records: config.readahead_records,
-        })
-    }
-
-    /// On-disk format version backing this store (3 current, 2 legacy).
-    pub fn format_version(&self) -> u8 {
-        self.format
+            &header,
+            Arc::new(catalog_bytes),
+            cat,
+        ))
     }
 
     /// How this store treats corrupt/quarantined partitions on read.
@@ -1210,14 +1141,9 @@ impl XmlStore {
         self.quarantined.iter().copied().collect()
     }
 
-    /// `Err` unless this store accepts updates: legacy format-2 stores
-    /// and degraded-mode opens are read-only.
+    /// `Err` unless this store accepts updates: degraded-mode opens are
+    /// read-only.
     pub(crate) fn require_writable(&self) -> StoreResult<()> {
-        if self.format < 3 {
-            return Err(StoreError::InvalidUpdate(
-                "legacy format-2 store is read-only; migrate it with compact()",
-            ));
-        }
         if self.mode == OpenMode::Degraded {
             return Err(StoreError::InvalidUpdate(
                 "store opened in degraded mode is read-only",
@@ -1264,15 +1190,14 @@ impl XmlStore {
                 no,
                 first_page,
                 len as usize,
-                self.format < 3,
             )?),
             RecordLoc::Free => None,
         };
         let bytes = bytes.ok_or(StoreError::BadRecord(no))?;
         let rec = record::decode(bytes).map_err(|e| e.in_record(no))?;
-        // A framed record announces which directory slot it was written
-        // for; a mismatch means the directory points at the wrong page.
-        if rec.self_no != NONE_U32 && rec.self_no != no {
+        // A record announces which directory slot it was written for; a
+        // mismatch means the directory points at the wrong page.
+        if rec.self_no != no {
             return Err(StoreError::corrupt_record(
                 "record self-number does not match directory slot",
                 no,
@@ -1294,10 +1219,10 @@ impl XmlStore {
     /// order. Bulkload assigns record numbers in document order and lays
     /// their pages out consecutively, so the next records are exactly the
     /// sibling-partition chain a forward navigation crosses next.
-    /// Best-effort: quarantined, free, and legacy-format records are
-    /// skipped, and the pool ignores prefetch read failures.
+    /// Best-effort: quarantined and free records are skipped, and the
+    /// pool ignores prefetch read failures.
     fn readahead(&mut self, no: u32) {
-        if self.readahead_records == 0 || self.format < 3 {
+        if self.readahead_records == 0 {
             return;
         }
         let mut pages: Vec<PageId> = Vec::new();

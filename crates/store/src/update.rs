@@ -19,11 +19,11 @@
 use natix_tree::Weight;
 use natix_xml::{node_weight, NodeKind};
 
-use crate::catalog::RecordLoc;
-use crate::page::{PageClass, SlottedPage, MAX_IN_PAGE};
+use crate::catalog::{Catalog, RecordLoc};
+use crate::page::{SlottedPage, MAX_IN_PAGE};
 use crate::pager::{StoreError, StoreResult};
 use crate::record::{self, ChildEntry, ImageNode, RecordImage, NONE_U16, NONE_U32};
-use crate::store::{write_overflow_chain, NodeRef, XmlStore};
+use crate::store::{begin_fresh, finish_fresh, write_overflow_chain, NodeRef, XmlStore};
 
 /// Where to place a newly inserted node.
 enum InsertPos {
@@ -896,19 +896,9 @@ impl XmlStore {
         backend: Box<dyn crate::pager::Pager>,
         config: crate::store::StoreConfig,
     ) -> StoreResult<XmlStore> {
-        use crate::pager::{BufferPool, ChecksummingPager};
-
-        // The fresh backend is always written in the current (checksummed)
-        // format — compact() doubles as the format-2 → format-3 migration.
-        let backend: Box<dyn crate::pager::Pager> = Box::new(ChecksummingPager::new(backend));
-        let mut pool = BufferPool::new(backend, config.buffer_pages);
-        // Fresh backend, no committed state: dirty pages may be streamed
-        // out by eviction, so migration never needs whole-store residency
-        // (the source store's pool pages in and out independently).
-        pool.set_writeback_floor(0);
-        let header_slot0 = pool.allocate()?;
-        let header_slot1 = pool.allocate()?;
-        debug_assert_eq!((header_slot0, header_slot1), (0, 1));
+        // The source store's pool pages in and out independently of the
+        // fresh one, so compaction never needs whole-store residency.
+        let mut pool = begin_fresh(backend, &config)?;
 
         let mut directory = Vec::with_capacity(self.directory.len());
         let mut open_page: Option<u32> = None;
@@ -950,55 +940,17 @@ impl XmlStore {
             directory.push(RecordLoc::InPage { page, slot });
         }
 
-        // Initial commit, as in bulkload: no pre-state in the fresh
-        // backend, so the catalog and header are written without a journal.
-        let quarantined: Vec<u32> = self.quarantined.iter().copied().collect();
-        let catalog_bytes = crate::catalog::encode_catalog(
-            &directory,
-            &self.labels,
-            &quarantined,
-            self.root_record,
-            self.record_limit,
-            1,
-        );
-        let catalog_first_page = pool.append_chunked(&catalog_bytes, PageClass::Catalog)?;
-        let header = crate::catalog::encode_header(&crate::catalog::Header {
-            epoch: 1,
-            root_record: self.root_record,
-            catalog_first_page,
-            catalog_len: catalog_bytes.len() as u64,
-            record_limit: self.record_limit,
-            journal_first_page: 0,
-            journal_len: 0,
-        });
-        pool.with_page(header_slot1, true, |buf| buf.copy_from_slice(&header))?;
-        pool.flush()?;
-        pool.set_writeback_floor(pool.page_count());
-
-        Ok(XmlStore {
+        finish_fresh(
             pool,
-            directory,
-            labels: self.labels.clone(),
-            label_ids: self.label_ids.clone(),
-            root_record: self.root_record,
-            cache: crate::store::RecordCache::new(config.record_cache),
-            nav: crate::store::NavStats::default(),
-            last_fetched: crate::record::NONE_U32,
-            record_limit: self.record_limit,
-            open_page: None,
-            hot: None,
-            epoch: 1,
-            committed_catalog: (catalog_first_page, catalog_bytes.len() as u64),
-            committed_catalog_bytes: std::sync::Arc::new(catalog_bytes),
-            format: 3,
-            mode: crate::store::OpenMode::Strict,
-            quarantined: self.quarantined.clone(),
-            defer_checkpoint: false,
-            pending_checkpoint: false,
-            committed_overlay: Default::default(),
-            last_commit_journal: (0, 0),
-            batch: None,
-            readahead_records: config.readahead_records,
-        })
+            &config,
+            Catalog {
+                epoch: 1,
+                root_record: self.root_record,
+                record_limit: self.record_limit,
+                directory,
+                labels: self.labels.clone(),
+                quarantined: self.quarantined.iter().copied().collect(),
+            },
+        )
     }
 }

@@ -242,3 +242,94 @@ fn quarantined_records_fail_strict_reads() {
     let err = strict.to_document().unwrap_err();
     assert!(err.is_corruption(), "{err}");
 }
+
+/// A hand-written format-2 header page: the `NATIXST2` magic, the fixed
+/// fields, FNV-1a 64 over the first 52 bytes — and, as format 2 had it,
+/// no page frame.
+fn v2_header_page() -> [u8; PAGE_SIZE] {
+    let mut page = [0u8; PAGE_SIZE];
+    page[0..8].copy_from_slice(b"NATIXST2");
+    page[8..16].copy_from_slice(&1u64.to_le_bytes()); // epoch
+    page[20..24].copy_from_slice(&3u32.to_le_bytes()); // catalog first page
+    page[24..32].copy_from_slice(&40u64.to_le_bytes()); // catalog length
+    page[32..40].copy_from_slice(&256u64.to_le_bytes()); // record limit
+    let mut sum: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in &page[..52] {
+        sum = (sum ^ u64::from(b)).wrapping_mul(0x1_0000_0000_01b3);
+    }
+    page[52..60].copy_from_slice(&sum.to_le_bytes());
+    page
+}
+
+#[test]
+fn format_2_file_is_refused_not_repaired() {
+    // Zeroed slot 0, a format-2 header in slot 1, frameless data behind.
+    let mut handle = SharedMemPager::new();
+    for _ in 0..4 {
+        handle.allocate().unwrap();
+    }
+    handle.write(1, &v2_header_page()).unwrap();
+    handle.write(2, &[0x11u8; PAGE_SIZE]).unwrap();
+    handle.write(3, &[0x22u8; PAGE_SIZE]).unwrap();
+    let image = |h: &mut SharedMemPager| -> Vec<[u8; PAGE_SIZE]> {
+        (0..h.page_count())
+            .map(|id| {
+                let mut buf = [0u8; PAGE_SIZE];
+                h.read(id, &mut buf).unwrap();
+                buf
+            })
+            .collect()
+    };
+    let before = image(&mut handle);
+
+    for repair in [false, true] {
+        let report = fsck(&mut handle, repair);
+        assert!(!report.clean() && !report.repaired, "{report}");
+        assert_eq!(report.errors(), 1, "{report}");
+        assert_eq!(report.findings[0].code, "unsupported-format", "{report}");
+        assert!(report.findings[0].detail.contains("format 2"), "{report}");
+        assert!(image(&mut handle) == before, "repair={repair} wrote");
+    }
+}
+
+#[test]
+fn header_slot_one_bit_from_the_format_2_magic_is_only_a_torn_slot() {
+    // `NATIXST3` -> `NATIXST2` is bit 0 of byte 7. The slot's checksum
+    // covers the magic, so the rotted slot is invalid, not a format-2
+    // header: the other slot still opens the store and the scrub is clean.
+    for slot in [0u32, 1] {
+        let (mut store, mut handle) = loaded_store(160);
+        let root = store.root().unwrap();
+        for i in 0..2 {
+            store
+                .append_child(
+                    root,
+                    natix_xml::NodeKind::Element,
+                    "extra",
+                    Some(&format!("{i}")),
+                )
+                .unwrap();
+            store.commit().unwrap();
+        }
+        drop(store);
+        let mut buf = [0u8; PAGE_SIZE];
+        handle.read(slot, &mut buf).unwrap();
+        assert_eq!(&buf[..8], b"NATIXST3", "slot {slot} holds a header");
+        buf[7] ^= 0x01;
+        handle.write(slot, &buf).unwrap();
+
+        let report = fsck(&mut handle, false);
+        assert!(report.clean(), "slot {slot}: {report}");
+        assert!(
+            report
+                .findings
+                .iter()
+                .all(|f| f.code != "unsupported-format"),
+            "slot {slot}: {report}"
+        );
+        let mut store = XmlStore::open(Box::new(handle.clone()), StoreConfig::default())
+            .unwrap_or_else(|e| panic!("slot {slot}: {e}"));
+        let doc = store.to_document().unwrap();
+        assert_eq!(doc.tree().label_str(doc.tree().root()), "site");
+    }
+}

@@ -257,7 +257,7 @@ fn updates_persist_across_reopen() {
             .append_child(root, NodeKind::Element, "c", None)
             .unwrap();
         expected = store.to_document().unwrap().to_xml();
-        store.persist().unwrap();
+        store.commit().unwrap();
     }
     {
         let pager = FilePager::open(&path).unwrap();

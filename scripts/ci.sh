@@ -20,6 +20,8 @@ cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --
 # answer, a shed, a handler panic) fails the workload's own checks.
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload serve-read --quick | tail -n 1
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload serve-write --quick | tail -n 1
+# The fresh-store writer end to end: streaming sharded bulkload onto files.
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload bulkload-stream --quick | tail -n 1
 
 echo "==> store_speed --quick (buffer pool + group commit smoke: out-of-budget dump identical, evictions active, fsck clean after eviction, one flip per batch)"
 cargo run --release -p natix-bench --bin store_speed -- --quick
