@@ -1752,7 +1752,7 @@ mod tests {
         };
         assert_eq!(CliError::store(&timeout).code, 3);
         let corrupt = StoreError::Corrupt {
-            what: "page checksum",
+            what: "page checksum".into(),
             page: Some(3),
             class: None,
             record: None,

@@ -141,14 +141,24 @@ fn corrupted_store_exits_4() {
 
 #[test]
 fn format_2_store_exits_4_and_is_left_alone() {
-    let dir = tmpdir("v2");
+    foreign_format_store_exits_4_and_is_left_alone('2');
+}
+
+#[test]
+fn format_3_store_exits_4_and_is_left_alone() {
+    foreign_format_store_exits_4_and_is_left_alone('3');
+}
+
+fn foreign_format_store_exits_4_and_is_left_alone(digit: char) {
+    let dir = tmpdir(&format!("v{digit}"));
     let store = build_store(&dir);
-    // Turn the winning header (epoch 1, page 1) into a format-2 one: its
-    // magic, and the store's FNV-style sum over the first 52 bytes redone to match (a
-    // slot whose checksum fails is a torn slot, whatever its magic says).
+    // Turn the winning header (epoch 1, page 1) into the other format's:
+    // its magic, and the store's FNV-style sum over the first 52 bytes
+    // redone to match (a slot whose checksum fails is a torn slot,
+    // whatever its magic says).
     let mut bytes = std::fs::read(&store).unwrap();
     let slot = &mut bytes[8192..8192 + 60];
-    slot[..8].copy_from_slice(b"NATIXST2");
+    slot[7] = digit as u8;
     let mut sum: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in &slot[..52] {
         sum = (sum ^ u64::from(b)).wrapping_mul(0x1_0000_0000_01b3);
@@ -174,7 +184,8 @@ fn format_2_store_exits_4_and_is_left_alone() {
         if args[0] == "fsck" {
             assert!(stdout.contains("code=unsupported-format"), "{stdout}");
         } else {
-            assert!(stderr.contains("format 2"), "{args:?}: {stderr}");
+            let named = format!("unsupported store format {digit}");
+            assert!(stderr.contains(&named), "{args:?}: {stderr}");
         }
         assert!(std::fs::read(&store).unwrap() == before, "{args:?} wrote");
     }

@@ -1,7 +1,7 @@
 //! On-disk catalog: dual header pages + serialized record directory and
 //! label table, so a bulkloaded store can be reopened from its page file.
 //!
-//! Layout (format version 3): pages 0 and 1 are *ping-pong header slots*.
+//! Layout (format version 4): pages 0 and 1 are *ping-pong header slots*.
 //! A header carries an epoch, the catalog location, and (while a commit is
 //! being checkpointed) a redo-journal location, protected by an FNV-64
 //! checksum. Header epoch `E` lives in slot `E % 2`, so publishing epoch
@@ -14,21 +14,20 @@
 //! intact catalog by scanning catalog-class pages even when both header
 //! slots are gone.
 //!
-//! Format version 2 (`NATIXST2` headers, bare catalog blobs, no page
-//! frames) is recognised only to be refused by name; nothing decodes it.
+//! Every other format (`NATIXST2`, `NATIXST3`, a future `NATIXST5`) is
+//! recognised only to be refused by name — header slots keep the FNV sum
+//! over their 52 bytes in every format for exactly that — and nothing
+//! decodes it.
 
 use crate::page::{fnv64, set_page_class, PageClass, PAGE_SIZE};
 use crate::pager::{ChecksummingPager, PageId, Pager, StoreError, StoreResult};
 
-/// Magic bytes identifying a Natix store page file (format version 3:
-/// dual checksummed headers + redo journal + per-page frames).
-pub const MAGIC: &[u8; 8] = b"NATIXST3";
+/// Magic bytes identifying a Natix store page file (format version 4:
+/// dual checksummed headers + redo journal + XXH64 page frames). The last
+/// byte is the format digit; see [`decode_header_slot`].
+pub const MAGIC: &[u8; 8] = b"NATIXST4";
 
-/// Magic of the previous format (no page frames), which no writer has
-/// produced since format 3; see [`decode_header_slot`].
-const MAGIC_V2: &[u8; 8] = b"NATIXST2";
-
-/// Magic prefix of a serialized format-3 catalog blob.
+/// Magic prefix of a serialized catalog blob.
 pub(crate) const CATALOG_MAGIC: &[u8; 4] = b"NCT3";
 
 /// Where a record's bytes live (public within the crate; the store keeps
@@ -95,22 +94,21 @@ pub(crate) fn encode_header(h: &Header) -> [u8; PAGE_SIZE] {
 
 /// Decode one header slot; `None` if the slot does not hold a valid header
 /// (wrong magic, bad checksum — e.g. a torn header write). A slot whose
-/// checksum verifies under the format-2 magic is an error, not `None`:
-/// such a file must be refused by name, never mistaken for a store that
-/// lost its headers. The checksum is judged first — `NATIXST3` is one bit
-/// away from `NATIXST2`, and a rotted slot must stay merely invalid.
+/// checksum verifies under another format's magic (`NATIXST<d>`, d ≠ 4)
+/// is an error, not `None`: such a file must be refused by name, never
+/// mistaken for a store that lost its headers. The checksum is judged
+/// first — the format digits are a bit or two apart, and a rotted slot
+/// must stay merely invalid.
 pub(crate) fn decode_header_slot(buf: &[u8; PAGE_SIZE]) -> StoreResult<Option<Header>> {
     let sum = u64::from_le_bytes(buf[CHECKSUM_AT..CHECKSUM_AT + 8].try_into().expect("8"));
-    if fnv64(&buf[..CHECKSUM_AT]) != sum {
+    if fnv64(&buf[..CHECKSUM_AT]) != sum || buf[0..7] != MAGIC[..7] {
         return Ok(None);
     }
-    if &buf[0..8] == MAGIC_V2 {
-        return Err(StoreError::corrupt(
-            "unsupported store format 2 (NATIXST2 header): this build reads format 3 only",
-        ));
-    }
-    if &buf[0..8] != MAGIC {
-        return Ok(None);
+    if buf[7] != MAGIC[7] {
+        let d = char::from(buf[7]).escape_default();
+        return Err(StoreError::corrupt(format!(
+            "unsupported store format {d} (NATIXST{d} header): this build reads format 4 only"
+        )));
     }
     Ok(Some(Header {
         epoch: u64::from_le_bytes(buf[8..16].try_into().expect("8")),
@@ -124,7 +122,8 @@ pub(crate) fn decode_header_slot(buf: &[u8; PAGE_SIZE]) -> StoreResult<Option<He
 }
 
 /// Pick the winning header from the two slots: highest valid epoch. A
-/// format-2 slot is refused only when no format-3 header stands beside it.
+/// foreign-format slot is refused only when no format-4 header stands
+/// beside it.
 pub(crate) fn pick_header(slot0: &[u8; PAGE_SIZE], slot1: &[u8; PAGE_SIZE]) -> StoreResult<Header> {
     match (decode_header_slot(slot0), decode_header_slot(slot1)) {
         (Ok(Some(a)), Ok(Some(b))) => Ok(if a.epoch >= b.epoch { a } else { b }),
@@ -157,7 +156,7 @@ pub(crate) fn open_verified(mut raw: Box<dyn Pager>) -> StoreResult<(Header, Che
     Ok((header, ChecksummingPager::new(raw)))
 }
 
-/// Serialize a format-3 catalog blob. The blob is self-describing
+/// Serialize a catalog blob. The blob is self-describing
 /// (`NCT3` magic, total length, epoch) and ends in an FNV-64 checksum of
 /// everything before it.
 pub(crate) fn encode_catalog(
@@ -381,11 +380,12 @@ pub(crate) mod tests {
         assert_eq!(crate::page::page_class_of(&buf), PageClass::Header);
     }
 
-    /// A well-formed format-2 header page (valid checksum, no page
-    /// frame), as the last writer of that format produced it.
-    pub(crate) fn v2_header_page() -> [u8; PAGE_SIZE] {
+    /// A well-formed header page of format `digit` (valid slot checksum;
+    /// the frame bytes zeroed, as format 2 had none and format 3's do not
+    /// verify here), as the last writer of that format produced it.
+    pub(crate) fn foreign_header_page(digit: u8) -> [u8; PAGE_SIZE] {
         let mut buf = encode_header(&sample_header());
-        buf[0..8].copy_from_slice(MAGIC_V2);
+        buf[7] = digit;
         let sum = fnv64(&buf[..CHECKSUM_AT]);
         buf[CHECKSUM_AT..CHECKSUM_AT + 8].copy_from_slice(&sum.to_le_bytes());
         buf[crate::page::PAYLOAD_SIZE..].fill(0);
@@ -393,37 +393,41 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn v2_header_is_refused_by_name() {
-        let v2 = v2_header_page();
-        let err = decode_header_slot(&v2).unwrap_err();
-        assert!(err.is_corruption(), "{err}");
-        assert!(err.to_string().contains("format 2"), "{err}");
-        // Whichever slot holds it, unless a format-3 header stands beside.
-        let v3 = encode_header(&sample_header());
+    fn foreign_format_header_is_refused_by_name() {
+        let v4 = encode_header(&sample_header());
         let zero = [0u8; PAGE_SIZE];
-        for (s0, s1) in [(&v2, &zero), (&zero, &v2), (&v2, &v2)] {
-            let err = pick_header(s0, s1).unwrap_err();
-            assert!(err.to_string().contains("format 2"), "{err}");
+        for digit in [b'2', b'3', b'5'] {
+            let named = format!("unsupported store format {}", char::from(digit));
+            let old = foreign_header_page(digit);
+            let err = decode_header_slot(&old).unwrap_err();
+            assert!(err.is_corruption(), "{err}");
+            assert!(err.to_string().contains(&named), "{err}");
+            // Whichever slot holds it, unless a format-4 header stands beside.
+            for (s0, s1) in [(&old, &zero), (&zero, &old), (&old, &old)] {
+                let err = pick_header(s0, s1).unwrap_err();
+                assert!(err.to_string().contains(&named), "{err}");
+            }
+            assert_eq!(pick_header(&old, &v4).unwrap().epoch, 5);
+            assert_eq!(pick_header(&v4, &old).unwrap().epoch, 5);
         }
-        assert_eq!(pick_header(&v2, &v3).unwrap().epoch, 5);
-        assert_eq!(pick_header(&v3, &v2).unwrap().epoch, 5);
     }
 
     #[test]
-    fn one_bit_from_the_v2_magic_is_a_torn_slot_not_a_refusal() {
-        // '3' and '2' differ in bit 0 of byte 7; the checksum covers the
-        // magic, so the rotted slot is invalid and the other one wins.
-        let mut rotted = encode_header(&sample_header());
-        rotted[7] ^= 0x01;
-        assert_eq!(&rotted[0..8], MAGIC_V2);
-        assert!(decode_header_slot(&rotted).unwrap().is_none());
-        let mut old = sample_header();
-        old.epoch = 4;
-        let good = encode_header(&old);
-        assert_eq!(pick_header(&rotted, &good).unwrap().epoch, 4);
-        assert_eq!(pick_header(&good, &rotted).unwrap().epoch, 4);
-        let err = pick_header(&rotted, &rotted).unwrap_err();
-        assert!(!err.to_string().contains("format 2"), "{err}");
+    fn one_bit_from_a_foreign_magic_is_a_torn_slot_not_a_refusal() {
+        // '4' is one bit from '5', '6', '0' and '$'; the checksum covers
+        // the magic, so the rotted slot is invalid and the other one wins.
+        for bit in 0..8 {
+            let mut rotted = encode_header(&sample_header());
+            rotted[7] ^= 1 << bit;
+            assert!(decode_header_slot(&rotted).unwrap().is_none());
+            let mut old = sample_header();
+            old.epoch = 4;
+            let good = encode_header(&old);
+            assert_eq!(pick_header(&rotted, &good).unwrap().epoch, 4);
+            assert_eq!(pick_header(&good, &rotted).unwrap().epoch, 4);
+            let err = pick_header(&rotted, &rotted).unwrap_err();
+            assert!(!err.to_string().contains("unsupported"), "{err}");
+        }
     }
 
     #[test]

@@ -129,17 +129,6 @@ fn catalog_header(shard_count: u32) -> [u8; HEADER_LEN] {
     h
 }
 
-fn corrupt_catalog(what: &'static str) -> StoreError {
-    StoreError::Corrupt {
-        what,
-        page: None,
-        class: None,
-        record: None,
-        expected: None,
-        found: None,
-    }
-}
-
 fn encode_frame(seg: &ShardSegment) -> Vec<u8> {
     let mut payload = Vec::with_capacity(20 + seg.doc_roots.len() * 4);
     payload.extend_from_slice(&seg.shard.to_le_bytes());
@@ -171,14 +160,14 @@ pub fn read_catalog(dir: &Path) -> StoreResult<(u32, Vec<ShardSegment>)> {
     let mut bytes = Vec::new();
     File::open(dir.join(CATALOG_FILE))?.read_to_end(&mut bytes)?;
     if bytes.len() < HEADER_LEN || &bytes[..4] != CATALOG_MAGIC {
-        return Err(corrupt_catalog("collection catalog header"));
+        return Err(StoreError::corrupt("collection catalog header"));
     }
     if u32_at(&bytes, 4) != CATALOG_VERSION {
-        return Err(corrupt_catalog("collection catalog version"));
+        return Err(StoreError::corrupt("collection catalog version"));
     }
     let shard_count = u32_at(&bytes, 8);
     if shard_count == 0 {
-        return Err(corrupt_catalog("collection with zero shards"));
+        return Err(StoreError::corrupt("collection with zero shards"));
     }
     let mut segments = Vec::new();
     let mut off = HEADER_LEN;
@@ -547,9 +536,9 @@ impl Collection {
         for seg in &segments {
             let list = docs
                 .get_mut(seg.shard as usize)
-                .ok_or_else(|| corrupt_catalog("catalog frame for unknown shard"))?;
+                .ok_or_else(|| StoreError::corrupt("catalog frame for unknown shard"))?;
             if seg.first_local != list.len() as u64 {
-                return Err(corrupt_catalog("catalog frames out of order"));
+                return Err(StoreError::corrupt("catalog frames out of order"));
             }
             list.extend_from_slice(&seg.doc_roots);
         }

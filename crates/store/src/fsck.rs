@@ -293,7 +293,7 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
     let winner = match catalog::pick_header(&slot0, &slot1) {
         Ok(header) => Some(header),
         Err(e) if decoded.iter().any(Result::is_err) => {
-            // A format-2 file. Nothing below can judge it, and a repair
+            // Another format's file. Nothing below can judge it, and a repair
             // would find no framed page to salvage and overwrite it.
             report.error(
                 "unsupported-format",

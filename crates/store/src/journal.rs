@@ -18,7 +18,7 @@
 //!   converges). `fsck` uses the boundaries to report how many logical
 //!   commits one journal generation carries.
 
-use crate::page::{fnv64, PAGE_SIZE};
+use crate::page::{xxh64, PAGE_SIZE};
 use crate::pager::{PageId, StoreError, StoreResult};
 
 const MAGIC: &[u8; 4] = b"NJRL";
@@ -36,7 +36,7 @@ pub(crate) fn encode(entries: &[JournalEntry]) -> Vec<u8> {
         out.extend_from_slice(&page.to_le_bytes());
         out.extend_from_slice(&image[..]);
     }
-    let sum = fnv64(&out);
+    let sum = xxh64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -59,7 +59,7 @@ pub(crate) fn encode_batched(segments: &[Vec<JournalEntry>]) -> Vec<u8> {
             out.extend_from_slice(&image[..]);
         }
     }
-    let sum = fnv64(&out);
+    let sum = xxh64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -83,7 +83,7 @@ pub(crate) fn decode_segments(bytes: &[u8]) -> StoreResult<Vec<Vec<JournalEntry>
     };
     let body = &bytes[..bytes.len() - 8];
     let sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-    if fnv64(body) != sum {
+    if xxh64(body) != sum {
         return Err(StoreError::corrupt("journal checksum mismatch"));
     }
     if !batched {
@@ -209,7 +209,7 @@ mod tests {
         let mut truncated = encode_batched(&segments);
         truncated[4..8].copy_from_slice(&5u32.to_le_bytes());
         let body_len = truncated.len() - 8;
-        let sum = fnv64(&truncated[..body_len]);
+        let sum = xxh64(&truncated[..body_len]);
         truncated[body_len..].copy_from_slice(&sum.to_le_bytes());
         assert!(decode_segments(&truncated).is_err());
     }

@@ -15,6 +15,7 @@
 //!   [`StoreError::is_transient`]) are retried with seeded-deterministic
 //!   exponential backoff; permanent failures surface immediately.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -53,7 +54,7 @@ pub enum StoreError {
     /// *which* page or record is damaged.
     Corrupt {
         /// What failed to validate.
-        what: &'static str,
+        what: Cow<'static, str>,
         /// Damaged page, if page-scoped.
         page: Option<PageId>,
         /// Class the damaged page claims to be, if known.
@@ -115,9 +116,9 @@ impl StoreError {
 
     /// Corruption with no location context (decode-level failures where
     /// the caller attaches context later, or none is known).
-    pub fn corrupt(what: &'static str) -> StoreError {
+    pub fn corrupt(what: impl Into<Cow<'static, str>>) -> StoreError {
         StoreError::Corrupt {
-            what,
+            what: what.into(),
             page: None,
             class: None,
             record: None,
@@ -129,7 +130,7 @@ impl StoreError {
     /// Corruption pinned to a page.
     pub fn corrupt_page(what: &'static str, page: PageId, class: Option<PageClass>) -> StoreError {
         StoreError::Corrupt {
-            what,
+            what: what.into(),
             page: Some(page),
             class,
             record: None,
@@ -141,7 +142,7 @@ impl StoreError {
     /// Corruption pinned to a record.
     pub fn corrupt_record(what: &'static str, record: u32) -> StoreError {
         StoreError::Corrupt {
-            what,
+            what: what.into(),
             page: None,
             class: None,
             record: Some(record),
@@ -158,7 +159,7 @@ impl StoreError {
         found: u64,
     ) -> StoreError {
         StoreError::Corrupt {
-            what: "page checksum mismatch",
+            what: "page checksum mismatch".into(),
             page: Some(page),
             class: Some(class),
             record: None,
@@ -1123,7 +1124,7 @@ impl Pager for RetryingPager {
 }
 
 /// A [`Pager`] that seals every written page with a typed frame
-/// (class + FNV-64 checksum, see `page::seal_frame`) and verifies the
+/// (class + XXH64 checksum, see `page::seal_frame`) and verifies the
 /// frame on every read.
 ///
 /// Reads of all-zero pages pass: they are allocated-but-never-written
@@ -1138,12 +1139,15 @@ impl Pager for RetryingPager {
 /// pages.
 pub struct ChecksummingPager {
     inner: Box<dyn Pager>,
+    /// Scratch image each write is sealed in.
+    sealed: Box<[u8; PAGE_SIZE]>,
 }
 
 impl ChecksummingPager {
     /// Wrap `inner`.
     pub fn new(inner: Box<dyn Pager>) -> ChecksummingPager {
-        ChecksummingPager { inner }
+        let sealed = Box::new([0u8; PAGE_SIZE]);
+        ChecksummingPager { inner, sealed }
     }
 }
 
@@ -1178,9 +1182,9 @@ impl Pager for ChecksummingPager {
     }
 
     fn write(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> StoreResult<()> {
-        let mut sealed = Box::new(*buf);
-        seal_frame(&mut sealed);
-        self.inner.write(id, &sealed)
+        *self.sealed = *buf;
+        seal_frame(&mut self.sealed);
+        self.inner.write(id, &self.sealed)
     }
 
     fn sync(&mut self) -> StoreResult<()> {
@@ -1533,9 +1537,10 @@ impl BufferPool {
 
     /// Speculatively fault in pages expected to be read soon (sibling
     /// partition chains: consecutive records land on consecutive pages
-    /// at bulkload). Best-effort: stops at the first already-resident
-    /// budget-full condition and swallows read errors (a genuinely bad
-    /// page fails loudly on the demand read). Prefetched frames start
+    /// at bulkload). Best-effort: skips pages that are already resident,
+    /// out of range, or would push the pool past its budget, and stops at
+    /// the first read error, swallowing it (a genuinely bad page fails
+    /// loudly on the demand read). Prefetched frames start
     /// with the reference bit clear, so untouched ones are the first
     /// eviction victims.
     pub fn prefetch(&mut self, ids: &[PageId]) {

@@ -39,7 +39,7 @@ use std::rc::Rc;
 
 use crate::catalog;
 use crate::concurrent::{PagerFactory, SnapshotSeed};
-use crate::page::{fnv64, PAGE_SIZE};
+use crate::page::{xxh64, PAGE_SIZE};
 use crate::pager::{FilePager, PageId, Pager, StoreError, StoreResult};
 use crate::store::{StoreConfig, XmlStore};
 
@@ -125,7 +125,7 @@ impl ReplBatch {
             out.extend_from_slice(&id.to_le_bytes());
             out.extend_from_slice(&image[..]);
         }
-        let sum = fnv64(&out);
+        let sum = xxh64(&out);
         out.extend_from_slice(&sum.to_le_bytes());
         Ok(out)
     }
@@ -152,7 +152,7 @@ pub fn decode_part(bytes: &[u8]) -> StoreResult<ReplPart> {
     }
     let body = &bytes[..bytes.len() - 8];
     let sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8"));
-    if fnv64(body) != sum {
+    if xxh64(body) != sum {
         return Err(StoreError::corrupt("replication part checksum mismatch"));
     }
     let kind = match bytes[4] {
@@ -774,52 +774,56 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A format-2 header is refused by name — same typed error — by every
-    /// way of opening a page file, and none of them writes to it.
+    /// A header of another format (the frameless 2, the FNV-framed 3) is
+    /// refused by name — same typed error — by every way of opening a
+    /// page file, and none of them writes to it.
     #[test]
-    fn v2_header_is_refused_by_every_open_path() {
-        let dir = scratch("v2");
+    fn foreign_format_header_is_refused_by_every_open_path() {
+        let dir = scratch("foreign");
         let path = dir.join("old.natix");
         seed_store(&path);
         // A follower attached while the file still parsed (reader()
         // re-reads the disk on every call).
         let follower = Follower::open(path.clone(), StoreConfig::default());
         assert!(follower.epoch() > 0);
-        // Bulkload left slot 0 zeroed and the epoch-1 header in slot 1:
-        // put a format-2 header there instead.
-        let mut raw = FilePager::open(&path).unwrap();
-        raw.write(1, &crate::catalog::tests::v2_header_page())
-            .unwrap();
-        raw.sync().unwrap();
-        drop(raw);
-        let before = std::fs::read(&path).unwrap();
+        for digit in [b'2', b'3'] {
+            // Bulkload left slot 0 zeroed and the epoch-1 header in slot
+            // 1: put the other format's header there instead.
+            let mut raw = FilePager::open(&path).unwrap();
+            raw.write(1, &crate::catalog::tests::foreign_header_page(digit))
+                .unwrap();
+            raw.sync().unwrap();
+            drop(raw);
+            let before = std::fs::read(&path).unwrap();
 
-        let backend = || Box::new(FilePager::open(&path).unwrap());
-        type Open<'a> = Box<dyn Fn() -> StoreResult<()> + 'a>;
-        let entry_points: [(&str, Open<'_>); 3] = [
-            (
-                "XmlStore::open",
-                Box::new(|| XmlStore::open(backend(), StoreConfig::default()).map(drop)),
-            ),
-            (
-                "SharedStore::open",
-                Box::new(|| {
-                    SharedStore::open(
-                        backend(),
-                        Box::new(path.clone()),
-                        StoreConfig::default(),
-                        AdmissionConfig::default(),
-                    )
-                    .map(drop)
-                }),
-            ),
-            ("Follower::reader", Box::new(|| follower.reader().map(drop))),
-        ];
-        for (name, open) in &entry_points {
-            let err = open().expect_err(name);
-            assert!(err.is_corruption(), "{name}: {err}");
-            assert!(err.to_string().contains("format 2"), "{name}: {err}");
-            assert_eq!(std::fs::read(&path).unwrap(), before, "{name} wrote");
+            let backend = || Box::new(FilePager::open(&path).unwrap());
+            type Open<'a> = Box<dyn Fn() -> StoreResult<()> + 'a>;
+            let entry_points: [(&str, Open<'_>); 3] = [
+                (
+                    "XmlStore::open",
+                    Box::new(|| XmlStore::open(backend(), StoreConfig::default()).map(drop)),
+                ),
+                (
+                    "SharedStore::open",
+                    Box::new(|| {
+                        SharedStore::open(
+                            backend(),
+                            Box::new(path.clone()),
+                            StoreConfig::default(),
+                            AdmissionConfig::default(),
+                        )
+                        .map(drop)
+                    }),
+                ),
+                ("Follower::reader", Box::new(|| follower.reader().map(drop))),
+            ];
+            let named = format!("unsupported store format {}", char::from(digit));
+            for (name, open) in &entry_points {
+                let err = open().expect_err(name);
+                assert!(err.is_corruption(), "{name}: {err}");
+                assert!(err.to_string().contains(&named), "{name}: {err}");
+                assert_eq!(std::fs::read(&path).unwrap(), before, "{name} wrote");
+            }
         }
         // A follower attaching now sees no applied state to serve.
         assert_eq!(

@@ -445,7 +445,7 @@ fn label_index(labels: &[Box<str>]) -> HashMap<Box<str>, u16> {
 }
 
 /// First half of the fresh-store writer: every page written through the
-/// returned pool is sealed (class + FNV-64) on its way to `backend`, and
+/// returned pool is sealed (class + XXH64) on its way to `backend`, and
 /// pages 0 and 1 are reserved as the header slots.
 ///
 /// A fresh backend has no committed state, so every page is past the

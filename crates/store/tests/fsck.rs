@@ -74,7 +74,7 @@ fn fresh_store_scrubs_clean() {
     drop(store);
     let report = fsck(&mut handle, false);
     assert!(report.clean(), "{report}");
-    assert_eq!(report.format, 3);
+    assert_eq!(report.format, 4);
     assert_eq!(report.records_checked as usize, records);
     assert!(!report.repaired);
 }
@@ -243,12 +243,14 @@ fn quarantined_records_fail_strict_reads() {
     assert!(err.is_corruption(), "{err}");
 }
 
-/// A hand-written format-2 header page: the `NATIXST2` magic, the fixed
-/// fields, FNV-1a 64 over the first 52 bytes — and, as format 2 had it,
-/// no page frame.
-fn v2_header_page() -> [u8; PAGE_SIZE] {
+/// A hand-written header page of another format: the `NATIXST<digit>`
+/// magic, the fixed fields, FNV-1a 64 over the first 52 bytes (the one
+/// thing every format's header slot shares) — and no page frame, as
+/// format 2 had none and format 3's FNV frame is none to this build.
+fn foreign_header_page(digit: u8) -> [u8; PAGE_SIZE] {
     let mut page = [0u8; PAGE_SIZE];
-    page[0..8].copy_from_slice(b"NATIXST2");
+    page[0..7].copy_from_slice(b"NATIXST");
+    page[7] = digit;
     page[8..16].copy_from_slice(&1u64.to_le_bytes()); // epoch
     page[20..24].copy_from_slice(&3u32.to_le_bytes()); // catalog first page
     page[24..32].copy_from_slice(&40u64.to_le_bytes()); // catalog length
@@ -263,12 +265,22 @@ fn v2_header_page() -> [u8; PAGE_SIZE] {
 
 #[test]
 fn format_2_file_is_refused_not_repaired() {
-    // Zeroed slot 0, a format-2 header in slot 1, frameless data behind.
+    foreign_format_file_is_refused_not_repaired(b'2');
+}
+
+#[test]
+fn format_3_file_is_refused_not_repaired() {
+    foreign_format_file_is_refused_not_repaired(b'3');
+}
+
+fn foreign_format_file_is_refused_not_repaired(digit: u8) {
+    // Zeroed slot 0, the old header in slot 1, and behind it data pages
+    // this build cannot verify.
     let mut handle = SharedMemPager::new();
     for _ in 0..4 {
         handle.allocate().unwrap();
     }
-    handle.write(1, &v2_header_page()).unwrap();
+    handle.write(1, &foreign_header_page(digit)).unwrap();
     handle.write(2, &[0x11u8; PAGE_SIZE]).unwrap();
     handle.write(3, &[0x22u8; PAGE_SIZE]).unwrap();
     let image = |h: &mut SharedMemPager| -> Vec<[u8; PAGE_SIZE]> {
@@ -287,15 +299,16 @@ fn format_2_file_is_refused_not_repaired() {
         assert!(!report.clean() && !report.repaired, "{report}");
         assert_eq!(report.errors(), 1, "{report}");
         assert_eq!(report.findings[0].code, "unsupported-format", "{report}");
-        assert!(report.findings[0].detail.contains("format 2"), "{report}");
+        let named = format!("unsupported store format {}", char::from(digit));
+        assert!(report.findings[0].detail.contains(&named), "{report}");
         assert!(image(&mut handle) == before, "repair={repair} wrote");
     }
 }
 
 #[test]
-fn header_slot_one_bit_from_the_format_2_magic_is_only_a_torn_slot() {
-    // `NATIXST3` -> `NATIXST2` is bit 0 of byte 7. The slot's checksum
-    // covers the magic, so the rotted slot is invalid, not a format-2
+fn header_slot_one_bit_from_another_formats_magic_is_only_a_torn_slot() {
+    // `NATIXST4` -> `NATIXST5` is bit 0 of byte 7. The slot's checksum
+    // covers the magic, so the rotted slot is invalid, not a format-5
     // header: the other slot still opens the store and the scrub is clean.
     for slot in [0u32, 1] {
         let (mut store, mut handle) = loaded_store(160);
@@ -314,7 +327,7 @@ fn header_slot_one_bit_from_the_format_2_magic_is_only_a_torn_slot() {
         drop(store);
         let mut buf = [0u8; PAGE_SIZE];
         handle.read(slot, &mut buf).unwrap();
-        assert_eq!(&buf[..8], b"NATIXST3", "slot {slot} holds a header");
+        assert_eq!(&buf[..8], b"NATIXST4", "slot {slot} holds a header");
         buf[7] ^= 0x01;
         handle.write(slot, &buf).unwrap();
 

@@ -4,16 +4,29 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check"
+# `tier NAME` opens a tier; the wall time of the one before it is printed
+# first, and the total at the end (ROADMAP item 5 gates on it).
+tier_name=""
+tier_started=$SECONDS
+tier() {
+  if [ -n "$tier_name" ]; then
+    echo "    [$((SECONDS - tier_started)) s] ${tier_name%% (*}"
+  fi
+  tier_name="${1:-}"
+  tier_started=$SECONDS
+  [ -z "$tier_name" ] || echo "==> $tier_name"
+}
+
+tier "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (deny warnings)"
+tier "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test"
+tier "cargo test"
 cargo test -q
 
-echo "==> benchmark package (frozen: must build and run against the current crates/* API)"
+tier "benchmark package (frozen: must build and run against the current crates/* API)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload partition-docs --quick | tail -n 1
 # The served path: a pin or threading regression (a leaked pin, a wrong
@@ -23,31 +36,31 @@ cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --
 # The fresh-store writer end to end: streaming sharded bulkload onto files.
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload bulkload-stream --quick | tail -n 1
 
-echo "==> store_speed --quick (buffer pool + group commit smoke: out-of-budget dump identical, evictions active, fsck clean after eviction, one flip per batch)"
+tier "store_speed --quick (buffer pool + group commit smoke: out-of-budget dump identical, evictions active, fsck clean after eviction, one flip per batch)"
 cargo run --release -p natix-bench --bin store_speed -- --quick
 
-echo "==> bulk_speed --quick (streaming sharded bulkload smoke: bounded memory at a fixed pool cap, docs/s per thread and shard count)"
+tier "bulk_speed --quick (streaming sharded bulkload smoke: bounded memory at a fixed pool cap, docs/s per thread and shard count)"
 cargo run --release -p natix-bench --bin bulk_speed -- --quick
 
-echo "==> natix soak --quick (crash/update fuzz smoke: model oracle + power-cut sweeps; failures print replayable seeds/scripts)"
+tier "natix soak --quick (crash/update fuzz smoke: model oracle + power-cut sweeps; failures print replayable seeds/scripts)"
 cargo run --release -p natix-cli -- soak --quick
 
-echo "==> natix soak --quick --corruption (bit-rot sweep: every page class of every committed state must detect-or-correct)"
+tier "natix soak --quick --corruption (bit-rot sweep: every page class of every committed state must detect-or-correct)"
 cargo run --release -p natix-cli -- soak --quick --corruption
 
-echo "==> natix soak --quick --group-commit (crash-prefix smoke: a power cut inside a batch must recover to an exact prefix of the acked commits, fsck clean at every crash point)"
+tier "natix soak --quick --group-commit (crash-prefix smoke: a power cut inside a batch must recover to an exact prefix of the acked commits, fsck clean at every crash point)"
 cargo run --release -p natix-cli -- soak --quick --group-commit
 
-echo "==> natix soak --quick --bulkload (power cuts during a sharded bulkload: every shard independently recoverable, catalog never references uncommitted state)"
+tier "natix soak --quick --bulkload (power cuts during a sharded bulkload: every shard independently recoverable, catalog never references uncommitted state)"
 cargo run --release -p natix-cli -- soak --quick --bulkload
 
-echo "==> natix soak --quick --diskfull (disk-full degradation sweep: a storage-full window at write events of every step; atomic rollback, reads keep serving while read-only, space probe re-enables writes, fsck clean)"
+tier "natix soak --quick --diskfull (disk-full degradation sweep: a storage-full window at write events of every step; atomic rollback, reads keep serving while read-only, space probe re-enables writes, fsck clean)"
 cargo run --release -p natix-cli -- soak --quick --diskfull
 
-echo "==> natix stress --quick (chaos smoke: seeded reader/writer/fsck interleavings over the concurrent store; snapshot-vs-oracle, exactly-once commits, pin-safe reclamation, eviction active under a 2-page pool)"
+tier "natix stress --quick (chaos smoke: seeded reader/writer/fsck interleavings over the concurrent store; snapshot-vs-oracle, exactly-once commits, pin-safe reclamation, eviction active under a 2-page pool)"
 cargo run --release -p natix-cli -- stress --quick
 
-echo "==> natix fsck smoke (scrub a fresh store, destroy its header, repair, verify the dump round-trips)"
+tier "natix fsck smoke (scrub a fresh store, destroy its header, repair, verify the dump round-trips)"
 fsck_dir="$(mktemp -d)"
 trap 'rm -rf "$fsck_dir"' EXIT
 cat > "$fsck_dir/sample.xml" <<'XML'
@@ -78,7 +91,7 @@ natix fsck "$fsck_dir/sample.natix"
 natix dump "$fsck_dir/sample.natix" > "$fsck_dir/after.xml"
 diff "$fsck_dir/before.xml" "$fsck_dir/after.xml"
 
-echo "==> cross-shard fsck smoke (bulkload a collection, corrupt one shard, fsck must localize the damage)"
+tier "cross-shard fsck smoke (bulkload a collection, corrupt one shard, fsck must localize the damage)"
 natix bulkload "$fsck_dir/coll" --docs 120 --shards 3 --threads 2 --seg-docs 10
 natix collection stats "$fsck_dir/coll"
 natix collection fsck "$fsck_dir/coll"
@@ -95,7 +108,7 @@ if grep -q "shard 1: clean" "$fsck_dir/collfsck.out"; then
   echo "FAIL: collection fsck called the corrupted shard clean" >&2; exit 1
 fi
 
-echo "==> natix serve smoke (daemon on an ephemeral port: one of each verb over the wire, a deterministic shed + honored retry-after, structured exit codes, clean drain)"
+tier "natix serve smoke (daemon on an ephemeral port: one of each verb over the wire, a deterministic shed + honored retry-after, structured exit codes, clean drain)"
 serve_dir="$fsck_dir/serve"
 mkdir -p "$serve_dir"
 natix load "$fsck_dir/sample.xml" "$serve_dir/store.natix" --k 16
@@ -140,16 +153,16 @@ wait "$serve_pid"
 grep -q "drained and stopped" "$serve_dir/serve.log"
 trap 'rm -rf "$fsck_dir"' EXIT
 
-echo "==> natix stress --net --quick (network load smoke: closed-loop client sweep against a live server; epoch-consistent reads, zero protocol errors, latency histogram written as JSON)"
+tier "natix stress --net --quick (network load smoke: closed-loop client sweep against a live server; epoch-consistent reads, zero protocol errors, latency histogram written as JSON)"
 cargo run --release -p natix-cli -- stress --net --quick --json "$serve_dir/bench_serve_quick.json"
 
-echo "==> natix stress --net --proxy --quick (fault-proxy smoke: one seeded stall/partial-write/reset plan between the fleet and a live daemon; zero protocol errors, no wedged workers, clean drain)"
+tier "natix stress --net --proxy --quick (fault-proxy smoke: one seeded stall/partial-write/reset plan between the fleet and a live daemon; zero protocol errors, no wedged workers, clean drain)"
 cargo run --release -p natix-cli -- stress --net --proxy --quick
 
-echo "==> natix stress --net --leak --quick (pin-lease starvation smoke: a silent leaker must be reaped within one TTL; shed rate back to 0, reclamation backlog drains, typed session-expired answer)"
+tier "natix stress --net --leak --quick (pin-lease starvation smoke: a silent leaker must be reaped within one TTL; shed rate back to 0, reclamation backlog drains, typed session-expired answer)"
 cargo run --release -p natix-cli -- stress --net --leak --quick
 
-echo "==> natix serve replication smoke (primary + hot standby: update storm, lag drains to 0, same-epoch dumps byte-identical, standby sheds writes read-only, SIGKILL primary, promote, promoted store serves writes)"
+tier "natix serve replication smoke (primary + hot standby: update storm, lag drains to 0, same-epoch dumps byte-identical, standby sheds writes read-only, SIGKILL primary, promote, promoted store serves writes)"
 repl_dir="$fsck_dir/repl"
 mkdir -p "$repl_dir"
 natix load "$fsck_dir/sample.xml" "$repl_dir/primary.natix" --k 16
@@ -209,7 +222,8 @@ wait "$standby_pid"
 grep -q "drained and stopped" "$repl_dir/standby.log"
 trap 'rm -rf "$fsck_dir"' EXIT
 
-echo "==> natix soak --repl --quick (failover campaign smoke: primary + standby through the fault proxy, seeded update storm, SIGKILL at swept points, promote; acked-prefix content, clean fsck, chain-mismatch and fencing refusals, clean drain)"
+tier "natix soak --repl --quick (failover campaign smoke: primary + standby through the fault proxy, seeded update storm, SIGKILL at swept points, promote; acked-prefix content, clean fsck, chain-mismatch and fencing refusals, clean drain)"
 cargo run --release -p natix-cli -- soak --repl --quick
 
-echo "CI OK"
+tier
+echo "CI OK ($SECONDS s)"
