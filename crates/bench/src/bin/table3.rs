@@ -10,6 +10,12 @@
 //! several times against a warm buffer pool (larger than the document),
 //! and report the median. The claim to verify: the EKM (sibling) layout
 //! beats the KM (parent-child-only) layout on every query, by up to ~2×.
+//! Next to the times stand the two counts the cost model is about, both
+//! of one evaluation that starts with no record decoded: record
+//! boundaries crossed, and records decoded from their pages (what the
+//! repo benchmark's `paper_cost` sums over Q1-Q7 on `serve-read`).
+//! Everything but the times is deterministic; `scripts/ci.sh` compares
+//! those columns with `results/table3.json`.
 
 use natix_bench::json_row;
 use natix_bench::{
@@ -27,6 +33,8 @@ json_row! {
         speedup: f64,
         km_switches: u64,
         ekm_switches: u64,
+        km_decodes: u64,
+        ekm_decodes: u64,
         result_count: usize,
     }
 }
@@ -64,7 +72,16 @@ fn main() {
     let mut km = load(&doc, &Km, args.k);
     let mut ekm = load(&doc, &Ekm, args.k);
 
-    let mut table = Table::new(&["Query", "KM", "EKM", "speedup", "KM-xings", "EKM-xings"]);
+    let mut table = Table::new(&[
+        "Query",
+        "KM",
+        "EKM",
+        "speedup",
+        "KM-xings",
+        "EKM-xings",
+        "KM-decodes",
+        "EKM-decodes",
+    ]);
     table.row(vec![
         "Total Occupied Disk Space".into(),
         format!("{}KB", km.occupied_bytes() / 1024),
@@ -72,6 +89,8 @@ fn main() {
         String::new(),
         format!("{} recs", km.record_count()),
         format!("{} recs", ekm.record_count()),
+        String::new(),
+        String::new(),
     ]);
 
     let runs = 9;
@@ -107,6 +126,8 @@ fn main() {
             format!("{speedup:.2}x"),
             km_nav.record_switches.to_string(),
             ekm_nav.record_switches.to_string(),
+            km_nav.record_decodes.to_string(),
+            ekm_nav.record_decodes.to_string(),
         ]);
         eprintln!("{qname}: KM {km_s:.4}s, EKM {ekm_s:.4}s ({speedup:.2}x), {km_count} results");
         rows.push(QueryRow {
@@ -116,6 +137,8 @@ fn main() {
             speedup,
             km_switches: km_nav.record_switches,
             ekm_switches: ekm_nav.record_switches,
+            km_decodes: km_nav.record_decodes,
+            ekm_decodes: ekm_nav.record_decodes,
             result_count: km_count,
         });
     }

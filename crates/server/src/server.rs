@@ -52,7 +52,7 @@ use natix_store::{
     READ_ONLY_RETRY_HINT_MS,
 };
 use natix_xml::NodeKind;
-use natix_xpath::eval;
+use natix_xpath::{eval, eval_with};
 
 use crate::wire::{
     read_frame, write_frame, ErrKind, ProtoError, Request, Response, ResponseBody, ShedKind,
@@ -833,23 +833,33 @@ fn run_read(
 }
 
 /// Evaluate `path` over `store`: the exact hit count, and unless
-/// `count_only` the first [`MAX_QUERY_LINES`] hits rendered.
+/// `count_only` the first [`MAX_QUERY_LINES`] hits rendered. A hit is
+/// rendered where the walk finds it, from a record the store still
+/// holds; only hits the line cap had no room for at that point are
+/// rendered afterwards.
 fn run_query(
     store: &mut XmlStore,
     path: &natix_xpath::Path,
     count_only: bool,
 ) -> Result<(u32, Vec<String>), StoreError> {
+    let shown = if count_only { 0 } else { MAX_QUERY_LINES };
+    let mut budget = shown;
     let hits = {
         let mut nav = natix_xpath::StoreNavigator::new(store);
-        eval(&mut nav, path)?
+        eval_with(&mut nav, path, |nav, r| {
+            let Some(left) = budget.checked_sub(1) else {
+                return Ok(None);
+            };
+            budget = left;
+            render_hit(nav.store(), r).map(Some)
+        })?
     };
-    let mut lines = Vec::new();
-    if !count_only {
-        for r in hits.iter().take(MAX_QUERY_LINES) {
-            lines.push(render_hit(store, *r)?);
-        }
-    }
-    Ok((hits.len() as u32, lines))
+    let count = hits.len() as u32;
+    let lines = hits.into_iter().take(shown).map(|(r, line)| match line {
+        Some(line) => Ok(line),
+        None => render_hit(store, r),
+    });
+    Ok((count, lines.collect::<Result<_, _>>()?))
 }
 
 /// The whole document as a dump response body: strict, or the
@@ -1843,6 +1853,43 @@ mod tests {
 
     /// Satellite: a worker that panics mid-read — unpinned, and inside a
     /// session that commits have piled up behind — hands its pin back.
+    /// Hits are rendered where the walk finds them, in walk order; the
+    /// answer is still the exact count and the first `MAX_QUERY_LINES`
+    /// hits in node order, whichever of them the cap left for afterwards.
+    #[test]
+    fn query_lines_are_the_first_hits_in_node_order_past_the_cap() {
+        let texts: String = (0..MAX_QUERY_LINES + 500)
+            .map(|i| format!("<e>{i}</e>"))
+            .collect();
+        let doc = natix_xml::parse(&format!("<list>{texts}</list>")).unwrap();
+        let mut store = natix_store::bulkload_with(
+            &doc,
+            &natix_core::Rs,
+            16,
+            Box::new(natix_store::MemPager::new()),
+            natix_store::StoreConfig::default(),
+        )
+        .unwrap();
+        let path = natix_xpath::parse("//e/text()").unwrap();
+        let hits = eval(&mut natix_xpath::StoreNavigator::new(&mut store), &path).unwrap();
+        let want: Vec<String> = hits[..MAX_QUERY_LINES]
+            .iter()
+            .map(|&r| render_hit(&mut store, r).unwrap())
+            .collect();
+        let (count, lines) = run_query(&mut store, &path, false).unwrap();
+        assert_eq!(count as usize, MAX_QUERY_LINES + 500);
+        assert!(
+            lines == want,
+            "lines differ from the first hits in node order"
+        );
+        let walk_order: Vec<String> = (0..MAX_QUERY_LINES).map(|i| i.to_string()).collect();
+        assert!(
+            lines != walk_order,
+            "node order is not walk order in this layout"
+        );
+        assert_eq!(run_query(&mut store, &path, true).unwrap(), (count, vec![]));
+    }
+
     #[test]
     fn lent_pin_survives_a_panicking_worker() {
         let dir = std::env::temp_dir().join(format!("natix-serve-unit-{}", std::process::id()));

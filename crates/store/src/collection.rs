@@ -28,8 +28,8 @@
 //! checksums and ignored.
 //!
 //! Parallel loading: shard `s` is owned by loader thread `s % threads`.
-//! [`XmlStore`] is deliberately not `Send` (its record cache is
-//! `Rc`-based), so each worker thread creates and owns its shard stores
+//! [`XmlStore`] is deliberately not `Send` (its held decoded records are
+//! `Rc`s), so each worker thread creates and owns its shard stores
 //! outright; the coordinator moves only `(doc_id, xml)` pairs through
 //! bounded channels and appends catalog frames as acks arrive. Memory
 //! is bounded by `queue_depth × document size + threads × pool budget`.

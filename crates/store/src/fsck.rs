@@ -506,7 +506,7 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
             }
             report.records_checked += 1;
             match read_record_bytes(&mut scan, *loc, count) {
-                Ok(bytes) => match record::decode(bytes) {
+                Ok(bytes) => match record::decode(bytes, usize::MAX) {
                     Ok(rec) => {
                         if rec.self_no != no {
                             report.error(
@@ -856,7 +856,7 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
                     if bytes.len() < 4 || &bytes[..4] != record::RECORD_MAGIC {
                         continue;
                     }
-                    if let Ok(data) = record::decode(bytes.to_vec()) {
+                    if let Ok(data) = record::decode(bytes.to_vec(), usize::MAX) {
                         offer(
                             &mut candidates,
                             Salvaged {
@@ -880,7 +880,7 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
                 let Some(bytes) = read_intact_overflow(backend, id, len) else {
                     continue;
                 };
-                if let Ok(data) = record::decode(bytes) {
+                if let Ok(data) = record::decode(bytes, usize::MAX) {
                     offer(
                         &mut candidates,
                         Salvaged {
@@ -957,7 +957,7 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
                 committed,
                 count,
             ) {
-                if let Ok(data) = record::decode(bytes) {
+                if let Ok(data) = record::decode(bytes, usize::MAX) {
                     if data.self_no == no && labels_ok(&data) {
                         recovered.insert(
                             no,

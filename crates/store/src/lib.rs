@@ -14,14 +14,16 @@
 //!   partition, holding the interval's subtrees with *proxy* entries
 //!   linking to cut child intervals and a back-link to the parent record;
 //! * **the store** ([`XmlStore`]) — partitioner-driven bulkload, a record
-//!   directory, a small decoded-record cache, and navigation primitives
-//!   (`first_child` / `next_sibling` / `prev_sibling` / `parent`) that
-//!   transparently cross record boundaries while counting every crossing.
+//!   directory, the held chain of decoded records from the root record to
+//!   the cursor, and navigation primitives (`first_child` /
+//!   `next_sibling` / `prev_sibling` / `parent`) that transparently cross
+//!   record boundaries while counting every crossing.
 //!
 //! The cost model matches the paper's premise: navigation inside a record
-//! is an array access; entering a record that is not in the small decoded
-//! cache costs page reads plus a record decode. Fewer partitions therefore
-//! mean faster navigation — which is what Table 3 measures.
+//! is an array access; entering a record that is not on the path from the
+//! root record to the cursor costs page reads plus a record decode. Fewer
+//! partitions therefore mean faster navigation — which is what Table 3
+//! measures.
 
 mod bulkload;
 mod catalog;
@@ -72,6 +74,7 @@ mod tests {
     use super::*;
     use natix_core::{Ekm, Km, Partitioner};
     use natix_xml::{parse, NodeKind};
+    use std::collections::HashSet;
 
     fn sample_doc() -> natix_xml::Document {
         parse(concat!(
@@ -269,6 +272,161 @@ mod tests {
         compacted
             .append_child(root, NodeKind::Element, "x", None)
             .unwrap();
+    }
+
+    /// A document six elements deep whose leaves carry enough text to be
+    /// cut into records of their own at K = 10.
+    fn deep_doc() -> natix_xml::Document {
+        let mut xml = String::from("<r>");
+        for a in 0..3 {
+            xml.push_str("<a><b><c>");
+            for d in 0..3 {
+                xml.push_str(&format!("<d><e>leaf text {a} {d}</e><e>more of it</e></d>"));
+            }
+            xml.push_str("</c><c><d>short</d></c></b></a>");
+        }
+        xml.push_str("</r>");
+        parse(&xml).unwrap()
+    }
+
+    /// The chain invariant: each held record is the parent record of the
+    /// next one, so there are never more than the tree is high in records.
+    fn assert_chain_is_a_path(store: &XmlStore, height: usize) {
+        for pair in store.chain.windows(2) {
+            assert_eq!(pair[1].parent_record, pair[0].self_no);
+        }
+        assert!(store.chain.len() <= height, "{} held", store.chain.len());
+    }
+
+    #[test]
+    fn held_records_form_a_root_path_bounded_by_the_height_in_records() {
+        let doc = deep_doc();
+        let mut store = load(&doc, &Ekm, 10);
+        let parents: Vec<u32> = (0..store.record_count() as u32)
+            .map(|no| store.with_record(no, |rec| rec.parent_record).unwrap())
+            .collect();
+        let depth = |mut no: u32| {
+            let mut d = 1;
+            while parents[no as usize] != record::NONE_U32 {
+                no = parents[no as usize];
+                d += 1;
+            }
+            d
+        };
+        let height = (0..parents.len() as u32).map(depth).max().unwrap();
+        assert!(height >= 3 && store.record_count() > 2 * height);
+        store.reset_nav_stats();
+
+        // Every node in document order, a look back up and sideways from
+        // each: the ways a walk leaves and re-enters records.
+        let mut todo = vec![store.root().unwrap()];
+        let mut deepest = 0;
+        while let Some(r) = todo.pop() {
+            let mut kids = Vec::new();
+            store.for_each_child(r, |c, _, _| kids.push(c)).unwrap();
+            assert_chain_is_a_path(&store, height);
+            deepest = deepest.max(store.chain.len());
+            store.prev_sibling(r).unwrap();
+            assert_chain_is_a_path(&store, height);
+            let mut up = Some(r);
+            while let Some(n) = up {
+                up = store.parent(n).unwrap();
+                assert_chain_is_a_path(&store, height);
+            }
+            todo.extend(kids.into_iter().rev());
+        }
+        assert_eq!(deepest, height, "the walk reaches the deepest record");
+    }
+
+    #[test]
+    fn a_dump_decodes_every_record_once() {
+        let doc = deep_doc();
+        for k in [10, 16, 64] {
+            let mut store = load(&doc, &Ekm, k);
+            store.reset_nav_stats();
+            assert_eq!(store.to_document().unwrap().to_xml(), doc.to_xml());
+            let decodes = store.nav_stats().record_decodes;
+            assert_eq!(decodes, store.record_count() as u64, "K={k}");
+        }
+    }
+
+    #[test]
+    fn an_update_of_a_held_record_is_what_the_next_read_sees() {
+        let doc = deep_doc();
+        let mut store = load(&doc, &Ekm, 10);
+        let before = store.to_document().unwrap().to_xml();
+        // An element of the last record (a leaf of the record tree), and a
+        // climb from it to the root: its record and every record above it
+        // are now held, parents inserted on top one by one.
+        let last = store.record_count() as u32 - 1;
+        let node = store.with_record(last, |rec| rec.roots[0]).unwrap();
+        let mut target = NodeRef { record: last, node };
+        if store.node_kind(target).unwrap() != NodeKind::Element {
+            target = store.parent(target).unwrap().unwrap();
+        }
+        let climb = |store: &mut XmlStore| {
+            store.reset_nav_stats();
+            let mut up = Some(target);
+            while let Some(n) = up {
+                up = store.parent(n).unwrap();
+            }
+            assert!(store.chain.len() >= 3, "{} held", store.chain.len());
+            assert_eq!(store.chain[0].self_no, store.root_record);
+            assert!(store.chain.iter().any(|r| r.self_no == target.record));
+        };
+        climb(&mut store);
+
+        store
+            .append_child(target, NodeKind::Element, "fresh", None)
+            .unwrap();
+        let after = store.to_document().unwrap().to_xml();
+        assert_eq!(after.matches("<fresh/>").count(), 1, "{after}");
+        store.commit().unwrap();
+
+        // Inside a batch the staged bytes are read, after its abort the
+        // committed ones again.
+        store.begin_batch().unwrap();
+        climb(&mut store);
+        store
+            .append_child(target, NodeKind::Element, "staged", None)
+            .unwrap();
+        let staged = store.to_document().unwrap().to_xml();
+        assert_eq!(staged.matches("<staged/>").count(), 1);
+        store.abort_batch().unwrap();
+        assert!(store.chain.is_empty(), "a rollback lets go of every record");
+        assert_eq!(store.to_document().unwrap().to_xml(), after);
+        assert_ne!(after, before);
+    }
+
+    #[test]
+    fn a_quarantined_record_is_skipped_and_reported_wherever_the_cursor_is() {
+        let doc = deep_doc();
+        let mut clean = load(&doc, &Ekm, 10);
+        let (records, root) = (clean.record_count() as u32, clean.root_record);
+        for lost in (0..records).filter(|&no| no != root) {
+            let parent = clean.with_record(lost, |rec| rec.parent_record).unwrap();
+            let want = clean
+                .to_document_partial(&HashSet::from([lost]))
+                .unwrap()
+                .to_xml();
+            // The cursor on the lost record's parent (the chain leads to
+            // the proxy), and on an unrelated leaf record (it does not).
+            for cursor in [parent, records - 1] {
+                let mut store = load(&doc, &Ekm, 10);
+                store.quarantined.insert(lost);
+                let held = store.with_record(cursor, |rec| rec.self_no);
+                assert_eq!(held.is_err(), cursor == lost);
+                let strict = store.to_document().unwrap_err();
+                assert!(strict.is_corruption(), "{strict}");
+
+                store.mode = OpenMode::Degraded;
+                let _ = store.with_record(cursor, |_| ());
+                let (doc, damage) = store.to_document_degraded().unwrap();
+                assert_eq!(damage.records(), HashSet::from([lost]));
+                assert_eq!(doc.to_xml(), want, "record {lost} lost, cursor {cursor}");
+                assert!(store.chain.iter().all(|r| r.self_no != lost));
+            }
+        }
     }
 
     #[test]

@@ -304,8 +304,12 @@ pub fn encode(rec: &RecordImage, self_no: u32, epoch: u64) -> Vec<u8> {
 
 /// Deserialize a record, taking ownership of the bytes (content strings
 /// are served from them without copying). Bytes that do not start with
-/// the self-describing prefix are corrupt.
-pub fn decode(bytes: Vec<u8>) -> StoreResult<RecordData> {
+/// the self-describing prefix are corrupt. One pass: the header carries
+/// the node count, so every root, parent and local child index is
+/// bounded where it is read, and label ids against `labels`, the size of
+/// the label table they must resolve in (`usize::MAX` when the caller
+/// has none).
+pub fn decode(bytes: Vec<u8>, labels: usize) -> StoreResult<RecordData> {
     if !bytes.starts_with(RECORD_MAGIC) {
         return Err(StoreError::corrupt("record prefix missing"));
     }
@@ -319,17 +323,27 @@ pub fn decode(bytes: Vec<u8>) -> StoreResult<RecordData> {
     let parent_local = r.u16()?;
     let proxy_pos = r.u16()?;
     let root_count = r.u16()? as usize;
-    let node_count = r.u16()? as usize;
+    let node_count = r.u16()?;
     let mut roots = Vec::with_capacity(root_count);
     for _ in 0..root_count {
-        roots.push(r.u16()?);
+        let root = r.u16()?;
+        if root >= node_count {
+            return Err(StoreError::corrupt("root index out of range"));
+        }
+        roots.push(root);
     }
-    let mut nodes = Vec::with_capacity(node_count);
-    let mut entries: Vec<ChildEntry> = Vec::with_capacity(node_count);
+    let mut nodes = Vec::with_capacity(node_count as usize);
+    let mut entries: Vec<ChildEntry> = Vec::with_capacity(node_count as usize);
     for _ in 0..node_count {
         let kind = kind_from_u8(r.u8()?)?;
         let label = r.u16()?;
+        if label as usize >= labels {
+            return Err(StoreError::corrupt("label id out of range"));
+        }
         let parent_local = r.u16()?;
+        if parent_local != NONE_U16 && parent_local >= node_count {
+            return Err(StoreError::corrupt("parent index out of range"));
+        }
         let entry_pos = r.u16()?;
         let content_len = r.u16()?;
         let content = if content_len == NONE_U16 {
@@ -346,7 +360,10 @@ pub fn decode(bytes: Vec<u8>) -> StoreResult<RecordData> {
         let entry_start = entries.len() as u32;
         for _ in 0..entry_count {
             entries.push(match r.u8()? {
-                0 => ChildEntry::Local(r.u16()?),
+                0 => match r.u16()? {
+                    i if i < node_count => ChildEntry::Local(i),
+                    _ => return Err(StoreError::corrupt("child index out of range")),
+                },
                 1 => ChildEntry::Proxy(r.u32()?),
                 _ => return Err(StoreError::corrupt("bad child entry tag")),
             });
@@ -360,25 +377,6 @@ pub fn decode(bytes: Vec<u8>) -> StoreResult<RecordData> {
             entry_start,
             entry_len: entry_count as u16,
         });
-    }
-    for &root in &roots {
-        if root as usize >= nodes.len() {
-            return Err(StoreError::corrupt("root index out of range"));
-        }
-    }
-    for n in &nodes {
-        if n.parent_local != NONE_U16 && n.parent_local as usize >= nodes.len() {
-            return Err(StoreError::corrupt("parent index out of range"));
-        }
-    }
-    for n in &nodes {
-        for e in &entries[n.entry_start as usize..n.entry_start as usize + n.entry_len as usize] {
-            if let ChildEntry::Local(i) = *e {
-                if i as usize >= nodes.len() {
-                    return Err(StoreError::corrupt("child index out of range"));
-                }
-            }
-        }
     }
     Ok(RecordData {
         self_no,
@@ -436,7 +434,7 @@ mod tests {
     fn roundtrip() {
         let rec = sample();
         let bytes = encode(&rec, 12, 4);
-        let back = decode(bytes).unwrap();
+        let back = decode(bytes, usize::MAX).unwrap();
         assert_eq!(back.self_no, 12);
         assert_eq!(back.epoch, 4);
         assert_eq!(back.parent_record, 3);
@@ -457,7 +455,10 @@ mod tests {
     fn truncated_fails() {
         let bytes = encode(&sample(), 0, 1);
         for cut in [0, 6, 18, 26, bytes.len() - 1] {
-            assert!(decode(bytes[..cut].to_vec()).is_err(), "cut at {cut}");
+            assert!(
+                decode(bytes[..cut].to_vec(), usize::MAX).is_err(),
+                "cut at {cut}"
+            );
         }
     }
 
@@ -468,14 +469,14 @@ mod tests {
         // 12-byte header, and 2 roots.
         let kind_off = 16 + 12 + 4;
         bytes[kind_off] = 99;
-        assert!(decode(bytes).is_err());
+        assert!(decode(bytes, usize::MAX).is_err());
     }
 
     #[test]
     fn corrupt_child_index_fails() {
         let mut img = sample();
         img.nodes[0].entries[0] = ChildEntry::Local(99);
-        assert!(decode(encode(&img, 0, 1)).is_err());
+        assert!(decode(encode(&img, 0, 1), usize::MAX).is_err());
     }
 
     #[test]
@@ -485,14 +486,14 @@ mod tests {
         let mut bent = v3.clone();
         bent[1] ^= 0x20;
         for bytes in [v3[16..].to_vec(), bent] {
-            let err = decode(bytes).unwrap_err();
+            let err = decode(bytes, usize::MAX).unwrap_err();
             assert!(err.is_corruption(), "{err}");
         }
     }
 
     #[test]
     fn root_pos() {
-        let rec = decode(encode(&sample(), 0, 1)).unwrap();
+        let rec = decode(encode(&sample(), 0, 1), usize::MAX).unwrap();
         assert_eq!(rec.root_pos(0), Some(0));
         assert_eq!(rec.root_pos(2), Some(1));
         assert_eq!(rec.root_pos(1), None);

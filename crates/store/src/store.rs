@@ -17,7 +17,7 @@
 //! The committed header is read in one place (`catalog::read_header`),
 //! which is also where a file of another format version is refused.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -186,11 +186,6 @@ pub struct StoreConfig {
     /// buffer pool that is larger than the document", so the default is
     /// generous (8192 pages = 64 MB).
     pub buffer_pages: usize,
-    /// Capacity of the decoded-record cache. Small by design: navigation
-    /// that leaves this working set pays the decode cost again, which is
-    /// exactly the intra- vs. inter-record asymmetry the partitioning
-    /// algorithms optimize for.
-    pub record_cache: usize,
     /// Record weight limit `K` in slots, enforced when the update path
     /// grows a record (the bulkload partitioning carries its own limit).
     pub record_limit_slots: natix_tree::Weight,
@@ -205,7 +200,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             buffer_pages: 8192,
-            record_cache: 16,
             record_limit_slots: 256,
             readahead_records: 2,
         }
@@ -227,53 +221,11 @@ pub struct NodeRef {
 pub struct NavStats {
     /// Record fetches that switched away from the previously used record.
     pub record_switches: u64,
-    /// Fetches served by the decoded-record cache.
+    /// Switches to a record the store still held decoded: one on the
+    /// chain from the root record to the last record read.
     pub record_cache_hits: u64,
     /// Fetches that had to read pages and decode the record.
     pub record_decodes: u64,
-}
-
-pub(crate) struct RecordCache {
-    map: HashMap<u32, Rc<RecordData>>,
-    order: VecDeque<u32>,
-    cap: usize,
-}
-
-impl RecordCache {
-    pub(crate) fn new(cap: usize) -> RecordCache {
-        RecordCache {
-            map: HashMap::with_capacity(cap),
-            order: VecDeque::with_capacity(cap),
-            cap: cap.max(1),
-        }
-    }
-
-    fn get(&self, no: u32) -> Option<Rc<RecordData>> {
-        self.map.get(&no).cloned()
-    }
-
-    pub(crate) fn remove(&mut self, no: u32) {
-        self.map.remove(&no);
-        // The stale id stays in `order` and is skipped at eviction time.
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-    }
-
-    fn insert(&mut self, no: u32, rec: Rc<RecordData>) {
-        while self.map.len() >= self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-            } else {
-                break;
-            }
-        }
-        if self.map.insert(no, rec).is_none() {
-            self.order.push_back(no);
-        }
-    }
 }
 
 /// Committed-but-uncheckpointed page images, keyed by their target page.
@@ -286,17 +238,21 @@ pub struct XmlStore {
     pub(crate) labels: Vec<Box<str>>,
     pub(crate) label_ids: HashMap<Box<str>, u16>,
     pub(crate) root_record: u32,
-    pub(crate) cache: RecordCache,
+    /// The decoded records on the path from (at most) the root record
+    /// down to the last one read from pages, each the `parent_record` of
+    /// the next: what a document-order walk, or a climb out of one of its
+    /// hits, comes back to. Nothing else stays decoded, so resident
+    /// records are bounded by the tree's height in records.
+    pub(crate) chain: Vec<Rc<RecordData>>,
+    /// Position in `chain` of the last fetched record: repeated access to
+    /// the current record is a compare and an `Rc` clone — the cheap
+    /// intra-record navigation the paper's cost model assumes.
+    pub(crate) cursor: usize,
     pub(crate) nav: NavStats,
-    pub(crate) last_fetched: u32,
     /// Record weight limit `K` in slots, enforced by the update path.
     pub(crate) record_limit: natix_tree::Weight,
     /// Page with known free space, used by the update path's placement.
     pub(crate) open_page: Option<PageId>,
-    /// The last fetched record, pinned: repeated access to the current
-    /// record is a branch and an `Rc` clone — the cheap intra-record
-    /// navigation the paper's cost model assumes.
-    pub(crate) hot: Option<Rc<RecordData>>,
     /// Epoch of the current committed header (see `catalog::Header`).
     pub(crate) epoch: u64,
     /// Location of the last committed catalog `(first_page, len)`, used by
@@ -530,12 +486,11 @@ impl XmlStore {
             directory: cat.directory,
             labels: cat.labels,
             root_record: cat.root_record,
-            cache: RecordCache::new(config.record_cache),
+            chain: Vec::new(),
+            cursor: 0,
             nav: NavStats::default(),
-            last_fetched: NONE_U32,
             record_limit: header.record_limit,
             open_page: None,
-            hot: None,
             epoch: header.epoch,
             committed_catalog: (header.catalog_first_page, header.catalog_len),
             committed_catalog_bytes: catalog_bytes,
@@ -1019,9 +974,7 @@ impl XmlStore {
         self.quarantined = batch.save.quarantined.clone();
         self.open_page = batch.save.open_page;
         self.root_record = batch.save.root_record;
-        self.cache.clear();
-        self.hot = None;
-        self.last_fetched = NONE_U32;
+        self.chain.clear();
         Ok(())
     }
 
@@ -1066,9 +1019,7 @@ impl XmlStore {
         for (id, image) in self.committed_overlay.iter() {
             self.pool.restore_dirty(*id, image);
         }
-        self.cache.clear();
-        self.hot = None;
-        self.last_fetched = NONE_U32;
+        self.chain.clear();
         self.open_page = None;
         let cat = catalog::decode_catalog(&self.committed_catalog_bytes)?;
         self.label_ids = label_index(&cat.labels);
@@ -1154,17 +1105,14 @@ impl XmlStore {
 
     /// Fetch (and decode if necessary) a record.
     pub(crate) fn fetch(&mut self, no: u32) -> StoreResult<Rc<RecordData>> {
-        if no == self.last_fetched {
-            if let Some(rec) = &self.hot {
-                return Ok(rec.clone());
-            }
+        if let Some(rec) = self.chain.get(self.cursor).filter(|r| r.self_no == no) {
+            return Ok(rec.clone());
         }
         self.nav.record_switches += 1;
-        self.last_fetched = no;
-        if let Some(rec) = self.cache.get(no) {
+        if let Some(pos) = self.chain.iter().rposition(|r| r.self_no == no) {
             self.nav.record_cache_hits += 1;
-            self.hot = Some(rec.clone());
-            return Ok(rec);
+            self.cursor = pos;
+            return Ok(self.chain[pos].clone());
         }
         self.nav.record_decodes += 1;
         if self.quarantined.contains(&no) {
@@ -1194,7 +1142,8 @@ impl XmlStore {
             RecordLoc::Free => None,
         };
         let bytes = bytes.ok_or(StoreError::BadRecord(no))?;
-        let rec = record::decode(bytes).map_err(|e| e.in_record(no))?;
+        // Label ids must resolve in this store's label table.
+        let rec = record::decode(bytes, self.labels.len()).map_err(|e| e.in_record(no))?;
         // A record announces which directory slot it was written for; a
         // mismatch means the directory points at the wrong page.
         if rec.self_no != no {
@@ -1203,15 +1152,29 @@ impl XmlStore {
                 no,
             ));
         }
-        // Label ids must resolve in this store's label table.
-        for n in &rec.nodes {
-            if n.label as usize >= self.labels.len() {
-                return Err(StoreError::corrupt_record("label id out of range", no));
-            }
-        }
         let rec = Rc::new(rec);
-        self.cache.insert(no, rec.clone());
-        self.hot = Some(rec.clone());
+        // Keep the chain a path: a child of a held record replaces what
+        // hung below its parent, the parent of the topmost held record
+        // (an upward climb) goes on top, anything else starts over.
+        if let Some(pos) = self
+            .chain
+            .iter()
+            .rposition(|r| r.self_no == rec.parent_record)
+        {
+            self.chain.truncate(pos + 1);
+        } else if self
+            .chain
+            .first()
+            .is_some_and(|top| top.parent_record == no)
+        {
+            self.chain.insert(0, rec.clone());
+            self.cursor = 0;
+            return Ok(rec);
+        } else {
+            self.chain.clear();
+        }
+        self.cursor = self.chain.len();
+        self.chain.push(rec.clone());
         Ok(rec)
     }
 
@@ -1256,12 +1219,7 @@ impl XmlStore {
 
     /// Run `f` on the decoded node.
     pub fn with_node<T>(&mut self, r: NodeRef, f: impl FnOnce(&RecNode) -> T) -> StoreResult<T> {
-        let rec = self.fetch(r.record)?;
-        let node = rec
-            .nodes
-            .get(r.node as usize)
-            .ok_or(StoreError::BadRecord(r.record))?;
-        Ok(f(node))
+        self.with_node_in(r, |_, node| f(node))
     }
 
     /// Run `f` on the decoded record and node together (needed to access
@@ -1277,6 +1235,12 @@ impl XmlStore {
             .get(r.node as usize)
             .ok_or(StoreError::BadRecord(r.record))?;
         Ok(f(&rec, node))
+    }
+
+    /// Run `f` on record `no`, decoded: what following a proxy entry
+    /// costs.
+    pub fn with_record<T>(&mut self, no: u32, f: impl FnOnce(&RecordData) -> T) -> StoreResult<T> {
+        Ok(f(&*self.fetch(no)?))
     }
 
     /// Node kind.
@@ -1307,10 +1271,13 @@ impl XmlStore {
     /// Visit all children of `r` in document order, delivering kind and
     /// label along with the handle.
     ///
-    /// This is the bulk primitive behind the child and descendant axes:
-    /// local children cost nothing beyond the already-pinned record, and
-    /// each cut child *interval* (proxy) costs exactly one record fetch —
-    /// the asymmetry that makes sibling partitioning pay off.
+    /// Local children cost nothing beyond the already-held record, and
+    /// each cut child *interval* (proxy) costs one record fetch, paid at
+    /// listing time. Tests and campaigns list children this way; the
+    /// evaluator and `dump` read a node's entries off its record
+    /// ([`XmlStore::with_node_in`]) and enter a proxied record
+    /// ([`XmlStore::with_record`]) when their walk gets to it, which
+    /// reads each record once, in the order bulkload laid them out.
     pub fn for_each_child(
         &mut self,
         r: NodeRef,
@@ -1479,11 +1446,11 @@ impl XmlStore {
         self.nav
     }
 
-    /// Reset navigation counters (e.g. between measured queries).
+    /// Reset navigation counters and let go of every decoded record, so
+    /// the next navigation is counted from a cold start.
     pub fn reset_nav_stats(&mut self) {
         self.nav = NavStats::default();
-        self.last_fetched = NONE_U32;
-        self.hot = None;
+        self.chain.clear();
     }
 
     /// Buffer pool counters.
@@ -1529,48 +1496,7 @@ impl XmlStore {
     /// a standalone document — the collection layer uses this to extract
     /// one document from a shard whose store root fans out over many.
     pub fn subtree_to_document(&mut self, root: NodeRef) -> StoreResult<Document> {
-        let (kind, label, content) = self.with_node_in(root, |rec, n| {
-            (n.kind, n.label, rec.content(n).map(str::to_string))
-        })?;
-        assert_eq!(kind, NodeKind::Element, "document root must be an element");
-        let _ = content;
-        let root_name = self.label_name(label).to_string();
-        let mut b = DocumentBuilder::new(&root_name);
-        let mut stack: Vec<(NodeRef, natix_xml::NodeId)> = vec![(root, natix_xml::NodeId::ROOT)];
-        while let Some((r, target)) = stack.pop() {
-            // Add all children in document order; element children are
-            // queued for their own expansion (queue order is irrelevant —
-            // sibling order is fixed by the insertion order under each
-            // parent).
-            let mut c = self.first_child(r)?;
-            while let Some(cr) = c {
-                let (kind, label, content) = self.with_node_in(cr, |rec, n| {
-                    (n.kind, n.label, rec.content(n).map(str::to_string))
-                })?;
-                let name = self.label_name(label).to_string();
-                let content = content.unwrap_or_default();
-                match kind {
-                    NodeKind::Element => {
-                        let id = b.element(target, &name);
-                        stack.push((cr, id));
-                    }
-                    NodeKind::Attribute => {
-                        b.attribute(target, &name, &content);
-                    }
-                    NodeKind::Text => {
-                        b.text(target, &content);
-                    }
-                    NodeKind::Comment => {
-                        b.comment(target, &content);
-                    }
-                    NodeKind::ProcessingInstruction => {
-                        b.processing_instruction(target, &name, &content);
-                    }
-                }
-                c = self.next_sibling(cr)?;
-            }
-        }
-        Ok(b.build())
+        Ok(self.rebuild(root, None)?.0)
     }
 
     /// Degraded read: rebuild whatever survives, plus an exact report of
@@ -1580,7 +1506,8 @@ impl XmlStore {
     /// Corruption of the root record itself is not salvageable and
     /// propagates as an error.
     pub fn to_document_degraded(&mut self) -> StoreResult<(Document, DamageReport)> {
-        self.salvage_document(&HashSet::new())
+        let root = self.root()?;
+        self.rebuild(root, Some(&HashSet::new()))
     }
 
     /// Oracle helper for corruption tests: rebuild the document as if the
@@ -1588,108 +1515,112 @@ impl XmlStore {
     /// A degraded read of a damaged store must equal the partial read of
     /// its clean twin excluding the reported records.
     pub fn to_document_partial(&mut self, exclude: &HashSet<u32>) -> StoreResult<Document> {
-        Ok(self.salvage_document(exclude)?.0)
+        let root = self.root()?;
+        Ok(self.rebuild(root, Some(exclude))?.0)
     }
 
-    fn salvage_document(
+    /// The one document walk: the subtree of `root` in document order,
+    /// first child first, a proxied record entered when the walk reaches
+    /// its entry — so every record is decoded once, its ancestors still
+    /// held. Given a set to `exclude`, a record that is corrupt,
+    /// quarantined or in the set is skipped at its proxy entry and
+    /// reported; given none, it fails the walk.
+    fn rebuild(
         &mut self,
-        exclude: &HashSet<u32>,
+        root: NodeRef,
+        exclude: Option<&HashSet<u32>>,
     ) -> StoreResult<(Document, DamageReport)> {
         let mut damage = DamageReport::default();
-        let root = self.root()?;
-        let (kind, label) = self.with_node(root, |n| (n.kind, n.label))?;
-        assert_eq!(kind, NodeKind::Element, "document root must be an element");
-        let root_name = self.label_name(label).to_string();
-        let mut b = DocumentBuilder::new(&root_name);
-        let mut stack: Vec<(NodeRef, natix_xml::NodeId)> = vec![(root, natix_xml::NodeId::ROOT)];
-        while let Some((r, target)) = stack.pop() {
-            // Records on the stack decoded successfully when discovered,
-            // so this re-fetch (cache-miss at worst) cannot newly fail.
-            let rec = self.fetch(r.record)?;
-            let parent = &rec.nodes[r.node as usize];
-            for (pos, entry) in rec.entries(parent).iter().enumerate() {
-                match *entry {
-                    ChildEntry::Local(i) => {
-                        salvage_emit(&mut b, &mut stack, &self.labels, &rec, r.record, i, target);
-                    }
-                    ChildEntry::Proxy(no) => {
-                        let child = if exclude.contains(&no) {
-                            Err(StoreError::corrupt_record(
-                                "record excluded from partial read",
-                                no,
-                            ))
-                        } else {
-                            self.fetch(no)
-                        };
-                        match child {
-                            Ok(crec) => {
-                                for &root_node in &crec.roots {
-                                    salvage_emit(
-                                        &mut b,
-                                        &mut stack,
-                                        &self.labels,
-                                        &crec,
-                                        no,
-                                        root_node,
-                                        target,
-                                    );
-                                }
-                            }
-                            Err(e) if e.is_corruption() => {
-                                damage.missing.push(MissingInterval {
-                                    record: no,
-                                    parent: r,
-                                    entry_pos: pos as u16,
-                                    cause: e.to_string(),
-                                });
-                            }
-                            Err(e) => return Err(e),
+        /// Still to emit: a node, or the interval behind the proxy at
+        /// `pos` of `parent`'s entries.
+        enum Todo {
+            Node(NodeRef),
+            Proxy(u32, NodeRef, u16),
+        }
+        fn push_entries(
+            stack: &mut Vec<(Todo, natix_xml::NodeId)>,
+            rec: &RecordData,
+            parent: NodeRef,
+            target: natix_xml::NodeId,
+        ) {
+            let entries = rec.entries(&rec.nodes[parent.node as usize]);
+            stack.extend(entries.iter().enumerate().rev().map(|(pos, e)| {
+                let todo = match *e {
+                    ChildEntry::Local(node) => Todo::Node(NodeRef { node, ..parent }),
+                    ChildEntry::Proxy(no) => Todo::Proxy(no, parent, pos as u16),
+                };
+                (todo, target)
+            }));
+        }
+        let rec = self.fetch(root.record)?;
+        let top = rec
+            .nodes
+            .get(root.node as usize)
+            .ok_or(StoreError::BadRecord(root.record))?;
+        assert_eq!(
+            top.kind,
+            NodeKind::Element,
+            "document root must be an element"
+        );
+        let mut b = DocumentBuilder::new(&self.labels[top.label as usize]);
+        let mut stack = Vec::new();
+        push_entries(&mut stack, &rec, root, natix_xml::NodeId::ROOT);
+        while let Some((todo, target)) = stack.pop() {
+            let r = match todo {
+                Todo::Node(r) => r,
+                Todo::Proxy(no, parent, entry_pos) => {
+                    let child = if exclude.is_some_and(|lost| lost.contains(&no)) {
+                        Err(StoreError::corrupt_record(
+                            "record excluded from partial read",
+                            no,
+                        ))
+                    } else {
+                        self.fetch(no)
+                    };
+                    match child {
+                        Ok(crec) => stack.extend(crec.roots.iter().rev().map(|&node| {
+                            let root = NodeRef { record: no, node };
+                            (Todo::Node(root), target)
+                        })),
+                        Err(e) if exclude.is_some() && e.is_corruption() => {
+                            damage.missing.push(MissingInterval {
+                                record: no,
+                                parent,
+                                entry_pos,
+                                cause: e.to_string(),
+                            });
                         }
+                        Err(e) => return Err(e),
                     }
+                    continue;
+                }
+            };
+            // A node's record is an ancestor of the walk's position or
+            // that position itself, so it is still held.
+            let rec = self.fetch(r.record)?;
+            let n = &rec.nodes[r.node as usize];
+            let name = &*self.labels[n.label as usize];
+            let content = rec.content(n).unwrap_or_default();
+            match n.kind {
+                NodeKind::Element => {
+                    let id = b.element(target, name);
+                    push_entries(&mut stack, &rec, r, id);
+                }
+                NodeKind::Attribute => {
+                    b.attribute(target, name, content);
+                }
+                NodeKind::Text => {
+                    b.text(target, content);
+                }
+                NodeKind::Comment => {
+                    b.comment(target, content);
+                }
+                NodeKind::ProcessingInstruction => {
+                    b.processing_instruction(target, name, content);
                 }
             }
         }
         Ok((b.build(), damage))
-    }
-}
-
-/// Append node `node` of record `rec` (number `record_no`) under builder
-/// node `target`, queueing elements for their own child expansion.
-fn salvage_emit(
-    b: &mut DocumentBuilder,
-    stack: &mut Vec<(NodeRef, natix_xml::NodeId)>,
-    labels: &[Box<str>],
-    rec: &RecordData,
-    record_no: u32,
-    node: u16,
-    target: natix_xml::NodeId,
-) {
-    let n = &rec.nodes[node as usize];
-    let name = &*labels[n.label as usize];
-    let content = rec.content(n).unwrap_or_default();
-    match n.kind {
-        NodeKind::Element => {
-            let id = b.element(target, name);
-            stack.push((
-                NodeRef {
-                    record: record_no,
-                    node,
-                },
-                id,
-            ));
-        }
-        NodeKind::Attribute => {
-            b.attribute(target, name, content);
-        }
-        NodeKind::Text => {
-            b.text(target, content);
-        }
-        NodeKind::Comment => {
-            b.comment(target, content);
-        }
-        NodeKind::ProcessingInstruction => {
-            b.processing_instruction(target, name, content);
-        }
     }
 }
 

@@ -612,11 +612,11 @@ impl XmlStore {
         Ok(())
     }
 
+    /// Record `no` was rewritten: let go of its decoded form and of the
+    /// held records below it, whose place on the chain hung on it.
     pub(crate) fn invalidate(&mut self, no: u32) {
-        self.cache.remove(no);
-        if self.last_fetched == no {
-            self.last_fetched = NONE_U32;
-            self.hot = None;
+        if let Some(pos) = self.chain.iter().position(|r| r.self_no == no) {
+            self.chain.truncate(pos);
         }
     }
 

@@ -34,7 +34,7 @@ impl Pager for CorruptingPager {
 
 fn sample_doc() -> natix_xml::Document {
     let mut s = String::from("<site>");
-    for i in 0..20 {
+    for i in 0..120 {
         s.push_str(&format!(
             "<item id=\"i{i}\"><name>object number {i}</name>\
              <note>some text content for padding {i}</note></item>"
@@ -64,17 +64,24 @@ proptest! {
             offset,
             xor,
         };
-        // Tiny buffer pool and record cache so pages really are re-read
-        // (and re-corrupted) during the traversal.
+        // A tiny buffer pool, and a second traversal after the store has
+        // let go of every decoded record, so pages really are re-read (and
+        // re-corrupted) and every record decoded from them again.
         let config = StoreConfig {
             buffer_pages: 2,
-            record_cache: 1,
             ..Default::default()
         };
         // Bulkload itself may already trip over the corruption: that must
         // be an Err, not a panic.
         if let Ok(mut store) = XmlStore::bulkload(&doc, &p, Box::new(pager), config) {
-            let _ = store.to_document();
+            for _ in 0..2 {
+                store.reset_nav_stats();
+                let before = store.buffer_stats().misses;
+                let read = store.to_document();
+                let decodes = store.nav_stats().record_decodes as usize;
+                let reread = store.buffer_stats().misses > before;
+                prop_assert!(read.is_err() || (reread && decodes == store.record_count()));
+            }
         }
     }
 

@@ -1,20 +1,29 @@
-//! The XPath evaluator: step-at-a-time set semantics over any
-//! [`Navigator`].
+//! The XPath evaluator: set semantics over any [`Navigator`], evaluated
+//! depth-first so that a store-backed walk never comes back to a record
+//! it has left.
+//!
+//! A path runs as *segments*. Inside one, a candidate that passes step
+//! *i* feeds step *i + 1* at once, while the records above it are still
+//! held by the store; only between segments is a context set
+//! materialised, sorted and deduplicated. A segment starts at every
+//! descendant step (which needs all its contexts to walk nested ones
+//! once) and ends after every upward or sibling step (what follows would
+//! walk away from the cursor), so no node is visited more often than a
+//! step-at-a-time evaluation would visit it. Downward axes list a node's
+//! child *entries* and enter a proxied record when the walk gets to it
+//! ([`Navigator::entries`] / [`Navigator::enter`]).
 //!
 //! Result node-sets are deduplicated and returned in the navigator's node
 //! ordering (document order for [`crate::MemNavigator`], whose node ids are
 //! assigned in document order by the parser and generators).
-//!
-//! Downward axes use the bulk [`Navigator::children`] primitive, which a
-//! store-backed navigator serves with one record access per child interval;
-//! kind and label arrive with each child, so node tests need no further
-//! lookups on the hot path.
+
+use std::collections::HashSet;
 
 use natix_store::StoreResult;
 use natix_xml::NodeKind;
 
 use crate::ast::{Axis, Expr, NodeTest, Path, Step};
-use crate::navigator::{ChildInfo, Navigator};
+use crate::navigator::{Entry, Navigator};
 
 /// Evaluation context node: the (virtual) document root, or a real node.
 /// `Root` sorts first, matching document order.
@@ -62,14 +71,29 @@ impl ResolvedTest {
 /// Evaluate an absolute or relative path from the document root, returning
 /// the selected nodes (the virtual root itself is never returned).
 pub fn eval<N: Navigator>(nav: &mut N, path: &Path) -> StoreResult<Vec<N::Node>> {
-    let out = eval_from(nav, Ctx::Root, path)?;
-    Ok(out
-        .into_iter()
-        .filter_map(|c| match c {
-            Ctx::Root => None,
-            Ctx::Node(n) => Some(n),
-        })
-        .collect())
+    let hits = eval_with(nav, path, |_, _| Ok(()))?;
+    Ok(hits.into_iter().map(|(n, ())| n).collect())
+}
+
+/// [`eval`], with every hit passed through `at_hit` where the walk finds
+/// it — while the hit's record is still the store's cursor, so reading
+/// the node there costs no page access. Hits come back with what
+/// `at_hit` made of them, in node order.
+pub fn eval_with<N: Navigator, T>(
+    nav: &mut N,
+    path: &Path,
+    mut at_hit: impl FnMut(&mut N, N::Node) -> StoreResult<T>,
+) -> StoreResult<Vec<(N::Node, T)>> {
+    let mut out = Vec::new();
+    eval_from(nav, Ctx::Root, &normalize(path), &mut |nav, c| {
+        if let Ctx::Node(n) = c {
+            out.push((n, at_hit(nav, n)?));
+        }
+        Ok(())
+    })?;
+    out.sort_unstable_by_key(|&(n, _)| n);
+    out.dedup_by_key(|&mut (n, _)| n);
+    Ok(out)
 }
 
 /// Parse-and-evaluate convenience.
@@ -81,40 +105,204 @@ pub fn eval_query<N: Navigator>(
     eval(nav, &path).map_err(crate::EvalError::Store)
 }
 
-/// Evaluate a path from `origin`; the result is sorted and duplicate-free.
+fn downward(axis: Axis) -> bool {
+    matches!(axis, Axis::Descendant | Axis::DescendantOrSelf)
+}
+
+/// `path` with two patterns replaced by cheaper equivalents, predicates
+/// included.
+fn normalize(path: &Path) -> Path {
+    let mut steps: Vec<Step> = Vec::with_capacity(path.steps.len());
+    for step in &path.steps {
+        let mut step = Step {
+            axis: step.axis,
+            test: step.test.clone(),
+            predicates: step.predicates.iter().map(normalize_expr).collect(),
+        };
+        // `//T` parses to `descendant-or-self::node()/child::T`, which is
+        // `descendant::T`: one walk, not a walk and a sweep of every
+        // node's children.
+        let sweep = |p: &Step| {
+            p.axis == Axis::DescendantOrSelf
+                && p.test == NodeTest::AnyNode
+                && p.predicates.is_empty()
+        };
+        if step.axis == Axis::Child && steps.last().is_some_and(sweep) {
+            steps.pop();
+            step.axis = Axis::Descendant;
+        }
+        steps.push(step);
+    }
+    // From the root, `D::A/D'::B` with both axes downward selects the B
+    // below (or at) an A: `descendant::B[ancestor(-or-self)::A]`, one
+    // walk and a climb along records it holds instead of a second walk.
+    // (Not when A is `node()`, which on an upward axis also matches the
+    // virtual root; `descendant::node()` never selects that.)
+    if let [a, b, ..] = &steps[..] {
+        if path.absolute && downward(a.axis) && downward(b.axis) && a.test != NodeTest::AnyNode {
+            let or_self = b.axis == Axis::DescendantOrSelf;
+            let mut above = steps.remove(0);
+            above.axis = [Axis::Ancestor, Axis::AncestorOrSelf][or_self as usize];
+            let filter = Expr::Path(Path {
+                absolute: false,
+                steps: vec![above],
+            });
+            steps[0].axis = Axis::Descendant;
+            steps[0].predicates.push(filter);
+        }
+    }
+    Path {
+        absolute: path.absolute,
+        steps,
+    }
+}
+
+fn normalize_expr(expr: &Expr) -> Expr {
+    match expr {
+        Expr::Or(a, b) => Expr::Or(normalize_expr(a).into(), normalize_expr(b).into()),
+        Expr::And(a, b) => Expr::And(normalize_expr(a).into(), normalize_expr(b).into()),
+        Expr::Path(p) => Expr::Path(normalize(p)),
+        Expr::Equals(p, lit) => Expr::Equals(normalize(p), lit.clone()),
+    }
+}
+
+/// Where a segment's hits go.
+type Sink<'a, N> = &'a mut dyn FnMut(&mut N, Ctx<<N as Navigator>::Node>) -> StoreResult<()>;
+
+/// What a segment remembers from one of its contexts to the next.
+struct Segment<'a, T> {
+    /// The contexts, sorted. Only a descendant step at the head of the
+    /// segment looks at them.
+    origins: &'a [Ctx<T>],
+    /// The origins whose subtree that step has walked.
+    walked: Vec<bool>,
+    /// The nodes the segment's closing upward or sibling step has reached
+    /// (`None` when one context takes one such step: nothing can repeat).
+    seen: Option<HashSet<Ctx<T>>>,
+}
+
+impl<T: Ord> Segment<'_, T> {
+    /// Nested origins are walked once, by whichever walk gets there
+    /// first: false if `c` is an origin whose subtree has been walked,
+    /// else true, and an origin is marked walked.
+    fn claim(&mut self, c: Ctx<T>) -> bool {
+        if self.origins.len() < 2 {
+            return true;
+        }
+        match self.origins.binary_search(&c) {
+            Ok(i) => !std::mem::replace(&mut self.walked[i], true),
+            Err(_) => true,
+        }
+    }
+}
+
+/// Evaluate a (normalized) path from `origin`, handing every node it
+/// selects to `sink`, each once but in no particular order.
 fn eval_from<N: Navigator>(
     nav: &mut N,
     origin: Ctx<N::Node>,
     path: &Path,
-) -> StoreResult<Vec<Ctx<N::Node>>> {
-    let mut ctx: Vec<Ctx<N::Node>> = vec![if path.absolute { Ctx::Root } else { origin }];
+    sink: Sink<N>,
+) -> StoreResult<()> {
+    let mut plan = Vec::with_capacity(path.steps.len());
     for step in &path.steps {
-        let test = ResolvedTest::resolve(nav, &step.test)?;
-        let mut next: Vec<Ctx<N::Node>> = Vec::new();
-        for &c in &ctx {
-            expand_axis(nav, c, step, test, &mut next)?;
+        plan.push((step, ResolvedTest::resolve(nav, &step.test)?));
+    }
+    let mut ctx = vec![if path.absolute { Ctx::Root } else { origin }];
+    let mut rest = &plan[..];
+    loop {
+        let stays = |a| downward(a) || matches!(a, Axis::Child | Axis::Attribute | Axis::SelfAxis);
+        let mut len = rest.len().min(1);
+        while len < rest.len() && stays(rest[len - 1].0.axis) && !downward(rest[len].0.axis) {
+            len += 1;
         }
-        // Set semantics once per step (cheaper than per-candidate set
-        // inserts, and keeps processing in node order for store locality).
+        let (steps, tail) = rest.split_at(len);
+        rest = tail;
+        let mut seg = Segment {
+            origins: &ctx,
+            walked: vec![false; if ctx.len() > 1 { ctx.len() } else { 0 }],
+            seen: (ctx.len() > 1 || len > 1).then(HashSet::new),
+        };
+        if rest.is_empty() {
+            return ctx
+                .iter()
+                .try_for_each(|&c| descend(nav, c, steps, &mut seg, sink));
+        }
+        let mut next = Vec::new();
+        for &c in &ctx {
+            descend(nav, c, steps, &mut seg, &mut |_, c| {
+                next.push(c);
+                Ok(())
+            })?;
+        }
+        // Set semantics once per segment, and the next one starts from
+        // its contexts in node order for store locality.
         next.sort_unstable();
         next.dedup();
         ctx = next;
-        if ctx.is_empty() {
-            break;
-        }
     }
-    Ok(ctx)
 }
 
-/// Expand one step from one context node into `out`, applying the node
-/// test and predicates.
-fn expand_axis<N: Navigator>(
+/// A document-order walk over child lists that enters a proxied record
+/// only when it gets to its entry.
+struct Walk<T>(Vec<Entry<T>>);
+
+impl<T: Copy> Walk<T> {
+    /// Start at the children of `c`; the virtual root's is the root
+    /// element.
+    fn below<N: Navigator<Node = T>>(nav: &mut N, c: Ctx<T>) -> StoreResult<Walk<T>> {
+        let mut walk = Walk(Vec::new());
+        match c {
+            Ctx::Root => {
+                let node = nav.root()?;
+                let (kind, label) = nav.info(node)?;
+                walk.0.push(Entry::Node { node, kind, label });
+            }
+            Ctx::Node(n) => walk.push_children(nav, n)?,
+        }
+        Ok(walk)
+    }
+
+    fn push_children<N: Navigator<Node = T>>(&mut self, nav: &mut N, n: T) -> StoreResult<()> {
+        let start = self.0.len();
+        nav.entries(n, &mut self.0)?;
+        // Entries were appended in document order; reversing the appended
+        // range makes the stack pop them in document order.
+        self.0[start..].reverse();
+        Ok(())
+    }
+
+    fn next<N: Navigator<Node = T>>(
+        &mut self,
+        nav: &mut N,
+    ) -> StoreResult<Option<(T, NodeKind, u32)>> {
+        while let Some(entry) = self.0.pop() {
+            match entry {
+                Entry::Node { node, kind, label } => return Ok(Some((node, kind, label))),
+                Entry::Proxy(no) => {
+                    let start = self.0.len();
+                    nav.enter(no, &mut self.0)?;
+                    self.0[start..].reverse();
+                }
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// Run the rest of a segment from one context: expand its next step,
+/// applying the node test and predicates, and send each node that passes
+/// on through the steps after it before the next candidate is looked at.
+fn descend<N: Navigator>(
     nav: &mut N,
     ctx: Ctx<N::Node>,
-    step: &Step,
-    test: ResolvedTest,
-    out: &mut Vec<Ctx<N::Node>>,
+    steps: &[(&Step, ResolvedTest)],
+    seg: &mut Segment<N::Node>,
+    sink: Sink<N>,
 ) -> StoreResult<()> {
+    let Some((&(step, test), rest)) = steps.split_first() else {
+        return sink(nav, ctx);
+    };
     let principal = if step.axis == Axis::Attribute {
         NodeKind::Attribute
     } else {
@@ -127,150 +315,114 @@ fn expand_axis<N: Navigator>(
             if test.matches(principal, $kind, $label) {
                 let c = $ctx;
                 if pass_predicates(nav, c, step)? {
-                    out.push(c);
+                    descend(nav, c, rest, seg, sink)?;
                 }
             }
         };
     }
-    // Emit a candidate that needs an info lookup (upward/self axes). The
-    // virtual root only ever matches `node()`.
+    // Emit a candidate that needs an info lookup (upward/self axes),
+    // unless it is of kind `$skip`. The virtual root only ever matches
+    // `node()`.
     macro_rules! consider_lookup {
-        ($ctx:expr) => {
+        ($ctx:expr, $skip:expr) => {
             match $ctx {
                 Ctx::Root => {
                     if matches!(test, ResolvedTest::AnyNode)
                         && pass_predicates(nav, Ctx::Root, step)?
                     {
-                        out.push(Ctx::Root);
+                        descend(nav, Ctx::Root, rest, seg, sink)?;
                     }
                 }
                 Ctx::Node(n) => {
                     let (kind, label) = nav.info(n)?;
-                    consider!(Ctx::Node(n), kind, label);
+                    if Some(kind) != $skip {
+                        consider!(Ctx::Node(n), kind, label);
+                    }
                 }
             }
         };
     }
 
-    let mut kids: Vec<ChildInfo<N::Node>> = Vec::new();
     match step.axis {
         Axis::Child | Axis::Attribute => {
-            match ctx {
-                Ctx::Root => {
-                    if step.axis == Axis::Child {
-                        let r = nav.root()?;
-                        let (kind, label) = nav.info(r)?;
-                        consider!(Ctx::Node(r), kind, label);
-                    }
-                }
-                Ctx::Node(n) => {
-                    nav.children(n, &mut kids)?;
-                    for k in &kids {
-                        // The child axis excludes attribute nodes; the
-                        // attribute axis selects only them.
-                        let is_attr = k.kind == NodeKind::Attribute;
-                        if is_attr == (step.axis == Axis::Attribute) {
-                            consider!(Ctx::Node(k.node), k.kind, k.label);
-                        }
-                    }
+            let mut walk = Walk::below(nav, ctx)?;
+            while let Some((node, kind, label)) = walk.next(nav)? {
+                // The child axis excludes attribute nodes; the attribute
+                // axis selects only them.
+                if (kind == NodeKind::Attribute) == (step.axis == Axis::Attribute) {
+                    consider!(Ctx::Node(node), kind, label);
                 }
             }
         }
         Axis::Descendant | Axis::DescendantOrSelf => {
-            if step.axis == Axis::DescendantOrSelf {
-                consider_lookup!(ctx);
+            let or_self = step.axis == Axis::DescendantOrSelf;
+            if !seg.claim(ctx) {
+                return Ok(());
             }
-            // DFS over (node, kind, label), attributes excluded.
-            let mut stack: Vec<ChildInfo<N::Node>> = Vec::new();
-            let push_children =
-                |nav: &mut N, n: N::Node, stack: &mut Vec<ChildInfo<N::Node>>| -> StoreResult<()> {
-                    let start = stack.len();
-                    nav.children(n, stack)?;
-                    // Children were appended in document order; reversing
-                    // the appended range makes the stack pop them in
-                    // document order.
-                    stack[start..].reverse();
-                    Ok(())
-                };
-            match ctx {
-                Ctx::Root => {
-                    let r = nav.root()?;
-                    let (kind, label) = nav.info(r)?;
-                    stack.push(ChildInfo {
-                        node: r,
-                        kind,
-                        label,
-                    });
-                }
-                Ctx::Node(n) => push_children(nav, n, &mut stack)?,
+            if or_self {
+                consider_lookup!(ctx, None);
             }
-            while let Some(k) = stack.pop() {
-                if k.kind == NodeKind::Attribute {
+            let mut walk = Walk::below(nav, ctx)?;
+            // Pre-order over (node, kind, label), attributes excluded. A
+            // walked origin met on the way has had its subtree emitted —
+            // and, on `descendant-or-self`, itself.
+            while let Some((node, kind, label)) = walk.next(nav)? {
+                if kind == NodeKind::Attribute {
                     continue;
                 }
-                consider!(Ctx::Node(k.node), k.kind, k.label);
-                if k.kind == NodeKind::Element {
-                    push_children(nav, k.node, &mut stack)?;
+                let fresh = seg.claim(Ctx::Node(node));
+                if fresh || !or_self {
+                    consider!(Ctx::Node(node), kind, label);
+                }
+                if fresh && kind == NodeKind::Element {
+                    walk.push_children(nav, node)?;
                 }
             }
         }
         Axis::SelfAxis => {
-            consider_lookup!(ctx);
+            consider_lookup!(ctx, None);
         }
-        Axis::Parent => {
-            if let Ctx::Node(n) = ctx {
-                match nav.parent(n)? {
-                    Some(p) => consider_lookup!(Ctx::Node(p)),
-                    None => consider_lookup!(Ctx::Root),
+        // The rest follow a line away from the context: up, or along its
+        // siblings (attributes have none, and are none). A node that an
+        // earlier context of the segment reached has had the rest of its
+        // line considered.
+        line => {
+            let sibling = matches!(line, Axis::FollowingSibling | Axis::PrecedingSibling);
+            let skip = sibling.then_some(NodeKind::Attribute);
+            let mut cur = match ctx {
+                Ctx::Node(n) if sibling && nav.info(n)?.0 == NodeKind::Attribute => None,
+                _ if line == Axis::AncestorOrSelf => Some(ctx),
+                _ => along(nav, ctx, line)?,
+            };
+            while let Some(c) = cur {
+                if seg.seen.as_mut().is_some_and(|seen| !seen.insert(c)) {
+                    break;
                 }
-            }
-        }
-        Axis::Ancestor | Axis::AncestorOrSelf => {
-            if step.axis == Axis::AncestorOrSelf {
-                consider_lookup!(ctx);
-            }
-            if let Ctx::Node(n) = ctx {
-                let mut cur = n;
-                loop {
-                    match nav.parent(cur)? {
-                        Some(p) => {
-                            consider_lookup!(Ctx::Node(p));
-                            cur = p;
-                        }
-                        None => {
-                            consider_lookup!(Ctx::Root);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        Axis::FollowingSibling | Axis::PrecedingSibling => {
-            if let Ctx::Node(n) = ctx {
-                let (kind, _) = nav.info(n)?;
-                if kind != NodeKind::Attribute {
-                    let forward = step.axis == Axis::FollowingSibling;
-                    let mut c = if forward {
-                        nav.next_sibling(n)?
-                    } else {
-                        nav.prev_sibling(n)?
-                    };
-                    while let Some(x) = c {
-                        let (kind, label) = nav.info(x)?;
-                        if kind != NodeKind::Attribute {
-                            consider!(Ctx::Node(x), kind, label);
-                        }
-                        c = if forward {
-                            nav.next_sibling(x)?
-                        } else {
-                            nav.prev_sibling(x)?
-                        };
-                    }
-                }
+                consider_lookup!(c, skip);
+                cur = match line {
+                    Axis::Parent => None,
+                    _ => along(nav, c, line)?,
+                };
             }
         }
     }
     Ok(())
+}
+
+/// The next node on the line `axis` follows from `c`, if any.
+fn along<N: Navigator>(
+    nav: &mut N,
+    c: Ctx<N::Node>,
+    axis: Axis,
+) -> StoreResult<Option<Ctx<N::Node>>> {
+    let Ctx::Node(n) = c else {
+        return Ok(None);
+    };
+    Ok(match axis {
+        Axis::FollowingSibling => nav.next_sibling(n)?.map(Ctx::Node),
+        Axis::PrecedingSibling => nav.prev_sibling(n)?.map(Ctx::Node),
+        _ => Some(nav.parent(n)?.map_or(Ctx::Root, Ctx::Node)),
+    })
 }
 
 fn pass_predicates<N: Navigator>(nav: &mut N, ctx: Ctx<N::Node>, step: &Step) -> StoreResult<bool> {
@@ -283,21 +435,22 @@ fn pass_predicates<N: Navigator>(nav: &mut N, ctx: Ctx<N::Node>, step: &Step) ->
 }
 
 fn eval_expr<N: Navigator>(nav: &mut N, ctx: Ctx<N::Node>, expr: &Expr) -> StoreResult<bool> {
+    let mut found = false;
     match expr {
-        Expr::Or(a, b) => Ok(eval_expr(nav, ctx, a)? || eval_expr(nav, ctx, b)?),
-        Expr::And(a, b) => Ok(eval_expr(nav, ctx, a)? && eval_expr(nav, ctx, b)?),
-        Expr::Path(p) => Ok(!eval_from(nav, ctx, p)?.is_empty()),
-        Expr::Equals(p, lit) => {
-            for c in eval_from(nav, ctx, p)? {
-                if let Ctx::Node(n) = c {
-                    if string_value(nav, n)? == *lit {
-                        return Ok(true);
-                    }
-                }
+        Expr::Or(a, b) => return Ok(eval_expr(nav, ctx, a)? || eval_expr(nav, ctx, b)?),
+        Expr::And(a, b) => return Ok(eval_expr(nav, ctx, a)? && eval_expr(nav, ctx, b)?),
+        Expr::Path(p) => eval_from(nav, ctx, p, &mut |_, _| {
+            found = true;
+            Ok(())
+        })?,
+        Expr::Equals(p, lit) => eval_from(nav, ctx, p, &mut |nav, c| {
+            if let Ctx::Node(n) = c {
+                found = found || string_value(nav, n)? == *lit;
             }
-            Ok(false)
-        }
+            Ok(())
+        })?,
     }
+    Ok(found)
 }
 
 /// XPath string-value: content for attribute/text-bearing nodes, the
@@ -308,22 +461,11 @@ fn string_value<N: Navigator>(nav: &mut N, n: N::Node) -> StoreResult<String> {
     }
     // Element: concatenate descendant text nodes in document order.
     let mut out = String::new();
-    let mut stack: Vec<ChildInfo<N::Node>> = Vec::new();
-    let start = stack.len();
-    nav.children(n, &mut stack)?;
-    stack[start..].reverse();
-    while let Some(k) = stack.pop() {
-        match k.kind {
-            NodeKind::Text => {
-                if let Some(t) = nav.content(k.node)? {
-                    out.push_str(&t);
-                }
-            }
-            NodeKind::Element => {
-                let start = stack.len();
-                nav.children(k.node, &mut stack)?;
-                stack[start..].reverse();
-            }
+    let mut walk = Walk::below(nav, Ctx::Node(n))?;
+    while let Some((node, kind, _)) = walk.next(nav)? {
+        match kind {
+            NodeKind::Text => out.push_str(&nav.content(node)?.unwrap_or_default()),
+            NodeKind::Element => walk.push_children(nav, node)?,
             _ => {}
         }
     }

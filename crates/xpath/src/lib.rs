@@ -31,7 +31,7 @@ mod parser;
 pub mod xpathmark;
 
 pub use ast::{Axis, Expr, NodeTest, Path, Step};
-pub use eval::{eval, eval_query};
+pub use eval::{eval, eval_query, eval_with};
 pub use navigator::{MemNavigator, Navigator, StoreNavigator};
 pub use parser::{parse, XPathError};
 

@@ -3,28 +3,29 @@
 //! which lets the test suite use the in-memory evaluation as an oracle for
 //! the store's cross-record navigation.
 //!
-//! The interface is deliberately *bulk-oriented* where it matters: child
-//! lists are delivered with kind and label in one call, so a store-backed
-//! navigator pays one record access per child *interval* (proxy), not per
-//! child — the cost model the paper's partitioning algorithms optimize.
+//! Child lists are delivered as *entries*, with kind and label, in one
+//! call that stays inside the node's record: a child stored elsewhere
+//! arrives as a proxy, and entering it is a second call the evaluator
+//! makes when its walk gets there. A store-backed navigator so pays one
+//! record access per child *interval* — the cost model the paper's
+//! partitioning algorithms optimize — and pays it in document order.
 
 use std::collections::HashMap;
 
-use natix_store::{NodeRef, StoreResult, XmlStore};
+use natix_store::{ChildEntry, NodeRef, RecordData, StoreResult, XmlStore};
 use natix_tree::NodeId;
 use natix_xml::{Document, NodeKind};
 
-/// A child delivered by [`Navigator::children`]: handle plus the metadata
-/// needed for node tests without further lookups.
+/// One entry of a child list, as [`Navigator::entries`] delivers it.
 #[derive(Debug, Clone, Copy)]
-pub struct ChildInfo<N> {
-    /// Child handle.
-    pub node: N,
-    /// Node kind.
-    pub kind: NodeKind,
-    /// Backend-specific label id (compare against
+pub enum Entry<N> {
+    /// A child: handle plus the metadata needed for node tests without
+    /// further lookups (`label` compares against
     /// [`Navigator::resolve_label`]).
-    pub label: u32,
+    Node { node: N, kind: NodeKind, label: u32 },
+    /// A run of consecutive children stored elsewhere;
+    /// [`Navigator::enter`] lists them.
+    Proxy(u32),
 }
 
 /// Cursor-style navigation over some XML node representation.
@@ -41,8 +42,11 @@ pub trait Navigator {
     /// Content string of a node (attribute value, text data); `None` for
     /// elements.
     fn content(&mut self, n: Self::Node) -> StoreResult<Option<String>>;
-    /// Append all children (attributes included) in document order.
-    fn children(&mut self, n: Self::Node, out: &mut Vec<ChildInfo<Self::Node>>) -> StoreResult<()>;
+    /// Append the child entries of `n` (attributes included) in document
+    /// order.
+    fn entries(&mut self, n: Self::Node, out: &mut Vec<Entry<Self::Node>>) -> StoreResult<()>;
+    /// Append the children behind `proxy`, in document order.
+    fn enter(&mut self, proxy: u32, out: &mut Vec<Entry<Self::Node>>) -> StoreResult<()>;
     /// Parent node (`None` at the root element).
     fn parent(&mut self, n: Self::Node) -> StoreResult<Option<Self::Node>>;
     /// Next sibling.
@@ -82,16 +86,18 @@ impl Navigator for MemNavigator<'_> {
         Ok(self.doc.content(n).map(str::to_string))
     }
 
-    fn children(&mut self, n: NodeId, out: &mut Vec<ChildInfo<NodeId>>) -> StoreResult<()> {
+    fn entries(&mut self, n: NodeId, out: &mut Vec<Entry<NodeId>>) -> StoreResult<()> {
         let tree = self.doc.tree();
-        for &c in tree.children(n) {
-            out.push(ChildInfo {
-                node: c,
-                kind: self.doc.kind(c),
-                label: tree.label(c).0,
-            });
-        }
+        out.extend(tree.children(n).iter().map(|&node| Entry::Node {
+            node,
+            kind: self.doc.kind(node),
+            label: tree.label(node).0,
+        }));
         Ok(())
+    }
+
+    fn enter(&mut self, _: u32, _: &mut Vec<Entry<NodeId>>) -> StoreResult<()> {
+        unreachable!("an in-memory document has no proxies")
     }
 
     fn parent(&mut self, n: NodeId) -> StoreResult<Option<NodeId>> {
@@ -156,13 +162,18 @@ impl Navigator for StoreNavigator<'_> {
         self.store.node_content(n)
     }
 
-    fn children(&mut self, n: NodeRef, out: &mut Vec<ChildInfo<NodeRef>>) -> StoreResult<()> {
-        self.store.for_each_child(n, |node, kind, label| {
-            out.push(ChildInfo {
-                node,
-                kind,
-                label: u32::from(label),
-            });
+    fn entries(&mut self, n: NodeRef, out: &mut Vec<Entry<NodeRef>>) -> StoreResult<()> {
+        self.store.with_node_in(n, |rec, node| {
+            out.extend(rec.entries(node).iter().map(|e| match *e {
+                ChildEntry::Local(i) => stored(rec, n.record, i),
+                ChildEntry::Proxy(no) => Entry::Proxy(no),
+            }))
+        })
+    }
+
+    fn enter(&mut self, proxy: u32, out: &mut Vec<Entry<NodeRef>>) -> StoreResult<()> {
+        self.store.with_record(proxy, |rec| {
+            out.extend(rec.roots.iter().map(|&i| stored(rec, proxy, i)))
         })
     }
 
@@ -176,5 +187,15 @@ impl Navigator for StoreNavigator<'_> {
 
     fn prev_sibling(&mut self, n: NodeRef) -> StoreResult<Option<NodeRef>> {
         self.store.prev_sibling(n)
+    }
+}
+
+/// Node `node` of `rec`, which is record number `record`.
+fn stored(rec: &RecordData, record: u32, node: u16) -> Entry<NodeRef> {
+    let n = &rec.nodes[node as usize];
+    Entry::Node {
+        node: NodeRef { record, node },
+        kind: n.kind,
+        label: u32::from(n.label),
     }
 }

@@ -3,13 +3,17 @@
 //! served unpinned query has) over the benchmark's `serve-read` store:
 //! XMark at scale 0.08, EKM layout, K = 256. The backend reads the pool
 //! makes (demand misses + read-ahead) against the file's page count is
-//! the query's re-read factor. Two more runs say where the re-reads come
-//! from: one with caches that never evict (every decode and every read
-//! is a first touch), and one that records the demand sequence of page
+//! the query's re-read factor. Three more runs say where the reads come
+//! from: one that renders every hit where the walk finds it, as a served
+//! `query` does; one with a pool as large as the file (every read is a
+//! first touch); and one that records the demand sequence of page
 //! accesses and replays it through a clairvoyant 44-frame pool — what the
-//! best replacement policy there is could do. Everything here is
-//! deterministic, so the counts are pinned exactly; DESIGN.md §15 and
-//! ROADMAP item 2 quote them.
+//! best replacement policy there is could do. The store holds the decoded
+//! records from the root record down to its cursor and nothing else, so a
+//! record is decoded again only by a walk that comes back to it from
+//! outside that chain: the test pins that no `//` query does. Everything
+//! here is deterministic, so the counts are pinned exactly; DESIGN.md §15
+//! and ROADMAP item 2 quote them.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -20,48 +24,52 @@ use natix_datagen::{xmark, GenConfig};
 use natix_store::{
     bulkload_with, PageId, Pager, SharedMemPager, StoreConfig, StoreResult, XmlStore, PAGE_SIZE,
 };
-use natix_xpath::{eval_query, xpathmark, StoreNavigator};
+use natix_xpath::{eval, eval_with, parse, xpathmark, StoreNavigator};
 
 #[derive(Debug, PartialEq)]
 struct Cold {
     query: &'static str,
     /// Records decoded (Table 3's metric) and pool reads of the
-    /// evaluation, as served: 16-record cache, quarter-of-the-file pool.
+    /// evaluation, as served: quarter-of-the-file pool.
     decodes: u64,
     misses: u64,
     readaheads: u64,
-    /// Pool reads added by rendering the hits the way `query` answers.
+    /// Pool reads added by rendering the hits the way `query` answers:
+    /// each where the walk finds it.
     render_reads: u64,
-    /// The same evaluation when nothing is ever evicted: distinct records
-    /// and distinct pages touched.
-    distinct_records: u64,
+    /// Distinct pages touched: the reads of the same evaluation under a
+    /// pool that never evicts.
     distinct_pages: u64,
     /// Misses of Belady's optimal replacement over the query's demand
     /// accesses, with the served pool's frame count and no read-ahead.
     optimal_misses: u64,
 }
 
-const fn cold(query: &'static str, served: [u64; 4], first_touch: [u64; 2], optimal: u64) -> Cold {
+const fn cold(query: &'static str, served: [u64; 4], distinct_pages: u64, optimal: u64) -> Cold {
     Cold {
         query,
         decodes: served[0],
         misses: served[1],
         readaheads: served[2],
         render_reads: served[3],
-        distinct_records: first_touch[0],
-        distinct_pages: first_touch[1],
+        distinct_pages,
         optimal_misses: optimal,
     }
 }
 
+/// Q1, Q2 and Q5 decode the 55/73/55 records their child paths lead
+/// through, the `//` queries each of the store's 646 — every one of the
+/// seven its distinct-record count (PR 16 measured those with a cache
+/// that never evicted, against 57/338/1940/1165/101/2677/2677 decodes
+/// under the 16-entry FIFO this chain replaced).
 const PINNED: [Cold; 7] = [
-    cold("Q1", [57, 2, 26, 0], [55, 28], 25),
-    cold("Q2", [338, 2, 26, 0], [73, 28], 27),
-    cold("Q3", [1940, 432, 44, 157], [646, 174], 341),
-    cold("Q4", [1165, 293, 44, 146], [646, 174], 274),
-    cold("Q5", [101, 2, 26, 0], [55, 28], 25),
-    cold("Q6", [2677, 598, 44, 144], [646, 174], 464),
-    cold("Q7", [2677, 598, 44, 85], [646, 174], 464),
+    cold("Q1", [55, 2, 26, 0], 28, 25),
+    cold("Q2", [73, 0, 28, 0], 28, 27),
+    cold("Q3", [646, 141, 44, 0], 174, 174),
+    cold("Q4", [646, 141, 44, 0], 174, 174),
+    cold("Q5", [55, 2, 26, 0], 28, 25),
+    cold("Q6", [646, 141, 44, 0], 174, 174),
+    cold("Q7", [646, 141, 44, 0], 174, 174),
 ];
 
 /// Pool reads so far.
@@ -145,33 +153,65 @@ fn cold_queries_reread_pages_a_pinned_number_of_times() {
         store
     };
 
+    let served_config = StoreConfig {
+        buffer_pages: served_pool,
+        ..StoreConfig::default()
+    };
+
+    // What bounds the decoded records a store holds: the height of the
+    // tree in records. And a dump is the same lazy walk as a `//` query:
+    // every record decoded once.
+    let mut dumped = open(Box::new(disk.clone()), served_config);
+    let parent = |no| dumped.with_record(no, |rec| rec.parent_record).unwrap();
+    let parents: Vec<u32> = (0..records as u32).map(parent).collect();
+    let depth = |mut no: u32| {
+        let mut depth = 1;
+        while parents[no as usize] != u32::MAX {
+            no = parents[no as usize];
+            depth += 1;
+        }
+        depth
+    };
+    assert_eq!((0..records as u32).map(depth).max(), Some(7));
+    let mut dumped = open(Box::new(disk.clone()), served_config);
+    assert_eq!(dumped.to_document().unwrap().len(), doc.len());
+    assert_eq!(dumped.nav_stats().record_decodes, records as u64);
+    assert_eq!(reads(&dumped), 185);
     let mut measured = Vec::new();
     for (query, text) in xpathmark::all() {
-        let mut served = open(
-            Box::new(disk.clone()),
-            StoreConfig {
-                buffer_pages: served_pool,
-                ..StoreConfig::default()
-            },
-        );
-        let hits = eval_query(&mut StoreNavigator::new(&mut served), text).unwrap();
+        let path = parse(text).unwrap();
+        let mut served = open(Box::new(disk.clone()), served_config);
+        let hits = eval(&mut StoreNavigator::new(&mut served), &path).unwrap();
         let pool = served.buffer_stats();
         let decodes = served.nav_stats().record_decodes;
-        for &hit in &hits {
-            served.with_node(hit, |n| n.label).unwrap();
-            served.node_content(hit).unwrap();
+        if text.contains("//") || text.contains("descendant") {
+            assert_eq!(decodes, records as u64, "{query}: every record, once");
         }
-        let render_reads = reads(&served) - pool.misses - pool.readaheads;
+
+        // The served answer: the same walk, every hit rendered at the
+        // cursor. It decodes nothing the walk did not.
+        let mut rendering = open(Box::new(disk.clone()), served_config);
+        let lines = eval_with(
+            &mut StoreNavigator::new(&mut rendering),
+            &path,
+            |nav, hit| {
+                let label = nav.store().with_node(hit, |n| n.label)?;
+                Ok((label, nav.store().node_content(hit)?))
+            },
+        )
+        .unwrap();
+        assert_eq!(lines.len(), hits.len());
+        assert_eq!(rendering.nav_stats().record_decodes, decodes);
+        let render_reads = reads(&rendering) - pool.misses - pool.readaheads;
 
         let mut roomy = open(
             Box::new(disk.clone()),
             StoreConfig {
                 buffer_pages: pages,
-                record_cache: records,
                 ..StoreConfig::default()
             },
         );
-        eval_query(&mut StoreNavigator::new(&mut roomy), text).unwrap();
+        eval(&mut StoreNavigator::new(&mut roomy), &path).unwrap();
         assert_eq!(roomy.buffer_stats().evictions, 0);
 
         // A one-frame pool without read-ahead passes every demand access
@@ -189,7 +229,7 @@ fn cold_queries_reread_pages_a_pinned_number_of_times() {
             },
         );
         log.borrow_mut().clear();
-        eval_query(&mut StoreNavigator::new(&mut traced), text).unwrap();
+        eval(&mut StoreNavigator::new(&mut traced), &path).unwrap();
 
         measured.push(Cold {
             query,
@@ -197,16 +237,16 @@ fn cold_queries_reread_pages_a_pinned_number_of_times() {
             misses: pool.misses,
             readaheads: pool.readaheads,
             render_reads,
-            distinct_records: roomy.nav_stats().record_decodes,
             distinct_pages: reads(&roomy),
             optimal_misses: optimal_misses(&log.borrow(), served_pool),
         });
     }
     assert_eq!(measured, PINNED);
-    // The benchmark's `paper_cost` and `store.pager.reads_per_op` (387.6)
-    // on `serve-read` are these: 8955 decodes and 2713 pool reads per
-    // Q1-Q7 cycle, evaluation plus rendering.
-    assert_eq!(measured.iter().map(|m| m.decodes).sum::<u64>(), 8955);
+    // The benchmark's `paper_cost` and `store.pager.reads_per_op` (117.7)
+    // on `serve-read` are these: 2767 decodes and 824 pool reads per
+    // Q1-Q7 cycle, evaluation plus rendering (8955 and 2713 before the
+    // store held the chain and the walk entered proxies lazily).
+    assert_eq!(measured.iter().map(|m| m.decodes).sum::<u64>(), 2767);
     let cycle_reads = |m: &Cold| m.misses + m.readaheads + m.render_reads;
-    assert_eq!(measured.iter().map(cycle_reads).sum::<u64>(), 2713);
+    assert_eq!(measured.iter().map(cycle_reads).sum::<u64>(), 824);
 }

@@ -26,6 +26,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 tier "cargo test"
 cargo test -q
 
+tier "table3 --paper vs results/table3.json (the paper's table as checked in: records, disk bytes, crossings, decodes and result counts are deterministic and must match; re-record with: table3 --paper --json results/table3.json > results/table3.txt)"
+table3_json="$(mktemp)"
+cargo run --release -q -p natix-bench --bin table3 -- --paper --json "$table3_json" > /dev/null 2>&1
+deterministic() { grep -vE '"(km_seconds|ekm_seconds|speedup)"' "$1"; }
+if ! diff <(deterministic results/table3.json) <(deterministic "$table3_json"); then
+  echo "FAIL: results/table3.json is stale" >&2; exit 1
+fi
+rm -f "$table3_json"
+
 tier "benchmark package (frozen: must build and run against the current crates/* API)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload partition-docs --quick | tail -n 1
