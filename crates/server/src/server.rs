@@ -1814,9 +1814,10 @@ fn repl_client_loop(
 
 /// Render one query hit the way `natix query` prints it.
 fn render_hit(store: &mut XmlStore, r: natix_store::NodeRef) -> Result<String, StoreError> {
-    let (kind, label) = store.with_node(r, |n| (n.kind, n.label))?;
-    let name = store.label_name(label).to_string();
-    let content = store.node_content(r)?;
+    let (kind, label, content) = store.with_node_in(r, |rec, n| {
+        (n.kind, n.label, rec.content(n).map(str::to_string))
+    })?;
+    let name = store.label_name(label);
     Ok(match (kind, content) {
         (NodeKind::Element, _) => format!("<{name}>"),
         (NodeKind::Attribute, Some(v)) => format!("@{name}=\"{v}\""),

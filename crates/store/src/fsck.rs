@@ -696,11 +696,7 @@ fn check_graph(
             );
         }
         for &r in &rec.roots {
-            if rec
-                .nodes
-                .get(r as usize)
-                .is_some_and(|node| node.parent_local != NONE_U16)
-            {
+            if rec.get(r).is_some_and(|node| node.parent_local != NONE_U16) {
                 report.error(
                     "root-has-parent",
                     None,
@@ -710,8 +706,8 @@ fn check_graph(
             }
         }
         let mut weight: Weight = 0;
-        for node in &rec.nodes {
-            weight += node_weight(node.kind, rec.content(node).map_or(0, str::len));
+        for node in rec.nodes() {
+            weight += node_weight(node.kind, rec.content(&node).map_or(0, str::len));
             if node.label as usize >= cat.labels.len() {
                 report.error(
                     "label-range",
@@ -733,11 +729,11 @@ fn check_graph(
                 format!("fragment weighs {weight} slots, limit is {record_limit} (infeasible)"),
             );
         }
-        for (li, node) in rec.nodes.iter().enumerate() {
-            for (pos, e) in rec.entries(node).iter().enumerate() {
-                match *e {
+        for (li, node) in rec.nodes().enumerate() {
+            for (pos, e) in rec.entries(&node).enumerate() {
+                match e {
                     ChildEntry::Local(c) => {
-                        let ok = rec.nodes.get(c as usize).is_some_and(|child| {
+                        let ok = rec.get(c).is_some_and(|child| {
                             child.parent_local == li as u16 && child.entry_pos == pos as u16
                         });
                         if !ok {
@@ -935,7 +931,7 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
     // it are stale leftovers and must never be resurrected.
     let stale = |epoch: u64| epoch < cat_epoch;
     let label_count = cat.labels.len();
-    let labels_ok = |data: &RecordData| data.nodes.iter().all(|n| (n.label as usize) < label_count);
+    let labels_ok = |data: &RecordData| data.nodes().all(|n| (n.label as usize) < label_count);
 
     let dir_len = cat
         .directory
@@ -1002,9 +998,9 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
         let s = &recovered[&no];
         new_dir[no as usize] = s.loc;
         max_epoch = max_epoch.max(s.epoch);
-        for node in &s.data.nodes {
-            for e in s.data.entries(node) {
-                let ChildEntry::Proxy(t) = *e else { continue };
+        for node in s.data.nodes() {
+            for e in s.data.entries(&node) {
+                let ChildEntry::Proxy(t) = e else { continue };
                 if seen.contains(&t) || quarantine.contains(&t) {
                     continue;
                 }

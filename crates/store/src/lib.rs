@@ -59,7 +59,7 @@ pub use pager::{
     RetryStats, RetryingPager, SharedMemPager, StoreError, StoreResult, READ_ONLY_RETRY_HINT_MS,
     RESOURCE_BACKOFF_FACTOR,
 };
-pub use record::{ChildEntry, RecNode, RecordData};
+pub use record::{decode as decode_record, ChildEntry, Entries, RecNode, RecordData};
 pub use replicate::{
     decode_part, ApplyOutcome, BatchKind, CaptureHandle, CapturePager, Follower, ReplBatch,
     ReplPart, ReplicaSource, REPL_LOG_BATCHES, REPL_PART_MAGIC, REPL_PART_MAX_PAGES,

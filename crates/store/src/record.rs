@@ -11,10 +11,11 @@
 //!   index inside it, and the position of our proxy in that node's child
 //!   list (needed for `next_sibling` across a record boundary).
 //!
-//! Decoding is allocation-light: one node array, one flat child-entry
-//! arena, and content strings served lazily as slices of the raw record
-//! bytes — entering a record costs roughly a constant plus its node count,
-//! not its byte size.
+//! A decoded record is a *view* over its own bytes: [`decode`] checks
+//! every field once, where it lies, and keeps the header, the root list
+//! and one byte offset per node. Nodes, child entries and content strings
+//! are read from the bytes when a walk asks for them, so entering a record
+//! builds nothing for the nodes the walk never looks at.
 
 use natix_xml::NodeKind;
 
@@ -31,6 +32,13 @@ pub const NONE_U32: u32 = u32::MAX;
 /// resolve duplicate claims to a record number by the highest epoch.
 pub(crate) const RECORD_MAGIC: &[u8; 4] = b"NRC3";
 
+/// Bytes of a node before its content length: kind, label, parent index,
+/// entry position.
+const NODE_HEAD: usize = 7;
+/// Tags of an encoded child entry.
+const ENTRY_LOCAL: u8 = 0;
+const ENTRY_PROXY: u8 = 1;
+
 /// One entry of an element's child list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChildEntry {
@@ -40,9 +48,10 @@ pub enum ChildEntry {
     Proxy(u32),
 }
 
-/// A decoded node. Child entries and content are accessed through
+/// A node's fixed fields, read from the record's bytes by
+/// [`RecordData::node`]. Child entries and content are reached through
 /// [`RecordData::entries`] / [`RecordData::content`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct RecNode {
     /// Node kind.
     pub kind: NodeKind,
@@ -53,14 +62,13 @@ pub struct RecNode {
     /// Position of this node in its parent's entry list (`u16::MAX` for
     /// fragment roots).
     pub entry_pos: u16,
-    /// Content byte range in the raw record, `(offset, len)`.
-    content: Option<(u32, u32)>,
-    /// Range into the record's entry arena.
-    entry_start: u32,
-    entry_len: u16,
+    /// Offset of the node's content-length field in the raw record; the
+    /// content bytes and the entry list follow it.
+    at: u32,
 }
 
-/// A decoded record.
+/// A decoded record: bytes that [`decode`] has accepted, the header
+/// fields, and where each node starts.
 #[derive(Debug, Clone)]
 pub struct RecordData {
     /// The record number these bytes claim to be. `fetch` cross-checks
@@ -78,32 +86,90 @@ pub struct RecordData {
     /// Local indices of the fragment roots (the interval members), in
     /// sibling order.
     pub roots: Vec<u16>,
-    /// All nodes of the fragment; index = local node id.
-    pub nodes: Vec<RecNode>,
-    /// Flat child-entry arena shared by all nodes.
-    entries: Vec<ChildEntry>,
-    /// The raw encoded bytes (content strings are slices into this).
+    /// Byte offset of each node in `raw`; index = local node id.
+    offsets: Vec<u32>,
+    /// The encoded bytes, every field of which `decode` has checked: the
+    /// accessors below index them without a second look.
     raw: Box<[u8]>,
 }
 
+#[inline]
+fn u16_at(bytes: &[u8], at: usize) -> u16 {
+    u16::from_le_bytes([bytes[at], bytes[at + 1]])
+}
+
 impl RecordData {
-    /// Child entries of `node`.
-    pub fn entries(&self, node: &RecNode) -> &[ChildEntry] {
-        let start = node.entry_start as usize;
-        &self.entries[start..start + node.entry_len as usize]
+    /// Number of nodes in the fragment.
+    pub fn node_count(&self) -> usize {
+        self.offsets.len()
+    }
+
+    /// Node `local`, if the fragment has that many.
+    #[inline]
+    pub fn get(&self, local: u16) -> Option<RecNode> {
+        let at = *self.offsets.get(local as usize)? as usize;
+        let head = &self.raw[at..at + NODE_HEAD];
+        Some(RecNode {
+            kind: kind_from_u8(head[0]).expect("decode checked the kind"),
+            label: u16_at(head, 1),
+            parent_local: u16_at(head, 3),
+            entry_pos: u16_at(head, 5),
+            at: (at + NODE_HEAD) as u32,
+        })
+    }
+
+    /// Node `local`. Panics when the fragment has no such node, as
+    /// indexing does.
+    #[inline]
+    pub fn node(&self, local: u16) -> RecNode {
+        self.get(local).expect("local node index in range")
+    }
+
+    /// All nodes; position = local node id.
+    pub fn nodes(&self) -> impl Iterator<Item = RecNode> + '_ {
+        (0..self.offsets.len() as u16).map(|local| self.node(local))
+    }
+
+    /// Content bytes of `node` and the offset just past them, where its
+    /// entry list starts.
+    #[inline]
+    fn content_bytes(&self, node: &RecNode) -> (Option<&[u8]>, usize) {
+        let start = node.at as usize + 2;
+        match u16_at(&self.raw, node.at as usize) {
+            NONE_U16 => (None, start),
+            len => {
+                let end = start + len as usize;
+                (Some(&self.raw[start..end]), end)
+            }
+        }
+    }
+
+    /// Child entries of `node`, in document order.
+    #[inline]
+    pub fn entries(&self, node: &RecNode) -> Entries<'_> {
+        let (_, at) = self.content_bytes(node);
+        Entries {
+            bytes: &self.raw[at + 2..],
+            left: u16_at(&self.raw, at),
+        }
     }
 
     /// Content string of `node`, if any.
+    #[inline]
     pub fn content(&self, node: &RecNode) -> Option<&str> {
-        node.content.map(|(off, len)| {
-            std::str::from_utf8(&self.raw[off as usize..(off + len) as usize])
-                .expect("content was UTF-8 when encoded")
-        })
+        self.content_bytes(node)
+            .0
+            .map(|bytes| std::str::from_utf8(bytes).expect("decode checked the content is UTF-8"))
     }
 
     /// Position of `local` within `roots` (fragment roots only).
     pub fn root_pos(&self, local: u16) -> Option<usize> {
         self.roots.iter().position(|&r| r == local)
+    }
+
+    /// The encoded record this is a view of.
+    pub fn bytes(&self) -> &[u8] {
+        &self.raw
     }
 
     /// Convert back into a mutable builder-side image (used by the update
@@ -115,23 +181,58 @@ impl RecordData {
             proxy_pos: self.proxy_pos,
             roots: self.roots.clone(),
             nodes: self
-                .nodes
-                .iter()
+                .nodes()
                 .map(|n| ImageNode {
                     kind: n.kind,
                     label: n.label,
                     parent_local: n.parent_local,
                     entry_pos: n.entry_pos,
-                    content: self.content(n).map(Into::into),
-                    entries: self.entries(n).to_vec(),
+                    content: self.content(&n).map(Into::into),
+                    entries: self.entries(&n).collect(),
                 })
                 .collect(),
         }
     }
 }
 
-/// Builder-side representation handed to [`encode`].
+/// The child entries of one node, read off the record's bytes. Entries
+/// are three or five bytes wide, so reaching position `i` (`nth`) scans
+/// the `i` before it — one node's list, which K bounds.
 #[derive(Debug, Clone)]
+pub struct Entries<'a> {
+    /// From the next entry to the end of the record.
+    bytes: &'a [u8],
+    left: u16,
+}
+
+impl Iterator for Entries<'_> {
+    type Item = ChildEntry;
+
+    #[inline]
+    fn next(&mut self) -> Option<ChildEntry> {
+        self.left = self.left.checked_sub(1)?;
+        let b = self.bytes;
+        let (entry, width) = match b[0] {
+            ENTRY_LOCAL => (ChildEntry::Local(u16_at(b, 1)), 3),
+            _ => (
+                ChildEntry::Proxy(u32::from_le_bytes([b[1], b[2], b[3], b[4]])),
+                5,
+            ),
+        };
+        self.bytes = &b[width..];
+        Some(entry)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
+    }
+}
+
+impl ExactSizeIterator for Entries<'_> {}
+
+/// Builder-side representation handed to [`encode`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecordImage {
     /// See [`RecordData::parent_record`].
     pub parent_record: u32,
@@ -146,7 +247,7 @@ pub struct RecordImage {
 }
 
 /// Builder-side node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImageNode {
     /// Node kind.
     pub kind: NodeKind,
@@ -172,14 +273,15 @@ fn kind_to_u8(k: NodeKind) -> u8 {
     }
 }
 
-fn kind_from_u8(b: u8) -> StoreResult<NodeKind> {
-    Ok(match b {
+#[inline]
+fn kind_from_u8(b: u8) -> Option<NodeKind> {
+    Some(match b {
         0 => NodeKind::Element,
         1 => NodeKind::Attribute,
         2 => NodeKind::Text,
         3 => NodeKind::Comment,
         4 => NodeKind::ProcessingInstruction,
-        _ => return Err(StoreError::corrupt("bad node kind")),
+        _ => return None,
     })
 }
 
@@ -208,50 +310,28 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn need(&self, n: usize) -> StoreResult<()> {
-        if self.pos + n > self.buf.len() {
-            Err(StoreError::corrupt("record truncated"))
-        } else {
-            Ok(())
-        }
-    }
-    fn u8(&mut self) -> StoreResult<u8> {
-        self.need(1)?;
-        let v = self.buf[self.pos];
-        self.pos += 1;
-        Ok(v)
+    /// The next `N` bytes.
+    fn take<const N: usize>(&mut self) -> StoreResult<[u8; N]> {
+        let bytes = self.bytes(N)?;
+        Ok(bytes.try_into().expect("N bytes"))
     }
     fn u16(&mut self) -> StoreResult<u16> {
-        self.need(2)?;
-        let v = u16::from_le_bytes([self.buf[self.pos], self.buf[self.pos + 1]]);
-        self.pos += 2;
-        Ok(v)
+        self.take().map(u16::from_le_bytes)
     }
     fn u32(&mut self) -> StoreResult<u32> {
-        self.need(4)?;
-        let v = u32::from_le_bytes(
-            self.buf[self.pos..self.pos + 4]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        self.pos += 4;
-        Ok(v)
+        self.take().map(u32::from_le_bytes)
     }
     fn u64(&mut self) -> StoreResult<u64> {
-        self.need(8)?;
-        let v = u64::from_le_bytes(
-            self.buf[self.pos..self.pos + 8]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        self.pos += 8;
-        Ok(v)
+        self.take().map(u64::from_le_bytes)
     }
-    fn skip(&mut self, n: usize) -> StoreResult<u32> {
-        self.need(n)?;
-        let off = self.pos as u32;
+    /// The next `n` bytes.
+    fn bytes(&mut self, n: usize) -> StoreResult<&'a [u8]> {
+        let bytes = self
+            .buf
+            .get(self.pos..self.pos + n)
+            .ok_or_else(|| StoreError::corrupt("record truncated"))?;
         self.pos += n;
-        Ok(off)
+        Ok(bytes)
     }
 }
 
@@ -289,11 +369,11 @@ pub fn encode(rec: &RecordImage, self_no: u32, epoch: u64) -> Vec<u8> {
         for e in &n.entries {
             match *e {
                 ChildEntry::Local(i) => {
-                    w.u8(0);
+                    w.u8(ENTRY_LOCAL);
                     w.u16(i);
                 }
                 ChildEntry::Proxy(r) => {
-                    w.u8(1);
+                    w.u8(ENTRY_PROXY);
                     w.u32(r);
                 }
             }
@@ -302,16 +382,21 @@ pub fn encode(rec: &RecordImage, self_no: u32, epoch: u64) -> Vec<u8> {
     w.buf
 }
 
-/// Deserialize a record, taking ownership of the bytes (content strings
-/// are served from them without copying). Bytes that do not start with
-/// the self-describing prefix are corrupt. One pass: the header carries
-/// the node count, so every root, parent and local child index is
-/// bounded where it is read, and label ids against `labels`, the size of
-/// the label table they must resolve in (`usize::MAX` when the caller
-/// has none).
+/// Deserialize a record, taking ownership of the bytes: the result is a
+/// view of them. Bytes that do not start with the self-describing prefix
+/// are corrupt. One pass: the header carries the node count, so every
+/// root, parent and local child index is bounded where it is read, as are
+/// kinds, entry tags, the UTF-8 of every content string, and label ids
+/// against `labels`, the size of the label table they must resolve in
+/// (`usize::MAX` when the caller has none). Everything the accessors of
+/// [`RecordData`] index later has been walked here.
 pub fn decode(bytes: Vec<u8>, labels: usize) -> StoreResult<RecordData> {
     if !bytes.starts_with(RECORD_MAGIC) {
         return Err(StoreError::corrupt("record prefix missing"));
+    }
+    // Node offsets are kept as `u32`.
+    if u32::try_from(bytes.len()).is_err() {
+        return Err(StoreError::corrupt("record too large"));
     }
     let mut r = Reader {
         buf: &bytes,
@@ -332,51 +417,41 @@ pub fn decode(bytes: Vec<u8>, labels: usize) -> StoreResult<RecordData> {
         }
         roots.push(root);
     }
-    let mut nodes = Vec::with_capacity(node_count as usize);
-    let mut entries: Vec<ChildEntry> = Vec::with_capacity(node_count as usize);
+    let mut offsets = Vec::with_capacity(node_count as usize);
     for _ in 0..node_count {
-        let kind = kind_from_u8(r.u8()?)?;
-        let label = r.u16()?;
-        if label as usize >= labels {
+        offsets.push(r.pos as u32);
+        let head = r.take::<{ NODE_HEAD + 2 }>()?;
+        if kind_from_u8(head[0]).is_none() {
+            return Err(StoreError::corrupt("bad node kind"));
+        }
+        if u16_at(&head, 1) as usize >= labels {
             return Err(StoreError::corrupt("label id out of range"));
         }
-        let parent_local = r.u16()?;
+        let parent_local = u16_at(&head, 3);
         if parent_local != NONE_U16 && parent_local >= node_count {
             return Err(StoreError::corrupt("parent index out of range"));
         }
-        let entry_pos = r.u16()?;
-        let content_len = r.u16()?;
-        let content = if content_len == NONE_U16 {
-            None
-        } else {
-            let off = r.skip(content_len as usize)?;
-            // Validate UTF-8 once at decode time so accessors can slice
-            // without re-checking.
-            std::str::from_utf8(&bytes[off as usize..off as usize + content_len as usize])
-                .map_err(|_| StoreError::corrupt("content not UTF-8"))?;
-            Some((off, u32::from(content_len)))
-        };
-        let entry_count = r.u16()? as usize;
-        let entry_start = entries.len() as u32;
-        for _ in 0..entry_count {
-            entries.push(match r.u8()? {
-                0 => match r.u16()? {
-                    i if i < node_count => ChildEntry::Local(i),
-                    _ => return Err(StoreError::corrupt("child index out of range")),
-                },
-                1 => ChildEntry::Proxy(r.u32()?),
-                _ => return Err(StoreError::corrupt("bad child entry tag")),
-            });
+        let content_len = u16_at(&head, NODE_HEAD);
+        if content_len != NONE_U16 {
+            let content = r.bytes(content_len as usize)?;
+            // ASCII is UTF-8, and a far cheaper test on short strings.
+            if !content.is_ascii() && std::str::from_utf8(content).is_err() {
+                return Err(StoreError::corrupt("content not UTF-8"));
+            }
         }
-        nodes.push(RecNode {
-            kind,
-            label,
-            parent_local,
-            entry_pos,
-            content,
-            entry_start,
-            entry_len: entry_count as u16,
-        });
+        for _ in 0..r.u16()? {
+            match r.take::<1>()?[0] {
+                ENTRY_LOCAL => {
+                    if r.u16()? >= node_count {
+                        return Err(StoreError::corrupt("child index out of range"));
+                    }
+                }
+                ENTRY_PROXY => {
+                    r.bytes(4)?;
+                }
+                _ => return Err(StoreError::corrupt("bad child entry tag")),
+            }
+        }
     }
     Ok(RecordData {
         self_no,
@@ -385,8 +460,7 @@ pub fn decode(bytes: Vec<u8>, labels: usize) -> StoreResult<RecordData> {
         parent_local,
         proxy_pos,
         roots,
-        nodes,
-        entries,
+        offsets,
         raw: bytes.into_boxed_slice(),
     })
 }
@@ -441,14 +515,14 @@ mod tests {
         assert_eq!(back.parent_local, 7);
         assert_eq!(back.proxy_pos, 2);
         assert_eq!(back.roots, vec![0, 2]);
-        assert_eq!(back.nodes.len(), 3);
+        assert_eq!(back.node_count(), 3);
         assert_eq!(
-            back.entries(&back.nodes[0]),
-            &[ChildEntry::Local(1), ChildEntry::Proxy(9)]
+            back.entries(&back.node(0)).collect::<Vec<_>>(),
+            [ChildEntry::Local(1), ChildEntry::Proxy(9)]
         );
-        assert_eq!(back.content(&back.nodes[1]), Some("hello world"));
-        assert_eq!(back.content(&back.nodes[0]), None);
-        assert_eq!(back.nodes[2].kind, NodeKind::Attribute);
+        assert_eq!(back.content(&back.node(1)), Some("hello world"));
+        assert_eq!(back.content(&back.node(0)), None);
+        assert_eq!(back.node(2).kind, NodeKind::Attribute);
     }
 
     #[test]
@@ -488,6 +562,160 @@ mod tests {
         for bytes in [v3[16..].to_vec(), bent] {
             let err = decode(bytes, usize::MAX).unwrap_err();
             assert!(err.is_corruption(), "{err}");
+        }
+    }
+
+    /// One input per check `decode` makes beyond the four tests above:
+    /// each must fail, and for the reason named.
+    #[test]
+    fn each_range_check_rejects_its_input() {
+        let good = encode(&sample(), 0, 1);
+        let view = decode(good.clone(), usize::MAX).unwrap();
+        let past_head = |node: usize| view.offsets[node] as usize + NODE_HEAD + 2;
+        let bent = |at: usize, byte: u8| {
+            let mut bytes = good.clone();
+            bytes[at] = byte;
+            bytes
+        };
+        let mut root = sample();
+        root.roots[1] = 3;
+        let mut parent = sample();
+        parent.nodes[1].parent_local = 3;
+        for (bytes, labels, why) in [
+            (encode(&root, 0, 1), usize::MAX, "root index out of range"),
+            (
+                encode(&parent, 0, 1),
+                usize::MAX,
+                "parent index out of range",
+            ),
+            // The sample's labels are 5, 0 and 2.
+            (good.clone(), 5, "label id out of range"),
+            // Node 0 has no content: its first entry's tag follows the
+            // entry count.
+            (bent(past_head(0) + 2, 2), usize::MAX, "bad child entry tag"),
+            (bent(past_head(1), 0xff), usize::MAX, "content not UTF-8"),
+        ] {
+            let err = decode(bytes, labels).unwrap_err();
+            assert!(err.is_corruption(), "{why}: {err}");
+            assert!(err.to_string().contains(why), "{why}: {err}");
+        }
+        assert!(decode(good, 6).is_ok());
+    }
+
+    /// Touch everything the accessors can reach: every node, each of its
+    /// entries by iteration and by position, its content, what its
+    /// indices name, and the image.
+    fn walk(view: &RecordData) {
+        for &root in &view.roots {
+            assert!(view.get(root).is_some());
+        }
+        assert!(view.get(view.node_count() as u16).is_none());
+        for (local, n) in view.nodes().enumerate() {
+            if n.parent_local != NONE_U16 {
+                view.node(n.parent_local);
+            }
+            view.content(&n);
+            let entries = view.entries(&n);
+            assert_eq!(entries.len(), entries.clone().count(), "node {local}");
+            for (pos, e) in entries.clone().enumerate() {
+                assert_eq!(entries.clone().nth(pos), Some(e));
+                if let ChildEntry::Local(child) = e {
+                    view.node(child);
+                }
+            }
+            assert_eq!(entries.clone().nth(entries.len()), None);
+        }
+        view.to_image();
+    }
+
+    /// `bytes` cut short anywhere, or with any one byte XORed with any of
+    /// `masks`: `decode` refuses them as corrupt, or hands out a view
+    /// that can be walked end to end.
+    fn hostile(bytes: &[u8], masks: impl Iterator<Item = u8> + Clone) {
+        for cut in 0..bytes.len() {
+            let err = decode(bytes[..cut].to_vec(), usize::MAX).unwrap_err();
+            assert!(err.is_corruption(), "cut at {cut}: {err}");
+        }
+        for at in 0..bytes.len() {
+            for mask in masks.clone() {
+                let mut bent = bytes.to_vec();
+                bent[at] ^= mask;
+                match decode(bent, usize::MAX) {
+                    Ok(view) => walk(&view),
+                    Err(err) => assert!(err.is_corruption(), "{at} ^ {mask:#x}: {err}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_bytes_fail_decode_or_walk_in_bounds() {
+        hostile(&encode(&sample(), 7, 3), 1..=255);
+    }
+
+    /// A bulkloaded `doc`'s records, as (number, view).
+    fn records_of(doc: &natix_xml::Document, k: u64) -> Vec<(u32, std::rc::Rc<RecordData>)> {
+        use natix_core::Partitioner;
+        let p = natix_core::Ekm.partition(doc.tree(), k).unwrap();
+        let mut store = crate::XmlStore::bulkload(
+            doc,
+            &p,
+            Box::new(crate::MemPager::new()),
+            crate::StoreConfig::default(),
+        )
+        .unwrap();
+        (0..store.record_count() as u32)
+            .map(|no| (no, store.fetch(no).unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn hostile_bytes_of_a_real_record() {
+        let doc = natix_datagen::xmark(natix_datagen::GenConfig::at_scale(0.002));
+        let records = records_of(&doc, 256);
+        let (_, largest) = records
+            .iter()
+            .max_by_key(|(_, rec)| rec.bytes().len())
+            .unwrap();
+        hostile(largest.bytes(), [0x01, 0x80, 0xff].into_iter());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Over every generator: a stored record's bytes, its view and
+        /// its image say the same thing, and image -> bytes -> view ->
+        /// image is the identity.
+        #[test]
+        fn view_agrees_with_image(seed in proptest::prelude::any::<u64>(), which in 0usize..6, k in 16u64..300) {
+            use natix_datagen::{mondial, orders, partsupp, sigmod, uwm, xmark, GenConfig};
+            let generate = [sigmod, mondial, partsupp, uwm, orders, xmark][which];
+            let doc = generate(GenConfig { scale: 0.001, seed });
+            for (no, view) in records_of(&doc, k) {
+                walk(&view);
+                let image = view.to_image();
+                assert_eq!(encode(&image, no, view.epoch), view.bytes(), "record {no}");
+                let back = decode(view.bytes().to_vec(), usize::MAX).unwrap();
+                assert_eq!(back.to_image(), image, "record {no}");
+                assert_eq!(
+                    (back.self_no, back.epoch, back.parent_record, back.parent_local, back.proxy_pos),
+                    (no, view.epoch, image.parent_record, image.parent_local, image.proxy_pos)
+                );
+                assert_eq!(view.roots, image.roots);
+                assert_eq!(view.node_count(), image.nodes.len());
+                for (n, expect) in view.nodes().zip(&image.nodes) {
+                    assert_eq!(
+                        (n.kind, n.label, n.parent_local, n.entry_pos),
+                        (expect.kind, expect.label, expect.parent_local, expect.entry_pos)
+                    );
+                    assert_eq!(view.content(&n), expect.content.as_deref());
+                    assert_eq!(view.entries(&n).len(), expect.entries.len());
+                    assert!(view.entries(&n).eq(expect.entries.iter().copied()));
+                }
+                for (pos, &root) in view.roots.iter().enumerate() {
+                    assert_eq!(view.root_pos(root), Some(pos));
+                }
+            }
         }
     }
 

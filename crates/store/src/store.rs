@@ -32,7 +32,7 @@ use crate::pager::{
     StoreResult,
 };
 use crate::record::{
-    self, ChildEntry, ImageNode, RecNode, RecordData, RecordImage, NONE_U16, NONE_U32,
+    self, ChildEntry, Entries, ImageNode, RecNode, RecordData, RecordImage, NONE_U16, NONE_U32,
 };
 
 /// How to open a store with respect to at-rest damage.
@@ -1223,18 +1223,21 @@ impl XmlStore {
     }
 
     /// Run `f` on the decoded record and node together (needed to access
-    /// content and child entries, which live in per-record arenas).
+    /// content and child entries, which are read off the record's bytes).
     pub fn with_node_in<T>(
         &mut self,
         r: NodeRef,
         f: impl FnOnce(&RecordData, &RecNode) -> T,
     ) -> StoreResult<T> {
+        let (rec, node) = self.fetch_node(r)?;
+        Ok(f(&rec, &node))
+    }
+
+    /// The record of `r`, and `r`'s node in it.
+    fn fetch_node(&mut self, r: NodeRef) -> StoreResult<(Rc<RecordData>, RecNode)> {
         let rec = self.fetch(r.record)?;
-        let node = rec
-            .nodes
-            .get(r.node as usize)
-            .ok_or(StoreError::BadRecord(r.record))?;
-        Ok(f(&rec, node))
+        let node = rec.get(r.node).ok_or(StoreError::BadRecord(r.record))?;
+        Ok((rec, node))
     }
 
     /// Run `f` on record `no`, decoded: what following a proxy entry
@@ -1283,15 +1286,11 @@ impl XmlStore {
         r: NodeRef,
         mut f: impl FnMut(NodeRef, NodeKind, u16),
     ) -> StoreResult<()> {
-        let rec = self.fetch(r.record)?;
-        let node = rec
-            .nodes
-            .get(r.node as usize)
-            .ok_or(StoreError::BadRecord(r.record))?;
-        for entry in rec.entries(node) {
-            match *entry {
+        let (rec, node) = self.fetch_node(r)?;
+        for entry in rec.entries(&node) {
+            match entry {
                 ChildEntry::Local(i) => {
-                    let cn = &rec.nodes[i as usize];
+                    let cn = rec.node(i);
                     f(
                         NodeRef {
                             record: r.record,
@@ -1304,7 +1303,7 @@ impl XmlStore {
                 ChildEntry::Proxy(no) => {
                     let prec = self.fetch(no)?;
                     for &root in &prec.roots {
-                        let cn = &prec.nodes[root as usize];
+                        let cn = prec.node(root);
                         f(
                             NodeRef {
                                 record: no,
@@ -1324,22 +1323,20 @@ impl XmlStore {
     /// children in the model and are *not* skipped here — axis semantics
     /// belong to the query layer).
     pub fn first_child(&mut self, r: NodeRef) -> StoreResult<Option<NodeRef>> {
-        let rec = self.fetch(r.record)?;
-        let node = &rec.nodes[r.node as usize];
-        match rec.entries(node).first() {
+        let (rec, node) = self.fetch_node(r)?;
+        match rec.entries(&node).next() {
             None => Ok(None),
-            Some(&ChildEntry::Local(i)) => Ok(Some(NodeRef {
+            Some(ChildEntry::Local(i)) => Ok(Some(NodeRef {
                 record: r.record,
                 node: i,
             })),
-            Some(&ChildEntry::Proxy(no)) => self.first_root(no).map(Some),
+            Some(ChildEntry::Proxy(no)) => self.first_root(no).map(Some),
         }
     }
 
     /// Parent node; `None` at the document root.
     pub fn parent(&mut self, r: NodeRef) -> StoreResult<Option<NodeRef>> {
-        let rec = self.fetch(r.record)?;
-        let node = &rec.nodes[r.node as usize];
+        let (rec, node) = self.fetch_node(r)?;
         if node.parent_local != NONE_U16 {
             return Ok(Some(NodeRef {
                 record: r.record,
@@ -1366,13 +1363,12 @@ impl XmlStore {
     }
 
     fn sibling(&mut self, r: NodeRef, dir: isize) -> StoreResult<Option<NodeRef>> {
-        let rec = self.fetch(r.record)?;
-        let node = &rec.nodes[r.node as usize];
+        let (rec, node) = self.fetch_node(r)?;
         if node.parent_local != NONE_U16 {
             // Parent is local: step through its entry list.
-            let parent = &rec.nodes[node.parent_local as usize];
+            let parent = rec.node(node.parent_local);
             let pos = node.entry_pos as isize + dir;
-            return self.entry_neighbor(r.record, rec.entries(parent), pos, dir);
+            return self.entry_neighbor(r.record, rec.entries(&parent), pos, dir);
         }
         // Fragment root: try the neighboring root in this record.
         let pos = rec
@@ -1390,10 +1386,12 @@ impl XmlStore {
         if rec.parent_record == NONE_U32 {
             return Ok(None);
         }
-        let parent_rec = self.fetch(rec.parent_record)?;
-        let parent = &parent_rec.nodes[rec.parent_local as usize];
+        let (parent_rec, parent) = self.fetch_node(NodeRef {
+            record: rec.parent_record,
+            node: rec.parent_local,
+        })?;
         let pos = rec.proxy_pos as isize + dir;
-        self.entry_neighbor(rec.parent_record, parent_rec.entries(parent), pos, dir)
+        self.entry_neighbor(rec.parent_record, parent_rec.entries(&parent), pos, dir)
     }
 
     /// Resolve the child entry at `pos` of `parent` (which lives in record
@@ -1403,14 +1401,14 @@ impl XmlStore {
     fn entry_neighbor(
         &mut self,
         record_no: u32,
-        entries: &[ChildEntry],
+        mut entries: Entries,
         pos: isize,
         dir: isize,
     ) -> StoreResult<Option<NodeRef>> {
-        if pos < 0 || pos as usize >= entries.len() {
+        let Some(entry) = usize::try_from(pos).ok().and_then(|pos| entries.nth(pos)) else {
             return Ok(None);
-        }
-        match entries[pos as usize] {
+        };
+        match entry {
             ChildEntry::Local(i) => Ok(Some(NodeRef {
                 record: record_no,
                 node: i,
@@ -1543,20 +1541,19 @@ impl XmlStore {
             parent: NodeRef,
             target: natix_xml::NodeId,
         ) {
-            let entries = rec.entries(&rec.nodes[parent.node as usize]);
-            stack.extend(entries.iter().enumerate().rev().map(|(pos, e)| {
-                let todo = match *e {
+            let start = stack.len();
+            let entries = rec.entries(&rec.node(parent.node));
+            stack.extend(entries.enumerate().map(|(pos, e)| {
+                let todo = match e {
                     ChildEntry::Local(node) => Todo::Node(NodeRef { node, ..parent }),
                     ChildEntry::Proxy(no) => Todo::Proxy(no, parent, pos as u16),
                 };
                 (todo, target)
             }));
+            // Popped in document order.
+            stack[start..].reverse();
         }
-        let rec = self.fetch(root.record)?;
-        let top = rec
-            .nodes
-            .get(root.node as usize)
-            .ok_or(StoreError::BadRecord(root.record))?;
+        let (rec, top) = self.fetch_node(root)?;
         assert_eq!(
             top.kind,
             NodeKind::Element,
@@ -1597,10 +1594,9 @@ impl XmlStore {
             };
             // A node's record is an ancestor of the walk's position or
             // that position itself, so it is still held.
-            let rec = self.fetch(r.record)?;
-            let n = &rec.nodes[r.node as usize];
+            let (rec, n) = self.fetch_node(r)?;
             let name = &*self.labels[n.label as usize];
-            let content = rec.content(n).unwrap_or_default();
+            let content = rec.content(&n).unwrap_or_default();
             match n.kind {
                 NodeKind::Element => {
                     let id = b.element(target, name);

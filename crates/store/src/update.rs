@@ -97,7 +97,7 @@ impl XmlStore {
         content: Option<&str>,
     ) -> StoreResult<NodeRef> {
         let rec = self.fetch(parent.record)?;
-        let pk = rec.nodes[parent.node as usize].kind;
+        let pk = rec.node(parent.node).kind;
         if pk != NodeKind::Element {
             return Err(StoreError::InvalidUpdate("parent must be an element"));
         }
@@ -133,7 +133,7 @@ impl XmlStore {
         content: Option<&str>,
     ) -> StoreResult<NodeRef> {
         let rec = self.fetch(sibling.record)?;
-        let node = &rec.nodes[sibling.node as usize];
+        let node = rec.node(sibling.node);
         let pos = if node.parent_local != NONE_U16 {
             InsertPos::BeforeLocal(sibling.node)
         } else if rec.parent_record == NONE_U32 {
@@ -643,9 +643,9 @@ impl XmlStore {
     fn resync_child_backlinks(&mut self, record_no: u32) -> StoreResult<()> {
         let rec = self.fetch(record_no)?;
         let mut updates = Vec::new();
-        for (li, n) in rec.nodes.iter().enumerate() {
-            for (pos, e) in rec.entries(n).iter().enumerate() {
-                if let ChildEntry::Proxy(no) = *e {
+        for (li, n) in rec.nodes().enumerate() {
+            for (pos, e) in rec.entries(&n).enumerate() {
+                if let ChildEntry::Proxy(no) = e {
                     updates.push((no, li as u16, pos as u16));
                 }
             }
@@ -669,9 +669,9 @@ impl XmlStore {
         let mut stack = vec![no];
         while let Some(no) = stack.pop() {
             let rec = self.fetch(no)?;
-            for n in &rec.nodes {
-                for e in rec.entries(n) {
-                    if let ChildEntry::Proxy(child) = *e {
+            for n in rec.nodes() {
+                for e in rec.entries(&n) {
+                    if let ChildEntry::Proxy(child) = e {
                         stack.push(child);
                     }
                 }
@@ -700,9 +700,8 @@ impl XmlStore {
             }
             let rec = self.fetch(no)?;
             let w: Weight = rec
-                .nodes
-                .iter()
-                .map(|n| node_weight(n.kind, rec.content(n).map_or(0, str::len)))
+                .nodes()
+                .map(|n| node_weight(n.kind, rec.content(&n).map_or(0, str::len)))
                 .sum();
             if w > self.record_limit {
                 return Err(StoreError::InvalidUpdate("record exceeds the weight limit"));
@@ -740,16 +739,16 @@ impl XmlStore {
                 return Err(StoreError::corrupt("record has no fragment roots"));
             }
             for &r in &rec.roots {
-                if rec.nodes[r as usize].parent_local != NONE_U16 {
+                if rec.node(r).parent_local != NONE_U16 {
                     return Err(StoreError::corrupt("fragment root has a local parent"));
                 }
             }
             let mut proxies = Vec::new();
-            for (li, node) in rec.nodes.iter().enumerate() {
-                for (pos, e) in rec.entries(node).iter().enumerate() {
-                    match *e {
+            for (li, node) in rec.nodes().enumerate() {
+                for (pos, e) in rec.entries(&node).enumerate() {
+                    match e {
                         ChildEntry::Local(c) => {
-                            let child = &rec.nodes[c as usize];
+                            let child = rec.node(c);
                             if child.parent_local != li as u16 || child.entry_pos != pos as u16 {
                                 return Err(StoreError::corrupt(
                                     "local child parent/entry position mismatch",

@@ -13,11 +13,16 @@
 //! child *entries* and enter a proxied record when the walk gets to it
 //! ([`Navigator::entries`] / [`Navigator::enter`]).
 //!
+//! A query is *compiled* once ([`compile`]): every name test resolved to
+//! the backend's label id, predicates included, so trying a predicate on
+//! a candidate plans nothing.
+//!
 //! Result node-sets are deduplicated and returned in the navigator's node
 //! ordering (document order for [`crate::MemNavigator`], whose node ids are
 //! assigned in document order by the parser and generators).
 
-use std::collections::HashSet;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 
 use natix_store::StoreResult;
 use natix_xml::NodeKind;
@@ -68,6 +73,80 @@ impl ResolvedTest {
     }
 }
 
+/// A path ready to run: name tests resolved, predicates compiled.
+struct Plan<T> {
+    absolute: bool,
+    steps: Vec<PlanStep<T>>,
+}
+
+struct PlanStep<T> {
+    axis: Axis,
+    test: ResolvedTest,
+    predicates: Vec<Pred<T>>,
+}
+
+/// A compiled predicate.
+enum Pred<T> {
+    Or(Box<Pred<T>>, Box<Pred<T>>),
+    And(Box<Pred<T>>, Box<Pred<T>>),
+    /// True iff the path selects a node.
+    Path(Plan<T>),
+    /// True iff a selected node's string-value equals the literal.
+    Equals(Plan<T>, String),
+    /// `ancestor::A` (`ancestor-or-self::A` when `or_self`) on its own:
+    /// true iff an A is above (or at) the context. `known` remembers, for
+    /// every node a climb has passed, whether an A is at or above it, so
+    /// the climbs of one query share their way up.
+    Above {
+        or_self: bool,
+        test: ResolvedTest,
+        known: RefCell<HashMap<T, bool>>,
+    },
+}
+
+/// Resolve `path` (normalized) against the backend, once per query.
+fn compile<N: Navigator>(nav: &mut N, path: &Path) -> StoreResult<Plan<N::Node>> {
+    let mut steps = Vec::with_capacity(path.steps.len());
+    for step in &path.steps {
+        let mut predicates = Vec::with_capacity(step.predicates.len());
+        for pred in &step.predicates {
+            predicates.push(compile_expr(nav, pred)?);
+        }
+        steps.push(PlanStep {
+            axis: step.axis,
+            test: ResolvedTest::resolve(nav, &step.test)?,
+            predicates,
+        });
+    }
+    Ok(Plan {
+        absolute: path.absolute,
+        steps,
+    })
+}
+
+fn compile_expr<N: Navigator>(nav: &mut N, expr: &Expr) -> StoreResult<Pred<N::Node>> {
+    Ok(match expr {
+        Expr::Or(a, b) => Pred::Or(compile_expr(nav, a)?.into(), compile_expr(nav, b)?.into()),
+        Expr::And(a, b) => Pred::And(compile_expr(nav, a)?.into(), compile_expr(nav, b)?.into()),
+        Expr::Equals(p, lit) => Pred::Equals(compile(nav, p)?, lit.clone()),
+        Expr::Path(p) => match &p.steps[..] {
+            // (Not `node()`, which above the root element also matches
+            // the virtual root.)
+            [step @ Step {
+                axis: Axis::Ancestor | Axis::AncestorOrSelf,
+                ..
+            }] if !p.absolute && step.predicates.is_empty() && step.test != NodeTest::AnyNode => {
+                Pred::Above {
+                    or_self: step.axis == Axis::AncestorOrSelf,
+                    test: ResolvedTest::resolve(nav, &step.test)?,
+                    known: RefCell::default(),
+                }
+            }
+            _ => Pred::Path(compile(nav, p)?),
+        },
+    })
+}
+
 /// Evaluate an absolute or relative path from the document root, returning
 /// the selected nodes (the virtual root itself is never returned).
 pub fn eval<N: Navigator>(nav: &mut N, path: &Path) -> StoreResult<Vec<N::Node>> {
@@ -85,7 +164,8 @@ pub fn eval_with<N: Navigator, T>(
     mut at_hit: impl FnMut(&mut N, N::Node) -> StoreResult<T>,
 ) -> StoreResult<Vec<(N::Node, T)>> {
     let mut out = Vec::new();
-    eval_from(nav, Ctx::Root, &normalize(path), &mut |nav, c| {
+    let plan = compile(nav, &normalize(path))?;
+    eval_from(nav, Ctx::Root, &plan, &mut |nav, c| {
         if let Ctx::Node(n) = c {
             out.push((n, at_hit(nav, n)?));
         }
@@ -196,30 +276,28 @@ impl<T: Ord> Segment<'_, T> {
     }
 }
 
-/// Evaluate a (normalized) path from `origin`, handing every node it
+/// Evaluate a compiled path from `origin`, handing every node it
 /// selects to `sink`, each once but in no particular order.
 fn eval_from<N: Navigator>(
     nav: &mut N,
     origin: Ctx<N::Node>,
-    path: &Path,
+    path: &Plan<N::Node>,
     sink: Sink<N>,
 ) -> StoreResult<()> {
-    let mut plan = Vec::with_capacity(path.steps.len());
-    for step in &path.steps {
-        plan.push((step, ResolvedTest::resolve(nav, &step.test)?));
-    }
-    let mut ctx = vec![if path.absolute { Ctx::Root } else { origin }];
-    let mut rest = &plan[..];
+    let first = [if path.absolute { Ctx::Root } else { origin }];
+    let mut later;
+    let mut ctx = &first[..];
+    let mut rest = &path.steps[..];
     loop {
         let stays = |a| downward(a) || matches!(a, Axis::Child | Axis::Attribute | Axis::SelfAxis);
         let mut len = rest.len().min(1);
-        while len < rest.len() && stays(rest[len - 1].0.axis) && !downward(rest[len].0.axis) {
+        while len < rest.len() && stays(rest[len - 1].axis) && !downward(rest[len].axis) {
             len += 1;
         }
         let (steps, tail) = rest.split_at(len);
         rest = tail;
         let mut seg = Segment {
-            origins: &ctx,
+            origins: ctx,
             walked: vec![false; if ctx.len() > 1 { ctx.len() } else { 0 }],
             seen: (ctx.len() > 1 || len > 1).then(HashSet::new),
         };
@@ -229,7 +307,7 @@ fn eval_from<N: Navigator>(
                 .try_for_each(|&c| descend(nav, c, steps, &mut seg, sink));
         }
         let mut next = Vec::new();
-        for &c in &ctx {
+        for &c in ctx {
             descend(nav, c, steps, &mut seg, &mut |_, c| {
                 next.push(c);
                 Ok(())
@@ -239,7 +317,8 @@ fn eval_from<N: Navigator>(
         // its contexts in node order for store locality.
         next.sort_unstable();
         next.dedup();
-        ctx = next;
+        later = next;
+        ctx = &later;
     }
 }
 
@@ -296,13 +375,14 @@ impl<T: Copy> Walk<T> {
 fn descend<N: Navigator>(
     nav: &mut N,
     ctx: Ctx<N::Node>,
-    steps: &[(&Step, ResolvedTest)],
+    steps: &[PlanStep<N::Node>],
     seg: &mut Segment<N::Node>,
     sink: Sink<N>,
 ) -> StoreResult<()> {
-    let Some((&(step, test), rest)) = steps.split_first() else {
+    let Some((step, rest)) = steps.split_first() else {
         return sink(nav, ctx);
     };
+    let test = step.test;
     let principal = if step.axis == Axis::Attribute {
         NodeKind::Attribute
     } else {
@@ -425,7 +505,11 @@ fn along<N: Navigator>(
     })
 }
 
-fn pass_predicates<N: Navigator>(nav: &mut N, ctx: Ctx<N::Node>, step: &Step) -> StoreResult<bool> {
+fn pass_predicates<N: Navigator>(
+    nav: &mut N,
+    ctx: Ctx<N::Node>,
+    step: &PlanStep<N::Node>,
+) -> StoreResult<bool> {
     for pred in &step.predicates {
         if !eval_expr(nav, ctx, pred)? {
             return Ok(false);
@@ -434,22 +518,70 @@ fn pass_predicates<N: Navigator>(nav: &mut N, ctx: Ctx<N::Node>, step: &Step) ->
     Ok(true)
 }
 
-fn eval_expr<N: Navigator>(nav: &mut N, ctx: Ctx<N::Node>, expr: &Expr) -> StoreResult<bool> {
+fn eval_expr<N: Navigator>(
+    nav: &mut N,
+    ctx: Ctx<N::Node>,
+    expr: &Pred<N::Node>,
+) -> StoreResult<bool> {
     let mut found = false;
     match expr {
-        Expr::Or(a, b) => return Ok(eval_expr(nav, ctx, a)? || eval_expr(nav, ctx, b)?),
-        Expr::And(a, b) => return Ok(eval_expr(nav, ctx, a)? && eval_expr(nav, ctx, b)?),
-        Expr::Path(p) => eval_from(nav, ctx, p, &mut |_, _| {
+        Pred::Or(a, b) => return Ok(eval_expr(nav, ctx, a)? || eval_expr(nav, ctx, b)?),
+        Pred::And(a, b) => return Ok(eval_expr(nav, ctx, a)? && eval_expr(nav, ctx, b)?),
+        Pred::Path(p) => eval_from(nav, ctx, p, &mut |_, _| {
             found = true;
             Ok(())
         })?,
-        Expr::Equals(p, lit) => eval_from(nav, ctx, p, &mut |nav, c| {
+        Pred::Equals(p, lit) => eval_from(nav, ctx, p, &mut |nav, c| {
             if let Ctx::Node(n) = c {
                 found = found || string_value(nav, n)? == *lit;
             }
             Ok(())
         })?,
+        Pred::Above {
+            or_self,
+            test,
+            known,
+        } => return above(nav, ctx, *or_self, *test, &mut known.borrow_mut()),
     }
+    Ok(found)
+}
+
+/// Is a node matching `test` above `ctx` (or `ctx` itself, when
+/// `or_self`)? Climbs until it meets one, the root, or a node an earlier
+/// climb has passed, and leaves the answer with every node it passes.
+fn above<N: Navigator>(
+    nav: &mut N,
+    ctx: Ctx<N::Node>,
+    or_self: bool,
+    test: ResolvedTest,
+    known: &mut HashMap<N::Node, bool>,
+) -> StoreResult<bool> {
+    let Ctx::Node(n) = ctx else {
+        return Ok(false);
+    };
+    let matches = |nav: &mut N, n| -> StoreResult<bool> {
+        let (kind, label) = nav.info(n)?;
+        Ok(test.matches(NodeKind::Element, kind, label))
+    };
+    if or_self && matches(nav, n)? {
+        return Ok(true);
+    }
+    let mut passed = Vec::new();
+    let mut found = false;
+    let mut cur = nav.parent(n)?;
+    while let Some(n) = cur {
+        if let Some(&at_or_above) = known.get(&n) {
+            found = at_or_above;
+            break;
+        }
+        passed.push(n);
+        found = matches(nav, n)?;
+        if found {
+            break;
+        }
+        cur = nav.parent(n)?;
+    }
+    known.extend(passed.into_iter().map(|n| (n, found)));
     Ok(found)
 }
 

@@ -164,7 +164,7 @@ impl Navigator for StoreNavigator<'_> {
 
     fn entries(&mut self, n: NodeRef, out: &mut Vec<Entry<NodeRef>>) -> StoreResult<()> {
         self.store.with_node_in(n, |rec, node| {
-            out.extend(rec.entries(node).iter().map(|e| match *e {
+            out.extend(rec.entries(node).map(|e| match e {
                 ChildEntry::Local(i) => stored(rec, n.record, i),
                 ChildEntry::Proxy(no) => Entry::Proxy(no),
             }))
@@ -192,7 +192,7 @@ impl Navigator for StoreNavigator<'_> {
 
 /// Node `node` of `rec`, which is record number `record`.
 fn stored(rec: &RecordData, record: u32, node: u16) -> Entry<NodeRef> {
-    let n = &rec.nodes[node as usize];
+    let n = rec.node(node);
     Entry::Node {
         node: NodeRef { record, node },
         kind: n.kind,

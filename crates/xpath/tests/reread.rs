@@ -22,8 +22,10 @@ use std::rc::Rc;
 use natix_core::Ekm;
 use natix_datagen::{xmark, GenConfig};
 use natix_store::{
-    bulkload_with, PageId, Pager, SharedMemPager, StoreConfig, StoreResult, XmlStore, PAGE_SIZE,
+    bulkload_with, PageId, Pager, RecordData, SharedMemPager, StoreConfig, StoreResult, XmlStore,
+    PAGE_SIZE,
 };
+use natix_xml::{Document, NodeKind};
 use natix_xpath::{eval, eval_with, parse, xpathmark, StoreNavigator};
 
 #[derive(Debug, PartialEq)]
@@ -127,8 +129,10 @@ fn optimal_misses(accesses: &[PageId], frames: usize) -> u64 {
     misses
 }
 
-#[test]
-fn cold_queries_reread_pages_a_pinned_number_of_times() {
+/// The `serve-read` document, the "disk" it is bulkloaded on, and the
+/// store's record count. No on-disk byte may change unannounced: 177
+/// pages, 646 records.
+fn served_store() -> (Document, SharedMemPager, usize) {
     let doc = xmark(GenConfig {
         scale: 0.08,
         seed: 0x004e_4154_4958,
@@ -143,9 +147,55 @@ fn cold_queries_reread_pages_a_pinned_number_of_times() {
     )
     .unwrap();
     let records = loaded.record_count();
-    drop(loaded);
+    assert_eq!(
+        (disk.page_count(), records),
+        (177, 646),
+        "the serve-read store"
+    );
+    (doc, disk, records)
+}
+
+/// What a path summary could save a `//T` query at most: the records
+/// that hold a `T` element have to be decoded whatever the walk knows,
+/// and so do the records of the proxy chain that leads to them; only the
+/// rest could be skipped. For `keyword`, where four of the seven
+/// XPathMark queries start, that is 66 of 646 records — ROADMAP item 4 is
+/// scoped by these counts.
+#[test]
+fn a_path_summary_could_skip_a_pinned_number_of_records() {
+    let (_, disk, records) = served_store();
+    let mut store = XmlStore::open(Box::new(disk), StoreConfig::default()).unwrap();
+    let mut ceiling = |name: &str| {
+        let label = store.label_id(name).unwrap();
+        let scan = |rec: &RecordData| {
+            let holds = rec
+                .nodes()
+                .any(|n| n.kind == NodeKind::Element && n.label == label);
+            (rec.parent_record, holds)
+        };
+        let scanned: Vec<(u32, bool)> = (0..records as u32)
+            .map(|no| store.with_record(no, scan).unwrap())
+            .collect();
+        let mut entered: Vec<bool> = scanned.iter().map(|&(_, holds)| holds).collect();
+        let holding = entered.iter().filter(|&&holds| holds).count();
+        for &(parent, holds) in &scanned {
+            let mut up = parent;
+            while holds && up != u32::MAX && !entered[up as usize] {
+                entered[up as usize] = true;
+                up = scanned[up as usize].0;
+            }
+        }
+        (holding, entered.iter().filter(|&&e| e).count())
+    };
+    assert_eq!(ceiling("keyword"), (566, 580));
+    assert_eq!(ceiling("mail"), (219, 230));
+    assert_eq!(ceiling("item"), (53, 53));
+}
+
+#[test]
+fn cold_queries_reread_pages_a_pinned_number_of_times() {
+    let (doc, disk, records) = served_store();
     let pages = disk.page_count() as usize;
-    assert_eq!((pages, records), (177, 646), "the serve-read store");
     let served_pool = pages / 4;
     let open = |backend: Box<dyn Pager>, config: StoreConfig| {
         let store = XmlStore::open(backend, config).unwrap();
