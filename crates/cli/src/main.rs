@@ -11,9 +11,9 @@
 //! natix bulkload  <dir> [--input <file.xml>]... [--docs N] [--shards N] [--threads N]
 //!                 [--seg-docs N] [--budget N] [--k SLOTS] [--seed N] [--pool-pages N]
 //! natix collection stats <dir> | dump <dir> <doc-id> | fsck <dir> [--repair]
-//! natix soak      [--quick] [--corruption] [--group-commit] [--bulkload] [--serve]
-//!                 [--diskfull] [--repl] [--seed N] [--replay <script>]
-//! natix stress    [--quick] [--seed N] [--runs N] [--net [--proxy|--leak]] [--json FILE]
+//! natix soak      [--quick] [--seed N] [--corruption | --group-commit | --bulkload |
+//!                 --diskfull | --serve | --repl] | --replay <script>
+//! natix stress    [--quick] [--seed N] [--runs N] [--net [--proxy | --leak]]
 //! natix serve     <store.natix> [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!                 [--max-pins N] [--read-budget N] [--lease-ttl-ms N] [--pool-pages N]
 //!                 [--replica-of HOST:PORT]
@@ -33,29 +33,6 @@
 //! pins), demands one more, expects a typed retry-after, then releases a
 //! pin and retries until admitted.
 //!
-//! `natix stress --net` extends the chaos/stress machinery into a
-//! client-facing load harness: closed-loop client fleets of increasing
-//! size against an in-process server, recording p50/p99 request latency,
-//! throughput and shed rate per offered-load level, and writing the
-//! sweep to `BENCH_serve.json` (override with `--json FILE`). `natix
-//! soak --serve` is the serving power-cut campaign: it spawns `natix
-//! serve` as a child process, runs reader clients plus an update storm
-//! against it, SIGKILLs the daemon mid-storm, then recovers the store
-//! file and audits that every acknowledged update survived and fsck is
-//! clean.
-//!
-//! `natix stress --net --proxy` routes the fleet through the
-//! deterministic network fault proxy of `natix-testkit`: seeded stalls,
-//! partial writes, mid-frame resets, and byte-rate throttling between
-//! the clients and a live daemon, asserting zero protocol errors, no
-//! wedged workers, and epoch consistency across reconnects. `natix
-//! stress --net --leak` runs the pin-lease starvation scenario: one
-//! deliberate leaker pins the only admission slot and goes silent;
-//! well-behaved victims must shed only until the lease reaper frees the
-//! slot (shed rate back to 0 within one TTL), the reclamation backlog
-//! must drain, and the leaker's next request gets the typed
-//! session-expired answer.
-//!
 //! `natix serve --replica-of HOST:PORT` runs the daemon as a hot
 //! standby: it subscribes to the primary at that address, bootstraps
 //! from a streamed snapshot, then applies committed journal batches so
@@ -67,19 +44,6 @@
 //! waits for the applied epoch to settle, discards any unacked staged
 //! tail, runs recovery, and fences the store so batches from a deposed
 //! primary are refused with a typed `fenced` error (DESIGN.md §17).
-//! `natix soak --repl` is the failover campaign: a primary/replica pair
-//! with the fault proxy between them, an update storm, SIGKILL of the
-//! primary at swept points, then promote — asserting the promoted store
-//! is exactly the acked prefix, fsck-clean, with divergent tails
-//! refused.
-//!
-//! `natix soak --diskfull` is the disk-full degradation campaign: a
-//! storage-full window is injected at every write event of every step of
-//! the seeded update traces; the in-flight commit must roll back
-//! atomically, reads must keep serving the pre-step document while the
-//! store is read-only degraded, the space probe must re-enable writes
-//! when the window lifts, and every episode ends with an oracle match
-//! plus a clean fsck scrub.
 //!
 //! Exit codes are structured so scripts can tell failure classes apart:
 //! 0 success, 1 generic failure, 2 usage error, 3 request shed by
@@ -107,32 +71,34 @@
 //! `natix dump --degraded`, which prints the surviving document plus a
 //! damage report naming each missing sibling interval.
 //!
-//! `natix soak` runs the model-based crash/update fuzz harness of
-//! `natix-testkit`: seeded update traces over the Table 1 evaluation
-//! documents, each step checked against an in-memory oracle and swept
-//! with power cuts (clean and torn) at every write event. `--quick` is
-//! the CI smoke tier (seconds); the default full campaign exercises
-//! over a thousand crash points. Failing traces are shrunk and printed
-//! as replayable scripts; `--replay` re-runs such a script.
-//! `--corruption` swaps the power-cut sweep for the bit-rot sweep: every
-//! page class of every committed state is corrupted and the store must
-//! detect or correct, never read silently wrong. `--group-commit` swaps
-//! in the batched-commit sweep: updates are applied through
-//! `WriteGuard::mutate_batch` and a power cut at every write event
-//! inside a batch must recover to an exact prefix of the acked commits
-//! (all acked, or none), with fsck clean at every crash point. On any
-//! abnormal end — including a panic — a drop guard prints the seeds in
-//! play and the exact command line to reproduce.
+//! `natix soak` and `natix stress` run the campaigns of `natix-testkit`,
+//! one row of its `CAMPAIGNS` table per invocation (DESIGN.md §7 has the
+//! table with each row's contract, counts and wall time; `natix` with no
+//! arguments prints the rows):
 //!
-//! `natix stress` runs the deterministic chaos scheduler of
-//! `natix-testkit` over the concurrent store layer: seeded interleavings
-//! of snapshot readers, a serialized writer under injected-fault plans
-//! (transient and permanent), and a racing fsck scrubber — checking
-//! snapshot consistency against a model oracle at every pinned epoch,
-//! exactly-once commits under retry, pin-safe page reclamation, and
-//! phantom-corruption-free scrubs. `--quick` is the CI smoke tier; the
-//! default full campaign runs ≥ 1000 interleavings. Every failure prints
-//! its interleaving seed and a one-command reproduction.
+//! ```text
+//! natix soak                  fuzz          power cuts at every write event of update traces
+//! natix soak --corruption     corruption    bit rot in every page class of every committed state
+//! natix soak --group-commit   group-commit  power cuts inside batched commits
+//! natix soak --bulkload       bulkload      power cuts during a sharded streaming bulkload
+//! natix soak --diskfull       diskfull      a full disk at every write event
+//! natix soak --serve          serve         SIGKILL of a `natix serve` child mid-storm
+//! natix soak --repl           repl          failover: primary, fault proxy, hot standby, promote
+//! natix stress                chaos         seeded reader/writer/fsck interleavings
+//! natix stress --net          net           closed-loop client fleets against a live server
+//! natix stress --net --proxy  proxy         the fleet behind the TCP fault proxy
+//! natix stress --net --leak   leak          a silent client holding the only pin slot
+//! ```
+//!
+//! `--quick` is the CI smoke tier (seconds); the default is the full
+//! acceptance tier. `--seed N` replaces the row's seeds and `--runs N`
+//! the chaos row's number of interleavings; a flag the selected row
+//! cannot honour, or two rows at once, is a usage error (exit 2).
+//! Progress goes to stderr, the one-line summary to stdout. On any
+//! abnormal end — a failure or a panic, in every row — a drop guard
+//! prints the seeds in play and the exact command line to reproduce;
+//! failing update traces are shrunk and printed as scripts that
+//! `natix soak --replay` re-runs.
 //!
 //! DHW and GHDW run one DP per distinct weighted subtree shape with
 //! dominance-pruned rows (`natix_core::dag`). `natix partition --stats`
@@ -142,7 +108,6 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use natix_bench::Json;
 use natix_core::{
     dhw_with_statistics, ghdw_with_statistics, Bfs, Dfs, Dhw, DpStats, Ekm, Ghdw, Km, Lukes,
     PartitionError, Partitioner, Rs,
@@ -155,6 +120,7 @@ use natix_store::{
     bulkload_collection, bulkload_with, fsck, fsck_collection, BulkloadOptions, Collection,
     ErrorCategory, FilePager, OpenMode, StoreConfig, StoreError, XmlStore,
 };
+use natix_testkit::Tier;
 use natix_tree::{validate, Partitioning, Tree, Weight};
 use natix_xml::NodeKind;
 use natix_xpath::{eval_query, EvalError, StoreNavigator};
@@ -243,9 +209,8 @@ fn usage() -> ExitCode {
          natix bulkload <dir> [--input <file.xml>]... [--docs N] [--shards N] [--threads N] \
          [--seg-docs N] [--budget N] [--k SLOTS] [--seed N] [--pool-pages N]\n  \
          natix collection stats <dir> | dump <dir> <doc-id> | fsck <dir> [--repair]\n  \
-         natix soak [--quick] [--corruption] [--group-commit] [--bulkload] [--serve] \
-         [--diskfull] [--repl] [--seed N] [--replay <script>]\n  \
-         natix stress [--quick] [--seed N] [--runs N] [--net [--proxy|--leak]] [--json FILE]\n  \
+         natix soak|stress <campaign, below> [--quick] [--seed N] [--runs N]\n  \
+         natix soak --replay <script>\n  \
          natix serve <store.natix> [--addr HOST:PORT] [--workers N] [--queue-depth N] \
          [--max-pins N] [--read-budget N] [--lease-ttl-ms N] [--pool-pages N] \
          [--replica-of HOST:PORT]\n  \
@@ -254,8 +219,12 @@ fn usage() -> ExitCode {
          shed-probe [--pins N] | promote | shutdown   (all: [--retries N])\n\
          algorithms: ekm (default), dhw, ghdw, km, rs, dfs, bfs, lukes\n\
          --stats prints DP cache and dominance-pruning counters (dhw/ghdw)\n\
-         --pool-pages N caps the buffer pool at N 8 KB pages (default 8192)"
+         --pool-pages N caps the buffer pool at N 8 KB pages (default 8192)\n\
+         campaigns (--quick: the CI smoke tier; --runs: chaos only):"
     );
+    for row in &natix_testkit::CAMPAIGNS {
+        eprintln!("  natix {:<26} {}", row.command, row.contract);
+    }
     ExitCode::from(2)
 }
 
@@ -726,33 +695,25 @@ fn cmd_collection(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// Drop guard for `natix soak`: unless disarmed by a clean finish, it
-/// prints the seeds in play and the exact command line to reproduce —
-/// on failure exits *and* on panics anywhere in the harness, so a crash
-/// never eats the reproduction info.
+/// Drop guard for `natix soak` and `natix stress`: unless disarmed by a
+/// clean finish, it prints the seeds in play and the exact command line
+/// to reproduce — on failure exits *and* on panics anywhere in the
+/// harness, so a crash never eats the reproduction info.
 struct ReplayBanner {
     armed: bool,
+    verb: String,
     rerun: String,
     seeds: Vec<u64>,
-    /// Base seed of the chaos scheduler, when one is in play: any
-    /// interleaving failure is reproducible from the per-failure seed
-    /// printed above, and the whole campaign from this one.
-    chaos_seed: Option<u64>,
 }
 
 impl ReplayBanner {
-    fn new(rerun: String, seeds: Vec<u64>) -> ReplayBanner {
+    fn new(verb: &str, rerun: String, seeds: Vec<u64>) -> ReplayBanner {
         ReplayBanner {
             armed: true,
+            verb: verb.to_string(),
             rerun,
             seeds,
-            chaos_seed: None,
         }
-    }
-
-    fn with_chaos_seed(mut self, seed: u64) -> ReplayBanner {
-        self.chaos_seed = Some(seed);
-        self
     }
 
     fn disarm(&mut self) {
@@ -765,60 +726,53 @@ impl Drop for ReplayBanner {
         if !self.armed {
             return;
         }
-        eprintln!("soak: run did not finish cleanly");
-        eprintln!("soak: seeds in play: {:?}", self.seeds);
-        if let Some(s) = self.chaos_seed {
-            eprintln!("soak: chaos scheduler seed: {s} (campaign rerun: natix stress --seed {s})");
-        }
-        eprintln!("soak: reproduce with: {}", self.rerun);
-        eprintln!("soak: shrunk failures above embed `--replay` scripts when available");
+        let verb = &self.verb;
+        eprintln!("{verb}: run did not finish cleanly");
+        eprintln!("{verb}: seeds in play: {:?}", self.seeds);
+        eprintln!("{verb}: reproduce with: {}", self.rerun);
+        eprintln!("{verb}: a failure above carries its own replay script or rerun line");
     }
 }
 
-/// `natix soak`: run the crash/update fuzz campaign (or replay a shrunk
-/// failure script). Progress goes to stderr, the summary to stdout; a
-/// non-zero exit means at least one shrunk failure was printed.
-/// `--corruption` runs the bit-rot sweep instead of the power-cut sweep.
-/// `--group-commit` runs the batched-commit crash-prefix sweep: every
-/// power-cut point inside a batch must recover to an exact prefix of
-/// the acked commits.
-fn cmd_soak(args: &[String]) -> Result<(), CliError> {
-    let mut quick = false;
-    let mut corruption = false;
-    let mut group_commit = false;
-    let mut bulkload = false;
-    let mut serve_soak = false;
-    let mut diskfull = false;
-    let mut repl = false;
+/// `natix soak` and `natix stress`: run one row of
+/// `natix_testkit::CAMPAIGNS` (or, for `soak --replay`, a shrunk failure
+/// script). The selector words pick the row, the row refuses the flags
+/// it cannot honour (usage errors, exit 2), progress goes to stderr, the
+/// summary to stdout; a non-zero exit means at least one failure was
+/// printed, with the banner naming the seeds and the command to rerun.
+fn cmd_campaign(verb: &str, args: &[String]) -> Result<(), CliError> {
+    let usage = |msg: String| CliError::new(2, msg);
+    let mut tier = Tier::Full;
     let mut seed: Option<u64> = None;
-    let mut replay_path: Option<String> = None;
+    let mut runs: Option<usize> = None;
+    let mut replay_path: Option<&String> = None;
+    let mut selectors: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        let mut value = |what: &str| {
+            it.next()
+                .ok_or_else(|| usage(format!("missing value for {a}")))
+                .and_then(|v| v.parse().map_err(|_| usage(format!("{a} expects {what}"))))
+        };
         match a.as_str() {
-            "--quick" => quick = true,
-            "--corruption" => corruption = true,
-            "--group-commit" => group_commit = true,
-            "--bulkload" => bulkload = true,
-            "--serve" => serve_soak = true,
-            "--diskfull" => diskfull = true,
-            "--repl" => repl = true,
-            "--seed" => {
-                seed = Some(
-                    it.next()
-                        .ok_or("missing value for --seed")?
-                        .parse()
-                        .map_err(|_| "--seed expects an integer".to_string())?,
-                );
+            "--quick" => tier = Tier::Quick,
+            "--seed" => seed = Some(value("an integer")?),
+            "--runs" => runs = Some(value("a positive integer")? as usize),
+            "--replay" if verb == "soak" => {
+                let path = it.next();
+                replay_path = Some(path.ok_or_else(|| usage("missing value for --replay".into()))?);
             }
-            "--replay" => {
-                replay_path = Some(it.next().ok_or("missing value for --replay")?.clone());
+            word if natix_testkit::is_selector(verb, word) => {
+                if !selectors.contains(&word) {
+                    selectors.push(word);
+                }
             }
-            other => return Err(format!("unknown option {other}").into()),
+            other => return Err(usage(format!("unknown option {other}"))),
         }
     }
     if let Some(path) = replay_path {
-        let script = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-        let mut banner = ReplayBanner::new(format!("natix soak --replay {path}"), vec![]);
+        let script = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        let mut banner = ReplayBanner::new(verb, format!("natix soak --replay {path}"), vec![]);
         let outcome = natix_testkit::replay(&script)?;
         banner.disarm();
         println!(
@@ -827,512 +781,28 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    if repl {
-        if corruption || group_commit || bulkload || serve_soak || diskfull {
-            return Err("--repl is mutually exclusive with the other soak sweeps".into());
-        }
-        let server_bin = std::env::current_exe()
-            .map_err(|e| CliError::new(5, format!("cannot locate the natix binary: {e}")))?;
-        let mut cfg = if quick {
-            natix_testkit::ReplSoakConfig::quick(server_bin)
-        } else {
-            natix_testkit::ReplSoakConfig::full(server_bin)
-        };
-        if let Some(s) = seed {
-            cfg.seed = s;
-        }
-        let mut banner = ReplayBanner::new(
-            format!(
-                "natix soak --repl{} --seed {}",
-                if quick { " --quick" } else { "" },
-                cfg.seed
-            ),
-            vec![cfg.seed],
-        );
-        eprintln!(
-            "  repl soak: {} failover rounds, {} updates offered per round",
-            cfg.rounds, cfg.updates_per_round
-        );
-        let report = natix_testkit::run_repl_soak(&cfg);
-        for f in &report.failures {
-            eprintln!("FAIL {f}");
-        }
-        println!(
-            "soak ({}, repl): {}",
-            if quick { "quick" } else { "full" },
-            report.summary()
-        );
-        return if report.ok() {
-            banner.disarm();
-            Ok(())
-        } else {
-            Err(format!("{} failure(s) printed above", report.failures.len()).into())
-        };
-    }
-    if diskfull {
-        if corruption || group_commit || bulkload || serve_soak {
-            return Err("--diskfull is mutually exclusive with the other soak sweeps".into());
-        }
-        let mut cfg = if quick {
-            natix_testkit::DiskFullConfig::quick()
-        } else {
-            natix_testkit::DiskFullConfig::full()
-        };
-        if let Some(s) = seed {
-            cfg.fuzz_seeds = vec![s];
-        }
-        let mut banner = ReplayBanner::new(
-            format!(
-                "natix soak --diskfull{}{}",
-                if quick { " --quick" } else { "" },
-                match seed {
-                    Some(s) => format!(" --seed {s}"),
-                    None => String::new(),
-                }
-            ),
-            cfg.fuzz_seeds.clone(),
-        );
-        let report = natix_testkit::run_diskfull_campaign(&cfg, |line| eprintln!("  {line}"));
-        for f in &report.failures {
-            eprintln!("{f}");
-        }
-        println!(
-            "soak ({}, diskfull): {}",
-            if quick { "quick" } else { "full" },
-            report.summary()
-        );
-        return if report.ok() {
-            banner.disarm();
-            Ok(())
-        } else {
-            Err(format!("{} failure(s) printed above", report.failures.len()).into())
-        };
-    }
-    if serve_soak {
-        if corruption || group_commit || bulkload {
-            return Err("--serve is mutually exclusive with the other soak sweeps".into());
-        }
-        let server_bin = std::env::current_exe()
-            .map_err(|e| CliError::new(5, format!("cannot locate the natix binary: {e}")))?;
-        let mut cfg = if quick {
-            natix_testkit::ServeSoakConfig::quick(server_bin)
-        } else {
-            natix_testkit::ServeSoakConfig::full(server_bin)
-        };
-        if let Some(s) = seed {
-            cfg.seed = s;
-        }
-        let mut banner = ReplayBanner::new(
-            format!(
-                "natix soak --serve{} --seed {}",
-                if quick { " --quick" } else { "" },
-                cfg.seed
-            ),
-            vec![cfg.seed],
-        );
-        eprintln!(
-            "  serve soak: {} power-cut rounds, {} updates offered per round, {} readers",
-            cfg.rounds, cfg.updates_per_round, cfg.readers
-        );
-        let report = natix_testkit::run_serve_soak(&cfg);
-        for f in &report.failures {
-            eprintln!("FAIL {f}");
-        }
-        println!(
-            "soak ({}, serve): {}",
-            if quick { "quick" } else { "full" },
-            report.summary()
-        );
-        return if report.ok() {
-            banner.disarm();
-            Ok(())
-        } else {
-            Err(format!("{} failure(s) printed above", report.failures.len()).into())
-        };
-    }
-    if bulkload {
-        if corruption || group_commit {
-            return Err(
-                "--bulkload is mutually exclusive with --corruption and --group-commit".into(),
-            );
-        }
-        let cfg = if quick {
-            natix_testkit::BulkCampaignConfig::quick()
-        } else {
-            natix_testkit::BulkCampaignConfig::full()
-        };
-        let report = natix_testkit::run_bulkload_campaign(&cfg, |line| eprintln!("  {line}"));
-        for f in &report.failures {
-            eprintln!("FAIL {f}");
-        }
-        println!(
-            "soak ({}, bulkload): {}",
-            if quick { "quick" } else { "full" },
-            report.summary()
-        );
-        return if report.ok() {
-            Ok(())
-        } else {
-            Err(format!("{} failure(s) printed above", report.failures.len()).into())
-        };
-    }
-    if group_commit {
-        if corruption {
-            return Err("--group-commit and --corruption are mutually exclusive".into());
-        }
-        let mut cfg = if quick {
-            natix_testkit::GroupCommitConfig::quick()
-        } else {
-            natix_testkit::GroupCommitConfig::full()
-        };
-        if let Some(s) = seed {
-            cfg.fuzz_seeds = vec![s];
-        }
-        let report = natix_testkit::run_group_commit_campaign(&cfg, |line| eprintln!("  {line}"));
-        for (workload, fuzz_seed, batch, f) in &report.failures {
-            eprintln!("FAIL {workload} seed={fuzz_seed} batch={batch}: {f}");
-        }
-        println!(
-            "soak ({}, group-commit): {}",
-            if quick { "quick" } else { "full" },
-            report.summary()
-        );
-        return if report.ok() {
-            Ok(())
-        } else {
-            Err(format!("{} failure(s) printed above", report.failures.len()).into())
-        };
-    }
-    let mut cfg = if quick {
-        natix_testkit::CampaignConfig::quick()
-    } else {
-        natix_testkit::CampaignConfig::full()
-    };
-    if let Some(s) = seed {
-        cfg.fuzz_seeds = vec![s];
-    }
-    let mut banner = ReplayBanner::new(
-        format!(
-            "natix soak{}{}{}",
-            if quick { " --quick" } else { "" },
-            if corruption { " --corruption" } else { "" },
-            match seed {
-                Some(s) => format!(" --seed {s}"),
-                None => String::new(),
-            }
-        ),
-        cfg.fuzz_seeds.clone(),
-    );
-    let report = if corruption {
-        natix_testkit::run_corruption_campaign(&cfg, |line| eprintln!("  {line}"))
-    } else {
-        natix_testkit::run_campaign(&cfg, |line| eprintln!("  {line}"))
-    };
+    let row = natix_testkit::select(verb, &selectors).map_err(usage)?;
+    let server_bin = row
+        .server_bin
+        .then(std::env::current_exe)
+        .transpose()
+        .map_err(|e| CliError::new(5, format!("cannot locate the natix binary: {e}")))?;
+    let plan = row.plan(tier, seed, runs, server_bin).map_err(usage)?;
+    let mut banner = ReplayBanner::new(verb, plan.rerun(), plan.seeds.clone());
+    let report = plan.run(&mut |line| eprintln!("  {line}"));
     for f in &report.failures {
-        eprintln!("{f}");
+        eprintln!("FAIL {f}");
     }
-    println!(
-        "soak ({}{}): {}",
-        if quick { "quick" } else { "full" },
-        if corruption { ", corruption" } else { "" },
-        report.summary()
-    );
+    for note in &report.notes {
+        println!("{note}");
+    }
+    println!("{}: {}", plan.title(), report.summary());
     if report.ok() {
         banner.disarm();
         Ok(())
     } else {
-        Err(format!(
-            "{} failure(s); replay scripts printed above",
-            report.failures.len()
-        )
-        .into())
-    }
-}
-
-/// `natix stress`: run the deterministic chaos campaign over the
-/// concurrent store layer. Progress goes to stderr, the summary to
-/// stdout; a non-zero exit means at least one interleaving violated an
-/// invariant (each failure prints its seed and a one-command rerun).
-fn cmd_stress(args: &[String]) -> Result<(), CliError> {
-    let mut quick = false;
-    let mut net = false;
-    let mut proxy = false;
-    let mut leak = false;
-    let mut json_path: Option<String> = None;
-    let mut seed: Option<u64> = None;
-    let mut runs: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--net" => net = true,
-            "--proxy" => proxy = true,
-            "--leak" => leak = true,
-            "--json" => {
-                json_path = Some(it.next().ok_or("missing value for --json")?.clone());
-            }
-            "--seed" => {
-                seed = Some(
-                    it.next()
-                        .ok_or("missing value for --seed")?
-                        .parse()
-                        .map_err(|_| "--seed expects an integer".to_string())?,
-                );
-            }
-            "--runs" => {
-                runs = Some(
-                    it.next()
-                        .ok_or("missing value for --runs")?
-                        .parse()
-                        .map_err(|_| "--runs expects a positive integer".to_string())?,
-                );
-            }
-            other => return Err(format!("unknown option {other}").into()),
-        }
-    }
-    if net {
-        if runs.is_some() {
-            return Err("--runs applies to the chaos campaign, not --net".into());
-        }
-        if proxy && leak {
-            return Err("--proxy and --leak are mutually exclusive".into());
-        }
-        if (proxy || leak) && json_path.is_some() {
-            return Err("--json applies to the load sweep, not --proxy/--leak".into());
-        }
-        if proxy {
-            return cmd_stress_proxy(quick, seed);
-        }
-        if leak {
-            return cmd_stress_leak(quick, seed);
-        }
-        return cmd_stress_net(quick, seed, json_path);
-    }
-    if proxy || leak {
-        return Err("--proxy and --leak apply to --net only".into());
-    }
-    if json_path.is_some() {
-        return Err("--json applies to --net only".into());
-    }
-    let mut cfg = if quick {
-        natix_testkit::ChaosConfig::quick()
-    } else {
-        natix_testkit::ChaosConfig::full()
-    };
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    if let Some(r) = runs {
-        cfg.runs = r;
-    }
-    let mut banner = ReplayBanner::new(
-        format!(
-            "natix stress{} --seed {} --runs {}",
-            if quick { " --quick" } else { "" },
-            cfg.seed,
-            cfg.runs
-        ),
-        vec![cfg.seed],
-    )
-    .with_chaos_seed(cfg.seed);
-    let report = natix_testkit::run_chaos(&cfg, |line| eprintln!("  {line}"));
-    for f in &report.failures {
-        eprintln!("{f}");
-    }
-    println!(
-        "stress ({}): {}",
-        if quick { "quick" } else { "full" },
-        report.summary()
-    );
-    if report.ok() {
-        banner.disarm();
-        Ok(())
-    } else {
-        Err(format!(
-            "{} interleaving failure(s); seeds and reruns printed above",
-            report.failures.len()
-        )
-        .into())
-    }
-}
-
-/// `natix stress --net`: the client-facing load harness. Sweeps
-/// closed-loop client fleets against an in-process server, prints the
-/// per-level latency/throughput/shed table, and writes the sweep as
-/// JSON (default `BENCH_serve.json`).
-fn cmd_stress_net(
-    quick: bool,
-    seed: Option<u64>,
-    json_path: Option<String>,
-) -> Result<(), CliError> {
-    let mut cfg = if quick {
-        natix_testkit::NetLoadConfig::quick()
-    } else {
-        natix_testkit::NetLoadConfig::full()
-    };
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    eprintln!(
-        "  net load: levels {:?}, {} requests/client, xmark scale {}, {} workers, {} pins",
-        cfg.levels, cfg.requests_per_client, cfg.scale, cfg.workers, cfg.max_pins
-    );
-    let report = natix_testkit::run_net_load(&cfg);
-    for f in &report.failures {
-        eprintln!("FAIL {f}");
-    }
-    println!(
-        "stress ({}, net):\n{}",
-        if quick { "quick" } else { "full" },
-        report.summary()
-    );
-    let path = json_path.unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let json = net_load_json(&cfg, &report).render_pretty();
-    std::fs::write(&path, json + "\n").map_err(|e| CliError::new(5, format!("{path}: {e}")))?;
-    println!("wrote {path}");
-    if report.ok() {
-        Ok(())
-    } else {
         Err(format!("{} failure(s) printed above", report.failures.len()).into())
     }
-}
-
-/// `natix stress --net --proxy`: the fleet behind the deterministic
-/// network fault proxy. Zero protocol errors, zero wedged workers, and
-/// epoch consistency are the contract; every injected reset forces a
-/// client reconnect that must recover cleanly.
-fn cmd_stress_proxy(quick: bool, seed: Option<u64>) -> Result<(), CliError> {
-    let mut cfg = if quick {
-        natix_testkit::ProxyChaosConfig::quick()
-    } else {
-        natix_testkit::ProxyChaosConfig::full()
-    };
-    if let Some(s) = seed {
-        cfg.seed = s;
-        cfg.plan.seed = s;
-    }
-    eprintln!(
-        "  proxy chaos: {} clients x {} requests, xmark scale {}, plan seed {:#x}",
-        cfg.clients, cfg.requests_per_client, cfg.scale, cfg.plan.seed
-    );
-    let report = natix_testkit::run_proxy_chaos(&cfg);
-    for f in &report.failures {
-        eprintln!("FAIL {f}");
-    }
-    println!(
-        "stress ({}, net proxy): {}",
-        if quick { "quick" } else { "full" },
-        report.summary()
-    );
-    if report.ok() {
-        Ok(())
-    } else {
-        Err(format!("{} failure(s) printed above", report.failures.len()).into())
-    }
-}
-
-/// `natix stress --net --leak`: the pin-lease starvation scenario. One
-/// leaker pins the only admission slot and goes silent; the lease reaper
-/// must unstarve the victims within one TTL and unblock reclamation.
-fn cmd_stress_leak(quick: bool, seed: Option<u64>) -> Result<(), CliError> {
-    let mut cfg = if quick {
-        natix_testkit::LeaseLeakConfig::quick()
-    } else {
-        natix_testkit::LeaseLeakConfig::full()
-    };
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    eprintln!(
-        "  lease leak: {} victims, ttl {} ms, {} updates, xmark scale {}",
-        cfg.victims, cfg.lease_ttl_ms, cfg.updates, cfg.scale
-    );
-    let report = natix_testkit::run_lease_leak(&cfg);
-    for f in &report.failures {
-        eprintln!("FAIL {f}");
-    }
-    println!(
-        "stress ({}, net leak): {}",
-        if quick { "quick" } else { "full" },
-        report.summary()
-    );
-    if report.ok() {
-        Ok(())
-    } else {
-        Err(format!("{} failure(s) printed above", report.failures.len()).into())
-    }
-}
-
-/// Render a [`natix_testkit::NetLoadReport`] as the `BENCH_serve.json`
-/// document: config, per-level latency percentiles and shed rates, and
-/// the server's final counters.
-fn net_load_json(
-    cfg: &natix_testkit::NetLoadConfig,
-    report: &natix_testkit::NetLoadReport,
-) -> Json {
-    let obj = |fields: Vec<(&str, Json)>| {
-        Json::Object(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    };
-    let levels = report
-        .levels
-        .iter()
-        .map(|l| {
-            obj(vec![
-                ("clients", Json::UInt(l.clients as u64)),
-                ("completed", Json::UInt(l.completed)),
-                ("sheds", Json::UInt(l.sheds)),
-                ("updates", Json::UInt(l.updates)),
-                ("p50_us", Json::UInt(l.p50_us)),
-                ("p99_us", Json::UInt(l.p99_us)),
-                ("max_us", Json::UInt(l.max_us)),
-                ("elapsed_s", Json::Float(l.elapsed_s)),
-                ("rps", Json::Float(l.rps)),
-                ("shed_rate", Json::Float(l.shed_rate)),
-            ])
-        })
-        .collect();
-    let s = &report.server;
-    obj(vec![
-        ("bench", Json::Str("serve".to_string())),
-        (
-            "config",
-            obj(vec![
-                (
-                    "levels",
-                    Json::Array(cfg.levels.iter().map(|&c| Json::UInt(c as u64)).collect()),
-                ),
-                (
-                    "requests_per_client",
-                    Json::UInt(cfg.requests_per_client as u64),
-                ),
-                ("xmark_scale", Json::Float(cfg.scale)),
-                ("workers", Json::UInt(cfg.workers as u64)),
-                ("queue_depth", Json::UInt(cfg.queue_depth as u64)),
-                ("max_pins", Json::UInt(cfg.max_pins as u64)),
-                ("seed", Json::UInt(cfg.seed)),
-            ]),
-        ),
-        ("levels", Json::Array(levels)),
-        (
-            "server",
-            obj(vec![
-                ("connections", Json::UInt(s.connections)),
-                ("requests", Json::UInt(s.requests)),
-                ("ok", Json::UInt(s.ok)),
-                ("errors", Json::UInt(s.errors)),
-                ("shed", Json::UInt(s.shed)),
-                ("queue_shed", Json::UInt(s.queue_shed)),
-                ("proto_errors", Json::UInt(s.proto_errors)),
-                ("worker_panics", Json::UInt(s.worker_panics)),
-            ]),
-        ),
-        ("failures", Json::UInt(report.failures.len() as u64)),
-    ])
 }
 
 /// `natix serve`: run the network daemon until a wire `shutdown` request
@@ -1715,8 +1185,7 @@ fn main() -> ExitCode {
         "fsck" => cmd_fsck(rest),
         "bulkload" => cmd_bulkload(rest),
         "collection" => cmd_collection(rest),
-        "soak" => cmd_soak(rest),
-        "stress" => cmd_stress(rest),
+        "soak" | "stress" => cmd_campaign(cmd, rest),
         "serve" => cmd_serve(rest),
         "net" => cmd_net(rest),
         "--help" | "-h" | "help" => return usage(),

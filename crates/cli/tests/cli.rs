@@ -275,22 +275,37 @@ fn repair_quarantines_and_degraded_dump_reports_the_loss() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Every row of the campaign table runs its quick tier through the
+/// built binary: exit 0, the summary line under the row's title, the
+/// replay banner silent. A row added to `CAMPAIGNS` is tested by being
+/// added. The rows are separate processes and run side by side (the
+/// network rows mostly wait on timers).
 #[test]
-fn soak_corruption_quick_tier_passes() {
-    let out = natix(&["soak", "--quick", "--corruption"]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+fn every_campaign_row_passes_its_quick_tier() {
+    std::thread::scope(|rows| {
+        for row in &natix_testkit::CAMPAIGNS {
+            rows.spawn(move || quick_tier_passes(row));
+        }
+    });
+}
+
+fn quick_tier_passes(row: &'static natix_testkit::Campaign) {
+    let mut args: Vec<&str> = row.command.split(' ').collect();
+    args.push("--quick");
+    let out = natix(&args);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("soak (quick, corruption):"), "{stdout}");
-    // A clean run must NOT print the failure banner.
-    assert!(
-        !String::from_utf8_lossy(&out.stderr).contains("reproduce with"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{args:?}\n{stdout}\n{stderr}");
+    let bin = row.server_bin.then(|| env!("CARGO_BIN_EXE_natix").into());
+    let plan = row
+        .plan(natix_testkit::Tier::Quick, None, None, bin)
+        .unwrap();
+    let summary = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix(&format!("{}: ", plan.title())))
+        .unwrap_or_else(|| panic!("{args:?} printed no summary line:\n{stdout}"));
+    assert!(summary.contains(" 0 failure"), "{args:?}: {summary}");
+    assert!(!stderr.contains("reproduce with"), "{args:?}\n{stderr}");
 }
 
 #[test]

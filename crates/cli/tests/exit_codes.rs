@@ -100,6 +100,64 @@ fn partition_option_errors_exit_2_before_any_output() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// One rule for `soak`/`stress` flags: exactly one campaign per
+/// invocation, and a flag the selected row cannot honour is a usage
+/// error naming the row. Nothing runs, nothing is printed to stdout.
+#[test]
+fn campaign_flag_errors_exit_2_and_name_the_row() {
+    for (args, needle) in [
+        // Two sweeps at once, or half a selector.
+        (
+            &["soak", "--corruption", "--diskfull"][..],
+            "is not one campaign",
+        ),
+        (
+            &["soak", "--quick", "--serve", "--repl"],
+            "is not one campaign",
+        ),
+        (
+            &["stress", "--net", "--proxy", "--leak"],
+            "is not one campaign",
+        ),
+        (
+            &["stress", "--proxy"],
+            "natix stress --proxy is not one campaign",
+        ),
+        // --runs counts interleavings: the chaos row only.
+        (&["soak", "--runs", "3"], "natix soak takes no --runs"),
+        (
+            &["stress", "--net", "--runs", "3"],
+            "natix stress --net takes no --runs",
+        ),
+        // --seed on a row that has none used to be ignored silently.
+        (
+            &["soak", "--bulkload", "--seed", "7"],
+            "natix soak --bulkload takes no --seed",
+        ),
+        // The BENCH_serve.json writer is gone, and with it the flag.
+        (
+            &["stress", "--net", "--quick", "--json", "out.json"],
+            "unknown option --json",
+        ),
+        (&["stress", "--json", "out.json"], "unknown option --json"),
+        // A selector of the other verb is no option of this one.
+        (&["soak", "--net"], "unknown option --net"),
+        (&["stress", "--replay", "x"], "unknown option --replay"),
+        (&["stress", "--seed"], "missing value for --seed"),
+        (
+            &["stress", "--runs", "many"],
+            "--runs expects a positive integer",
+        ),
+    ] {
+        let out = natix(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(code(&out), 2, "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
+    assert!(!Path::new("out.json").exists());
+}
+
 #[test]
 fn missing_store_exits_5() {
     let dir = tmpdir("io");

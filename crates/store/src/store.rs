@@ -5,7 +5,7 @@
 //!
 //! * the **fresh-store writer** ([`begin_fresh`] / [`finish_fresh`]):
 //!   checksum sealing under a pool with write-back floor 0, header slots
-//!   0/1, then catalog → epoch-1 header → flush → floor. Used by
+//!   0/1, then catalog → flush → barrier → epoch-1 header → floor. Used by
 //!   [`XmlStore::bulkload`], `stream_bulkload` and [`XmlStore::compact`];
 //! * the **writer open** ([`XmlStore::open_with`]): checksum
 //!   verification, journal replay and catalog read on it, then a pool;
@@ -426,7 +426,9 @@ pub(crate) fn begin_fresh(
 /// the records placed through `pool` since [`begin_fresh`]. The catalog
 /// goes after the data pages so the store can be reopened from its page
 /// file alone. No pre-state exists, so no journal is needed; epoch 1
-/// lands in slot 1 and slot 0 stays invalid (zeroed).
+/// lands in slot 1 and slot 0 stays invalid (zeroed). The header slot is
+/// the last page written, so a crash at any earlier write leaves a file
+/// with no valid header.
 pub(crate) fn finish_fresh(
     mut pool: BufferPool,
     config: &StoreConfig,
@@ -450,9 +452,12 @@ pub(crate) fn finish_fresh(
         journal_first_page: 0,
         journal_len: 0,
     };
-    let image = catalog::encode_header(&header);
-    pool.with_page(header.slot(), true, |buf| buf.copy_from_slice(&image))?;
+    // Behind the barrier a journal commit uses: `flush` writes in page
+    // order, and slot 1 ahead of the data pages it names would survive a
+    // crash mid-flush as a valid header over missing data.
     pool.flush()?;
+    pool.sync_backend()?;
+    pool.write_through(header.slot(), &catalog::encode_header(&header))?;
     // Everything written so far is now the committed state: raise the
     // floor so only future appends qualify for dirty write-back.
     pool.set_writeback_floor(pool.page_count());

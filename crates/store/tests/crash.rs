@@ -5,8 +5,8 @@
 
 use natix_core::Ekm;
 use natix_store::{
-    bulkload_with, fsck, FaultInjectingPager, FaultSchedule, NodeRef, SharedMemPager, StoreConfig,
-    StoreResult, XmlStore,
+    bulkload_with, fsck, FaultInjectingPager, FaultSchedule, NodeRef, Pager, SharedMemPager,
+    StoreConfig, StoreResult, XmlStore,
 };
 use natix_xml::{parse, NodeKind};
 
@@ -107,6 +107,62 @@ fn crash_sweep(snap: &[u8], xml_pre: &str, op: impl Fn(&mut XmlStore) -> StoreRe
         }
     }
     points
+}
+
+/// A fresh load has no pre-state to fall back to: a power cut at any
+/// write event of `bulkload_with` must leave either no valid header (the
+/// file is not a store yet) or the whole store. A header that reaches
+/// the disk ahead of the pages it names is the failure this pins.
+#[test]
+fn fresh_bulkload_survives_power_cut_at_every_write() {
+    let entries: String = (0..400)
+        .map(|i| format!("<e id=\"{i}\">entry number {i} of the fresh load</e>"))
+        .collect();
+    let doc = parse(&format!("<list>{entries}</list>")).unwrap();
+    let want = doc.to_xml();
+    let config = StoreConfig {
+        record_limit_slots: 32,
+        ..Default::default()
+    };
+    let (mut refused, mut whole) = (0u64, 0u64);
+    for torn in [false, true] {
+        let mut n = 1u64;
+        loop {
+            let disk = SharedMemPager::new();
+            let faulty =
+                FaultInjectingPager::new(Box::new(disk.clone()), FaultSchedule::power_cut(n, torn));
+            let loaded = bulkload_with(&doc, &Ekm, 32, Box::new(faulty), config).is_ok();
+            match XmlStore::open(Box::new(disk.clone()), config) {
+                Ok(mut store) => {
+                    store
+                        .check_consistency()
+                        .unwrap_or_else(|e| panic!("cut at n={n} torn={torn}: {e}"));
+                    let got = store.to_document().unwrap().to_xml();
+                    assert!(got == want, "cut at n={n} torn={torn}: dump differs");
+                    drop(store);
+                    let scrub = fsck(&mut disk.clone(), false);
+                    assert!(scrub.clean(), "cut at n={n} torn={torn}:\n{scrub}");
+                    whole += 1;
+                }
+                Err(e) => {
+                    assert!(!loaded, "a finished load did not reopen: {e}");
+                    assert!(
+                        e.to_string().contains("no valid header slot")
+                            || disk.clone().page_count() < 2,
+                        "cut at n={n} torn={torn} refused for another reason: {e}"
+                    );
+                    refused += 1;
+                }
+            }
+            if loaded {
+                break; // the cut lay past the load's last write
+            }
+            n += 1;
+            assert!(n < 10_000, "crash sweep did not terminate");
+        }
+    }
+    assert!(refused > 20, "the load wrote too few pages to be swept");
+    assert!(whole >= 2, "no cut landed on or after the header write");
 }
 
 #[test]

@@ -24,9 +24,8 @@
 //! document subsequence, so the horizon is stable across runs and
 //! thread counts and every chosen cut point actually fires.
 
-use std::fmt;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -36,56 +35,52 @@ use natix_store::{
     XmlStore, PAGE_SIZE,
 };
 
-/// Knobs of [`run_bulkload_campaign`].
-#[derive(Debug, Clone)]
-pub struct BulkCampaignConfig {
+use crate::harness::{scratch_dir, Plan, Progress, Report};
+
+/// One tier of the campaign: the corpus, how it is sharded and
+/// segmented, and how densely the horizon is cut.
+struct Load {
     /// Corpus size (synthetic documents, deterministic by index).
-    pub docs: usize,
-    /// Shard files in the collection.
-    pub shards: u32,
-    /// Loader threads.
-    pub threads: usize,
+    docs: usize,
+    shards: u32,
     /// Documents per segment commit.
-    pub seg_docs: usize,
+    seg_docs: usize,
     /// Streaming partitioner sibling budget.
-    pub sibling_budget: usize,
+    sibling_budget: usize,
     /// Record weight limit `K` for the shard stores.
-    pub record_limit_slots: natix_tree::Weight,
+    record_limit_slots: natix_tree::Weight,
     /// Cut points to sweep across the horizon; 0 = every write event.
-    pub max_cuts: usize,
-    /// The shard that gets the power cut.
-    pub target_shard: u32,
+    max_cuts: usize,
 }
 
-impl BulkCampaignConfig {
-    /// CI smoke tier: a handful of cuts over a small corpus, seconds.
-    pub fn quick() -> BulkCampaignConfig {
-        BulkCampaignConfig {
-            docs: 36,
-            shards: 3,
-            threads: 2,
-            seg_docs: 4,
-            sibling_budget: 4,
-            record_limit_slots: 64,
-            max_cuts: 10,
-            target_shard: 0,
-        }
-    }
+/// CI smoke tier: a handful of cuts over a small corpus.
+const QUICK: Load = Load {
+    docs: 36,
+    shards: 3,
+    seg_docs: 4,
+    sibling_budget: 4,
+    record_limit_slots: 64,
+    max_cuts: 10,
+};
 
-    /// Thorough tier: a denser sweep over a larger corpus.
-    pub fn full() -> BulkCampaignConfig {
-        BulkCampaignConfig {
-            docs: 180,
-            shards: 4,
-            threads: 2,
-            seg_docs: 12,
-            sibling_budget: 6,
-            record_limit_slots: 128,
-            max_cuts: 120,
-            target_shard: 0,
-        }
-    }
+/// Thorough tier: a larger corpus, cut at every write event of its
+/// horizon.
+const FULL: Load = Load {
+    docs: 180,
+    shards: 4,
+    seg_docs: 12,
+    sibling_budget: 6,
+    record_limit_slots: 128,
+    max_cuts: 120,
+};
 
+/// Loader threads.
+const THREADS: usize = 2;
+
+/// The shard that gets the power cut.
+const TARGET_SHARD: u32 = 0;
+
+impl Load {
     fn store_config(&self) -> StoreConfig {
         StoreConfig {
             record_limit_slots: self.record_limit_slots,
@@ -96,65 +91,11 @@ impl BulkCampaignConfig {
     fn load_options(&self) -> BulkloadOptions {
         BulkloadOptions {
             shards: self.shards,
-            threads: self.threads,
+            threads: THREADS,
             seg_docs: self.seg_docs,
             sibling_budget: self.sibling_budget,
             ..BulkloadOptions::default()
         }
-    }
-}
-
-/// One violated invariant at one cut point.
-#[derive(Debug, Clone)]
-pub struct BulkFailure {
-    /// `(write event, torn)` of the cut, or `None` for the baseline run.
-    pub cut: Option<(u64, bool)>,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for BulkFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.cut {
-            Some((at, torn)) => write!(
-                f,
-                "cut@{at}{}: {}",
-                if torn { "+torn" } else { "" },
-                self.message
-            ),
-            None => write!(f, "baseline: {}", self.message),
-        }
-    }
-}
-
-/// What the campaign covered.
-#[derive(Debug, Clone)]
-pub struct BulkReport {
-    /// Documents in the corpus.
-    pub docs: usize,
-    /// Write-event horizon of the target shard's fault-free load.
-    pub horizon: u64,
-    /// Cut points actually swept.
-    pub cuts: usize,
-    /// Violations, empty when the contract held everywhere.
-    pub failures: Vec<BulkFailure>,
-}
-
-impl BulkReport {
-    /// No violations.
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// One-line summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} docs, horizon {} write events, {} cuts swept, {} failure(s)",
-            self.docs,
-            self.horizon,
-            self.cuts,
-            self.failures.len()
-        )
     }
 }
 
@@ -214,14 +155,10 @@ fn corpus(n: usize) -> Vec<String> {
         .collect()
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("natix-bulk-soak-{}-{tag}", std::process::id()))
-}
-
 /// Recovery contract check against the on-disk state of `dir`.
 fn verify_dir(
     dir: &Path,
-    cfg: &BulkCampaignConfig,
+    cfg: &Load,
     docs: &[String],
     cut_shard: Option<u32>,
 ) -> Result<(), String> {
@@ -291,29 +228,26 @@ fn verify_dir(
     Ok(())
 }
 
-/// Run the power-cut bulkload campaign: measure the target shard's
-/// write-event horizon with a fault-free load, then sweep power cuts
-/// across it, verifying the recovery contract after each simulated
-/// crash. `progress` receives one line per phase.
-pub fn run_bulkload_campaign(
-    cfg: &BulkCampaignConfig,
-    mut progress: impl FnMut(&str),
-) -> BulkReport {
+/// `natix soak --bulkload`: measure the target shard's write-event
+/// horizon with a fault-free load, then sweep power cuts across it,
+/// verifying the recovery contract after each simulated crash.
+pub(crate) fn bulkload(plan: &Plan, progress: &mut Progress) -> Report {
+    sweep(&plan.tier.pick(QUICK, FULL), progress)
+}
+
+fn sweep(cfg: &Load, progress: &mut Progress) -> Report {
     let docs = corpus(cfg.docs);
-    let mut report = BulkReport {
-        docs: docs.len(),
-        horizon: 0,
-        cuts: 0,
-        failures: Vec::new(),
-    };
+    let mut report = Report::new(
+        "{docs} docs, horizon {horizon} write events, {cuts} cuts swept, {failures} failure(s)",
+        &[],
+    );
+    report.add("docs", docs.len() as u64);
 
     // Baseline: fault-free load, counting the target shard's write
     // events; everything must verify before any cut is meaningful.
-    let base = scratch_dir("base");
-    let _ = fs::remove_dir_all(&base);
+    let base = scratch_dir("bulk-base");
     let events = Arc::new(AtomicU64::new(0));
     let counter = events.clone();
-    let target = cfg.target_shard;
     let outcome = bulkload_collection_with(
         &base,
         docs.iter().cloned(),
@@ -321,7 +255,7 @@ pub fn run_bulkload_campaign(
         cfg.load_options(),
         &move |shard, path| {
             let file = Box::new(FilePager::create(path)?);
-            if shard == target {
+            if shard == TARGET_SHARD {
                 Ok(Box::new(CountingPager {
                     inner: file,
                     events: counter.clone(),
@@ -331,28 +265,24 @@ pub fn run_bulkload_campaign(
             }
         },
     );
-    if let Err(e) = outcome {
-        report.failures.push(BulkFailure {
-            cut: None,
-            message: format!("fault-free load failed: {e}"),
-        });
-        return report;
-    }
-    if let Err(message) = verify_dir(&base, cfg, &docs, None) {
-        report.failures.push(BulkFailure { cut: None, message });
-        return report;
-    }
+    let baseline = match outcome {
+        Ok(_) => verify_dir(&base, cfg, &docs, None),
+        Err(e) => Err(format!("fault-free load failed: {e}")),
+    };
     let _ = fs::remove_dir_all(&base);
-    report.horizon = events.load(Ordering::Relaxed);
+    if let Err(message) = baseline {
+        report.failures.push(format!("baseline: {message}"));
+        return report;
+    }
+    let horizon = events.load(Ordering::Relaxed);
+    report.add("horizon", horizon);
     progress(&format!(
-        "baseline clean: {} docs, horizon {} write events on shard {target}",
+        "baseline clean: {} docs, horizon {horizon} write events on shard {TARGET_SHARD}",
         docs.len(),
-        report.horizon
     ));
 
     // Cut points across [1, horizon], endpoints included; every point
     // fires because the shard's write stream is deterministic.
-    let horizon = report.horizon;
     let cuts: Vec<u64> = if cfg.max_cuts == 0 || cfg.max_cuts as u64 >= horizon {
         (1..=horizon).collect()
     } else {
@@ -366,8 +296,7 @@ pub fn run_bulkload_campaign(
 
     for (i, &at) in cuts.iter().enumerate() {
         let torn = i % 2 == 1;
-        let dir = scratch_dir("cut");
-        let _ = fs::remove_dir_all(&dir);
+        let dir = scratch_dir("bulk-cut");
         // The load may fail (worker lost its disk) or succeed (the rest
         // of the corpus routed around the dead shard before the feed
         // loop noticed) — both are legal; the disk contract is what we
@@ -379,7 +308,7 @@ pub fn run_bulkload_campaign(
             cfg.load_options(),
             &move |shard, path| {
                 let file = Box::new(FilePager::create(path)?);
-                if shard == target {
+                if shard == TARGET_SHARD {
                     Ok(Box::new(FaultInjectingPager::new(
                         file,
                         FaultSchedule::power_cut(at, torn),
@@ -389,23 +318,47 @@ pub fn run_bulkload_campaign(
                 }
             },
         );
-        report.cuts += 1;
-        if let Err(message) = verify_dir(&dir, cfg, &docs, Some(target)) {
-            report.failures.push(BulkFailure {
-                cut: Some((at, torn)),
-                message,
-            });
+        report.add("cuts", 1);
+        let verdict = verify_dir(&dir, cfg, &docs, Some(TARGET_SHARD));
+        let _ = fs::remove_dir_all(&dir);
+        if let Err(message) = verdict {
+            let torn = if torn { "+torn" } else { "" };
+            report.failures.push(format!("cut@{at}{torn}: {message}"));
             if report.failures.len() >= 5 {
-                let _ = fs::remove_dir_all(&dir);
                 progress("aborting sweep after 5 failures");
                 break;
             }
         }
-        let _ = fs::remove_dir_all(&dir);
         if (i + 1) % 25 == 0 {
             progress(&format!("{}/{} cuts swept", i + 1, cuts.len()));
         }
     }
-    progress(&format!("bulkload campaign: {}", report.summary()));
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The quick tier samples 10 cuts of its horizon; a header that
+    /// reached the disk ahead of its data pages slipped between them.
+    /// Cut the small corpus at every write event of a fresh load.
+    #[test]
+    fn quick_corpus_survives_a_cut_at_every_write_event() {
+        let report = sweep(
+            &Load {
+                max_cuts: 0,
+                ..QUICK
+            },
+            &mut |_| {},
+        );
+        assert!(
+            report.ok(),
+            "{}\n{}",
+            report.summary(),
+            report.failures.join("\n")
+        );
+        assert_eq!(report.count("cuts"), report.count("horizon"));
+        assert!(report.count("horizon") > 40, "{}", report.summary());
+    }
 }

@@ -52,44 +52,9 @@ use natix_xml::parse;
 use std::collections::HashMap;
 
 use crate::fuzz::{apply_model, apply_store, min_record_limit};
+use crate::harness::{Plan, Progress, Report};
 use crate::model::ModelTree;
 use crate::ops::generate_trace;
-
-/// Configuration for a chaos campaign: `runs` seeded interleavings of
-/// `steps` scheduler steps each.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosConfig {
-    /// Base seed; run `i` uses a mix of this and `i`.
-    pub seed: u64,
-    /// Number of interleavings.
-    pub runs: usize,
-    /// Scheduler steps per interleaving.
-    pub steps: usize,
-    /// Concurrent reader tasks.
-    pub readers: usize,
-}
-
-impl ChaosConfig {
-    /// CI smoke tier: seconds.
-    pub fn quick() -> ChaosConfig {
-        ChaosConfig {
-            seed: 0xC4A0_5EED,
-            runs: 150,
-            steps: 40,
-            readers: 3,
-        }
-    }
-
-    /// The acceptance tier: ≥ 1000 interleavings.
-    pub fn full() -> ChaosConfig {
-        ChaosConfig {
-            seed: 0xC4A0_5EED,
-            runs: 1200,
-            steps: 60,
-            readers: 3,
-        }
-    }
-}
 
 /// One invariant violation, with everything needed to replay it.
 #[derive(Debug, Clone)]
@@ -106,15 +71,10 @@ pub struct ChaosFailure {
 
 impl std::fmt::Display for ChaosFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
+        write!(
             f,
             "chaos: seed {} step {} (plan: {}): {}",
             self.seed, self.step, self.plan, self.what
-        )?;
-        write!(
-            f,
-            "chaos: reproduce with: natix stress --seed {} --runs 1",
-            self.seed
         )
     }
 }
@@ -139,54 +99,6 @@ pub struct InterleavingStats {
     pub final_epoch: u64,
     pub final_xml_len: usize,
     pub plan: String,
-}
-
-/// Aggregate over a campaign.
-#[derive(Debug, Default)]
-pub struct ChaosReport {
-    pub runs: usize,
-    pub steps: u64,
-    pub reads_verified: u64,
-    pub commits: u64,
-    pub batched_ops: u64,
-    pub evictions: u64,
-    pub reads_shed: u64,
-    pub degraded_served: u64,
-    pub scrubs: u64,
-    pub pages_reclaimed: u64,
-    pub checkpoints_deferred: u64,
-    /// Runs under a transient fault plan (all absorbed by retry).
-    pub transient_runs: usize,
-    /// Runs under a permanent fault plan (structured failure + recovery).
-    pub permanent_runs: usize,
-    pub failures: Vec<ChaosFailure>,
-}
-
-impl ChaosReport {
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    pub fn summary(&self) -> String {
-        format!(
-            "{} interleavings ({} transient-fault, {} permanent-fault), {} steps, \
-             {} snapshot reads verified, {} group commits ({} ops), {} evictions, \
-             {} shed, {} degraded, {} scrubs, {} pages reclaimed, {} failures",
-            self.runs,
-            self.transient_runs,
-            self.permanent_runs,
-            self.steps,
-            self.reads_verified,
-            self.commits,
-            self.batched_ops,
-            self.evictions,
-            self.reads_shed,
-            self.degraded_served,
-            self.scrubs,
-            self.pages_reclaimed,
-            self.failures.len()
-        )
-    }
 }
 
 fn splitmix(mut x: u64) -> u64 {
@@ -618,41 +530,60 @@ pub fn run_interleaving(
     Ok(stats)
 }
 
-/// Run a chaos campaign; `progress` receives one line every few dozen
-/// interleavings.
-pub fn run_chaos(cfg: &ChaosConfig, mut progress: impl FnMut(&str)) -> ChaosReport {
-    let mut report = ChaosReport::default();
-    for i in 0..cfg.runs {
-        let seed = splitmix(cfg.seed.wrapping_add(i as u64));
-        let plan = FaultPlan::pick(seed);
-        match run_interleaving(seed, cfg.steps, cfg.readers) {
+/// Concurrent reader tasks of every campaign interleaving.
+const READERS: usize = 3;
+
+/// `natix stress`: 150 interleavings of 40 scheduler steps at quick,
+/// 1200 of 60 at full (`--runs` replaces the number). Interleaving `i`
+/// runs under seed `splitmix(base + i)`, so alone it is the campaign of
+/// one run based at `base + i`.
+pub(crate) fn chaos(plan: &Plan, progress: &mut Progress) -> Report {
+    let base = plan.seeds[0];
+    let runs = plan.runs.unwrap_or(plan.tier.pick(150, 1200));
+    let steps = plan.tier.pick(40, 60);
+    let mut report = Report::new(
+        "{interleavings} interleavings ({transient-fault} transient-fault, \
+         {permanent-fault} permanent-fault), {steps} steps, \
+         {snapshot reads verified} snapshot reads verified, {group commits} group commits \
+         ({ops} ops), {evictions} evictions, {shed} shed, {degraded} degraded, {scrubs} scrubs, \
+         {pages reclaimed} pages reclaimed, {failures} failures",
+        &plan.seeds,
+    );
+    for i in 0..runs {
+        let own_base = base.wrapping_add(i as u64);
+        let seed = splitmix(own_base);
+        let fault = FaultPlan::pick(seed);
+        match run_interleaving(seed, steps, READERS) {
             Ok(s) => {
-                report.steps += s.steps;
-                report.reads_verified += s.reads_verified;
-                report.commits += s.commits;
-                report.batched_ops += s.batched_ops;
-                report.evictions += s.evictions;
-                report.reads_shed += s.reads_shed;
-                report.degraded_served += s.degraded_served;
-                report.scrubs += s.scrubs;
-                report.pages_reclaimed += s.pages_reclaimed;
-                report.checkpoints_deferred += s.checkpoints_deferred;
+                report.add("steps", s.steps);
+                report.add("snapshot reads verified", s.reads_verified);
+                report.add("group commits", s.commits);
+                report.add("ops", s.batched_ops);
+                report.add("evictions", s.evictions);
+                report.add("shed", s.reads_shed);
+                report.add("degraded", s.degraded_served);
+                report.add("scrubs", s.scrubs);
+                report.add("pages reclaimed", s.pages_reclaimed);
             }
-            Err(f) => report.failures.push(f),
+            Err(f) => report.failures.push(format!(
+                "{f}\nchaos: reproduce with: {}",
+                plan.rerun_with(&[own_base], Some(1))
+            )),
         }
-        report.runs += 1;
-        if plan.is_permanent() {
-            report.permanent_runs += 1;
-        } else if plan != FaultPlan::None {
-            report.transient_runs += 1;
-        }
-        if (i + 1) % 50 == 0 || i + 1 == cfg.runs {
+        report.add("interleavings", 1);
+        // Transient plans are absorbed by retry; permanent ones end in
+        // structured failure plus recovery.
+        report.add(
+            "transient-fault",
+            u64::from(!fault.is_permanent() && fault != FaultPlan::None),
+        );
+        report.add("permanent-fault", u64::from(fault.is_permanent()));
+        if (i + 1) % 50 == 0 || i + 1 == runs {
             progress(&format!(
-                "chaos: {}/{} interleavings, {} reads verified, {} commits, {} failures",
+                "chaos: {}/{runs} interleavings, {} reads verified, {} commits, {} failures",
                 i + 1,
-                cfg.runs,
-                report.reads_verified,
-                report.commits,
+                report.count("snapshot reads verified"),
+                report.count("group commits"),
                 report.failures.len()
             ));
         }
@@ -663,6 +594,15 @@ pub fn run_chaos(cfg: &ChaosConfig, mut progress: impl FnMut(&str)) -> ChaosRepo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{campaign, Tier};
+
+    /// The quick tier based at `seed`, cut to `runs` interleavings.
+    fn quick(seed: u64, runs: usize) -> Plan {
+        campaign("chaos")
+            .unwrap()
+            .plan(Tier::Quick, Some(seed), Some(runs), None)
+            .unwrap()
+    }
 
     #[test]
     fn interleavings_are_deterministic() {
@@ -676,38 +616,50 @@ mod tests {
 
     #[test]
     fn small_campaign_is_clean_and_covers_all_plans() {
-        let cfg = ChaosConfig {
-            seed: 42,
-            runs: 24,
-            steps: 30,
-            readers: 2,
-        };
-        let report = run_chaos(&cfg, |_| {});
+        let report = chaos(&quick(42, 24), &mut |_| {});
         for f in &report.failures {
             eprintln!("{f}");
         }
+        let count = |name| report.count(name);
         assert!(report.ok(), "{}", report.summary());
-        assert_eq!(report.runs, 24);
-        assert!(report.commits > 0, "{}", report.summary());
-        assert!(report.reads_verified > 0, "{}", report.summary());
-        assert!(report.scrubs > 0, "{}", report.summary());
-        assert!(report.transient_runs > 0, "{}", report.summary());
-        assert!(report.permanent_runs > 0, "{}", report.summary());
-        assert!(report.batched_ops >= report.commits, "{}", report.summary());
+        assert_eq!(count("interleavings"), 24);
+        assert!(count("group commits") > 0, "{}", report.summary());
+        assert!(count("snapshot reads verified") > 0, "{}", report.summary());
+        assert!(count("scrubs") > 0, "{}", report.summary());
+        assert!(count("transient-fault") > 0, "{}", report.summary());
+        assert!(count("permanent-fault") > 0, "{}", report.summary());
+        assert!(
+            count("ops") >= count("group commits"),
+            "{}",
+            report.summary()
+        );
         // The tiny pool must actually exercise eviction.
-        assert!(report.evictions > 0, "{}", report.summary());
+        assert!(count("evictions") > 0, "{}", report.summary());
     }
 
+    /// A failing interleaving is reported with its own seed and with the
+    /// command that reaches that seed again: a campaign of one run based
+    /// at `base + i`, not one based at the interleaving's seed.
     #[test]
     fn failure_report_names_the_seed_and_rerun() {
         let f = ChaosFailure {
-            seed: 99,
+            seed: splitmix(90 + 9),
             step: 7,
             plan: "power-cut@3".into(),
             what: "example".into(),
         };
-        let text = f.to_string();
-        assert!(text.contains("seed 99"), "{text}");
-        assert!(text.contains("natix stress --seed 99 --runs 1"), "{text}");
+        assert!(f.to_string().contains(&format!("seed {}", f.seed)));
+        // Interleaving 9 of the quick campaign based at 90 is rerun by...
+        let rerun = quick(90, 150).rerun_with(&[90 + 9], Some(1));
+        assert_eq!(rerun, "natix stress --quick --seed 99 --runs 1");
+        // ...and what that command runs is this interleaving and no other.
+        let alone = chaos(&quick(99, 1), &mut |_| {});
+        let direct = run_interleaving(f.seed, 40, READERS).unwrap();
+        assert_eq!(alone.count("group commits"), direct.commits);
+        assert_eq!(
+            alone.count("snapshot reads verified"),
+            direct.reads_verified
+        );
+        assert_eq!(alone.count("pages reclaimed"), direct.pages_reclaimed);
     }
 }

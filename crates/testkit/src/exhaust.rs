@@ -15,8 +15,8 @@
 //!    commit the step so the acked state survives exactly once, and
 //! 4. leave a disk that reopens consistent and scrubs fsck-clean.
 //!
-//! Swept across the six Table 1 evaluation workloads via
-//! [`run_diskfull_campaign`].
+//! Swept across the six Table 1 evaluation workloads by the `diskfull`
+//! row of [`crate::CAMPAIGNS`].
 
 use natix_core::Ekm;
 use natix_store::{
@@ -26,61 +26,11 @@ use natix_store::{
 use natix_xml::Document;
 
 use crate::fuzz::{
-    apply_model, apply_store, min_record_limit, trace_seed, workloads, CampaignReport, Failure,
-    RunOutcome, TraceFailure,
+    apply_model, apply_store, min_record_limit, trace_counts, RunOutcome, TraceFailure, TRACE_SHAPE,
 };
+use crate::harness::{sweep_grid, Grid, Plan, Progress, Report};
 use crate::model::ModelTree;
-use crate::ops::{generate_trace, Op};
-
-/// Configuration of a disk-full campaign: the same (workload × record
-/// limit × fuzz seed) grid as [`crate::CampaignConfig`], plus the shape
-/// of the injected storage-full window.
-#[derive(Clone, Debug)]
-pub struct DiskFullConfig {
-    pub scale: f64,
-    pub gen_seed: u64,
-    pub fuzz_seeds: Vec<u64>,
-    pub ops_per_run: usize,
-    pub record_limits: Vec<u64>,
-    /// Write events the injected storage-full window lasts; the space
-    /// probe must march the store back to writable within it.
-    pub recover_after: u64,
-    /// Cap on injection points per step (0 = sweep every write event).
-    pub max_points_per_op: u64,
-    /// Stop after this many failures.
-    pub max_failures: usize,
-}
-
-impl DiskFullConfig {
-    /// CI smoke tier: all six workloads, one seed, capped sweep.
-    pub fn quick() -> DiskFullConfig {
-        DiskFullConfig {
-            scale: 0.001,
-            gen_seed: 1,
-            fuzz_seeds: vec![1],
-            ops_per_run: 4,
-            record_limits: vec![32],
-            recover_after: 3,
-            max_points_per_op: 4,
-            max_failures: 3,
-        }
-    }
-
-    /// The acceptance tier: uncapped sweep — every write event of every
-    /// step is an injection point.
-    pub fn full() -> DiskFullConfig {
-        DiskFullConfig {
-            scale: 0.002,
-            gen_seed: 1,
-            fuzz_seeds: vec![1, 2],
-            ops_per_run: 8,
-            record_limits: vec![24, 96],
-            recover_after: 4,
-            max_points_per_op: 0,
-            max_failures: 3,
-        }
-    }
-}
+use crate::ops::Op;
 
 /// One degraded-mode episode: apply `op` through `shared`, which sits on
 /// a storage-full window. Returns `Ok(true)` if the window fired (the
@@ -301,63 +251,34 @@ pub fn run_diskfull_trace(
     Ok(out)
 }
 
-/// Run a disk-full campaign over the same grid as [`crate::run_campaign`].
-/// `crash_points` counts storage-full injection points; failures are
-/// reported unshrunk (the trace prefix up to the failing step
-/// reproduces them).
-pub fn run_diskfull_campaign(
-    cfg: &DiskFullConfig,
-    mut progress: impl FnMut(&str),
-) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    'outer: for (wi, w) in workloads(cfg.scale, cfg.gen_seed).into_iter().enumerate() {
-        for &k in &cfg.record_limits {
-            for &fuzz_seed in &cfg.fuzz_seeds {
-                let trace = generate_trace(trace_seed(fuzz_seed, k, wi as u64), cfg.ops_per_run);
-                report.runs += 1;
-                match run_diskfull_trace(
-                    &w.doc,
-                    k,
-                    &trace,
-                    cfg.recover_after,
-                    cfg.max_points_per_op,
-                ) {
-                    Ok(o) => {
-                        report.ops_applied += o.ops_applied;
-                        report.ops_skipped += o.ops_skipped;
-                        report.crash_points += o.crash_points;
-                        progress(&format!(
-                            "ok   {} k={k} seed={fuzz_seed}: {} ops, {} injection points",
-                            w.name, o.ops_applied, o.crash_points
-                        ));
-                    }
-                    Err(f) => {
-                        progress(&format!(
-                            "FAIL {} k={k} seed={fuzz_seed} at step {}",
-                            w.name, f.step
-                        ));
-                        let mut shrunk = trace.clone();
-                        shrunk.truncate(f.step + 1);
-                        report.failures.push(Failure {
-                            workload: w.name.clone(),
-                            scale: cfg.scale,
-                            gen_seed: cfg.gen_seed,
-                            k,
-                            fuzz_seed,
-                            step: f.step,
-                            crash: f.crash,
-                            message: f.message,
-                            trace: shrunk,
-                        });
-                        if report.failures.len() >= cfg.max_failures {
-                            break 'outer;
-                        }
-                    }
-                }
-            }
+/// `natix soak --diskfull`: [`run_diskfull_trace`] over the grid. The
+/// storage-full window lasts 3 write events and the sweep is capped at
+/// 4 points a step at quick; 4 events and every write event at full.
+/// `crash points` counts injection points; failures are reported
+/// unshrunk (the trace up to the failing step reproduces them).
+pub(crate) fn diskfull(plan: &Plan, progress: &mut Progress) -> Report {
+    let (recover_after, max_points_per_op) = plan.tier.pick((3, 4), (4, 0));
+    let grid = plan.tier.pick(
+        Grid {
+            scale: 0.001,
+            ops_per_run: 4,
+            record_limits: &[32],
+            batch_sizes: &[0],
+        },
+        Grid {
+            scale: 0.002,
+            ops_per_run: 8,
+            record_limits: &[24, 96],
+            batch_sizes: &[0],
+        },
+    );
+    sweep_grid(&grid, TRACE_SHAPE, &plan.seeds, progress, |cell, _| {
+        let doc = &cell.workload.doc;
+        match run_diskfull_trace(doc, cell.k, &cell.trace, recover_after, max_points_per_op) {
+            Ok(o) => Ok(trace_counts(o)),
+            Err(f) => Err(cell.failure(f, None)),
         }
-    }
-    report
+    })
 }
 
 #[cfg(test)]

@@ -24,8 +24,9 @@ use natix_store::{
 };
 use natix_xml::{node_weight, Document, NodeKind};
 
+use crate::harness::{sweep_grid, Grid, Plan, Progress, Report};
 use crate::model::ModelTree;
-use crate::ops::{format_op, generate_trace, name_for, parse_op, text_for, Op};
+use crate::ops::{format_op, name_for, parse_op, text_for, Op};
 
 /// How a trace run exercises the fault-injection layer.
 #[derive(Clone, Copy, Debug)]
@@ -560,59 +561,6 @@ pub fn run_corruption_trace(
     Ok(out)
 }
 
-/// Run a corruption campaign over the same (workload × record limit ×
-/// fuzz seed) grid as [`run_campaign`]. `crash_points` counts corruption
-/// injections; failures are reported unshrunk (the trace prefix up to
-/// the failing step reproduces them).
-pub fn run_corruption_campaign(
-    cfg: &CampaignConfig,
-    mut progress: impl FnMut(&str),
-) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    'outer: for (wi, w) in workloads(cfg.scale, cfg.gen_seed).into_iter().enumerate() {
-        for &k in &cfg.record_limits {
-            for &fuzz_seed in &cfg.fuzz_seeds {
-                let trace = generate_trace(trace_seed(fuzz_seed, k, wi as u64), cfg.ops_per_run);
-                report.runs += 1;
-                match run_corruption_trace(&w.doc, k, &trace) {
-                    Ok(o) => {
-                        report.ops_applied += o.ops_applied;
-                        report.ops_skipped += o.ops_skipped;
-                        report.crash_points += o.injections;
-                        progress(&format!(
-                            "ok   {} k={k} seed={fuzz_seed}: {} ops, {} injections, {} repairs",
-                            w.name, o.ops_applied, o.injections, o.repairs
-                        ));
-                    }
-                    Err(f) => {
-                        progress(&format!(
-                            "FAIL {} k={k} seed={fuzz_seed} at step {}",
-                            w.name, f.step
-                        ));
-                        let mut shrunk = trace.clone();
-                        shrunk.truncate(f.step + 1);
-                        report.failures.push(Failure {
-                            workload: w.name.clone(),
-                            scale: cfg.scale,
-                            gen_seed: cfg.gen_seed,
-                            k,
-                            fuzz_seed,
-                            step: f.step,
-                            crash: None,
-                            message: f.message,
-                            trace: shrunk,
-                        });
-                        if report.failures.len() >= cfg.max_failures {
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    report
-}
-
 /// Shrink a failing trace: first truncate to the failing step, then
 /// greedily drop ops while the run keeps failing. Returns the trace
 /// unchanged if the failure does not reproduce (flaky environments).
@@ -693,7 +641,7 @@ impl std::fmt::Display for Failure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "FAILURE in {} (k={}, fuzz seed {}) at step {}{}:",
+            "in {} (k={}, fuzz seed {}) at step {}{}:",
             self.workload,
             self.k,
             self.fuzz_seed,
@@ -709,138 +657,85 @@ impl std::fmt::Display for Failure {
     }
 }
 
-/// Campaign configuration: the cross product of workloads, record
-/// limits, and fuzz seeds, each run driving `ops_per_run` steps.
-#[derive(Clone, Debug)]
-pub struct CampaignConfig {
-    pub scale: f64,
-    pub gen_seed: u64,
-    pub fuzz_seeds: Vec<u64>,
-    pub ops_per_run: usize,
-    pub record_limits: Vec<u64>,
-    pub mode: CrashMode,
-    /// Stop after this many (shrunk) failures.
-    pub max_failures: usize,
+/// The grid `soak` and `soak --corruption` sweep.
+const QUICK: Grid = Grid {
+    scale: 0.001,
+    ops_per_run: 6,
+    record_limits: &[32],
+    batch_sizes: &[0],
+};
+const FULL: Grid = Grid {
+    scale: 0.002,
+    ops_per_run: 10,
+    record_limits: &[24, 96],
+    batch_sizes: &[0],
+};
+
+/// The summary line of every campaign that sweeps update traces.
+pub(crate) const TRACE_SHAPE: &str =
+    "{runs} runs, {ops applied} ops applied ({skipped} skipped), {crash points} crash points, \
+     {failures} failure(s)";
+
+/// What one clean cell adds to [`TRACE_SHAPE`]'s counts.
+pub(crate) fn trace_counts(o: RunOutcome) -> Vec<(&'static str, u64)> {
+    vec![
+        ("ops applied", o.ops_applied),
+        ("skipped", o.ops_skipped),
+        ("crash points", o.crash_points),
+    ]
 }
 
-impl CampaignConfig {
-    /// CI smoke tier: all six workloads, one seed, capped sweep.
-    /// Finishes in seconds.
-    pub fn quick() -> CampaignConfig {
-        CampaignConfig {
-            scale: 0.001,
-            gen_seed: 1,
-            fuzz_seeds: vec![1],
-            ops_per_run: 6,
-            record_limits: vec![32],
-            mode: CrashMode::Sweep {
-                max_points_per_op: 8,
-            },
-            max_failures: 3,
-        }
-    }
-
-    /// Full soak: two seeds, two record limits, uncapped power-cut
-    /// sweep — well over 1000 crash points across the six workloads.
-    pub fn full() -> CampaignConfig {
-        CampaignConfig {
-            scale: 0.002,
-            gen_seed: 1,
-            fuzz_seeds: vec![1, 2],
-            ops_per_run: 10,
-            record_limits: vec![24, 96],
-            mode: CrashMode::Sweep {
-                max_points_per_op: 0,
-            },
-            max_failures: 3,
-        }
-    }
-}
-
-#[derive(Clone, Debug, Default)]
-pub struct CampaignReport {
-    pub runs: u64,
-    pub ops_applied: u64,
-    pub ops_skipped: u64,
-    pub crash_points: u64,
-    pub failures: Vec<Failure>,
-}
-
-impl CampaignReport {
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    pub fn summary(&self) -> String {
-        format!(
-            "{} runs, {} ops applied ({} skipped), {} crash points, {} failure(s)",
-            self.runs,
-            self.ops_applied,
-            self.ops_skipped,
-            self.crash_points,
-            self.failures.len()
-        )
-    }
-}
-
-/// Derive the trace seed for one run. Mixed so that every (workload,
-/// record limit, fuzz seed) cell sees a distinct trace; deterministic
-/// across processes.
-pub(crate) fn trace_seed(fuzz_seed: u64, k: u64, workload_index: u64) -> u64 {
-    fuzz_seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(k.wrapping_mul(0x2545_f491_4f6c_dd1d))
-        .wrapping_add(workload_index)
-}
-
-/// Run a campaign; `progress` receives one line per run. Failing traces
-/// are shrunk before being reported.
-pub fn run_campaign(cfg: &CampaignConfig, mut progress: impl FnMut(&str)) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    'outer: for (wi, w) in workloads(cfg.scale, cfg.gen_seed).into_iter().enumerate() {
-        for &k in &cfg.record_limits {
-            for &fuzz_seed in &cfg.fuzz_seeds {
-                let trace = generate_trace(trace_seed(fuzz_seed, k, wi as u64), cfg.ops_per_run);
-                report.runs += 1;
-                match run_trace(&w.doc, k, &trace, cfg.mode) {
-                    Ok(o) => {
-                        report.ops_applied += o.ops_applied;
-                        report.ops_skipped += o.ops_skipped;
-                        report.crash_points += o.crash_points;
-                        progress(&format!(
-                            "ok   {} k={k} seed={fuzz_seed}: {} ops, {} crash points",
-                            w.name, o.ops_applied, o.crash_points
-                        ));
-                    }
-                    Err(first) => {
-                        progress(&format!(
-                            "FAIL {} k={k} seed={fuzz_seed} at step {}: shrinking...",
-                            w.name, first.step
-                        ));
-                        let shrunk = shrink_trace(&w.doc, k, &trace, cfg.mode);
-                        let last = run_trace(&w.doc, k, &shrunk, cfg.mode)
-                            .err()
-                            .unwrap_or(first);
-                        report.failures.push(Failure {
-                            workload: w.name.clone(),
-                            scale: cfg.scale,
-                            gen_seed: cfg.gen_seed,
-                            k,
-                            fuzz_seed,
-                            step: last.step,
-                            crash: last.crash,
-                            message: last.message,
-                            trace: shrunk,
-                        });
-                        if report.failures.len() >= cfg.max_failures {
-                            break 'outer;
-                        }
-                    }
+/// `natix soak`: the power-cut sweep of [`run_trace`] over the grid —
+/// capped at 8 cuts a step at quick, every write event at full. Failing
+/// traces are shrunk before being reported.
+pub(crate) fn fuzz(plan: &Plan, progress: &mut Progress) -> Report {
+    let mode = CrashMode::Sweep {
+        max_points_per_op: plan.tier.pick(8, 0),
+    };
+    let grid = plan.tier.pick(QUICK, FULL);
+    sweep_grid(
+        &grid,
+        TRACE_SHAPE,
+        &plan.seeds,
+        progress,
+        |cell, progress| {
+            let doc = &cell.workload.doc;
+            match run_trace(doc, cell.k, &cell.trace, mode) {
+                Ok(o) => Ok(trace_counts(o)),
+                Err(first) => {
+                    progress(&format!(
+                        "     {} failed at step {}: shrinking...",
+                        cell.at, first.step
+                    ));
+                    let shrunk = shrink_trace(doc, cell.k, &cell.trace, mode);
+                    let last = run_trace(doc, cell.k, &shrunk, mode).err().unwrap_or(first);
+                    Err(cell.failure(last, Some(shrunk)))
                 }
             }
-        }
-    }
-    report
+        },
+    )
+}
+
+/// `natix soak --corruption`: [`run_corruption_trace`] over the same
+/// grid. `crash points` counts corruption injections; failures are
+/// reported unshrunk (the trace up to the failing step reproduces them).
+pub(crate) fn corruption(plan: &Plan, progress: &mut Progress) -> Report {
+    let grid = plan.tier.pick(QUICK, FULL);
+    sweep_grid(
+        &grid,
+        TRACE_SHAPE,
+        &plan.seeds,
+        progress,
+        |cell, _| match run_corruption_trace(&cell.workload.doc, cell.k, &cell.trace) {
+            Ok(o) => Ok(vec![
+                ("ops applied", o.ops_applied),
+                ("skipped", o.ops_skipped),
+                ("crash points", o.injections),
+                ("repairs", o.repairs),
+            ]),
+            Err(f) => Err(cell.failure(f, None)),
+        },
+    )
 }
 
 /// Replay a script produced by [`Failure::script`]: regenerate the

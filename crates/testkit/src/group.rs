@@ -15,10 +15,8 @@
 //! as is a committed (acked) batch that recovery loses. Recovery is
 //! additionally followed by an `fsck` scrub that must come back clean.
 //!
-//! Entry points: [`run_group_commit_trace`] for one trace and
-//! [`run_group_commit_campaign`] over the Table 1 workloads
-//! ([`GroupCommitConfig::quick`] for the CI tier, `::full` for the
-//! soak tier).
+//! Entry points: [`run_group_commit_trace`] for one trace, and the
+//! `group-commit` row of [`crate::CAMPAIGNS`] over the Table 1 workloads.
 
 use natix_core::Ekm;
 use natix_store::{
@@ -27,9 +25,10 @@ use natix_store::{
 };
 use natix_xml::Document;
 
-use crate::fuzz::{apply_model, apply_store, min_record_limit, workloads};
+use crate::fuzz::{apply_model, apply_store, min_record_limit};
+use crate::harness::{sweep_grid, Grid, Plan, Progress, Report};
 use crate::model::ModelTree;
-use crate::ops::{generate_trace, Op};
+use crate::ops::Op;
 
 /// Statistics from a successful group-commit sweep run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -315,137 +314,48 @@ fn check_recovered(
     Ok(())
 }
 
-/// Campaign configuration for the group-commit sweep: the cross product
-/// of workloads, record limits, fuzz seeds, and batch sizes.
-#[derive(Clone, Debug)]
-pub struct GroupCommitConfig {
-    pub scale: f64,
-    pub gen_seed: u64,
-    pub fuzz_seeds: Vec<u64>,
-    pub ops_per_run: usize,
-    pub record_limits: Vec<u64>,
-    pub batch_sizes: Vec<usize>,
-    /// Cap on swept crash points per batch (0 = sweep every write
-    /// event until the batch commits).
-    pub max_points_per_batch: u64,
-    pub max_failures: usize,
-}
-
-impl GroupCommitConfig {
-    /// CI smoke tier: all six workloads, one seed, batches of 4, capped
-    /// sweep. Finishes in seconds.
-    pub fn quick() -> GroupCommitConfig {
-        GroupCommitConfig {
+/// `natix soak --group-commit`: [`run_group_commit_trace`] over the
+/// grid — batches of 4 and at most 12 cuts a batch at quick; batches of
+/// 4 and 8 and every write event at full.
+pub(crate) fn group_commit(plan: &Plan, progress: &mut Progress) -> Report {
+    let grid = plan.tier.pick(
+        Grid {
             scale: 0.001,
-            gen_seed: 1,
-            fuzz_seeds: vec![1],
             ops_per_run: 8,
-            record_limits: vec![32],
-            batch_sizes: vec![4],
-            max_points_per_batch: 12,
-            max_failures: 3,
-        }
-    }
-
-    /// Full soak: uncapped sweep over batches of 4 and 8.
-    pub fn full() -> GroupCommitConfig {
-        GroupCommitConfig {
+            record_limits: &[32],
+            batch_sizes: &[4],
+        },
+        Grid {
             scale: 0.002,
-            gen_seed: 1,
-            fuzz_seeds: vec![1, 2],
             ops_per_run: 16,
-            record_limits: vec![32],
-            batch_sizes: vec![4, 8],
-            max_points_per_batch: 0,
-            max_failures: 3,
+            record_limits: &[32],
+            batch_sizes: &[4, 8],
+        },
+    );
+    sweep(&grid, plan.tier.pick(12, 0), &plan.seeds, progress)
+}
+
+fn sweep(grid: &Grid, max_points_per_batch: u64, seeds: &[u64], progress: &mut Progress) -> Report {
+    const SHAPE: &str = "{runs} runs, {batches} batches ({ops} ops, {skipped} skipped), \
+                         {crash points} crash points, {failures} failure(s)";
+    sweep_grid(grid, SHAPE, seeds, progress, |cell, _| {
+        let doc = &cell.workload.doc;
+        match run_group_commit_trace(doc, cell.k, &cell.trace, cell.batch, max_points_per_batch) {
+            Ok(o) => Ok(vec![
+                ("batches", o.batches_committed),
+                ("ops", o.ops_applied),
+                ("skipped", o.ops_skipped),
+                ("crash points", o.crash_points),
+            ]),
+            Err(f) => Err(format!("{}: {f}", cell.at)),
         }
-    }
-}
-
-/// Report from a group-commit campaign.
-#[derive(Clone, Debug, Default)]
-pub struct GroupCommitReport {
-    pub runs: u64,
-    pub batches: u64,
-    pub ops_applied: u64,
-    pub ops_skipped: u64,
-    pub crash_points: u64,
-    pub failures: Vec<(String, u64, usize, GroupFailure)>,
-}
-
-impl GroupCommitReport {
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    pub fn summary(&self) -> String {
-        format!(
-            "{} runs, {} batches ({} ops, {} skipped), {} crash points, {} failure(s)",
-            self.runs,
-            self.batches,
-            self.ops_applied,
-            self.ops_skipped,
-            self.crash_points,
-            self.failures.len()
-        )
-    }
-}
-
-/// Run a group-commit campaign; `progress` receives one line per run.
-pub fn run_group_commit_campaign(
-    cfg: &GroupCommitConfig,
-    mut progress: impl FnMut(&str),
-) -> GroupCommitReport {
-    let mut report = GroupCommitReport::default();
-    'outer: for (wi, w) in workloads(cfg.scale, cfg.gen_seed).into_iter().enumerate() {
-        for &k in &cfg.record_limits {
-            for &fuzz_seed in &cfg.fuzz_seeds {
-                for &batch_size in &cfg.batch_sizes {
-                    let trace = generate_trace(
-                        crate::fuzz::trace_seed(fuzz_seed, k, wi as u64),
-                        cfg.ops_per_run,
-                    );
-                    report.runs += 1;
-                    match run_group_commit_trace(
-                        &w.doc,
-                        k,
-                        &trace,
-                        batch_size,
-                        cfg.max_points_per_batch,
-                    ) {
-                        Ok(o) => {
-                            report.batches += o.batches_committed;
-                            report.ops_applied += o.ops_applied;
-                            report.ops_skipped += o.ops_skipped;
-                            report.crash_points += o.crash_points;
-                            progress(&format!(
-                                "ok   {} k={k} seed={fuzz_seed} batch={batch_size}: {} batches, {} crash points",
-                                w.name, o.batches_committed, o.crash_points
-                            ));
-                        }
-                        Err(f) => {
-                            progress(&format!(
-                                "FAIL {} k={k} seed={fuzz_seed} batch={batch_size}: {f}",
-                                w.name
-                            ));
-                            report
-                                .failures
-                                .push((w.name.clone(), fuzz_seed, batch_size, f));
-                            if report.failures.len() >= cfg.max_failures {
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    report
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::generate_trace;
     use natix_xml::parse;
 
     #[test]
@@ -462,13 +372,17 @@ mod tests {
 
     #[test]
     fn quick_campaign_is_clean() {
-        let mut cfg = GroupCommitConfig::quick();
-        // One workload cell keeps the unit test fast; CI runs the full
-        // quick tier through `natix soak --group-commit --quick`.
-        cfg.ops_per_run = 4;
-        cfg.max_points_per_batch = 6;
-        let report = run_group_commit_campaign(&cfg, |_| {});
+        // A trimmed quick grid keeps the unit test fast; the CLI's
+        // table-walking test and ci.sh run the tiers themselves.
+        let grid = Grid {
+            scale: 0.001,
+            ops_per_run: 4,
+            record_limits: &[32],
+            batch_sizes: &[4],
+        };
+        let report = sweep(&grid, 6, &[1], &mut |_| {});
         assert!(report.ok(), "{}", report.summary());
-        assert!(report.crash_points > 0);
+        assert_eq!(report.count("runs"), 6, "one run per Table 1 workload");
+        assert!(report.count("crash points") > 0);
     }
 }

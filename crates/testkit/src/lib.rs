@@ -17,55 +17,49 @@
 //! power cut must leave a store that both recovers correctly *and*
 //! passes the integrity scrubber.
 //!
-//! A second sweep — [`run_corruption_trace`] / [`run_corruption_campaign`]
-//! — rots every page class of every committed state (payload bit-rot and
-//! checksum damage) and asserts detect-or-correct against the oracle:
-//! strict reads either return exactly the committed document or fail
-//! with a corruption error, and `fsck` repair salvages the survivors
-//! with an exact quarantine/damage report.
+//! A second sweep — [`run_corruption_trace`] — rots every page class of
+//! every committed state (payload bit-rot and checksum damage) and
+//! asserts detect-or-correct against the oracle: strict reads either
+//! return exactly the committed document or fail with a corruption
+//! error, and `fsck` repair salvages the survivors with an exact
+//! quarantine/damage report.
 //!
 //! Failing traces are shrunk to a minimal reproduction and rendered as a
 //! line-format script replayable with [`replay`], plus a ready-to-paste
 //! regression test ([`Failure::regression_test`]).
 //!
-//! Entry points: [`run_campaign`] with [`CampaignConfig::quick`] (CI
-//! smoke tier, seconds) or [`CampaignConfig::full`] (≥1000 crash
-//! points); [`run_trace`] for a single trace; [`replay`] for scripts.
+//! Campaigns are the rows of [`CAMPAIGNS`] — `fuzz`, `corruption`,
+//! `group-commit`, `bulkload`, `diskfull`, `serve`, `repl`, `chaos`,
+//! `net`, `proxy`, `leak` — each run at a [`Tier`] (quick: the CI smoke
+//! tier, seconds; full: the acceptance tier) through
+//! [`Campaign::plan`] and [`Plan::run`], each answering with one
+//! [`Report`]. The engines they drive are public on their own:
+//! [`run_trace`], [`run_corruption_trace`], [`run_group_commit_trace`],
+//! [`run_diskfull_trace`] for one trace, [`run_interleaving`] for one
+//! seeded schedule, [`FaultProxy`] for one mistreated TCP link.
 
 mod bulk;
 mod chaos;
 mod exhaust;
 mod fuzz;
 mod group;
+mod harness;
 mod model;
 mod net;
 mod ops;
 mod proxy;
 mod repl;
 
-pub use bulk::{run_bulkload_campaign, BulkCampaignConfig, BulkFailure, BulkReport};
-
-pub use exhaust::{run_diskfull_campaign, run_diskfull_trace, DiskFullConfig};
-
-pub use chaos::{
-    run_chaos, run_interleaving, ChaosConfig, ChaosFailure, ChaosReport, InterleavingStats,
-};
+pub use chaos::{run_interleaving, ChaosFailure, InterleavingStats};
+pub use exhaust::run_diskfull_trace;
 pub use fuzz::{
-    min_record_limit, replay, run_campaign, run_corruption_campaign, run_corruption_trace,
-    run_trace, shrink_trace, workload_by_name, workloads, CampaignConfig, CampaignReport,
-    CorruptionOutcome, CrashMode, Failure, RunOutcome, TraceFailure, Workload,
+    min_record_limit, replay, run_corruption_trace, run_trace, shrink_trace, workload_by_name,
+    workloads, CorruptionOutcome, CrashMode, Failure, RunOutcome, TraceFailure, Workload,
 };
-pub use group::{
-    run_group_commit_campaign, run_group_commit_trace, GroupCommitConfig, GroupCommitReport,
-    GroupFailure, GroupOutcome,
+pub use group::{run_group_commit_trace, GroupFailure, GroupOutcome};
+pub use harness::{
+    campaign, is_selector, select, Campaign, Plan, Progress, Report, Tier, CAMPAIGNS,
 };
 pub use model::ModelTree;
-pub use net::{
-    percentile_us, run_lease_leak, run_net_load, run_serve_soak, LeaseLeakConfig, LeaseLeakReport,
-    NetLevelReport, NetLoadConfig, NetLoadReport, ServeSoakConfig, ServeSoakReport,
-};
 pub use ops::{format_op, generate_trace, name_for, parse_op, text_for, Op};
-pub use proxy::{
-    run_proxy_chaos, FaultProxy, ProxyChaosConfig, ProxyChaosReport, ProxyPlan, ProxyStats,
-};
-pub use repl::{run_repl_soak, ReplSoakConfig, ReplSoakReport};
+pub use proxy::{FaultProxy, ProxyPlan, ProxyStats};

@@ -1,28 +1,36 @@
 //! Client-facing network harnesses over `natix serve`.
 //!
-//! Two campaigns extend the chaos/stress machinery across the wire:
+//! Three campaigns extend the chaos/stress machinery across the wire:
 //!
-//! * [`run_net_load`] — an in-process server under closed-loop client
-//!   fleets of increasing size. Per level it records request latency
-//!   percentiles, throughput and the shed rate (retry-after responses
-//!   per offered request), while every client checks the snapshot
-//!   contract at the wire: per-connection epochs never regress and two
-//!   clients that dump the same epoch see byte-identical documents.
-//!   This backs `natix stress --net` and `BENCH_serve.json`.
-//! * [`run_serve_soak`] — a power-cut campaign against a *child process*
-//!   running `natix serve`. Reader clients and an update storm run
-//!   against the daemon until it is SIGKILLed mid-storm; the store file
-//!   is then reopened (running crash recovery), must pass consistency
-//!   and fsck, and must contain every update the server acknowledged —
-//!   an ack over the wire is a durability promise. Killing the process
-//!   (not the machine) means every completed `write` survives in the
-//!   page cache, so *any* resulting file state is a legitimate recovery
-//!   target and the assertion is universal, not timing-dependent.
+//! * [`net_load`] (`natix stress --net`) — an in-process server under
+//!   closed-loop client fleets of increasing size. Per level it reports
+//!   request latency percentiles, throughput and the shed rate
+//!   (retry-after responses per offered request), while every client
+//!   checks the snapshot contract at the wire: per-connection epochs
+//!   never regress and two clients that dump the same epoch see
+//!   byte-identical documents.
+//! * [`serve_soak`] (`natix soak --serve`) — a power-cut campaign against
+//!   a *child process* running `natix serve`. Reader clients and an
+//!   update storm run against the daemon until it is SIGKILLed
+//!   mid-storm; the store file is then reopened (running crash
+//!   recovery), must pass consistency and fsck, and must contain every
+//!   update the server acknowledged — an ack over the wire is a
+//!   durability promise. Killing the process (not the machine) means
+//!   every completed `write` survives in the page cache, so *any*
+//!   resulting file state is a legitimate recovery target and the
+//!   assertion is universal, not timing-dependent.
+//! * [`lease_leak`] (`natix stress --net --leak`) — one client pins the
+//!   only admission slot and goes silent; the lease reaper must
+//!   unstarve the others within one TTL.
+//!
+//! The store builder, the served-store audit and [`ServeChild`] are
+//! shared with the proxy and replication campaigns.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::BufRead;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -32,124 +40,154 @@ use natix_core::Ekm;
 use natix_datagen::{xmark, GenConfig};
 use natix_server::{serve, Client, Request, ResponseBody, ServeConfig, ServeSummary, UpdateOp};
 use natix_store::{bulkload_with, fsck, FilePager, StoreConfig, XmlStore};
+use natix_xml::Document;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+use crate::harness::{scratch_dir, Plan, Progress, Report};
+
+// ------------------------------------------------------ shared plumbing
+
+/// Bulkload `doc` under record limit `k` into a fresh store file.
+pub(crate) fn build_store(path: &Path, doc: &Document, k: u64) {
+    let pager = FilePager::create(path).expect("create store file");
+    drop(
+        bulkload_with(doc, &Ekm, k, Box::new(pager), StoreConfig::default())
+            .expect("bulkload store file"),
+    );
+}
+
+/// The store a network campaign serves: an XMark document under `dir`.
+pub(crate) fn served_store(dir: &Path, scale: f64, seed: u64) -> PathBuf {
+    let path = dir.join("served.natix");
+    build_store(&path, &xmark(GenConfig { scale, seed }), 128);
+    path
+}
+
+/// The closing audit of a campaign over an in-process server, on a
+/// direct connection: the store must scrub clean, then the daemon is
+/// told to drain.
+pub(crate) fn scrub_and_stop(addr: SocketAddr, when: &str, failures: &mut Vec<String>) {
+    match Client::connect(addr).and_then(|mut c| {
+        let r = c.fsck()?;
+        c.shutdown_server()?;
+        Ok(r)
+    }) {
+        Ok((true, _)) => {}
+        Ok((false, report)) => failures.push(format!("{when} fsck not clean:\n{report}")),
+        Err(e) => failures.push(format!("{when} fsck/shutdown: {e}")),
+    }
+}
+
+/// Note the drained server's counters; a protocol error or a handler
+/// panic fails the campaign whatever the clients saw.
+pub(crate) fn audit_server(report: &mut Report, server: &ServeSummary) {
+    report.notes.push(format!("  server: {server}"));
+    if server.proto_errors > 0 || server.worker_panics > 0 {
+        report.failures.push(format!(
+            "server counted {} protocol error(s) and {} handler panic(s)",
+            server.proto_errors, server.worker_panics
+        ));
+    }
+}
+
+/// A spawned `natix serve` child plus its parsed listen address. The
+/// stdout pipe's read end stays open for the child's lifetime (dropping
+/// it would EPIPE the daemon's own prints); drop kills the child so a
+/// failed or panicking round can never leak a daemon.
+pub(crate) struct ServeChild {
+    pub child: std::process::Child,
+    _stdout: std::io::BufReader<std::process::ChildStdout>,
+    pub addr: String,
+}
+
+impl ServeChild {
+    pub fn spawn(bin: &Path, store: &Path, extra: &[String]) -> Result<ServeChild, String> {
+        let mut child = std::process::Command::new(bin)
+            .arg("serve")
+            .arg(store)
+            .args(["--addr", "127.0.0.1:0"])
+            .args(extra)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .map_err(|e| format!("spawn {bin:?}: {e}"))?;
+        let stdout = child.stdout.take().expect("child stdout piped");
+        let mut reader = std::io::BufReader::new(stdout);
+        let mut banner = String::new();
+        if reader.read_line(&mut banner).is_err() || !banner.contains("listening on ") {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Err(format!("no listen banner, got {banner:?}"));
+        }
+        let addr = banner
+            .rsplit("listening on ")
+            .next()
+            .unwrap()
+            .trim()
+            .to_string();
+        Ok(ServeChild {
+            child,
+            _stdout: reader,
+            addr,
+        })
+    }
+
+    /// SIGKILL — a power cut or a failover, not a graceful shutdown.
+    pub fn kill(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+impl Drop for ServeChild {
+    fn drop(&mut self) {
+        self.kill();
+    }
+}
 
 // ------------------------------------------------------------- net load
 
-/// Configuration for [`run_net_load`].
-#[derive(Debug, Clone)]
-pub struct NetLoadConfig {
-    /// Base seed for workload generation.
-    pub seed: u64,
+/// One tier of the load sweep.
+struct LoadSweep {
     /// Client-fleet sizes to sweep (offered-load levels).
-    pub levels: Vec<usize>,
+    levels: &'static [usize],
     /// Requests each client completes per level.
-    pub requests_per_client: usize,
+    requests_per_client: usize,
     /// XMark scale of the served document.
-    pub scale: f64,
+    scale: f64,
     /// Server connection workers.
-    pub workers: usize,
-    /// Store-service queue bound.
-    pub queue_depth: usize,
+    workers: usize,
     /// Snapshot-pin budget.
-    pub max_pins: u32,
+    max_pins: u32,
 }
 
-impl NetLoadConfig {
-    /// CI smoke tier: two small levels, seconds.
-    pub fn quick() -> NetLoadConfig {
-        NetLoadConfig {
-            seed: 0x5E17_E0AD,
-            levels: vec![1, 4],
-            requests_per_client: 40,
-            scale: 0.005,
-            workers: 6,
-            queue_depth: 64,
-            max_pins: 64,
-        }
-    }
+/// CI smoke tier: two small levels, seconds.
+const QUICK_LOAD: LoadSweep = LoadSweep {
+    levels: &[1, 4],
+    requests_per_client: 40,
+    scale: 0.005,
+    workers: 6,
+    max_pins: 64,
+};
 
-    /// The acceptance tier: a full offered-load sweep.
-    pub fn full() -> NetLoadConfig {
-        NetLoadConfig {
-            seed: 0x5E17_E0AD,
-            levels: vec![1, 2, 4, 8, 16],
-            requests_per_client: 250,
-            scale: 0.02,
-            // One worker per client at the top level: contention is
-            // measured at the store, not the accept queue.
-            workers: 16,
-            queue_depth: 64,
-            // Small enough that the 8- and 16-client levels contend for
-            // admission and the shed-rate column comes alive.
-            max_pins: 8,
-        }
-    }
-}
+/// The acceptance tier: a full offered-load sweep.
+const FULL_LOAD: LoadSweep = LoadSweep {
+    levels: &[1, 2, 4, 8, 16],
+    requests_per_client: 250,
+    scale: 0.02,
+    // One worker per client at the top level: contention is measured at
+    // the store, not the accept queue.
+    workers: 16,
+    // Small enough that the 8- and 16-client levels contend for
+    // admission and the shed-rate column comes alive.
+    max_pins: 8,
+};
 
-/// Measurements of one offered-load level.
-#[derive(Debug, Clone)]
-pub struct NetLevelReport {
-    /// Concurrent clients at this level.
-    pub clients: usize,
-    /// Requests that completed with a non-shed response.
-    pub completed: u64,
-    /// Retry-after responses received (each is one shed request).
-    pub sheds: u64,
-    /// Updates among the completed requests.
-    pub updates: u64,
-    /// Median request latency (microseconds, retries included).
-    pub p50_us: u64,
-    /// 99th-percentile request latency.
-    pub p99_us: u64,
-    /// Worst request latency.
-    pub max_us: u64,
-    /// Wall-clock seconds for the level.
-    pub elapsed_s: f64,
-    /// Completed requests per second.
-    pub rps: f64,
-    /// Sheds per offered request (`sheds / (completed + sheds)`).
-    pub shed_rate: f64,
-}
-
-/// Result of [`run_net_load`].
-#[derive(Debug)]
-pub struct NetLoadReport {
-    /// One entry per offered-load level, in sweep order.
-    pub levels: Vec<NetLevelReport>,
-    /// Final server counters after the graceful shutdown.
-    pub server: ServeSummary,
-    /// Contract violations (empty on success).
-    pub failures: Vec<String>,
-}
-
-impl NetLoadReport {
-    /// Did every level complete with zero violations and zero protocol
-    /// errors at the server?
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty() && self.server.proto_errors == 0 && self.server.worker_panics == 0
-    }
-
-    /// One-paragraph human summary.
-    pub fn summary(&self) -> String {
-        let mut s = String::new();
-        for l in &self.levels {
-            s.push_str(&format!(
-                "  {:>2} clients: {:>6} req, p50 {:>6} us, p99 {:>7} us, {:>7.0} req/s, shed rate {:.3}\n",
-                l.clients, l.completed, l.p50_us, l.p99_us, l.rps, l.shed_rate
-            ));
-        }
-        s.push_str(&format!(
-            "  server: {} ({} failures)",
-            self.server,
-            self.failures.len()
-        ));
-        s
-    }
-}
+/// Store-service queue bound of the load server.
+const QUEUE_DEPTH: usize = 64;
 
 /// Nearest-rank percentile of an ascending-sorted sample.
-pub fn percentile_us(sorted: &[u64], p: f64) -> u64 {
+fn percentile_us(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -157,30 +195,11 @@ pub fn percentile_us(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("natix-net-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-fn build_store_file(dir: &Path, scale: f64, seed: u64) -> PathBuf {
-    let path = dir.join("served.natix");
-    let doc = xmark(GenConfig { scale, seed });
-    let pager = FilePager::create(&path).expect("create store file");
-    drop(
-        bulkload_with(&doc, &Ekm, 128, Box::new(pager), StoreConfig::default())
-            .expect("bulkload served store"),
-    );
-    path
-}
-
 /// What one closed-loop client observed during a level.
 struct ClientObservation {
     latencies_us: Vec<u64>,
     completed: u64,
     sheds: u64,
-    updates: u64,
     /// `(epoch, document hash)` per dump, for cross-client comparison.
     dumps: Vec<(u64, u64)>,
     failures: Vec<String>,
@@ -197,7 +216,6 @@ fn client_loop(
         latencies_us: Vec::with_capacity(requests),
         completed: 0,
         sheds: 0,
-        updates: 0,
         dumps: Vec::new(),
         failures: Vec::new(),
     };
@@ -279,7 +297,6 @@ fn client_loop(
                 }
                 last_epoch = last_epoch.max(resp.epoch);
                 match &resp.body {
-                    ResponseBody::UpdateDone => obs.updates += 1,
                     ResponseBody::DumpResult { xml, full, .. } => {
                         if !full {
                             obs.failures
@@ -305,29 +322,36 @@ fn client_loop(
     obs
 }
 
-/// Sweep the configured fleet sizes against one in-process server and
-/// measure latency, throughput and shed behaviour per level.
-pub fn run_net_load(config: &NetLoadConfig) -> NetLoadReport {
-    let dir = scratch_dir("load");
-    let store = build_store_file(&dir, config.scale, config.seed);
+/// `natix stress --net`: sweep the tier's fleet sizes against one
+/// in-process server and report latency, throughput and shed behaviour
+/// per level.
+pub(crate) fn net_load(plan: &Plan, progress: &mut Progress) -> Report {
+    let seed = plan.seeds[0];
+    let cfg = plan.tier.pick(QUICK_LOAD, FULL_LOAD);
+    progress(&format!(
+        "net load: levels {:?}, {} requests/client, xmark scale {}, {} workers, {} pins",
+        cfg.levels, cfg.requests_per_client, cfg.scale, cfg.workers, cfg.max_pins
+    ));
+    let mut report = Report::new(
+        "{levels} levels, {requests} requests, {sheds} sheds, {failures} failures",
+        &plan.seeds,
+    );
+    let dir = scratch_dir("net-load");
     let handle = serve(ServeConfig {
-        store,
-        workers: config.workers,
-        queue_depth: config.queue_depth,
-        max_pins: config.max_pins,
+        store: served_store(&dir, cfg.scale, seed),
+        workers: cfg.workers,
+        queue_depth: QUEUE_DEPTH,
+        max_pins: cfg.max_pins,
         ..ServeConfig::default()
     })
     .expect("start load server");
     let addr = handle.addr();
 
-    let mut levels = Vec::new();
-    let mut failures = Vec::new();
-    for &clients in &config.levels {
+    for &clients in cfg.levels {
         let started = Instant::now();
         let threads: Vec<_> = (0..clients)
             .map(|id| {
-                let requests = config.requests_per_client;
-                let seed = config.seed;
+                let requests = cfg.requests_per_client;
                 std::thread::spawn(move || client_loop(addr, id, clients, requests, seed))
             })
             .collect();
@@ -338,18 +362,16 @@ pub fn run_net_load(config: &NetLoadConfig) -> NetLoadReport {
         let mut latencies: Vec<u64> = Vec::new();
         let mut completed = 0u64;
         let mut sheds = 0u64;
-        let mut updates = 0u64;
         let mut by_epoch: HashMap<u64, u64> = HashMap::new();
         for obs in observations {
             latencies.extend(obs.latencies_us);
             completed += obs.completed;
             sheds += obs.sheds;
-            updates += obs.updates;
-            failures.extend(obs.failures);
+            report.failures.extend(obs.failures);
             for (epoch, hash) in obs.dumps {
                 if let Some(prev) = by_epoch.insert(epoch, hash) {
                     if prev != hash {
-                        failures.push(format!(
+                        report.failures.push(format!(
                             "level {clients}: two clients saw different documents at epoch {epoch}"
                         ));
                     }
@@ -357,177 +379,86 @@ pub fn run_net_load(config: &NetLoadConfig) -> NetLoadReport {
             }
         }
         latencies.sort_unstable();
-        let offered = completed + sheds;
-        levels.push(NetLevelReport {
-            clients,
-            completed,
-            sheds,
-            updates,
-            p50_us: percentile_us(&latencies, 50.0),
-            p99_us: percentile_us(&latencies, 99.0),
-            max_us: latencies.last().copied().unwrap_or(0),
-            elapsed_s,
-            rps: if elapsed_s > 0.0 {
-                completed as f64 / elapsed_s
-            } else {
-                0.0
-            },
-            shed_rate: if offered > 0 {
-                sheds as f64 / offered as f64
-            } else {
-                0.0
-            },
-        });
+        report.add("levels", 1);
+        report.add("requests", completed);
+        report.add("sheds", sheds);
+        // Sheds per offered request; completed requests per second.
+        report.notes.push(format!(
+            "  {clients:>2} clients: {completed:>6} req, p50 {:>6} us, p99 {:>7} us, {:>7.0} req/s, shed rate {:.3}",
+            percentile_us(&latencies, 50.0),
+            percentile_us(&latencies, 99.0),
+            completed as f64 / elapsed_s.max(1e-9),
+            sheds as f64 / ((completed + sheds) as f64).max(1.0),
+        ));
     }
 
     // The store under load must still scrub clean before shutdown.
-    match Client::connect(addr).and_then(|mut c| {
-        let r = c.fsck()?;
-        c.shutdown_server()?;
-        Ok(r)
-    }) {
-        Ok((clean, report)) => {
-            if !clean {
-                failures.push(format!("post-load fsck not clean:\n{report}"));
-            }
-        }
-        Err(e) => failures.push(format!("post-load fsck/shutdown: {e}")),
-    }
-    let server = handle.join();
+    scrub_and_stop(addr, "post-load", &mut report.failures);
+    audit_server(&mut report, &handle.join());
     let _ = std::fs::remove_dir_all(&dir);
-    NetLoadReport {
-        levels,
-        server,
-        failures,
-    }
+    report
 }
 
 // ----------------------------------------------------------- serve soak
 
-/// Configuration for [`run_serve_soak`].
-#[derive(Debug, Clone)]
-pub struct ServeSoakConfig {
-    /// Base seed; round `i` mixes in `i`.
-    pub seed: u64,
-    /// Power-cut rounds (one daemon spawn + kill each).
-    pub rounds: usize,
-    /// Updates offered per round; the kill lands at a seeded random
-    /// point inside the storm.
-    pub updates_per_round: usize,
-    /// Concurrent reader clients per round.
-    pub readers: usize,
-    /// Path of the `natix` binary to spawn for `serve`.
-    pub server_bin: PathBuf,
-}
-
-impl ServeSoakConfig {
-    /// CI smoke tier.
-    pub fn quick(server_bin: PathBuf) -> ServeSoakConfig {
-        ServeSoakConfig {
-            seed: 0x50A4_0000 ^ 0x5EED,
-            rounds: 2,
-            updates_per_round: 40,
-            readers: 2,
-            server_bin,
-        }
-    }
-
-    /// The acceptance tier.
-    pub fn full(server_bin: PathBuf) -> ServeSoakConfig {
-        ServeSoakConfig {
-            seed: 0x50A4_0000 ^ 0x5EED,
-            rounds: 8,
-            updates_per_round: 120,
-            readers: 3,
-            server_bin,
-        }
-    }
-}
-
-/// Result of [`run_serve_soak`].
-#[derive(Debug)]
-pub struct ServeSoakReport {
-    /// Rounds executed.
-    pub rounds: usize,
-    /// Updates acknowledged across all rounds (all must survive).
-    pub acked: u64,
-    /// Acknowledged updates found intact after recovery.
-    pub recovered: u64,
-    /// Contract violations (empty on success).
-    pub failures: Vec<String>,
-}
-
-impl ServeSoakReport {
-    /// Did every acknowledged update survive every power cut?
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// One-line human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} rounds, {} acked updates, {} recovered, {} failures",
-            self.rounds,
-            self.acked,
-            self.recovered,
-            self.failures.len()
-        )
-    }
-}
-
-/// One round: spawn the daemon, load it, SIGKILL it mid-storm, then
-/// recover the store file and audit the acks.
-fn soak_round(config: &ServeSoakConfig, round: usize, failures: &mut Vec<String>) -> (u64, u64) {
-    let mut rng = StdRng::seed_from_u64(config.seed ^ (round as u64).wrapping_mul(0x9E37_79B9));
-    let dir = scratch_dir(&format!("soak-{round}"));
-    let store = dir.join("soak.natix");
-    {
-        let doc = natix_xml::parse("<list><e>one entry of text</e><e>two entry of text</e></list>")
-            .expect("seed doc");
-        let pager = FilePager::create(&store).expect("create soak store");
-        drop(
-            bulkload_with(&doc, &Ekm, 16, Box::new(pager), StoreConfig::default())
-                .expect("bulkload soak store"),
+/// `natix soak --serve`: 2 power-cut rounds of 40 offered updates under
+/// 2 readers at quick; 8 rounds of 120 under 3 at full.
+pub(crate) fn serve_soak(plan: &Plan, progress: &mut Progress) -> Report {
+    let (rounds, updates, readers) = plan.tier.pick((2, 40, 2), (8, 120, 3));
+    progress(&format!(
+        "serve soak: {rounds} power-cut rounds, {updates} updates offered per round, {readers} readers"
+    ));
+    let mut report = Report::new(
+        "{rounds} rounds, {acked updates} acked updates, {recovered} recovered, \
+         {failures} failures",
+        &plan.seeds,
+    );
+    for round in 0..rounds {
+        let (acked, recovered) = soak_round(
+            plan.server_bin(),
+            plan.seeds[0],
+            round,
+            updates,
+            readers,
+            &mut report.failures,
         );
+        report.add("rounds", 1);
+        report.add("acked updates", acked);
+        report.add("recovered", recovered);
     }
+    report
+}
 
-    // Spawn the daemon and learn its ephemeral port from the banner line.
-    let mut child = match std::process::Command::new(&config.server_bin)
-        .arg("serve")
-        .arg(&store)
-        .args(["--addr", "127.0.0.1:0"])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-    {
-        Ok(c) => c,
+/// One round: spawn the daemon, load it, SIGKILL it mid-storm at a
+/// seeded point, then recover the store file and audit the acks.
+fn soak_round(
+    server_bin: &Path,
+    seed: u64,
+    round: usize,
+    updates_per_round: usize,
+    reader_count: usize,
+    failures: &mut Vec<String>,
+) -> (u64, u64) {
+    let mut rng = StdRng::seed_from_u64(seed ^ (round as u64).wrapping_mul(0x9E37_79B9));
+    let dir = scratch_dir(&format!("serve-{round}"));
+    let store = dir.join("soak.natix");
+    let doc = natix_xml::parse("<list><e>one entry of text</e><e>two entry of text</e></list>")
+        .expect("seed doc");
+    build_store(&store, &doc, 16);
+
+    let mut daemon = match ServeChild::spawn(server_bin, &store, &[]) {
+        Ok(d) => d,
         Err(e) => {
-            failures.push(format!("round {round}: spawn {:?}: {e}", config.server_bin));
+            failures.push(format!("round {round}: {e}"));
             return (0, 0);
         }
     };
-    let stdout = child.stdout.take().expect("child stdout piped");
-    // Keep the pipe's read end open for the child's lifetime: dropping
-    // it would EPIPE the daemon's own stdout prints.
-    let mut stdout_reader = std::io::BufReader::new(stdout);
-    let mut banner = String::new();
-    if stdout_reader.read_line(&mut banner).is_err() || !banner.contains("listening on ") {
-        failures.push(format!("round {round}: no listen banner, got {banner:?}"));
-        let _ = child.kill();
-        let _ = child.wait();
-        return (0, 0);
-    }
-    let addr = banner
-        .rsplit("listening on ")
-        .next()
-        .unwrap()
-        .trim()
-        .to_string();
+    let addr = daemon.addr.clone();
 
     // Reader clients exercise the snapshot contract until the kill.
     let stop = Arc::new(AtomicBool::new(false));
     let reader_failures = Arc::new(Mutex::new(Vec::<String>::new()));
-    let readers: Vec<_> = (0..config.readers)
+    let readers: Vec<_> = (0..reader_count)
         .map(|r| {
             let addr = addr.clone();
             let stop = Arc::clone(&stop);
@@ -569,11 +500,11 @@ fn soak_round(config: &ServeSoakConfig, round: usize, failures: &mut Vec<String>
         .collect();
 
     // The update storm; the kill lands mid-storm at a seeded point.
-    let kill_at = rng.gen_range(config.updates_per_round / 4..config.updates_per_round);
+    let kill_at = rng.gen_range(updates_per_round / 4..updates_per_round);
     let mut acked: Vec<usize> = Vec::new();
     match Client::connect(addr.as_str()) {
         Ok(mut w) => {
-            for i in 0..config.updates_per_round {
+            for i in 0..updates_per_round {
                 if i == kill_at {
                     break;
                 }
@@ -602,9 +533,7 @@ fn soak_round(config: &ServeSoakConfig, round: usize, failures: &mut Vec<String>
     // Power cut: SIGKILL, no shutdown handshake. Completed writes
     // survive in the page cache; in-flight ones may tear.
     stop.store(true, Ordering::SeqCst);
-    let _ = child.kill();
-    let _ = child.wait();
-    drop(stdout_reader);
+    daemon.kill();
     for t in readers {
         let _ = t.join();
     }
@@ -652,86 +581,6 @@ fn soak_round(config: &ServeSoakConfig, round: usize, failures: &mut Vec<String>
 
 // ----------------------------------------------------------- lease leak
 
-/// Configuration for [`run_lease_leak`].
-#[derive(Debug, Clone)]
-pub struct LeaseLeakConfig {
-    /// Base seed (document generation).
-    pub seed: u64,
-    /// Lease TTL handed to the server (ms). The whole scenario takes a
-    /// few multiples of this.
-    pub lease_ttl_ms: u64,
-    /// Well-behaved clients competing for the pin budget.
-    pub victims: usize,
-    /// Updates issued while the leak starves the budget (they grow the
-    /// reclamation backlog the stuck pin blocks).
-    pub updates: usize,
-    /// XMark scale of the served document.
-    pub scale: f64,
-}
-
-impl LeaseLeakConfig {
-    /// CI smoke tier (~2 lease TTLs of wall clock).
-    pub fn quick() -> LeaseLeakConfig {
-        LeaseLeakConfig {
-            seed: 0x0001_EA5E,
-            lease_ttl_ms: 400,
-            victims: 2,
-            updates: 6,
-            scale: 0.002,
-        }
-    }
-
-    /// The acceptance tier: longer TTL, more victims.
-    pub fn full() -> LeaseLeakConfig {
-        LeaseLeakConfig {
-            seed: 0x0001_EA5E,
-            lease_ttl_ms: 800,
-            victims: 4,
-            updates: 12,
-            scale: 0.005,
-        }
-    }
-}
-
-/// Result of [`run_lease_leak`].
-#[derive(Debug)]
-pub struct LeaseLeakReport {
-    /// Sheds the victims ate while the leaker held the only pin slot.
-    pub starved_sheds: u64,
-    /// Sheds after one lease TTL (must be 0: the reaper freed the slot).
-    pub recovered_sheds: u64,
-    /// Successful victim pins after the TTL.
-    pub recovered_pins: u64,
-    /// Reclamation backlog at the peak of the leak and after recovery.
-    pub backlog_peak: u64,
-    pub backlog_after: u64,
-    /// Final server counters.
-    pub server: ServeSummary,
-    /// Contract violations (empty on success).
-    pub failures: Vec<String>,
-}
-
-impl LeaseLeakReport {
-    /// Did the reaper unstarve the budget and unblock reclamation?
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// One-line human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} sheds while leaked, {} after expiry ({} pins ok), backlog {} -> {}, {} lease expirations, {} failures",
-            self.starved_sheds,
-            self.recovered_sheds,
-            self.recovered_pins,
-            self.backlog_peak,
-            self.backlog_after,
-            self.server.lease_expirations,
-            self.failures.len()
-        )
-    }
-}
-
 /// Pull the `backlog : N superseded pages` figure out of the stats text.
 fn parse_backlog(stats: &str) -> Option<u64> {
     let line = stats
@@ -746,23 +595,31 @@ fn parse_backlog(stats: &str) -> Option<u64> {
         .ok()
 }
 
-/// One deliberate leaker must never starve the other clients for more
-/// than a lease TTL: it pins the *only* admission slot and goes silent;
-/// well-behaved victims shed until the reaper expires the lease, then
-/// pin freely (shed rate returns to 0). The leaker's next request is
-/// answered with the typed session-expired response, after which a fresh
-/// `begin` works. Updates issued throughout prove the stuck pin's
-/// reclamation backlog drains once the lease is reaped.
-pub fn run_lease_leak(config: &LeaseLeakConfig) -> LeaseLeakReport {
-    let ttl = std::time::Duration::from_millis(config.lease_ttl_ms);
-    let dir = scratch_dir("lease");
-    let store = build_store_file(&dir, config.scale, config.seed);
+/// `natix stress --net --leak`: one deliberate leaker must never starve
+/// the other clients for more than a lease TTL. It pins the *only*
+/// admission slot and goes silent; well-behaved victims shed until the
+/// reaper expires the lease, then pin freely (shed rate returns to 0).
+/// The leaker's next request is answered with the typed session-expired
+/// response, after which a fresh `begin` works. Updates issued
+/// throughout prove the stuck pin's reclamation backlog drains once the
+/// lease is reaped.
+///
+/// Quick: a 400 ms lease, 2 victims, 6 updates, XMark scale 0.002 (the
+/// scenario takes a few multiples of the TTL); full: 800 ms, 4, 12, 0.005.
+pub(crate) fn lease_leak(plan: &Plan, progress: &mut Progress) -> Report {
+    let (lease_ttl_ms, victim_count, updates, scale) =
+        plan.tier.pick((400, 2, 6, 0.002), (800, 4, 12, 0.005));
+    progress(&format!(
+        "lease leak: {victim_count} victims, ttl {lease_ttl_ms} ms, {updates} updates, xmark scale {scale}"
+    ));
+    let ttl = std::time::Duration::from_millis(lease_ttl_ms);
+    let dir = scratch_dir("net-lease");
     let handle = serve(ServeConfig {
-        store,
-        workers: config.victims + 3,
+        store: served_store(&dir, scale, plan.seeds[0]),
+        workers: victim_count + 3,
         // One pin slot: the leak starves the whole budget.
         max_pins: 1,
-        lease_ttl_ms: config.lease_ttl_ms,
+        lease_ttl_ms,
         ..ServeConfig::default()
     })
     .expect("start lease server");
@@ -776,7 +633,7 @@ pub fn run_lease_leak(config: &LeaseLeakConfig) -> LeaseLeakReport {
     }
     let pinned_at = Instant::now();
 
-    let mut victims: Vec<Client> = (0..config.victims.max(1))
+    let mut victims: Vec<Client> = (0..victim_count)
         .map(|_| Client::connect(addr).expect("victim connect"))
         .collect();
     let mut writer = Client::connect(addr).expect("writer connect");
@@ -800,7 +657,7 @@ pub fn run_lease_leak(config: &LeaseLeakConfig) -> LeaseLeakReport {
                 Err(e) => failures.push(format!("victim {v} begin: {e}")),
             }
         }
-        if update_no < config.updates {
+        if update_no < updates {
             update_no += 1;
             let req = Request::Update {
                 target: "/site".to_string(),
@@ -905,66 +762,48 @@ pub fn run_lease_leak(config: &LeaseLeakConfig) -> LeaseLeakReport {
         ));
     }
 
-    match Client::connect(addr).and_then(|mut c| {
-        let r = c.fsck()?;
-        c.shutdown_server()?;
-        Ok(r)
-    }) {
-        Ok((clean, report)) => {
-            if !clean {
-                failures.push(format!("post-leak fsck not clean:\n{report}"));
-            }
-        }
-        Err(e) => failures.push(format!("post-leak fsck/shutdown: {e}")),
-    }
+    scrub_and_stop(addr, "post-leak", &mut failures);
     let server = handle.join();
     if server.lease_expirations == 0 {
         failures.push("server counted no lease expirations".to_string());
     }
     let _ = std::fs::remove_dir_all(&dir);
-    LeaseLeakReport {
-        starved_sheds,
-        recovered_sheds,
-        recovered_pins,
-        backlog_peak,
-        backlog_after,
-        server,
-        failures,
-    }
-}
-
-/// Run the full power-cut campaign against spawned `natix serve`
-/// daemons.
-pub fn run_serve_soak(config: &ServeSoakConfig) -> ServeSoakReport {
-    let mut failures = Vec::new();
-    let mut acked = 0u64;
-    let mut recovered = 0u64;
-    for round in 0..config.rounds {
-        let (a, r) = soak_round(config, round, &mut failures);
-        acked += a;
-        recovered += r;
-    }
-    ServeSoakReport {
-        rounds: config.rounds,
-        acked,
-        recovered,
-        failures,
-    }
+    let mut report = Report::new(
+        "{sheds while leaked} sheds while leaked, {after expiry} after expiry \
+         ({pins ok} pins ok), backlog {backlog peak} -> {backlog after}, \
+         {lease expirations} lease expirations, {failures} failures",
+        &plan.seeds,
+    );
+    report.add("sheds while leaked", starved_sheds);
+    report.add("after expiry", recovered_sheds);
+    report.add("pins ok", recovered_pins);
+    report.add("backlog peak", backlog_peak);
+    report.add("backlog after", backlog_after);
+    report.add("lease expirations", server.lease_expirations);
+    report.failures = failures;
+    report
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{campaign, Tier};
 
     #[test]
     fn lease_leak_quick_unstarves_within_one_ttl() {
-        let report = run_lease_leak(&LeaseLeakConfig::quick());
+        let plan = campaign("leak")
+            .unwrap()
+            .plan(Tier::Quick, None, None, None)
+            .unwrap();
+        let report = plan.run(&mut |_| {});
         assert!(
             report.ok(),
             "lease leak scenario failed: {}\n{}",
             report.summary(),
             report.failures.join("\n")
         );
-        assert!(report.starved_sheds > 0, "leak never starved the budget");
+        assert!(
+            report.count("sheds while leaked") > 0,
+            "leak never starved the budget"
+        );
     }
 }

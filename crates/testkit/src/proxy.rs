@@ -10,7 +10,7 @@
 //! a plan replays the same mistreatment schedule for the same sequence
 //! of connections.
 //!
-//! [`run_proxy_chaos`] is the harness behind `natix stress --net
+//! [`proxy_chaos`] is the harness behind `natix stress --net
 //! --proxy`: an in-process server, a proxy in front of it, and a fleet
 //! of clients running the full verb sweep *through* the proxy,
 //! reconnecting whenever the proxy tears their connection. The contract:
@@ -29,13 +29,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use natix_core::Ekm;
-use natix_datagen::{xmark, GenConfig};
-use natix_server::{
-    serve, Client, ClientError, Request, ResponseBody, ServeConfig, ServeSummary, UpdateOp,
-};
-use natix_store::{bulkload_with, FilePager, StoreConfig};
+use natix_server::{serve, Client, ClientError, Request, ResponseBody, ServeConfig, UpdateOp};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+use crate::harness::{scratch_dir, Plan, Progress, Report};
+use crate::net::{audit_server, scrub_and_stop, served_store};
 
 // ------------------------------------------------------------ the proxy
 
@@ -321,86 +319,6 @@ fn pump(
 
 // ----------------------------------------------------- the chaos harness
 
-/// Configuration for [`run_proxy_chaos`].
-#[derive(Debug, Clone)]
-pub struct ProxyChaosConfig {
-    /// Base seed for the plan, the workloads, and the client mix.
-    pub seed: u64,
-    /// Concurrent clients behind the proxy.
-    pub clients: usize,
-    /// Requests each client completes (reconnects not counted).
-    pub requests_per_client: usize,
-    /// XMark scale of the served document.
-    pub scale: f64,
-    /// The mistreatment plan.
-    pub plan: ProxyPlan,
-    /// Session lease TTL handed to the server (ms).
-    pub lease_ttl_ms: u64,
-}
-
-impl ProxyChaosConfig {
-    /// CI smoke tier: one seeded stall/reset plan, a small fleet.
-    pub fn quick() -> ProxyChaosConfig {
-        ProxyChaosConfig {
-            seed: 0xFA_117,
-            clients: 3,
-            requests_per_client: 60,
-            scale: 0.003,
-            plan: ProxyPlan::gentle(0xFA_117),
-            lease_ttl_ms: 30_000,
-        }
-    }
-
-    /// The acceptance tier: a bigger fleet under the harsh plan.
-    pub fn full() -> ProxyChaosConfig {
-        ProxyChaosConfig {
-            seed: 0xFA_117,
-            clients: 6,
-            requests_per_client: 250,
-            scale: 0.01,
-            plan: ProxyPlan::harsh(0xFA_117),
-            lease_ttl_ms: 30_000,
-        }
-    }
-}
-
-/// Result of [`run_proxy_chaos`].
-#[derive(Debug)]
-pub struct ProxyChaosReport {
-    /// Requests completed across the fleet (through the chaos).
-    pub completed: u64,
-    /// Reconnects forced by torn connections.
-    pub reconnects: u64,
-    /// What the proxy injected.
-    pub proxy: ProxyStats,
-    /// Final server counters.
-    pub server: ServeSummary,
-    /// Contract violations (empty on success).
-    pub failures: Vec<String>,
-}
-
-impl ProxyChaosReport {
-    /// Zero violations, zero protocol errors, zero panics, clean drain?
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty() && self.server.proto_errors == 0 && self.server.worker_panics == 0
-    }
-
-    /// One-paragraph human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} completed, {} reconnects; proxy: {} conns, {} resets, {} stalls, {} bytes; server: {} ({} failures)",
-            self.completed,
-            self.reconnects,
-            self.proxy.connections,
-            self.proxy.resets,
-            self.proxy.stalls,
-            self.proxy.forwarded,
-            self.server,
-            self.failures.len()
-        )
-    }
-}
-
 struct ChaosObservation {
     completed: u64,
     reconnects: u64,
@@ -520,96 +438,93 @@ fn chaos_client(proxy_addr: SocketAddr, id: usize, requests: usize, seed: u64) -
     obs
 }
 
-/// Run the proxy-chaos campaign: server, proxy, fleet. See the module
-/// docs for the contract.
-pub fn run_proxy_chaos(config: &ProxyChaosConfig) -> ProxyChaosReport {
-    let dir = std::env::temp_dir().join(format!("natix-proxy-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let store = dir.join("proxied.natix");
-    {
-        let doc = xmark(GenConfig {
-            scale: config.scale,
-            seed: config.seed,
-        });
-        let pager = FilePager::create(&store).expect("create store file");
-        drop(
-            bulkload_with(&doc, &Ekm, 128, Box::new(pager), StoreConfig::default())
-                .expect("bulkload proxied store"),
-        );
-    }
+/// Session lease TTL handed to the server (ms): long enough that no
+/// stall expires a lease.
+const LEASE_TTL_MS: u64 = 30_000;
+
+/// `natix stress --net --proxy`: 3 clients of 60 requests behind the
+/// gentle plan at quick (XMark scale 0.003); 6 of 250 behind the harsh
+/// plan at full (0.01). See the module docs for the contract.
+pub(crate) fn proxy_chaos(plan: &Plan, progress: &mut Progress) -> Report {
+    let seed = plan.seeds[0];
+    let (clients, requests, scale, mistreat) = plan.tier.pick(
+        (3, 60, 0.003, ProxyPlan::gentle(seed)),
+        (6, 250, 0.01, ProxyPlan::harsh(seed)),
+    );
+    progress(&format!(
+        "proxy chaos: {clients} clients x {requests} requests, xmark scale {scale}, plan seed {seed:#x}"
+    ));
+    fleet(seed, clients, requests, scale, mistreat)
+}
+
+/// Server, proxy, fleet: `clients` clients complete `requests_per_client`
+/// requests each (reconnects not counted) through `plan`.
+fn fleet(
+    seed: u64,
+    clients: usize,
+    requests_per_client: usize,
+    scale: f64,
+    plan: ProxyPlan,
+) -> Report {
+    let dir = scratch_dir("proxy");
     let handle = serve(ServeConfig {
-        store,
-        workers: config.clients + 2,
-        lease_ttl_ms: config.lease_ttl_ms,
+        store: served_store(&dir, scale, seed),
+        workers: clients + 2,
+        lease_ttl_ms: LEASE_TTL_MS,
         ..ServeConfig::default()
     })
     .expect("start chaos server");
     let direct_addr = handle.addr();
-    let proxy = FaultProxy::start(direct_addr, config.plan).expect("start fault proxy");
+    let proxy = FaultProxy::start(direct_addr, plan).expect("start fault proxy");
     let proxy_addr = proxy.addr();
 
-    let mut failures = Vec::new();
-    let threads: Vec<_> = (0..config.clients)
+    let mut report = Report::new(
+        "{completed} completed, {reconnects} reconnects; proxy: {conns} conns, {resets} resets, \
+         {stalls} stalls, {bytes} bytes; {failures} failures",
+        &[seed],
+    );
+    let threads: Vec<_> = (0..clients)
         .map(|id| {
-            let requests = config.requests_per_client;
-            let seed = config.seed;
-            std::thread::spawn(move || chaos_client(proxy_addr, id, requests, seed))
+            std::thread::spawn(move || chaos_client(proxy_addr, id, requests_per_client, seed))
         })
         .collect();
-    let mut completed = 0u64;
-    let mut reconnects = 0u64;
     let mut by_epoch: HashMap<u64, u64> = HashMap::new();
     for t in threads {
         let obs = t.join().expect("chaos client panicked");
-        completed += obs.completed;
-        reconnects += obs.reconnects;
-        failures.extend(obs.failures);
+        report.add("completed", obs.completed);
+        report.add("reconnects", obs.reconnects);
+        report.failures.extend(obs.failures);
         for (epoch, hash) in obs.dumps {
             if let Some(prev) = by_epoch.insert(epoch, hash) {
                 if prev != hash {
-                    failures.push(format!(
+                    report.failures.push(format!(
                         "two clients saw different documents at epoch {epoch}"
                     ));
                 }
             }
         }
     }
-    let proxy_stats = proxy.stop();
+    let injected = proxy.stop();
+    report.add("conns", injected.connections);
+    report.add("resets", injected.resets);
+    report.add("stalls", injected.stalls);
+    report.add("bytes", injected.forwarded);
 
     // Audit and shutdown over a *direct* connection: the store must
     // scrub clean, and the server must drain without wedged workers.
-    match Client::connect(direct_addr).and_then(|mut c| {
-        let r = c.fsck()?;
-        c.shutdown_server()?;
-        Ok(r)
-    }) {
-        Ok((clean, report)) => {
-            if !clean {
-                failures.push(format!("post-chaos fsck not clean:\n{report}"));
-            }
-        }
-        Err(e) => failures.push(format!("post-chaos fsck/shutdown: {e}")),
-    }
+    scrub_and_stop(direct_addr, "post-chaos", &mut report.failures);
     let (sum_tx, sum_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let _ = sum_tx.send(handle.join());
     });
-    let server = match sum_rx.recv_timeout(Duration::from_secs(30)) {
-        Ok(s) => s,
-        Err(_) => {
-            failures.push("server did not drain within 30s (wedged worker)".to_string());
-            ServeSummary::default()
-        }
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-    ProxyChaosReport {
-        completed,
-        reconnects,
-        proxy: proxy_stats,
-        server,
-        failures,
+    match sum_rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(server) => audit_server(&mut report, &server),
+        Err(_) => report
+            .failures
+            .push("server did not drain within 30s (wedged worker)".to_string()),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+    report
 }
 
 #[cfg(test)]
@@ -618,15 +533,14 @@ mod tests {
 
     #[test]
     fn proxy_chaos_quick_runs_clean() {
-        let mut cfg = ProxyChaosConfig::quick();
-        cfg.clients = 2;
-        cfg.requests_per_client = 30;
-        let report = run_proxy_chaos(&cfg);
+        // A trimmed quick tier: two clients, half the requests.
+        let report = fleet(0xFA_117, 2, 30, 0.003, ProxyPlan::gentle(0xFA_117));
         assert!(
             report.ok(),
             "proxy chaos failed: {}\n{}",
             report.summary(),
             report.failures.join("\n")
         );
+        assert_eq!(report.count("completed"), 60);
     }
 }

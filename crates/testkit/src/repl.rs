@@ -1,6 +1,6 @@
 //! Replication failover campaign: primary + hot standby + promote.
 //!
-//! [`run_repl_soak`] spawns a *primary* `natix serve` child, puts the
+//! [`repl`] spawns a *primary* `natix serve` child, puts the
 //! seeded [`FaultProxy`] in front of it, and spawns a *follower*
 //! (`natix serve --replica-of <proxy>`) that must bootstrap and stay
 //! caught up **through** the mistreated link (resets, stalls, partial
@@ -27,155 +27,16 @@
 //! both CI-mild and hostile links are swept. This backs
 //! `natix soak --repl`.
 
-use std::io::BufRead;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-use natix_core::Ekm;
-use natix_datagen::{xmark, GenConfig};
 use natix_server::{Client, ErrKind, Request, ResponseBody, ShedKind, UpdateOp};
-use natix_store::{bulkload_with, BatchKind, FilePager, ReplBatch, StoreConfig, PAGE_SIZE};
+use natix_store::{BatchKind, ReplBatch, PAGE_SIZE};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+use crate::harness::{scratch_dir, Plan, Progress, Report};
+use crate::net::{served_store, ServeChild};
 use crate::proxy::{FaultProxy, ProxyPlan};
-
-/// Configuration for [`run_repl_soak`].
-#[derive(Debug, Clone)]
-pub struct ReplSoakConfig {
-    /// Base seed; round `i` mixes in `i` (document, kill point, proxy).
-    pub seed: u64,
-    /// Failover rounds (one primary + follower pair each).
-    pub rounds: usize,
-    /// Updates offered per round; the primary SIGKILL lands at a seeded
-    /// point inside the storm.
-    pub updates_per_round: usize,
-    /// XMark scale of the seeded primary document.
-    pub scale: f64,
-    /// Path of the `natix` binary to spawn for `serve`.
-    pub server_bin: PathBuf,
-}
-
-impl ReplSoakConfig {
-    /// CI smoke tier: two rounds (one gentle, one harsh link).
-    pub fn quick(server_bin: PathBuf) -> ReplSoakConfig {
-        ReplSoakConfig {
-            seed: 0x4E50_11CA ^ 0x5EED,
-            rounds: 2,
-            updates_per_round: 30,
-            scale: 0.002,
-            server_bin,
-        }
-    }
-
-    /// The acceptance tier: more rounds, larger documents and storms.
-    pub fn full(server_bin: PathBuf) -> ReplSoakConfig {
-        ReplSoakConfig {
-            seed: 0x4E50_11CA ^ 0x5EED,
-            rounds: 6,
-            updates_per_round: 90,
-            scale: 0.005,
-            server_bin,
-        }
-    }
-}
-
-/// Result of [`run_repl_soak`].
-#[derive(Debug)]
-pub struct ReplSoakReport {
-    /// Rounds executed.
-    pub rounds: usize,
-    /// Updates the primary acknowledged across all rounds.
-    pub acked: u64,
-    /// Acked updates found on the promoted follower (the rest were an
-    /// unacked replication tail, which is legitimate loss).
-    pub replicated: u64,
-    /// Successful promotions (must equal `rounds`).
-    pub failovers: usize,
-    /// Contract violations (empty on success).
-    pub failures: Vec<String>,
-}
-
-impl ReplSoakReport {
-    /// Did every failover promote to an acked-prefix, fsck-clean,
-    /// properly fenced primary?
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// One-line human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} rounds, {} failovers, {} acked updates, {} on the promoted store, {} failures",
-            self.rounds,
-            self.failovers,
-            self.acked,
-            self.replicated,
-            self.failures.len()
-        )
-    }
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("natix-repl-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// A spawned `natix serve` child plus its parsed listen address. The
-/// stdout pipe's read end stays open for the child's lifetime (dropping
-/// it would EPIPE the daemon's own prints); drop kills the child so a
-/// failed round can never leak a daemon.
-struct ServeChild {
-    child: std::process::Child,
-    _stdout: std::io::BufReader<std::process::ChildStdout>,
-    addr: String,
-}
-
-impl ServeChild {
-    fn spawn(bin: &Path, store: &Path, extra: &[String]) -> Result<ServeChild, String> {
-        let mut child = std::process::Command::new(bin)
-            .arg("serve")
-            .arg(store)
-            .args(["--addr", "127.0.0.1:0"])
-            .args(extra)
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .map_err(|e| format!("spawn {bin:?}: {e}"))?;
-        let stdout = child.stdout.take().expect("child stdout piped");
-        let mut reader = std::io::BufReader::new(stdout);
-        let mut banner = String::new();
-        if reader.read_line(&mut banner).is_err() || !banner.contains("listening on ") {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(format!("no listen banner, got {banner:?}"));
-        }
-        let addr = banner
-            .rsplit("listening on ")
-            .next()
-            .unwrap()
-            .trim()
-            .to_string();
-        Ok(ServeChild {
-            child,
-            _stdout: reader,
-            addr,
-        })
-    }
-
-    /// SIGKILL — the failover trigger, not a graceful shutdown.
-    fn kill(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-impl Drop for ServeChild {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
 
 /// One part of a batch that can never extend any real history: its
 /// `prev_epoch` is far past anything the follower has applied, so the
@@ -229,31 +90,25 @@ fn wait_settle(addr: &str, budget: Duration) -> Result<u64, String> {
     Err("replica applied epoch never settled".to_string())
 }
 
-/// One failover round. Returns `(acked, replicated, promoted)`.
+/// One failover round of `updates_per_round` offered updates against a
+/// primary seeded with an XMark document of `scale`. Returns `(acked,
+/// replicated, promoted)`.
 fn repl_round(
-    config: &ReplSoakConfig,
+    server_bin: &Path,
+    seed: u64,
     round: usize,
+    updates_per_round: usize,
+    scale: f64,
     failures: &mut Vec<String>,
 ) -> (u64, u64, bool) {
     let fail = |failures: &mut Vec<String>, msg: String| {
         failures.push(format!("round {round}: {msg}"));
     };
-    let mut rng = StdRng::seed_from_u64(config.seed ^ (round as u64).wrapping_mul(0x9E37_79B9));
-    let dir = scratch_dir(&format!("round-{round}"));
-    let primary_store = dir.join("primary.natix");
-    {
-        let doc = xmark(GenConfig {
-            scale: config.scale,
-            seed: config.seed ^ round as u64,
-        });
-        let pager = FilePager::create(&primary_store).expect("create primary store");
-        drop(
-            bulkload_with(&doc, &Ekm, 128, Box::new(pager), StoreConfig::default())
-                .expect("bulkload primary store"),
-        );
-    }
+    let mut rng = StdRng::seed_from_u64(seed ^ (round as u64).wrapping_mul(0x9E37_79B9));
+    let dir = scratch_dir(&format!("repl-{round}"));
+    let primary_store = served_store(&dir, scale, seed ^ round as u64);
 
-    let mut primary = match ServeChild::spawn(&config.server_bin, &primary_store, &[]) {
+    let mut primary = match ServeChild::spawn(server_bin, &primary_store, &[]) {
         Ok(c) => c,
         Err(e) => {
             fail(failures, format!("primary: {e}"));
@@ -266,7 +121,7 @@ fn repl_round(
     // 3–7 byte chunks (right for small request frames, pathological for
     // a multi-hundred-KB snapshot part), so these keep MTU-ish
     // fragmentation while still injecting stalls and mid-frame resets.
-    let plan_seed = config.seed ^ (round as u64).rotate_left(17);
+    let plan_seed = seed ^ (round as u64).rotate_left(17);
     let plan = if round.is_multiple_of(2) {
         ProxyPlan {
             seed: plan_seed,
@@ -296,7 +151,7 @@ fn repl_round(
     };
     let replica_store = dir.join("replica.natix");
     let replica_of = vec!["--replica-of".to_string(), proxy.addr().to_string()];
-    let replica = match ServeChild::spawn(&config.server_bin, &replica_store, &replica_of) {
+    let replica = match ServeChild::spawn(server_bin, &replica_store, &replica_of) {
         Ok(c) => c,
         Err(e) => {
             fail(failures, format!("replica: {e}"));
@@ -342,12 +197,12 @@ fn repl_round(
     // The update storm against the primary; the kill lands mid-storm.
     // Each ack records the commit epoch so the audit can split acked
     // updates into "replicated by promotion time" vs "unacked tail".
-    let kill_at = rng.gen_range(config.updates_per_round / 4..config.updates_per_round);
+    let kill_at = rng.gen_range(updates_per_round / 4..updates_per_round);
     let mut acked: Vec<(usize, u64)> = Vec::new();
     let mut lag_line_seen = false;
     match Client::connect(primary.addr.as_str()) {
         Ok(mut w) => {
-            for i in 0..config.updates_per_round {
+            for i in 0..updates_per_round {
                 if i == kill_at {
                     break;
                 }
@@ -499,7 +354,7 @@ fn repl_round(
     match Client::connect(replica.addr.as_str()).and_then(|mut c| c.dump()) {
         Ok((_, xml)) => {
             let mut present = Vec::new();
-            for i in 0..config.updates_per_round {
+            for i in 0..updates_per_round {
                 let marker = format!("repl marker {round}.{i} end");
                 match xml.matches(&marker).count() {
                     0 => {}
@@ -632,25 +487,33 @@ fn repl_round(
     (acked.len() as u64, replicated, true)
 }
 
-/// Run the full failover campaign against spawned `natix serve` pairs.
-pub fn run_repl_soak(config: &ReplSoakConfig) -> ReplSoakReport {
-    let mut failures = Vec::new();
-    let mut acked = 0u64;
-    let mut replicated = 0u64;
-    let mut failovers = 0usize;
-    for round in 0..config.rounds {
-        let (a, r, promoted) = repl_round(config, round, &mut failures);
-        acked += a;
-        replicated += r;
-        if promoted {
-            failovers += 1;
-        }
+/// `natix soak --repl`: 2 failover rounds (one gentle link, one harsh)
+/// of 30 offered updates over an XMark document of scale 0.002 at
+/// quick; 6 rounds of 90 over scale 0.005 at full.
+pub(crate) fn repl(plan: &Plan, progress: &mut Progress) -> Report {
+    let (rounds, updates, scale) = plan.tier.pick((2, 30, 0.002), (6, 90, 0.005));
+    progress(&format!(
+        "repl soak: {rounds} failover rounds, {updates} updates offered per round"
+    ));
+    let mut report = Report::new(
+        "{rounds} rounds, {failovers} failovers, {acked updates} acked updates, \
+         {on the promoted store} on the promoted store, {failures} failures",
+        &plan.seeds,
+    );
+    for round in 0..rounds {
+        let (acked, replicated, promoted) = repl_round(
+            plan.server_bin(),
+            plan.seeds[0],
+            round,
+            updates,
+            scale,
+            &mut report.failures,
+        );
+        report.add("rounds", 1);
+        report.add("failovers", u64::from(promoted));
+        report.add("acked updates", acked);
+        // The rest were an unacked replication tail: legitimate loss.
+        report.add("on the promoted store", replicated);
     }
-    ReplSoakReport {
-        rounds: config.rounds,
-        acked,
-        replicated,
-        failovers,
-        failures,
-    }
+    report
 }

@@ -1,17 +1,19 @@
 //! Quick-tier power-cut campaign over the sharded streaming bulkload.
 
-use natix_testkit::{run_bulkload_campaign, BulkCampaignConfig};
+use natix_testkit::{campaign, Tier};
 
 #[test]
 fn bulkload_power_cut_quick_campaign_is_clean() {
-    let cfg = BulkCampaignConfig::quick();
-    let report = run_bulkload_campaign(&cfg, |_| {});
-    assert!(report.horizon > 0, "horizon was never measured");
-    assert!(report.cuts > 0, "no cuts swept");
-    let failures: Vec<String> = report.failures.iter().map(|f| f.to_string()).collect();
+    let plan = campaign("bulkload")
+        .unwrap()
+        .plan(Tier::Quick, None, None, None)
+        .unwrap();
+    let report = plan.run(&mut |_| {});
+    assert!(report.count("horizon") > 0, "horizon was never measured");
+    assert!(report.count("cuts") > 0, "no cuts swept");
     assert!(
         report.ok(),
         "bulkload crash contract violated:\n{}",
-        failures.join("\n")
+        report.failures.join("\n")
     );
 }

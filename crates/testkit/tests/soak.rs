@@ -3,21 +3,29 @@
 //! must replay.
 
 use natix_testkit::{
-    replay, run_campaign, run_corruption_campaign, run_corruption_trace, run_trace,
-    workload_by_name, CampaignConfig, CrashMode, Failure, Op,
+    campaign, replay, run_corruption_trace, run_trace, workload_by_name, CrashMode, Failure, Op,
+    Report, Tier,
 };
+
+/// The quick tier of the row called `name`.
+fn quick(name: &str) -> Report {
+    let plan = campaign(name)
+        .unwrap()
+        .plan(Tier::Quick, None, None, None)
+        .unwrap();
+    plan.run(&mut |_| {})
+}
 
 #[test]
 fn quick_campaign_is_clean() {
-    let cfg = CampaignConfig::quick();
-    let report = run_campaign(&cfg, |_| {});
+    let report = quick("fuzz");
     for f in &report.failures {
         eprintln!("{f}");
     }
     assert!(report.ok(), "{}", report.summary());
-    assert_eq!(report.runs, 6, "one run per Table 1 workload");
+    assert_eq!(report.count("runs"), 6, "one run per Table 1 workload");
     assert!(
-        report.crash_points > 50,
+        report.count("crash points") > 50,
         "sweep exercised too few crash points: {}",
         report.summary()
     );
@@ -25,10 +33,7 @@ fn quick_campaign_is_clean() {
 
 #[test]
 fn campaign_outcomes_are_reproducible() {
-    let cfg = CampaignConfig::quick();
-    let a = run_campaign(&cfg, |_| {});
-    let b = run_campaign(&cfg, |_| {});
-    assert_eq!(a.summary(), b.summary());
+    assert_eq!(quick("fuzz").summary(), quick("fuzz").summary());
 }
 
 #[test]
@@ -117,17 +122,16 @@ fn failure_rendering_is_replayable_and_pasteable() {
 
 #[test]
 fn quick_corruption_campaign_is_clean() {
-    let cfg = CampaignConfig::quick();
-    let report = run_corruption_campaign(&cfg, |_| {});
+    let report = quick("corruption");
     for f in &report.failures {
         eprintln!("{f}");
     }
     assert!(report.ok(), "{}", report.summary());
-    assert_eq!(report.runs, 6, "one run per Table 1 workload");
+    assert_eq!(report.count("runs"), 6, "one run per Table 1 workload");
     // 12 injection slots per committed state; every run commits several
     // states, so the sweep must pile up real coverage.
     assert!(
-        report.crash_points > 100,
+        report.count("crash points") > 100,
         "too few corruption injections: {}",
         report.summary()
     );
