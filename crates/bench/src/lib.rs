@@ -1,13 +1,16 @@
 //! Shared experiment harness: CLI parsing, timing, table and JSON output.
 //!
-//! Each binary in this crate regenerates one table of the paper (see
-//! `DESIGN.md` §6 and `EXPERIMENTS.md`):
+//! Each binary in this crate regenerates one table of the paper or one
+//! ablation (see `DESIGN.md` §6 and `EXPERIMENTS.md`):
 //!
 //! * `table1` — number of generated partitions (Table 1),
 //! * `table2` — partitioning CPU time (Table 2),
 //! * `table3` — query time and disk space, KM vs EKM layouts (Table 3),
-//! * `sweep_k` — ablation: partitions as a function of K,
-//! * `scaling` — ablation: linear runtime in the number of nodes.
+//! * `sweep_k` — ablation A1: partitions as a function of K,
+//! * `scaling` — ablation A2: linear runtime in the number of nodes,
+//! * `memoization` — ablation A3: DP-table cells, shape sharing, pruning,
+//! * `related_work` — ablation A4: Lukes vs KM vs the sibling partitioners,
+//! * `doc_stats` — structural profiles of the evaluation documents.
 //!
 //! All binaries accept `--scale <f>` (document size multiplier; default
 //! 0.05), `--paper` (shorthand for `--scale 1.0`, the paper's document
@@ -42,10 +45,6 @@ pub struct Args {
     /// `table2` (`--threads`); defaults to the machine's available
     /// parallelism.
     pub threads: usize,
-    /// CI smoke mode (`--quick`): tiny scale, one timed run, deterministic
-    /// correctness gates, nonzero exit on regression. Honored by
-    /// `store_speed` and `bulk_speed`.
-    pub quick: bool,
 }
 
 impl Default for Args {
@@ -56,17 +55,11 @@ impl Default for Args {
             k: 256,
             json: None,
             skip_dhw: false,
-            threads: default_threads(),
-            quick: false,
+            threads: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
         }
     }
-}
-
-/// The machine's available parallelism (1 if it cannot be determined).
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 impl Args {
@@ -103,7 +96,6 @@ impl Args {
                 }
                 "--json" => args.json = Some(value("--json")),
                 "--skip-dhw" => args.skip_dhw = true,
-                "--quick" => args.quick = true,
                 "--threads" => {
                     args.threads = value("--threads").parse().unwrap_or_else(|_| {
                         eprintln!("--threads expects a positive integer");
@@ -117,7 +109,7 @@ impl Args {
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --scale <f> | --paper | --seed <n> | --k <slots> | \
-                         --json <path> | --skip-dhw | --threads <n> | --quick"
+                         --json <path> | --skip-dhw | --threads <n>"
                     );
                     std::process::exit(0);
                 }
@@ -210,13 +202,7 @@ impl Table {
 
 /// Write `results` as pretty JSON if `--json` was given.
 pub fn write_json<T: ToJson>(args: &Args, results: &T) {
-    if let Some(path) = &args.json {
-        write_json_to(path, results);
-    }
-}
-
-/// Write `results` as pretty JSON to an explicit path.
-pub fn write_json_to<T: ToJson>(path: &str, results: &T) {
+    let Some(path) = &args.json else { return };
     let json = results.to_json().render_pretty();
     std::fs::write(path, json).unwrap_or_else(|e| {
         eprintln!("failed to write {path}: {e}");

@@ -163,11 +163,6 @@ impl SubtreeDag {
     pub fn fingerprint(&self, shape: u32) -> Fingerprint {
         self.fps[shape as usize]
     }
-
-    /// Nodes per distinct shape (the DAG compression ratio).
-    pub fn dedup_ratio(&self) -> f64 {
-        self.len() as f64 / self.distinct().max(1) as f64
-    }
 }
 
 /// Cross-run cache key: shape fingerprint plus the run parameters the plan

@@ -165,18 +165,6 @@ pub fn evaluation_algorithms() -> Vec<Box<dyn Partitioner>> {
     ]
 }
 
-/// The approximation algorithms only (everything but the optimal DHW).
-pub fn heuristic_algorithms() -> Vec<Box<dyn Partitioner>> {
-    vec![
-        Box::new(Ghdw),
-        Box::new(Ekm),
-        Box::new(Rs),
-        Box::new(Dfs),
-        Box::new(Km),
-        Box::new(Bfs),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,7 +28,7 @@
 //!
 //! The loader maintains an honest resident-bytes counter (slab payload
 //! plus driver state) whose peak is reported in [`LoadStats`]; the
-//! bounded-memory tests, the `bulk_speed` bench and the repo benchmark's
+//! bounded-memory tests and the repo benchmark's
 //! `store.bulkload.slab_peak_bytes` row read it.
 
 use std::collections::HashMap;

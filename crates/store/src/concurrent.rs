@@ -295,11 +295,6 @@ impl SharedStore {
         }
     }
 
-    /// Distinct page ids pinned in the writer's pool by live snapshots.
-    pub fn pinned_pool_pages(&self) -> usize {
-        self.inner.borrow().store.pool.pinned_pages()
-    }
-
     /// `Some(reason)` while the store is in read-only degraded mode
     /// (writes refused, reads still served). Cleared by the space probe
     /// once the backend accepts writes again.
@@ -850,11 +845,6 @@ impl Snapshot {
     /// Strict full-document read of the pinned state.
     pub fn document(&mut self) -> StoreResult<Document> {
         self.store.to_document()
-    }
-
-    /// Damage-tolerant full-document read of the pinned state.
-    pub fn document_degraded(&mut self) -> StoreResult<(Document, DamageReport)> {
-        self.store.to_document_degraded()
     }
 }
 

@@ -794,16 +794,6 @@ impl FaultInjectingPager {
         }
     }
 
-    /// Write events (allocations + page writes) seen so far.
-    pub fn write_events(&self) -> u64 {
-        self.writes
-    }
-
-    /// Reads seen so far.
-    pub fn read_events(&self) -> u64 {
-        self.reads
-    }
-
     /// Whether the simulated power cut has fired.
     pub fn is_dead(&self) -> bool {
         self.dead
@@ -1421,25 +1411,6 @@ impl BufferPool {
         self.capacity
     }
 
-    /// Change the page budget at runtime. Growing takes effect lazily;
-    /// shrinking evicts immediately — clean victims first, then dirty
-    /// frames past the write-back floor — so a budget cut frees memory
-    /// now, not at some later fault. Pinned frames and dirty frames
-    /// below the floor may keep the pool above budget until the next
-    /// commit/unpin, exactly as under normal admission.
-    pub fn set_capacity(&mut self, capacity: usize) -> StoreResult<()> {
-        self.capacity = capacity.max(1);
-        while self.frames.len() > self.capacity {
-            if self.evict_one() {
-                continue;
-            }
-            if !self.evict_dirty_one()? {
-                break;
-            }
-        }
-        Ok(())
-    }
-
     /// Resident frames right now (may exceed capacity under pins or an
     /// all-dirty working set).
     pub fn resident(&self) -> usize {
@@ -1475,11 +1446,6 @@ impl BufferPool {
                 }
             }
         }
-    }
-
-    /// Number of distinct pinned page ids.
-    pub fn pinned_pages(&self) -> usize {
-        self.pins.len()
     }
 
     fn is_pinned(&self, id: PageId) -> bool {
@@ -1735,12 +1701,6 @@ impl BufferPool {
             self.frames.remove(&id);
         }
         Ok(first)
-    }
-
-    /// Read page `id` straight from the backend, skipping any resident
-    /// frame (used by fsck-style scans that need at-rest bytes).
-    pub fn backend_read(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> StoreResult<()> {
-        self.backend.read(id, buf)
     }
 
     /// Drop every dirty frame without writing it back (transaction

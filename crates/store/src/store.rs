@@ -882,11 +882,6 @@ impl XmlStore {
         Ok(())
     }
 
-    /// Whether a group-commit batch is open.
-    pub fn in_batch(&self) -> bool {
-        self.batch.is_some()
-    }
-
     /// Publish every operation staged since [`XmlStore::begin_batch`]
     /// under one journal write and one header flip; returns how many were
     /// staged. On error the whole batch is rolled back to the last
@@ -1085,11 +1080,6 @@ impl XmlStore {
             Arc::new(catalog_bytes),
             cat,
         ))
-    }
-
-    /// How this store treats corrupt/quarantined partitions on read.
-    pub fn open_mode(&self) -> OpenMode {
-        self.mode
     }
 
     /// Records quarantined by `fsck --repair`, ascending.
@@ -1459,17 +1449,6 @@ impl XmlStore {
     /// Buffer pool counters.
     pub fn buffer_stats(&self) -> BufferStats {
         self.pool.stats()
-    }
-
-    /// Resident buffer-pool frames right now.
-    pub fn buffer_resident(&self) -> usize {
-        self.pool.resident()
-    }
-
-    /// Re-budget the buffer pool (see [`BufferPool::set_capacity`]):
-    /// shrinking evicts eagerly so a cut frees memory immediately.
-    pub fn set_buffer_capacity(&mut self, pages: usize) -> StoreResult<()> {
-        self.pool.set_capacity(pages)
     }
 
     /// Number of records (= partitions).

@@ -1,11 +1,13 @@
 //! Collection layer: sharded parallel bulkload, catalog round-trip,
-//! cross-shard fsck, and thread-count independence of the shard bytes.
+//! cross-shard fsck, thread-count independence of the shard bytes, and
+//! resident memory that the corpus size does not move.
 
 use std::fs;
 use std::path::PathBuf;
 
 use natix_store::{
     bulkload_collection, fsck_collection, shard_path, BulkloadOptions, Collection, StoreConfig,
+    PAGE_SIZE,
 };
 
 fn corpus(n: usize) -> Vec<String> {
@@ -139,4 +141,47 @@ fn oversized_document_fails_the_load() {
     };
     assert!(bulkload_collection(&dir, docs.into_iter(), cfg, opts).is_err());
     fs::remove_dir_all(&dir).ok();
+}
+
+/// Streaming memory bound: at a fixed pool cap per shard, ten times the
+/// documents leave peak resident bytes (loader slab + shard pools) within
+/// 2×. The small corpus already fills the pools to their cap, so the
+/// ratio measures growth with the corpus, not pools filling up.
+#[test]
+fn resident_memory_is_flat_in_corpus_size() {
+    const SHARDS: u32 = 2;
+    const POOL_PAGES: usize = 8;
+    let cfg = StoreConfig {
+        buffer_pages: POOL_PAGES,
+        ..StoreConfig::default()
+    };
+    let opts = BulkloadOptions {
+        shards: SHARDS,
+        threads: 1,
+        seg_docs: 16,
+        ..BulkloadOptions::default()
+    };
+    let load = |docs: usize| {
+        let dir = temp_dir(&format!("resident{docs}"));
+        let report = bulkload_collection(&dir, natix_datagen::small_docs(docs, 42), cfg, opts)
+            .expect("load");
+        fs::remove_dir_all(&dir).ok();
+        assert_eq!(report.docs, docs as u64);
+        report
+    };
+    let small = load(60);
+    let large = load(600);
+    let cap = SHARDS as usize * POOL_PAGES * PAGE_SIZE;
+    assert_eq!(
+        small.peak_pool_resident, cap,
+        "the small corpus must leave the pools exactly at their cap"
+    );
+    assert!(large.peak_pool_resident <= cap, "{large:?}");
+    let total = |r: &natix_store::BulkloadReport| r.peak_loader_resident + r.peak_pool_resident;
+    assert!(
+        total(&large) <= 2 * total(&small),
+        "peak resident grew from {} to {} bytes over 10x the documents",
+        total(&small),
+        total(&large)
+    );
 }

@@ -1,11 +1,12 @@
 //! Concurrent-access integration tests: snapshot isolation across
 //! interleaved writes, retry-absorbs-transient-faults (commits exactly
-//! once), fsck racing a writer, and reader survival of writer death.
+//! once), fsck racing a writer, reader survival of writer death, and one
+//! header flip per group-commit batch.
 
 use natix_core::Ekm;
 use natix_store::{
-    bulkload_with, fsck, AdmissionConfig, FaultInjectingPager, FaultSchedule, RetryPolicy,
-    RetryingPager, SharedMemPager, SharedStore, StoreConfig, XmlStore,
+    bulkload_with, fsck, AdmissionConfig, BatchOp, FaultInjectingPager, FaultSchedule, FilePager,
+    RetryPolicy, RetryingPager, SharedMemPager, SharedStore, StoreConfig, XmlStore,
 };
 use natix_xml::{parse, NodeKind};
 
@@ -216,4 +217,72 @@ fn epoch_ladder_pins_hold_their_versions() {
     assert_eq!(stats.pinned_free_violations, 0, "{stats:?}");
     let report = shared.scrub().unwrap();
     assert!(report.clean(), "{report}");
+}
+
+/// Group commit: the same 48 root appends through `mutate_batch` at batch
+/// size N are ⌈48/N⌉ commits, ack every op, land all 48 and leave a page
+/// file that scrubs clean.
+#[test]
+fn group_commit_flips_once_per_batch() {
+    const OPS: usize = 48;
+    let doc = parse("<list><e>one entry of text</e><e>two entry of text</e></list>").unwrap();
+    for batch_size in [1usize, 2, 4, 8, 16] {
+        let path = std::env::temp_dir().join(format!(
+            "natix-group-commit-{}-{batch_size}.pages",
+            std::process::id()
+        ));
+        let backend = FilePager::create(&path).unwrap();
+        drop(bulkload_with(&doc, &Ekm, 16, Box::new(backend), config(16)).unwrap());
+        let shared = SharedStore::open(
+            Box::new(FilePager::open(&path).unwrap()),
+            Box::new(path.clone()),
+            config(16),
+            AdmissionConfig::default(),
+        )
+        .unwrap();
+        let epoch_before = shared.storage_stats().epoch;
+        let mut writer = shared.begin_write().unwrap();
+        let mut done = 0;
+        while done < OPS {
+            let n = batch_size.min(OPS - done);
+            let batch: Vec<BatchOp<'_>> = (0..n)
+                .map(|_| {
+                    Box::new(|s: &mut XmlStore| {
+                        let root = s.root()?;
+                        s.append_child(root, NodeKind::Element, "item", None)
+                            .map(|_| ())
+                    }) as BatchOp<'_>
+                })
+                .collect();
+            let acks = writer.mutate_batch(batch).unwrap();
+            assert_eq!(acks.len(), n);
+            assert!(
+                acks.iter().all(Result::is_ok),
+                "batch {batch_size} from op {done}: {acks:?}"
+            );
+            done += n;
+        }
+        drop(writer);
+        let batches = OPS.div_ceil(batch_size) as u64;
+        let stats = shared.stats();
+        assert_eq!(
+            stats.group_commits, batches,
+            "batch {batch_size}: {stats:?}"
+        );
+        // With no pin held a batch flips the header twice: its commit and
+        // the checkpoint behind it. A flip per op would show here.
+        assert_eq!(
+            shared.storage_stats().epoch - epoch_before,
+            2 * batches,
+            "batch {batch_size}"
+        );
+        let mut snap = shared.begin_read().unwrap();
+        let xml = snap.document().unwrap().to_xml();
+        assert_eq!(xml.matches("<item/>").count(), OPS, "batch {batch_size}");
+        drop(snap);
+        drop(shared);
+        let report = fsck(&mut FilePager::open(&path).unwrap(), false);
+        assert!(report.clean(), "batch {batch_size}:\n{report}");
+        std::fs::remove_file(&path).unwrap();
+    }
 }

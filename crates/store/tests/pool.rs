@@ -9,10 +9,17 @@
 //!
 //! Content is modeled alongside: every access checks the page byte the
 //! model expects, so write-back eviction and reload must round-trip.
+//!
+//! One test runs the pool under a bulkloaded store instead of a model.
 
 use std::collections::{HashMap, HashSet};
 
-use natix_store::{BufferPool, MemPager, Pager, PAGE_SIZE};
+use natix_core::Ekm;
+use natix_datagen::GenConfig;
+use natix_store::{
+    bulkload_with, fsck, BufferPool, BufferStats, MemPager, Pager, SharedMemPager, StoreConfig,
+    XmlStore, PAGE_SIZE,
+};
 use proptest::prelude::*;
 
 const PAGES: u32 = 12;
@@ -179,65 +186,61 @@ proptest! {
     }
 }
 
-/// Regression: shrinking the budget with `set_capacity` must evict
-/// *immediately* — a memory cut cannot wait for the next page fault.
+/// The pool under a store: an XMark document reopened with an eighth, a
+/// quarter and half of its pages navigates and dumps to the bytes the
+/// full pool gives, and does so by evicting; a larger pool never misses
+/// more; the backend scrubs clean afterwards.
 #[test]
-fn set_capacity_shrinks_eagerly() {
-    let mut pool = pool_under_test();
-    for p in 0..8 {
-        pool.with_page(p, false, |_| ()).unwrap();
-    }
-    assert_eq!(pool.resident(), CAPACITY, "warm pool at budget");
-    pool.set_capacity(2).unwrap();
-    assert_eq!(pool.capacity(), 2);
-    assert!(
-        pool.resident() <= 2,
-        "budget cut left {} resident frames",
-        pool.resident()
-    );
-    // Content must survive re-faulting.
-    for p in 0..8 {
-        let got = pool.with_page(p, false, |b| b[0]).unwrap();
-        assert_eq!(got, p as u8);
-    }
-}
+fn out_of_budget_pool_dumps_identically() {
+    let doc = natix_datagen::xmark(GenConfig {
+        scale: 0.02,
+        seed: 48,
+    });
+    let disk = SharedMemPager::new();
+    let store = bulkload_with(
+        &doc,
+        &Ekm,
+        256,
+        Box::new(disk.clone()),
+        StoreConfig::default(),
+    )
+    .unwrap();
+    let total = store.page_count() as usize;
+    drop(store);
+    assert!(total >= 32, "store of {total} pages is too small to cut");
 
-/// Dirty frames past the write-back floor are written back (not lost)
-/// by an eager shrink; pinned frames are tolerated above budget.
-#[test]
-fn set_capacity_writes_back_dirty_and_respects_pins() {
-    let mut pool = pool_under_test();
-    for p in 0..4u32 {
-        pool.with_page(p, true, |b| b[0] = 100 + p as u8).unwrap();
-    }
-    pool.pin_pages([0u32]);
-    pool.set_capacity(1).unwrap();
-    assert!(pool.is_resident(0), "pinned dirty frame evicted by shrink");
-    assert!(
-        pool.resident() <= 2,
-        "shrink left {} frames (budget 1 + 1 pin)",
-        pool.resident()
-    );
-    pool.unpin_pages([0u32]);
-    pool.flush().unwrap();
-    for p in 0..4u32 {
-        let got = pool.with_page(p, false, |b| b[0]).unwrap();
-        assert_eq!(got, 100 + p as u8, "dirty page {p} lost in shrink");
-    }
-}
+    // Every node once in document order, then the dump, under `pool_pages`.
+    let run = |pool_pages: usize| -> (String, BufferStats) {
+        let config = StoreConfig {
+            buffer_pages: pool_pages,
+            ..StoreConfig::default()
+        };
+        let mut store = XmlStore::open(Box::new(disk.clone()), config).unwrap();
+        let mut visited = 0;
+        let mut stack = vec![store.root().unwrap()];
+        while let Some(r) = stack.pop() {
+            visited += 1;
+            stack.extend(store.next_sibling(r).unwrap());
+            stack.extend(store.first_child(r).unwrap());
+        }
+        assert_eq!(visited, doc.tree().len(), "pool of {pool_pages} pages");
+        let xml = store.to_document().unwrap().to_xml();
+        (xml, store.buffer_stats())
+    };
 
-/// Growing the budget is lazy and harmless: capacity changes, nothing
-/// is evicted, and subsequent faults may fill the new headroom.
-#[test]
-fn set_capacity_grow_is_lazy() {
-    let mut pool = pool_under_test();
-    for p in 0..4 {
-        pool.with_page(p, false, |_| ()).unwrap();
+    let (full_xml, full) = run(total);
+    assert_eq!(full.evictions, 0, "{full:?}");
+    let mut larger_pool_misses = full.misses;
+    for pool_pages in [total / 2, total / 4, total / 8] {
+        let (xml, stats) = run(pool_pages);
+        assert!(xml == full_xml, "dump differs at {pool_pages} pages");
+        assert!(stats.evictions > 0, "{pool_pages} pages: {stats:?}");
+        assert!(
+            stats.misses >= larger_pool_misses,
+            "{pool_pages} pages miss less than a larger pool: {stats:?}"
+        );
+        larger_pool_misses = stats.misses;
     }
-    pool.set_capacity(8).unwrap();
-    assert_eq!(pool.resident(), 4, "growing must not evict");
-    for p in 0..8 {
-        pool.with_page(p, false, |_| ()).unwrap();
-    }
-    assert_eq!(pool.resident(), 8, "pool fills to the new budget");
+    let scrub = fsck(&mut disk.clone(), false);
+    assert!(scrub.clean(), "{scrub}");
 }

@@ -26,14 +26,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 tier "cargo test"
 cargo test -q
 
-tier "table3 --paper vs results/table3.json (the paper's table as checked in: records, disk bytes, crossings, decodes and result counts are deterministic and must match; re-record with: table3 --paper --json results/table3.json > results/table3.txt)"
-table3_json="$(mktemp)"
-cargo run --release -q -p natix-bench --bin table3 -- --paper --json "$table3_json" > /dev/null 2>&1
+tier "results are current (table3 --paper, sweep_k, related_work vs results/*.json: every field but the times is deterministic and must match what is checked in; re-record with the commands in EXPERIMENTS.md, which also give table1 --paper, too slow to run here)"
+fresh_json="$(mktemp)"
 deterministic() { grep -vE '"(km_seconds|ekm_seconds|speedup)"' "$1"; }
-if ! diff <(deterministic results/table3.json) <(deterministic "$table3_json"); then
-  echo "FAIL: results/table3.json is stale" >&2; exit 1
-fi
-rm -f "$table3_json"
+for run in "table3 --paper" "sweep_k" "related_work"; do
+  bin="${run%% *}"
+  # shellcheck disable=SC2086  # the binary's flags, split on purpose
+  cargo run --release -q -p natix-bench --bin "$bin" -- ${run#"$bin"} --json "$fresh_json" > /dev/null 2>&1
+  if ! diff <(deterministic "results/$bin.json") <(deterministic "$fresh_json"); then
+    echo "FAIL: results/$bin.json is stale" >&2; exit 1
+  fi
+done
+rm -f "$fresh_json"
 
 tier "benchmark package (frozen: must build and run against the current crates/* API)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
@@ -44,12 +48,6 @@ cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload serve-write --quick | tail -n 1
 # The fresh-store writer end to end: streaming sharded bulkload onto files.
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload bulkload-stream --quick | tail -n 1
-
-tier "store_speed --quick (buffer pool + group commit smoke: out-of-budget dump identical, evictions active, fsck clean after eviction, one flip per batch)"
-cargo run --release -p natix-bench --bin store_speed -- --quick
-
-tier "bulk_speed --quick (streaming sharded bulkload smoke: bounded memory at a fixed pool cap, docs/s per thread and shard count)"
-cargo run --release -p natix-bench --bin bulk_speed -- --quick
 
 # The campaign table (natix_testkit::CAMPAIGNS; `natix` with no arguments
 # prints each row's contract, DESIGN.md §7 its counts). The rows that
