@@ -113,8 +113,8 @@ use natix_core::{
     PartitionError, Partitioner, Rs,
 };
 use natix_server::{
-    serve as serve_daemon, Client, ClientError, ProtoError, Request, ResponseBody, ServeConfig,
-    ServeError, UpdateOp,
+    query_lines, serve as serve_daemon, Client, ClientError, ProtoError, Request, ResponseBody,
+    ServeConfig, ServeError, UpdateOp,
 };
 use natix_store::{
     bulkload_collection, bulkload_with, fsck, fsck_collection, BulkloadOptions, Collection,
@@ -122,8 +122,6 @@ use natix_store::{
 };
 use natix_testkit::Tier;
 use natix_tree::{validate, Partitioning, Tree, Weight};
-use natix_xml::NodeKind;
-use natix_xpath::{eval_query, EvalError, StoreNavigator};
 
 /// A CLI failure: the message plus the process exit code, so scripts can
 /// tell failure classes apart (see the module docs for the code table).
@@ -276,6 +274,14 @@ fn extract_pool_pages(args: &[String]) -> Result<(Option<usize>, Vec<String>), S
         }
     }
     Ok((pool_pages, rest))
+}
+
+/// Usage error (exit 2) for the first of `extra` not in `allowed`.
+fn refuse_unknown(extra: &[String], allowed: &[&str]) -> Result<(), CliError> {
+    match extra.iter().find(|a| !allowed.contains(&a.as_str())) {
+        Some(bad) => Err(CliError::new(2, format!("unknown option {bad}"))),
+        None => Ok(()),
+    }
 }
 
 fn store_config(pool_pages: Option<usize>) -> StoreConfig {
@@ -434,32 +440,19 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     let (pool_pages, args) = extract_pool_pages(args)?;
     let store_path = args.first().ok_or("missing <store.natix>")?;
     let query = args.get(1).ok_or("missing XPath query")?;
+    refuse_unknown(&args[2..], &["--count"])?;
     let count_only = args.iter().any(|a| a == "--count");
+    let path = natix_xpath::parse(query).map_err(|e| e.to_string())?;
     let mut store = open_store(store_path, pool_pages)?;
-    let hits = {
-        let mut nav = StoreNavigator::new(&mut store);
-        eval_query(&mut nav, query).map_err(|e| match e {
-            EvalError::Store(se) => CliError::store(&se),
-            other => CliError::new(1, other.to_string()),
-        })?
-    };
+    let (count, lines) =
+        query_lines(&mut store, &path, count_only, None).map_err(|e| CliError::store(&e))?;
     if count_only {
-        println!("{}", hits.len());
+        println!("{count}");
     } else {
-        for r in &hits {
-            let (kind, label) = store
-                .with_node(*r, |n| (n.kind, n.label))
-                .map_err(|e| CliError::store(&e))?;
-            let name = store.label_name(label).to_string();
-            let content = store.node_content(*r).map_err(|e| CliError::store(&e))?;
-            match (kind, content) {
-                (NodeKind::Element, _) => println!("<{name}>"),
-                (NodeKind::Attribute, Some(v)) => println!("@{name}=\"{v}\""),
-                (_, Some(v)) => println!("{v}"),
-                (_, None) => println!("<{name}>"),
-            }
+        for line in &lines {
+            println!("{line}");
         }
-        eprintln!("{} result(s)", hits.len());
+        eprintln!("{count} result(s)");
     }
     let nav = store.nav_stats();
     eprintln!(
@@ -472,10 +465,8 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
 fn cmd_dump(args: &[String]) -> Result<(), CliError> {
     let (pool_pages, args) = extract_pool_pages(args)?;
     let store_path = args.first().ok_or("missing <store.natix>")?;
+    refuse_unknown(&args[1..], &["--degraded"])?;
     let degraded = args.iter().any(|a| a == "--degraded");
-    if let Some(bad) = args[1..].iter().find(|a| a.as_str() != "--degraded") {
-        return Err(format!("unknown option {bad}").into());
-    }
     if degraded {
         let pager = FilePager::open(Path::new(store_path))
             .map_err(|e| CliError::store_at(store_path, &e))?;
@@ -503,10 +494,8 @@ fn cmd_dump(args: &[String]) -> Result<(), CliError> {
 /// store is clean (or the repair succeeded); the report goes to stdout.
 fn cmd_fsck(args: &[String]) -> Result<(), CliError> {
     let store_path = args.first().ok_or("missing <store.natix>")?;
+    refuse_unknown(&args[1..], &["--repair"])?;
     let repair = args.iter().any(|a| a == "--repair");
-    if let Some(bad) = args[1..].iter().find(|a| a.as_str() != "--repair") {
-        return Err(format!("unknown option {bad}").into());
-    }
     let mut pager =
         FilePager::open(Path::new(store_path)).map_err(|e| CliError::store_at(store_path, &e))?;
     let report = fsck(&mut pager, repair);
@@ -528,6 +517,7 @@ fn cmd_fsck(args: &[String]) -> Result<(), CliError> {
 fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     let (pool_pages, args) = extract_pool_pages(args)?;
     let store_path = args.first().ok_or("missing <store.natix>")?;
+    refuse_unknown(&args[1..], &[])?;
     let mut store = open_store(store_path, pool_pages)?;
     let doc = store.to_document().map_err(|e| CliError::store(&e))?;
     println!("nodes        : {}", doc.len());

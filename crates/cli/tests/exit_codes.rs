@@ -158,6 +158,31 @@ fn campaign_flag_errors_exit_2_and_name_the_row() {
     assert!(!Path::new("out.json").exists());
 }
 
+/// The store verbs refuse arguments they do not know before they read
+/// the store: a misspelt `--count` used to print every hit.
+#[test]
+fn store_verb_option_errors_exit_2_before_any_output() {
+    let dir = tmpdir("store-flags");
+    let store = build_store(&dir);
+    for args in [
+        &["query", &store, "//e", "--cuont"][..],
+        &["query", &store, "//e", "--count", "extra"],
+        &["stats", &store, "--frobnicate"],
+        &["dump", &store, "--frobnicate"],
+        &["fsck", &store, "--frobnicate"],
+    ] {
+        let out = natix(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(code(&out), 2, "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+        assert!(stderr.contains("unknown option"), "{args:?}: {stderr}");
+    }
+    let out = natix(&["query", &store, "//e", "--count"]);
+    assert_eq!(code(&out), 0);
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "3");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn missing_store_exits_5() {
     let dir = tmpdir("io");

@@ -19,5 +19,5 @@ pub mod server;
 pub mod wire;
 
 pub use client::{Client, ClientError};
-pub use server::{serve, ServeConfig, ServeError, ServeSummary, ServerHandle};
+pub use server::{query_lines, serve, ServeConfig, ServeError, ServeSummary, ServerHandle};
 pub use wire::{ErrKind, ProtoError, Request, Response, ResponseBody, ShedKind, UpdateOp};

@@ -806,8 +806,10 @@ fn run_read(
     let view = slot.as_mut().expect("opened above");
     let degraded = ticket.pin.is_none();
     let mut body = match &ticket.op {
-        ReadOp::Query { path, count_only } => run_query(&mut view.store, path, *count_only)
-            .map(|(count, lines)| ResponseBody::QueryResult { count, lines }),
+        ReadOp::Query { path, count_only } => {
+            query_lines(&mut view.store, path, *count_only, Some(MAX_QUERY_LINES))
+                .map(|(count, lines)| ResponseBody::QueryResult { count, lines })
+        }
         ReadOp::Dump { .. } => dump_body(&mut view.store, degraded),
     };
     if let Some(g) = &mut guard {
@@ -833,16 +835,21 @@ fn run_read(
 }
 
 /// Evaluate `path` over `store`: the exact hit count, and unless
-/// `count_only` the first [`MAX_QUERY_LINES`] hits rendered. A hit is
-/// rendered where the walk finds it, from a record the store still
-/// holds; only hits the line cap had no room for at that point are
-/// rendered afterwards.
-fn run_query(
+/// `count_only` the first `cap` hits (all of them without one) rendered
+/// the way `natix query` prints them. A hit is rendered where the walk
+/// finds it, from a record the store still holds; only hits the line cap
+/// had no room for at that point are rendered afterwards.
+pub fn query_lines(
     store: &mut XmlStore,
     path: &natix_xpath::Path,
     count_only: bool,
+    cap: Option<usize>,
 ) -> Result<(u32, Vec<String>), StoreError> {
-    let shown = if count_only { 0 } else { MAX_QUERY_LINES };
+    let shown = if count_only {
+        0
+    } else {
+        cap.unwrap_or(usize::MAX)
+    };
     let mut budget = shown;
     let hits = {
         let mut nav = natix_xpath::StoreNavigator::new(store);
@@ -1304,7 +1311,7 @@ fn handle_replica_request(
                 Ok(s) => s,
                 Err(e) => return store_error_response(applied, &e),
             };
-            match run_query(store, &path_q, count_only) {
+            match query_lines(store, &path_q, count_only, Some(MAX_QUERY_LINES)) {
                 Ok((count, lines)) => Response {
                     epoch: applied,
                     body: ResponseBody::QueryResult { count, lines },
@@ -1812,7 +1819,8 @@ fn repl_client_loop(
     }
 }
 
-/// Render one query hit the way `natix query` prints it.
+/// Render one query hit: an element as `<name>`, an attribute as
+/// `@name="value"`, any other node as its content.
 fn render_hit(store: &mut XmlStore, r: natix_store::NodeRef) -> Result<String, StoreError> {
     let (kind, label, content) = store.with_node_in(r, |rec, n| {
         (n.kind, n.label, rec.content(n).map(str::to_string))
@@ -1877,7 +1885,7 @@ mod tests {
             .iter()
             .map(|&r| render_hit(&mut store, r).unwrap())
             .collect();
-        let (count, lines) = run_query(&mut store, &path, false).unwrap();
+        let (count, lines) = query_lines(&mut store, &path, false, Some(MAX_QUERY_LINES)).unwrap();
         assert_eq!(count as usize, MAX_QUERY_LINES + 500);
         assert!(
             lines == want,
@@ -1888,7 +1896,10 @@ mod tests {
             lines != walk_order,
             "node order is not walk order in this layout"
         );
-        assert_eq!(run_query(&mut store, &path, true).unwrap(), (count, vec![]));
+        assert_eq!(
+            query_lines(&mut store, &path, true, Some(MAX_QUERY_LINES)).unwrap(),
+            (count, vec![])
+        );
     }
 
     #[test]

@@ -580,7 +580,6 @@ impl FreshSink {
     fn finish(self, root_record: u32, config: &StoreConfig) -> StoreResult<XmlStore> {
         store::finish_fresh(
             self.pool,
-            config,
             Catalog {
                 epoch: 1,
                 root_record,

@@ -358,10 +358,6 @@ impl SharedStore {
         let pin_id = inner.next_pin;
         inner.next_pin += 1;
         *inner.pins.entry(epoch).or_insert(0) += 1;
-        // Mirror the epoch pin into the writer's buffer pool: no page
-        // this snapshot can reach may be evicted from under it while the
-        // pin is held (the pool grows past budget instead).
-        inner.store.pool.pin_pages(pages.iter().copied());
         inner.pinned.insert(pin_id, PinInfo { epoch, pages });
         inner.stats.snapshots_opened += 1;
         inner.stats.snapshots_active += 1;
@@ -572,7 +568,6 @@ impl Inner {
                 let Some(info) = self.pinned.remove(&pin_id) else {
                     return;
                 };
-                self.store.pool.unpin_pages(info.pages.iter().copied());
                 if let Some(n) = self.pins.get_mut(&info.epoch) {
                     *n -= 1;
                     if *n == 0 {
@@ -801,19 +796,13 @@ impl SnapshotSeed {
         };
         let pool = BufferPool::new(limited, self.config.buffer_pages);
         let cat = catalog::decode_catalog(&self.catalog_bytes)?;
-        let mut store = XmlStore::from_committed(
+        let store = XmlStore::from_committed(
             pool,
-            &self.config,
             OpenMode::Degraded,
             &self.header,
             Arc::clone(&self.catalog_bytes),
             cat,
         );
-        if self.budget > 0 {
-            // A deadline-budgeted read must not spend its page budget on
-            // speculation.
-            store.readahead_records = 0;
-        }
         Ok((store, exhausted))
     }
 }

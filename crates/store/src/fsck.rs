@@ -356,7 +356,7 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
                 // replay is the recovery semantics — a partially-acked
                 // batch was never published, so segments are diagnostic
                 // boundaries, not replay units).
-                let entries: Vec<journal::JournalEntry> = if segments.len() > 1 {
+                if segments.len() > 1 {
                     let shape: Vec<String> = segments.iter().map(|s| s.len().to_string()).collect();
                     report.info(
                         "journal-batch",
@@ -366,10 +366,8 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
                             shape.join(", ")
                         ),
                     );
-                    segments.into_iter().flatten().collect()
-                } else {
-                    segments.into_iter().flatten().collect()
-                };
+                }
+                let entries: Vec<journal::JournalEntry> = segments.into_iter().flatten().collect();
                 report.info(
                     "journal-pending",
                     format!(

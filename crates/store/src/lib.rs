@@ -239,7 +239,6 @@ mod tests {
         let tiny = StoreConfig {
             buffer_pages: 2,
             record_limit_slots: 1 << 20,
-            ..StoreConfig::default()
         };
         let mut store =
             bulkload_with(&doc, &Ekm, 1 << 20, Box::new(MemPager::new()), tiny).unwrap();

@@ -1331,8 +1331,6 @@ pub struct BufferStats {
     /// Dirty frames written back *by eviction* (pages past the
     /// write-back floor only; subset of `evictions`).
     pub evicted_dirty: u64,
-    /// Pages faulted in speculatively by [`BufferPool::prefetch`].
-    pub readaheads: u64,
 }
 
 struct Frame {
@@ -1342,14 +1340,14 @@ struct Frame {
 }
 
 /// A fixed-capacity buffer pool with CLOCK (second-chance) eviction over
-/// any [`Pager`].
+/// any [`Pager`]. It only caches: every frame is a page read on demand
+/// (or allocated), and nothing outside the pool decides residency. A
+/// snapshot reader reads through its own pool; what keeps its pages
+/// stable is the epoch pin in `concurrent::SharedStore`, which defers
+/// the writer's checkpoints and gates reclamation.
 ///
 /// Eviction rules:
 ///
-/// * **Pinned pages are never evicted.** [`BufferPool::pin_pages`] takes
-///   explicit pin counts (wired to snapshot pins by
-///   `concurrent::SharedStore`); a pinned frame is skipped like a dirty
-///   one and the pool grows past capacity while pins are held.
 /// * **Clean frames** are evicted freely (the backend has the bytes).
 /// * **Dirty frames at or past the write-back floor** may be written back
 ///   to the backend and evicted. The floor (set by the store to the page
@@ -1371,9 +1369,6 @@ pub struct BufferPool {
     clock: Vec<PageId>,
     hand: usize,
     capacity: usize,
-    /// Pin counts per page id, independent of frame residency (a page
-    /// can be pinned before it is ever faulted in).
-    pins: HashMap<PageId, u32>,
     /// First page id that eviction may write back while dirty. Defaults
     /// to `u32::MAX` (never); the store lowers it to the committed page
     /// count.
@@ -1390,7 +1385,6 @@ impl BufferPool {
             clock: Vec::with_capacity(capacity),
             hand: 0,
             capacity: capacity.max(1),
-            pins: HashMap::new(),
             writeback_floor: u32::MAX,
             stats: BufferStats::default(),
         }
@@ -1411,8 +1405,8 @@ impl BufferPool {
         self.capacity
     }
 
-    /// Resident frames right now (may exceed capacity under pins or an
-    /// all-dirty working set).
+    /// Resident frames right now (may exceed capacity under an all-dirty
+    /// working set).
     pub fn resident(&self) -> usize {
         self.frames.len()
     }
@@ -1427,34 +1421,6 @@ impl BufferPool {
     /// checkpoint, and open; fresh backends (bulkload, compaction) use 0.
     pub fn set_writeback_floor(&mut self, floor: PageId) {
         self.writeback_floor = floor;
-    }
-
-    /// Take a pin on each page id; pinned pages are never evicted.
-    pub fn pin_pages<I: IntoIterator<Item = PageId>>(&mut self, ids: I) {
-        for id in ids {
-            *self.pins.entry(id).or_insert(0) += 1;
-        }
-    }
-
-    /// Release one pin on each page id.
-    pub fn unpin_pages<I: IntoIterator<Item = PageId>>(&mut self, ids: I) {
-        for id in ids {
-            if let Some(n) = self.pins.get_mut(&id) {
-                *n -= 1;
-                if *n == 0 {
-                    self.pins.remove(&id);
-                }
-            }
-        }
-    }
-
-    fn is_pinned(&self, id: PageId) -> bool {
-        self.pins.contains_key(&id)
-    }
-
-    /// Whether `id` currently has a resident frame.
-    pub fn is_resident(&self, id: PageId) -> bool {
-        self.frames.contains_key(&id)
     }
 
     /// Allocate a fresh page (held in the pool as dirty).
@@ -1501,38 +1467,6 @@ impl BufferPool {
         Ok(f(&mut frame.data))
     }
 
-    /// Speculatively fault in pages expected to be read soon (sibling
-    /// partition chains: consecutive records land on consecutive pages
-    /// at bulkload). Best-effort: skips pages that are already resident,
-    /// out of range, or would push the pool past its budget, and stops at
-    /// the first read error, swallowing it (a genuinely bad page fails
-    /// loudly on the demand read). Prefetched frames start
-    /// with the reference bit clear, so untouched ones are the first
-    /// eviction victims.
-    pub fn prefetch(&mut self, ids: &[PageId]) {
-        for &id in ids {
-            if self.frames.len() >= self.capacity || self.frames.contains_key(&id) {
-                continue;
-            }
-            if id >= self.backend.page_count() {
-                continue;
-            }
-            let mut data = Box::new([0u8; PAGE_SIZE]);
-            if self.backend.read(id, &mut data).is_err() {
-                return;
-            }
-            self.stats.readaheads += 1;
-            self.admit(
-                id,
-                Frame {
-                    data,
-                    dirty: false,
-                    referenced: false,
-                },
-            );
-        }
-    }
-
     /// Evict down to budget before growing the pool, writing back dirty
     /// frames past the floor when no clean victim remains. Callers that
     /// must not touch the backend (rollback) go through [`admit`]
@@ -1543,8 +1477,8 @@ impl BufferPool {
                 continue;
             }
             if !self.evict_dirty_one()? {
-                // Everything left is pinned or dirty below the floor:
-                // grow past capacity until the next commit/unpin.
+                // Everything left is dirty below the floor: grow past
+                // capacity until the next commit.
                 break;
             }
         }
@@ -1561,11 +1495,10 @@ impl BufferPool {
         self.clock.push(id);
     }
 
-    /// Evict one *clean, unpinned* frame; returns false when none is
-    /// evictable.
+    /// Evict one *clean* frame; returns false when none is evictable.
     fn evict_one(&mut self) -> bool {
         // Two CLOCK sweeps: the first clears reference bits, the second
-        // finds any clean victim. Dirty and pinned frames are skipped.
+        // finds any clean victim. Dirty frames are skipped.
         let mut scanned = 0;
         let limit = self.clock.len() * 2;
         loop {
@@ -1574,13 +1507,12 @@ impl BufferPool {
             }
             self.hand %= self.clock.len();
             let id = self.clock[self.hand];
-            let pinned = self.is_pinned(id);
             match self.frames.get_mut(&id) {
                 None => {
                     // Stale clock entry.
                     self.clock.swap_remove(self.hand);
                 }
-                Some(f) if f.dirty || pinned => {
+                Some(f) if f.dirty => {
                     scanned += 1;
                     self.hand += 1;
                 }
@@ -1599,7 +1531,7 @@ impl BufferPool {
         }
     }
 
-    /// Write back and evict one unpinned dirty frame at or past the
+    /// Write back and evict one dirty frame at or past the
     /// write-back floor; returns false when none qualifies.
     fn evict_dirty_one(&mut self) -> StoreResult<bool> {
         let mut scanned = 0;
@@ -1614,7 +1546,7 @@ impl BufferPool {
                 None => {
                     self.clock.swap_remove(self.hand);
                 }
-                Some(f) if f.dirty && id >= self.writeback_floor && !self.is_pinned(id) => {
+                Some(f) if f.dirty && id >= self.writeback_floor => {
                     let data = f.data.clone();
                     self.backend.write(id, &data)?;
                     self.frames.remove(&id);

@@ -182,18 +182,14 @@ pub(crate) fn read_overflow_chain(
 /// Store configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
-    /// Buffer pool capacity in pages. The paper's query experiment uses "a
-    /// buffer pool that is larger than the document", so the default is
-    /// generous (8192 pages = 64 MB).
+    /// Buffer pool capacity in pages: the CLOCK cache every page read
+    /// goes through (a snapshot gets a pool of its own of this size). The
+    /// paper's query experiment uses "a buffer pool that is larger than
+    /// the document", so the default is generous (8192 pages = 64 MB).
     pub buffer_pages: usize,
     /// Record weight limit `K` in slots, enforced when the update path
     /// grows a record (the bulkload partitioning carries its own limit).
     pub record_limit_slots: natix_tree::Weight,
-    /// How many *following* records to prefetch into the buffer pool on
-    /// a record fetch. Bulkload lays sibling-partition records out in
-    /// record order, so the next records' pages are exactly the pages a
-    /// document-order navigation touches next. 0 disables read-ahead.
-    pub readahead_records: usize,
 }
 
 impl Default for StoreConfig {
@@ -201,7 +197,6 @@ impl Default for StoreConfig {
         StoreConfig {
             buffer_pages: 8192,
             record_limit_slots: 256,
-            readahead_records: 2,
         }
     }
 }
@@ -292,8 +287,6 @@ pub struct XmlStore {
     pub(crate) last_commit_journal: (PageId, u64),
     /// Open group-commit batch, if any (see [`XmlStore::begin_batch`]).
     pub(crate) batch: Option<BatchState>,
-    /// Records to prefetch ahead of a fetch (see `StoreConfig`).
-    pub(crate) readahead_records: usize,
 }
 
 /// A consistent point inside a group-commit batch that a failing
@@ -429,11 +422,7 @@ pub(crate) fn begin_fresh(
 /// lands in slot 1 and slot 0 stays invalid (zeroed). The header slot is
 /// the last page written, so a crash at any earlier write leaves a file
 /// with no valid header.
-pub(crate) fn finish_fresh(
-    mut pool: BufferPool,
-    config: &StoreConfig,
-    cat: Catalog,
-) -> StoreResult<XmlStore> {
+pub(crate) fn finish_fresh(mut pool: BufferPool, cat: Catalog) -> StoreResult<XmlStore> {
     let catalog_bytes = catalog::encode_catalog(
         &cat.directory,
         &cat.labels,
@@ -463,7 +452,6 @@ pub(crate) fn finish_fresh(
     pool.set_writeback_floor(pool.page_count());
     Ok(XmlStore::from_committed(
         pool,
-        config,
         OpenMode::Strict,
         &header,
         Arc::new(catalog_bytes),
@@ -479,7 +467,6 @@ impl XmlStore {
     /// corruption.)
     pub(crate) fn from_committed(
         pool: BufferPool,
-        config: &StoreConfig,
         mode: OpenMode,
         header: &Header,
         catalog_bytes: Arc<Vec<u8>>,
@@ -506,7 +493,6 @@ impl XmlStore {
             committed_overlay: Arc::default(),
             last_commit_journal: (0, 0),
             batch: None,
-            readahead_records: config.readahead_records,
         }
     }
 
@@ -658,7 +644,6 @@ impl XmlStore {
         }
         finish_fresh(
             pool,
-            &config,
             Catalog {
                 epoch: 1,
                 root_record: owner[tree.root().index()],
@@ -1074,7 +1059,6 @@ impl XmlStore {
         pool.set_writeback_floor(pool.page_count());
         Ok(XmlStore::from_committed(
             pool,
-            &config,
             mode,
             &header,
             Arc::new(catalog_bytes),
@@ -1120,7 +1104,6 @@ impl XmlStore {
             .directory
             .get(no as usize)
             .ok_or(StoreError::BadRecord(no))?;
-        self.readahead(no);
         let bytes = match loc {
             RecordLoc::InPage { page, slot } => self
                 .pool
@@ -1171,36 +1154,6 @@ impl XmlStore {
         self.cursor = self.chain.len();
         self.chain.push(rec.clone());
         Ok(rec)
-    }
-
-    /// Prefetch the pages of the records following `no` in directory
-    /// order. Bulkload assigns record numbers in document order and lays
-    /// their pages out consecutively, so the next records are exactly the
-    /// sibling-partition chain a forward navigation crosses next.
-    /// Best-effort: quarantined and free records are skipped, and the
-    /// pool ignores prefetch read failures.
-    fn readahead(&mut self, no: u32) {
-        if self.readahead_records == 0 {
-            return;
-        }
-        let mut pages: Vec<PageId> = Vec::new();
-        for next in no as usize + 1..=(no as usize + self.readahead_records) {
-            let Some(loc) = self.directory.get(next) else {
-                break;
-            };
-            if self.quarantined.contains(&(next as u32)) {
-                continue;
-            }
-            match *loc {
-                RecordLoc::InPage { page, .. } => pages.push(page),
-                RecordLoc::Overflow { first_page, len } => {
-                    let span = overflow_page_span(len as usize).min(4);
-                    pages.extend((0..span as u32).map(|i| first_page + i));
-                }
-                RecordLoc::Free => {}
-            }
-        }
-        self.pool.prefetch(&pages);
     }
 
     /// The document root.

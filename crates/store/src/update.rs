@@ -941,7 +941,6 @@ impl XmlStore {
 
         finish_fresh(
             pool,
-            &config,
             Catalog {
                 epoch: 1,
                 root_record: self.root_record,

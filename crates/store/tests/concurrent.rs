@@ -1,7 +1,8 @@
 //! Concurrent-access integration tests: snapshot isolation across
 //! interleaved writes, retry-absorbs-transient-faults (commits exactly
-//! once), fsck racing a writer, reader survival of writer death, and one
-//! header flip per group-commit batch.
+//! once), fsck racing a writer, reader survival of writer death, one
+//! header flip per group-commit batch, and snapshot stability under
+//! writer-pool eviction.
 
 use natix_core::Ekm;
 use natix_store::{
@@ -285,4 +286,59 @@ fn group_commit_flips_once_per_batch() {
         assert!(report.clean(), "batch {batch_size}:\n{report}");
         std::fs::remove_file(&path).unwrap();
     }
+}
+
+/// A snapshot's pages stay stable without anything of it held in the
+/// writer's pool: over a 2-frame writer pool that commits enough to
+/// evict, the pinned snapshot still dumps its epoch byte-identically, and
+/// once it is released the deferred checkpoint runs and frees no page
+/// the pin could reach.
+#[test]
+fn snapshot_survives_writer_evictions_without_page_pins() {
+    let entries: String = (0..24)
+        .map(|i| format!("<e>entry number {i} with some text</e>"))
+        .collect();
+    let doc = parse(&format!("<list>{entries}</list>")).unwrap();
+    let tiny = StoreConfig {
+        buffer_pages: 2,
+        ..config(16)
+    };
+    let disk = SharedMemPager::new();
+    let store = bulkload_with(&doc, &Ekm, 16, Box::new(disk.clone()), tiny).unwrap();
+    let shared = SharedStore::new(
+        store,
+        Box::new(disk.clone()),
+        tiny,
+        AdmissionConfig::default(),
+    );
+    let mut pinned = shared.begin_read().unwrap();
+    let pinned_xml = pinned.document().unwrap().to_xml();
+    let evictions_before = shared.buffer_stats().evictions;
+    let mut writer = shared.begin_write().unwrap();
+    for i in 0..8 {
+        writer
+            .mutate(|s| {
+                let root = s.root()?;
+                s.append_child(
+                    root,
+                    NodeKind::Text,
+                    "#text",
+                    Some(&format!("evicting payload number {i}")),
+                )
+                .map(|_| ())
+            })
+            .unwrap();
+    }
+    let pool = shared.buffer_stats();
+    assert!(pool.evictions > evictions_before, "{pool:?}");
+    assert_eq!(pinned.document().unwrap().to_xml(), pinned_xml);
+    drop(pinned);
+    drop(writer);
+    shared.maintain().unwrap();
+    let stats = shared.stats();
+    assert!(stats.checkpoints_deferred >= 8, "{stats:?}");
+    assert!(stats.checkpoints_applied >= 1, "{stats:?}");
+    assert_eq!(stats.pinned_free_violations, 0, "{stats:?}");
+    let report = shared.scrub().unwrap();
+    assert!(report.clean(), "{report}");
 }

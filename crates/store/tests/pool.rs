@@ -1,18 +1,13 @@
-//! Property tests for the CLOCK buffer pool's eviction contract:
-//!
-//! * a pinned, resident page is never evicted for as long as the pin is
-//!   held, across arbitrary access/pin/unpin traces;
-//! * an unpinned clean page (or dirty page at/past the write-back floor)
-//!   is always evictable, so the pool never grows past its budget plus
-//!   the pinned set, and never past the budget at all when nothing is
-//!   pinned.
+//! Property test for the CLOCK buffer pool's eviction contract: a clean
+//! page (or dirty page at/past the write-back floor) is always evictable,
+//! so the pool never grows past its budget.
 //!
 //! Content is modeled alongside: every access checks the page byte the
 //! model expects, so write-back eviction and reload must round-trip.
 //!
 //! One test runs the pool under a bulkloaded store instead of a model.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use natix_core::Ekm;
 use natix_datagen::GenConfig;
@@ -41,122 +36,14 @@ fn pool_under_test() -> BufferPool {
     pool
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Read,
-    Write,
-    Pin,
-    Unpin,
-}
-
-fn op_strategy() -> impl Strategy<Value = (u32, Op)> {
-    (0..PAGES, 0..4u8).prop_map(|(p, o)| {
-        let op = match o {
-            0 => Op::Read,
-            1 => Op::Write,
-            2 => Op::Pin,
-            _ => Op::Unpin,
-        };
-        (p, op)
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Over a random pin/unpin/access trace, a page that is pinned and
-    /// resident stays resident until unpinned, and the pool stays within
-    /// budget + pinned set (an unpinned frame is always evictable here:
-    /// clean, or dirty past the floor).
-    #[test]
-    fn pinned_pages_survive_and_budget_holds(
-        ops in proptest::collection::vec(op_strategy(), 1..200),
-    ) {
-        let mut pool = pool_under_test();
-        let mut pins: HashMap<u32, u32> = HashMap::new();
-        let mut content: HashMap<u32, u8> = (0..PAGES).map(|i| (i, i as u8)).collect();
-        // Pages that were pinned and resident after the previous op.
-        let mut protected: HashSet<u32> = HashSet::new();
-        for (page, op) in ops {
-            let was_resident = pool.is_resident(page);
-            match op {
-                Op::Read => {
-                    let want = content[&page];
-                    let got = pool.with_page(page, false, |b| b[0]).unwrap();
-                    prop_assert_eq!(got, want);
-                }
-                Op::Write => {
-                    let next = content[&page].wrapping_add(1);
-                    pool.with_page(page, true, |b| b[0] = next).unwrap();
-                    content.insert(page, next);
-                }
-                Op::Pin => {
-                    pool.pin_pages([page]);
-                    *pins.entry(page).or_insert(0) += 1;
-                }
-                Op::Unpin => {
-                    if let Some(n) = pins.get_mut(&page) {
-                        pool.unpin_pages([page]);
-                        *n -= 1;
-                        if *n == 0 {
-                            pins.remove(&page);
-                        }
-                    }
-                }
-            }
-            for p in &protected {
-                if pins.contains_key(p) {
-                    prop_assert!(pool.is_resident(*p), "pinned page {} was evicted", p);
-                }
-            }
-            protected = (0..PAGES)
-                .filter(|p| pins.contains_key(p) && pool.is_resident(*p))
-                .collect();
-            // The pool grows only when a miss admits a frame, and the
-            // eviction pass right before that admission runs against the
-            // current pin set — so the budget bound is checked at growth
-            // points. (Unpinning shrinks the pool lazily, at the next
-            // miss, and hit-path accesses never evict.)
-            if matches!(op, Op::Read | Op::Write) && !was_resident {
-                prop_assert!(
-                    pool.resident() <= CAPACITY.max(pins.len() + 1),
-                    "resident {} exceeds budget {} with {} page(s) pinned",
-                    pool.resident(),
-                    CAPACITY,
-                    pins.len()
-                );
-            }
-        }
-        // Release every pin. The pool shrinks lazily — hit-path reads
-        // never evict — so force one growth point (an allocation runs
-        // the eviction pass) and the budget must hold again; then every
-        // page must still read back its latest modeled content.
-        let held: Vec<(u32, u32)> = pins.iter().map(|(&p, &n)| (p, n)).collect();
-        for (p, n) in held {
-            for _ in 0..n {
-                pool.unpin_pages([p]);
-            }
-        }
-        pool.allocate().unwrap();
-        prop_assert!(
-            pool.resident() <= CAPACITY,
-            "resident {} exceeds budget {} after pins released",
-            pool.resident(),
-            CAPACITY
-        );
-        for p in 0..PAGES {
-            let want = content[&p];
-            let got = pool.with_page(p, false, |b| b[0]).unwrap();
-            prop_assert_eq!(got, want);
-            prop_assert!(pool.resident() <= CAPACITY);
-        }
-    }
-
-    /// With nothing pinned, an unpinned frame is always evictable, so a
-    /// random clean/dirty access trace never grows the pool past its
+    /// Every frame is evictable here (clean, or dirty past the floor), so
+    /// a random clean/dirty access trace never grows the pool past its
     /// budget — and write-back eviction round-trips every page image.
     #[test]
-    fn unpinned_pool_never_exceeds_budget(
+    fn pool_never_exceeds_budget(
         ops in proptest::collection::vec((0..PAGES, any::<bool>()), 1..200),
     ) {
         let mut pool = pool_under_test();

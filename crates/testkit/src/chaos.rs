@@ -233,7 +233,6 @@ pub fn run_interleaving(
     let config = StoreConfig {
         record_limit_slots: k,
         buffer_pages: CHAOS_POOL_PAGES,
-        ..Default::default()
     };
     let disk = SharedMemPager::new();
     drop(

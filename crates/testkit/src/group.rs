@@ -91,7 +91,6 @@ pub fn run_group_commit_trace(
     let config = StoreConfig {
         record_limit_slots: k,
         buffer_pages: SWEEP_POOL_PAGES,
-        ..Default::default()
     };
     let admission = AdmissionConfig::default();
     let fail = |batch: usize, crash: Option<(u64, bool)>, message: String| GroupFailure {

@@ -2,7 +2,7 @@
 //! XPathMark query runs on a fresh store handle (an empty pool, as a
 //! served unpinned query has) over the benchmark's `serve-read` store:
 //! XMark at scale 0.08, EKM layout, K = 256. The backend reads the pool
-//! makes (demand misses + read-ahead) against the file's page count is
+//! makes (its misses) against the file's page count is
 //! the query's re-read factor. Three more runs say where the reads come
 //! from: one that renders every hit where the walk finds it, as a served
 //! `query` does; one with a pool as large as the file (every read is a
@@ -35,7 +35,6 @@ struct Cold {
     /// evaluation, as served: quarter-of-the-file pool.
     decodes: u64,
     misses: u64,
-    readaheads: u64,
     /// Pool reads added by rendering the hits the way `query` answers:
     /// each where the walk finds it.
     render_reads: u64,
@@ -43,17 +42,16 @@ struct Cold {
     /// pool that never evicts.
     distinct_pages: u64,
     /// Misses of Belady's optimal replacement over the query's demand
-    /// accesses, with the served pool's frame count and no read-ahead.
+    /// accesses, with the served pool's frame count.
     optimal_misses: u64,
 }
 
-const fn cold(query: &'static str, served: [u64; 4], distinct_pages: u64, optimal: u64) -> Cold {
+const fn cold(query: &'static str, served: [u64; 3], distinct_pages: u64, optimal: u64) -> Cold {
     Cold {
         query,
         decodes: served[0],
         misses: served[1],
-        readaheads: served[2],
-        render_reads: served[3],
+        render_reads: served[2],
         distinct_pages,
         optimal_misses: optimal,
     }
@@ -65,19 +63,18 @@ const fn cold(query: &'static str, served: [u64; 4], distinct_pages: u64, optima
 /// that never evicted, against 57/338/1940/1165/101/2677/2677 decodes
 /// under the 16-entry FIFO this chain replaced).
 const PINNED: [Cold; 7] = [
-    cold("Q1", [55, 2, 26, 0], 28, 25),
-    cold("Q2", [73, 0, 28, 0], 28, 27),
-    cold("Q3", [646, 141, 44, 0], 174, 174),
-    cold("Q4", [646, 141, 44, 0], 174, 174),
-    cold("Q5", [55, 2, 26, 0], 28, 25),
-    cold("Q6", [646, 141, 44, 0], 174, 174),
-    cold("Q7", [646, 141, 44, 0], 174, 174),
+    cold("Q1", [55, 25, 0], 25, 25),
+    cold("Q2", [73, 27, 0], 27, 27),
+    cold("Q3", [646, 185, 0], 174, 174),
+    cold("Q4", [646, 185, 0], 174, 174),
+    cold("Q5", [55, 25, 0], 25, 25),
+    cold("Q6", [646, 185, 0], 174, 174),
+    cold("Q7", [646, 185, 0], 174, 174),
 ];
 
 /// Pool reads so far.
 fn reads(store: &XmlStore) -> u64 {
-    let pool = store.buffer_stats();
-    pool.misses + pool.readaheads
+    store.buffer_stats().misses
 }
 
 /// Logs every page read on its way to the shared "disk".
@@ -252,7 +249,7 @@ fn cold_queries_reread_pages_a_pinned_number_of_times() {
         .unwrap();
         assert_eq!(lines.len(), hits.len());
         assert_eq!(rendering.nav_stats().record_decodes, decodes);
-        let render_reads = reads(&rendering) - pool.misses - pool.readaheads;
+        let render_reads = reads(&rendering) - pool.misses;
 
         let mut roomy = open(
             Box::new(disk.clone()),
@@ -264,8 +261,8 @@ fn cold_queries_reread_pages_a_pinned_number_of_times() {
         eval(&mut StoreNavigator::new(&mut roomy), &path).unwrap();
         assert_eq!(roomy.buffer_stats().evictions, 0);
 
-        // A one-frame pool without read-ahead passes every demand access
-        // on (but for repeats of the page it holds, hits under any policy).
+        // A one-frame pool passes every demand access on (but for repeats
+        // of the page it holds, hits under any policy).
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut traced = open(
             Box::new(Recording {
@@ -274,7 +271,6 @@ fn cold_queries_reread_pages_a_pinned_number_of_times() {
             }),
             StoreConfig {
                 buffer_pages: 1,
-                readahead_records: 0,
                 ..StoreConfig::default()
             },
         );
@@ -285,18 +281,17 @@ fn cold_queries_reread_pages_a_pinned_number_of_times() {
             query,
             decodes,
             misses: pool.misses,
-            readaheads: pool.readaheads,
             render_reads,
             distinct_pages: reads(&roomy),
             optimal_misses: optimal_misses(&log.borrow(), served_pool),
         });
     }
     assert_eq!(measured, PINNED);
-    // The benchmark's `paper_cost` and `store.pager.reads_per_op` (117.7)
-    // on `serve-read` are these: 2767 decodes and 824 pool reads per
-    // Q1-Q7 cycle, evaluation plus rendering (8955 and 2713 before the
-    // store held the chain and the walk entered proxies lazily).
+    // The benchmark's `paper_cost` on `serve-read` is the decode sum, and a
+    // served Q1-Q7 cycle reads this many pages, evaluation plus rendering:
+    // 2767 decodes and 817 pool reads (8955 and 2713 before the store held
+    // the chain and the walk entered proxies lazily).
     assert_eq!(measured.iter().map(|m| m.decodes).sum::<u64>(), 2767);
-    let cycle_reads = |m: &Cold| m.misses + m.readaheads + m.render_reads;
-    assert_eq!(measured.iter().map(cycle_reads).sum::<u64>(), 824);
+    let cycle_reads = |m: &Cold| m.misses + m.render_reads;
+    assert_eq!(measured.iter().map(cycle_reads).sum::<u64>(), 817);
 }

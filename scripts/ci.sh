@@ -145,6 +145,11 @@ test "$(natix net "$addr" query '//book/title' --count)" = 3
 # The wire dump must match a local dump of the same source, byte for byte.
 natix net "$addr" dump > "$serve_dir/wire.xml"
 diff "$serve_dir/wire.xml" "$fsck_dir/full.xml"
+# Local and served queries render hits through one function: same lines.
+natix query "$serve_dir/store.natix" '//book/title' > "$serve_dir/local-query.out" 2> /dev/null
+natix net "$addr" query '//book/title' > "$serve_dir/wire-query.out" 2> /dev/null
+test -s "$serve_dir/local-query.out"
+diff "$serve_dir/local-query.out" "$serve_dir/wire-query.out"
 natix net "$addr" update '//library' append-element annex
 test "$(natix net "$addr" query '//annex' --count)" = 1
 natix net "$addr" stats > "$serve_dir/stats.out"
