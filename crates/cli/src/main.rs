@@ -335,7 +335,7 @@ fn parse_flags_inner(rest: &[String]) -> Result<Flags, String> {
     })
 }
 
-fn read_document(path: &str) -> Result<natix_xml::Document, String> {
+fn read_xml_file(path: &str) -> Result<natix_xml::Document, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     natix_xml::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
@@ -349,7 +349,7 @@ fn open_store(path: &str, pool_pages: Option<usize>) -> Result<XmlStore, CliErro
 fn cmd_partition(args: &[String]) -> Result<(), CliError> {
     let file = args.first().ok_or("missing <file.xml>")?;
     let flags = parse_flags(&args[1..])?;
-    let doc = read_document(file)?;
+    let doc = read_xml_file(file)?;
     let tree = doc.tree();
     let (p, dp_stats) = match flags.stats {
         Some(run) => run(tree, flags.k).map(|(p, dp_stats)| (p, Some(dp_stats))),
@@ -412,7 +412,7 @@ fn cmd_load(args: &[String]) -> Result<(), CliError> {
     let file = args.first().ok_or("missing <file.xml>")?;
     let out = args.get(1).ok_or("missing <store.natix>")?;
     let flags = parse_flags(&args[2..])?;
-    let doc = read_document(file)?;
+    let doc = read_xml_file(file)?;
     let pager = FilePager::create(Path::new(out)).map_err(|e| CliError::store_at(out, &e))?;
     let store = bulkload_with(
         &doc,

@@ -311,7 +311,7 @@ fn quick_tier_passes(row: &'static natix_testkit::Campaign) {
 #[test]
 fn stress_quick_tier_passes_and_prints_no_banner() {
     // A trimmed quick campaign keeps the debug-binary test fast while
-    // still covering transient- and permanent-fault interleavings.
+    // still covering one-shot- and permanent-fault interleavings.
     let out = natix(&["stress", "--quick", "--runs", "30"]);
     assert!(
         out.status.success(),

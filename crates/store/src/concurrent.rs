@@ -33,9 +33,9 @@
 //!   ([`AdmissionConfig::max_inflight_reads`], shed with
 //!   [`StoreError::Overloaded`]) and a per-read deadline budget measured
 //!   in backend page reads ([`AdmissionConfig::read_page_budget`], shed
-//!   with [`StoreError::Timeout`]). [`SharedStore::read_document`]
-//!   degrades shed requests to an unpinned [`OpenMode::Degraded`](crate::OpenMode) read
-//!   instead of failing hard.
+//!   with [`StoreError::Timeout`]). A shed request can still be served
+//!   unpinned: [`SharedStore::degraded_seed`] opens like any seed, and
+//!   its damage-tolerant read reports what it could not reach.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -51,7 +51,7 @@ use crate::page::{set_page_class, PageClass, PAGE_SIZE, PAYLOAD_SIZE};
 use crate::pager::{
     read_chunked, BufferPool, ChecksummingPager, PageId, Pager, StoreError, StoreResult,
 };
-use crate::store::{overflow_page_span, DamageReport, OpenMode, Overlay, StoreConfig, XmlStore};
+use crate::store::{overflow_page_span, OpenMode, Overlay, StoreConfig, XmlStore};
 
 /// Opens fresh [`Pager`] handles over the same underlying pages, one per
 /// snapshot reader. [`crate::SharedMemPager`] implements it by cloning
@@ -106,7 +106,8 @@ pub struct ConcurrencyStats {
     pub reads_shed: u64,
     /// Snapshots that exhausted their page-read budget.
     pub reads_timed_out: u64,
-    /// Shed or timed-out reads served as unpinned degraded reads.
+    /// Unpinned seeds handed out by [`SharedStore::degraded_seed`] for
+    /// shed reads.
     pub degraded_fallbacks: u64,
     /// `begin_write` calls rejected because the writer was taken.
     pub writer_conflicts: u64,
@@ -124,7 +125,8 @@ pub struct ConcurrencyStats {
     /// reclaimer skips them; must stay zero).
     pub pinned_free_violations: u64,
     /// Checkpoint/reclaim failures from deferred maintenance (the commit
-    /// itself was durable; maintenance retries on the next opportunity).
+    /// itself was durable; a failed checkpoint stays pending and runs
+    /// again at the next opportunity).
     pub maintenance_errors: u64,
     /// Group commits published (each one journal write + one header flip
     /// covering every staged op of a [`WriteGuard::mutate_batch`]).
@@ -320,7 +322,13 @@ impl SharedStore {
     /// [`AdmissionConfig::max_inflight_reads`] snapshots are in flight.
     pub fn begin_read(&self) -> StoreResult<Snapshot> {
         let (pin_id, seed) = self.pin_read()?;
-        match self.open_seed(&seed) {
+        let opened = self
+            .inner
+            .borrow()
+            .factory
+            .open_pager()
+            .and_then(|raw| seed.open(raw));
+        match opened {
             Ok((store, exhausted)) => Ok(Snapshot {
                 store,
                 shared: self.clone(),
@@ -378,37 +386,6 @@ impl SharedStore {
         let mut inner = self.inner.borrow_mut();
         inner.stats.degraded_fallbacks += 1;
         inner.seed(0)
-    }
-
-    fn open_seed(&self, seed: &SnapshotSeed) -> StoreResult<(XmlStore, Rc<Cell<bool>>)> {
-        let raw = self.inner.borrow().factory.open_pager()?;
-        seed.open(raw)
-    }
-
-    /// Serve one full document read under admission control. A request
-    /// shed by the in-flight limit — or one whose pinned read exhausts
-    /// its page budget — is degraded to an unpinned
-    /// [`OpenMode::Degraded`](crate::OpenMode) read (best-effort, damage-tolerant) instead
-    /// of failing hard; only real I/O or corruption errors surface.
-    pub fn read_document(&self) -> StoreResult<ServedRead> {
-        match self.begin_read() {
-            Ok(mut snap) => match snap.document() {
-                Ok(doc) => Ok(ServedRead::Full(doc)),
-                Err(e) if e.is_overload() => {
-                    drop(snap);
-                    self.degraded_read()
-                }
-                Err(e) => Err(e),
-            },
-            Err(e) if e.is_overload() => self.degraded_read(),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn degraded_read(&self) -> StoreResult<ServedRead> {
-        let (mut store, _) = self.open_seed(&self.degraded_seed())?;
-        let (doc, damage) = store.to_document_degraded()?;
-        Ok(ServedRead::Degraded(doc, damage))
     }
 
     /// Claim the single writer slot. A second claim while a
@@ -490,31 +467,6 @@ impl SharedStore {
                 inner.stats.maintenance_errors += 1;
             }
         }
-    }
-}
-
-/// What [`SharedStore::read_document`] served.
-#[derive(Debug)]
-pub enum ServedRead {
-    /// A pinned, snapshot-isolated, fully-verified read.
-    Full(Document),
-    /// An unpinned degraded read (the request was shed by admission
-    /// control); damaged or unreadable partitions are reported, not
-    /// served.
-    Degraded(Document, DamageReport),
-}
-
-impl ServedRead {
-    /// The document, whichever path served it.
-    pub fn document(&self) -> &Document {
-        match self {
-            ServedRead::Full(d) | ServedRead::Degraded(d, _) => d,
-        }
-    }
-
-    /// True for the pinned, fully-verified path.
-    pub fn is_full(&self) -> bool {
-        matches!(self, ServedRead::Full(_))
     }
 }
 
@@ -1158,7 +1110,7 @@ mod tests {
 
     #[test]
     fn admission_sheds_and_recovers() {
-        let (shared, _disk) = shared(
+        let (shared, disk) = shared(
             "<a><b/></a>",
             64,
             AdmissionConfig {
@@ -1173,30 +1125,36 @@ mod tests {
             matches!(err, StoreError::Overloaded { what: "read", .. }),
             "{err}"
         );
-        // The convenience path degrades instead of failing.
-        let served = shared.read_document().unwrap();
-        assert!(!served.is_full());
-        assert_eq!(served.document().to_xml(), "<a><b/></a>");
+        assert!(matches!(shared.pin_read(), Err(e) if e.is_overload()));
+        // The shed path still serves, unpinned and damage-tolerant.
+        let (mut store, _) = shared.degraded_seed().open(Box::new(disk.clone())).unwrap();
+        let (doc, damage) = store.to_document_degraded().unwrap();
+        assert_eq!(doc.to_xml(), "<a><b/></a>");
+        assert!(damage.is_empty(), "{damage}");
+        assert_eq!(shared.active_pins(), 2);
         drop(s1);
         // A slot freed: pinned reads work again.
-        assert!(shared.read_document().unwrap().is_full());
+        let (pin_id, seed) = shared.pin_read().unwrap();
+        let (mut store, _) = seed.open(Box::new(disk.clone())).unwrap();
+        assert_eq!(store.to_document().unwrap().to_xml(), "<a><b/></a>");
+        shared.release_read(pin_id, false);
         let stats = shared.stats();
         assert_eq!(stats.reads_shed, 2, "{stats:?}");
         assert_eq!(stats.degraded_fallbacks, 1, "{stats:?}");
+        assert_eq!(stats.snapshots_active, 1, "{stats:?}");
     }
 
     #[test]
     fn read_budget_times_out_deterministically() {
         // A multi-record store with a 1-page budget cannot finish a
         // strict read; the error is a structured Timeout, and the
-        // degraded path still serves what it can reach... also within
-        // the budget, so read_document falls back unpinned.
+        // unpinned shed path, which has no budget, still serves it all.
         let mut xml = String::from("<list>");
         for i in 0..6 {
             xml.push_str(&format!("<e>{}</e>", "y".repeat(2000 + i)));
         }
         xml.push_str("</list>");
-        let (shared, _disk) = shared(
+        let (shared, disk) = shared(
             &xml,
             1_000_000,
             AdmissionConfig {
@@ -1210,9 +1168,10 @@ mod tests {
         drop(snap);
         assert_eq!(shared.stats().reads_timed_out, 1);
         // The shed path is unbudgeted: full content, degraded guarantees.
-        let served = shared.read_document().unwrap();
-        assert!(!served.is_full());
-        assert!(served.document().to_xml().contains(&"y".repeat(2005)));
+        let (mut store, exhausted) = shared.degraded_seed().open(Box::new(disk.clone())).unwrap();
+        let (doc, damage) = store.to_document_degraded().unwrap();
+        assert!(doc.to_xml().contains(&"y".repeat(2005)));
+        assert!(damage.is_empty() && !exhausted.get(), "{damage}");
     }
 
     #[test]

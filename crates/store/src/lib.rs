@@ -44,8 +44,8 @@ pub use collection::{
     BulkloadOptions, BulkloadReport, Collection, ShardBackendFactory, ShardSegment, CATALOG_FILE,
 };
 pub use concurrent::{
-    AdmissionConfig, BatchOp, ConcurrencyStats, PagerFactory, ServedRead, SharedStore, Snapshot,
-    SnapshotSeed, StorageStats, WriteGuard,
+    AdmissionConfig, BatchOp, ConcurrencyStats, PagerFactory, SharedStore, Snapshot, SnapshotSeed,
+    StorageStats, WriteGuard,
 };
 pub use fsck::{fsck, FsckFinding, FsckReport, FsckSeverity};
 pub use page::{
@@ -54,10 +54,9 @@ pub use page::{
 };
 pub use pager::{
     corrupt_checksum_of_class, corrupt_page_of_class, inject_bit_rot, io_error_is_resource,
-    io_error_is_transient, BufferPool, BufferStats, ChecksummingPager, ErrorCategory, Fault,
-    FaultInjectingPager, FaultSchedule, FilePager, MemPager, PageId, Pager, RetryPolicy,
-    RetryStats, RetryingPager, SharedMemPager, StoreError, StoreResult, READ_ONLY_RETRY_HINT_MS,
-    RESOURCE_BACKOFF_FACTOR,
+    BufferPool, BufferStats, ChecksummingPager, ErrorCategory, Fault, FaultInjectingPager,
+    FaultSchedule, FilePager, MemPager, PageId, Pager, SharedMemPager, StoreError, StoreResult,
+    READ_ONLY_RETRY_HINT_MS,
 };
 pub use record::{decode as decode_record, ChildEntry, Entries, RecNode, RecordData};
 pub use replicate::{

@@ -7,13 +7,13 @@
 //!   can keep the "disk" alive across a simulated crash of the store.
 //! * [`FilePager`] — a plain page file.
 //! * [`FaultInjectingPager`] — wraps any backend and, driven by a seeded
-//!   deterministic [`FaultSchedule`], injects I/O errors, torn half-page
-//!   writes, and "power cut after N page writes" stops. The crash-recovery
-//!   fuzz harness (`natix-testkit`) is built on it.
-//! * [`RetryingPager`] — wraps any backend with a bounded-retry policy:
-//!   transient I/O failures (classified by [`std::io::ErrorKind`], see
-//!   [`StoreError::is_transient`]) are retried with seeded-deterministic
-//!   exponential backoff; permanent failures surface immediately.
+//!   deterministic [`FaultSchedule`], injects I/O errors, failed barriers
+//!   that drop unsynced writes, torn half-page writes, and "power cut
+//!   after N page writes" stops. The crash-recovery fuzz harness
+//!   (`natix-testkit`) is built on it.
+//!
+//! No layer retries I/O: a failed read, write or barrier fails its
+//! operation with a typed [`StoreError::Io`], and the store rolls back.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -201,26 +201,11 @@ impl StoreError {
         )
     }
 
-    /// True for I/O-level failures that may succeed on retry (and leave
-    /// the at-rest bytes intact). Classified by [`std::io::ErrorKind`]:
-    /// interruptions, timeouts and contention are worth retrying; a
-    /// missing file, permission failure or dead device
-    /// ([`std::io::ErrorKind::BrokenPipe`] — the kind injected power cuts
-    /// carry) never fixes itself.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            StoreError::Io { source, .. } => io_error_is_transient(source),
-            _ => false,
-        }
-    }
-
     /// True for resource exhaustion ([`std::io::ErrorKind::StorageFull`]
-    /// and the [`StoreError::ReadOnly`] degraded mode it induces): a third
-    /// class between transient and permanent. Blind same-interval retries
-    /// do not help (the disk stays full for a while), but the condition
-    /// clears without operator intervention once space frees up — callers
-    /// should back off much longer than for a transient hiccup instead of
-    /// failing fast.
+    /// and the [`StoreError::ReadOnly`] degraded mode it induces). The
+    /// condition clears without operator intervention once space frees
+    /// up, so the store degrades to read-only instead of failing, and
+    /// clients back off much longer than for an overload shed.
     pub fn is_resource(&self) -> bool {
         match self {
             StoreError::Io { source, .. } => io_error_is_resource(source),
@@ -287,39 +272,9 @@ pub enum ErrorCategory {
     InvalidRequest,
 }
 
-/// Transient/resource/permanent split over [`std::io::ErrorKind`], shared
-/// by [`StoreError::is_transient`] and [`RetryingPager`]. The three
-/// classes partition the kind space: resource kinds first
-/// ([`io_error_is_resource`]), then the explicit permanent list, and
-/// everything else is transient.
-///
-/// `Other` (what `std::io::Error::other` and most OS-level `EIO`s map to)
-/// counts as transient: an unclassified I/O hiccup is worth one bounded
-/// round of retries, and a permanent failure just fails the same way
-/// again.
-pub fn io_error_is_transient(e: &std::io::Error) -> bool {
-    use std::io::ErrorKind as K;
-    !io_error_is_resource(e)
-        && !matches!(
-            e.kind(),
-            K::BrokenPipe
-                | K::NotConnected
-                | K::NotFound
-                | K::PermissionDenied
-                | K::AlreadyExists
-                | K::InvalidInput
-                | K::InvalidData
-                | K::UnexpectedEof
-                | K::Unsupported
-                | K::WriteZero
-        )
-}
-
-/// Resource-exhaustion kinds: the disk (or quota) is full. Neither
-/// transient (an immediate retry hits the same full disk) nor permanent
-/// (space frees up without operator action) — callers back off with a
-/// much longer hint and the store degrades to read-only instead of
-/// failing the whole stack.
+/// Resource-exhaustion kinds: the disk (or quota) is full. Space frees
+/// up without operator action, so callers back off with a long hint and
+/// the store degrades to read-only instead of failing the whole stack.
 pub fn io_error_is_resource(e: &std::io::Error) -> bool {
     matches!(e.kind(), std::io::ErrorKind::StorageFull)
 }
@@ -629,10 +584,11 @@ impl Pager for FilePager {
 ///
 /// Write events are counted across `allocate` and `write` calls (both hit
 /// the disk); the schedule triggers on the N-th such event, 1-based.
+/// Reads and `sync` barriers are counted separately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// The N-th write event fails with an I/O error; nothing is written,
-    /// and the backend keeps working afterwards (a transient fault).
+    /// and the backend keeps working afterwards (a one-shot fault).
     WriteError {
         /// 1-based write event number.
         at: u64,
@@ -641,6 +597,15 @@ pub enum Fault {
     /// afterwards.
     ReadError {
         /// 1-based read number.
+        at: u64,
+    },
+    /// The N-th `sync` fails, and every page written since the last
+    /// `sync` that succeeded goes back to its image at that barrier — what
+    /// Linux may do to a file's unsynced pages when `fsync` reports an
+    /// error. Pages allocated in that window stay allocated, zero-filled.
+    /// The backend keeps working afterwards.
+    SyncError {
+        /// 1-based `sync` number.
         at: u64,
     },
     /// Power is cut at the N-th write event. The cut write either does not
@@ -692,17 +657,25 @@ impl FaultSchedule {
         }
     }
 
-    /// Transient write error at the `at`-th write event.
+    /// One-shot write error at the `at`-th write event.
     pub fn write_error(at: u64) -> FaultSchedule {
         FaultSchedule {
             fault: Fault::WriteError { at },
         }
     }
 
-    /// Transient read error at the `at`-th read.
+    /// One-shot read error at the `at`-th read.
     pub fn read_error(at: u64) -> FaultSchedule {
         FaultSchedule {
             fault: Fault::ReadError { at },
+        }
+    }
+
+    /// The `at`-th `sync` fails and drops the writes it was to make
+    /// durable.
+    pub fn sync_error(at: u64) -> FaultSchedule {
+        FaultSchedule {
+            fault: Fault::SyncError { at },
         }
     }
 
@@ -747,6 +720,7 @@ impl std::fmt::Display for FaultSchedule {
         match self.fault {
             Fault::WriteError { at } => write!(f, "write-error@{at}"),
             Fault::ReadError { at } => write!(f, "read-error@{at}"),
+            Fault::SyncError { at } => write!(f, "sync-error@{at}"),
             Fault::PowerCut { at, torn } => {
                 write!(f, "power-cut@{at}{}", if torn { "+torn" } else { "" })
             }
@@ -757,12 +731,12 @@ impl std::fmt::Display for FaultSchedule {
     }
 }
 
-/// Build an injected I/O error whose [`std::io::ErrorKind`] matches what
-/// the fault models, so the transient/permanent classifier (and any retry
-/// policy above it) treats injected faults exactly like real OS errors:
-/// one-shot read/write hiccups are `Interrupted` (transient, retryable),
-/// while a power cut — and every operation on the dead device after it —
-/// is `BrokenPipe` (permanent, never retried).
+/// Build an injected I/O error of the [`std::io::ErrorKind`] a real
+/// device would report for the fault: `Interrupted` for a one-shot read
+/// or write, `Other` (an `EIO`) for a failed barrier, `StorageFull` for a
+/// full disk, and `BrokenPipe` for a power cut and every operation on the
+/// dead device after it. Only `StorageFull` changes what the store does
+/// ([`StoreError::is_resource`]); the others fail their operation alike.
 fn injected(kind: std::io::ErrorKind, what: &'static str) -> std::io::Error {
     std::io::Error::new(kind, format!("injected fault: {what}"))
 }
@@ -779,6 +753,10 @@ pub struct FaultInjectingPager {
     schedule: FaultSchedule,
     writes: u64,
     reads: u64,
+    syncs: u64,
+    /// Under a [`Fault::SyncError`] still to fire: the image each page
+    /// written since the last good `sync` had at that barrier.
+    unsynced: HashMap<PageId, Box<[u8; PAGE_SIZE]>>,
     dead: bool,
 }
 
@@ -790,6 +768,8 @@ impl FaultInjectingPager {
             schedule,
             writes: 0,
             reads: 0,
+            syncs: 0,
+            unsynced: HashMap::new(),
             dead: false,
         }
     }
@@ -872,7 +852,20 @@ impl Pager for FaultInjectingPager {
                 "sync",
             ));
         }
-        self.inner.sync()
+        self.syncs += 1;
+        if self.schedule.fault == (Fault::SyncError { at: self.syncs }) {
+            for (id, image) in self.unsynced.drain() {
+                self.inner.write(id, &image)?;
+            }
+            return Err(StoreError::io_at(
+                injected(std::io::ErrorKind::Other, "sync error"),
+                0,
+                "sync",
+            ));
+        }
+        self.inner.sync()?;
+        self.unsynced.clear();
+        Ok(())
     }
 
     fn read(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> StoreResult<()> {
@@ -914,202 +907,14 @@ impl Pager for FaultInjectingPager {
                 "write",
             ));
         }
+        if matches!(self.schedule.fault, Fault::SyncError { at } if at > self.syncs)
+            && !self.unsynced.contains_key(&id)
+        {
+            let mut image = Box::new([0u8; PAGE_SIZE]);
+            self.inner.read(id, &mut image)?;
+            self.unsynced.insert(id, image);
+        }
         self.inner.write(id, buf)
-    }
-}
-
-/// Retry policy for [`RetryingPager`]: bounded attempts with seeded,
-/// deterministic exponential backoff.
-///
-/// Backoff is *accounted* (in [`RetryStats::backoff_us`]) rather than
-/// slept by default, so fault-injection tests stay instant and byte-for-
-/// byte reproducible; production callers over real disks set `sleep`.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total tries per operation, including the first (≥ 1).
-    pub max_attempts: u32,
-    /// Seed for the deterministic backoff jitter.
-    pub seed: u64,
-    /// Backoff before the first retry, microseconds.
-    pub base_backoff_us: u64,
-    /// Backoff ceiling, microseconds.
-    pub max_backoff_us: u64,
-    /// Actually sleep the backoff (production) instead of only counting
-    /// it (tests).
-    pub sleep: bool,
-}
-
-impl RetryPolicy {
-    /// Default policy: 4 attempts, 100 µs base doubling to a 10 ms cap,
-    /// jittered from `seed`, accounting-only backoff.
-    pub fn new(seed: u64) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            seed,
-            base_backoff_us: 100,
-            max_backoff_us: 10_000,
-            sleep: false,
-        }
-    }
-
-    /// Backoff before retry number `retry` (1-based), microseconds:
-    /// exponential in `retry`, capped, plus deterministic jitter of up to
-    /// half the step derived from `(seed, retry)`.
-    pub fn backoff_us(&self, retry: u32) -> u64 {
-        let step = self
-            .base_backoff_us
-            .checked_shl(retry.saturating_sub(1).min(32))
-            .unwrap_or(u64::MAX)
-            .min(self.max_backoff_us);
-        let mut x = self.seed ^ (u64::from(retry)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let jitter = splitmix64(&mut x) % (step / 2 + 1);
-        (step + jitter).min(self.max_backoff_us)
-    }
-}
-
-/// Counters kept by [`RetryingPager`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RetryStats {
-    /// Individual attempts, including first tries.
-    pub attempts: u64,
-    /// Retries after a transient failure.
-    pub retries: u64,
-    /// Operations that ultimately succeeded after at least one retry.
-    pub recovered: u64,
-    /// Transient failures that exhausted the attempt budget.
-    pub gave_up: u64,
-    /// Failures classified permanent (surfaced without any retry).
-    pub permanent: u64,
-    /// Retries after a resource-exhaustion failure (disk full); these
-    /// back off [`RESOURCE_BACKOFF_FACTOR`]× longer than transient ones.
-    pub resource_retries: u64,
-    /// Resource-exhaustion failures that exhausted the attempt budget
-    /// (the disk stayed full; the caller should degrade to read-only).
-    pub resource_gave_up: u64,
-    /// Total backoff charged, microseconds (slept only when the policy
-    /// says so).
-    pub backoff_us: u64,
-}
-
-/// How much longer [`RetryingPager`] backs off on resource-exhaustion
-/// failures than on transient ones: a full disk does not drain on the
-/// microsecond timescale of an interrupted syscall.
-pub const RESOURCE_BACKOFF_FACTOR: u64 = 16;
-
-/// A [`Pager`] that classifies failures from the wrapped backend as
-/// transient or permanent ([`StoreError::is_transient`], which keys off
-/// [`std::io::ErrorKind`]) and retries transient ones under a bounded
-/// [`RetryPolicy`]. Corruption and permanent device errors are never
-/// retried.
-///
-/// Retrying at the pager seam is idempotent by construction: a page
-/// `read`/`write` is a pure get/put of one fixed-size page, and a failed
-/// `allocate` either grew the file or did not — re-running it can at
-/// worst leak one zero page, never double-apply a commit (the commit
-/// point is a single header-page write above this layer).
-pub struct RetryingPager {
-    inner: Box<dyn Pager>,
-    policy: RetryPolicy,
-    stats: RetryStats,
-}
-
-impl RetryingPager {
-    /// Wrap `inner` under `policy`.
-    pub fn new(inner: Box<dyn Pager>, policy: RetryPolicy) -> RetryingPager {
-        RetryingPager {
-            inner,
-            policy,
-            stats: RetryStats::default(),
-        }
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> RetryStats {
-        self.stats
-    }
-
-    /// Unwrap the backend.
-    pub fn into_inner(self) -> Box<dyn Pager> {
-        self.inner
-    }
-
-    fn run<T>(&mut self, mut f: impl FnMut(&mut dyn Pager) -> StoreResult<T>) -> StoreResult<T> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            self.stats.attempts += 1;
-            match f(self.inner.as_mut()) {
-                Ok(v) => {
-                    if attempt > 1 {
-                        self.stats.recovered += 1;
-                    }
-                    return Ok(v);
-                }
-                Err(e) if e.is_transient() && attempt < self.policy.max_attempts => {
-                    self.stats.retries += 1;
-                    let us = self.policy.backoff_us(attempt);
-                    self.stats.backoff_us += us;
-                    if self.policy.sleep {
-                        std::thread::sleep(std::time::Duration::from_micros(us));
-                    }
-                }
-                Err(e) if e.is_resource() && attempt < self.policy.max_attempts => {
-                    // Resource exhaustion gets the same bounded attempt
-                    // budget but a much longer back-off (uncapped by
-                    // max_backoff_us): waiting out a full disk, not an
-                    // interrupted syscall.
-                    self.stats.resource_retries += 1;
-                    let us = self
-                        .policy
-                        .backoff_us(attempt)
-                        .saturating_mul(RESOURCE_BACKOFF_FACTOR);
-                    self.stats.backoff_us += us;
-                    if self.policy.sleep {
-                        std::thread::sleep(std::time::Duration::from_micros(us));
-                    }
-                }
-                Err(e) => {
-                    if e.is_transient() {
-                        self.stats.gave_up += 1;
-                    } else if e.is_resource() {
-                        self.stats.resource_gave_up += 1;
-                    } else {
-                        self.stats.permanent += 1;
-                    }
-                    return Err(e);
-                }
-            }
-        }
-    }
-}
-
-impl Pager for RetryingPager {
-    fn page_count(&self) -> u32 {
-        self.inner.page_count()
-    }
-
-    fn allocate(&mut self) -> StoreResult<PageId> {
-        // An allocate that failed after growing the file must not grow it
-        // again on retry: re-use the page if the count already moved.
-        let before = self.inner.page_count();
-        self.run(move |p| {
-            if p.page_count() > before {
-                return Ok(before);
-            }
-            p.allocate()
-        })
-    }
-
-    fn read(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> StoreResult<()> {
-        self.run(|p| p.read(id, buf))
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> StoreResult<()> {
-        self.run(|p| p.write(id, buf))
-    }
-
-    fn sync(&mut self) -> StoreResult<()> {
-        self.run(|p| p.sync())
     }
 }
 
@@ -1603,19 +1408,6 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Write the resident dirty frame `id` to the backend and mark it
-    /// clean. No-op if the frame is missing or already clean.
-    pub fn checkpoint_page(&mut self, id: PageId) -> StoreResult<()> {
-        if let Some(f) = self.frames.get_mut(&id) {
-            if f.dirty {
-                self.backend.write(id, &f.data)?;
-                f.dirty = false;
-                self.stats.writebacks += 1;
-            }
-        }
-        Ok(())
-    }
-
     /// Append `bytes` across freshly allocated pages tagged with `class`,
     /// writing the backend directly (no frames — append-only data is only
     /// read on reopen). Chunks at [`PAYLOAD_SIZE`] so the page frame
@@ -1674,14 +1466,22 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Write back all dirty pages.
+    /// Write back every dirty frame, in ascending page order (the backend
+    /// write sequence stays deterministic for fault schedules), then issue
+    /// a durability barrier. A frame turns clean only once the barrier
+    /// returns: if it fails, the device may have dropped the writes, and
+    /// the still-dirty images are what the next commit journals again.
     pub fn flush(&mut self) -> StoreResult<()> {
-        // Ascending page order keeps the backend write sequence
-        // deterministic for fault schedules.
-        let mut dirty = self.dirty_pages();
-        dirty.sort_unstable();
+        let dirty = self.dirty_pages();
+        for &id in &dirty {
+            self.backend.write(id, &self.frames[&id].data)?;
+            self.stats.writebacks += 1;
+        }
+        self.backend.sync()?;
         for id in dirty {
-            self.checkpoint_page(id)?;
+            if let Some(f) = self.frames.get_mut(&id) {
+                f.dirty = false;
+            }
         }
         Ok(())
     }
@@ -1879,7 +1679,6 @@ mod tests {
         assert_eq!(rotted, vec![id]);
         let err = pager.read(id, &mut buf).unwrap_err();
         assert!(err.is_corruption(), "{err}");
-        assert!(!err.is_transient());
         let msg = err.to_string();
         assert!(msg.contains(&format!("page {id}")), "{msg}");
     }
@@ -1943,67 +1742,54 @@ mod tests {
         assert!(StoreError::corrupt("x").is_corruption());
         assert!(StoreError::BadPage(3).is_corruption());
         assert!(StoreError::BadRecord(3).is_corruption());
-        assert!(!StoreError::corrupt("x").is_transient());
-        let io = StoreError::io_at(injected(std::io::ErrorKind::Interrupted, "boom"), 4, "read");
-        assert!(io.is_transient());
-        assert!(!io.is_corruption());
+        assert_eq!(StoreError::corrupt("x").category(), ErrorCategory::Corrupt);
         assert!(!StoreError::InvalidUpdate("no").is_corruption());
-        // The kind decides transient vs permanent: a dead device
-        // (BrokenPipe, what power cuts inject) is permanent, and so are
-        // filesystem-level rejections.
-        for kind in [
-            std::io::ErrorKind::BrokenPipe,
-            std::io::ErrorKind::NotFound,
-            std::io::ErrorKind::PermissionDenied,
-        ] {
-            let e = StoreError::io_at(injected(kind, "dead"), 4, "write");
-            assert!(!e.is_transient(), "{kind:?} must be permanent");
-            assert!(!e.is_resource(), "{kind:?} must not be resource-class");
-        }
+        // Every I/O kind but a full disk is one class: the operation
+        // failed, typed, and nothing above retries it.
         for kind in [
             std::io::ErrorKind::Interrupted,
-            std::io::ErrorKind::TimedOut,
-            std::io::ErrorKind::WouldBlock,
             std::io::ErrorKind::Other,
+            std::io::ErrorKind::BrokenPipe,
+            std::io::ErrorKind::NotFound,
         ] {
-            let e = StoreError::io_at(injected(kind, "hiccup"), 4, "write");
-            assert!(e.is_transient(), "{kind:?} must be transient");
+            let e = StoreError::io_at(injected(kind, "boom"), 4, "write");
+            assert_eq!(e.category(), ErrorCategory::Io, "{kind:?}");
             assert!(!e.is_resource(), "{kind:?} must not be resource-class");
-            assert!(!e.is_overload());
+            assert!(!e.is_corruption() && !e.is_overload(), "{kind:?}");
         }
-        // Resource exhaustion is its own class: not transient (an
-        // immediate retry hits the same full disk), not permanent (space
-        // frees up without operator action).
+        // Resource exhaustion is its own class: space frees up without
+        // operator action, so the store degrades instead of failing.
         let full = StoreError::io_at(
             injected(std::io::ErrorKind::StorageFull, "disk full"),
             4,
             "write",
         );
         assert!(full.is_resource(), "{full}");
-        assert!(!full.is_transient() && !full.is_corruption() && !full.is_overload());
+        assert!(!full.is_corruption() && !full.is_overload());
         assert_eq!(full.category(), ErrorCategory::Io);
         // The degraded mode it induces is shed-class with a long hint.
         let ro = StoreError::ReadOnly {
             reason: "disk full",
         };
-        assert!(ro.is_resource() && !ro.is_transient() && !ro.is_corruption());
+        assert!(ro.is_resource() && !ro.is_corruption());
         assert_eq!(ro.category(), ErrorCategory::Shed);
         assert_eq!(ro.retry_after_hint_ms(), Some(READ_ONLY_RETRY_HINT_MS));
         assert!(ro.retry_after_hint_ms().unwrap() > 50, "{ro}");
         assert!(ro.to_string().contains("read-only"), "{ro}");
-        // Load shedding is neither corruption nor an I/O retry candidate.
+        // Load shedding is neither corruption nor an I/O failure.
         let shed = StoreError::Overloaded {
             what: "read",
             inflight: 8,
             limit: 8,
         };
-        assert!(shed.is_overload() && !shed.is_corruption() && !shed.is_transient());
+        assert!(shed.is_overload() && !shed.is_corruption());
+        assert_eq!(shed.category(), ErrorCategory::Shed);
         assert!(shed.to_string().contains("8 in flight"), "{shed}");
         let late = StoreError::Timeout {
             what: "read",
             budget: 3,
         };
-        assert!(late.is_overload() && !late.is_corruption() && !late.is_transient());
+        assert!(late.is_overload() && !late.is_corruption());
         assert!(late.to_string().contains("budget of 3"), "{late}");
         // Display carries full context.
         let e = StoreError::checksum_mismatch(7, PageClass::Record, 1, 2);
@@ -2011,106 +1797,6 @@ mod tests {
         assert!(msg.contains("page 7"), "{msg}");
         assert!(msg.contains("record 12"), "{msg}");
         assert!(msg.contains("class record"), "{msg}");
-    }
-
-    #[test]
-    fn retrying_pager_absorbs_transient_faults() {
-        // One injected write error mid-stream: the retry layer hides it.
-        let disk = SharedMemPager::new();
-        let faulty =
-            FaultInjectingPager::new(Box::new(disk.clone()), FaultSchedule::write_error(3));
-        let mut pager = RetryingPager::new(Box::new(faulty), RetryPolicy::new(7));
-        for i in 0..4u8 {
-            let id = pager.allocate().unwrap();
-            pager.write(id, &[i; PAGE_SIZE]).unwrap();
-        }
-        let mut buf = [0u8; PAGE_SIZE];
-        for i in 0..4u8 {
-            pager.read(i as PageId, &mut buf).unwrap();
-            assert_eq!(buf[0], i);
-        }
-        let stats = pager.stats();
-        assert_eq!(stats.retries, 1, "{stats:?}");
-        assert_eq!(stats.recovered, 1, "{stats:?}");
-        assert_eq!(stats.permanent, 0, "{stats:?}");
-        assert!(stats.backoff_us > 0, "{stats:?}");
-    }
-
-    #[test]
-    fn retrying_pager_never_retries_permanent_faults() {
-        // A power cut is BrokenPipe: exactly one attempt, no retries.
-        let disk = SharedMemPager::new();
-        let faulty =
-            FaultInjectingPager::new(Box::new(disk.clone()), FaultSchedule::power_cut(2, false));
-        let mut pager = RetryingPager::new(Box::new(faulty), RetryPolicy::new(7));
-        let id = pager.allocate().unwrap();
-        let err = pager.write(id, &[1u8; PAGE_SIZE]).unwrap_err();
-        assert!(!err.is_transient(), "{err}");
-        let stats = pager.stats();
-        assert_eq!(stats.retries, 0, "{stats:?}");
-        assert_eq!(stats.permanent, 1, "{stats:?}");
-        // The device stays dead; later calls also fail permanently.
-        assert!(pager.read(id, &mut [0u8; PAGE_SIZE]).is_err());
-        assert_eq!(pager.stats().permanent, 2);
-    }
-
-    #[test]
-    fn retrying_pager_gives_up_after_bounded_attempts() {
-        // Every write fails transiently: a pager that errors on each call.
-        struct AlwaysInterrupted;
-        impl Pager for AlwaysInterrupted {
-            fn page_count(&self) -> u32 {
-                1
-            }
-            fn allocate(&mut self) -> StoreResult<PageId> {
-                Err(StoreError::io_at(
-                    injected(std::io::ErrorKind::Interrupted, "again"),
-                    1,
-                    "allocate",
-                ))
-            }
-            fn read(&mut self, id: PageId, _buf: &mut [u8; PAGE_SIZE]) -> StoreResult<()> {
-                Err(StoreError::io_at(
-                    injected(std::io::ErrorKind::Interrupted, "again"),
-                    id,
-                    "read",
-                ))
-            }
-            fn write(&mut self, id: PageId, _buf: &[u8; PAGE_SIZE]) -> StoreResult<()> {
-                Err(StoreError::io_at(
-                    injected(std::io::ErrorKind::Interrupted, "again"),
-                    id,
-                    "write",
-                ))
-            }
-        }
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::new(11)
-        };
-        let mut pager = RetryingPager::new(Box::new(AlwaysInterrupted), policy);
-        let err = pager.write(0, &[0u8; PAGE_SIZE]).unwrap_err();
-        assert!(err.is_transient(), "{err}");
-        let stats = pager.stats();
-        assert_eq!(stats.attempts, 3, "{stats:?}");
-        assert_eq!(stats.retries, 2, "{stats:?}");
-        assert_eq!(stats.gave_up, 1, "{stats:?}");
-    }
-
-    #[test]
-    fn retry_backoff_is_deterministic_and_bounded() {
-        let policy = RetryPolicy::new(42);
-        let again = RetryPolicy::new(42);
-        let other = RetryPolicy::new(43);
-        let mut grew = false;
-        for retry in 1..10 {
-            let us = policy.backoff_us(retry);
-            assert_eq!(us, again.backoff_us(retry), "same seed, same backoff");
-            assert!(us <= policy.max_backoff_us);
-            assert!(us >= policy.base_backoff_us.min(policy.max_backoff_us));
-            grew |= other.backoff_us(retry) != us;
-        }
-        assert!(grew, "different seeds should jitter differently");
     }
 
     #[test]
@@ -2124,7 +1810,6 @@ mod tests {
         for event in 2..=4u64 {
             let err = pager.write(0, &[7u8; PAGE_SIZE]).unwrap_err();
             assert!(err.is_resource(), "event {event}: {err}");
-            assert!(!err.is_transient(), "event {event}: {err}");
             // A full disk still serves what it holds.
             pager.read(0, &mut buf).unwrap();
         }
@@ -2139,49 +1824,6 @@ mod tests {
     }
 
     #[test]
-    fn retrying_pager_waits_out_a_short_storage_full_window() {
-        // The full window (2 events) is shorter than the attempt budget:
-        // the retry layer absorbs it with long resource back-offs.
-        let disk = SharedMemPager::new();
-        let faulty =
-            FaultInjectingPager::new(Box::new(disk.clone()), FaultSchedule::storage_full(2, 2));
-        let mut pager = RetryingPager::new(Box::new(faulty), RetryPolicy::new(7));
-        let id = pager.allocate().unwrap(); // event 1
-        pager.write(id, &[3u8; PAGE_SIZE]).unwrap(); // events 2, 3 refused; 4 lands
-        let stats = pager.stats();
-        assert_eq!(stats.resource_retries, 2, "{stats:?}");
-        assert_eq!(stats.recovered, 1, "{stats:?}");
-        assert_eq!(stats.retries, 0, "{stats:?}");
-        assert_eq!(stats.permanent, 0, "{stats:?}");
-        // Resource back-off is charged at the long multiplier.
-        let policy = RetryPolicy::new(7);
-        let expected =
-            (policy.backoff_us(1) + policy.backoff_us(2)).saturating_mul(RESOURCE_BACKOFF_FACTOR);
-        assert_eq!(stats.backoff_us, expected, "{stats:?}");
-        let mut buf = [0u8; PAGE_SIZE];
-        pager.read(id, &mut buf).unwrap();
-        assert_eq!(buf[0], 3);
-    }
-
-    #[test]
-    fn retrying_pager_surfaces_a_persistent_storage_full() {
-        // The disk stays full past the attempt budget: the resource error
-        // surfaces (for the store above to degrade to read-only), counted
-        // separately from transient give-ups.
-        let disk = SharedMemPager::new();
-        let faulty =
-            FaultInjectingPager::new(Box::new(disk.clone()), FaultSchedule::storage_full(2, 100));
-        let mut pager = RetryingPager::new(Box::new(faulty), RetryPolicy::new(7));
-        let id = pager.allocate().unwrap();
-        let err = pager.write(id, &[1u8; PAGE_SIZE]).unwrap_err();
-        assert!(err.is_resource(), "{err}");
-        let stats = pager.stats();
-        assert_eq!(stats.resource_gave_up, 1, "{stats:?}");
-        assert_eq!(stats.gave_up, 0, "{stats:?}");
-        assert_eq!(stats.permanent, 0, "{stats:?}");
-    }
-
-    #[test]
     fn transient_write_error_then_recovers() {
         let mut pager =
             FaultInjectingPager::new(Box::new(MemPager::new()), FaultSchedule::write_error(2));
@@ -2193,5 +1835,32 @@ mod tests {
         let mut buf = [0u8; PAGE_SIZE];
         pager.read(0, &mut buf).unwrap();
         assert_eq!(buf[0], 9);
+    }
+
+    #[test]
+    fn sync_error_drops_the_writes_since_the_last_good_sync() {
+        let disk = SharedMemPager::new();
+        let mut pager =
+            FaultInjectingPager::new(Box::new(disk.clone()), FaultSchedule::sync_error(2));
+        pager.allocate().unwrap();
+        pager.write(0, &[1u8; PAGE_SIZE]).unwrap();
+        pager.sync().unwrap(); // sync 1: page 0 holds 1s
+        pager.write(0, &[2u8; PAGE_SIZE]).unwrap();
+        pager.write(0, &[3u8; PAGE_SIZE]).unwrap();
+        let fresh = pager.allocate().unwrap();
+        pager.write(fresh, &[4u8; PAGE_SIZE]).unwrap();
+        let err = pager.sync().unwrap_err(); // sync 2 fails
+        assert_eq!(err.category(), ErrorCategory::Io, "{err}");
+        let mut buf = [0u8; PAGE_SIZE];
+        disk.clone().read(0, &mut buf).unwrap();
+        assert_eq!(buf[0], 1, "page 0 is back at its last synced image");
+        disk.clone().read(fresh, &mut buf).unwrap();
+        assert_eq!(buf[0], 0, "a page allocated since stays, zero-filled");
+        // One-shot: the device keeps working and later barriers hold.
+        pager.write(0, &[5u8; PAGE_SIZE]).unwrap();
+        pager.sync().unwrap();
+        disk.clone().read(0, &mut buf).unwrap();
+        assert_eq!(buf[0], 5);
+        assert_eq!(FaultSchedule::sync_error(2).to_string(), "sync-error@2");
     }
 }

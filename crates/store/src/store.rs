@@ -17,7 +17,7 @@
 //! The committed header is read in one place (`catalog::read_header`),
 //! which is also where a file of another format version is refused.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -224,7 +224,9 @@ pub struct NavStats {
 }
 
 /// Committed-but-uncheckpointed page images, keyed by their target page.
-pub(crate) type Overlay = HashMap<PageId, Arc<[u8; PAGE_SIZE]>>;
+/// Ordered, so a rollback re-admits them into the pool in page order and
+/// the pool's evictions do not depend on hash order.
+pub(crate) type Overlay = BTreeMap<PageId, Arc<[u8; PAGE_SIZE]>>;
 
 /// A bulkloaded XML store.
 pub struct XmlStore {
@@ -441,11 +443,10 @@ pub(crate) fn finish_fresh(mut pool: BufferPool, cat: Catalog) -> StoreResult<Xm
         journal_first_page: 0,
         journal_len: 0,
     };
-    // Behind the barrier a journal commit uses: `flush` writes in page
-    // order, and slot 1 ahead of the data pages it names would survive a
-    // crash mid-flush as a valid header over missing data.
+    // Behind the barrier `flush` ends with: it writes in page order, and
+    // slot 1 ahead of the data pages it names would survive a crash
+    // mid-flush as a valid header over missing data.
     pool.flush()?;
-    pool.sync_backend()?;
     pool.write_through(header.slot(), &catalog::encode_header(&header))?;
     // Everything written so far is now the committed state: raise the
     // floor so only future appends qualify for dirty write-back.
@@ -798,10 +799,28 @@ impl XmlStore {
     }
 
     /// Phases (4)–(5): write the journaled images in place and retire the
-    /// journal. Failures here are reported but do not lose the commit —
-    /// still-dirty frames stay resident and the journal header stays the
-    /// winner until a later checkpoint or recovery replay succeeds.
+    /// journal. Failures here are reported but do not lose the commit:
+    /// the journal header stays the winner, and the store is left as a
+    /// deferred checkpoint leaves it — pending, with every image not yet
+    /// behind a barrier dirty and in `committed_overlay` — so snapshots
+    /// never read half-checkpointed pages, a rollback keeps the images,
+    /// and the next commit journals them again.
     fn checkpoint(&mut self) -> StoreResult<()> {
+        let r = self.checkpoint_in_place();
+        if r.is_err() {
+            self.pending_checkpoint = true;
+            let overlay = Arc::make_mut(&mut self.committed_overlay);
+            for id in self.pool.dirty_pages() {
+                overlay.insert(id, Arc::from(self.pool.page_image(id)?));
+            }
+        }
+        r
+    }
+
+    fn checkpoint_in_place(&mut self) -> StoreResult<()> {
+        // The in-place page images must be stable before the journal-free
+        // header can declare the journal obsolete: `flush` ends with that
+        // barrier.
         self.pool.flush()?;
         let header = Header {
             epoch: self.epoch + 1,
@@ -812,9 +831,6 @@ impl XmlStore {
             journal_first_page: 0,
             journal_len: 0,
         };
-        // The in-place page images must be stable before the journal-free
-        // header can declare the journal obsolete.
-        self.pool.sync_backend()?;
         self.pool
             .write_through(header.slot(), &catalog::encode_header(&header))?;
         self.epoch = header.epoch;

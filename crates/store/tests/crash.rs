@@ -1,12 +1,13 @@
 //! Crash-recovery tests: power cuts (clean and torn) at *every* write
 //! event of an update operation must leave a page file that reopens to
 //! either the pre- or the post-operation state, with a fully consistent
-//! record graph. Transient I/O errors must roll the live store back.
+//! record graph. One-shot I/O errors, failed barriers included, must roll
+//! the live store back and never cost an acked commit.
 
 use natix_core::Ekm;
 use natix_store::{
-    bulkload_with, fsck, FaultInjectingPager, FaultSchedule, NodeRef, Pager, SharedMemPager,
-    StoreConfig, StoreResult, XmlStore,
+    bulkload_with, fsck, AdmissionConfig, BatchOp, FaultInjectingPager, FaultSchedule, NodeRef,
+    Pager, SharedMemPager, SharedStore, StoreConfig, StoreError, StoreResult, XmlStore,
 };
 use natix_xml::{parse, NodeKind};
 
@@ -289,6 +290,136 @@ fn transient_read_error_is_survivable() {
             assert_eq!(got, xml_pre, "failed op must leave the pre-state, n={n}");
         }
     }
+}
+
+/// Append a `name` element as the last child of the first `parent`.
+fn append_under(store: &mut XmlStore, parent: &str, name: &str) -> StoreResult<()> {
+    let p = find_element(store, parent).expect("parent exists");
+    store
+        .append_child(p, NodeKind::Element, name, None)
+        .map(|_| ())
+}
+
+/// A fault-free reopen of `disk` is consistent, reads `want` and scrubs
+/// clean.
+fn assert_reopens_to(disk: &SharedMemPager, want: &str, ctx: &str) {
+    let mut re = XmlStore::open(Box::new(disk.clone()), StoreConfig::default())
+        .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+    re.check_consistency()
+        .unwrap_or_else(|e| panic!("{ctx}: reopened store inconsistent: {e}"));
+    assert_eq!(re.to_document().unwrap().to_xml(), want, "{ctx}");
+    drop(re);
+    let scrub = fsck(&mut disk.clone(), false);
+    assert!(scrub.clean(), "{ctx}:\n{scrub}");
+}
+
+/// A failed barrier never costs an acked commit. `Fault::SyncError`
+/// fails one `sync` and drops every write since the last good one, as
+/// Linux may do to unsynced pages. Commit A appends ten elements under
+/// `b` in one batch, a rejected op rolls back, and commit B appends one
+/// element under `c`; the sweep fails each barrier of A and B in turn.
+/// Through a `SharedStore`, a snapshot pinned from A's end to B's end
+/// keeps a failed checkpoint of A pending across B, and must read A's
+/// committed state throughout; a bare store checkpoints in line. Either
+/// way a fault-free reopen equals the live store's committed state.
+#[test]
+fn failed_barrier_never_costs_an_acked_commit() {
+    let (snap, xml_pre) = base(
+        "<a><b><p>some text content in b</p></b><c><q>some text content in c</q></c></a>",
+        16,
+    );
+    let xml_a = {
+        let mut store = XmlStore::open(
+            Box::new(SharedMemPager::from_snapshot(&snap)),
+            StoreConfig::default(),
+        )
+        .unwrap();
+        for i in 0..10 {
+            append_under(&mut store, "b", &format!("a{i}")).unwrap();
+        }
+        store.to_document().unwrap().to_xml()
+    };
+    let faulty = |at: u64| -> (SharedMemPager, XmlStore) {
+        let disk = SharedMemPager::from_snapshot(&snap);
+        let pager = FaultInjectingPager::new(Box::new(disk.clone()), FaultSchedule::sync_error(at));
+        let store = XmlStore::open(Box::new(pager), StoreConfig::default()).unwrap();
+        (disk, store)
+    };
+    let reject = |s: &mut XmlStore| -> StoreResult<()> {
+        let root = s.root()?;
+        s.delete_subtree(root)
+    };
+
+    let mut at = 1u64;
+    loop {
+        let (disk, store) = faulty(at);
+        let shared = SharedStore::new(
+            store,
+            Box::new(disk.clone()),
+            StoreConfig::default(),
+            AdmissionConfig::default(),
+        );
+        let mut writer = shared.begin_write().unwrap();
+        let a = writer.mutate_batch(
+            (0..10)
+                .map(|i| {
+                    Box::new(move |s: &mut XmlStore| append_under(s, "b", &format!("a{i}")))
+                        as BatchOp<'_>
+                })
+                .collect(),
+        );
+        // A commit under a deferring writer is acked once its flip lands.
+        let a_acked = shared.stats().group_commits == 1;
+        assert_eq!(a.is_ok(), a_acked, "at={at}: {a:?}");
+        let want_a = if a_acked { &xml_a } else { &xml_pre };
+        let mut pin = shared.begin_read().unwrap();
+        assert_eq!(pin.document().unwrap().to_xml(), *want_a, "at={at}");
+        let err = writer.mutate(reject).unwrap_err();
+        assert!(matches!(err, StoreError::InvalidUpdate(_)), "{err}");
+        let b = writer.mutate(|s| append_under(s, "c", "z"));
+        assert_eq!(pin.document().unwrap().to_xml(), *want_a, "at={at}");
+        drop(pin);
+        drop(writer);
+        let live = shared.begin_read().unwrap().document().unwrap().to_xml();
+        assert_eq!(live.contains("<z/>"), b.is_ok(), "at={at}");
+        let fired = a.is_err() || b.is_err() || shared.stats().maintenance_errors > 0;
+        drop(shared);
+        assert_reopens_to(&disk, &live, &format!("shared, sync error at {at}"));
+        if !fired {
+            break;
+        }
+        at += 1;
+    }
+    assert!(at > 6, "A and B pass only {} barriers", at - 1);
+
+    let mut at = 1u64;
+    loop {
+        let (disk, mut store) = faulty(at);
+        let before = store.current_epoch();
+        store.begin_batch().unwrap();
+        for i in 0..10 {
+            append_under(&mut store, "b", &format!("a{i}")).unwrap();
+        }
+        // A failed checkpoint reports an error after the flip.
+        let a = store.commit_batch();
+        let want_a = if store.current_epoch() > before {
+            &xml_a
+        } else {
+            &xml_pre
+        };
+        assert_eq!(store.to_document().unwrap().to_xml(), *want_a, "at={at}");
+        let err = reject(&mut store).unwrap_err();
+        assert!(matches!(err, StoreError::InvalidUpdate(_)), "{err}");
+        let b = append_under(&mut store, "c", "z");
+        let live = store.to_document().unwrap().to_xml();
+        drop(store);
+        assert_reopens_to(&disk, &live, &format!("bare, sync error at {at}"));
+        if a.is_ok() && b.is_ok() {
+            break;
+        }
+        at += 1;
+    }
+    assert!(at > 6, "A and B pass only {} barriers", at - 1);
 }
 
 #[test]

@@ -9,11 +9,12 @@
 //! is reachable from some seed, and every failure replays exactly from
 //! its seed.
 //!
-//! The writer's backend is wrapped in `FaultInjectingPager` +
-//! [`RetryingPager`] under a seed-chosen fault plan (none, transient
-//! write error, transient read error, or permanent power cut); readers
-//! and the scrubber run over clean pager clones, as independent OS
-//! handles would.
+//! The writer's backend is the bare `FaultInjectingPager` under a
+//! seed-chosen fault plan (none, a one-shot write error, a one-shot read
+//! error, or a power cut): nothing retries I/O, as on every user path.
+//! Readers and the scrubber run over clean pager clones, as independent
+//! OS handles would, and a shed read takes the server's unpinned path
+//! (`degraded_seed`, `open`, `to_document_degraded`).
 //!
 //! Checked invariants, per step and per run:
 //!
@@ -21,21 +22,25 @@
 //!    oracle at the exact epoch the snapshot pinned, no matter how many
 //!    commits, checkpoints, or reclamation rounds interleave before the
 //!    read.
-//! 2. **Exactly-once commits** — under transient fault plans every op
-//!    must succeed (the retry layer absorbs the fault) and the oracle
-//!    equivalence above proves no retried commit applied twice.
+//! 2. **Acked ops, exactly** — the writer applies seeded batches of 1–3
+//!    ops through [`natix_store::WriteGuard::mutate_batch`]. A batch that
+//!    returns `Ok(acks)` committed exactly its acked ops, in order, under
+//!    one epoch advance. An op is rejected only by an injected I/O error,
+//!    or, once an earlier op of its batch fell out, for targeting the
+//!    root. A batch that returns `Err` rolled back: unless its header flip
+//!    had landed, the oracle keeps the pre-state and the writer goes on.
+//!    Every error is a typed [`ErrorCategory::Io`].
 //! 3. **Pinned pages are never freed** —
 //!    [`ConcurrencyStats::pinned_free_violations`] must stay zero.
 //! 4. **No phantom corruption** — a scrub racing the writer must come
 //!    back clean at every step.
-//! 5. **Structured failure** — under a permanent fault plan the writer's
-//!    ops fail with a non-transient error (never silently succeed), and
-//!    a final fault-free reopen recovers exactly the last committed
-//!    oracle state.
-//! 6. **Group-commit atomicity** — the writer applies seeded batches of
-//!    1–3 ops through [`natix_store::WriteGuard::mutate_batch`]; a batch
-//!    either acks every op (one epoch advance carrying all of them) or
-//!    acks none, never a partial set.
+//! 5. **Power cuts end the writer** — after a power cut no batch
+//!    commits; under every plan a final fault-free reopen recovers exactly
+//!    the last committed oracle state.
+//!
+//! A read error inside the writer's own `XmlStore::open` ends the
+//! interleaving early, counted: it must be a typed `Io` error, and a
+//! fault-free open of the same disk must read the base document.
 //!
 //! The store runs under a deliberately tiny buffer pool
 //! ([`CHAOS_POOL_PAGES`] frames), so clock eviction with dirty
@@ -44,9 +49,9 @@
 
 use natix_core::Ekm;
 use natix_store::{
-    bulkload_with, fsck, AdmissionConfig, BatchOp, ConcurrencyStats, FaultInjectingPager,
-    FaultSchedule, RetryPolicy, RetryingPager, ServedRead, SharedMemPager, SharedStore, Snapshot,
-    StoreConfig, StoreResult, XmlStore,
+    bulkload_with, fsck, AdmissionConfig, BatchOp, ConcurrencyStats, ErrorCategory,
+    FaultInjectingPager, FaultSchedule, SharedMemPager, SharedStore, Snapshot, StoreConfig,
+    StoreError, StoreResult, XmlStore,
 };
 use natix_xml::parse;
 use std::collections::HashMap;
@@ -88,6 +93,12 @@ pub struct InterleavingStats {
     pub commits: u64,
     /// Ops carried by those commits (each commit is a batch of 1–3).
     pub batched_ops: u64,
+    /// Batches a one-shot fault failed and rolled back.
+    pub rolled_back: u64,
+    /// Batches that returned acks with an op a one-shot fault rejected.
+    pub rejected: u64,
+    /// 1 if a read error failed the writer's own open.
+    pub open_failed: u64,
     /// Clock evictions in the writer's buffer pool.
     pub evictions: u64,
     pub reads_shed: u64,
@@ -226,6 +237,8 @@ pub fn run_interleaving(
         plan: plan.describe(),
         what,
     };
+    // The one error a fault plan may cause: a typed I/O error.
+    let injected = |e: &StoreError| plan != FaultPlan::None && e.category() == ErrorCategory::Io;
 
     // Base state on a clean shared disk.
     let doc = parse(BASE_XML).expect("base xml parses");
@@ -240,17 +253,35 @@ pub fn run_interleaving(
             .map_err(|e| fail(0, format!("bulkload failed: {e}")))?,
     );
 
-    // The writer reopens through the fault plan + retry stack; readers
-    // and the scrubber get clean clones via the factory.
+    let mut model = ModelTree::from_document(&doc);
+    let mut stats = InterleavingStats {
+        plan: plan.describe(),
+        ..Default::default()
+    };
+
+    // The writer reopens through the fault plan; readers and the
+    // scrubber get clean clones via the factory.
     let writer_backend: Box<dyn natix_store::Pager> = match plan.schedule() {
-        Some(s) => Box::new(RetryingPager::new(
-            Box::new(FaultInjectingPager::new(Box::new(disk.clone()), s)),
-            RetryPolicy::new(seed),
-        )),
+        Some(s) => Box::new(FaultInjectingPager::new(Box::new(disk.clone()), s)),
         None => Box::new(disk.clone()),
     };
-    let wstore = XmlStore::open(writer_backend, config)
-        .map_err(|e| fail(0, format!("writer open failed: {e}")))?;
+    let wstore = match XmlStore::open(writer_backend, config) {
+        Ok(store) => store,
+        Err(e) if injected(&e) => {
+            // The read error fired inside open: nothing was written, so
+            // a fault-free open reads the base document.
+            let xml = XmlStore::open(Box::new(disk.clone()), config)
+                .and_then(|mut s| s.to_document())
+                .map_err(|e| fail(0, format!("fault-free open after a failed one: {e}")))?
+                .to_xml();
+            if xml != model.to_xml() {
+                return Err(fail(0, "a failed open changed the disk".into()));
+            }
+            stats.open_failed = 1;
+            return Ok(stats);
+        }
+        Err(e) => return Err(fail(0, format!("writer open failed: {e}"))),
+    };
     let admission = AdmissionConfig {
         max_inflight_reads: 1 + (splitmix(seed ^ 0xAD01) % 3) as u32,
         read_page_budget: 0,
@@ -265,15 +296,10 @@ pub fn run_interleaving(
         return Err(fail(0, "second writer was admitted".into()));
     }
 
-    let mut model = ModelTree::from_document(&doc);
     let mut oracle = Oracle::new(&shared, model.to_xml());
     let trace = generate_trace(seed, steps);
     let mut next_op = 0usize;
     let mut held: Vec<Option<HeldSnapshot>> = (0..readers).map(|_| None).collect();
-    let mut stats = InterleavingStats {
-        plan: plan.describe(),
-        ..Default::default()
-    };
     let mut writer_dead = false;
 
     for step in 0..steps {
@@ -314,65 +340,66 @@ pub fn run_interleaving(
                             as Box<dyn FnOnce(&mut XmlStore) -> StoreResult<()> + '_>
                     })
                     .collect();
+                let commits_before = shared.stats().group_commits;
                 match guard.mutate_batch(ops) {
-                    Ok(acks) if acks.iter().all(|a| a.is_ok()) => {
-                        if writer_dead {
-                            return Err(fail(
-                                step,
-                                format!(
-                                    "batch {batch:?} succeeded after permanent backend failure"
-                                ),
-                            ));
-                        }
-                        model = post_model;
-                        oracle.committed(&shared, model.to_xml());
-                        stats.commits += 1;
-                        stats.batched_ops += batch.len() as u64;
-                    }
                     Ok(acks) => {
-                        // Some op was rejected. Acks exist only when the
-                        // batch ran to completion; a *mixed* pattern
-                        // would mean a non-prefix subset got published,
-                        // and under a transient plan the retry layer
-                        // must absorb every fault.
-                        let acked = acks.iter().filter(|a| a.is_ok()).count();
-                        if !plan.is_permanent() {
-                            return Err(fail(
-                                step,
-                                format!(
-                                    "{}/{} batch ops rejected under transient plan",
-                                    acks.len() - acked,
-                                    acks.len()
-                                ),
-                            ));
+                        // The batch committed its acked ops, in order.
+                        let mut acked_model = model.clone();
+                        let mut acked = 0;
+                        for (op, ack) in batch.iter().zip(&acks) {
+                            match ack {
+                                Ok(()) => {
+                                    apply_model(&mut acked_model, op);
+                                    acked += 1;
+                                }
+                                Err(e) if injected(e) => {}
+                                // Once an earlier op fell out, this one
+                                // can land on the root.
+                                Err(_) if op.skipped(acked_model.element_count()) => {}
+                                Err(e) => {
+                                    return Err(fail(step, format!("op {op:?} rejected: {e}")));
+                                }
+                            }
                         }
-                        if acked != 0 {
-                            return Err(fail(
-                                step,
-                                format!(
-                                    "non-prefix group commit: {acked}/{} ops acked",
-                                    acks.len()
-                                ),
-                            ));
+                        if acked < acks.len() {
+                            if plan.is_permanent() {
+                                writer_dead = true;
+                                stats.writer_failures += 1;
+                            } else {
+                                stats.rejected += 1;
+                            }
                         }
-                        writer_dead = true;
-                        stats.writer_failures += 1;
+                        if acked > 0 {
+                            if writer_dead {
+                                return Err(fail(
+                                    step,
+                                    format!("batch {batch:?} committed after a power cut"),
+                                ));
+                            }
+                            model = acked_model;
+                            oracle.committed(&shared, model.to_xml());
+                            stats.commits += 1;
+                            stats.batched_ops += acked as u64;
+                        }
                     }
-                    Err(e) if plan.is_permanent() => {
-                        if e.is_transient() {
-                            return Err(fail(
-                                step,
-                                format!("permanent fault surfaced as transient: {e}"),
-                            ));
+                    Err(e) if injected(&e) => {
+                        if shared.stats().group_commits > commits_before {
+                            // The failure came after the flip: the batch
+                            // is committed.
+                            model = post_model;
+                            oracle.committed(&shared, model.to_xml());
+                            stats.commits += 1;
+                            stats.batched_ops += batch.len() as u64;
+                        } else if !plan.is_permanent() {
+                            stats.rolled_back += 1;
                         }
-                        writer_dead = true;
-                        stats.writer_failures += 1;
+                        if plan.is_permanent() {
+                            writer_dead = true;
+                            stats.writer_failures += 1;
+                        }
                     }
                     Err(e) => {
-                        return Err(fail(
-                            step,
-                            format!("batch {batch:?} failed under transient plan: {e}"),
-                        ));
+                        return Err(fail(step, format!("batch {batch:?} failed: {e}")));
                     }
                 }
             }
@@ -432,26 +459,26 @@ pub fn run_interleaving(
                             });
                         }
                         Err(e) if e.is_overload() => {
-                            // Shed: the convenience path must still serve
-                            // the current committed state, degraded.
+                            // Shed: the server's unpinned path must still
+                            // serve the current committed state, degraded.
                             stats.reads_shed += 1;
-                            let served = shared
-                                .read_document()
+                            let (doc, damage) = shared
+                                .degraded_seed()
+                                .open(Box::new(disk.clone()))
+                                .and_then(|(mut s, _)| s.to_document_degraded())
                                 .map_err(|e| fail(step, format!("degraded fallback died: {e}")))?;
                             let want = oracle
                                 .map
                                 .get(&shared.committed_epoch())
                                 .expect("current epoch is always in the oracle");
-                            if served.document().to_xml() != *want {
+                            if doc.to_xml() != *want {
                                 return Err(fail(step, "degraded read diverged".into()));
                             }
-                            if let ServedRead::Degraded(_, damage) = &served {
-                                if !damage.is_empty() {
-                                    return Err(fail(
-                                        step,
-                                        format!("degraded read reported damage: {damage}"),
-                                    ));
-                                }
+                            if !damage.is_empty() {
+                                return Err(fail(
+                                    step,
+                                    format!("degraded read reported damage: {damage}"),
+                                ));
                             }
                             stats.degraded_served += 1;
                         }
@@ -480,9 +507,12 @@ pub fn run_interleaving(
         }
     }
     drop(guard);
-    let maintained = shared.maintain();
-    if !plan.is_permanent() {
-        maintained.map_err(|e| fail(steps, format!("final maintenance failed: {e}")))?;
+    // A failed checkpoint stays pending: the reopen below checks it.
+    match shared.maintain() {
+        Err(e) if !injected(&e) => {
+            return Err(fail(steps, format!("final maintenance failed: {e}")));
+        }
+        _ => {}
     }
     let cstats: ConcurrencyStats = shared.stats();
     if cstats.pinned_free_violations != 0 {
@@ -541,11 +571,13 @@ pub(crate) fn chaos(plan: &Plan, progress: &mut Progress) -> Report {
     let runs = plan.runs.unwrap_or(plan.tier.pick(150, 1200));
     let steps = plan.tier.pick(40, 60);
     let mut report = Report::new(
-        "{interleavings} interleavings ({transient-fault} transient-fault, \
+        "{interleavings} interleavings ({one-shot-fault} one-shot-fault, \
          {permanent-fault} permanent-fault), {steps} steps, \
          {snapshot reads verified} snapshot reads verified, {group commits} group commits \
-         ({ops} ops), {evictions} evictions, {shed} shed, {degraded} degraded, {scrubs} scrubs, \
-         {pages reclaimed} pages reclaimed, {failures} failures",
+         ({ops} ops), {rolled back} rolled back, {with a rejected op} with a rejected op, \
+         {open failures} open failures, {evictions} evictions, {shed} shed, \
+         {degraded} degraded, {scrubs} scrubs, {pages reclaimed} pages reclaimed, \
+         {failures} failures",
         &plan.seeds,
     );
     for i in 0..runs {
@@ -558,6 +590,9 @@ pub(crate) fn chaos(plan: &Plan, progress: &mut Progress) -> Report {
                 report.add("snapshot reads verified", s.reads_verified);
                 report.add("group commits", s.commits);
                 report.add("ops", s.batched_ops);
+                report.add("rolled back", s.rolled_back);
+                report.add("with a rejected op", s.rejected);
+                report.add("open failures", s.open_failed);
                 report.add("evictions", s.evictions);
                 report.add("shed", s.reads_shed);
                 report.add("degraded", s.degraded_served);
@@ -570,10 +605,10 @@ pub(crate) fn chaos(plan: &Plan, progress: &mut Progress) -> Report {
             )),
         }
         report.add("interleavings", 1);
-        // Transient plans are absorbed by retry; permanent ones end in
-        // structured failure plus recovery.
+        // One-shot plans fail one operation, which rolls back; power cuts
+        // end the writer, and recovery takes over.
         report.add(
-            "transient-fault",
+            "one-shot-fault",
             u64::from(!fault.is_permanent() && fault != FaultPlan::None),
         );
         report.add("permanent-fault", u64::from(fault.is_permanent()));
@@ -625,7 +660,7 @@ mod tests {
         assert!(count("group commits") > 0, "{}", report.summary());
         assert!(count("snapshot reads verified") > 0, "{}", report.summary());
         assert!(count("scrubs") > 0, "{}", report.summary());
-        assert!(count("transient-fault") > 0, "{}", report.summary());
+        assert!(count("one-shot-fault") > 0, "{}", report.summary());
         assert!(count("permanent-fault") > 0, "{}", report.summary());
         assert!(
             count("ops") >= count("group commits"),

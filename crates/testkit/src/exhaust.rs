@@ -79,10 +79,11 @@ fn diskfull_episode(
                     "pinned read changed under a rolled-back commit\n  got: {pinned_xml}"
                 ));
             }
-            let fresh = shared
-                .read_document()
-                .map_err(|e| format!("fresh read while degraded: {e}"))?;
-            let fresh_xml = fresh.document().to_xml();
+            let fresh_xml = shared
+                .begin_read()
+                .and_then(|mut s| s.document())
+                .map_err(|e| format!("fresh read while degraded: {e}"))?
+                .to_xml();
             if fresh_xml != cur_xml {
                 return Err(format!(
                     "degraded store serves a torn state\n  got:  {fresh_xml}\n  want: {cur_xml}"
@@ -118,10 +119,11 @@ fn diskfull_episode(
             }
             // The resumed commit is the ack: it must be visible exactly
             // once, while the pre-episode pin still serves its epoch.
-            let post = shared
-                .read_document()
-                .map_err(|e| format!("post-recovery read: {e}"))?;
-            let got = post.document().to_xml();
+            let got = shared
+                .begin_read()
+                .and_then(|mut s| s.document())
+                .map_err(|e| format!("post-recovery read: {e}"))?
+                .to_xml();
             if got != post_xml {
                 return Err(format!(
                     "post-recovery state wrong\n  got:  {got}\n  want: {post_xml}"

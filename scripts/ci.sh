@@ -64,7 +64,6 @@ campaigns=(
   "soak --diskfull"
   "soak --serve"
   "soak --repl --quick"
-  "stress"
   "stress --net --quick"
   "stress --net --proxy --quick"
   "stress --net --leak --quick"
@@ -74,6 +73,15 @@ for words in "${campaigns[@]}"; do
   # shellcheck disable=SC2086  # the row's command words, split on purpose
   cargo run --release -q -p natix-cli -- $words
 done
+
+tier "natix stress, twice (the full chaos summary is deterministic: two runs must print the same line)"
+stress_first="$(cargo run --release -q -p natix-cli -- stress)"
+echo "$stress_first"
+stress_second="$(cargo run --release -q -p natix-cli -- stress 2> /dev/null)"
+if [ "$stress_first" != "$stress_second" ]; then
+  printf 'FAIL: two full stress runs differ:\n%s\n%s\n' "$stress_first" "$stress_second" >&2
+  exit 1
+fi
 
 tier "natix fsck smoke (scrub a fresh store, destroy its header, repair, verify the dump round-trips)"
 fsck_dir="$(mktemp -d)"
