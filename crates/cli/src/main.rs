@@ -105,7 +105,7 @@
 //! prints the sharing and pruning counters of that run so users can see
 //! why a document did or didn't benefit.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use natix_core::{
@@ -118,7 +118,7 @@ use natix_server::{
 };
 use natix_store::{
     bulkload_collection, bulkload_with, fsck, fsck_collection, BulkloadOptions, Collection,
-    ErrorCategory, FilePager, OpenMode, StoreConfig, StoreError, XmlStore,
+    ErrorCategory, FilePager, PagerFactory, StoreConfig, StoreError, XmlStore,
 };
 use natix_testkit::Tier;
 use natix_tree::{validate, Partitioning, Tree, Weight};
@@ -468,14 +468,9 @@ fn cmd_dump(args: &[String]) -> Result<(), CliError> {
     refuse_unknown(&args[1..], &["--degraded"])?;
     let degraded = args.iter().any(|a| a == "--degraded");
     if degraded {
-        let pager = FilePager::open(Path::new(store_path))
-            .map_err(|e| CliError::store_at(store_path, &e))?;
-        let mut store = XmlStore::open_with(
-            Box::new(pager),
-            store_config(pool_pages),
-            OpenMode::Degraded,
-        )
-        .map_err(|e| CliError::store_at(store_path, &e))?;
+        let mut store =
+            XmlStore::open_read_only(&PathBuf::from(store_path), store_config(pool_pages))
+                .map_err(|e| CliError::store_at(store_path, &e))?;
         let (doc, damage) = store
             .to_document_degraded()
             .map_err(|e| CliError::store(&e))?;
@@ -496,9 +491,12 @@ fn cmd_fsck(args: &[String]) -> Result<(), CliError> {
     let store_path = args.first().ok_or("missing <store.natix>")?;
     refuse_unknown(&args[1..], &["--repair"])?;
     let repair = args.iter().any(|a| a == "--repair");
-    let mut pager =
-        FilePager::open(Path::new(store_path)).map_err(|e| CliError::store_at(store_path, &e))?;
-    let report = fsck(&mut pager, repair);
+    let pages = PathBuf::from(store_path);
+    // A file that does not open is an I/O failure, not a damaged store.
+    pages
+        .open_pager()
+        .map_err(|e| CliError::store_at(store_path, &e))?;
+    let report = fsck(&pages, repair);
     print!("{report}");
     if report.clean() || report.repaired {
         Ok(())

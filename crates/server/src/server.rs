@@ -1356,18 +1356,18 @@ fn handle_replica_request(
             if applied == 0 {
                 return bad_request(0, "replica has not bootstrapped yet".to_string());
             }
-            match FilePager::open(&*path) {
-                Ok(mut pager) => {
-                    let report = fsck(&mut pager, false);
-                    Response {
-                        epoch: applied,
-                        body: ResponseBody::FsckResult {
-                            clean: report.clean(),
-                            report: report.to_string(),
-                        },
-                    }
-                }
-                Err(e) => store_error_response(applied, &e),
+            // A file that does not open is an I/O failure, not a damaged
+            // store — as `natix fsck` answers it.
+            if let Err(e) = FilePager::open(&*path) {
+                return store_error_response(applied, &e);
+            }
+            let report = fsck(&*path, false);
+            Response {
+                epoch: applied,
+                body: ResponseBody::FsckResult {
+                    clean: report.clean(),
+                    report: report.to_string(),
+                },
             }
         }
         Request::ReplApply { payload } => match follower.apply_part(&payload) {
@@ -1625,16 +1625,16 @@ fn handle_primary_request(
                 body: ResponseBody::StatsText(text),
             }
         }
-        Request::Fsck => match shared.scrub() {
-            Ok(report) => Response {
+        Request::Fsck => {
+            let report = shared.scrub();
+            Response {
                 epoch: committed,
                 body: ResponseBody::FsckResult {
                     clean: report.clean(),
                     report: report.to_string(),
                 },
-            },
-            Err(e) => store_error_response(committed, &e),
-        },
+            }
+        }
         // Shutdown never reaches the store service (handled at the
         // worker); answer defensively anyway.
         Request::Shutdown => Response {

@@ -566,8 +566,7 @@ fn shutdown_does_not_double_release_a_reaped_pin() {
 
     // The drain's deferred maintenance ran on exact pin accounting: the
     // store file reopens and scrubs clean.
-    let mut pager = FilePager::open(&store).unwrap();
-    let report = natix_store::fsck(&mut pager, false);
+    let report = natix_store::fsck(&store, false);
     assert!(report.clean(), "{report}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -712,8 +711,7 @@ fn parallel_unpinned_reads_match_the_model_of_their_epoch() {
     assert_eq!(summary.worker_panics + summary.errors, 0, "{summary}");
     assert_eq!(summary.reads_in_flight, 0, "{summary}");
     assert!(summary.peak_reads_in_flight >= 1, "{summary}");
-    let mut pager = FilePager::open(&dir.join("store.natix")).unwrap();
-    let report = natix_store::fsck(&mut pager, false);
+    let report = natix_store::fsck(&dir.join("store.natix"), false);
     assert!(report.clean(), "{report}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -836,8 +834,7 @@ fn shutdown_answers_reads_in_flight_before_releasing_pins() {
     assert_eq!(summary.reads_in_flight, 0, "{summary}");
     assert_eq!(summary.peak_reads_in_flight, 3, "{summary}");
     assert_eq!(summary.worker_panics + summary.errors, 0, "{summary}");
-    let mut pager = FilePager::open(&store).unwrap();
-    let report = natix_store::fsck(&mut pager, false);
+    let report = natix_store::fsck(&store, false);
     assert!(report.clean(), "{report}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

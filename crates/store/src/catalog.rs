@@ -19,8 +19,11 @@
 //! over their 52 bytes in every format for exactly that — and nothing
 //! decodes it.
 
-use crate::page::{fnv64, set_page_class, PageClass, PAGE_SIZE};
+use std::collections::BTreeMap;
+
+use crate::page::{fnv64, set_page_class, PageClass, PAGE_SIZE, PAYLOAD_SIZE};
 use crate::pager::{ChecksummingPager, PageId, Pager, StoreError, StoreResult};
+use crate::store::overflow_page_span;
 
 /// Magic bytes identifying a Natix store page file (format version 4:
 /// dual checksummed headers + redo journal + XXH64 page frames). The last
@@ -72,6 +75,39 @@ impl Header {
     pub(crate) fn slot(&self) -> PageId {
         (self.epoch % 2) as PageId
     }
+}
+
+/// Every page the committed state `header` publishes references, in page
+/// order, with the class it must carry and the record it holds: the
+/// catalog and journal chains the header names and each record page or
+/// overflow chain of its decoded `directory` (pass `&[]` for the chains
+/// alone). fsck judges frames by it, a snapshot pin guards it, and the
+/// reclaimer frees by it what a superseded header named.
+pub(crate) fn referenced(
+    header: &Header,
+    directory: &[RecordLoc],
+) -> BTreeMap<PageId, (PageClass, Option<u32>)> {
+    let mut pages = BTreeMap::new();
+    let mut span = |first: PageId, count: usize, class, record| {
+        pages.extend((first..first + count as PageId).map(|p| (p, (class, record))));
+    };
+    let chain = |len: u64| (len as usize).div_ceil(PAYLOAD_SIZE);
+    let (catalog, journal) = (chain(header.catalog_len), chain(header.journal_len));
+    span(header.catalog_first_page, catalog, PageClass::Catalog, None);
+    span(header.journal_first_page, journal, PageClass::Journal, None);
+    for (no, loc) in directory.iter().enumerate() {
+        let (class, first, count) = match *loc {
+            RecordLoc::InPage { page, .. } => (PageClass::Record, page, 1),
+            RecordLoc::Overflow { first_page, len } => (
+                PageClass::Overflow,
+                first_page,
+                overflow_page_span(len as usize),
+            ),
+            RecordLoc::Free => continue,
+        };
+        span(first, count, class, Some(no as u32));
+    }
+    pages
 }
 
 const CHECKSUM_AT: usize = 52;

@@ -641,8 +641,7 @@ pub fn fsck_collection(dir: &Path, repair: bool) -> StoreResult<Vec<(u32, FsckRe
     let (shard_count, _) = read_catalog(dir)?;
     let mut reports = Vec::with_capacity(shard_count as usize);
     for s in 0..shard_count {
-        let mut pager = FilePager::open(&shard_path(dir, s))?;
-        reports.push((s, fsck(&mut pager, repair)));
+        reports.push((s, fsck(&shard_path(dir, s), repair)));
     }
     Ok(reports)
 }

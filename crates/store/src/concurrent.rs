@@ -44,14 +44,14 @@ use std::sync::Arc;
 
 use natix_xml::Document;
 
-use crate::catalog::{self, decode_catalog, Header, RecordLoc};
+use crate::catalog::{self, decode_catalog, Header};
 use crate::fsck::{fsck, FsckReport};
-use crate::journal;
-use crate::page::{set_page_class, PageClass, PAGE_SIZE, PAYLOAD_SIZE};
+use crate::journal::{self, JournalEntry};
+use crate::page::{set_page_class, PageClass, PAGE_SIZE};
 use crate::pager::{
     read_chunked, BufferPool, ChecksummingPager, PageId, Pager, StoreError, StoreResult,
 };
-use crate::store::{overflow_page_span, OpenMode, Overlay, StoreConfig, XmlStore};
+use crate::store::{Overlay, StoreConfig, XmlStore};
 
 /// Opens fresh [`Pager`] handles over the same underlying pages, one per
 /// snapshot reader. [`crate::SharedMemPager`] implements it by cloning
@@ -426,14 +426,12 @@ impl SharedStore {
         self.inner.borrow_mut().maintain()
     }
 
-    /// Scrub the shared backing pages (read-only fsck over a fresh pager
+    /// Scrub the shared backing pages (read-only fsck over fresh pagers
     /// from the factory). Safe to run concurrently with readers and the
     /// writer: committed state plus pending journal is always consistent
     /// on the backend.
-    pub fn scrub(&self) -> StoreResult<FsckReport> {
-        let inner = self.inner.borrow();
-        let mut pager = inner.factory.open_pager()?;
-        Ok(fsck(pager.as_mut(), false))
+    pub fn scrub(&self) -> FsckReport {
+        fsck(self.inner.borrow().factory.as_ref(), false)
     }
 
     /// Apply queued pin/writer releases (from guards dropped while the
@@ -483,10 +481,10 @@ impl Inner {
         }
     }
 
-    /// Every backend page a snapshot of the committed state may read:
-    /// the record pages and overflow chains of its directory (overlay
-    /// images shadow some of them, they add none). Walked once per
-    /// committed epoch, then shared by every pin of that epoch.
+    /// Every backend page a snapshot of the committed state may read
+    /// ([`catalog::referenced`]; overlay images shadow some of them, they
+    /// add none). Walked once per committed epoch, then shared by every
+    /// pin of that epoch.
     fn reachable(&mut self) -> StoreResult<Arc<HashSet<PageId>>> {
         let header = self.store.committed_header();
         if let Some((epoch, pages)) = &self.reachable {
@@ -495,21 +493,11 @@ impl Inner {
             }
         }
         let cat = decode_catalog(&self.store.committed_catalog_bytes)?;
-        let mut pages = HashSet::new();
-        for loc in &cat.directory {
-            match *loc {
-                RecordLoc::InPage { page, .. } => {
-                    pages.insert(page);
-                }
-                RecordLoc::Overflow { first_page, len } => {
-                    pages.extend(
-                        (0..overflow_page_span(len as usize) as u32).map(|i| first_page + i),
-                    );
-                }
-                RecordLoc::Free => {}
-            }
-        }
-        let pages = Arc::new(pages);
+        let pages = Arc::new(
+            catalog::referenced(&header, &cat.directory)
+                .into_keys()
+                .collect(),
+        );
         self.reachable = Some((header.epoch, Arc::clone(&pages)));
         Ok(pages)
     }
@@ -535,22 +523,23 @@ impl Inner {
         }
     }
 
-    /// A commit published `after_epoch`: its header supersedes the previous
-    /// catalog chain — and the previous journal chain too, since every
-    /// page image it held that is still uncheckpointed was re-journaled
-    /// by the new commit. Both wait for reclamation.
-    fn retire_superseded(
-        &mut self,
-        before_catalog: (PageId, u64),
-        before_journal: Option<(PageId, u64)>,
-        after_epoch: u64,
-    ) {
-        for (first, len) in std::iter::once(before_catalog).chain(before_journal) {
-            self.garbage.push(GarbageSet {
-                retired_epoch: after_epoch,
-                pages: chunk_span(first, len),
-            });
-        }
+    /// The committed header superseded `before`: the chains `before`
+    /// named and the new header does not wait for reclamation from the
+    /// new epoch on. After a commit that is the previous catalog and any
+    /// previous journal (every image it held that is still
+    /// uncheckpointed was journaled again); after a checkpoint, the
+    /// replayed journal.
+    fn retire(&mut self, before: &Header) {
+        let now = self.store.committed_header();
+        let kept = catalog::referenced(&now, &[]);
+        let pages = catalog::referenced(before, &[])
+            .into_keys()
+            .filter(|p| !kept.contains_key(p))
+            .collect();
+        self.garbage.push(GarbageSet {
+            retired_epoch: now.epoch,
+            pages,
+        });
     }
 
     /// When degraded, try one small backend write; success clears
@@ -597,17 +586,13 @@ impl Inner {
             }
         }
         if self.pins.is_empty() && self.store.has_pending_checkpoint() {
-            let journal = self.store.last_commit_journal;
+            let before = self.store.committed_header();
             self.store.apply_pending_checkpoint()?;
             self.stats.checkpoints_applied += 1;
             // The checkpoint epoch's header is journal-free: the replayed
             // journal chain is garbage once the slot that referenced it
-            // is overwritten (gated by retired_epoch below).
-            let pages = chunk_span(journal.0, journal.1);
-            self.garbage.push(GarbageSet {
-                retired_epoch: self.store.current_epoch(),
-                pages,
-            });
+            // is overwritten (gated by retired_epoch in `reclaim`).
+            self.retire(&before);
         }
         self.reclaim()
     }
@@ -655,12 +640,6 @@ impl Inner {
     }
 }
 
-/// Pages of a catalog or journal chain of `len` bytes starting at `first`.
-fn chunk_span(first: PageId, len: u64) -> Vec<PageId> {
-    let n = (len as usize).div_ceil(PAYLOAD_SIZE) as u32;
-    (first..first + n).collect()
-}
-
 /// Everything needed to open a read-only view of one committed epoch:
 /// the pinned header, the catalog bytes and the pending journal's page
 /// images (both shared with the writer, never copied), config and
@@ -672,7 +651,7 @@ fn chunk_span(first: PageId, len: u64) -> Vec<PageId> {
 pub struct SnapshotSeed {
     header: Header,
     catalog_bytes: Arc<Vec<u8>>,
-    overlay: Arc<Overlay>,
+    pub(crate) overlay: Arc<Overlay>,
     config: StoreConfig,
     budget: u64,
 }
@@ -686,26 +665,31 @@ impl SnapshotSeed {
     /// from the primary.)
     pub(crate) fn from_disk(raw: Box<dyn Pager>, config: StoreConfig) -> StoreResult<Self> {
         let (header, mut checked) = catalog::open_verified(raw)?;
-        let mut overlay = Overlay::new();
-        if header.journal_len > 0 {
-            let bytes = read_chunked(
-                &mut checked,
-                header.journal_first_page,
-                header.journal_len as usize,
-            )?;
-            for (page, image) in journal::decode(&bytes)? {
-                overlay.insert(page, Arc::from(image));
-            }
-        }
+        let pending = journal::read_pending(&mut checked, &header)?;
+        Self::read(header, pending, &mut checked, config)
+    }
+
+    /// Unbudgeted seed of the committed state `header` publishes, with
+    /// `pending` — the journal's page images — as its overlay and its
+    /// catalog read through `checked`.
+    pub(crate) fn read(
+        header: Header,
+        pending: Vec<JournalEntry>,
+        checked: &mut dyn Pager,
+        config: StoreConfig,
+    ) -> StoreResult<Self> {
         let catalog_bytes = read_chunked(
-            &mut checked,
+            checked,
             header.catalog_first_page,
             header.catalog_len as usize,
         )?;
+        let overlay = pending
+            .into_iter()
+            .map(|(page, image)| (page, Arc::from(image)));
         Ok(SnapshotSeed {
             header,
             catalog_bytes: Arc::new(catalog_bytes),
-            overlay: Arc::new(overlay),
+            overlay: Arc::new(overlay.collect()),
             config,
             budget: 0,
         })
@@ -748,13 +732,9 @@ impl SnapshotSeed {
         };
         let pool = BufferPool::new(limited, self.config.buffer_pages);
         let cat = catalog::decode_catalog(&self.catalog_bytes)?;
-        let store = XmlStore::from_committed(
-            pool,
-            OpenMode::Degraded,
-            &self.header,
-            Arc::clone(&self.catalog_bytes),
-            cat,
-        );
+        let mut store =
+            XmlStore::from_committed(pool, &self.header, Arc::clone(&self.catalog_bytes), cat);
+        store.read_only = true;
         Ok((store, exhausted))
     }
 }
@@ -777,8 +757,7 @@ impl Snapshot {
     }
 
     /// The underlying read-only store, for navigation
-    /// (`root`/`first_child`/…). Updates are rejected
-    /// ([`OpenMode::Degraded`](crate::OpenMode)).
+    /// (`root`/`first_child`/…). Updates are rejected.
     pub fn store(&mut self) -> &mut XmlStore {
         &mut self.store
     }
@@ -836,20 +815,14 @@ impl WriteGuard {
                 inner.stats.writes_rejected_read_only += 1;
                 return Err(StoreError::ReadOnly { reason });
             }
-            let before_epoch = inner.store.current_epoch();
-            let before_catalog = inner.store.committed_catalog;
-            let before_journal = inner
-                .store
-                .has_pending_checkpoint()
-                .then_some(inner.store.last_commit_journal);
+            let before = inner.store.committed_header();
             let r = f(&mut inner.store);
-            let after_epoch = inner.store.current_epoch();
-            if after_epoch > before_epoch {
+            if inner.store.current_epoch() > before.epoch {
                 inner.stats.commits += 1;
                 if inner.store.has_pending_checkpoint() {
                     inner.stats.checkpoints_deferred += 1;
                 }
-                inner.retire_superseded(before_catalog, before_journal, after_epoch);
+                inner.retire(&before);
             }
             match r {
                 // A resource-class failure (disk full) already rolled the
@@ -894,12 +867,7 @@ impl WriteGuard {
                 inner.stats.writes_rejected_read_only += 1;
                 return Err(StoreError::ReadOnly { reason });
             }
-            let before_epoch = inner.store.current_epoch();
-            let before_catalog = inner.store.committed_catalog;
-            let before_journal = inner
-                .store
-                .has_pending_checkpoint()
-                .then_some(inner.store.last_commit_journal);
+            let before = inner.store.committed_header();
             let op_count = ops.len() as u64;
             inner.store.begin_batch()?;
             let mut acks = Vec::with_capacity(ops.len());
@@ -907,15 +875,14 @@ impl WriteGuard {
                 acks.push(op(&mut inner.store));
             }
             let commit = inner.store.commit_batch();
-            let after_epoch = inner.store.current_epoch();
-            if after_epoch > before_epoch {
+            if inner.store.current_epoch() > before.epoch {
                 inner.stats.commits += 1;
                 inner.stats.group_commits += 1;
                 inner.stats.batched_ops += op_count;
                 if inner.store.has_pending_checkpoint() {
                     inner.stats.checkpoints_deferred += 1;
                 }
-                inner.retire_superseded(before_catalog, before_journal, after_epoch);
+                inner.retire(&before);
             }
             match commit {
                 Ok(_) => Ok(acks),
@@ -1077,7 +1044,7 @@ mod tests {
         assert!(fresh.epoch() > pinned.epoch());
         // The backend scrubs clean mid-pin (checkpoint deferred).
         assert!(shared.stats().checkpoints_deferred > 0);
-        let scrub = shared.scrub().unwrap();
+        let scrub = shared.scrub();
         assert!(scrub.clean(), "{scrub}");
         drop(pinned);
         drop(fresh);
@@ -1092,7 +1059,7 @@ mod tests {
         let mut re = XmlStore::open(Box::new(disk.clone()), StoreConfig::default()).unwrap();
         re.check_consistency().unwrap();
         assert_eq!(re.to_document().unwrap().to_xml(), after);
-        let scrub = fsck(&mut disk.clone(), false);
+        let scrub = fsck(&disk, false);
         assert!(scrub.clean(), "{scrub}");
     }
 
@@ -1209,7 +1176,7 @@ mod tests {
         let stats = shared.stats();
         assert!(stats.pages_reclaimed >= 20, "{stats:?}");
         assert_eq!(stats.pinned_free_violations, 0, "{stats:?}");
-        let scrub = fsck(&mut disk.clone(), false);
+        let scrub = fsck(&disk, false);
         assert!(scrub.clean(), "{scrub}");
         // And the final state still reopens.
         drop(shared);
@@ -1260,7 +1227,7 @@ mod tests {
         let mut pinned = shared.begin_read().unwrap();
         assert_eq!(xml_of(&mut pinned), before);
         drop(pinned);
-        let scrub = fsck(&mut disk.clone(), false);
+        let scrub = fsck(&disk, false);
         assert!(scrub.clean(), "{scrub}");
         // Writes are refused with the typed error while degraded; each
         // refused begin_write runs one space probe, marching the fault
@@ -1294,7 +1261,7 @@ mod tests {
         assert_eq!(stats.read_only_recovered, 1, "{stats:?}");
         assert!(stats.writes_rejected_read_only >= 1, "{stats:?}");
         assert!(stats.space_probes_failed >= 1, "{stats:?}");
-        let scrub = fsck(&mut disk.clone(), false);
+        let scrub = fsck(&disk, false);
         assert!(scrub.clean(), "{scrub}");
     }
 

@@ -1,6 +1,8 @@
 //! `natix fsck`: an offline scrubber and best-effort repair tool for
-//! Natix page files, operating on the raw backend below the buffer pool
-//! and checksumming layers.
+//! Natix page files. It reads a file the way its readers do, through the
+//! read-only view ([`crate::XmlStore::open_read_only`]'s seed), except where it
+//! must see what a reader would refuse to return: the header slots, the
+//! frame of every page, and repair's salvage scan read raw pages.
 //!
 //! Scrub passes (read-only):
 //!
@@ -10,20 +12,19 @@
 //!    `unsupported-format` error: such a file is neither scrubbed nor,
 //!    with `repair`, touched.
 //! 2. **Pending journal** — a journal left by a crash between commit
-//!    point and checkpoint is replayed into an in-memory overlay, so the
-//!    scrub judges the state recovery would produce, not the torn
-//!    mid-checkpoint bytes.
-//! 3. **Catalog** — the blob the winning header references must decode.
+//!    point and checkpoint becomes the view's overlay, so the scrub
+//!    judges the state recovery would produce, not the torn
+//!    mid-checkpoint bytes. With `repair`, recovery itself runs instead;
+//!    a replay write or barrier that fails is an `io-error`, not damage.
+//! 3. **Catalog** — the blob the winning header references must read and
+//!    decode, as the view reads it.
 //! 4. **Page frames** — every allocated page must be zero (never
 //!    written) or carry a valid frame. Damage to a page *referenced* by
 //!    the committed state is an error; damage to unreferenced pages
 //!    (orphaned appends from crashes, stale catalogs) is a warning.
-//! 5. **Record graph** — a tolerant walk cross-checking the
-//!    partitioning invariants: every directory location resolves to a
-//!    record that decodes and claims its own number; proxies and
-//!    back-links are bidirectional (sibling-interval adjacency); no
-//!    record is reachable twice or leaked; label ids resolve; every
-//!    fragment respects the weight limit `K` (feasibility).
+//! 5. **Record graph** — the walk `check_consistency` runs
+//!    (`XmlStore::walk_graph`) over the view, one finding per broken
+//!    rule: a record fsck can read is exactly a record a reader can read.
 //!
 //! Repair (`repair = true`) rebuilds the newest
 //! consistent state from surviving pages. Every intact page is scanned
@@ -35,23 +36,25 @@
 //! but unrecoverable are **quarantined** (their proxies remain as
 //! tombstones; strict reads of them fail, degraded reads skip and
 //! report them); records no longer reachable from the root are dropped.
-//! The repaired catalog and identical fresh headers are then published
-//! to *both* slots. Losing the root record is not repairable.
+//! The repaired catalog, a barrier, and identical fresh headers in
+//! *both* slots are then published. Losing the root record is not
+//! repairable.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-use natix_tree::Weight;
-use natix_xml::node_weight;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::catalog::{self, Catalog, Header, RecordLoc};
+use crate::concurrent::{PagerFactory, SnapshotSeed};
 use crate::journal;
 use crate::page::{
-    is_zero_page, page_class_of, seal_frame, set_page_class, verify_frame, FrameCheck, PageClass,
-    SlottedPage, FORMAT_VERSION, PAGE_SIZE, PAYLOAD_SIZE,
+    is_zero_page, page_class_of, seal_frame, verify_frame, FrameCheck, PageClass, SlottedPage,
+    FORMAT_VERSION, PAGE_SIZE, PAYLOAD_SIZE,
 };
-use crate::pager::{PageId, Pager};
-use crate::record::{self, RecordData, NONE_U32};
-use crate::store::{overflow_page_span, OVERFLOW_MAGIC};
+use crate::pager::{read_chunked, BufferPool, ChecksummingPager, PageId, StoreResult};
+use crate::record::{self, ChildEntry, RecordData, NONE_U32};
+use crate::store::{
+    load_record, overflow_page_span, read_overflow_chain, recover, StoreConfig, OVERFLOW_MAGIC,
+};
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -226,47 +229,24 @@ impl std::fmt::Display for FsckReport {
     }
 }
 
-/// Raw page reads with an in-memory overlay (the replayed pending
-/// journal), so the scrub judges the post-recovery state.
-struct Scan<'a> {
-    backend: &'a mut dyn Pager,
-    overlay: HashMap<PageId, Box<[u8; PAGE_SIZE]>>,
-}
-
-impl Scan<'_> {
-    fn read(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), String> {
-        if let Some(p) = self.overlay.get(&id) {
-            buf.copy_from_slice(&p[..]);
-            return Ok(());
-        }
-        self.backend.read(id, buf).map_err(|e| e.to_string())
-    }
-
-    fn read_chunked(&mut self, first: PageId, len: usize) -> Result<Vec<u8>, String> {
-        let mut out = Vec::with_capacity(len);
-        let mut remaining = len;
-        let mut page = first;
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
-        while remaining > 0 {
-            let take = remaining.min(PAYLOAD_SIZE);
-            self.read(page, &mut buf)?;
-            out.extend_from_slice(&buf[..take]);
-            remaining -= take;
-            page += 1;
-        }
-        Ok(out)
-    }
-}
-
-/// Scrub `backend`; with `repair`, additionally rebuild the store from
-/// surviving pages when the scrub is not clean.
+/// Scrub the page file behind `pages`; with `repair`, additionally
+/// rebuild the store from surviving pages when the scrub is not clean.
 ///
 /// Never panics and never returns early on corruption: everything it
-/// finds lands in the report. Transient I/O failures are reported as
-/// findings too (`io-error`).
-pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
+/// finds lands in the report, an I/O failure included (`io-error`).
+pub fn fsck(pages: &dyn PagerFactory, repair: bool) -> FsckReport {
     let mut report = FsckReport::default();
-    let count = backend.page_count();
+    if let Err(e) = scrub(pages, repair, &mut report) {
+        report.error("io-error", None, None, e.to_string());
+    }
+    report
+}
+
+/// The five passes, then the repair; `Err` is an I/O failure that ends
+/// the run.
+fn scrub(pages: &dyn PagerFactory, repair: bool, report: &mut FsckReport) -> StoreResult<()> {
+    let mut raw = pages.open_pager()?;
+    let count = raw.page_count();
     report.pages_scanned = count;
     if count < 2 {
         report.error(
@@ -275,20 +255,14 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
             None,
             format!("{count} pages; need at least the two header slots"),
         );
-        return report;
+        return Ok(());
     }
 
     // Pass 1: header slots, raw.
     let mut slot0 = Box::new([0u8; PAGE_SIZE]);
     let mut slot1 = Box::new([0u8; PAGE_SIZE]);
-    if let Err(e) = backend.read(0, &mut slot0) {
-        report.error("io-error", Some(0), None, e.to_string());
-        return report;
-    }
-    if let Err(e) = backend.read(1, &mut slot1) {
-        report.error("io-error", Some(1), None, e.to_string());
-        return report;
-    }
+    raw.read(0, &mut slot0)?;
+    raw.read(1, &mut slot1)?;
     let decoded = [&slot0, &slot1].map(|slot| catalog::decode_header_slot(slot));
     let winner = match catalog::pick_header(&slot0, &slot1) {
         Ok(header) => Some(header),
@@ -301,7 +275,7 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
                 None,
                 format!("{e}; not scrubbed, and never modified by --repair"),
             );
-            return report;
+            return Ok(());
         }
         Err(_) => None,
     };
@@ -321,7 +295,7 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
             "slot does not decode as a header (torn publish or bit rot)",
         );
     }
-    let Some(header) = winner else {
+    let Some(mut header) = winner else {
         report.error(
             "headers-lost",
             None,
@@ -329,118 +303,69 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
             "neither header slot decodes: not a recognizable Natix store",
         );
         if repair {
-            repair_store(backend, None, &mut report);
+            repair_store(pages, None, report)?;
         }
-        return report;
+        return Ok(());
     };
     report.format = FORMAT_VERSION;
 
-    // Pass 2: pending journal. Replay into an overlay (scrub judges the
-    // post-recovery state); with `repair` the replay goes to disk.
-    let mut scan = Scan {
-        backend,
-        overlay: HashMap::new(),
-    };
-    let mut header = header;
+    // Pass 2: the pending journal becomes the view's overlay (the scrub
+    // judges the post-recovery state); with `repair`, recovery runs.
+    let mut checked = ChecksummingPager::new(pages.open_pager()?);
+    let mut pending = Vec::new();
     if header.journal_len > 0 {
-        match scan
-            .read_chunked(header.journal_first_page, header.journal_len as usize)
-            .map_err(Some)
-            .and_then(|bytes| journal::decode_segments(&bytes).map_err(|_| None))
-        {
-            Ok(segments) => {
-                // A journal generation may carry a whole group-commit
-                // batch: one segment per acked logical commit, all
-                // covered by the same header flip. Report the batch
-                // shape, then replay every segment in batch order (full
-                // replay is the recovery semantics — a partially-acked
-                // batch was never published, so segments are diagnostic
-                // boundaries, not replay units).
-                if segments.len() > 1 {
-                    let shape: Vec<String> = segments.iter().map(|s| s.len().to_string()).collect();
-                    report.info(
-                        "journal-batch",
-                        format!(
-                            "group-commit batch: {} commit segments with [{}] page images",
-                            segments.len(),
-                            shape.join(", ")
-                        ),
-                    );
-                }
-                let entries: Vec<journal::JournalEntry> = segments.into_iter().flatten().collect();
+        match journal::read_pending(&mut checked, &header) {
+            Err(e) => report.error(
+                "journal-corrupt",
+                Some(header.journal_first_page),
+                None,
+                e.to_string(),
+            ),
+            Ok(_) if repair => {
+                // The journal reads, so what can fail now is a write or the
+                // barrier: an I/O error that ends the run, not damage.
+                header = recover(&mut checked, header)?;
+                report.info("journal-replayed", "pending journal checkpointed to disk")
+            }
+            Ok(images) => {
                 report.info(
                     "journal-pending",
                     format!(
-                        "unfinished checkpoint: {} page images replayed for scrubbing",
-                        entries.len()
+                        "unfinished checkpoint: {} page images overlaid for scrubbing",
+                        images.len()
                     ),
                 );
-                for (page, image) in entries {
-                    let mut sealed = image;
-                    seal_frame(&mut sealed);
-                    if repair {
-                        if let Err(e) = scan.backend.write(page, &sealed) {
-                            report.error("io-error", Some(page), None, e.to_string());
-                        }
-                    }
-                    scan.overlay.insert(page, sealed);
-                }
-                if repair {
-                    // Retire the journal, exactly as recovery would.
-                    header.epoch += 1;
-                    header.journal_first_page = 0;
-                    header.journal_len = 0;
-                    let mut page = Box::new(catalog::encode_header(&header));
-                    seal_frame(&mut page);
-                    if let Err(e) = scan.backend.write(header.slot(), &page) {
-                        report.error("io-error", Some(header.slot()), None, e.to_string());
-                    } else {
-                        report.info("journal-replayed", "pending journal checkpointed to disk");
-                        scan.overlay.clear();
-                    }
-                }
-            }
-            Err(cause) => {
-                report.error(
-                    "journal-corrupt",
-                    Some(header.journal_first_page),
-                    None,
-                    cause.unwrap_or_else(|| {
-                        "published journal does not decode; the commit it carried is lost".into()
-                    }),
-                );
+                pending = images;
             }
         }
     }
 
-    // Pass 3: catalog decode.
-    let catalog = match scan
-        .read_chunked(header.catalog_first_page, header.catalog_len as usize)
-        .and_then(|bytes| catalog::decode_catalog(&bytes).map_err(|e| e.to_string()))
-    {
-        Ok(cat) => Some(cat),
-        Err(cause) => {
-            report.error(
-                "catalog-corrupt",
-                Some(header.catalog_first_page),
-                None,
-                cause,
-            );
-            None
+    // Pass 3: the catalog, as the read-only view reads and decodes it.
+    let view_pager = pages.open_pager()?;
+    let view = SnapshotSeed::read(header, pending, &mut checked, StoreConfig::default())
+        .and_then(|seed| Ok((seed.open(view_pager)?.0, seed.overlay)));
+    let (mut view, overlay) = match view {
+        Ok((store, overlay)) => (Some(store), overlay),
+        Err(e) => {
+            let first = header.catalog_first_page;
+            report.error("catalog-corrupt", Some(first), None, e.to_string());
+            (None, Arc::default())
         }
     };
 
-    // Pass 4: frame verification, split by whether the committed state
-    // references the page.
-    let referenced = referenced_pages(&header, catalog.as_ref());
+    // Pass 4: frame verification, raw, split by whether the committed
+    // state references the page.
+    let directory = view.as_ref().map_or(&[][..], |v| &v.directory[..]);
+    let referenced = catalog::referenced(&header, directory);
     let mut buf = Box::new([0u8; PAGE_SIZE]);
     for id in 2..count {
-        match scan.read(id, &mut buf) {
-            Ok(()) => {}
-            Err(e) => {
-                report.error("io-error", Some(id), None, e);
-                continue;
-            }
+        if let Some(image) = overlay.get(&id) {
+            // Recovery overwrites the page with its journaled image.
+            *buf = **image;
+            seal_frame(&mut buf);
+        } else if let Err(e) = raw.read(id, &mut buf) {
+            report.error("io-error", Some(id), None, e.to_string());
+            continue;
         }
         if is_zero_page(&buf) {
             continue;
@@ -494,316 +419,23 @@ pub fn fsck(backend: &mut dyn Pager, repair: bool) -> FsckReport {
         }
     }
 
-    // Pass 5: tolerant record-graph walk.
-    if let Some(cat) = &catalog {
-        let mut records: BTreeMap<u32, RecordData> = BTreeMap::new();
-        for (no, loc) in cat.directory.iter().enumerate() {
-            let no = no as u32;
-            if matches!(loc, RecordLoc::Free) {
-                continue;
-            }
-            report.records_checked += 1;
-            match read_record_bytes(&mut scan, *loc, count) {
-                Ok(bytes) => match record::decode(bytes, usize::MAX) {
-                    Ok(rec) => {
-                        if rec.self_no != no {
-                            report.error(
-                                "self-no-mismatch",
-                                None,
-                                Some(no),
-                                format!("record bytes claim number {}", rec.self_no),
-                            );
-                        } else {
-                            records.insert(no, rec);
-                        }
-                    }
-                    Err(e) => report.error("record-undecodable", None, Some(no), e.to_string()),
-                },
-                Err((page, cause)) => report.error("record-unreadable", page, Some(no), cause),
-            }
-        }
-        check_graph(cat, &records, cat.record_limit, &mut report);
+    // Pass 5: the record graph, through the view.
+    if let Some(view) = &mut view {
+        report.records_checked = view.live_record_count() as u32;
+        view.walk_graph(&mut |v| {
+            let severity = if v.warning {
+                FsckSeverity::Warning
+            } else {
+                FsckSeverity::Error
+            };
+            report.push(severity, v.code, None, Some(v.record), v.error.to_string());
+        });
     }
 
     if repair && !report.clean() {
-        repair_store(scan.backend, Some(&header), &mut report);
+        repair_store(pages, Some(&header), report)?;
     }
-    report
-}
-
-/// Pages the committed state references, with the class each must have.
-fn referenced_pages(
-    header: &Header,
-    catalog: Option<&Catalog>,
-) -> HashMap<PageId, (PageClass, Option<u32>)> {
-    let mut map = HashMap::new();
-    fn span(
-        map: &mut HashMap<PageId, (PageClass, Option<u32>)>,
-        first: PageId,
-        len: usize,
-        class: PageClass,
-        record: Option<u32>,
-    ) {
-        let pages = if class == PageClass::Overflow {
-            overflow_page_span(len)
-        } else {
-            len.div_ceil(PAYLOAD_SIZE)
-        };
-        for i in 0..pages as u32 {
-            map.insert(first + i, (class, record));
-        }
-    }
-    if header.catalog_len > 0 {
-        span(
-            &mut map,
-            header.catalog_first_page,
-            header.catalog_len as usize,
-            PageClass::Catalog,
-            None,
-        );
-    }
-    if header.journal_len > 0 {
-        span(
-            &mut map,
-            header.journal_first_page,
-            header.journal_len as usize,
-            PageClass::Journal,
-            None,
-        );
-    }
-    if let Some(cat) = catalog {
-        for (no, loc) in cat.directory.iter().enumerate() {
-            match *loc {
-                RecordLoc::InPage { page, .. } => {
-                    map.insert(page, (PageClass::Record, Some(no as u32)));
-                }
-                RecordLoc::Overflow { first_page, len } => {
-                    span(
-                        &mut map,
-                        first_page,
-                        len as usize,
-                        PageClass::Overflow,
-                        Some(no as u32),
-                    );
-                }
-                RecordLoc::Free => {}
-            }
-        }
-    }
-    map
-}
-
-/// Extract a record's raw bytes from its directory location, verifying
-/// page frames along the way.
-fn read_record_bytes(
-    scan: &mut Scan<'_>,
-    loc: RecordLoc,
-    count: u32,
-) -> Result<Vec<u8>, (Option<PageId>, String)> {
-    let mut buf = Box::new([0u8; PAGE_SIZE]);
-    let read_checked = |scan: &mut Scan<'_>,
-                        id: PageId,
-                        buf: &mut Box<[u8; PAGE_SIZE]>|
-     -> Result<(), (Option<PageId>, String)> {
-        if id >= count {
-            return Err((Some(id), "page out of range".into()));
-        }
-        scan.read(id, buf).map_err(|e| (Some(id), e))?;
-        if verify_frame(buf) != FrameCheck::Ok {
-            return Err((Some(id), "page fails frame verification".into()));
-        }
-        Ok(())
-    };
-    match loc {
-        RecordLoc::InPage { page, slot } => {
-            read_checked(scan, page, &mut buf)?;
-            SlottedPage::new(&mut buf)
-                .get(slot)
-                .map(<[u8]>::to_vec)
-                .ok_or((Some(page), format!("slot {slot} missing or dead")))
-        }
-        RecordLoc::Overflow { first_page, len } => {
-            let len = len as usize;
-            read_checked(scan, first_page, &mut buf)?;
-            if &buf[..4] != OVERFLOW_MAGIC {
-                return Err((Some(first_page), "overflow chain magic missing".into()));
-            }
-            let stored = u32::from_le_bytes(buf[4..8].try_into().expect("4")) as usize;
-            if stored != len {
-                return Err((
-                    Some(first_page),
-                    format!("overflow chain stores {stored} bytes, directory says {len}"),
-                ));
-            }
-            let head = len.min(PAYLOAD_SIZE - 8);
-            let mut bytes = Vec::with_capacity(len);
-            bytes.extend_from_slice(&buf[8..8 + head]);
-            let mut page = first_page + 1;
-            while bytes.len() < len {
-                read_checked(scan, page, &mut buf)?;
-                let take = (len - bytes.len()).min(PAYLOAD_SIZE);
-                bytes.extend_from_slice(&buf[..take]);
-                page += 1;
-            }
-            Ok(bytes)
-        }
-        RecordLoc::Free => Err((None, "record is free".into())),
-    }
-}
-
-/// The tolerant version of `XmlStore::check_consistency`: same
-/// invariants, but every violation becomes a finding instead of
-/// stopping the walk.
-fn check_graph(
-    cat: &Catalog,
-    records: &BTreeMap<u32, RecordData>,
-    record_limit: Weight,
-    report: &mut FsckReport,
-) {
-    use crate::record::{ChildEntry, NONE_U16};
-
-    let quarantined: BTreeSet<u32> = cat.quarantined.iter().copied().collect();
-    let n = cat.directory.len() as u32;
-    let mut seen: BTreeSet<u32> = BTreeSet::new();
-    let root = cat.root_record;
-    if let Some(rec) = records.get(&root) {
-        if rec.parent_record != NONE_U32 {
-            report.error(
-                "root-backlink",
-                None,
-                Some(root),
-                "root record has a parent back-link",
-            );
-        }
-    } else {
-        // Unreadable root is already reported; nothing to walk from.
-        return;
-    }
-    seen.insert(root);
-    let mut stack = vec![root];
-    while let Some(no) = stack.pop() {
-        let Some(rec) = records.get(&no) else {
-            continue; // unreadable: its own finding exists, skip subtree
-        };
-        if rec.roots.is_empty() {
-            report.error(
-                "empty-roots",
-                None,
-                Some(no),
-                "record has no fragment roots",
-            );
-        }
-        for &r in &rec.roots {
-            if rec.get(r).is_some_and(|node| node.parent_local != NONE_U16) {
-                report.error(
-                    "root-has-parent",
-                    None,
-                    Some(no),
-                    format!("fragment root {r} has a local parent"),
-                );
-            }
-        }
-        let mut weight: Weight = 0;
-        for node in rec.nodes() {
-            weight += node_weight(node.kind, rec.content(&node).map_or(0, str::len));
-            if node.label as usize >= cat.labels.len() {
-                report.error(
-                    "label-range",
-                    None,
-                    Some(no),
-                    format!(
-                        "label id {} outside the {}-entry label table",
-                        node.label,
-                        cat.labels.len()
-                    ),
-                );
-            }
-        }
-        if record_limit > 0 && weight > record_limit {
-            report.error(
-                "overweight-record",
-                None,
-                Some(no),
-                format!("fragment weighs {weight} slots, limit is {record_limit} (infeasible)"),
-            );
-        }
-        for (li, node) in rec.nodes().enumerate() {
-            for (pos, e) in rec.entries(&node).enumerate() {
-                match e {
-                    ChildEntry::Local(c) => {
-                        let ok = rec.get(c).is_some_and(|child| {
-                            child.parent_local == li as u16 && child.entry_pos == pos as u16
-                        });
-                        if !ok {
-                            report.error(
-                                "local-backlink",
-                                None,
-                                Some(no),
-                                format!("local child {c} disagrees with entry {li}/{pos}"),
-                            );
-                        }
-                    }
-                    ChildEntry::Proxy(t) => {
-                        if quarantined.contains(&t) {
-                            report.warn(
-                                "proxy-quarantined",
-                                None,
-                                Some(t),
-                                format!("proxy in record {no} points at a quarantined record"),
-                            );
-                            continue;
-                        }
-                        if t >= n || matches!(cat.directory[t as usize], RecordLoc::Free) {
-                            report.error(
-                                "dangling-proxy",
-                                None,
-                                Some(no),
-                                format!("proxy points at free/out-of-range record {t}"),
-                            );
-                            continue;
-                        }
-                        if !seen.insert(t) {
-                            report.error(
-                                "double-reachable",
-                                None,
-                                Some(t),
-                                "record reachable via two proxies (interval adjacency broken)",
-                            );
-                            continue;
-                        }
-                        if let Some(child) = records.get(&t) {
-                            if child.parent_record != no
-                                || child.parent_local != li as u16
-                                || child.proxy_pos != pos as u16
-                            {
-                                report.error(
-                                    "proxy-backlink",
-                                    None,
-                                    Some(t),
-                                    format!(
-                                        "back-link ({}, {}, {}) does not match proxy ({no}, {li}, {pos})",
-                                        child.parent_record, child.parent_local, child.proxy_pos
-                                    ),
-                                );
-                            }
-                        }
-                        stack.push(t);
-                    }
-                }
-            }
-        }
-    }
-    for (no, loc) in cat.directory.iter().enumerate() {
-        let no = no as u32;
-        if !matches!(loc, RecordLoc::Free) && !seen.contains(&no) && !quarantined.contains(&no) {
-            report.error(
-                "leaked-record",
-                None,
-                Some(no),
-                "live record unreachable from the root",
-            );
-        }
-    }
+    Ok(())
 }
 
 /// One salvaged record found by the raw-page scan.
@@ -816,10 +448,20 @@ struct Salvaged {
 /// Rebuild the store from surviving pages; see the module docs.
 /// `header` is the winning header if any slot still decodes (its epoch
 /// joins the new-epoch computation even when its catalog is gone).
-fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut FsckReport) {
-    use crate::record::ChildEntry;
-
-    let count = backend.page_count();
+/// Records and chains are read with the store's own readers over a
+/// [`ChecksummingPager`], so only pages whose frames verify contribute.
+fn repair_store(
+    pages: &dyn PagerFactory,
+    header: Option<&Header>,
+    report: &mut FsckReport,
+) -> StoreResult<()> {
+    let mut raw = pages.open_pager()?;
+    let mut checked = ChecksummingPager::new(pages.open_pager()?);
+    let mut pool = BufferPool::new(
+        Box::new(ChecksummingPager::new(pages.open_pager()?)),
+        StoreConfig::default().buffer_pages,
+    );
+    let count = raw.page_count();
     let mut buf = Box::new([0u8; PAGE_SIZE]);
     let mut candidates: BTreeMap<u32, Salvaged> = BTreeMap::new();
     let mut best_catalog: Option<(u64, Catalog)> = None;
@@ -833,14 +475,17 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
         }
     };
 
-    // Scan every intact page for self-describing blobs.
+    // Salvage: read every intact page for self-describing blobs.
     for id in 2..count {
-        if backend.read(id, &mut buf).is_err() {
+        if raw.read(id, &mut buf).is_err() {
             continue;
         }
         if is_zero_page(&buf) || verify_frame(&buf) != FrameCheck::Ok {
             continue;
         }
+        // Pages a chain starting here may span (a head's announced length
+        // is checked against it before anything is allocated for it).
+        let left = (count - id) as usize;
         match page_class_of(&buf) {
             PageClass::Record => {
                 let mut page = buf.clone();
@@ -867,14 +512,11 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
                     continue; // continuation page, not a chain head
                 }
                 let len = u32::from_le_bytes(buf[4..8].try_into().expect("4")) as usize;
-                let span = overflow_page_span(len) as u32;
-                if id + span > count {
+                if overflow_page_span(len) > left {
                     continue;
                 }
-                let Some(bytes) = read_intact_overflow(backend, id, len) else {
-                    continue;
-                };
-                if let Ok(data) = record::decode(bytes, usize::MAX) {
+                let chain = read_overflow_chain(&mut pool, NONE_U32, id, len);
+                if let Ok(data) = chain.and_then(|bytes| record::decode(bytes, usize::MAX)) {
                     offer(
                         &mut candidates,
                         Salvaged {
@@ -892,15 +534,11 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
                 let Some(len) = catalog::catalog_blob_len(&buf[..PAYLOAD_SIZE]) else {
                     continue; // continuation page, not a blob head
                 };
-                let len = len as usize;
-                let span = len.div_ceil(PAYLOAD_SIZE) as u32;
-                if id + span > count {
+                if len > (left * PAYLOAD_SIZE) as u64 {
                     continue;
                 }
-                let Some(bytes) = read_intact_chain(backend, id, len) else {
-                    continue;
-                };
-                if let Ok(cat) = catalog::decode_catalog(&bytes) {
+                let blob = read_chunked(&mut checked, id, len as usize);
+                if let Ok(cat) = blob.and_then(|bytes| catalog::decode_catalog(&bytes)) {
                     if best_catalog.as_ref().is_none_or(|(e, _)| cat.epoch > *e) {
                         best_catalog = Some((cat.epoch, cat));
                     }
@@ -917,7 +555,7 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
             None,
             "no intact catalog blob found anywhere: labels and directory are lost",
         );
-        return;
+        return Ok(());
     };
     report.info(
         "repair-catalog",
@@ -942,29 +580,18 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
             .get(no as usize)
             .copied()
             .unwrap_or(RecordLoc::Free);
-        if !matches!(committed, RecordLoc::Free) {
-            if let Ok(bytes) = read_record_bytes(
-                &mut Scan {
-                    backend,
-                    overlay: HashMap::new(),
+        let read = load_record(&mut pool, no, committed)
+            .and_then(|bytes| record::decode(bytes, label_count));
+        if let Some(data) = read.ok().filter(|data| data.self_no == no) {
+            recovered.insert(
+                no,
+                Salvaged {
+                    epoch: data.epoch,
+                    loc: committed,
+                    data,
                 },
-                committed,
-                count,
-            ) {
-                if let Ok(data) = record::decode(bytes, usize::MAX) {
-                    if data.self_no == no && labels_ok(&data) {
-                        recovered.insert(
-                            no,
-                            Salvaged {
-                                epoch: data.epoch,
-                                loc: committed,
-                                data,
-                            },
-                        );
-                        continue;
-                    }
-                }
-            }
+            );
+            continue;
         }
         if let Some(s) = candidates.remove(&no) {
             if !stale(s.epoch) && labels_ok(&s.data) {
@@ -980,7 +607,7 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
             Some(cat.root_record),
             "the root record did not survive; the store cannot be repaired",
         );
-        return;
+        return Ok(());
     }
 
     // Reachability walk: keep what the root still reaches, quarantine
@@ -1027,7 +654,9 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
         );
     }
 
-    // Publish: fresh catalog pages, then identical headers in both slots.
+    // Publish: fresh catalog pages, a barrier, then identical headers in
+    // both slots — headers that reached the disk ahead of the catalog
+    // they name could outlive it in a power cut.
     let quarantined: Vec<u32> = quarantine.iter().copied().collect();
     let new_epoch = max_epoch + 1;
     let catalog_bytes = catalog::encode_catalog(
@@ -1038,40 +667,19 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
         cat.record_limit,
         new_epoch,
     );
-    let first = backend.page_count();
-    for chunk in catalog_bytes.chunks(PAYLOAD_SIZE) {
-        let id = match backend.allocate() {
-            Ok(id) => id,
-            Err(e) => {
-                report.error("io-error", None, None, e.to_string());
-                return;
-            }
-        };
-        let mut page = Box::new([0u8; PAGE_SIZE]);
-        page[..chunk.len()].copy_from_slice(chunk);
-        set_page_class(&mut page, PageClass::Catalog);
-        seal_frame(&mut page);
-        if let Err(e) = backend.write(id, &page) {
-            report.error("io-error", Some(id), None, e.to_string());
-            return;
-        }
-    }
-    let new_header = Header {
+    let catalog_first_page = pool.append_chunked(&catalog_bytes, PageClass::Catalog)?;
+    pool.sync_backend()?;
+    let new_header = catalog::encode_header(&Header {
         epoch: new_epoch,
         root_record: cat.root_record,
-        catalog_first_page: first,
+        catalog_first_page,
         catalog_len: catalog_bytes.len() as u64,
         record_limit: cat.record_limit,
         journal_first_page: 0,
         journal_len: 0,
-    };
-    let mut page = Box::new(catalog::encode_header(&new_header));
-    seal_frame(&mut page);
+    });
     for slot in [0, 1] {
-        if let Err(e) = backend.write(slot, &page) {
-            report.error("io-error", Some(slot), None, e.to_string());
-            return;
-        }
+        pool.write_through(slot, &new_header)?;
     }
     report.repaired = true;
     report.recovered_records = seen.len() as u32;
@@ -1084,44 +692,209 @@ fn repair_store(backend: &mut dyn Pager, header: Option<&Header>, report: &mut F
             report.quarantined.len()
         ),
     );
+    Ok(())
 }
 
-/// Read an overflow chain whose every page verifies, or `None`.
-fn read_intact_overflow(backend: &mut dyn Pager, first: PageId, len: usize) -> Option<Vec<u8>> {
-    let mut buf = Box::new([0u8; PAGE_SIZE]);
-    backend.read(first, &mut buf).ok()?;
-    if verify_frame(&buf) != FrameCheck::Ok {
-        return None;
-    }
-    let head = len.min(PAYLOAD_SIZE - 8);
-    let mut bytes = Vec::with_capacity(len);
-    bytes.extend_from_slice(&buf[8..8 + head]);
-    let mut page = first + 1;
-    while bytes.len() < len {
-        backend.read(page, &mut buf).ok()?;
-        if verify_frame(&buf) != FrameCheck::Ok {
-            return None;
-        }
-        let take = (len - bytes.len()).min(PAYLOAD_SIZE);
-        bytes.extend_from_slice(&buf[..take]);
-        page += 1;
-    }
-    Some(bytes)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pager::{Pager, SharedMemPager};
+    use crate::record::RecordImage;
+    use crate::store::{bulkload_with, XmlStore};
+    use natix_core::Ekm;
 
-/// Read a chunked blob whose every page verifies, or `None`.
-fn read_intact_chain(backend: &mut dyn Pager, first: PageId, len: usize) -> Option<Vec<u8>> {
-    let mut buf = Box::new([0u8; PAGE_SIZE]);
-    let mut bytes = Vec::with_capacity(len);
-    let mut page = first;
-    while bytes.len() < len {
-        backend.read(page, &mut buf).ok()?;
-        if verify_frame(&buf) != FrameCheck::Ok {
-            return None;
+    const K: u64 = 160;
+
+    /// A clean store whose items are records of their own, spread over
+    /// several pages, behind proxies from the root record.
+    fn clean_disk() -> SharedMemPager {
+        let mut xml = String::from("<site>");
+        for i in 0..24 {
+            let note = format!("text content for padding {i} ").repeat(30);
+            xml.push_str(&format!(
+                "<item><name>object {i}</name><note>{note}</note></item>"
+            ));
         }
-        let take = (len - bytes.len()).min(PAYLOAD_SIZE);
-        bytes.extend_from_slice(&buf[..take]);
-        page += 1;
+        xml.push_str("</site>");
+        let doc = natix_xml::parse(&xml).unwrap();
+        let disk = SharedMemPager::new();
+        let config = StoreConfig {
+            record_limit_slots: K,
+            ..Default::default()
+        };
+        bulkload_with(&doc, &Ekm, K, Box::new(disk.clone()), config).unwrap();
+        disk
     }
-    Some(bytes)
+
+    fn image(store: &mut XmlStore, no: u32) -> RecordImage {
+        store.fetch(no).unwrap().to_image()
+    }
+
+    /// The last record reached through a proxy that holds no proxy of
+    /// its own.
+    fn leaf_proxy(store: &mut XmlStore) -> u32 {
+        let mut found = None;
+        for no in 0..store.record_count() as u32 {
+            for e in image(store, no).nodes.iter().flat_map(|n| &n.entries) {
+                let ChildEntry::Proxy(t) = *e else { continue };
+                let nodes = image(store, t).nodes;
+                let mut entries = nodes.iter().flat_map(|n| &n.entries);
+                if entries.all(|e| matches!(e, ChildEntry::Local(_))) {
+                    found = Some(t);
+                }
+            }
+        }
+        found.expect("a leaf record behind a proxy")
+    }
+
+    /// One forgery per record-graph rule, written through the store's own
+    /// record writer and commit, so every page frame stays valid.
+    type Forge = fn(&mut XmlStore);
+    const FORGERIES: [(&str, Forge); 8] = [
+        ("local-backlink", |store| {
+            let t = leaf_proxy(store);
+            let mut img = image(store, t);
+            let child = img
+                .nodes
+                .iter()
+                .flat_map(|n| &n.entries)
+                .find_map(|e| match *e {
+                    ChildEntry::Local(c) => Some(c as usize),
+                    ChildEntry::Proxy(_) => None,
+                })
+                .expect("a local child");
+            img.nodes[child].entry_pos += 1;
+            store.write_record(t, &img).unwrap();
+        }),
+        ("proxy-backlink", |store| {
+            let t = leaf_proxy(store);
+            let mut img = image(store, t);
+            img.proxy_pos += 1;
+            store.write_record(t, &img).unwrap();
+        }),
+        ("dangling-proxy", |store| {
+            let t = leaf_proxy(store);
+            store.directory[t as usize] = RecordLoc::Free;
+        }),
+        ("double-reachable", |store| {
+            let t = leaf_proxy(store);
+            let root = store.root_record;
+            let mut img = image(store, root);
+            let top = img.roots[0] as usize;
+            img.nodes[top].entries.push(ChildEntry::Proxy(t));
+            store.write_record(root, &img).unwrap();
+        }),
+        ("leaked-record", |store| {
+            let t = leaf_proxy(store);
+            let img = image(store, t);
+            let copy = store.reserve_record();
+            store.write_record(copy, &img).unwrap();
+        }),
+        ("overweight-record", |store| {
+            let t = leaf_proxy(store);
+            let mut img = image(store, t);
+            let text = img.nodes.iter_mut().find(|n| n.content.is_some()).unwrap();
+            text.content = Some("x".repeat(8 * K as usize).into());
+            store.write_record(t, &img).unwrap();
+        }),
+        ("root-has-parent", |store| {
+            let t = leaf_proxy(store);
+            let mut img = image(store, t);
+            let r = img.roots[0];
+            img.nodes[r as usize].parent_local = (r + 1) % img.nodes.len() as u16;
+            store.write_record(t, &img).unwrap();
+        }),
+        // The view decodes a record against the label table, so a label
+        // out of range makes the record undecodable.
+        ("record-undecodable", |store| {
+            let t = leaf_proxy(store);
+            let mut img = image(store, t);
+            img.nodes[0].label = store.labels.len() as u16;
+            store.write_record(t, &img).unwrap();
+        }),
+    ];
+
+    #[test]
+    fn every_forged_rule_violation_fails_both_checkers_with_its_code() {
+        let clean = clean_disk().snapshot();
+        let config = StoreConfig::default();
+        for (code, forge) in FORGERIES {
+            let disk = SharedMemPager::from_snapshot(&clean);
+            let mut store = XmlStore::open(Box::new(disk.clone()), config).unwrap();
+            store.check_consistency().unwrap();
+            forge(&mut store);
+            store.commit().unwrap();
+            drop(store);
+
+            let mut store = XmlStore::open(Box::new(disk.clone()), config).unwrap();
+            let err = store.check_consistency().expect_err(code);
+            assert!(err.is_corruption(), "{code}: {err}");
+            let report = fsck(&disk, false);
+            let named = |f: &FsckFinding| f.code == code && f.severity == FsckSeverity::Error;
+            assert!(report.findings.iter().any(named), "{code}: {report}");
+            let frames = |f: &FsckFinding| matches!(f.code, "page-corrupt" | "class-mismatch");
+            assert!(!report.findings.iter().any(frames), "{code}: {report}");
+        }
+    }
+
+    #[test]
+    fn a_leaked_overweight_or_undecodable_record_fails_the_weight_check() {
+        let clean = clean_disk().snapshot();
+        let config = StoreConfig::default();
+        for what in ["overweight", "undecodable"] {
+            let disk = SharedMemPager::from_snapshot(&clean);
+            let mut store = XmlStore::open(Box::new(disk.clone()), config).unwrap();
+            store.check_record_weights().unwrap();
+            let t = leaf_proxy(&mut store);
+            let mut img = image(&mut store, t);
+            if what == "overweight" {
+                let text = img.nodes.iter_mut().find(|n| n.content.is_some()).unwrap();
+                text.content = Some("x".repeat(8 * K as usize).into());
+            } else {
+                img.nodes[0].label = store.labels.len() as u16;
+            }
+            // An unreachable copy: no proxy leads to it.
+            let copy = store.reserve_record();
+            store.write_record(copy, &img).unwrap();
+            store.commit().unwrap();
+            drop(store);
+
+            let mut store = XmlStore::open(Box::new(disk), config).unwrap();
+            let err = store.check_record_weights().expect_err(what);
+            assert!(err.is_corruption(), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_repaired_store_with_a_quarantined_record_passes_both_checkers() {
+        let mut disk = clean_disk();
+        let config = StoreConfig::default();
+        let mut store = XmlStore::open(Box::new(disk.clone()), config).unwrap();
+        let t = leaf_proxy(&mut store);
+        let RecordLoc::InPage { page, .. } = store.directory[t as usize] else {
+            panic!("record {t} is not in a slotted page");
+        };
+        let root_page = match store.directory[store.root_record as usize] {
+            RecordLoc::InPage { page, .. } => page,
+            _ => panic!("root record not in a slotted page"),
+        };
+        assert_ne!(page, root_page, "the rot must spare the root record");
+        drop(store);
+        let mut buf = [0u8; PAGE_SIZE];
+        disk.read(page, &mut buf).unwrap();
+        buf[100..200].iter_mut().for_each(|b| *b ^= 0x5A);
+        disk.write(page, &buf).unwrap();
+
+        let report = fsck(&disk, true);
+        assert!(
+            report.repaired && report.quarantined.contains(&t),
+            "{report}"
+        );
+        let post = fsck(&disk, false);
+        assert!(post.clean(), "{post}");
+        let tombstone = |f: &FsckFinding| f.code == "proxy-quarantined";
+        assert!(post.findings.iter().any(tombstone), "{post}");
+        let mut store = XmlStore::open(Box::new(disk.clone()), config).unwrap();
+        store.check_consistency().unwrap();
+    }
 }

@@ -15,11 +15,11 @@
 //!   diagnostic — the header flip covers the whole batch, so recovery
 //!   always replays every segment (a page re-dirtied by a later op
 //!   carries its final image wherever it appears, so full replay
-//!   converges). `fsck` uses the boundaries to report how many logical
-//!   commits one journal generation carries.
+//!   converges), and every reader flattens them.
 
+use crate::catalog::Header;
 use crate::page::{xxh64, PAGE_SIZE};
-use crate::pager::{PageId, StoreError, StoreResult};
+use crate::pager::{read_chunked, PageId, Pager, StoreError, StoreResult};
 
 const MAGIC: &[u8; 4] = b"NJRL";
 const MAGIC_BATCH: &[u8; 4] = b"NJB1";
@@ -64,15 +64,33 @@ pub(crate) fn encode_batched(segments: &[Vec<JournalEntry>]) -> Vec<u8> {
     out
 }
 
+/// The page images of the journal `header` names, read through `pager`
+/// (none when it names none): what recovery writes in place and a
+/// read-only view overlays instead.
+pub(crate) fn read_pending(
+    pager: &mut dyn Pager,
+    header: &Header,
+) -> StoreResult<Vec<JournalEntry>> {
+    if header.journal_len == 0 {
+        return Ok(Vec::new());
+    }
+    let bytes = read_chunked(
+        pager,
+        header.journal_first_page,
+        header.journal_len as usize,
+    )?;
+    decode(&bytes)
+}
+
 /// Decode and verify a journal blob, flattened across segments (replay
 /// order == batch order, so the flat list converges under full replay).
-pub(crate) fn decode(bytes: &[u8]) -> StoreResult<Vec<JournalEntry>> {
+fn decode(bytes: &[u8]) -> StoreResult<Vec<JournalEntry>> {
     Ok(decode_segments(bytes)?.into_iter().flatten().collect())
 }
 
 /// Decode and verify a journal blob, preserving group-commit segment
 /// boundaries. Flat `NJRL` blobs come back as one segment.
-pub(crate) fn decode_segments(bytes: &[u8]) -> StoreResult<Vec<Vec<JournalEntry>>> {
+fn decode_segments(bytes: &[u8]) -> StoreResult<Vec<Vec<JournalEntry>>> {
     if bytes.len() < 16 {
         return Err(StoreError::corrupt("journal header invalid"));
     }

@@ -64,8 +64,7 @@ pub use replicate::{
     ReplPart, ReplicaSource, REPL_LOG_BATCHES, REPL_PART_MAGIC, REPL_PART_MAX_PAGES,
 };
 pub use store::{
-    bulkload_with, DamageReport, MissingInterval, NavStats, NodeRef, OpenMode, StoreConfig,
-    XmlStore,
+    bulkload_with, DamageReport, MissingInterval, NavStats, NodeRef, StoreConfig, XmlStore,
 };
 
 #[cfg(test)]
@@ -260,7 +259,7 @@ mod tests {
         );
 
         // The compacted file is complete and clean at rest.
-        let report = fsck::fsck(&mut shared.clone(), false);
+        let report = fsck::fsck(&shared, false);
         assert!(report.clean(), "{report}");
         let mut reopened = XmlStore::open(Box::new(shared.clone()), tiny).unwrap();
         assert_eq!(reopened.to_document().unwrap().to_xml(), source_xml);
@@ -417,7 +416,6 @@ mod tests {
                 let strict = store.to_document().unwrap_err();
                 assert!(strict.is_corruption(), "{strict}");
 
-                store.mode = OpenMode::Degraded;
                 let _ = store.with_record(cursor, |_| ());
                 let (doc, damage) = store.to_document_degraded().unwrap();
                 assert_eq!(damage.records(), HashSet::from([lost]));

@@ -20,8 +20,8 @@
 //! while the primary keeps committing — bootstrap never blocks writes.
 //!
 //! A follower serves reads without ever writing its file: its reader
-//! *is* the concurrent layer's snapshot view ([`SnapshotSeed`], seeded
-//! from the file instead of a writer's memory), because running real
+//! *is* the concurrent layer's snapshot view ([`XmlStore::open_read_only`],
+//! seeded from the file instead of a writer's memory), because running real
 //! `open` recovery would replay the journal in place and publish a new
 //! header — silently diverging from the primary. Recovery runs exactly
 //! once, at [`Follower::promote`]: the pending journal of the last
@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use crate::catalog;
-use crate::concurrent::{PagerFactory, SnapshotSeed};
+use crate::concurrent::PagerFactory;
 use crate::page::{xxh64, PAGE_SIZE};
 use crate::pager::{FilePager, PageId, Pager, StoreError, StoreResult};
 use crate::store::{StoreConfig, XmlStore};
@@ -579,17 +579,16 @@ impl Follower {
     }
 
     /// Open a read-only store over the applied state without writing the
-    /// file: the same view a primary's snapshot reader gets, with the
-    /// pending journal of the last applied batch overlaid from disk.
+    /// file ([`XmlStore::open_read_only`]): the same view a primary's
+    /// snapshot reader gets, with the pending journal of the last applied
+    /// batch overlaid from disk.
     pub fn reader(&self) -> StoreResult<XmlStore> {
         if self.epoch == 0 {
             return Err(StoreError::InvalidUpdate(
                 "replica has not bootstrapped yet",
             ));
         }
-        let open = || FilePager::open(&self.path).map(Box::new);
-        let seed = SnapshotSeed::from_disk(open()?, self.config)?;
-        Ok(seed.open(open()?)?.0)
+        XmlStore::open_read_only(&self.path, self.config)
     }
 
     /// Catch-up is over: discard any staged tail, run real crash

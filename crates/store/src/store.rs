@@ -7,12 +7,14 @@
 //!   checksum sealing under a pool with write-back floor 0, header slots
 //!   0/1, then catalog → flush → barrier → epoch-1 header → floor. Used by
 //!   [`XmlStore::bulkload`], `stream_bulkload` and [`XmlStore::compact`];
-//! * the **writer open** ([`XmlStore::open_with`]): checksum
-//!   verification, journal replay and catalog read on it, then a pool;
+//! * the **writer open** ([`XmlStore::open`]): checksum verification,
+//!   crash recovery ([`recover`]) and catalog read on it, then a pool;
 //! * the **read-only view** (`SnapshotSeed::open` in `concurrent.rs`):
 //!   checksum verification, the pending journal's page images, an
-//!   optional read budget, a pool — for snapshots of a live writer and
-//!   for a replica's reads of its applied state alike.
+//!   optional read budget, a pool — for snapshots of a live writer, and
+//!   over a file no writer holds ([`XmlStore::open_read_only`]) for a
+//!   replica's reads, `dump --degraded` and fsck alike. It writes
+//!   nothing.
 //!
 //! The committed header is read in one place (`catalog::read_header`),
 //! which is also where a file of another format version is refused.
@@ -25,6 +27,7 @@ use natix_tree::{NodeId, Partitioning};
 use natix_xml::{Document, DocumentBuilder, NodeKind};
 
 use crate::catalog::{self, Catalog, Header, RecordLoc};
+use crate::concurrent::{PagerFactory, SnapshotSeed};
 use crate::journal;
 use crate::page::{set_page_class, PageClass, SlottedPage, MAX_IN_PAGE, PAGE_SIZE, PAYLOAD_SIZE};
 use crate::pager::{
@@ -34,19 +37,7 @@ use crate::pager::{
 use crate::record::{
     self, ChildEntry, Entries, ImageNode, RecNode, RecordData, RecordImage, NONE_U16, NONE_U32,
 };
-
-/// How to open a store with respect to at-rest damage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OpenMode {
-    /// Any corruption reached by a read is an error (the default).
-    #[default]
-    Strict,
-    /// Reads of quarantined or corrupt partitions are skipped and
-    /// reported via [`DamageReport`] instead of failing the whole
-    /// document ([`XmlStore::to_document_degraded`]). The store is
-    /// read-only in this mode.
-    Degraded,
-}
+use crate::update::Violation;
 
 /// One sibling interval (= partition record) missing from a degraded
 /// read: its proxy position under the surviving parent, and why.
@@ -179,6 +170,45 @@ pub(crate) fn read_overflow_chain(
     Ok(bytes)
 }
 
+/// The bytes of record `no`, which the directory places at `loc`, read
+/// through `pool`: the one record reader, behind `fetch` and repair.
+pub(crate) fn load_record(pool: &mut BufferPool, no: u32, loc: RecordLoc) -> StoreResult<Vec<u8>> {
+    let bytes = match loc {
+        RecordLoc::InPage { page, slot } => pool
+            .with_page(page, false, |buf| {
+                SlottedPage::new(buf).get(slot).map(<[u8]>::to_vec)
+            })
+            .map_err(|e| e.in_record(no))?,
+        RecordLoc::Overflow { first_page, len } => {
+            Some(read_overflow_chain(pool, no, first_page, len as usize)?)
+        }
+        RecordLoc::Free => None,
+    };
+    bytes.ok_or(StoreError::BadRecord(no))
+}
+
+/// Crash recovery, below any pool: write the page images of the journal
+/// `header` names in place through `checked` (each is its page's
+/// post-commit state, so replay is idempotent), make them durable, and
+/// only then publish the journal-free header at the next epoch. A header
+/// that reached the disk ahead of its images could outlive them in a
+/// power cut and retire the journal that restores them. Returns the
+/// header now committed — `header` itself when it names no journal.
+pub(crate) fn recover(checked: &mut dyn Pager, mut header: Header) -> StoreResult<Header> {
+    if header.journal_len == 0 {
+        return Ok(header);
+    }
+    for (page, image) in journal::read_pending(checked, &header)? {
+        checked.write(page, &image)?;
+    }
+    checked.sync()?;
+    header.epoch += 1;
+    header.journal_first_page = 0;
+    header.journal_len = 0;
+    checked.write(header.slot(), &catalog::encode_header(&header))?;
+    Ok(header)
+}
+
 /// Store configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
@@ -260,8 +290,8 @@ pub struct XmlStore {
     /// (which may be the very thing that just failed).
     /// Behind an `Arc` so a snapshot seed shares it instead of copying.
     pub(crate) committed_catalog_bytes: Arc<Vec<u8>>,
-    /// How reads treat corrupt/quarantined partitions.
-    pub(crate) mode: OpenMode,
+    /// A read-only view of a committed state: updates are refused.
+    pub(crate) read_only: bool,
     /// Records quarantined by `fsck --repair` (unrecoverable partitions);
     /// strict reads of them fail, degraded reads skip and report them.
     pub(crate) quarantined: BTreeSet<u32>,
@@ -453,7 +483,6 @@ pub(crate) fn finish_fresh(mut pool: BufferPool, cat: Catalog) -> StoreResult<Xm
     pool.set_writeback_floor(pool.page_count());
     Ok(XmlStore::from_committed(
         pool,
-        OpenMode::Strict,
         &header,
         Arc::new(catalog_bytes),
         cat,
@@ -461,14 +490,11 @@ pub(crate) fn finish_fresh(mut pool: BufferPool, cat: Catalog) -> StoreResult<Xm
 }
 
 impl XmlStore {
-    /// The in-memory store over `pool` for the committed state `header`
-    /// publishes; `cat` is `catalog_bytes` decoded. Performs no backend
-    /// access. ([`OpenMode::Degraded`] is also the read-only mode of a
-    /// snapshot: updates are rejected, strict reads still fail loudly on
-    /// corruption.)
+    /// The writable in-memory store over `pool` for the committed state
+    /// `header` publishes; `cat` is `catalog_bytes` decoded. Performs no
+    /// backend access.
     pub(crate) fn from_committed(
         pool: BufferPool,
-        mode: OpenMode,
         header: &Header,
         catalog_bytes: Arc<Vec<u8>>,
         cat: Catalog,
@@ -487,7 +513,7 @@ impl XmlStore {
             epoch: header.epoch,
             committed_catalog: (header.catalog_first_page, header.catalog_len),
             committed_catalog_bytes: catalog_bytes,
-            mode,
+            read_only: false,
             quarantined: cat.quarantined.into_iter().collect(),
             defer_checkpoint: false,
             pending_checkpoint: false,
@@ -1030,38 +1056,14 @@ impl XmlStore {
         Ok(())
     }
 
-    /// Reopen a previously committed store from its page file, running
-    /// crash recovery if the last commit did not finish checkpointing:
-    /// the winning header's redo journal (if any) is replayed — every
-    /// journaled image is the post-commit page state, so replay is
-    /// idempotent — and a journal-free header is published.
+    /// Reopen a previously committed store from its page file for
+    /// writing, running crash recovery ([`recover`]) if the last commit
+    /// did not finish checkpointing.
     pub fn open(backend: Box<dyn Pager>, config: StoreConfig) -> StoreResult<XmlStore> {
-        Self::open_with(backend, config, OpenMode::Strict)
-    }
-
-    /// [`XmlStore::open`] with an explicit [`OpenMode`].
-    pub fn open_with(
-        backend: Box<dyn Pager>,
-        config: StoreConfig,
-        mode: OpenMode,
-    ) -> StoreResult<XmlStore> {
-        let (mut header, mut checked) = catalog::open_verified(backend)?;
+        let (header, mut checked) = catalog::open_verified(backend)?;
         // Recovery runs below the pool, which is built over the file it
         // leaves behind.
-        if header.journal_len > 0 {
-            let bytes = read_chunked(
-                &mut checked,
-                header.journal_first_page,
-                header.journal_len as usize,
-            )?;
-            for (page, image) in journal::decode(&bytes)? {
-                checked.write(page, &image)?;
-            }
-            header.epoch += 1;
-            header.journal_first_page = 0;
-            header.journal_len = 0;
-            checked.write(header.slot(), &catalog::encode_header(&header))?;
-        }
+        let header = recover(&mut checked, header)?;
         let catalog_bytes = read_chunked(
             &mut checked,
             header.catalog_first_page,
@@ -1075,11 +1077,20 @@ impl XmlStore {
         pool.set_writeback_floor(pool.page_count());
         Ok(XmlStore::from_committed(
             pool,
-            mode,
             &header,
             Arc::new(catalog_bytes),
             cat,
         ))
+    }
+
+    /// Open the committed state of the page file behind `pages` without
+    /// writing it: a pending journal's images are overlaid in memory
+    /// instead of replayed in place. This is the read-only view a
+    /// replica serves, `dump --degraded` reads and fsck scrubs; updates
+    /// are refused.
+    pub fn open_read_only(pages: &dyn PagerFactory, config: StoreConfig) -> StoreResult<XmlStore> {
+        let seed = SnapshotSeed::from_disk(pages.open_pager()?, config)?;
+        Ok(seed.open(pages.open_pager()?)?.0)
     }
 
     /// Records quarantined by `fsck --repair`, ascending.
@@ -1087,13 +1098,10 @@ impl XmlStore {
         self.quarantined.iter().copied().collect()
     }
 
-    /// `Err` unless this store accepts updates: degraded-mode opens are
-    /// read-only.
+    /// `Err` unless this store accepts updates.
     pub(crate) fn require_writable(&self) -> StoreResult<()> {
-        if self.mode == OpenMode::Degraded {
-            return Err(StoreError::InvalidUpdate(
-                "store opened in degraded mode is read-only",
-            ));
+        if self.read_only {
+            return Err(StoreError::InvalidUpdate("store opened read-only"));
         }
         Ok(())
     }
@@ -1116,37 +1124,7 @@ impl XmlStore {
                 no,
             ));
         }
-        let loc = *self
-            .directory
-            .get(no as usize)
-            .ok_or(StoreError::BadRecord(no))?;
-        let bytes = match loc {
-            RecordLoc::InPage { page, slot } => self
-                .pool
-                .with_page(page, false, |buf| {
-                    SlottedPage::new(buf).get(slot).map(<[u8]>::to_vec)
-                })
-                .map_err(|e| e.in_record(no))?,
-            RecordLoc::Overflow { first_page, len } => Some(read_overflow_chain(
-                &mut self.pool,
-                no,
-                first_page,
-                len as usize,
-            )?),
-            RecordLoc::Free => None,
-        };
-        let bytes = bytes.ok_or(StoreError::BadRecord(no))?;
-        // Label ids must resolve in this store's label table.
-        let rec = record::decode(bytes, self.labels.len()).map_err(|e| e.in_record(no))?;
-        // A record announces which directory slot it was written for; a
-        // mismatch means the directory points at the wrong page.
-        if rec.self_no != no {
-            return Err(StoreError::corrupt_record(
-                "record self-number does not match directory slot",
-                no,
-            ));
-        }
-        let rec = Rc::new(rec);
+        let rec = Rc::new(self.read_record(no).map_err(|v| v.error)?);
         // Keep the chain a path: a child of a held record replaces what
         // hung below its parent, the parent of the topmost held record
         // (an upward climb) goes on top, anything else starts over.
@@ -1169,6 +1147,28 @@ impl XmlStore {
         }
         self.cursor = self.chain.len();
         self.chain.push(rec.clone());
+        Ok(rec)
+    }
+
+    /// Record `no` read from its pages and decoded, or the graph rule
+    /// that stops it: unreadable pages, undecodable bytes (label ids must
+    /// resolve in this store's label table), or a record that claims
+    /// another directory slot — the directory points at the wrong page.
+    pub(crate) fn read_record(&mut self, no: u32) -> Result<RecordData, Violation> {
+        let loc = self
+            .directory
+            .get(no as usize)
+            .copied()
+            .unwrap_or(RecordLoc::Free);
+        let bytes = load_record(&mut self.pool, no, loc)
+            .map_err(|e| Violation::new("record-unreadable", no, e))?;
+        let rec = record::decode(bytes, self.labels.len())
+            .map_err(|e| Violation::new("record-undecodable", no, e.in_record(no)))?;
+        if rec.self_no != no {
+            let e =
+                StoreError::corrupt_record("record self-number does not match directory slot", no);
+            return Err(Violation::new("self-no-mismatch", no, e));
+        }
         Ok(rec)
     }
 

@@ -22,7 +22,7 @@ use natix_xml::{node_weight, NodeKind};
 use crate::catalog::{Catalog, RecordLoc};
 use crate::page::{SlottedPage, MAX_IN_PAGE};
 use crate::pager::{StoreError, StoreResult};
-use crate::record::{self, ChildEntry, ImageNode, RecordImage, NONE_U16, NONE_U32};
+use crate::record::{self, ChildEntry, ImageNode, RecordData, RecordImage, NONE_U16, NONE_U32};
 use crate::store::{begin_fresh, finish_fresh, write_overflow_chain, NodeRef, XmlStore};
 
 /// Where to place a newly inserted node.
@@ -689,102 +689,188 @@ impl XmlStore {
     }
 }
 
+/// A record-graph rule broken at one record, as [`XmlStore::walk_graph`]
+/// reports it: fsck turns it into a finding, `check_consistency` into its
+/// error.
+pub(crate) struct Violation {
+    /// The rule, named by its fsck finding code (`dangling-proxy`, …).
+    pub(crate) code: &'static str,
+    /// The record the report is about.
+    pub(crate) record: u32,
+    /// Tolerated, not inconsistent: the proxy tombstone of a record
+    /// `fsck --repair` quarantined.
+    pub(crate) warning: bool,
+    /// The failure as a typed error.
+    pub(crate) error: StoreError,
+}
+
+impl Violation {
+    pub(crate) fn new(code: &'static str, record: u32, error: StoreError) -> Violation {
+        Violation {
+            code,
+            record,
+            warning: false,
+            error,
+        }
+    }
+}
+
+/// A broken rule with no error of its own to carry.
+fn broken(code: &'static str, record: u32, what: String) -> Violation {
+    Violation::new(code, record, StoreError::corrupt(what).in_record(record))
+}
+
 impl XmlStore {
-    /// Verify that every live record's fragment respects the weight limit
-    /// `K` (test/diagnostic helper; the update path maintains this
-    /// invariant by splitting).
+    /// The record-graph rules, checked by one walk from the root record
+    /// over every record it reaches through proxies:
+    ///
+    /// * the root record has no parent back-link;
+    /// * every record reads, decodes and claims its own directory slot
+    ///   ([`XmlStore::read_record`]);
+    /// * a record has fragment roots, none with a local parent;
+    /// * local `parent_local` / `entry_pos` agree with the entry lists;
+    /// * a proxy's target is live and carries a matching back-link
+    ///   (`parent_record`, `parent_local`, `proxy_pos`), and no record is
+    ///   reached twice (sibling-interval adjacency);
+    /// * no live record is leaked (unreachable and not quarantined);
+    /// * every fragment respects the weight limit `K` (feasibility).
+    ///
+    /// A proxy to a quarantined record is reported as a warning and not
+    /// followed. Every violation goes to `report` and the walk goes on:
+    /// an unreadable record costs only its own subtree.
+    pub(crate) fn walk_graph(&mut self, report: &mut dyn FnMut(Violation)) {
+        let mut seen = vec![false; self.directory.len()];
+        let root = self.root_record;
+        seen[root as usize] = true;
+        let mut stack = Vec::new();
+        match self.read_record(root) {
+            Ok(rec) => {
+                if rec.parent_record != NONE_U32 {
+                    let what = "root record has a parent back-link".into();
+                    report(broken("root-backlink", root, what));
+                }
+                stack.push(rec);
+            }
+            Err(v) => report(v),
+        }
+        while let Some(rec) = stack.pop() {
+            let no = rec.self_no;
+            if rec.roots.is_empty() {
+                report(broken(
+                    "empty-roots",
+                    no,
+                    "record has no fragment roots".into(),
+                ));
+            }
+            for &r in &rec.roots {
+                if rec.node(r).parent_local != NONE_U16 {
+                    let what = format!("fragment root {r} has a local parent");
+                    report(broken("root-has-parent", no, what));
+                }
+            }
+            if let Some(v) = self.overweight(&rec) {
+                report(v);
+            }
+            for (li, node) in rec.nodes().enumerate() {
+                for (pos, e) in rec.entries(&node).enumerate() {
+                    let (li, pos) = (li as u16, pos as u16);
+                    let t = match e {
+                        ChildEntry::Local(c) => {
+                            let child = rec.node(c);
+                            if (child.parent_local, child.entry_pos) != (li, pos) {
+                                let what =
+                                    format!("local child {c} disagrees with entry {li}/{pos}");
+                                report(broken("local-backlink", no, what));
+                            }
+                            continue;
+                        }
+                        ChildEntry::Proxy(t) => t,
+                    };
+                    if self.quarantined.contains(&t) {
+                        let what = format!("proxy in record {no} points at a quarantined record");
+                        report(Violation {
+                            warning: true,
+                            ..broken("proxy-quarantined", t, what)
+                        });
+                    } else if self
+                        .directory
+                        .get(t as usize)
+                        .is_none_or(|loc| *loc == RecordLoc::Free)
+                    {
+                        let what = format!("proxy points at free/out-of-range record {t}");
+                        report(broken("dangling-proxy", no, what));
+                    } else if std::mem::replace(&mut seen[t as usize], true) {
+                        let what = "record reachable via two proxies (interval adjacency broken)";
+                        report(broken("double-reachable", t, what.into()));
+                    } else {
+                        match self.read_record(t) {
+                            Ok(child) => {
+                                let link =
+                                    (child.parent_record, child.parent_local, child.proxy_pos);
+                                if link != (no, li, pos) {
+                                    let what = format!(
+                                        "back-link {link:?} does not match proxy ({no}, {li}, {pos})"
+                                    );
+                                    report(broken("proxy-backlink", t, what));
+                                }
+                                stack.push(child);
+                            }
+                            Err(v) => report(v),
+                        }
+                    }
+                }
+            }
+        }
+        for (no, loc) in self.directory.iter().enumerate() {
+            let no = no as u32;
+            if *loc != RecordLoc::Free && !seen[no as usize] && !self.quarantined.contains(&no) {
+                let what = "live record unreachable from the root".into();
+                report(broken("leaked-record", no, what));
+            }
+        }
+    }
+
+    /// Full structural validation of the record graph — the rules of
+    /// [`XmlStore::walk_graph`] — used by the crash harness after every
+    /// recovery: the first violation, as an error. A quarantine tombstone
+    /// is no violation, so a repaired store passes.
+    pub fn check_consistency(&mut self) -> StoreResult<()> {
+        let mut first = None;
+        self.walk_graph(&mut |v| {
+            if first.is_none() && !v.warning {
+                first = Some(v.error);
+            }
+        });
+        first.map_or(Ok(()), Err)
+    }
+
+    /// Verify that every live record — reachable or not — reads, decodes
+    /// and respects the weight limit `K` (test/diagnostic helper; the
+    /// update path maintains this invariant by splitting).
     pub fn check_record_weights(&mut self) -> StoreResult<()> {
         for no in 0..self.directory.len() as u32 {
-            if matches!(self.directory[no as usize], RecordLoc::Free) {
+            if self.directory[no as usize] == RecordLoc::Free {
                 continue;
             }
-            let rec = self.fetch(no)?;
-            let w: Weight = rec
-                .nodes()
-                .map(|n| node_weight(n.kind, rec.content(&n).map_or(0, str::len)))
-                .sum();
-            if w > self.record_limit {
-                return Err(StoreError::InvalidUpdate("record exceeds the weight limit"));
+            let rec = self.read_record(no).map_err(|v| v.error)?;
+            if let Some(v) = self.overweight(&rec) {
+                return Err(v.error);
             }
         }
         Ok(())
     }
 
-    /// Full structural validation of the record graph, used by the crash
-    /// harness after every recovery:
-    ///
-    /// * every record reachable from the root via proxies, exactly once;
-    /// * every proxy's target carries a matching back-link
-    ///   (`parent_record`, `parent_local`, `proxy_pos`);
-    /// * local `parent_local` / `entry_pos` agree with the entry lists;
-    /// * fragment roots have no local parent, and the root list is
-    ///   non-empty;
-    /// * no live directory entry is unreachable (leaked);
-    /// * every fragment respects the weight limit `K`.
-    pub fn check_consistency(&mut self) -> StoreResult<()> {
-        let n = self.directory.len();
-        let mut seen = vec![false; n];
-        let root_no = self.root_record;
-        {
-            let rec = self.fetch(root_no)?;
-            if rec.parent_record != NONE_U32 {
-                return Err(StoreError::corrupt("root record has a parent back-link"));
-            }
-        }
-        seen[root_no as usize] = true;
-        let mut stack = vec![root_no];
-        while let Some(no) = stack.pop() {
-            let rec = self.fetch(no)?;
-            if rec.roots.is_empty() {
-                return Err(StoreError::corrupt("record has no fragment roots"));
-            }
-            for &r in &rec.roots {
-                if rec.node(r).parent_local != NONE_U16 {
-                    return Err(StoreError::corrupt("fragment root has a local parent"));
-                }
-            }
-            let mut proxies = Vec::new();
-            for (li, node) in rec.nodes().enumerate() {
-                for (pos, e) in rec.entries(&node).enumerate() {
-                    match e {
-                        ChildEntry::Local(c) => {
-                            let child = rec.node(c);
-                            if child.parent_local != li as u16 || child.entry_pos != pos as u16 {
-                                return Err(StoreError::corrupt(
-                                    "local child parent/entry position mismatch",
-                                ));
-                            }
-                        }
-                        ChildEntry::Proxy(child_no) => {
-                            proxies.push((child_no, li as u16, pos as u16));
-                        }
-                    }
-                }
-            }
-            drop(rec);
-            for (child_no, li, pos) in proxies {
-                let idx = child_no as usize;
-                if idx >= n || matches!(self.directory[idx], RecordLoc::Free) {
-                    return Err(StoreError::corrupt("proxy points at a free record"));
-                }
-                if seen[idx] {
-                    return Err(StoreError::corrupt("record reachable via two proxies"));
-                }
-                seen[idx] = true;
-                let child = self.fetch(child_no)?;
-                if child.parent_record != no || child.parent_local != li || child.proxy_pos != pos {
-                    return Err(StoreError::corrupt("child back-link does not match proxy"));
-                }
-                drop(child);
-                stack.push(child_no);
-            }
-        }
-        for (no, loc) in self.directory.iter().enumerate() {
-            if !matches!(loc, RecordLoc::Free) && !seen[no] {
-                return Err(StoreError::corrupt("live record unreachable from root"));
-            }
-        }
-        self.check_record_weights()
+    /// The feasibility rule: `rec`'s fragment weighs at most `K` slots.
+    fn overweight(&self, rec: &RecordData) -> Option<Violation> {
+        let weight: Weight = rec
+            .nodes()
+            .map(|n| node_weight(n.kind, rec.content(&n).map_or(0, str::len)))
+            .sum();
+        let limit = self.record_limit;
+        (limit > 0 && weight > limit).then(|| {
+            let what = format!("fragment weighs {weight} slots, limit is {limit} (infeasible)");
+            broken("overweight-record", rec.self_no, what)
+        })
     }
 }
 

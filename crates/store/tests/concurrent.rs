@@ -58,7 +58,7 @@ fn scrub_racing_writer_sees_no_phantom_corruption() {
             .unwrap();
         // Scrub between every commit: the backend holds a committed
         // journal whose checkpoint has not run — in-flight state.
-        let report = shared.scrub().unwrap();
+        let report = shared.scrub();
         assert!(report.clean(), "scrub after commit {i}:\n{report}");
         // A fresh snapshot each round sees the newest committed state
         // while the first snapshot stays on its epoch.
@@ -75,7 +75,7 @@ fn scrub_racing_writer_sees_no_phantom_corruption() {
     assert_eq!(stats.pinned_free_violations, 0, "{stats:?}");
     // After the pins drain and the checkpoint + reclamation run, the
     // backing pages still scrub clean and reopen to the final state.
-    let report = shared.scrub().unwrap();
+    let report = shared.scrub();
     assert!(report.clean(), "{report}");
     drop(shared);
     let mut re = XmlStore::open(Box::new(disk.clone()), StoreConfig::default()).unwrap();
@@ -176,7 +176,7 @@ fn epoch_ladder_pins_hold_their_versions() {
     assert_eq!(stats.snapshots_active, 0, "{stats:?}");
     assert!(stats.checkpoints_applied >= 1, "{stats:?}");
     assert_eq!(stats.pinned_free_violations, 0, "{stats:?}");
-    let report = shared.scrub().unwrap();
+    let report = shared.scrub();
     assert!(report.clean(), "{report}");
 }
 
@@ -242,7 +242,7 @@ fn group_commit_flips_once_per_batch() {
         assert_eq!(xml.matches("<item/>").count(), OPS, "batch {batch_size}");
         drop(snap);
         drop(shared);
-        let report = fsck(&mut FilePager::open(&path).unwrap(), false);
+        let report = fsck(&path, false);
         assert!(report.clean(), "batch {batch_size}:\n{report}");
         std::fs::remove_file(&path).unwrap();
     }
@@ -299,6 +299,6 @@ fn snapshot_survives_writer_evictions_without_page_pins() {
     assert!(stats.checkpoints_deferred >= 8, "{stats:?}");
     assert!(stats.checkpoints_applied >= 1, "{stats:?}");
     assert_eq!(stats.pinned_free_violations, 0, "{stats:?}");
-    let report = shared.scrub().unwrap();
+    let report = shared.scrub();
     assert!(report.clean(), "{report}");
 }

@@ -88,7 +88,7 @@ fn crash_sweep(snap: &[u8], xml_pre: &str, op: impl Fn(&mut XmlStore) -> StoreRe
             // Recovery checkpoints, so a scrub of the recovered bytes
             // must come back clean at every crash point.
             drop(re);
-            let scrub = fsck(&mut disk.clone(), false);
+            let scrub = fsck(&disk, false);
             assert!(
                 scrub.clean(),
                 "post-recovery scrub not clean at n={n} torn={torn}:\n{scrub}"
@@ -141,7 +141,7 @@ fn fresh_bulkload_survives_power_cut_at_every_write() {
                     let got = store.to_document().unwrap().to_xml();
                     assert!(got == want, "cut at n={n} torn={torn}: dump differs");
                     drop(store);
-                    let scrub = fsck(&mut disk.clone(), false);
+                    let scrub = fsck(&disk, false);
                     assert!(scrub.clean(), "cut at n={n} torn={torn}:\n{scrub}");
                     whole += 1;
                 }
@@ -309,7 +309,7 @@ fn assert_reopens_to(disk: &SharedMemPager, want: &str, ctx: &str) {
         .unwrap_or_else(|e| panic!("{ctx}: reopened store inconsistent: {e}"));
     assert_eq!(re.to_document().unwrap().to_xml(), want, "{ctx}");
     drop(re);
-    let scrub = fsck(&mut disk.clone(), false);
+    let scrub = fsck(disk, false);
     assert!(scrub.clean(), "{ctx}:\n{scrub}");
 }
 
@@ -508,7 +508,7 @@ fn second_recovery_after_crash_before_header_flip_is_a_no_op() {
             after,
             "n={n}: recovery after success not a no-op"
         );
-        let scrub = fsck(&mut SharedMemPager::from_snapshot(&after), false);
+        let scrub = fsck(&SharedMemPager::from_snapshot(&after), false);
         assert!(scrub.clean(), "n={n}:\n{scrub}");
         exercised += 1;
     }
@@ -552,7 +552,7 @@ fn recovery_is_idempotent_across_repeated_crashes_during_replay() {
             "n={n}: {got}"
         );
         drop(re);
-        let scrub = fsck(&mut disk.clone(), false);
+        let scrub = fsck(&disk, false);
         assert!(
             scrub.clean(),
             "scrub after converged recovery, n={n}:\n{scrub}"

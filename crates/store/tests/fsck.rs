@@ -6,8 +6,8 @@ use std::collections::HashSet;
 
 use natix_core::{Ekm, Partitioner};
 use natix_store::{
-    corrupt_checksum_of_class, corrupt_page_of_class, fsck, page_class_of, OpenMode, PageClass,
-    Pager, SharedMemPager, StoreConfig, XmlStore, PAGE_SIZE,
+    corrupt_checksum_of_class, corrupt_page_of_class, fsck, page_class_of, PageClass, Pager,
+    SharedMemPager, StoreConfig, XmlStore, PAGE_SIZE,
 };
 use natix_xml::Document;
 
@@ -69,10 +69,10 @@ fn corrupt_last_record_page(handle: &mut SharedMemPager) -> u32 {
 
 #[test]
 fn fresh_store_scrubs_clean() {
-    let (store, mut handle) = loaded_store(160);
+    let (store, handle) = loaded_store(160);
     let records = store.record_count();
     drop(store);
-    let report = fsck(&mut handle, false);
+    let report = fsck(&handle, false);
     assert!(report.clean(), "{report}");
     assert_eq!(report.format, 4);
     assert_eq!(report.records_checked as usize, records);
@@ -81,7 +81,7 @@ fn fresh_store_scrubs_clean() {
 
 #[test]
 fn committed_updates_scrub_clean() {
-    let (mut store, mut handle) = loaded_store(160);
+    let (mut store, handle) = loaded_store(160);
     let root = store.root().unwrap();
     for i in 0..8 {
         store
@@ -95,7 +95,7 @@ fn committed_updates_scrub_clean() {
         store.commit().unwrap();
     }
     drop(store);
-    let report = fsck(&mut handle, false);
+    let report = fsck(&handle, false);
     // Committed updates leave debris (stale catalogs, retired journals)
     // but the committed state itself must be spotless.
     assert!(report.clean(), "{report}");
@@ -113,7 +113,7 @@ fn detects_bit_rot_in_every_referenced_class() {
         drop(store);
         let hit = corrupt_page_of_class(&mut handle, 7, class, 3).unwrap();
         assert!(hit.is_some(), "no {class} page to corrupt");
-        let report = fsck(&mut handle, false);
+        let report = fsck(&handle, false);
         assert!(!report.clean(), "{class} corruption not detected: {report}");
         // And the strict read path agrees: open + full read must fail.
         let outcome = XmlStore::open(Box::new(handle.clone()), StoreConfig::default())
@@ -129,7 +129,7 @@ fn detects_checksum_field_corruption() {
     drop(store);
     let hit = corrupt_checksum_of_class(&mut handle, 3, PageClass::Record).unwrap();
     assert!(hit.is_some());
-    let report = fsck(&mut handle, false);
+    let report = fsck(&handle, false);
     assert!(!report.clean(), "{report}");
 }
 
@@ -144,10 +144,10 @@ fn repair_recovers_everything_but_the_hit_partitions() {
     drop(store);
 
     let hit = corrupt_last_record_page(&mut handle);
-    let report = fsck(&mut handle, true);
+    let report = fsck(&handle, true);
     assert!(report.repaired, "repair did not run: {report}");
     assert!(!report.quarantined.is_empty(), "{report}");
-    let post = fsck(&mut handle, false);
+    let post = fsck(&handle, false);
     assert!(
         post.clean(),
         "store still damaged after repair: {post}\nhit page {hit}"
@@ -155,12 +155,7 @@ fn repair_recovers_everything_but_the_hit_partitions() {
 
     // Degraded read: the surviving partitions, plus an exact report of
     // the missing ones.
-    let mut degraded = XmlStore::open_with(
-        Box::new(handle.clone()),
-        StoreConfig::default(),
-        OpenMode::Degraded,
-    )
-    .unwrap();
+    let mut degraded = XmlStore::open_read_only(&handle, StoreConfig::default()).unwrap();
     let (doc, damage) = degraded.to_document_degraded().unwrap();
     let missing = damage.records();
     assert_eq!(
@@ -191,10 +186,10 @@ fn repair_survives_losing_both_header_slots() {
     };
     assert!(err.is_corruption(), "{err}");
 
-    let report = fsck(&mut handle, true);
+    let report = fsck(&handle, true);
     assert!(report.repaired, "{report}");
     assert!(report.quarantined.is_empty(), "{report}");
-    assert!(fsck(&mut handle, false).clean());
+    assert!(fsck(&handle, false).clean());
 
     let mut back = XmlStore::open(Box::new(handle.clone()), StoreConfig::default()).unwrap();
     assert_eq!(back.to_document().unwrap().to_xml(), sample_doc().to_xml());
@@ -211,7 +206,7 @@ fn repair_refuses_when_the_root_is_lost() {
     corrupt_page_of_class(&mut handle, 5, PageClass::Record, 4)
         .unwrap()
         .expect("the record page");
-    let report = fsck(&mut handle, true);
+    let report = fsck(&handle, true);
     assert!(!report.repaired, "{report}");
     assert!(
         report
@@ -227,7 +222,7 @@ fn quarantined_records_fail_strict_reads() {
     let (store, mut handle) = loaded_store(160);
     drop(store);
     corrupt_last_record_page(&mut handle);
-    let report = fsck(&mut handle, true);
+    let report = fsck(&handle, true);
     assert!(
         report.repaired && !report.quarantined.is_empty(),
         "{report}"
@@ -295,7 +290,7 @@ fn foreign_format_file_is_refused_not_repaired(digit: u8) {
     let before = image(&mut handle);
 
     for repair in [false, true] {
-        let report = fsck(&mut handle, repair);
+        let report = fsck(&handle, repair);
         assert!(!report.clean() && !report.repaired, "{report}");
         assert_eq!(report.errors(), 1, "{report}");
         assert_eq!(report.findings[0].code, "unsupported-format", "{report}");
@@ -331,7 +326,7 @@ fn header_slot_one_bit_from_another_formats_magic_is_only_a_torn_slot() {
         buf[7] ^= 0x01;
         handle.write(slot, &buf).unwrap();
 
-        let report = fsck(&mut handle, false);
+        let report = fsck(&handle, false);
         assert!(report.clean(), "slot {slot}: {report}");
         assert!(
             report

@@ -128,6 +128,6 @@ fn out_of_budget_pool_dumps_identically() {
         );
         larger_pool_misses = stats.misses;
     }
-    let scrub = fsck(&mut disk.clone(), false);
+    let scrub = fsck(&disk, false);
     assert!(scrub.clean(), "{scrub}");
 }

@@ -181,9 +181,7 @@ fn verify_dir(
                     .check_consistency()
                     .map_err(|e| format!("shard {s} inconsistent after recovery: {e}"))?;
                 drop(store);
-                let mut pager = FilePager::open(&shard_path(dir, s))
-                    .map_err(|e| format!("shard {s} reopen for fsck: {e}"))?;
-                let report = fsck(&mut pager, false);
+                let report = fsck(&shard_path(dir, s), false);
                 if !report.clean() {
                     return Err(format!("shard {s} fsck not clean:\n{report}"));
                 }

@@ -406,9 +406,7 @@ pub fn run_interleaving(
             2 => {
                 // Scrubber: fsck over a clean pager clone must never see
                 // phantom corruption, whatever commit state is in flight.
-                let report = shared
-                    .scrub()
-                    .map_err(|e| fail(step, format!("scrub failed to run: {e}")))?;
+                let report = shared.scrub();
                 if !report.clean() {
                     return Err(fail(step, format!("phantom corruption:\n{report}")));
                 }
@@ -549,7 +547,7 @@ pub fn run_interleaving(
         ));
     }
     drop(re);
-    let scrub = fsck(&mut disk.clone(), false);
+    let scrub = fsck(&disk, false);
     if !scrub.clean() {
         return Err(fail(steps, format!("final scrub not clean:\n{scrub}")));
     }

@@ -224,7 +224,7 @@ pub fn run_diskfull_trace(
                 ));
             }
             drop(re);
-            let scrub = fsck(&mut disk2.clone(), false);
+            let scrub = fsck(&disk2, false);
             if !scrub.clean() {
                 return Err(fail(
                     step,

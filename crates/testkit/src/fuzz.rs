@@ -19,8 +19,7 @@ use natix_core::Ekm;
 use natix_datagen::evaluation_suite;
 use natix_store::{
     bulkload_with, corrupt_checksum_of_class, corrupt_page_of_class, fsck, FaultInjectingPager,
-    FaultSchedule, NodeRef, OpenMode, PageClass, SharedMemPager, StoreConfig, StoreResult,
-    XmlStore,
+    FaultSchedule, NodeRef, PageClass, SharedMemPager, StoreConfig, StoreResult, XmlStore,
 };
 use natix_xml::{node_weight, Document, NodeKind};
 
@@ -292,7 +291,7 @@ pub fn run_trace(
                 // recovered disk must pass fsck (crash debris is fine,
                 // damage to the committed state is not).
                 drop(re);
-                let scrub = fsck(&mut disk2.clone(), false);
+                let scrub = fsck(&disk2, false);
                 if !scrub.clean() {
                     return Err(fail(
                         step,
@@ -456,8 +455,8 @@ fn corruption_sweep(
                     // exactly right.
                 }
                 Err(e) if e.is_corruption() => {
-                    let mut raw = branch.clone();
-                    let rep = fsck(&mut raw, true);
+                    let raw = branch.clone();
+                    let rep = fsck(&raw, true);
                     if !rep.repaired {
                         if !rep.findings.iter().any(|f| {
                             f.code == "root-unrecoverable" || f.code == "no-catalog-recoverable"
@@ -469,18 +468,15 @@ fn corruption_sweep(
                         continue;
                     }
                     out.repairs += 1;
-                    let post = fsck(&mut raw.clone(), false);
+                    let post = fsck(&raw, false);
                     if !post.clean() {
                         return Err(fail(format!(
                             "store still dirty after repair of {ctx}:\n{post}"
                         )));
                     }
                     let quarantine: HashSet<u32> = rep.quarantined.iter().copied().collect();
-                    let mut degraded =
-                        XmlStore::open_with(Box::new(raw.clone()), config, OpenMode::Degraded)
-                            .map_err(|e| {
-                                fail(format!("degraded reopen after repair of {ctx}: {e}"))
-                            })?;
+                    let mut degraded = XmlStore::open_read_only(&raw, config)
+                        .map_err(|e| fail(format!("degraded reopen after repair of {ctx}: {e}")))?;
                     let (got_doc, damage) = degraded
                         .to_document_degraded()
                         .map_err(|e| fail(format!("degraded read after repair of {ctx}: {e}")))?;

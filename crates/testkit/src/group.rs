@@ -159,9 +159,7 @@ pub fn run_group_commit_trace(
                 }
             }
             drop(guard);
-            let scrub = shared
-                .scrub()
-                .map_err(|e| fail(batch_no, None, format!("mainline scrub failed: {e}")))?;
+            let scrub = shared.scrub();
             if !scrub.clean() {
                 return Err(fail(
                     batch_no,
@@ -223,7 +221,7 @@ pub fn run_group_commit_trace(
             };
             let got =
                 recovered_xml(&disk2, config).map_err(|m| fail(batch_no, Some((n, torn)), m))?;
-            let scrub = fsck(&mut disk2.clone(), false);
+            let scrub = fsck(&disk2, false);
             if !scrub.clean() {
                 return Err(fail(
                     batch_no,

@@ -566,14 +566,9 @@ fn soak_round(
         }
         Err(e) => failures.push(format!("round {round}: post-kill reopen: {e}")),
     }
-    match FilePager::open(&store) {
-        Ok(mut p) => {
-            let report = fsck(&mut p, false);
-            if !report.clean() {
-                failures.push(format!("round {round}: post-kill fsck:\n{report}"));
-            }
-        }
-        Err(e) => failures.push(format!("round {round}: post-kill fsck open: {e}")),
+    let report = fsck(&store, false);
+    if !report.clean() {
+        failures.push(format!("round {round}: post-kill fsck:\n{report}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
     (acked.len() as u64, recovered)

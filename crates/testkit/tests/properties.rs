@@ -7,8 +7,7 @@ use std::collections::HashSet;
 
 use natix_core::Ekm;
 use natix_store::{
-    bulkload_with, corrupt_page_of_class, fsck, OpenMode, PageClass, SharedMemPager, StoreConfig,
-    XmlStore,
+    bulkload_with, corrupt_page_of_class, fsck, PageClass, SharedMemPager, StoreConfig, XmlStore,
 };
 use natix_testkit::{generate_trace, min_record_limit, run_trace, workloads, CrashMode};
 use proptest::prelude::*;
@@ -64,7 +63,7 @@ proptest! {
         let mut branch = SharedMemPager::from_snapshot(&snap);
         let hit = corrupt_page_of_class(&mut branch, rot_seed, PageClass::Record, 3).unwrap();
         prop_assert!(hit.is_some(), "no record page in {}", w.name);
-        let report = fsck(&mut branch, true);
+        let report = fsck(&branch, true);
         if !report.repaired {
             // Only a lost root may stop the salvage.
             prop_assert!(
@@ -74,11 +73,10 @@ proptest! {
             );
             return Ok(());
         }
-        prop_assert!(fsck(&mut branch.clone(), false).clean());
+        prop_assert!(fsck(&branch, false).clean());
 
         let quarantine: HashSet<u32> = report.quarantined.iter().copied().collect();
-        let mut degraded =
-            XmlStore::open_with(Box::new(branch.clone()), config, OpenMode::Degraded).unwrap();
+        let mut degraded = XmlStore::open_read_only(&branch, config).unwrap();
         let (doc, damage) = degraded.to_document_degraded().unwrap();
         let missing = damage.records();
         prop_assert_eq!(&missing, &quarantine, "damage report vs repair quarantine");

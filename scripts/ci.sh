@@ -109,9 +109,13 @@ dd if=/dev/zero of="$fsck_dir/sample.natix" bs=8192 seek=1 count=1 conv=notrunc 
 if natix dump "$fsck_dir/sample.natix" > /dev/null 2>&1; then
   echo "FAIL: store opened with a destroyed header" >&2; exit 1
 fi
+# A scrub never writes: the file is byte-identical after it.
+sum_before="$(cksum < "$fsck_dir/sample.natix")"
 if natix fsck "$fsck_dir/sample.natix" > /dev/null; then
   echo "FAIL: fsck called a headerless store clean" >&2; exit 1
 fi
+test "$(cksum < "$fsck_dir/sample.natix")" = "$sum_before" \
+  || { echo "FAIL: fsck without --repair wrote the store" >&2; exit 1; }
 # ...and fsck --repair must salvage it back to a byte-identical dump.
 natix fsck "$fsck_dir/sample.natix" --repair
 natix fsck "$fsck_dir/sample.natix"
@@ -126,9 +130,12 @@ natix collection dump "$fsck_dir/coll" 5 > /dev/null
 # Stomp live pages of shard 1 only; fsck must flag exactly that shard and
 # still certify the other two clean (exit is nonzero while damage exists).
 dd if=/dev/urandom of="$fsck_dir/coll/shard-0001.natix" bs=8192 seek=3 count=4 conv=notrunc status=none
+sum_before="$(cksum < "$fsck_dir/coll/shard-0001.natix")"
 if natix collection fsck "$fsck_dir/coll" > "$fsck_dir/collfsck.out" 2>&1; then
   echo "FAIL: collection fsck missed a corrupted shard" >&2; exit 1
 fi
+test "$(cksum < "$fsck_dir/coll/shard-0001.natix")" = "$sum_before" \
+  || { echo "FAIL: collection fsck wrote the damaged shard" >&2; exit 1; }
 grep -q "shard 0: clean" "$fsck_dir/collfsck.out"
 grep -q "shard 2: clean" "$fsck_dir/collfsck.out"
 if grep -q "shard 1: clean" "$fsck_dir/collfsck.out"; then
