@@ -14,9 +14,8 @@
 //! natix soak      [--quick] [--seed N] [--corruption | --group-commit | --bulkload |
 //!                 --diskfull | --serve | --repl] | --replay <script>
 //! natix stress    [--quick] [--seed N] [--runs N] [--net [--proxy | --leak]]
-//! natix serve     <store.natix> [--addr HOST:PORT] [--workers N] [--queue-depth N]
-//!                 [--max-pins N] [--read-budget N] [--lease-ttl-ms N] [--pool-pages N]
-//!                 [--replica-of HOST:PORT]
+//! natix serve     <store.natix> [--addr HOST:PORT] [--workers N] [--max-pins N]
+//!                 [--lease-ttl-ms N] [--pool-pages N] [--replica-of HOST:PORT]
 //! natix net       <addr> ping|query|dump|stats|fsck|update|shed-probe|promote|shutdown [...]
 //! ```
 //!
@@ -27,11 +26,14 @@
 //! prints `listening on HOST:PORT` once ready and exits after a wire
 //! `shutdown` request has drained all in-flight work. `natix net` is the
 //! matching client: one verb per invocation, honoring the server's typed
-//! retry-after backpressure (`--retries N` bounds the patience). Its
+//! retry-after backpressure (`--retries N` bounds the patience). The pin
+//! budget (`--max-pins`) is the daemon's one overload gate: a `begin`, or
+//! an unpinned `query`/`dump`, past it gets a typed retry-after. Its
 //! `shed-probe` verb drives the backpressure round trip deterministically:
 //! it saturates the pin budget (`--pins N` connections holding `begin`
-//! pins), demands one more, expects a typed retry-after, then releases a
-//! pin and retries until admitted.
+//! pins), demands one more pin, an unpinned query and an unpinned dump,
+//! expects a typed retry-after for each, then releases a pin and retries
+//! until admitted.
 //!
 //! `natix serve --replica-of HOST:PORT` runs the daemon as a hot
 //! standby: it subscribes to the primary at that address, bootstraps
@@ -46,8 +48,9 @@
 //! primary are refused with a typed `fenced` error (DESIGN.md §17).
 //!
 //! Exit codes are structured so scripts can tell failure classes apart:
-//! 0 success, 1 generic failure, 2 usage error, 3 request shed by
-//! backpressure (`StoreError::Overloaded`/`Timeout`), 4 corruption
+//! 0 success, 1 generic failure, 2 usage error (an unknown option on any
+//! verb, before anything is opened, bound or connected), 3 request shed
+//! by backpressure (`StoreError::Overloaded`/`ReadOnly`), 4 corruption
 //! detected, 5 I/O failure.
 //!
 //! `natix bulkload` streams a document corpus into a sharded collection:
@@ -114,7 +117,7 @@ use natix_core::{
 };
 use natix_server::{
     query_lines, serve as serve_daemon, Client, ClientError, ProtoError, Request, ResponseBody,
-    ServeConfig, ServeError, UpdateOp,
+    ServeConfig, ServeError, ShedKind, UpdateOp,
 };
 use natix_store::{
     bulkload_collection, bulkload_with, fsck, fsck_collection, BulkloadOptions, Collection,
@@ -209,10 +212,9 @@ fn usage() -> ExitCode {
          natix collection stats <dir> | dump <dir> <doc-id> | fsck <dir> [--repair]\n  \
          natix soak|stress <campaign, below> [--quick] [--seed N] [--runs N]\n  \
          natix soak --replay <script>\n  \
-         natix serve <store.natix> [--addr HOST:PORT] [--workers N] [--queue-depth N] \
-         [--max-pins N] [--read-budget N] [--lease-ttl-ms N] [--pool-pages N] \
-         [--replica-of HOST:PORT]\n  \
-         natix net <addr> ping | query '<xpath>' [--count] | dump [--degraded] | stats | \
+         natix serve <store.natix> [--addr HOST:PORT] [--workers N] [--max-pins N] \
+         [--lease-ttl-ms N] [--pool-pages N] [--replica-of HOST:PORT]\n  \
+         natix net <addr> ping | query '<xpath>' [--count] | dump | stats | \
          fsck | update '<xpath>' <append-element|append-text|insert-before|delete> [VALUE] | \
          shed-probe [--pins N] | promote | shutdown   (all: [--retries N])\n\
          algorithms: ekm (default), dhw, ghdw, km, rs, dfs, bfs, lukes\n\
@@ -560,7 +562,7 @@ fn cmd_bulkload(args: &[String]) -> Result<(), CliError> {
             "--seg-docs" => opts.seg_docs = num("--seg-docs")? as usize,
             "--budget" => opts.sibling_budget = num("--budget")? as usize,
             "--k" => k = num("--k")?,
-            other => return Err(format!("unknown option {other}").into()),
+            other => return Err(CliError::new(2, format!("unknown option {other}"))),
         }
     }
     let config = StoreConfig {
@@ -613,6 +615,7 @@ fn cmd_collection(args: &[String]) -> Result<(), CliError> {
         "stats" => {
             let (pool_pages, rest) = extract_pool_pages(&args[1..])?;
             let dir = rest.first().ok_or("missing <dir>")?;
+            refuse_unknown(&rest[1..], &[])?;
             let mut coll = Collection::open(Path::new(dir), store_config(pool_pages))
                 .map_err(|e| format!("{dir}: {e}"))?;
             let stats = coll.stats().map_err(|e| e.to_string())?;
@@ -644,6 +647,7 @@ fn cmd_collection(args: &[String]) -> Result<(), CliError> {
                 .ok_or("missing <doc-id>")?
                 .parse()
                 .map_err(|_| "<doc-id> expects a non-negative integer".to_string())?;
+            refuse_unknown(&rest[2..], &[])?;
             let mut coll = Collection::open(Path::new(dir), store_config(pool_pages))
                 .map_err(|e| format!("{dir}: {e}"))?;
             let doc = coll.get_document(doc_id).map_err(|e| e.to_string())?;
@@ -652,10 +656,8 @@ fn cmd_collection(args: &[String]) -> Result<(), CliError> {
         }
         "fsck" => {
             let dir = args.get(1).ok_or("missing <dir>")?;
+            refuse_unknown(&args[2..], &["--repair"])?;
             let repair = args.iter().any(|a| a == "--repair");
-            if let Some(bad) = args[2..].iter().find(|a| a.as_str() != "--repair") {
-                return Err(format!("unknown option {bad}").into());
-            }
             let reports = fsck_collection(Path::new(dir), repair).map_err(|e| e.to_string())?;
             let mut dirty = 0usize;
             for (s, report) in &reports {
@@ -805,11 +807,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         ..ServeConfig::default()
     };
     config.addr = "127.0.0.1:4547".to_string();
-    // Workers are thread-per-connection: an idle-but-open connection
-    // (e.g. a held session pin) occupies one. Default to more workers
-    // than the shed-probe's default pin count so the probe can't starve
-    // a default server.
-    config.workers = 8;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         let mut val = |name: &str| -> Result<String, CliError> {
@@ -825,20 +822,10 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
                     .parse()
                     .map_err(|_| "--workers expects a positive integer")?;
             }
-            "--queue-depth" => {
-                config.queue_depth = val("--queue-depth")?
-                    .parse()
-                    .map_err(|_| "--queue-depth expects a positive integer")?;
-            }
             "--max-pins" => {
                 config.max_pins = val("--max-pins")?
                     .parse()
                     .map_err(|_| "--max-pins expects a positive integer")?;
-            }
-            "--read-budget" => {
-                config.read_page_budget = val("--read-budget")?
-                    .parse()
-                    .map_err(|_| "--read-budget expects a non-negative integer")?;
             }
             "--lease-ttl-ms" => {
                 // 0 disables the lease reaper: pins live until disconnect.
@@ -849,11 +836,11 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             "--replica-of" => {
                 config.replica_of = Some(val("--replica-of")?);
             }
-            other => return Err(format!("unknown option {other}").into()),
+            other => return Err(CliError::new(2, format!("unknown option {other}"))),
         }
     }
-    if config.workers == 0 || config.queue_depth == 0 || config.max_pins == 0 {
-        return Err("--workers, --queue-depth and --max-pins must be positive".into());
+    if config.workers == 0 || config.max_pins == 0 {
+        return Err("--workers and --max-pins must be positive".into());
     }
     // The reaper ticks at max(ttl/4, 10ms): a TTL under 40 ms is below
     // the tick granularity and would expire pins erratically. Reject it
@@ -883,10 +870,9 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     let _ = writeln!(
         out,
-        "natix serve: serving {store} ({} workers, queue depth {}, {} pins); \
+        "natix serve: serving {store} ({} workers, {} pins); \
          stop with: natix net {} shutdown",
         config.workers,
-        config.queue_depth,
         config.max_pins,
         handle.addr()
     );
@@ -913,13 +899,11 @@ fn cmd_net(args: &[String]) -> Result<(), CliError> {
     let mut retries = 20u32;
     let mut positional: Vec<String> = Vec::new();
     let mut count_only = false;
-    let mut degraded = false;
     let mut pins = 4usize;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--count" => count_only = true,
-            "--degraded" => degraded = true,
             "--retries" => {
                 retries = it
                     .next()
@@ -935,7 +919,7 @@ fn cmd_net(args: &[String]) -> Result<(), CliError> {
                     .map_err(|_| "--pins expects a positive integer")?;
             }
             other if other.starts_with("--") => {
-                return Err(format!("unknown option {other}").into())
+                return Err(CliError::new(2, format!("unknown option {other}")))
             }
             other => positional.push(other.to_string()),
         }
@@ -987,19 +971,11 @@ fn cmd_net(args: &[String]) -> Result<(), CliError> {
         }
         "dump" => {
             let mut c = connect()?;
-            let resp = exchange(
-                &mut c,
-                &Request::Dump {
-                    degraded_ok: degraded,
-                },
-            )?;
-            let ResponseBody::DumpResult { full, xml, damage } = resp.body else {
+            let resp = exchange(&mut c, &Request::Dump)?;
+            let ResponseBody::DumpResult { xml } = resp.body else {
                 return Err(format!("unexpected response: {:?}", resp.body).into());
             };
             println!("{xml}");
-            if !full {
-                eprintln!("degraded read: {damage}");
-            }
             Ok(())
         }
         "stats" => {
@@ -1102,8 +1078,9 @@ fn cmd_net(args: &[String]) -> Result<(), CliError> {
 }
 
 /// The deterministic backpressure round trip: hold `pins` session pins,
-/// demand one more (expecting a typed retry-after), then release a pin
-/// and retry honoring the hints until admitted.
+/// demand one more, then read unpinned with a query and a dump (each
+/// expecting a typed retry-after, the reads with `what = "read"`), then
+/// release a pin and retry honoring the hints until admitted.
 fn cmd_shed_probe(addr: &str, pins: usize, retries: u32) -> Result<(), CliError> {
     let mut holders: Vec<Client> = Vec::new();
     for i in 0..pins {
@@ -1141,6 +1118,29 @@ fn cmd_shed_probe(addr: &str, pins: usize, retries: u32) -> Result<(), CliError>
     println!(
         "shed observed: {} pins held, next begin got retry-after {millis} ms ({kind:?}, {what})",
         holders.len()
+    );
+    // An unpinned read needs a pin of its own: it is shed the same way,
+    // never evaluated without one.
+    let query = Request::Query {
+        xpath: "/*".to_string(),
+        count_only: true,
+    };
+    for req in [query, Request::Dump] {
+        let body = probe.request(&req).map_err(|e| CliError::client(&e))?.body;
+        let read_shed = match &body {
+            ResponseBody::RetryAfter { kind, what, .. } => {
+                *kind == ShedKind::Overloaded && what == "read"
+            }
+            _ => false,
+        };
+        if !read_shed {
+            return Err(
+                format!("expected an overloaded read shed for {req:?}, got {body:?}").into(),
+            );
+        }
+    }
+    println!(
+        "read shed observed: an unpinned query and dump each got retry-after (Overloaded, read)"
     );
     // Release one pin (disconnect releases the session) and honor the
     // advertised back-off: the probe must eventually be admitted.
@@ -1193,7 +1193,7 @@ mod tests {
     use super::*;
 
     /// Satellite regression: the store-error → exit-code mapping. Sheds
-    /// (overloaded and timed-out) exit 3, corruption 4, I/O 5, invalid
+    /// (overloaded and read-only) exit 3, corruption 4, I/O 5, invalid
     /// updates stay generic failures.
     #[test]
     fn store_error_exit_codes() {
@@ -1203,11 +1203,10 @@ mod tests {
             limit: 8,
         };
         assert_eq!(CliError::store(&overloaded).code, 3);
-        let timeout = StoreError::Timeout {
-            what: "read",
-            budget: 64,
+        let read_only = StoreError::ReadOnly {
+            reason: "disk full",
         };
-        assert_eq!(CliError::store(&timeout).code, 3);
+        assert_eq!(CliError::store(&read_only).code, 3);
         let corrupt = StoreError::Corrupt {
             what: "page checksum".into(),
             page: Some(3),

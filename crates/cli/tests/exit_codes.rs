@@ -183,6 +183,37 @@ fn store_verb_option_errors_exit_2_before_any_output() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The daemon, client and collection verbs refuse an unknown option —
+/// `serve --queue-depth`/`--read-budget` and `net dump --degraded`, which
+/// older scripts may still pass, among them — with the usage code before
+/// they bind, connect or open anything (the store and the port below do
+/// not exist).
+#[test]
+fn daemon_and_collection_option_errors_exit_2_before_anything_opens() {
+    let dir = tmpdir("verb-flags");
+    let missing = dir.join("missing.natix");
+    let missing = missing.to_str().unwrap();
+    let coll = dir.join("coll");
+    let coll = coll.to_str().unwrap();
+    for args in [
+        &["serve", missing, "--queue-depth", "4"][..],
+        &["serve", missing, "--read-budget", "1"],
+        &["net", "127.0.0.1:9", "dump", "--degraded"],
+        &["bulkload", coll, "--frobnicate"],
+        &["collection", "fsck", coll, "--frobnicate"],
+        &["collection", "stats", coll, "--frobnicate"],
+        &["collection", "dump", coll, "0", "--frobnicate"],
+    ] {
+        let out = natix(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(code(&out), 2, "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed something");
+        assert!(stderr.contains("unknown option"), "{args:?}: {stderr}");
+    }
+    assert!(!Path::new(coll).exists(), "a rejected bulkload wrote");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn missing_store_exits_5() {
     let dir = tmpdir("io");
@@ -351,6 +382,7 @@ fn shed_with_exhausted_retries_exits_3() {
     );
     let probe_out = String::from_utf8_lossy(&probe.stdout);
     assert!(probe_out.contains("shed observed"), "{probe_out}");
+    assert!(probe_out.contains("read shed observed"), "{probe_out}");
     assert!(probe_out.contains("retry honored"), "{probe_out}");
 
     // Failure path: saturate the pin from a helper thread holding a raw

@@ -154,9 +154,9 @@ impl Client {
 
     /// Serialize the committed document; returns `(epoch, xml)`.
     pub fn dump(&mut self) -> Result<(u64, String), ClientError> {
-        let resp = self.request(&Request::Dump { degraded_ok: false })?;
+        let resp = self.request(&Request::Dump)?;
         match resp.body {
-            ResponseBody::DumpResult { xml, .. } => Ok((resp.epoch, xml)),
+            ResponseBody::DumpResult { xml } => Ok((resp.epoch, xml)),
             other => Err(unexpected("dump result", &other)),
         }
     }

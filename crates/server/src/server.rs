@@ -5,13 +5,11 @@
 //! * **acceptor** — accepts connections on a [`std::net::TcpListener`]
 //!   and queues them for the worker pool;
 //! * **workers** — each handles one connection at a time: read a frame,
-//!   decode it, forward the request to the store service over a *bounded*
-//!   queue, and write the reply. A full queue is the first backpressure
-//!   gate: the worker answers [`ResponseBody::RetryAfter`] without ever
-//!   touching the store. Snapshot reads (`query`, `dump`) are *evaluated*
-//!   here too: the service answers them with a [`ReadTicket`] — a lent
-//!   pin plus the `Send` seed of its epoch — and the worker opens its
-//!   own pager and pool, runs the XPath evaluation and rendering, and
+//!   decode it, forward the request to the store service, wait for its
+//!   reply, and write it back. Snapshot reads (`query`, `dump`) are
+//!   *evaluated* here: the service answers them with a [`ReadTicket`] — a
+//!   lent pin plus the `Send` seed of its epoch — and the worker opens
+//!   its own pager and pool, runs the XPath evaluation and rendering, and
 //!   hands the pin back through a drop guard. Read parallelism is
 //!   [`ServeConfig::workers`];
 //! * **store service** — the single thread that owns the [`SharedStore`]
@@ -20,11 +18,13 @@
 //!   it never evaluates a primary's read. [`Request::Begin`] pins the
 //!   committed epoch for the connection, and every read on a pinned
 //!   connection is lent that pin until [`Request::End`] or disconnect;
-//!   an unpinned read is lent a pin of its own. Admission control
-//!   ([`natix_store::AdmissionConfig`]) is the second backpressure gate;
-//!   its `Overloaded`/`Timeout` errors map to typed retry-after
-//!   responses. A pin with a read in flight is never reaped, and since
-//!   checkpoints wait for every pin, never checkpointed under.
+//!   an unpinned read is lent a pin of its own. The pin budget
+//!   ([`ServeConfig::max_pins`]) is the one overload gate: a `begin` or
+//!   unpinned read past it is answered with a typed
+//!   [`ResponseBody::RetryAfter`], and the client retries. No read is
+//!   evaluated without a pin. A pin with a read in flight is never
+//!   reaped, and since checkpoints wait for every pin, never
+//!   checkpointed under.
 //!
 //! Graceful shutdown ([`Request::Shutdown`] or [`ServerHandle::shutdown`])
 //! stops the acceptor, lets every worker finish the frame it is reading
@@ -33,15 +33,13 @@
 //! session pins and runs deferred store maintenance — in-flight requests
 //! drain before pins are torn down.
 
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -69,19 +67,14 @@ pub struct ServeConfig {
     pub addr: String,
     /// Connection workers: concurrent connections served, and — since
     /// each worker evaluates its connection's reads itself — snapshot
-    /// reads running in parallel.
+    /// reads running in parallel. An idle-but-open connection (a held
+    /// session pin, say) occupies one.
     pub workers: usize,
-    /// Bound of the store-service request queue — the first backpressure
-    /// gate. Requests arriving at a full queue are shed with a typed
-    /// retry-after response.
-    pub queue_depth: usize,
     /// Snapshot pins allowed in flight at once (session pins plus one
-    /// per unpinned read being evaluated) — the second backpressure
-    /// gate.
+    /// per unpinned read being evaluated) — the server's one overload
+    /// gate. A `begin` or unpinned read past it is shed with a typed
+    /// retry-after.
     pub max_pins: u32,
-    /// Per-snapshot backend page-read budget (0 = unlimited); exhaustion
-    /// sheds the read with a timeout retry-after.
-    pub read_page_budget: u64,
     /// Buffer-pool page budget override for the served store.
     pub pool_pages: Option<usize>,
     /// Session-pin lease TTL in milliseconds. A pinned session that goes
@@ -102,10 +95,10 @@ impl Default for ServeConfig {
         ServeConfig {
             store: PathBuf::new(),
             addr: "127.0.0.1:0".to_string(),
-            workers: 4,
-            queue_depth: 64,
+            // More than `natix net shed-probe`'s default of 4 pins, so the
+            // probe's held sessions cannot take every worker.
+            workers: 8,
             max_pins: 64,
-            read_page_budget: 0,
             pool_pages: None,
             lease_ttl_ms: 30_000,
             replica_of: None,
@@ -141,7 +134,6 @@ struct Counters {
     ok: AtomicU64,
     errors: AtomicU64,
     shed: AtomicU64,
-    queue_shed: AtomicU64,
     proto_errors: AtomicU64,
     worker_panics: AtomicU64,
     lease_expirations: AtomicU64,
@@ -161,9 +153,10 @@ pub struct ServeSummary {
     pub ok: u64,
     /// Typed error responses sent.
     pub errors: u64,
-    /// Retry-after responses sent (queue and admission sheds).
+    /// Retry-after responses sent.
     pub shed: u64,
-    /// Sheds at the queue gate specifically (subset of `shed`).
+    /// Always 0: the server has no queue gate. Kept only because the
+    /// frozen benchmark package reads it.
     pub queue_shed: u64,
     /// Malformed frames answered with a protocol error.
     pub proto_errors: u64,
@@ -187,13 +180,12 @@ impl std::fmt::Display for ServeSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} conn, {} req ({} ok, {} err, {} shed of which {} queue, {} proto), {} panics, {} leases expired, {} write kills, {} reads in flight (peak {})",
+            "{} conn, {} req ({} ok, {} err, {} shed, {} proto), {} panics, {} leases expired, {} write kills, {} reads in flight (peak {})",
             self.connections,
             self.requests,
             self.ok,
             self.errors,
             self.shed,
-            self.queue_shed,
             self.proto_errors,
             self.worker_panics,
             self.lease_expirations,
@@ -216,7 +208,6 @@ enum ServiceMsg {
     ReadDone {
         conn: u64,
         pin: u64,
-        timed_out: bool,
     },
     Disconnect {
         conn: u64,
@@ -245,17 +236,13 @@ enum ReadOp {
         path: natix_xpath::Path,
         count_only: bool,
     },
-    Dump {
-        degraded_ok: bool,
-    },
+    Dump,
 }
 
 /// A pin lent to a worker for one read, with the seed of the pinned
 /// epoch to open (or re-use) a view from.
 struct ReadTicket {
-    /// `None` for the unpinned degraded read of a dump admission shed:
-    /// nothing is lent, nothing comes back.
-    pin: Option<u64>,
+    pin: u64,
     /// The pin is the connection's session pin: the worker keeps the
     /// view, warm, for the session's later reads.
     session: bool,
@@ -293,7 +280,7 @@ impl ServerHandle {
             ok: c.ok.load(Ordering::Relaxed),
             errors: c.errors.load(Ordering::Relaxed),
             shed: c.shed.load(Ordering::Relaxed),
-            queue_shed: c.queue_shed.load(Ordering::Relaxed),
+            queue_shed: 0,
             proto_errors: c.proto_errors.load(Ordering::Relaxed),
             worker_panics: c.worker_panics.load(Ordering::Relaxed),
             lease_expirations: c.lease_expirations.load(Ordering::Relaxed),
@@ -324,7 +311,11 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let promoted = Arc::new(AtomicBool::new(false));
     let counters = Arc::new(Counters::default());
-    let (store_tx, store_rx) = mpsc::sync_channel::<ServiceMsg>(config.queue_depth.max(1));
+    // Unbounded in type, bounded by construction: a worker waits for the
+    // reply to its one request, so it has at most three messages queued
+    // (a `ReadDone`, a `Disconnect`, the next `Request`), and a replica's
+    // fetch loop at most one. Overload is shed at the pin budget instead.
+    let (store_tx, store_rx) = mpsc::channel::<ServiceMsg>();
     let (ready_tx, ready_rx) = mpsc::channel::<Result<(), StoreError>>();
 
     let mut threads = Vec::new();
@@ -442,7 +433,7 @@ fn acceptor_loop(
 
 fn worker_loop(
     conn_rx: Arc<Mutex<Receiver<(TcpStream, u64)>>>,
-    store_tx: SyncSender<ServiceMsg>,
+    store_tx: Sender<ServiceMsg>,
     store: PathBuf,
     shutdown: Arc<AtomicBool>,
     counters: Arc<Counters>,
@@ -608,7 +599,7 @@ fn send_counted(stream: &mut TcpStream, resp: &Response, counters: &Counters) ->
 fn handle_conn(
     mut stream: TcpStream,
     conn: u64,
-    store_tx: &SyncSender<ServiceMsg>,
+    store_tx: &Sender<ServiceMsg>,
     store: &Path,
     shutdown: &AtomicBool,
     counters: &Counters,
@@ -695,7 +686,7 @@ fn handle_conn(
         let reply = match reply_tx.take() {
             // The sender died with the store service on an earlier request.
             None => internal("store service unavailable"),
-            Some(reply) => match store_tx.try_send(ServiceMsg::Request { conn, req, reply }) {
+            Some(reply) => match store_tx.send(ServiceMsg::Request { conn, req, reply }) {
                 Ok(()) => match reply_rx.recv() {
                     Ok(envelope) => {
                         reply_tx = Some(envelope.back);
@@ -703,21 +694,7 @@ fn handle_conn(
                     }
                     Err(_) => internal("store service unavailable"),
                 },
-                Err(TrySendError::Full(msg)) => {
-                    if let ServiceMsg::Request { reply, .. } = msg {
-                        reply_tx = Some(reply);
-                    }
-                    counters.queue_shed.fetch_add(1, Ordering::Relaxed);
-                    Reply::Done(Response {
-                        epoch: 0,
-                        body: ResponseBody::RetryAfter {
-                            kind: ShedKind::Overloaded,
-                            millis: 2,
-                            what: "queue".to_string(),
-                        },
-                    })
-                }
-                Err(TrySendError::Disconnected(_)) => internal("store service stopped"),
+                Err(_) => internal("store service stopped"),
             },
         };
         let resp = match reply {
@@ -740,30 +717,18 @@ fn handle_conn(
 /// A worker's open view of one pinned epoch: a read-only store over the
 /// worker's own pager and pool.
 struct View {
-    pin: Option<u64>,
+    pin: u64,
     store: XmlStore,
-    /// Raised when the view ran out of page-read budget.
-    exhausted: Rc<Cell<bool>>,
-}
-
-fn open_view(seed: &SnapshotSeed, pin: Option<u64>, path: &Path) -> Result<View, StoreError> {
-    let (store, exhausted) = seed.open(Box::new(FilePager::open(path)?))?;
-    Ok(View {
-        pin,
-        store,
-        exhausted,
-    })
 }
 
 /// Hands a lent pin back to the store service when the read ends —
 /// by completing, by the handler unwinding from a panic, or with the
-/// connection. The send blocks on a full queue rather than losing the
-/// pin; the service never waits on a worker, so it cannot deadlock.
+/// connection. The send never blocks, and the service never waits on a
+/// worker, so it cannot deadlock.
 struct ReadGuard<'a> {
-    tx: &'a SyncSender<ServiceMsg>,
+    tx: &'a Sender<ServiceMsg>,
     conn: u64,
     pin: u64,
-    timed_out: bool,
 }
 
 impl Drop for ReadGuard<'_> {
@@ -771,7 +736,6 @@ impl Drop for ReadGuard<'_> {
         let _ = self.tx.send(ServiceMsg::ReadDone {
             conn: self.conn,
             pin: self.pin,
-            timed_out: self.timed_out,
         });
     }
 }
@@ -780,49 +744,36 @@ impl Drop for ReadGuard<'_> {
 fn run_read(
     ticket: ReadTicket,
     conn: u64,
-    store_tx: &SyncSender<ServiceMsg>,
+    store_tx: &Sender<ServiceMsg>,
     path: &Path,
     slot: &mut Option<View>,
 ) -> Response {
-    let epoch = ticket.seed.epoch();
-    let mut guard = ticket.pin.map(|pin| ReadGuard {
+    let (epoch, pin) = (ticket.seed.epoch(), ticket.pin);
+    let guard = ReadGuard {
         tx: store_tx,
         conn,
         pin,
-        timed_out: false,
-    });
+    };
     #[cfg(test)]
     if let ReadOp::Query { path, .. } = &ticket.op {
         assert!(!path.to_string().contains(tests::PANIC_PROBE), "injected");
     }
     // A session's later reads find the view of their pin already open.
-    if slot.as_ref().map(|v| v.pin) != Some(ticket.pin) {
+    if slot.as_ref().map(|v| v.pin) != Some(pin) {
         *slot = None;
-        match open_view(&ticket.seed, ticket.pin, path) {
-            Ok(view) => *slot = Some(view),
+        match FilePager::open(path).and_then(|raw| ticket.seed.open(Box::new(raw))) {
+            Ok(store) => *slot = Some(View { pin, store }),
             Err(e) => return store_error_response(epoch, &e),
         }
     }
     let view = slot.as_mut().expect("opened above");
-    let degraded = ticket.pin.is_none();
-    let mut body = match &ticket.op {
+    let body = match &ticket.op {
         ReadOp::Query { path, count_only } => {
             query_lines(&mut view.store, path, *count_only, Some(MAX_QUERY_LINES))
                 .map(|(count, lines)| ResponseBody::QueryResult { count, lines })
         }
-        ReadOp::Dump { .. } => dump_body(&mut view.store, degraded),
+        ReadOp::Dump => dump_body(&mut view.store),
     };
-    if let Some(g) = &mut guard {
-        g.timed_out = view.exhausted.get();
-    }
-    if let (Err(e), ReadOp::Dump { degraded_ok: true }) = (&body, &ticket.op) {
-        if e.is_overload() && !degraded {
-            // Out of page budget: serve what an unbudgeted,
-            // damage-tolerant pass can reach instead of failing.
-            body = open_view(&ticket.seed.unbudgeted(), None, path)
-                .and_then(|mut v| dump_body(&mut v.store, true));
-        }
-    }
     if !ticket.session {
         *slot = None;
     }
@@ -869,19 +820,10 @@ pub fn query_lines(
     Ok((count, lines.collect::<Result<_, _>>()?))
 }
 
-/// The whole document as a dump response body: strict, or the
-/// damage-tolerant pass with its report.
-fn dump_body(store: &mut XmlStore, degraded: bool) -> Result<ResponseBody, StoreError> {
-    let (doc, damage) = if degraded {
-        let (doc, damage) = store.to_document_degraded()?;
-        (doc, damage.to_string())
-    } else {
-        (store.to_document()?, String::new())
-    };
+/// The whole document as a dump response body (a strict read).
+fn dump_body(store: &mut XmlStore) -> Result<ResponseBody, StoreError> {
     Ok(ResponseBody::DumpResult {
-        full: !degraded,
-        xml: doc.to_xml(),
-        damage,
+        xml: store.to_document()?.to_xml(),
     })
 }
 
@@ -901,13 +843,11 @@ struct Session {
     renewed: Instant,
     /// The pin is lent to the worker for a read that has not come back.
     reading: bool,
-    /// Some read of the session ran out of page budget.
-    timed_out: bool,
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
-        self.shared.release_read(self.pin_id, self.timed_out);
+        self.shared.release_read(self.pin_id);
     }
 }
 
@@ -1006,7 +946,6 @@ fn store_service(
     }
     let admission = AdmissionConfig {
         max_inflight_reads: config.max_pins,
-        read_page_budget: config.read_page_budget,
     };
     let mut role = match &config.replica_of {
         // A replica opens nothing up front: a missing file simply means
@@ -1062,20 +1001,13 @@ fn store_service(
             }
             // A lent pin is back: a session's stays pinned for its next
             // read, an unpinned read's is released.
-            Ok(ServiceMsg::ReadDone {
-                conn,
-                pin,
-                timed_out,
-            }) => {
+            Ok(ServiceMsg::ReadDone { conn, pin }) => {
                 counters.reads_in_flight.fetch_sub(1, Ordering::Relaxed);
                 match sessions.get_mut(&conn) {
-                    Some(s) if s.pin_id == pin => {
-                        s.reading = false;
-                        s.timed_out |= timed_out;
-                    }
+                    Some(s) if s.pin_id == pin => s.reading = false,
                     _ => {
                         if let Role::Primary { shared, .. } = &role {
-                            shared.release_read(pin, timed_out);
+                            shared.release_read(pin);
                         }
                     }
                 }
@@ -1106,7 +1038,8 @@ fn store_service(
 
 /// Lend a pin to the connection's worker for one read: the session's if
 /// the connection holds one, else a fresh one that the read's completion
-/// gives back.
+/// gives back. Past the pin budget the read is shed with a typed
+/// retry-after.
 fn lend_read(
     shared: &SharedStore,
     sessions: &mut HashMap<u64, Session>,
@@ -1117,24 +1050,17 @@ fn lend_read(
     let (pin, seed, session) = match sessions.get_mut(&conn) {
         Some(s) => {
             s.reading = true;
-            (Some(s.pin_id), s.seed.clone(), true)
+            (s.pin_id, s.seed.clone(), true)
         }
         None => match shared.pin_read() {
-            Ok((pin, seed)) => (Some(pin), seed, false),
-            // Reads are served, never hung: a dump that tolerates it
-            // degrades to an unpinned best-effort pass when shed.
-            Err(e) if e.is_overload() && matches!(op, ReadOp::Dump { degraded_ok: true }) => {
-                (None, shared.degraded_seed(), false)
-            }
+            Ok((pin, seed)) => (pin, seed, false),
             Err(e) => return Reply::Done(store_error_response(shared.committed_epoch(), &e)),
         },
     };
-    if pin.is_some() {
-        let now = counters.reads_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        counters
-            .peak_reads_in_flight
-            .fetch_max(now, Ordering::Relaxed);
-    }
+    let now = counters.reads_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+    counters
+        .peak_reads_in_flight
+        .fetch_max(now, Ordering::Relaxed);
     Reply::Read(ReadTicket {
         pin,
         session,
@@ -1149,15 +1075,12 @@ fn store_error_response(epoch: u64, e: &StoreError) -> Response {
     let body = match e.category() {
         ErrorCategory::Shed => ResponseBody::RetryAfter {
             kind: match e {
-                StoreError::Timeout { .. } => ShedKind::Timeout,
                 StoreError::ReadOnly { .. } => ShedKind::ReadOnly,
                 _ => ShedKind::Overloaded,
             },
             millis: e.retry_after_hint_ms().unwrap_or(5) as u32,
             what: match e {
-                StoreError::Overloaded { what, .. } | StoreError::Timeout { what, .. } => {
-                    (*what).to_string()
-                }
+                StoreError::Overloaded { what, .. } => (*what).to_string(),
                 StoreError::ReadOnly { reason } => (*reason).to_string(),
                 _ => String::new(),
             },
@@ -1319,12 +1242,12 @@ fn handle_replica_request(
                 Err(e) => store_error_response(applied, &e),
             }
         }
-        Request::Dump { .. } => {
+        Request::Dump => {
             let store = match replica_reader(reader, follower) {
                 Ok(s) => s,
                 Err(e) => return store_error_response(applied, &e),
             };
-            match dump_body(store, false) {
+            match dump_body(store) {
                 Ok(body) => Response {
                     epoch: applied,
                     body,
@@ -1486,7 +1409,6 @@ fn handle_primary_request(
                             pinned_at: now,
                             renewed: now,
                             reading: false,
-                            timed_out: false,
                         },
                     );
                     Response {
@@ -1511,15 +1433,7 @@ fn handle_primary_request(
             }
             Err(e) => bad_request(committed, format!("xpath: {e}")),
         },
-        Request::Dump { degraded_ok } => {
-            return lend_read(
-                shared,
-                sessions,
-                counters,
-                conn,
-                ReadOp::Dump { degraded_ok },
-            )
-        }
+        Request::Dump => return lend_read(shared, sessions, counters, conn, ReadOp::Dump),
         Request::Update { target, op } => {
             let path = match natix_xpath::parse(&target) {
                 Ok(p) => p,
@@ -1589,7 +1503,7 @@ fn handle_primary_request(
                  write kills  : {} connections\n\
                  backlog      : {} superseded pages\n\
                  read-only    : {}\n\
-                 sheds        : {} reads, {} timeouts, {} degraded fallbacks\n\
+                 sheds        : {} reads\n\
                  commits      : {} ({} group, {} batched ops)\n\
                  checkpoints  : {} deferred, {} applied\n\
                  reclaimed    : {} pages ({} rounds pin-blocked)\n\
@@ -1609,8 +1523,6 @@ fn handle_primary_request(
                 shared.reclaim_backlog(),
                 read_only,
                 c.reads_shed,
-                c.reads_timed_out,
-                c.degraded_fallbacks,
                 c.commits,
                 c.group_commits,
                 c.batched_ops,
@@ -1674,7 +1586,7 @@ const REPL_IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// remote failure reconnects with back-off and re-subscribes.
 fn repl_client_loop(
     source: String,
-    store_tx: SyncSender<ServiceMsg>,
+    store_tx: Sender<ServiceMsg>,
     shutdown: Arc<AtomicBool>,
     promoted: Arc<AtomicBool>,
 ) {
@@ -1690,29 +1602,19 @@ fn repl_client_loop(
         }
         !stop()
     };
-    // One request through the local service queue (retrying queue-full).
+    // One request through the local service queue.
     let local = |req: Request| -> Option<Response> {
-        loop {
-            let (tx, rx) = mpsc::channel();
-            match store_tx.try_send(ServiceMsg::Request {
+        let (tx, rx) = mpsc::channel();
+        store_tx
+            .send(ServiceMsg::Request {
                 conn: REPL_CONN,
-                req: req.clone(),
+                req,
                 reply: tx,
-            }) {
-                Ok(()) => {
-                    return match rx.recv().ok()?.reply {
-                        Reply::Done(resp) => Some(resp),
-                        Reply::Read(_) => None,
-                    }
-                }
-                Err(TrySendError::Full(_)) => {
-                    if stop() {
-                        return None;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(TrySendError::Disconnected(_)) => return None,
-            }
+            })
+            .ok()?;
+        match rx.recv().ok()?.reply {
+            Reply::Done(resp) => Some(resp),
+            Reply::Read(_) => None,
         }
     };
     let remote = |stream: &mut TcpStream, req: &Request| -> Result<Response, ProtoError> {

@@ -5,8 +5,8 @@
 //! bodies are capped at [`MAX_FRAME`] bytes and must not be empty. A
 //! request body is an opcode byte plus opcode-specific fields; a response
 //! body is a status byte, the epoch the response was served at (0 when no
-//! store state was consulted, e.g. a queue-level shed), and
-//! status-specific fields. Strings are a 4-byte length plus UTF-8 bytes.
+//! store state was consulted, e.g. a protocol error), and status-specific
+//! fields. Strings are a 4-byte length plus UTF-8 bytes.
 //!
 //! Error handling is layered so a connection survives everything the
 //! framing layer can still delimit:
@@ -75,12 +75,9 @@ pub enum Request {
         /// Return only the hit count, no rendered results.
         count_only: bool,
     },
-    /// Serialize the full document.
-    Dump {
-        /// Accept an unpinned degraded read when admission control sheds
-        /// the pinned path (instead of a retry-after response).
-        degraded_ok: bool,
-    },
+    /// Serialize the full document of the session's pinned snapshot (or
+    /// a per-request snapshot when none is pinned).
+    Dump,
     /// Apply one update; the response's epoch is the new committed epoch.
     Update {
         /// XPath selecting the target node (first hit in document order).
@@ -159,10 +156,8 @@ pub enum UpdateOp {
 /// Why a request was shed ([`ResponseBody::RetryAfter`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedKind {
-    /// An admission or queue limit was full.
+    /// The pin budget (or the single writer slot) was full.
     Overloaded,
-    /// The request exhausted its page-read deadline budget.
-    Timeout,
     /// The store is in read-only degraded mode (resource exhaustion,
     /// e.g. a full disk): writes are refused with a long back-off until
     /// the backend recovers; reads keep being served.
@@ -194,7 +189,7 @@ pub enum ErrKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// Committed epoch the response was served at; 0 when no store state
-    /// was consulted (queue-level sheds, protocol errors).
+    /// was consulted (protocol errors).
     pub epoch: u64,
     /// The payload.
     pub body: ResponseBody,
@@ -214,13 +209,8 @@ pub enum ResponseBody {
     },
     /// Answer to [`Request::Dump`].
     DumpResult {
-        /// True for a pinned, fully-verified read; false for a degraded
-        /// fallback.
-        full: bool,
         /// The serialized document.
         xml: String,
-        /// Damage report of a degraded read (empty when `full`).
-        damage: String,
     },
     /// Answer to [`Request::Update`]; the new epoch is in the header.
     UpdateDone,
@@ -279,7 +269,7 @@ pub enum ResponseBody {
         kind: ShedKind,
         /// Suggested client back-off in milliseconds.
         millis: u32,
-        /// What was shed (`"read"`, `"write"`, `"queue"`, …).
+        /// What was shed (`"read"`, `"write"`, `"replica"`, …).
         what: String,
     },
 }
@@ -451,10 +441,7 @@ impl Request {
                 out.push(u8::from(*count_only));
                 put_str(&mut out, xpath);
             }
-            Request::Dump { degraded_ok } => {
-                out.push(OP_DUMP);
-                out.push(u8::from(*degraded_ok));
-            }
+            Request::Dump => out.push(OP_DUMP),
             Request::Update { target, op } => {
                 out.push(OP_UPDATE);
                 match op {
@@ -522,15 +509,7 @@ impl Request {
                     xpath: c.str()?,
                 }
             }
-            OP_DUMP => {
-                let flags = c.u8()?;
-                if flags > 1 {
-                    return Err(ProtoError::Malformed("unknown dump flags"));
-                }
-                Request::Dump {
-                    degraded_ok: flags == 1,
-                }
-            }
+            OP_DUMP => Request::Dump,
             OP_UPDATE => {
                 let op = c.u8()?;
                 let target = c.str()?;
@@ -660,11 +639,7 @@ impl Response {
                     put_str(&mut out, l);
                 }
             }
-            ResponseBody::DumpResult { full, xml, damage } => {
-                out.push(u8::from(*full));
-                put_str(&mut out, xml);
-                put_str(&mut out, damage);
-            }
+            ResponseBody::DumpResult { xml } => put_str(&mut out, xml),
             ResponseBody::StatsText(s) => put_str(&mut out, s),
             ResponseBody::FsckResult { clean, report } => {
                 out.push(u8::from(*clean));
@@ -675,9 +650,9 @@ impl Response {
                 put_str(&mut out, message);
             }
             ResponseBody::RetryAfter { kind, millis, what } => {
+                // Byte 1 is unassigned.
                 out.push(match kind {
                     ShedKind::Overloaded => 0,
-                    ShedKind::Timeout => 1,
                     ShedKind::ReadOnly => 2,
                 });
                 out.extend_from_slice(&millis.to_le_bytes());
@@ -719,11 +694,7 @@ impl Response {
                 }
                 ResponseBody::QueryResult { count, lines }
             }
-            ST_OK_DUMP => ResponseBody::DumpResult {
-                full: c.u8()? != 0,
-                xml: c.str()?,
-                damage: c.str()?,
-            },
+            ST_OK_DUMP => ResponseBody::DumpResult { xml: c.str()? },
             ST_OK_UPDATE => ResponseBody::UpdateDone,
             ST_OK_STATS => ResponseBody::StatsText(c.str()?),
             ST_OK_FSCK => ResponseBody::FsckResult {
@@ -756,7 +727,6 @@ impl Response {
             ST_RETRY_AFTER => ResponseBody::RetryAfter {
                 kind: match c.u8()? {
                     0 => ShedKind::Overloaded,
-                    1 => ShedKind::Timeout,
                     2 => ShedKind::ReadOnly,
                     _ => return Err(ProtoError::Malformed("unknown shed kind")),
                 },

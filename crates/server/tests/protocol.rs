@@ -37,7 +37,7 @@ fn request() -> BoxedStrategy<Request> {
         (0u8..1u8).prop_map(|_| Request::Ping),
         (field_string(), any::<bool>())
             .prop_map(|(xpath, count_only)| Request::Query { xpath, count_only }),
-        any::<bool>().prop_map(|degraded_ok| Request::Dump { degraded_ok }),
+        (0u8..1u8).prop_map(|_| Request::Dump),
         (field_string(), update_op()).prop_map(|(target, op)| Request::Update { target, op }),
         (0u8..1u8).prop_map(|_| Request::Stats),
         (0u8..1u8).prop_map(|_| Request::Fsck),
@@ -67,6 +67,15 @@ fn err_kind() -> BoxedStrategy<ErrKind> {
     .boxed()
 }
 
+fn shed_kind() -> BoxedStrategy<ShedKind> {
+    prop_oneof![
+        (0u8..1u8).prop_map(|_| ShedKind::Overloaded),
+        (0u8..1u8).prop_map(|_| ShedKind::ReadOnly),
+    ]
+    .boxed()
+}
+
+/// One strategy arm per [`ResponseBody`] variant.
 fn response_body() -> BoxedStrategy<ResponseBody> {
     prop_oneof![
         (0u8..1u8).prop_map(|_| ResponseBody::Pong),
@@ -78,24 +87,20 @@ fn response_body() -> BoxedStrategy<ResponseBody> {
                 count: count as u32,
                 lines,
             }),
-        (any::<bool>(), field_string(), field_string())
-            .prop_map(|(full, xml, damage)| { ResponseBody::DumpResult { full, xml, damage } }),
+        field_string().prop_map(|xml| ResponseBody::DumpResult { xml }),
         (0u8..1u8).prop_map(|_| ResponseBody::UpdateDone),
         field_string().prop_map(ResponseBody::StatsText),
         (any::<bool>(), field_string())
             .prop_map(|(clean, report)| ResponseBody::FsckResult { clean, report }),
         (0u8..1u8).prop_map(|_| ResponseBody::SessionPinned),
         (0u8..1u8).prop_map(|_| ResponseBody::SessionReleased),
+        (0u8..1u8).prop_map(|_| ResponseBody::SessionExpired),
         (0u8..1u8).prop_map(|_| ResponseBody::ShuttingDown),
         (err_kind(), field_string())
             .prop_map(|(kind, message)| ResponseBody::Error { kind, message }),
-        (any::<bool>(), any::<u16>(), field_string()).prop_map(|(t, millis, what)| {
+        (shed_kind(), any::<u16>(), field_string()).prop_map(|(kind, millis, what)| {
             ResponseBody::RetryAfter {
-                kind: if t {
-                    ShedKind::Timeout
-                } else {
-                    ShedKind::Overloaded
-                },
+                kind,
                 millis: millis as u32,
                 what,
             }

@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use natix_core::Ekm;
 use natix_server::wire::{read_frame, write_frame, OP_SHUTDOWN};
 use natix_server::{
-    serve, Client, ErrKind, Request, Response, ResponseBody, ServeConfig, ServerHandle,
+    serve, Client, ErrKind, Request, Response, ResponseBody, ServeConfig, ServerHandle, ShedKind,
 };
 use natix_store::{bulkload_with, FilePager, StoreConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -267,7 +267,7 @@ fn fuzzed_frames_never_kill_the_server() {
             count_only: false,
         }
         .encode(),
-        Request::Dump { degraded_ok: true }.encode(),
+        Request::Dump.encode(),
         Request::Stats.encode(),
         Request::Fsck.encode(),
         Request::Begin.encode(),
@@ -336,9 +336,10 @@ fn fuzzed_frames_never_kill_the_server() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Satellite: the backpressure round trip. Saturate the pin budget and
-/// the next session gets a typed retry-after (not a hang, not a reset);
-/// honoring the hint after a pin frees succeeds.
+/// The backpressure round trip. Saturate the pin budget and the next
+/// session, and the next unpinned read, get a typed retry-after (not a
+/// hang, not a reset, never an unpinned read); honoring the hint after a
+/// pin frees succeeds.
 #[test]
 fn backpressure_round_trip() {
     let dir = scratch_dir("backpressure");
@@ -362,22 +363,32 @@ fn backpressure_round_trip() {
         other => panic!("expected RetryAfter, got {other:?}"),
     }
 
-    // Unpinned reads still work under a saturated pin budget via the
-    // degraded path (reads are served, never hung).
-    let resp = c.request(&Request::Dump { degraded_ok: true }).unwrap();
-    assert!(
-        matches!(&resp.body, ResponseBody::DumpResult { .. }),
-        "{resp:?}"
-    );
+    // An unpinned read needs a pin of its own: it is shed the same way.
+    let resp = c.request(&Request::Dump).unwrap();
+    match &resp.body {
+        ResponseBody::RetryAfter { kind, millis, what } => {
+            assert_eq!(*kind, ShedKind::Overloaded, "{resp:?}");
+            assert!(*millis > 0, "{resp:?}");
+            assert_eq!(what, "read", "{resp:?}");
+        }
+        other => panic!("expected RetryAfter, got {other:?}"),
+    }
 
     // Release one pin; a client that honors retry-after gets through.
     a.end().unwrap();
+    let (resp, _retries) = c.request_retry(&Request::Dump, 50).unwrap();
+    assert_eq!(
+        resp.body,
+        ResponseBody::DumpResult {
+            xml: natix_xml::parse(SEED_XML).unwrap().to_xml()
+        }
+    );
     let (resp, _retries) = c.request_retry(&Request::Begin, 50).unwrap();
     assert_eq!(resp.body, ResponseBody::SessionPinned);
 
     c.shutdown_server().unwrap();
     let summary = handle.join();
-    assert!(summary.shed >= 1, "{summary}");
+    assert_eq!(summary.shed, 2, "{summary}");
     assert_eq!(summary.worker_panics, 0, "{summary}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -399,13 +410,10 @@ fn concurrent_clients_observe_single_epoch_states() {
                 let mut last_epoch = 0u64;
                 let mut dumps: Vec<(u64, u64)> = Vec::new();
                 for _ in 0..15 {
-                    let (resp, _) = c
-                        .request_retry(&Request::Dump { degraded_ok: false }, 50)
-                        .unwrap();
-                    let ResponseBody::DumpResult { full, xml, .. } = &resp.body else {
+                    let (resp, _) = c.request_retry(&Request::Dump, 50).unwrap();
+                    let ResponseBody::DumpResult { xml } = &resp.body else {
                         panic!("reader {r}: {resp:?}");
                     };
-                    assert!(full, "pinned-free reads must still be full reads");
                     assert!(
                         resp.epoch >= last_epoch,
                         "epoch regressed on one connection"

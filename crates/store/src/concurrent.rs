@@ -30,14 +30,12 @@
 //!   [`ConcurrencyStats::pinned_free_violations`] (and the page kept) —
 //!   the chaos harness asserts this counter stays zero.
 //! * **Admission control** — bounded in-flight reads
-//!   ([`AdmissionConfig::max_inflight_reads`], shed with
-//!   [`StoreError::Overloaded`]) and a per-read deadline budget measured
-//!   in backend page reads ([`AdmissionConfig::read_page_budget`], shed
-//!   with [`StoreError::Timeout`]). A shed request can still be served
-//!   unpinned: [`SharedStore::degraded_seed`] opens like any seed, and
-//!   its damage-tolerant read reports what it could not reach.
+//!   ([`AdmissionConfig::max_inflight_reads`]); the next read is shed
+//!   with [`StoreError::Overloaded`] and retried by its caller. No read
+//!   is ever evaluated without a pin: an unpinned view would race the
+//!   checkpoint that rewrites its pages in place.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -80,17 +78,12 @@ pub struct AdmissionConfig {
     /// [`SharedStore::begin_read`] is shed with
     /// [`StoreError::Overloaded`].
     pub max_inflight_reads: u32,
-    /// Backend page reads a single snapshot may perform before its next
-    /// read fails with [`StoreError::Timeout`] (a deterministic deadline
-    /// budget). `0` means unlimited.
-    pub read_page_budget: u64,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             max_inflight_reads: 64,
-            read_page_budget: 0,
         }
     }
 }
@@ -104,11 +97,6 @@ pub struct ConcurrencyStats {
     pub snapshots_active: u32,
     /// Reads shed by the in-flight limit.
     pub reads_shed: u64,
-    /// Snapshots that exhausted their page-read budget.
-    pub reads_timed_out: u64,
-    /// Unpinned seeds handed out by [`SharedStore::degraded_seed`] for
-    /// shed reads.
-    pub degraded_fallbacks: u64,
     /// `begin_write` calls rejected because the writer was taken.
     pub writer_conflicts: u64,
     /// Committed write operations.
@@ -168,7 +156,7 @@ struct GarbageSet {
 /// A deferred release from a [`Snapshot`]/[`WriteGuard`] drop that could
 /// not lock the shared state (dropped inside a writer callback).
 enum Release {
-    Pin { pin_id: u64, timed_out: bool },
+    Pin(u64),
     Writer,
 }
 
@@ -329,15 +317,14 @@ impl SharedStore {
             .open_pager()
             .and_then(|raw| seed.open(raw));
         match opened {
-            Ok((store, exhausted)) => Ok(Snapshot {
+            Ok(store) => Ok(Snapshot {
                 store,
                 shared: self.clone(),
                 pin_id,
-                exhausted,
                 released: false,
             }),
             Err(e) => {
-                self.release_read(pin_id, false);
+                self.release_read(pin_id);
                 Err(e)
             }
         }
@@ -360,7 +347,7 @@ impl SharedStore {
                 limit,
             });
         }
-        let seed = inner.seed(inner.admission.read_page_budget);
+        let seed = inner.seed();
         let epoch = seed.epoch();
         let pages = inner.reachable()?;
         let pin_id = inner.next_pin;
@@ -372,20 +359,10 @@ impl SharedStore {
         Ok((pin_id, seed))
     }
 
-    /// Give back a pin taken by [`SharedStore::pin_read`] (`timed_out`:
-    /// a view of it ran out of page-read budget). May run the deferred
-    /// checkpoint and reclamation the pin was holding up.
-    pub fn release_read(&self, pin_id: u64, timed_out: bool) {
-        self.release(Release::Pin { pin_id, timed_out });
-    }
-
-    /// Unpinned, unbudgeted seed of the committed state for a shed
-    /// request's damage-tolerant read: the shed path trades isolation
-    /// guarantees for guaranteed progress.
-    pub fn degraded_seed(&self) -> SnapshotSeed {
-        let mut inner = self.inner.borrow_mut();
-        inner.stats.degraded_fallbacks += 1;
-        inner.seed(0)
+    /// Give back a pin taken by [`SharedStore::pin_read`]. May run the
+    /// deferred checkpoint and reclamation the pin was holding up.
+    pub fn release_read(&self, pin_id: u64) {
+        self.release(Release::Pin(pin_id));
     }
 
     /// Claim the single writer slot. A second claim while a
@@ -471,13 +448,12 @@ impl SharedStore {
 impl Inner {
     /// Seed of the current committed state: header, catalog bytes and
     /// pending-journal page images, all shared with the writer's memory.
-    fn seed(&self, budget: u64) -> SnapshotSeed {
+    fn seed(&self) -> SnapshotSeed {
         SnapshotSeed {
             header: self.store.committed_header(),
             catalog_bytes: Arc::clone(&self.store.committed_catalog_bytes),
             overlay: Arc::clone(&self.store.committed_overlay),
             config: self.config,
-            budget,
         }
     }
 
@@ -504,7 +480,7 @@ impl Inner {
 
     fn apply_release(&mut self, r: Release) {
         match r {
-            Release::Pin { pin_id, timed_out } => {
+            Release::Pin(pin_id) => {
                 let Some(info) = self.pinned.remove(&pin_id) else {
                     return;
                 };
@@ -515,9 +491,6 @@ impl Inner {
                     }
                 }
                 self.stats.snapshots_active = self.stats.snapshots_active.saturating_sub(1);
-                if timed_out {
-                    self.stats.reads_timed_out += 1;
-                }
             }
             Release::Writer => self.writer_active = false,
         }
@@ -642,8 +615,8 @@ impl Inner {
 
 /// Everything needed to open a read-only view of one committed epoch:
 /// the pinned header, the catalog bytes and the pending journal's page
-/// images (both shared with the writer, never copied), config and
-/// page-read budget. Taken on the writer's thread by
+/// images (both shared with the writer, never copied) and config. Taken
+/// on the writer's thread by
 /// [`SharedStore::pin_read`] — or, for a page file no writer holds in
 /// memory, read from it by `SnapshotSeed::from_disk`; `Send`, so
 /// [`SnapshotSeed::open`] can run on whichever thread will do the reading.
@@ -653,11 +626,10 @@ pub struct SnapshotSeed {
     catalog_bytes: Arc<Vec<u8>>,
     pub(crate) overlay: Arc<Overlay>,
     config: StoreConfig,
-    budget: u64,
 }
 
 impl SnapshotSeed {
-    /// Unbudgeted seed of the committed state of the page file behind
+    /// Seed of the committed state of the page file behind
     /// `raw`, without writing it: where [`XmlStore::open`] would replay a
     /// pending journal in place and publish a new header, its page
     /// images become the seed's overlay. (A replica reads its applied
@@ -669,7 +641,7 @@ impl SnapshotSeed {
         Self::read(header, pending, &mut checked, config)
     }
 
-    /// Unbudgeted seed of the committed state `header` publishes, with
+    /// Seed of the committed state `header` publishes, with
     /// `pending` — the journal's page images — as its overlay and its
     /// catalog read through `checked`.
     pub(crate) fn read(
@@ -691,7 +663,6 @@ impl SnapshotSeed {
             catalog_bytes: Arc::new(catalog_bytes),
             overlay: Arc::new(overlay.collect()),
             config,
-            budget: 0,
         })
     }
 
@@ -700,42 +671,23 @@ impl SnapshotSeed {
         self.header.epoch
     }
 
-    /// The same state without a page-read budget (the degraded path a
-    /// budget-exhausted read falls back to).
-    pub fn unbudgeted(mut self) -> SnapshotSeed {
-        self.budget = 0;
-        self
-    }
-
     /// Build the read-only store and its own buffer pool over `raw`, a
     /// fresh pager on the backing pages the seed was taken from. Data
     /// pages come from `raw`; the catalog and the overlaid page images
-    /// come from the seed. Returns the store and the flag its
-    /// page-read budget (if any) raises on exhaustion.
-    pub fn open(&self, raw: Box<dyn Pager>) -> StoreResult<(XmlStore, Rc<Cell<bool>>)> {
+    /// come from the seed.
+    pub fn open(&self, raw: Box<dyn Pager>) -> StoreResult<XmlStore> {
         // The overlay sits *above* the checksum layer: journal images are
         // unsealed page payloads (sealing happens on write).
-        let stacked: Box<dyn Pager> = Box::new(OverlayPager {
+        let stacked = Box::new(OverlayPager {
             inner: Box::new(ChecksummingPager::new(raw)),
             overlay: Arc::clone(&self.overlay),
         });
-        let exhausted = Rc::new(Cell::new(false));
-        let limited: Box<dyn Pager> = if self.budget > 0 {
-            Box::new(BudgetPager {
-                inner: stacked,
-                remaining: self.budget,
-                budget: self.budget,
-                exhausted: Rc::clone(&exhausted),
-            })
-        } else {
-            stacked
-        };
-        let pool = BufferPool::new(limited, self.config.buffer_pages);
+        let pool = BufferPool::new(stacked, self.config.buffer_pages);
         let cat = catalog::decode_catalog(&self.catalog_bytes)?;
         let mut store =
             XmlStore::from_committed(pool, &self.header, Arc::clone(&self.catalog_bytes), cat);
         store.read_only = true;
-        Ok((store, exhausted))
+        Ok(store)
     }
 }
 
@@ -746,7 +698,6 @@ pub struct Snapshot {
     store: XmlStore,
     shared: SharedStore,
     pin_id: u64,
-    exhausted: Rc<Cell<bool>>,
     released: bool,
 }
 
@@ -781,7 +732,7 @@ impl Drop for Snapshot {
     fn drop(&mut self) {
         if !self.released {
             self.released = true;
-            self.shared.release_read(self.pin_id, self.exhausted.get());
+            self.shared.release_read(self.pin_id);
         }
     }
 }
@@ -945,42 +896,6 @@ impl Pager for OverlayPager {
     }
 }
 
-/// Deadline budget at the pager seam: each backend page read spends one
-/// unit; at zero, reads fail with [`StoreError::Timeout`]. Deterministic
-/// by construction — no wall clocks in the read path.
-struct BudgetPager {
-    inner: Box<dyn Pager>,
-    remaining: u64,
-    budget: u64,
-    exhausted: Rc<Cell<bool>>,
-}
-
-impl Pager for BudgetPager {
-    fn page_count(&self) -> u32 {
-        self.inner.page_count()
-    }
-
-    fn allocate(&mut self) -> StoreResult<PageId> {
-        self.inner.allocate()
-    }
-
-    fn read(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> StoreResult<()> {
-        if self.remaining == 0 {
-            self.exhausted.set(true);
-            return Err(StoreError::Timeout {
-                what: "read",
-                budget: self.budget,
-            });
-        }
-        self.remaining -= 1;
-        self.inner.read(id, buf)
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> StoreResult<()> {
-        self.inner.write(id, buf)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1082,7 +997,6 @@ mod tests {
             64,
             AdmissionConfig {
                 max_inflight_reads: 2,
-                read_page_budget: 0,
             },
         );
         let s1 = shared.begin_read().unwrap();
@@ -1092,53 +1006,18 @@ mod tests {
             matches!(err, StoreError::Overloaded { what: "read", .. }),
             "{err}"
         );
+        assert!(err.retry_after_hint_ms().unwrap() > 0, "{err}");
         assert!(matches!(shared.pin_read(), Err(e) if e.is_overload()));
-        // The shed path still serves, unpinned and damage-tolerant.
-        let (mut store, _) = shared.degraded_seed().open(Box::new(disk.clone())).unwrap();
-        let (doc, damage) = store.to_document_degraded().unwrap();
-        assert_eq!(doc.to_xml(), "<a><b/></a>");
-        assert!(damage.is_empty(), "{damage}");
         assert_eq!(shared.active_pins(), 2);
         drop(s1);
-        // A slot freed: pinned reads work again.
+        // A slot freed: the retried read is admitted.
         let (pin_id, seed) = shared.pin_read().unwrap();
-        let (mut store, _) = seed.open(Box::new(disk.clone())).unwrap();
+        let mut store = seed.open(Box::new(disk.clone())).unwrap();
         assert_eq!(store.to_document().unwrap().to_xml(), "<a><b/></a>");
-        shared.release_read(pin_id, false);
+        shared.release_read(pin_id);
         let stats = shared.stats();
         assert_eq!(stats.reads_shed, 2, "{stats:?}");
-        assert_eq!(stats.degraded_fallbacks, 1, "{stats:?}");
         assert_eq!(stats.snapshots_active, 1, "{stats:?}");
-    }
-
-    #[test]
-    fn read_budget_times_out_deterministically() {
-        // A multi-record store with a 1-page budget cannot finish a
-        // strict read; the error is a structured Timeout, and the
-        // unpinned shed path, which has no budget, still serves it all.
-        let mut xml = String::from("<list>");
-        for i in 0..6 {
-            xml.push_str(&format!("<e>{}</e>", "y".repeat(2000 + i)));
-        }
-        xml.push_str("</list>");
-        let (shared, disk) = shared(
-            &xml,
-            1_000_000,
-            AdmissionConfig {
-                max_inflight_reads: 4,
-                read_page_budget: 1,
-            },
-        );
-        let mut snap = shared.begin_read().unwrap();
-        let err = snap.document().unwrap_err();
-        assert!(matches!(err, StoreError::Timeout { .. }), "{err}");
-        drop(snap);
-        assert_eq!(shared.stats().reads_timed_out, 1);
-        // The shed path is unbudgeted: full content, degraded guarantees.
-        let (mut store, exhausted) = shared.degraded_seed().open(Box::new(disk.clone())).unwrap();
-        let (doc, damage) = store.to_document_degraded().unwrap();
-        assert!(doc.to_xml().contains(&"y".repeat(2005)));
-        assert!(damage.is_empty() && !exhausted.get(), "{damage}");
     }
 
     #[test]
@@ -1341,13 +1220,13 @@ mod tests {
             let path = path.clone();
             let there = std::thread::spawn(move || {
                 let raw = Box::new(crate::FilePager::open(&path).unwrap());
-                let (mut store, _) = seed.open(raw).unwrap();
+                let mut store = seed.open(raw).unwrap();
                 assert_eq!(store.current_epoch(), epoch);
                 store.to_document().unwrap().to_xml()
             })
             .join()
             .unwrap();
-            shared.release_read(pin_id, false);
+            shared.release_read(pin_id);
             assert_eq!(here, there);
             here
         };

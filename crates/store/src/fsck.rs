@@ -343,7 +343,7 @@ fn scrub(pages: &dyn PagerFactory, repair: bool, report: &mut FsckReport) -> Sto
     // Pass 3: the catalog, as the read-only view reads and decodes it.
     let view_pager = pages.open_pager()?;
     let view = SnapshotSeed::read(header, pending, &mut checked, StoreConfig::default())
-        .and_then(|seed| Ok((seed.open(view_pager)?.0, seed.overlay)));
+        .and_then(|seed| Ok((seed.open(view_pager)?, seed.overlay)));
     let (mut view, overlay) = match view {
         Ok((store, overlay)) => (Some(store), overlay),
         Err(e) => {

@@ -70,8 +70,7 @@ pub enum StoreError {
     /// single node heavier than the record limit).
     InvalidUpdate(&'static str),
     /// Admission control shed the request: the concurrency limit is
-    /// already fully used. The store itself is healthy — retry later or
-    /// take the degraded path.
+    /// already fully used. The store itself is healthy — retry later.
     Overloaded {
         /// What was rejected (`"read"`, `"write"`).
         what: &'static str,
@@ -79,15 +78,6 @@ pub enum StoreError {
         inflight: u32,
         /// The configured admission limit.
         limit: u32,
-    },
-    /// A request exhausted its per-request deadline budget (measured in
-    /// backend page reads, so deadlines are deterministic under test) and
-    /// was cancelled.
-    Timeout {
-        /// What timed out (`"read"`, `"scrub"`).
-        what: &'static str,
-        /// The budget the request started with.
-        budget: u64,
     },
     /// The store is in read-only degraded mode: a resource-class failure
     /// (e.g. a full disk) rolled the in-flight commit back and writes are
@@ -214,14 +204,11 @@ impl StoreError {
         }
     }
 
-    /// True for load-shedding outcomes ([`StoreError::Overloaded`] /
-    /// [`StoreError::Timeout`]): the store is healthy, the request was
-    /// rejected by policy. Callers can retry later or degrade.
+    /// True for a load-shedding outcome ([`StoreError::Overloaded`]): the
+    /// store is healthy, the request was rejected by policy. Callers
+    /// retry later.
     pub fn is_overload(&self) -> bool {
-        matches!(
-            self,
-            StoreError::Overloaded { .. } | StoreError::Timeout { .. }
-        )
+        matches!(self, StoreError::Overloaded { .. })
     }
 
     /// Coarse classification for front ends that must tell shed load from
@@ -229,9 +216,7 @@ impl StoreError {
     /// the CLI maps them to distinct exit codes.
     pub fn category(&self) -> ErrorCategory {
         match self {
-            StoreError::Overloaded { .. }
-            | StoreError::Timeout { .. }
-            | StoreError::ReadOnly { .. } => ErrorCategory::Shed,
+            StoreError::Overloaded { .. } | StoreError::ReadOnly { .. } => ErrorCategory::Shed,
             StoreError::Corrupt { .. } | StoreError::BadPage(_) | StoreError::BadRecord(_) => {
                 ErrorCategory::Corrupt
             }
@@ -248,7 +233,6 @@ impl StoreError {
     pub fn retry_after_hint_ms(&self) -> Option<u64> {
         match self {
             StoreError::Overloaded { inflight, .. } => Some((1 + *inflight as u64 / 4).min(50)),
-            StoreError::Timeout { .. } => Some(10),
             StoreError::ReadOnly { .. } => Some(READ_ONLY_RETRY_HINT_MS),
             _ => None,
         }
@@ -261,8 +245,9 @@ impl StoreError {
 /// the request itself (or the store) has a real problem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCategory {
-    /// Admission control rejected the request ([`StoreError::Overloaded`]
-    /// / [`StoreError::Timeout`]); retry after a back-off.
+    /// Admission control rejected the request ([`StoreError::Overloaded`])
+    /// or the store is read-only degraded ([`StoreError::ReadOnly`]);
+    /// retry after a back-off.
     Shed,
     /// At-rest bytes are damaged; `fsck` is the remedy, not a retry.
     Corrupt,
@@ -328,12 +313,6 @@ impl std::fmt::Display for StoreError {
                 f,
                 "overloaded: {what} rejected ({inflight} in flight, limit {limit})"
             ),
-            StoreError::Timeout { what, budget } => {
-                write!(
-                    f,
-                    "timeout: {what} exhausted its budget of {budget} page reads"
-                )
-            }
             StoreError::ReadOnly { reason } => {
                 write!(
                     f,
@@ -1785,12 +1764,6 @@ mod tests {
         assert!(shed.is_overload() && !shed.is_corruption());
         assert_eq!(shed.category(), ErrorCategory::Shed);
         assert!(shed.to_string().contains("8 in flight"), "{shed}");
-        let late = StoreError::Timeout {
-            what: "read",
-            budget: 3,
-        };
-        assert!(late.is_overload() && !late.is_corruption());
-        assert!(late.to_string().contains("budget of 3"), "{late}");
         // Display carries full context.
         let e = StoreError::checksum_mismatch(7, PageClass::Record, 1, 2);
         let msg = e.in_record(12).to_string();

@@ -10,11 +10,10 @@
 //! * the **writer open** ([`XmlStore::open`]): checksum verification,
 //!   crash recovery ([`recover`]) and catalog read on it, then a pool;
 //! * the **read-only view** (`SnapshotSeed::open` in `concurrent.rs`):
-//!   checksum verification, the pending journal's page images, an
-//!   optional read budget, a pool — for snapshots of a live writer, and
-//!   over a file no writer holds ([`XmlStore::open_read_only`]) for a
-//!   replica's reads, `dump --degraded` and fsck alike. It writes
-//!   nothing.
+//!   checksum verification, the pending journal's page images, a pool —
+//!   for snapshots of a live writer, and over a file no writer holds
+//!   ([`XmlStore::open_read_only`]) for a replica's reads,
+//!   `dump --degraded` and fsck alike. It writes nothing.
 //!
 //! The committed header is read in one place (`catalog::read_header`),
 //! which is also where a file of another format version is refused.
@@ -1090,7 +1089,7 @@ impl XmlStore {
     /// are refused.
     pub fn open_read_only(pages: &dyn PagerFactory, config: StoreConfig) -> StoreResult<XmlStore> {
         let seed = SnapshotSeed::from_disk(pages.open_pager()?, config)?;
-        Ok(seed.open(pages.open_pager()?)?.0)
+        seed.open(pages.open_pager()?)
     }
 
     /// Records quarantined by `fsck --repair`, ascending.

@@ -13,8 +13,8 @@
 //! seed-chosen fault plan (none, a one-shot write error, a one-shot read
 //! error, or a power cut): nothing retries I/O, as on every user path.
 //! Readers and the scrubber run over clean pager clones, as independent
-//! OS handles would, and a shed read takes the server's unpinned path
-//! (`degraded_seed`, `open`, `to_document_degraded`).
+//! OS handles would. A read shed by admission control is retried at the
+//! reader's next step, as a server's client retries a retry-after.
 //!
 //! Checked invariants, per step and per run:
 //!
@@ -102,7 +102,6 @@ pub struct InterleavingStats {
     /// Clock evictions in the writer's buffer pool.
     pub evictions: u64,
     pub reads_shed: u64,
-    pub degraded_served: u64,
     pub scrubs: u64,
     pub pages_reclaimed: u64,
     pub checkpoints_deferred: u64,
@@ -284,7 +283,6 @@ pub fn run_interleaving(
     };
     let admission = AdmissionConfig {
         max_inflight_reads: 1 + (splitmix(seed ^ 0xAD01) % 3) as u32,
-        read_page_budget: 0,
     };
     let shared = SharedStore::new(wstore, Box::new(disk.clone()), config, admission);
 
@@ -456,30 +454,9 @@ pub fn run_interleaving(
                                 release_at,
                             });
                         }
-                        Err(e) if e.is_overload() => {
-                            // Shed: the server's unpinned path must still
-                            // serve the current committed state, degraded.
-                            stats.reads_shed += 1;
-                            let (doc, damage) = shared
-                                .degraded_seed()
-                                .open(Box::new(disk.clone()))
-                                .and_then(|(mut s, _)| s.to_document_degraded())
-                                .map_err(|e| fail(step, format!("degraded fallback died: {e}")))?;
-                            let want = oracle
-                                .map
-                                .get(&shared.committed_epoch())
-                                .expect("current epoch is always in the oracle");
-                            if doc.to_xml() != *want {
-                                return Err(fail(step, "degraded read diverged".into()));
-                            }
-                            if !damage.is_empty() {
-                                return Err(fail(
-                                    step,
-                                    format!("degraded read reported damage: {damage}"),
-                                ));
-                            }
-                            stats.degraded_served += 1;
-                        }
+                        // Shed: the slot stays empty, so the reader
+                        // retries at its next step.
+                        Err(e) if e.is_overload() => stats.reads_shed += 1,
                         Err(e) => {
                             return Err(fail(step, format!("begin_read failed: {e}")));
                         }
@@ -574,7 +551,7 @@ pub(crate) fn chaos(plan: &Plan, progress: &mut Progress) -> Report {
          {snapshot reads verified} snapshot reads verified, {group commits} group commits \
          ({ops} ops), {rolled back} rolled back, {with a rejected op} with a rejected op, \
          {open failures} open failures, {evictions} evictions, {shed} shed, \
-         {degraded} degraded, {scrubs} scrubs, {pages reclaimed} pages reclaimed, \
+         {scrubs} scrubs, {pages reclaimed} pages reclaimed, \
          {failures} failures",
         &plan.seeds,
     );
@@ -593,7 +570,6 @@ pub(crate) fn chaos(plan: &Plan, progress: &mut Progress) -> Report {
                 report.add("open failures", s.open_failed);
                 report.add("evictions", s.evictions);
                 report.add("shed", s.reads_shed);
-                report.add("degraded", s.degraded_served);
                 report.add("scrubs", s.scrubs);
                 report.add("pages reclaimed", s.pages_reclaimed);
             }

@@ -183,9 +183,6 @@ const FULL_LOAD: LoadSweep = LoadSweep {
     max_pins: 8,
 };
 
-/// Store-service queue bound of the load server.
-const QUEUE_DEPTH: usize = 64;
-
 /// Nearest-rank percentile of an ascending-sorted sample.
 fn percentile_us(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
@@ -243,7 +240,7 @@ fn client_loop(
                     xpath: "//item".to_string(),
                     count_only: false,
                 },
-                _ => Request::Dump { degraded_ok: false },
+                _ => Request::Dump,
             }
         } else {
             match rng.gen_range(0..100u32) {
@@ -256,7 +253,7 @@ fn client_loop(
                     xpath: "//item".to_string(),
                     count_only: false,
                 },
-                55..=69 => Request::Dump { degraded_ok: false },
+                55..=69 => Request::Dump,
                 70..=74 => Request::Stats,
                 75..=79 => Request::Fsck,
                 _ => Request::Update {
@@ -297,11 +294,7 @@ fn client_loop(
                 }
                 last_epoch = last_epoch.max(resp.epoch);
                 match &resp.body {
-                    ResponseBody::DumpResult { xml, full, .. } => {
-                        if !full {
-                            obs.failures
-                                .push(format!("client {id}: degraded dump without opting in"));
-                        }
+                    ResponseBody::DumpResult { xml } => {
                         let mut h = DefaultHasher::new();
                         xml.hash(&mut h);
                         obs.dumps.push((resp.epoch, h.finish()));
@@ -340,7 +333,6 @@ pub(crate) fn net_load(plan: &Plan, progress: &mut Progress) -> Report {
     let handle = serve(ServeConfig {
         store: served_store(&dir, cfg.scale, seed),
         workers: cfg.workers,
-        queue_depth: QUEUE_DEPTH,
         max_pins: cfg.max_pins,
         ..ServeConfig::default()
     })
@@ -474,7 +466,7 @@ fn soak_round(
                 };
                 let mut last_epoch = 0u64;
                 while !stop.load(Ordering::SeqCst) {
-                    match c.request_retry(&Request::Dump { degraded_ok: false }, 20) {
+                    match c.request_retry(&Request::Dump, 20) {
                         Ok((resp, _)) => {
                             if resp.epoch < last_epoch {
                                 sink.lock()

@@ -371,7 +371,7 @@ fn chaos_client(proxy_addr: SocketAddr, id: usize, requests: usize, seed: u64) -
                 xpath: "//keyword".to_string(),
                 count_only: true,
             },
-            50..=59 => Request::Dump { degraded_ok: false },
+            50..=59 => Request::Dump,
             60..=69 => Request::End,
             70..=77 => Request::Stats,
             78..=84 => Request::Fsck,
@@ -399,7 +399,7 @@ fn chaos_client(proxy_addr: SocketAddr, id: usize, requests: usize, seed: u64) -
                     (Request::End, _) => pin_epoch = None,
                     // Only reads are served from the session snapshot;
                     // the other verbs report the committed epoch.
-                    (Request::Query { .. } | Request::Dump { .. }, Some(p)) if resp.epoch != p => {
+                    (Request::Query { .. } | Request::Dump, Some(p)) if resp.epoch != p => {
                         obs.failures.push(format!(
                             "client {id}: pinned at {p} but {req:?} reported {}",
                             resp.epoch
@@ -416,7 +416,7 @@ fn chaos_client(proxy_addr: SocketAddr, id: usize, requests: usize, seed: u64) -
                 if pin_epoch.is_none() {
                     last_epoch = last_epoch.max(resp.epoch);
                 }
-                if let ResponseBody::DumpResult { xml, .. } = &resp.body {
+                if let ResponseBody::DumpResult { xml } = &resp.body {
                     let mut h = DefaultHasher::new();
                     xml.hash(&mut h);
                     obs.dumps.push((resp.epoch, h.finish()));

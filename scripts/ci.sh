@@ -177,9 +177,12 @@ grep -q "read-only    : no" "$serve_dir/stats.out"
 grep -q "superseded pages" "$serve_dir/stats.out"
 natix net "$addr" fsck > /dev/null
 # Deterministic backpressure round trip: saturate the 4 session pins,
-# observe a typed retry-after, release one, get admitted.
+# observe a typed retry-after for the next begin and for an unpinned
+# query and dump (the pin budget is the one gate; no read runs
+# without a pin), release one, get admitted.
 natix net "$addr" shed-probe --pins 4 > "$serve_dir/shed.out"
-grep -q "shed observed" "$serve_dir/shed.out"
+grep -q "^shed observed" "$serve_dir/shed.out"
+grep -q "^read shed observed" "$serve_dir/shed.out"
 grep -q "retry honored" "$serve_dir/shed.out"
 # Structured exit codes: usage errors are 2, transport failures are 5.
 rc=0; natix net "$addr" frobnicate 2> /dev/null || rc=$?
