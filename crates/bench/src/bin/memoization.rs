@@ -8,11 +8,11 @@
 //! ```
 //!
 //! Rows are the per-node DP runs of the one engine: one per distinct inner
-//! subtree shape, dominance pruning on. Besides cell counts, the table
+//! subtree shape. Besides cell counts, the table
 //! reports the peak workspace bytes of the flat-arena tables and the
 //! structure sharing of `natix_core::dag`: distinct weighted subtree shapes
 //! (fingerprints), nodes-per-shape dedup ratio, shape-cache hit rate, and
-//! the dominance-pruning counters.
+//! the count of non-improving interval candidates.
 
 use natix_bench::json_row;
 use natix_bench::{natix_core, natix_datagen, write_json, Args, Table};
@@ -114,7 +114,7 @@ fn main() {
          table = the naive table over every inner node. arena KB = peak reusable workspace of\n\
          the flat-arena DP. shapes = distinct weighted subtree fingerprints (minimal-DAG\n\
          nodes); dedup = nodes per shape; hit = fraction of nodes served from the shape cache;\n\
-         pruned = interval candidates dominance pruning removed."
+         pruned = interval candidates compared that did not improve their cell."
     );
     write_json(&args, &results);
 }

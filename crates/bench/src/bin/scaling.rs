@@ -24,11 +24,8 @@ json_row! {
 
 fn main() {
     let args = Args::parse();
-    let algorithms: Vec<Box<dyn Partitioner>> = if args.skip_dhw {
-        vec![Box::new(Ghdw), Box::new(Ekm), Box::new(Km)]
-    } else {
-        vec![Box::new(Dhw), Box::new(Ghdw), Box::new(Ekm), Box::new(Km)]
-    };
+    let algorithms: Vec<Box<dyn Partitioner>> =
+        vec![Box::new(Dhw), Box::new(Ghdw), Box::new(Ekm), Box::new(Km)];
 
     let mut headers = vec!["Scale", "Nodes"];
     for a in &algorithms {

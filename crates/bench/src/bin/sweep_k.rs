@@ -43,9 +43,6 @@ fn main() {
     let algorithms = evaluation_algorithms();
     let mut headers = vec!["K", "ceil(W/K)"];
     for a in &algorithms {
-        if args.skip_dhw && a.name() == "DHW" {
-            continue;
-        }
         headers.push(a.name());
     }
     let mut table = Table::new(&headers);
@@ -61,9 +58,6 @@ fn main() {
         let mut cells = vec![k.to_string(), lb.to_string()];
         let mut partitions = Vec::new();
         for alg in &algorithms {
-            if args.skip_dhw && alg.name() == "DHW" {
-                continue;
-            }
             let p = alg.partition(tree, k).expect("feasible");
             let stats = validate(tree, k, &p).expect("valid");
             cells.push(stats.cardinality.to_string());

@@ -31,15 +31,9 @@ json_row! {
 fn main() {
     let args = Args::parse();
     let algorithms = evaluation_algorithms();
-    let kept: Vec<usize> = algorithms
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| !(args.skip_dhw && a.name() == "DHW"))
-        .map(|(i, _)| i)
-        .collect();
     let mut headers = vec!["Document"];
-    for &a in &kept {
-        headers.push(algorithms[a].name());
+    for a in &algorithms {
+        headers.push(a.name());
     }
     let mut table = Table::new(&headers);
 
@@ -63,9 +57,8 @@ fn main() {
                         }
                         let (name, doc) = &suite[d];
                         let tree = doc.tree();
-                        let mut secs = Vec::with_capacity(kept.len());
-                        for &a in &kept {
-                            let alg = &algs[a];
+                        let mut secs = Vec::with_capacity(algs.len());
+                        for alg in &algs {
                             let (res, dur) = time(|| alg.partition(tree, args.k));
                             res.unwrap_or_else(|e| panic!("{} on {name}: {e}", alg.name()));
                             secs.push(dur.as_secs_f64());
@@ -94,9 +87,9 @@ fn main() {
         let secs = grid[d].take().expect("document timed");
         let mut cells = vec![name.to_string()];
         let mut seconds = Vec::new();
-        for (i, &a) in kept.iter().enumerate() {
-            cells.push(fmt_duration(std::time::Duration::from_secs_f64(secs[i])));
-            seconds.push((algorithms[a].name().to_string(), secs[i]));
+        for (alg, &sec) in algorithms.iter().zip(&secs) {
+            cells.push(fmt_duration(std::time::Duration::from_secs_f64(sec)));
+            seconds.push((alg.name().to_string(), sec));
         }
         table.row(cells);
         results.push(Row {

@@ -39,8 +39,6 @@ pub struct Args {
     pub k: u64,
     /// Optional path for machine-readable JSON results.
     pub json: Option<String>,
-    /// Skip the slow optimal algorithm (DHW) if set.
-    pub skip_dhw: bool,
     /// Worker threads over the (document × algorithm) grid of `table1` and
     /// `table2` (`--threads`); defaults to the machine's available
     /// parallelism.
@@ -54,7 +52,6 @@ impl Default for Args {
             seed: 42,
             k: 256,
             json: None,
-            skip_dhw: false,
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -95,7 +92,6 @@ impl Args {
                     })
                 }
                 "--json" => args.json = Some(value("--json")),
-                "--skip-dhw" => args.skip_dhw = true,
                 "--threads" => {
                     args.threads = value("--threads").parse().unwrap_or_else(|_| {
                         eprintln!("--threads expects a positive integer");
@@ -109,7 +105,7 @@ impl Args {
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --scale <f> | --paper | --seed <n> | --k <slots> | \
-                         --json <path> | --skip-dhw | --threads <n>"
+                         --json <path> | --threads <n>"
                     );
                     std::process::exit(0);
                 }

@@ -104,7 +104,7 @@
 //! `natix soak --replay` re-runs.
 //!
 //! DHW and GHDW run one DP per distinct weighted subtree shape with
-//! dominance-pruned rows (`natix_core::dag`). `natix partition --stats`
+//! per-column forcing profiles (`natix_core::dag`). `natix partition --stats`
 //! prints the sharing and pruning counters of that run so users can see
 //! why a document did or didn't benefit.
 
@@ -218,7 +218,7 @@ fn usage() -> ExitCode {
          fsck | update '<xpath>' <append-element|append-text|insert-before|delete> [VALUE] | \
          shed-probe [--pins N] | promote | shutdown   (all: [--retries N])\n\
          algorithms: ekm (default), dhw, ghdw, km, rs, dfs, bfs, lukes\n\
-         --stats prints DP cache and dominance-pruning counters (dhw/ghdw)\n\
+         --stats prints DP cache and scan counters (dhw/ghdw)\n\
          --pool-pages N caps the buffer pool at N 8 KB pages (default 8192)\n\
          campaigns (--quick: the CI smoke tier; --runs: chaos only):"
     );
@@ -378,7 +378,7 @@ fn cmd_partition(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `--stats`: the structure-sharing and dominance-pruning counters of the
+/// `--stats`: the structure-sharing and scan counters of the
 /// run that produced the partitioning.
 fn print_dp_stats(stats: &DpStats) {
     println!(
@@ -394,7 +394,7 @@ fn print_dp_stats(stats: &DpStats) {
         stats.dag_cross_run_hits
     );
     println!(
-        "pruned     : {} candidates, {} scans cut short",
+        "pruned     : {} non-improving candidates, {} scans ended early",
         stats.pruned_candidates, stats.pruned_scans
     );
     println!(

@@ -1,6 +1,6 @@
 //! The whole-tree driver of **GHDW** (Fig. 5) and **DHW** (Fig. 7):
 //! hash-consed subtree DAG + `(fingerprint, K)` plan cache around the
-//! dominance-pruned per-node DP of [`crate::dp`].
+//! profile-driven per-node DP of [`crate::dp`].
 //!
 //! The per-node DP is a pure function of the node's *weighted subtree
 //! shape*: its own weight, the ordered shapes of its children, and the run
@@ -28,8 +28,8 @@
 //!    overlapping corpora) plans whose key matches are reused outright.
 //!
 //! Output is **byte-identical** to a per-node, unpruned run: plans are pure
-//! per shape, pruning only skips provably non-improving candidates, and
-//! extraction walks the same chains. `tests/differential.rs` enforces this
+//! per shape, a row scan stops only where no later candidate can improve,
+//! and extraction walks the same chains. `tests/differential.rs` enforces this
 //! against the independent `natix_core::baseline` implementation across the
 //! `natix-datagen` corpus and random trees.
 
@@ -313,8 +313,8 @@ pub fn ghdw_cached_into(
 }
 
 /// Run DHW while collecting [`DpStats`]: table sizes (the Sec. 3.3.6
-/// memoization experiment), cache hit rates, dedup ratio and
-/// dominance-pruning counters; see the `memoization` bench binary and
+/// memoization experiment), cache hit rates, dedup ratio and scan
+/// counters; see the `memoization` bench binary and
 /// `natix partition --stats`.
 pub fn dhw_with_statistics(
     tree: &Tree,

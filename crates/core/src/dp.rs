@@ -14,7 +14,10 @@
 //! DHW additionally considers the *nearly optimal* partitioning `Q(v)`
 //! (one more interval, smaller root weight, Lemma 4) and chooses between
 //! the two per subtree via the `ΔW` machinery of Lemma 5, which makes the
-//! result globally optimal.
+//! result globally optimal. How many members Lemma 5 forces for an interval
+//! depends on the column `j` and the interval's width only, never on the
+//! row `s`, so it is computed once per column into a *forcing profile*
+//! ([`NodeDp::compute`]); a cell's scan then reads it.
 //!
 //! ## Memoization and memory layout
 //!
@@ -49,9 +52,9 @@ const DENSE_LIMIT: u64 = 1 << 16;
 
 /// One cell of the dynamic programming table `D(v, s, j)`.
 ///
-/// Plain old data: chain pointers are `(s, j)` table coordinates and the
-/// nearly-optimal member set is a range of [`DpWorkspace::nearly_pool`], so
-/// copying an entry is a register move.
+/// Plain old data: the chain continues at table coordinates
+/// `(next_s, begin)` and the nearly-optimal member set is a range of
+/// [`DpWorkspace::nearly_pool`], so copying an entry is a register move.
 #[derive(Clone, Copy)]
 struct Entry {
     /// Child index (into `v`'s child list) of the interval begin, or
@@ -64,10 +67,9 @@ struct Entry {
     card: u64,
     /// Weight of the root partition of this (partial) solution.
     rootweight: Weight,
-    /// Row key `s` of the remainder of the interval chain.
+    /// Row key `s` of the remainder of the interval chain, found in
+    /// column `begin`.
     next_s: Weight,
-    /// Column `j` of the remainder of the interval chain.
-    next_j: u32,
     /// Start of this entry's nearly-forced member range in the pool.
     nearly_start: u32,
     /// Length of the nearly-forced member range (`N` in Fig. 7; always
@@ -83,7 +85,6 @@ const INFEASIBLE_ENTRY: Entry = Entry {
     card: INFEASIBLE,
     rootweight: Weight::MAX,
     next_s: 0,
-    next_j: 0,
     nearly_start: 0,
     nearly_len: 0,
 };
@@ -167,8 +168,15 @@ pub(crate) struct DpWorkspace {
     index: Vec<u32>,
     /// Nearly-forced child indices referenced by entry ranges.
     nearly_pool: Vec<u32>,
-    /// Candidate list `C` of Fig. 7, shared across `compute` calls.
-    cand: Vec<(Weight, u32)>,
+    /// Forcing profiles of the current node, column after column: the
+    /// `taken(j, m)` of [`DpWorkspace::build_profiles`].
+    profiles: Vec<u32>,
+    /// `profile_at[j]` ends column `j`'s profile in `profiles` (and starts
+    /// column `j + 1`'s); `profile_at[0] = 0`.
+    profile_at: Vec<usize>,
+    /// The ΔW values of the list `C` of Fig. 7, sorted descending, while a
+    /// profile is built.
+    cand: Vec<Weight>,
     /// Collapsed child summaries of the current node.
     child_stats: Vec<ChildStats>,
 }
@@ -188,8 +196,54 @@ impl DpWorkspace {
             + self.rows.capacity() * std::mem::size_of::<RowMeta>()
             + self.index.capacity() * std::mem::size_of::<u32>()
             + self.nearly_pool.capacity() * std::mem::size_of::<u32>()
-            + self.cand.capacity() * std::mem::size_of::<(Weight, u32)>()
+            + self.profiles.capacity() * std::mem::size_of::<u32>()
+            + self.profile_at.capacity() * std::mem::size_of::<usize>()
+            + self.cand.capacity() * std::mem::size_of::<Weight>()
             + self.child_stats.capacity() * std::mem::size_of::<ChildStats>()) as u64
+    }
+
+    /// Fill `profiles`/`profile_at` with every column's forcing profile: for
+    /// `m = 0, 1, …`, the number of members the greedy of Lemma 5 forces
+    /// (largest ΔW first) to fit the interval `(c_{j-1-m}, c_{j-1})` into `k`.
+    /// A profile ends where the scan of [`NodeDp::compute`] does: at `m = j`,
+    /// at `m = k`, or once even forcing every member cannot fit the interval.
+    fn build_profiles(&mut self, k: Weight) {
+        let Self {
+            profiles,
+            profile_at,
+            cand,
+            child_stats,
+            ..
+        } = self;
+        profiles.clear();
+        profile_at.clear();
+        profile_at.push(0);
+        for j in 1..=child_stats.len() {
+            cand.clear();
+            let mut w: Weight = 0; // Σ optimal root weights of members
+            let mut dw_sum: Weight = 0; // Σ ΔW of members
+            for (m, cs) in child_stats[..j].iter().rev().enumerate() {
+                if m as u64 >= k || w - dw_sum >= k {
+                    break;
+                }
+                w += cs.rw;
+                dw_sum += cs.dw;
+                if w - dw_sum > k {
+                    break;
+                }
+                if cs.dw > 0 {
+                    let pos = cand.partition_point(|&d| d > cs.dw);
+                    cand.insert(pos, cs.dw);
+                }
+                let (mut excess, mut taken) = (w, 0);
+                while excess > k {
+                    excess -= cand[taken];
+                    taken += 1;
+                }
+                profiles.push(taken as u32);
+            }
+            profile_at.push(profiles.len());
+        }
     }
 }
 
@@ -203,18 +257,17 @@ struct NodeDp<'a> {
     slab: usize,
     /// Whether the dense `s`-index is in use for this node.
     dense: bool,
-    /// Interval candidates skipped because their best-possible
-    /// `(cardinality, root weight)` was Pareto-dominated by the incumbent.
+    /// Feasible interval candidates that did not improve on the incumbent.
     pruned_candidates: u64,
-    /// `m`-scans cut short because the monotone forced-member floor proved
-    /// every remaining candidate dominated.
-    scan_breaks: u64,
+    /// `m`-scans ended by the exact early exit of [`NodeDp::compute`].
+    pruned_scans: u64,
     children: &'a [ChildStats],
     entries: &'a mut Vec<Entry>,
     rows: &'a mut Vec<RowMeta>,
     index: &'a mut Vec<u32>,
     nearly_pool: &'a mut Vec<u32>,
-    cand: &'a mut Vec<(Weight, u32)>,
+    profiles: &'a [u32],
+    profile_at: &'a [usize],
 }
 
 impl NodeDp<'_> {
@@ -297,105 +350,66 @@ impl NodeDp<'_> {
     /// `(c_{j-1-m}, c_{j-1})`, possibly forcing some members to
     /// nearly-optimal subtree partitionings.
     ///
-    /// ## Dominance pruning
+    /// ## Forcing profiles
     ///
-    /// The forced-member count `taken` is non-decreasing in `m`: growing the
-    /// interval by one member raises the excess weight by `rw` while the new
-    /// ΔW candidate contributes at most `dw ≤ rw`, so a prefix that was too
-    /// small stays too small. `taken_floor` (the last materialized `taken`)
-    /// is therefore a valid lower bound for every later candidate, giving
-    /// each one a best-possible result of
-    /// `(prev.card + 1 + taken_floor, prev.rootweight)`:
+    /// How many members the greedy forcing of Lemma 5 takes for the interval
+    /// of width `m + 1` ending at `c_{j-1}` does not depend on the row `s`,
+    /// so [`DpWorkspace::build_profiles`] computes it once per column:
+    /// `taken(j, m)` for every `m` the scan reaches. A start position then
+    /// costs a profile read, a predecessor read and a compare.
     ///
-    /// * if that pair is Pareto-dominated by the incumbent `best` under the
-    ///   lexicographic (cardinality, root-weight) order, the candidate
-    ///   cannot win and its greedy forcing loop and pool writes are skipped;
-    /// * once even a zero-cardinality predecessor is dominated
-    ///   (`taken_floor + 1 > best.card`), *every* remaining candidate is,
-    ///   and the whole scan stops instead of fanning out to `m = K`.
+    /// `taken` is non-decreasing in `m`: growing the interval by one member
+    /// raises the excess weight by `rw` while the new ΔW candidate
+    /// contributes at most `dw ≤ rw`, so a prefix that was too small stays
+    /// too small. Once `taken + 1 > best.card`, not even a predecessor of
+    /// cardinality 0 reaches `best.card`, and the scan stops exactly.
     ///
-    /// Only non-improving candidates are skipped — the paper-literal scan
-    /// ignores those too — so the selected entry (and the final
-    /// partitioning) is byte-identical to the unpruned scan of
-    /// [`crate::baseline`]; the differential suite enforces this.
+    /// The forced members are the `taken` largest ΔW, ties going to the
+    /// later child; they are written to the pool once, for the final winner.
+    /// The selected entry is the one the full scan of [`crate::baseline`]
+    /// selects; the differential suite enforces this.
     fn compute(&mut self, s: Weight, j: usize) -> Entry {
         let s2 = s + self.children[j - 1].rw;
         let mut best = self.get(s2, j - 1);
         // Cells (s, 0..j) exist while computing (s, j); resolve the row once.
         let s_start = self.rows[self.row_id(s).expect("current row")].start;
-        // Improvements monotonically replace `best`, so ranges written past
-        // `pool_base` by a superseded improvement are dead and safely
-        // overwritten; ranges below it belong to persisted entries.
         let pool_base = self.nearly_pool.len();
-
-        // Interval members sorted by descending (ΔW, index): the list `C` of
-        // Fig. 7, maintained incrementally across `m` (Sec. 3.3.6).
-        self.cand.clear();
-        let mut w: Weight = 0; // Σ optimal root weights of members
-        let mut dw_sum: Weight = 0; // Σ ΔW of members
-        let mut taken_floor: u64 = 0; // monotone lower bound on `taken`
-        let mut m = 0usize;
-        while m < j && (m as u64) < self.k && w - dw_sum < self.k {
-            if best.card != INFEASIBLE && taken_floor + 1 > best.card {
-                // Even a predecessor of cardinality 0 needs at least
-                // `taken_floor` forced members: no remaining interval can
-                // reach best.card, let alone beat it.
-                self.scan_breaks += 1;
+        let mut improved = false;
+        let profile = &self.profiles[self.profile_at[j - 1]..self.profile_at[j]];
+        for (m, &taken) in profile.iter().enumerate() {
+            if u64::from(taken) + 1 > best.card {
+                self.pruned_scans += 1;
                 break;
             }
             let ci = j - 1 - m;
-            let cs = self.children[ci];
-            w += cs.rw;
-            dw_sum += cs.dw;
-            if cs.dw > 0 {
-                let key = (cs.dw, ci as u32);
-                let pos = self.cand.partition_point(|&e| e > key);
-                self.cand.insert(pos, key);
+            let prev = self.entries[s_start + ci];
+            if prev.card == INFEASIBLE {
+                continue;
             }
-            if w - dw_sum <= self.k {
-                let prev = self.entries[s_start + ci];
-                if prev.card != INFEASIBLE {
-                    let crd_lb = prev.card + 1 + taken_floor;
-                    if crd_lb > best.card
-                        || (crd_lb == best.card && prev.rootweight >= best.rootweight)
-                    {
-                        // Dominated: the candidate's best possible
-                        // (card, rootweight) cannot strictly improve.
-                        self.pruned_candidates += 1;
-                        m += 1;
-                        continue;
-                    }
-                    // Greedily force nearly-optimal partitionings (largest
-                    // ΔW first) until the interval fits.
-                    let mut crd = prev.card + 1;
-                    let mut wp = w;
-                    let mut taken = 0usize;
-                    while wp > self.k {
-                        let (d, _) = self.cand[taken];
-                        wp -= d;
-                        taken += 1;
-                        crd += 1;
-                    }
-                    taken_floor = taken as u64;
-                    let rw = prev.rootweight;
-                    if crd < best.card || (crd == best.card && rw < best.rootweight) {
-                        self.nearly_pool.truncate(pool_base);
-                        self.nearly_pool
-                            .extend(self.cand[..taken].iter().map(|&(_, i)| i));
-                        best = Entry {
-                            begin: ci as u32,
-                            end: (j - 1) as u32,
-                            card: crd,
-                            rootweight: rw,
-                            next_s: s,
-                            next_j: ci as u32,
-                            nearly_start: pool_base as u32,
-                            nearly_len: taken as u32,
-                        };
-                    }
-                }
+            let crd = prev.card + 1 + u64::from(taken);
+            if crd < best.card || (crd == best.card && prev.rootweight < best.rootweight) {
+                improved = true;
+                best = Entry {
+                    begin: ci as u32,
+                    end: (j - 1) as u32,
+                    card: crd,
+                    rootweight: prev.rootweight,
+                    next_s: s,
+                    nearly_start: pool_base as u32,
+                    nearly_len: taken,
+                };
+            } else {
+                self.pruned_candidates += 1;
             }
-            m += 1;
+        }
+        if improved && best.nearly_len > 0 {
+            let children = self.children;
+            let key = |&i: &u32| std::cmp::Reverse((children[i as usize].dw, i));
+            self.nearly_pool
+                .extend((best.begin..=best.end).filter(|&i| children[i as usize].dw > 0));
+            self.nearly_pool[pool_base..].sort_unstable_by_key(key);
+            self.nearly_pool
+                .truncate(pool_base + best.nearly_len as usize);
         }
         best
     }
@@ -418,7 +432,7 @@ impl NodeDp<'_> {
                 nearly: range.into(),
             });
             s = e.next_s;
-            j = e.next_j as usize;
+            j = e.begin as usize;
         }
     }
 }
@@ -434,13 +448,16 @@ pub(crate) fn process_node(
     plan: &mut NodePlan,
     stats: Option<&mut DpStats>,
 ) {
+    ws.build_profiles(k);
     let DpWorkspace {
         entries,
         rows,
         index,
         nearly_pool,
-        cand,
+        profiles,
+        profile_at,
         child_stats,
+        ..
     } = ws;
     let nc = child_stats.len();
     debug_assert!(nc > 0, "leaves are handled by NodePlan::set_leaf");
@@ -462,13 +479,14 @@ pub(crate) fn process_node(
         slab: nc + 1,
         dense,
         pruned_candidates: 0,
-        scan_breaks: 0,
+        pruned_scans: 0,
         children: child_stats,
         entries,
         rows,
         index,
         nearly_pool,
-        cand,
+        profiles,
+        profile_at,
     };
     dp.ensure(w_v, nc);
     let final_entry = dp.get(w_v, nc);
@@ -511,7 +529,7 @@ pub(crate) fn process_node(
         st.total_entries += dp.rows.iter().map(|r| r.len as u64).sum::<u64>();
         st.arena_entries += (dp.rows.len() * dp.slab) as u64;
         st.pruned_candidates += dp.pruned_candidates;
-        st.pruned_scans += dp.scan_breaks;
+        st.pruned_scans += dp.pruned_scans;
     }
 
     // Leave the dense index all-zero for the next node.
@@ -552,11 +570,11 @@ pub struct DpStats {
     pub dag_hits: u64,
     /// Distinct shapes served by the cross-run `(fingerprint, K)` cache.
     pub dag_cross_run_hits: u64,
-    /// Interval candidates skipped by dominance pruning (their best-possible
-    /// (cardinality, root-weight) was Pareto-dominated by the incumbent).
+    /// Feasible interval candidates that did not improve on the incumbent
+    /// of their cell.
     pub pruned_candidates: u64,
-    /// Candidate scans cut short entirely once the monotone forced-member
-    /// floor dominated every remaining start position.
+    /// Candidate scans ended early: the column's forced-member count alone
+    /// ruled out every remaining start position.
     pub pruned_scans: u64,
 }
 

@@ -53,3 +53,40 @@ pub fn flat_tree_and_limit() -> impl Strategy<Value = (Tree, Weight)> {
         },
     )
 }
+
+/// Wide nodes: a root with 30–300 children, each a copy of one of 1–4
+/// small shapes of total weight at most K. Every child therefore fits one
+/// partition and has a nearly-optimal partitioning (ΔW > 0), equal-ΔW ties
+/// are the rule, and K in 8..=64 makes windows long enough to force several
+/// members at once.
+pub fn wide_tree_and_limit() -> impl Strategy<Value = (Tree, Weight)> {
+    let shape = (any::<u32>(), prop::collection::vec(any::<u32>(), 1..=3));
+    (
+        1..=4u64,
+        prop::collection::vec(shape, 1..=4),
+        prop::collection::vec(any::<u32>(), 30..=300),
+        8..=64u64,
+    )
+        .prop_map(|(rw, shapes, picks, k)| {
+            let shapes: Vec<(Weight, Vec<Weight>)> = shapes
+                .iter()
+                .map(|(r, leaves)| {
+                    let root = 1 + u64::from(*r) % 3;
+                    let cap = (k - root) / leaves.len() as u64;
+                    (
+                        root,
+                        leaves.iter().map(|&l| 1 + u64::from(l) % cap).collect(),
+                    )
+                })
+                .collect();
+            let mut b = TreeBuilder::new("r", rw).unwrap();
+            for (i, pick) in picks.iter().enumerate() {
+                let (w, leaves) = &shapes[*pick as usize % shapes.len()];
+                let c = b.add_child(NodeId::ROOT, &format!("c{i}"), *w).unwrap();
+                for (l, &lw) in leaves.iter().enumerate() {
+                    b.add_child(c, &format!("c{i}_{l}"), lw).unwrap();
+                }
+            }
+            (b.build(), k)
+        })
+}

@@ -1,8 +1,8 @@
 //! Differential tests: the DHW/GHDW engine against the independent
 //! `natix_core::baseline` reference.
 //!
-//! The engine computes one dominance-pruned plan per distinct weighted
-//! subtree shape; the reference runs the unpruned paper-literal scan for
+//! The engine computes one plan per distinct weighted subtree shape from
+//! per-column forcing profiles; the reference runs the paper-literal scan for
 //! every node and shares no code with it. Every comparison asserts **exact
 //! interval equality**, not merely equal cardinality — over every
 //! `natix-datagen` generator (flat relational tables and nested
@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{flat_tree_and_limit, medium_tree_and_limit};
+use common::{flat_tree_and_limit, medium_tree_and_limit, wide_tree_and_limit};
 use natix_core::{
     baseline, check_input, dhw_cached_into, dhw_with_statistics, ghdw_cached_into,
     ghdw_with_statistics, DagCache, Dhw, Fdw, Ghdw, Partitioner,
@@ -158,5 +158,23 @@ proptest! {
         prop_assert_eq!(stats.dag_nodes as usize, t1.len());
         prop_assert!(stats.dag_distinct <= stats.dag_nodes);
         prop_assert_eq!(stats.dag_hits, stats.dag_nodes - stats.dag_distinct);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Wide nodes over repeated shapes: long windows, several forced
+    /// members per interval and tied ΔW, whose order decides which members
+    /// are forced. DHW and GHDW still agree interval-for-interval with the
+    /// reference.
+    #[test]
+    fn engine_matches_baseline_on_wide_trees((tree, k) in wide_tree_and_limit()) {
+        let dhw = Dhw.partition(&tree, k).unwrap();
+        let base_d = baseline::dhw_hashmap(&tree, k).unwrap();
+        prop_assert_eq!(&dhw.intervals, &base_d.intervals, "DHW tree={} K={}", tree, k);
+        let ghdw = Ghdw.partition(&tree, k).unwrap();
+        let base_g = baseline::ghdw_hashmap(&tree, k).unwrap();
+        prop_assert_eq!(&ghdw.intervals, &base_g.intervals, "GHDW tree={} K={}", tree, k);
     }
 }

@@ -26,10 +26,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 tier "cargo test"
 cargo test -q
 
-tier "results are current (table3 --paper, sweep_k, related_work vs results/*.json: every field but the times is deterministic and must match what is checked in; re-record with the commands in EXPERIMENTS.md, which also give table1 --paper, too slow to run here)"
+tier "results are current (table1 --paper, table3 --paper, sweep_k, related_work vs results/*.json: every field but the times is deterministic and must match what is checked in; re-record with the commands in EXPERIMENTS.md)"
 fresh_json="$(mktemp)"
 deterministic() { grep -vE '"(km_seconds|ekm_seconds|speedup)"' "$1"; }
-for run in "table3 --paper" "sweep_k" "related_work"; do
+for run in "table1 --paper" "table3 --paper" "sweep_k" "related_work"; do
   bin="${run%% *}"
   # shellcheck disable=SC2086  # the binary's flags, split on purpose
   cargo run --release -q -p natix-bench --bin "$bin" -- ${run#"$bin"} --json "$fresh_json" > /dev/null 2>&1
