@@ -763,12 +763,9 @@ fn cmd_campaign(verb: &str, args: &[String]) -> Result<(), CliError> {
     if let Some(path) = replay_path {
         let script = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let mut banner = ReplayBanner::new(verb, format!("natix soak --replay {path}"), vec![]);
-        let outcome = natix_testkit::replay(&script)?;
+        let (row, report) = natix_testkit::replay(&script)?;
         banner.disarm();
-        println!(
-            "replay ok: {} ops applied ({} skipped), {} crash points",
-            outcome.ops_applied, outcome.ops_skipped, outcome.crash_points
-        );
+        println!("replay ({row}): {}", report.summary());
         return Ok(());
     }
     let row = natix_testkit::select(verb, &selectors).map_err(usage)?;

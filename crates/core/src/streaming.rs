@@ -75,11 +75,12 @@ pub struct SekmDriver<H: Copy> {
 }
 
 impl<H: Copy> SekmDriver<H> {
-    /// Driver with the given per-element pending-children budget
-    /// (`usize::MAX` reproduces [`crate::Ekm`] exactly).
-    pub fn new(sibling_budget: usize) -> SekmDriver<H> {
+    /// Driver with the given per-element pending-children budget; 0
+    /// means unbounded and, like `usize::MAX`, reproduces [`crate::Ekm`]
+    /// exactly.
+    pub fn new(budget: usize) -> SekmDriver<H> {
         SekmDriver {
-            sibling_budget,
+            sibling_budget: if budget == 0 { usize::MAX } else { budget },
             stack: Vec::new(),
         }
     }
@@ -234,11 +235,12 @@ fn flush_oldest<H: Copy>(
 /// EKM over a document-ordered event stream with bounded buffering.
 ///
 /// `sibling_budget` bounds how many pending child summaries are kept per
-/// open element; `usize::MAX` reproduces [`crate::Ekm`] exactly.
+/// open element; 0 or `usize::MAX` (unbounded) reproduces [`crate::Ekm`]
+/// exactly.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamingEkm {
     /// Maximum pending (closed) children buffered per open element before
-    /// the oldest are flushed into partitions.
+    /// the oldest are flushed into partitions (0 = unbounded).
     pub sibling_budget: usize,
 }
 

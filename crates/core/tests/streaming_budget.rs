@@ -1,5 +1,6 @@
 //! Property tests for `StreamingEkm`'s sibling-buffer budget, over all
-//! datagen generators: an unbounded budget is *identical* to `Ekm`, and
+//! datagen generators: an unbounded budget (`usize::MAX`, or 0) is
+//! *identical* to `Ekm`, and
 //! any budget — down to a single pending child, and in particular
 //! budgets smaller than the document's maximum fan-out — must still
 //! produce a feasible partitioning, deterministically.
@@ -28,6 +29,24 @@ fn normalized(p: &Partitioning) -> Vec<(natix_tree::NodeId, natix_tree::NodeId)>
     let mut v: Vec<_> = p.intervals.iter().map(|iv| (iv.first, iv.last)).collect();
     v.sort_unstable();
     v
+}
+
+/// Budget 0 is the documented spelling of "unbounded" (`natix bulkload
+/// --budget 0`): on every Table 1 generator it must be EKM, not the
+/// tightest budget there is.
+#[test]
+fn budget_zero_is_unbounded_ekm_on_every_generator() {
+    for (name, doc) in natix_datagen::evaluation_suite(0.05, 42) {
+        let tree = doc.tree();
+        for k in [64, 256] {
+            let k = k.max(tree.max_node_weight());
+            let ekm = Ekm.partition(tree, k).unwrap();
+            let zero = StreamingEkm { sibling_budget: 0 }
+                .partition(tree, k)
+                .unwrap();
+            assert_eq!(normalized(&ekm), normalized(&zero), "{name} K={k}");
+        }
+    }
 }
 
 fn max_fan_out(tree: &Tree) -> usize {

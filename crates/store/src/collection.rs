@@ -32,7 +32,7 @@
 //! `Rc`s), so each worker thread creates and owns its shard stores
 //! outright; the coordinator moves only `(doc_id, xml)` pairs through
 //! bounded channels and appends catalog frames as acks arrive. Memory
-//! is bounded by `queue_depth × document size + threads × pool budget`.
+//! is bounded by `QUEUE_DEPTH × document size + threads × pool budget`.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -88,8 +88,6 @@ pub struct BulkloadOptions {
     pub sibling_budget: usize,
     /// Documents per segment (= per shard commit).
     pub seg_docs: usize,
-    /// Bounded depth of each worker's document queue.
-    pub queue_depth: usize,
 }
 
 impl Default for BulkloadOptions {
@@ -99,7 +97,6 @@ impl Default for BulkloadOptions {
             threads: 1,
             sibling_budget: 8,
             seg_docs: 256,
-            queue_depth: 64,
         }
     }
 }
@@ -450,9 +447,13 @@ where
 
     std::thread::scope(|scope| -> Result<(), BulkloadError> {
         let (ack_tx, ack_rx) = mpsc::channel::<Ack>();
+        // Documents queued per loader thread. With the pool budget this
+        // bounds a bulkload's memory, whatever the corpus size:
+        // `QUEUE_DEPTH × document size + threads × pool budget`.
+        const QUEUE_DEPTH: usize = 64;
         let mut doc_txs = Vec::with_capacity(threads);
         for t in 0..threads {
-            let (tx, rx) = mpsc::sync_channel::<(u64, String)>(opts.queue_depth);
+            let (tx, rx) = mpsc::sync_channel::<(u64, String)>(QUEUE_DEPTH);
             doc_txs.push(tx);
             let ack = ack_tx.clone();
             let (opts, config) = (&opts, &config);

@@ -224,10 +224,9 @@ mod tests {
     }
 
     #[test]
-    fn compact_streams_through_a_tiny_pool_budget() {
-        // One record spanning a multi-page overflow chain, so that
-        // compacting it through a 2-page destination pool must stream
-        // pages out by eviction.
+    fn bulkload_streams_through_a_tiny_pool_budget() {
+        // One record spanning a multi-page overflow chain, so that loading
+        // it through a 2-page pool must stream pages out by eviction.
         let mut xml = String::from("<site>");
         for _ in 0..10 {
             xml.push_str(&format!("<t>{}</t>", "v".repeat(3000)));
@@ -238,35 +237,32 @@ mod tests {
             buffer_pages: 2,
             record_limit_slots: 1 << 20,
         };
-        let mut store =
-            bulkload_with(&doc, &Ekm, 1 << 20, Box::new(MemPager::new()), tiny).unwrap();
-        assert_eq!(store.record_count(), 1);
-        let source_xml = store.to_document().unwrap().to_xml();
 
-        // Compact onto a shared backend so the at-rest bytes can be
-        // scrubbed and reopened independently of the returned store.
+        // Load onto a shared backend so the at-rest bytes can be scrubbed
+        // and reopened independently of the returned store.
         let shared = SharedMemPager::new();
-        let mut compacted = store.compact(Box::new(shared.clone()), tiny).unwrap();
-        assert_eq!(compacted.to_document().unwrap().to_xml(), source_xml);
+        let mut store = bulkload_with(&doc, &Ekm, 1 << 20, Box::new(shared.clone()), tiny).unwrap();
+        assert_eq!(store.record_count(), 1);
+        assert_eq!(store.to_document().unwrap().to_xml(), doc.to_xml());
         assert!(
-            compacted.page_count() as usize > 2 * tiny.buffer_pages,
+            store.page_count() as usize > 2 * tiny.buffer_pages,
             "store must exceed the pool budget for the test to mean anything"
         );
-        let stats = compacted.buffer_stats();
+        let stats = store.buffer_stats();
         assert!(
             stats.evicted_dirty > 0,
-            "compaction under a tiny pool must stream dirty pages out: {stats:?}"
+            "a load under a tiny pool must stream dirty pages out: {stats:?}"
         );
 
-        // The compacted file is complete and clean at rest.
+        // The file is complete and clean at rest.
         let report = fsck::fsck(&shared, false);
         assert!(report.clean(), "{report}");
         let mut reopened = XmlStore::open(Box::new(shared.clone()), tiny).unwrap();
-        assert_eq!(reopened.to_document().unwrap().to_xml(), source_xml);
+        assert_eq!(reopened.to_document().unwrap().to_xml(), doc.to_xml());
 
-        // And the compacted store is writable.
-        let root = compacted.root().unwrap();
-        compacted
+        // And the loaded store is writable.
+        let root = store.root().unwrap();
+        store
             .append_child(root, NodeKind::Element, "x", None)
             .unwrap();
     }

@@ -1140,7 +1140,7 @@ struct Frame {
 ///   flip, so writing them early is crash-safe and needs no journal
 ///   entry — recovery never reads them, and if the commit lands they
 ///   already hold their final image. This is what bounds memory during
-///   bulkload/compaction, where *every* page is past the floor.
+///   bulkload, where *every* page is past the floor.
 /// * **Dirty frames below the floor** (in-place updates of committed
 ///   pages) are never written back by eviction: they must reach the
 ///   backend only through the commit protocol's journal-then-checkpoint
@@ -1202,7 +1202,7 @@ impl BufferPool {
 
     /// Allow dirty write-back eviction for pages `>= floor`. The store
     /// sets this to the committed page count after every commit,
-    /// checkpoint, and open; fresh backends (bulkload, compaction) use 0.
+    /// checkpoint, and open; fresh backends (bulkload) use 0.
     pub fn set_writeback_floor(&mut self, floor: PageId) {
         self.writeback_floor = floor;
     }

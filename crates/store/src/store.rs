@@ -6,7 +6,7 @@
 //! * the **fresh-store writer** ([`begin_fresh`] / [`finish_fresh`]):
 //!   checksum sealing under a pool with write-back floor 0, header slots
 //!   0/1, then catalog → flush → barrier → epoch-1 header → floor. Used by
-//!   [`XmlStore::bulkload`], `stream_bulkload` and [`XmlStore::compact`];
+//!   [`XmlStore::bulkload`] and `stream_bulkload`;
 //! * the **writer open** ([`XmlStore::open`]): checksum verification,
 //!   crash recovery ([`recover`]) and catalog read on it, then a pool;
 //! * the **read-only view** (`SnapshotSeed::open` in `concurrent.rs`):

@@ -19,11 +19,11 @@
 use natix_tree::Weight;
 use natix_xml::{node_weight, NodeKind};
 
-use crate::catalog::{Catalog, RecordLoc};
+use crate::catalog::RecordLoc;
 use crate::page::{SlottedPage, MAX_IN_PAGE};
 use crate::pager::{StoreError, StoreResult};
 use crate::record::{self, ChildEntry, ImageNode, RecordData, RecordImage, NONE_U16, NONE_U32};
-use crate::store::{begin_fresh, finish_fresh, write_overflow_chain, NodeRef, XmlStore};
+use crate::store::{write_overflow_chain, NodeRef, XmlStore};
 
 /// Where to place a newly inserted node.
 enum InsertPos {
@@ -969,72 +969,4 @@ fn remove_and_renumber(img: &mut RecordImage, removed: &[u16]) -> Vec<(u16, u16)
     }
     img.nodes = kept;
     fixes
-}
-
-impl XmlStore {
-    /// Rewrite all live records into a fresh backend, reclaiming the space
-    /// of deleted records, orphaned overflow chains and page fragmentation
-    /// accumulated by updates. Record numbers are preserved (proxies keep
-    /// working); the compacted store is returned with its catalog written.
-    pub fn compact(
-        &mut self,
-        backend: Box<dyn crate::pager::Pager>,
-        config: crate::store::StoreConfig,
-    ) -> StoreResult<XmlStore> {
-        // The source store's pool pages in and out independently of the
-        // fresh one, so compaction never needs whole-store residency.
-        let mut pool = begin_fresh(backend, &config)?;
-
-        let mut directory = Vec::with_capacity(self.directory.len());
-        let mut open_page: Option<u32> = None;
-        for no in 0..self.directory.len() as u32 {
-            if matches!(self.directory[no as usize], RecordLoc::Free) {
-                directory.push(RecordLoc::Free);
-                continue;
-            }
-            let bytes = record::encode(&self.fetch(no)?.to_image(), no, 1);
-            if bytes.len() > MAX_IN_PAGE {
-                let first_page = write_overflow_chain(&mut pool, &bytes)?;
-                directory.push(RecordLoc::Overflow {
-                    first_page,
-                    len: bytes.len() as u32,
-                });
-                continue;
-            }
-            let placed = match open_page {
-                Some(page) => pool.with_page(page, true, |buf| {
-                    SlottedPage::new(buf)
-                        .insert(&bytes)
-                        .map(|slot| (page, slot))
-                })?,
-                None => None,
-            };
-            let (page, slot) = match placed {
-                Some(p) => p,
-                None => {
-                    let page = pool.allocate()?;
-                    let slot = pool.with_page(page, true, |buf| {
-                        SlottedPage::format(buf)
-                            .insert(&bytes)
-                            .expect("fresh page fits any in-page record")
-                    })?;
-                    open_page = Some(page);
-                    (page, slot)
-                }
-            };
-            directory.push(RecordLoc::InPage { page, slot });
-        }
-
-        finish_fresh(
-            pool,
-            Catalog {
-                epoch: 1,
-                root_record: self.root_record,
-                record_limit: self.record_limit,
-                directory,
-                labels: self.labels.clone(),
-                quarantined: self.quarantined.iter().copied().collect(),
-            },
-        )
-    }
 }

@@ -22,7 +22,7 @@ const CAPACITY: usize = 4;
 
 /// A pool over a backend with `PAGES` pages, page `i` filled with byte
 /// `i`, and every dirty page eligible for write-back eviction (floor 0,
-/// the bulkload/compaction regime).
+/// the bulkload regime).
 fn pool_under_test() -> BufferPool {
     let mut mem = MemPager::new();
     for i in 0..PAGES {

@@ -301,46 +301,6 @@ fn bulk_updates_on_generated_document() {
     assert_eq!(back.len(), doc.len() + 60);
 }
 
-#[test]
-fn compact_reclaims_space() {
-    let (_, mut store) = load("<list></list>", 24);
-    // Grow, then shrink: leaves dead slots and freed records behind.
-    for i in 0..60 {
-        let root = store.root().unwrap();
-        let e = store
-            .append_child(root, NodeKind::Element, "entry", None)
-            .unwrap();
-        store
-            .append_child(e, NodeKind::Text, "#text", Some(&format!("payload {i}")))
-            .unwrap();
-    }
-    for _ in 0..45 {
-        let e = find_element(&mut store, "entry").unwrap();
-        store.delete_subtree(e).unwrap();
-    }
-    let before_pages = store.page_count();
-    let before_xml = store.to_document().unwrap().to_xml();
-
-    let mut compacted = store
-        .compact(Box::new(MemPager::new()), StoreConfig::default())
-        .unwrap();
-    assert!(compacted.page_count() < before_pages);
-    assert_eq!(compacted.to_document().unwrap().to_xml(), before_xml);
-    assert_eq!(compacted.live_record_count(), store.live_record_count());
-    compacted.check_record_weights().unwrap();
-
-    // Updates keep working after compaction.
-    let root = compacted.root().unwrap();
-    compacted
-        .append_child(root, NodeKind::Element, "post_compact", None)
-        .unwrap();
-    assert!(compacted
-        .to_document()
-        .unwrap()
-        .to_xml()
-        .contains("<post_compact/>"));
-}
-
 /// First element child (anywhere in the tree) stored in a different
 /// record than its parent — i.e. an element fragment root reached
 /// through a proxy entry.

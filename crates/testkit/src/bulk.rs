@@ -94,7 +94,6 @@ impl Load {
             threads: THREADS,
             seg_docs: self.seg_docs,
             sibling_budget: self.sibling_budget,
-            ..BulkloadOptions::default()
         }
     }
 }

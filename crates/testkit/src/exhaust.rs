@@ -1,8 +1,8 @@
 //! Disk-full exhaustion sweeps: the `natix soak --diskfull` campaign.
 //!
-//! Mirrors the power-cut sweep of [`crate::run_trace`], but instead of
-//! killing the store mid-step it *fills the disk*: every step of a
-//! seeded trace is replayed from a pre-step snapshot under a
+//! The shared sweep of [`crate::sweep`], but instead of killing the
+//! store mid-step it *fills the disk*: every step of a seeded trace is
+//! replayed from a pre-step snapshot under a
 //! [`FaultSchedule::storage_full`] window starting at write event
 //! n = 1, 2, ... and lasting `recover_after` write events. At every
 //! injection point the store must:
@@ -18,19 +18,13 @@
 //! Swept across the six Table 1 evaluation workloads by the `diskfull`
 //! row of [`crate::CAMPAIGNS`].
 
-use natix_core::Ekm;
-use natix_store::{
-    bulkload_with, fsck, AdmissionConfig, FaultInjectingPager, FaultSchedule, SharedMemPager,
-    SharedStore, StoreConfig, StoreError, XmlStore,
-};
+use natix_store::{FaultSchedule, SharedStore, StoreConfig, StoreError};
 use natix_xml::Document;
 
-use crate::fuzz::{
-    apply_model, apply_store, min_record_limit, trace_counts, RunOutcome, TraceFailure, TRACE_SHAPE,
-};
-use crate::harness::{sweep_grid, Grid, Plan, Progress, Report};
-use crate::model::ModelTree;
+use crate::fuzz::{apply_store, trace_counts, RunOutcome, TraceFailure, TRACE_SHAPE};
+use crate::harness::{Cell, Counts, Grid, GridRow, Progress, Tier};
 use crate::ops::Op;
+use crate::sweep::{fresh, mainline, share, sweep, walk, Ran};
 
 /// One degraded-mode episode: apply `op` through `shared`, which sits on
 /// a storage-full window. Returns `Ok(true)` if the window fired (the
@@ -153,104 +147,27 @@ pub fn run_diskfull_trace(
     recover_after: u64,
     max_points_per_op: u64,
 ) -> Result<RunOutcome, TraceFailure> {
-    let k = k.max(min_record_limit(doc));
-    let config = StoreConfig {
-        record_limit_slots: k,
-        ..Default::default()
-    };
-    let disk = SharedMemPager::new();
-    let fail = |step: usize, n: Option<u64>, message: String| TraceFailure {
-        step,
-        crash: n.map(|n| (n, false)),
-        message,
-    };
-    let mut store = bulkload_with(doc, &Ekm, k, Box::new(disk.clone()), config)
-        .map_err(|e| fail(0, None, format!("bulkload failed: {e}")))?;
-    let mut model = ModelTree::from_document(doc);
-    let mut cur_xml = model.to_xml();
-
-    let mut out = RunOutcome::default();
-    for (step, op) in trace.iter().enumerate() {
-        if op.skipped(model.element_count()) {
-            out.ops_skipped += 1;
-            continue;
-        }
-        let mut post_model = model.clone();
-        apply_model(&mut post_model, op);
-        let post_xml = post_model.to_xml();
-
-        // Pre-step snapshot (the previous commit checkpointed, so this is
-        // the complete pre-step state), then the fault-free mainline.
-        let snap = disk.snapshot();
-        apply_store(&mut store, op).map_err(|e| fail(step, None, format!("op failed: {e}")))?;
-
-        let mut n = 1u64;
-        loop {
-            if max_points_per_op > 0 && n > max_points_per_op {
-                break;
-            }
-            let disk2 = SharedMemPager::from_snapshot(&snap);
-            let faulty = FaultInjectingPager::new(
-                Box::new(disk2.clone()),
-                FaultSchedule::storage_full(n, recover_after),
-            );
-            let s2 = XmlStore::open(Box::new(faulty), config)
-                .map_err(|e| fail(step, Some(n), format!("open before window: {e}")))?;
-            let shared = SharedStore::new(
-                s2,
-                Box::new(disk2.clone()),
-                config,
-                AdmissionConfig::default(),
-            );
-            let fired = diskfull_episode(&shared, op, &cur_xml, &post_xml, recover_after)
-                .map_err(|m| fail(step, Some(n), m))?;
-            drop(shared);
-
-            // Whatever the episode did, the surviving disk must reopen
-            // consistent, carry the committed state, and scrub clean.
-            let mut re = XmlStore::open(Box::new(disk2.clone()), config)
-                .map_err(|e| fail(step, Some(n), format!("reopen after episode: {e}")))?;
-            re.check_consistency()
-                .map_err(|e| fail(step, Some(n), format!("inconsistent after episode: {e}")))?;
-            let got = re
-                .to_document()
-                .map_err(|e| fail(step, Some(n), format!("read after episode: {e}")))?
-                .to_xml();
-            if got != post_xml {
-                return Err(fail(
-                    step,
-                    Some(n),
-                    format!("acked step not intact after episode\n  got:  {got}"),
-                ));
-            }
-            drop(re);
-            let scrub = fsck(&disk2, false);
-            if !scrub.clean() {
-                return Err(fail(
-                    step,
-                    Some(n),
-                    format!("post-episode scrub not clean:\n{scrub}"),
-                ));
-            }
-            out.crash_points += 1;
-            if !fired {
-                break;
-            }
-            n += 1;
-            if n > 100_000 {
-                return Err(fail(
-                    step,
-                    Some(n),
-                    "disk-full sweep did not terminate".to_string(),
-                ));
-            }
-        }
-
-        model = post_model;
-        cur_xml = post_xml;
-        out.ops_applied += 1;
-    }
-    Ok(out)
+    let (disk, config, mut store) = fresh(doc, k, StoreConfig::default())?;
+    walk(doc, &disk, trace, 1, |step| {
+        mainline(&mut store, step)?;
+        sweep(
+            step,
+            config,
+            max_points_per_op,
+            |n| FaultSchedule::storage_full(n, recover_after),
+            |store, disk| {
+                let shared = share(store, disk, config);
+                let (op, pre, post) = (&step.ops[0], &step.pre, &step.post);
+                // Every episode ends with the step committed; one whose
+                // window opened past the step's writes ends the sweep.
+                let fired = diskfull_episode(&shared, op, pre, post, recover_after)?;
+                Ok(Ran {
+                    committed: true,
+                    more: fired,
+                })
+            },
+        )
+    })
 }
 
 /// `natix soak --diskfull`: [`run_diskfull_trace`] over the grid. The
@@ -258,9 +175,9 @@ pub fn run_diskfull_trace(
 /// 4 points a step at quick; 4 events and every write event at full.
 /// `crash points` counts injection points; failures are reported
 /// unshrunk (the trace up to the failing step reproduces them).
-pub(crate) fn diskfull(plan: &Plan, progress: &mut Progress) -> Report {
-    let (recover_after, max_points_per_op) = plan.tier.pick((3, 4), (4, 0));
-    let grid = plan.tier.pick(
+pub(crate) static DISKFULL: GridRow = GridRow {
+    name: "diskfull",
+    grids: [
         Grid {
             scale: 0.001,
             ops_per_run: 4,
@@ -273,14 +190,18 @@ pub(crate) fn diskfull(plan: &Plan, progress: &mut Progress) -> Report {
             record_limits: &[24, 96],
             batch_sizes: &[0],
         },
-    );
-    sweep_grid(&grid, TRACE_SHAPE, &plan.seeds, progress, |cell, _| {
-        let doc = &cell.workload.doc;
-        match run_diskfull_trace(doc, cell.k, &cell.trace, recover_after, max_points_per_op) {
-            Ok(o) => Ok(trace_counts(o)),
-            Err(f) => Err(cell.failure(f, None)),
-        }
-    })
+    ],
+    shape: TRACE_SHAPE,
+    cell: diskfull_cell,
+};
+
+fn diskfull_cell(cell: &Cell, tier: Tier, _: &mut Progress) -> Result<Counts, String> {
+    let (recover_after, max_points_per_op) = tier.pick((3, 4), (4, 0));
+    let doc = &cell.workload.doc;
+    match run_diskfull_trace(doc, cell.k, &cell.trace, recover_after, max_points_per_op) {
+        Ok(o) => Ok(trace_counts(o)),
+        Err(f) => Err(cell.failure(f, None)),
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@
 //! consistency check, and — in crash mode — survive a power cut (clean
 //! or torn) at every write event of the step: reopening the surviving
 //! bytes must recover to the pre- or post-step document, never a third
-//! state.
+//! state. The cut at every write event is the shared sweep of
+//! [`crate::sweep`]; the one-shot write-error probe on the live handle
+//! is this row's own.
 //!
 //! Failing traces are shrunk to a minimal reproduction and rendered as a
 //! replayable script (see [`crate::replay`]) plus a ready-to-paste
@@ -15,17 +17,17 @@
 
 use std::collections::HashSet;
 
-use natix_core::Ekm;
 use natix_datagen::evaluation_suite;
 use natix_store::{
-    bulkload_with, corrupt_checksum_of_class, corrupt_page_of_class, fsck, FaultInjectingPager,
-    FaultSchedule, NodeRef, PageClass, SharedMemPager, StoreConfig, StoreResult, XmlStore,
+    corrupt_checksum_of_class, corrupt_page_of_class, fsck, FaultInjectingPager, FaultSchedule,
+    NodeRef, PageClass, SharedMemPager, StoreConfig, StoreResult, XmlStore,
 };
 use natix_xml::{node_weight, Document, NodeKind};
 
-use crate::harness::{sweep_grid, Grid, Plan, Progress, Report};
+use crate::harness::{Cell, Counts, Grid, GridRow, Progress, Tier};
 use crate::model::ModelTree;
-use crate::ops::{format_op, name_for, parse_op, text_for, Op};
+use crate::ops::{format_op, name_for, text_for, Op};
+use crate::sweep::{expect_xml, fresh, mainline, sweep, walk, Ran, Step};
 
 /// How a trace run exercises the fault-injection layer.
 #[derive(Clone, Copy, Debug)]
@@ -43,20 +45,34 @@ pub enum CrashMode {
 /// Statistics from a successful trace run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunOutcome {
+    /// Steps committed on the fault-free mainline: one per applied op,
+    /// or one per batch in a group-commit run.
+    pub steps: u64,
     pub ops_applied: u64,
     pub ops_skipped: u64,
+    /// Fault points exercised (power cuts, write-error probes or
+    /// disk-full windows, by row).
     pub crash_points: u64,
 }
 
 /// A failed step inside a trace run.
 #[derive(Clone, Debug)]
 pub struct TraceFailure {
-    /// Index into the trace of the failing op.
+    /// Index into the trace of the failing step's last op.
     pub step: usize,
-    /// `Some((n, torn))` when the failure came from the crash sweep at
-    /// power-cut write event `n`.
-    pub crash: Option<(u64, bool)>,
+    /// The fault armed when the step failed, if one was.
+    pub fault: Option<FaultSchedule>,
     pub message: String,
+}
+
+impl std::fmt::Display for TraceFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "step {}", self.step)?;
+        if let Some(fault) = self.fault {
+            write!(f, " (under {fault})")?;
+        }
+        write!(f, ": {}", self.message)
+    }
 }
 
 /// One generated document plus the identity needed to regenerate it.
@@ -179,22 +195,6 @@ pub(crate) fn apply_model(model: &mut ModelTree, op: &Op) {
     }
 }
 
-fn full_check(store: &mut XmlStore, want_xml: &str, what: &str) -> Result<(), String> {
-    store
-        .check_consistency()
-        .map_err(|e| format!("{what}: inconsistent store: {e}"))?;
-    let got = store
-        .to_document()
-        .map_err(|e| format!("{what}: serialization failed: {e}"))?
-        .to_xml();
-    if got != want_xml {
-        return Err(format!(
-            "{what}: document mismatch\n  got:  {got}\n  want: {want_xml}"
-        ));
-    }
-    Ok(())
-}
-
 /// Run `trace` against a fresh store bulkloaded from `doc` with record
 /// limit `k` (clamped up to [`min_record_limit`]). See the module docs
 /// for the invariants checked per step.
@@ -204,176 +204,43 @@ pub fn run_trace(
     trace: &[Op],
     mode: CrashMode,
 ) -> Result<RunOutcome, TraceFailure> {
-    let k = k.max(min_record_limit(doc));
-    let config = StoreConfig {
-        record_limit_slots: k,
-        ..Default::default()
-    };
-    let disk = SharedMemPager::new();
-    let fail = |step: usize, crash: Option<(u64, bool)>, message: String| TraceFailure {
-        step,
-        crash,
-        message,
-    };
-    let mut store = bulkload_with(doc, &Ekm, k, Box::new(disk.clone()), config)
-        .map_err(|e| fail(0, None, format!("bulkload failed: {e}")))?;
-    let mut model = ModelTree::from_document(doc);
-    let mut cur_xml = model.to_xml();
-    full_check(&mut store, &cur_xml, "bulkload").map_err(|m| fail(0, None, m))?;
-
-    let mut out = RunOutcome::default();
-    for (step, op) in trace.iter().enumerate() {
-        if op.skipped(model.element_count()) {
-            out.ops_skipped += 1;
-            continue;
-        }
-        // Predict the post-state on a copy of the oracle.
-        let mut post_model = model.clone();
-        apply_model(&mut post_model, op);
-        let post_xml = post_model.to_xml();
-
-        // Pre-step disk snapshot for the crash sweep. The previous commit
-        // checkpointed, so the snapshot is the complete pre-step state.
-        let snap = match mode {
-            CrashMode::Sweep { .. } => Some(disk.snapshot()),
-            CrashMode::None => None,
+    let (disk, config, mut store) = fresh(doc, k, StoreConfig::default())?;
+    walk(doc, &disk, trace, 1, |step| {
+        mainline(&mut store, step)?;
+        let CrashMode::Sweep { max_points_per_op } = mode else {
+            return Ok(0);
         };
+        // Clean and torn cuts alternate.
+        let torn = |n: u64| (n + step.at as u64).is_multiple_of(2);
+        let cuts = sweep(
+            step,
+            config,
+            max_points_per_op,
+            |n| FaultSchedule::power_cut(n, torn(n)),
+            |mut store, _| {
+                let r = apply_store(&mut store, &step.ops[0]);
+                Ok(Ran::until_committed(r.is_ok()))
+            },
+        )?;
+        write_error_probe(step, config)?;
+        Ok(cuts + 1)
+    })
+}
 
-        // Fault-free mainline: the live store must reach the post-state.
-        apply_store(&mut store, op).map_err(|e| fail(step, None, format!("op failed: {e}")))?;
-        full_check(&mut store, &post_xml, "mainline").map_err(|m| fail(step, None, m))?;
-
-        if let Some(snap) = snap {
-            let CrashMode::Sweep { max_points_per_op } = mode else {
-                unreachable!()
-            };
-            // Power-cut sweep: crash at write event n = 1, 2, ... of this
-            // step, alternating clean and torn cuts, until the step
-            // commits under the cut (or the per-step cap is reached).
-            let mut n = 1u64;
-            loop {
-                if max_points_per_op > 0 && n > max_points_per_op {
-                    break;
-                }
-                let torn = (n + step as u64).is_multiple_of(2);
-                let disk2 = SharedMemPager::from_snapshot(&snap);
-                let faulty = FaultInjectingPager::new(
-                    Box::new(disk2.clone()),
-                    FaultSchedule::power_cut(n, torn),
-                );
-                // The snapshot is checkpointed: opening performs no writes
-                // and must succeed.
-                let mut s2 = XmlStore::open(Box::new(faulty), config)
-                    .map_err(|e| fail(step, Some((n, torn)), format!("open before cut: {e}")))?;
-                let r = apply_store(&mut s2, op);
-                drop(s2);
-                let mut re = XmlStore::open(Box::new(disk2.clone()), config).map_err(|e| {
-                    fail(step, Some((n, torn)), format!("recovery open failed: {e}"))
-                })?;
-                re.check_consistency().map_err(|e| {
-                    fail(
-                        step,
-                        Some((n, torn)),
-                        format!("recovered store inconsistent: {e}"),
-                    )
-                })?;
-                let got = re
-                    .to_document()
-                    .map_err(|e| {
-                        fail(
-                            step,
-                            Some((n, torn)),
-                            format!("recovered serialization: {e}"),
-                        )
-                    })?
-                    .to_xml();
-                // Recovery-then-scrub: whatever state the cut left, the
-                // recovered disk must pass fsck (crash debris is fine,
-                // damage to the committed state is not).
-                drop(re);
-                let scrub = fsck(&disk2, false);
-                if !scrub.clean() {
-                    return Err(fail(
-                        step,
-                        Some((n, torn)),
-                        format!("post-recovery scrub not clean:\n{scrub}"),
-                    ));
-                }
-                out.crash_points += 1;
-                if r.is_ok() {
-                    // The cut fired at or past the end of the step's write
-                    // window: it must have committed.
-                    if got != post_xml {
-                        return Err(fail(
-                            step,
-                            Some((n, torn)),
-                            format!("committed step lost after crash\n  got: {got}"),
-                        ));
-                    }
-                    break;
-                }
-                if got != cur_xml && got != post_xml {
-                    return Err(fail(
-                        step,
-                        Some((n, torn)),
-                        format!(
-                            "crash recovered to a third state\n  got:  {got}\n  pre:  {cur_xml}\n  post: {post_xml}"
-                        ),
-                    ));
-                }
-                n += 1;
-                if n > 100_000 {
-                    return Err(fail(
-                        step,
-                        Some((n, torn)),
-                        "crash sweep did not terminate".to_string(),
-                    ));
-                }
-            }
-
-            // Transient write-error probe: the *live* handle must survive
-            // and land in the pre- or post-state.
-            let at = 1 + (step as u64 % 7);
-            let disk3 = SharedMemPager::from_snapshot(&snap);
-            let faulty =
-                FaultInjectingPager::new(Box::new(disk3.clone()), FaultSchedule::write_error(at));
-            let mut s3 = XmlStore::open(Box::new(faulty), config)
-                .map_err(|e| fail(step, None, format!("open for error probe: {e}")))?;
-            let r = apply_store(&mut s3, op);
-            s3.check_consistency().map_err(|e| {
-                fail(
-                    step,
-                    None,
-                    format!("live store broken by write error at {at}: {e}"),
-                )
-            })?;
-            let live = s3
-                .to_document()
-                .map_err(|e| fail(step, None, format!("error-probe serialization: {e}")))?
-                .to_xml();
-            let want_live = if r.is_ok() { &post_xml } else { &cur_xml };
-            if &live != want_live {
-                return Err(fail(
-                    step,
-                    None,
-                    format!(
-                        "write error at {at} left a wrong live state (op {}): {live}",
-                        if r.is_ok() {
-                            "succeeded"
-                        } else {
-                            "rolled back"
-                        }
-                    ),
-                ));
-            }
-            out.crash_points += 1;
-        }
-
-        model = post_model;
-        cur_xml = post_xml;
-        out.ops_applied += 1;
-    }
-    Ok(out)
+/// Transient write-error probe: the *live* handle must survive a one-shot
+/// write error and land in the pre- or post-state.
+fn write_error_probe(step: &Step, config: StoreConfig) -> Result<(), TraceFailure> {
+    let fault = FaultSchedule::write_error(1 + (step.at as u64 % 7));
+    let fail = |message| step.fail(Some(fault), message);
+    let disk = SharedMemPager::from_snapshot(&step.snap);
+    let faulty = FaultInjectingPager::new(Box::new(disk), fault);
+    let mut store = XmlStore::open(Box::new(faulty), config)
+        .map_err(|e| fail(format!("open for the error probe: {e}")))?;
+    let (want, what) = match apply_store(&mut store, &step.ops[0]) {
+        Ok(()) => (&step.post, "live store after a survived write error"),
+        Err(_) => (&step.pre, "live store after a rolled-back write error"),
+    };
+    expect_xml(&mut store, want, what).map_err(fail)
 }
 
 /// Statistics from a successful corruption-sweep run.
@@ -417,7 +284,7 @@ fn corruption_sweep(
 ) -> Result<(), TraceFailure> {
     let fail = |message: String| TraceFailure {
         step,
-        crash: None,
+        fault: None,
         message,
     };
     for (ci, &class) in SWEEP_CLASSES.iter().enumerate() {
@@ -521,39 +388,19 @@ pub fn run_corruption_trace(
     k: u64,
     trace: &[Op],
 ) -> Result<CorruptionOutcome, TraceFailure> {
-    let k = k.max(min_record_limit(doc));
-    let config = StoreConfig {
-        record_limit_slots: k,
-        ..Default::default()
-    };
-    let disk = SharedMemPager::new();
-    let fail = |step: usize, message: String| TraceFailure {
-        step,
-        crash: None,
-        message,
-    };
-    let mut store = bulkload_with(doc, &Ekm, k, Box::new(disk.clone()), config)
-        .map_err(|e| fail(0, format!("bulkload failed: {e}")))?;
-    let mut model = ModelTree::from_document(doc);
-    let bulk_xml = model.to_xml();
-    full_check(&mut store, &bulk_xml, "bulkload").map_err(|m| fail(0, m))?;
-
+    let (disk, config, mut store) = fresh(doc, k, StoreConfig::default())?;
     let mut out = CorruptionOutcome::default();
+    let bulk_xml = ModelTree::from_document(doc).to_xml();
     corruption_sweep(&disk.snapshot(), config, &bulk_xml, 0, &mut out)?;
-    for (step, op) in trace.iter().enumerate() {
-        if op.skipped(model.element_count()) {
-            out.ops_skipped += 1;
-            continue;
-        }
-        apply_model(&mut model, op);
-        let post_xml = model.to_xml();
-        apply_store(&mut store, op).map_err(|e| fail(step, format!("op failed: {e}")))?;
-        full_check(&mut store, &post_xml, "mainline").map_err(|m| fail(step, m))?;
+    let steps = walk(doc, &disk, trace, 1, |step| {
+        mainline(&mut store, step)?;
         // Update ops auto-commit and commits checkpoint, so the snapshot
         // is the complete committed post-state.
-        corruption_sweep(&disk.snapshot(), config, &post_xml, step, &mut out)?;
-        out.ops_applied += 1;
-    }
+        corruption_sweep(&disk.snapshot(), config, &step.post, step.at, &mut out)?;
+        Ok(0)
+    })?;
+    out.ops_applied = steps.ops_applied;
+    out.ops_skipped = steps.ops_skipped;
     Ok(out)
 }
 
@@ -586,29 +433,37 @@ pub fn shrink_trace(doc: &Document, k: u64, trace: &[Op], mode: CrashMode) -> Ve
     cur
 }
 
-/// A shrunk, replayable failure found by a campaign.
+/// A shrunk, replayable failure found by a grid campaign.
 #[derive(Clone, Debug)]
 pub struct Failure {
+    /// The campaign row that found it, and that its script replays.
+    pub row: &'static str,
     pub workload: String,
     pub scale: f64,
     pub gen_seed: u64,
     pub k: u64,
+    /// Ops per group commit (`group-commit` only; 0 elsewhere).
+    pub batch: usize,
     pub fuzz_seed: u64,
     pub step: usize,
-    pub crash: Option<(u64, bool)>,
+    pub fault: Option<FaultSchedule>,
     pub message: String,
     /// The shrunk trace (replaying it with a full sweep reproduces).
     pub trace: Vec<Op>,
 }
 
 impl Failure {
-    /// Replayable script: a `workload` header line plus one op per line.
-    /// Feed it to [`crate::replay`].
+    /// Replayable script: a header line naming the row and the cell, plus
+    /// one op per line. Feed it to [`crate::replay`].
     pub fn script(&self) -> String {
         let mut s = format!(
-            "workload {} scale {} gen-seed {} k {}\n",
-            self.workload, self.scale, self.gen_seed, self.k
+            "{} workload {} scale {} gen-seed {} k {}",
+            self.row, self.workload, self.scale, self.gen_seed, self.k
         );
+        if self.batch > 0 {
+            s += &format!(" batch {}", self.batch);
+        }
+        s.push('\n');
         for op in &self.trace {
             s.push_str(&format_op(op));
             s.push('\n');
@@ -635,19 +490,16 @@ impl Failure {
 
 impl std::fmt::Display for Failure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let failure = TraceFailure {
+            step: self.step,
+            fault: self.fault,
+            message: self.message.replace('\n', "\n  "),
+        };
         writeln!(
             f,
-            "in {} (k={}, fuzz seed {}) at step {}{}:",
-            self.workload,
-            self.k,
-            self.fuzz_seed,
-            self.step,
-            match self.crash {
-                Some((n, torn)) => format!(" (power cut at write {n}, torn={torn})"),
-                None => String::new(),
-            }
+            "{} in {} (k={}, fuzz seed {}) at {failure}",
+            self.row, self.workload, self.k, self.fuzz_seed
         )?;
-        writeln!(f, "  {}", self.message.replace('\n', "\n  "))?;
         writeln!(f, "replay script:\n{}", self.script())?;
         writeln!(f, "regression test:\n{}", self.regression_test())
     }
@@ -673,7 +525,7 @@ pub(crate) const TRACE_SHAPE: &str =
      {failures} failure(s)";
 
 /// What one clean cell adds to [`TRACE_SHAPE`]'s counts.
-pub(crate) fn trace_counts(o: RunOutcome) -> Vec<(&'static str, u64)> {
+pub(crate) fn trace_counts(o: RunOutcome) -> Counts {
     vec![
         ("ops applied", o.ops_applied),
         ("skipped", o.ops_skipped),
@@ -684,98 +536,49 @@ pub(crate) fn trace_counts(o: RunOutcome) -> Vec<(&'static str, u64)> {
 /// `natix soak`: the power-cut sweep of [`run_trace`] over the grid —
 /// capped at 8 cuts a step at quick, every write event at full. Failing
 /// traces are shrunk before being reported.
-pub(crate) fn fuzz(plan: &Plan, progress: &mut Progress) -> Report {
+pub(crate) static FUZZ: GridRow = GridRow {
+    name: "fuzz",
+    grids: [QUICK, FULL],
+    shape: TRACE_SHAPE,
+    cell: fuzz_cell,
+};
+
+fn fuzz_cell(cell: &Cell, tier: Tier, progress: &mut Progress) -> Result<Counts, String> {
     let mode = CrashMode::Sweep {
-        max_points_per_op: plan.tier.pick(8, 0),
+        max_points_per_op: tier.pick(8, 0),
     };
-    let grid = plan.tier.pick(QUICK, FULL);
-    sweep_grid(
-        &grid,
-        TRACE_SHAPE,
-        &plan.seeds,
-        progress,
-        |cell, progress| {
-            let doc = &cell.workload.doc;
-            match run_trace(doc, cell.k, &cell.trace, mode) {
-                Ok(o) => Ok(trace_counts(o)),
-                Err(first) => {
-                    progress(&format!(
-                        "     {} failed at step {}: shrinking...",
-                        cell.at, first.step
-                    ));
-                    let shrunk = shrink_trace(doc, cell.k, &cell.trace, mode);
-                    let last = run_trace(doc, cell.k, &shrunk, mode).err().unwrap_or(first);
-                    Err(cell.failure(last, Some(shrunk)))
-                }
-            }
-        },
-    )
+    let doc = &cell.workload.doc;
+    let first = match run_trace(doc, cell.k, &cell.trace, mode) {
+        Ok(o) => return Ok(trace_counts(o)),
+        Err(first) => first,
+    };
+    progress(&format!(
+        "     {} failed at step {}: shrinking...",
+        cell.at, first.step
+    ));
+    let shrunk = shrink_trace(doc, cell.k, &cell.trace, mode);
+    let last = run_trace(doc, cell.k, &shrunk, mode).err().unwrap_or(first);
+    Err(cell.failure(last, Some(shrunk)))
 }
 
 /// `natix soak --corruption`: [`run_corruption_trace`] over the same
 /// grid. `crash points` counts corruption injections; failures are
 /// reported unshrunk (the trace up to the failing step reproduces them).
-pub(crate) fn corruption(plan: &Plan, progress: &mut Progress) -> Report {
-    let grid = plan.tier.pick(QUICK, FULL);
-    sweep_grid(
-        &grid,
-        TRACE_SHAPE,
-        &plan.seeds,
-        progress,
-        |cell, _| match run_corruption_trace(&cell.workload.doc, cell.k, &cell.trace) {
-            Ok(o) => Ok(vec![
-                ("ops applied", o.ops_applied),
-                ("skipped", o.ops_skipped),
-                ("crash points", o.injections),
-                ("repairs", o.repairs),
-            ]),
-            Err(f) => Err(cell.failure(f, None)),
-        },
-    )
-}
+pub(crate) static CORRUPTION: GridRow = GridRow {
+    name: "corruption",
+    grids: [QUICK, FULL],
+    shape: TRACE_SHAPE,
+    cell: corruption_cell,
+};
 
-/// Replay a script produced by [`Failure::script`]: regenerate the
-/// workload, run the trace with an uncapped crash sweep, and return the
-/// outcome (or a failure description). Blank lines and `#` comments are
-/// ignored.
-pub fn replay(script: &str) -> Result<RunOutcome, String> {
-    let mut lines = script
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'));
-    let header = lines.next().ok_or_else(|| "empty script".to_string())?;
-    let toks: Vec<&str> = header.split_whitespace().collect();
-    let [kw, name, s_kw, scale, g_kw, gen_seed, k_kw, k] = toks[..] else {
-        return Err(format!(
-            "bad header `{header}` (want `workload <name> scale <s> gen-seed <g> k <k>`)"
-        ));
-    };
-    if (kw, s_kw, g_kw, k_kw) != ("workload", "scale", "gen-seed", "k") {
-        return Err(format!("bad header keywords in `{header}`"));
+fn corruption_cell(cell: &Cell, _: Tier, _: &mut Progress) -> Result<Counts, String> {
+    match run_corruption_trace(&cell.workload.doc, cell.k, &cell.trace) {
+        Ok(o) => Ok(vec![
+            ("ops applied", o.ops_applied),
+            ("skipped", o.ops_skipped),
+            ("crash points", o.injections),
+            ("repairs", o.repairs),
+        ]),
+        Err(f) => Err(cell.failure(f, None)),
     }
-    let scale: f64 = scale.parse().map_err(|e| format!("bad scale: {e}"))?;
-    let gen_seed: u64 = gen_seed.parse().map_err(|e| format!("bad gen-seed: {e}"))?;
-    let k: u64 = k.parse().map_err(|e| format!("bad k: {e}"))?;
-    let trace = lines.map(parse_op).collect::<Result<Vec<_>, _>>()?;
-    let w = workload_by_name(name, scale, gen_seed)
-        .ok_or_else(|| format!("unknown workload `{name}`"))?;
-    run_trace(
-        &w.doc,
-        k,
-        &trace,
-        CrashMode::Sweep {
-            max_points_per_op: 0,
-        },
-    )
-    .map_err(|f| {
-        format!(
-            "step {}{}: {}",
-            f.step,
-            match f.crash {
-                Some((n, torn)) => format!(" (power cut at write {n}, torn={torn})"),
-                None => String::new(),
-            },
-            f.message
-        )
-    })
 }

@@ -14,8 +14,8 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::fuzz::{workloads, Failure, TraceFailure, Workload};
-use crate::ops::{generate_trace, Op};
+use crate::fuzz::{workload_by_name, workloads, Failure, TraceFailure, Workload};
+use crate::ops::{generate_trace, parse_op, Op};
 
 /// How hard a campaign runs: the CI smoke tier or the acceptance tier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,7 +137,7 @@ pub static CAMPAIGNS: [Campaign; 11] = [
         seeds: GRID_SEEDS,
         runs: false,
         server_bin: false,
-        run: crate::fuzz::fuzz,
+        run: grid,
     },
     Campaign {
         name: "corruption",
@@ -147,7 +147,7 @@ pub static CAMPAIGNS: [Campaign; 11] = [
         seeds: GRID_SEEDS,
         runs: false,
         server_bin: false,
-        run: crate::fuzz::corruption,
+        run: grid,
     },
     Campaign {
         name: "group-commit",
@@ -156,7 +156,7 @@ pub static CAMPAIGNS: [Campaign; 11] = [
         seeds: GRID_SEEDS,
         runs: false,
         server_bin: false,
-        run: crate::group::group_commit,
+        run: grid,
     },
     Campaign {
         name: "bulkload",
@@ -176,7 +176,7 @@ pub static CAMPAIGNS: [Campaign; 11] = [
         seeds: GRID_SEEDS,
         runs: false,
         server_bin: false,
-        run: crate::exhaust::diskfull,
+        run: grid,
     },
     Campaign {
         name: "serve",
@@ -377,6 +377,7 @@ const MAX_FAILURES: usize = 3;
 
 /// One tier of a grid campaign: a cell per workload × record limit ×
 /// fuzz seed × batch size, each driving a trace of `ops_per_run` steps.
+#[derive(Clone, Copy)]
 pub(crate) struct Grid {
     pub scale: f64,
     pub ops_per_run: usize,
@@ -385,8 +386,40 @@ pub(crate) struct Grid {
     pub batch_sizes: &'static [usize],
 }
 
+/// What one clean cell adds to its row's report.
+pub(crate) type Counts = Vec<(&'static str, u64)>;
+
+/// A campaign that sweeps update traces over a [`Grid`]: its quick and
+/// full grids, its summary shape, and what one cell runs at a tier —
+/// its counts, or its failure rendered with the script that replays it.
+pub(crate) struct GridRow {
+    /// The [`CAMPAIGNS`] row, named in replay scripts.
+    pub name: &'static str,
+    pub grids: [Grid; 2],
+    pub shape: &'static str,
+    pub cell: fn(&Cell, Tier, &mut Progress) -> Result<Counts, String>,
+}
+
+/// Every grid row.
+static GRID_ROWS: [&GridRow; 4] = [
+    &crate::fuzz::FUZZ,
+    &crate::fuzz::CORRUPTION,
+    &crate::group::GROUP_COMMIT,
+    &crate::exhaust::DISKFULL,
+];
+
+/// The campaign function of every grid row.
+fn grid(plan: &Plan, progress: &mut Progress) -> Report {
+    let row = GRID_ROWS
+        .iter()
+        .find(|r| r.name == plan.row.name)
+        .expect("a grid row");
+    sweep_grid(row, plan.tier, &plan.seeds, progress)
+}
+
 /// One cell of a [`Grid`].
 pub(crate) struct Cell<'a> {
+    pub row: &'static str,
     pub workload: &'a Workload,
     pub k: u64,
     pub fuzz_seed: u64,
@@ -407,13 +440,15 @@ impl Cell<'_> {
             upto
         });
         Failure {
+            row: self.row,
             workload: self.workload.name.clone(),
             scale: self.workload.scale,
             gen_seed: self.workload.gen_seed,
             k: self.k,
+            batch: self.batch,
             fuzz_seed: self.fuzz_seed,
             step: f.step,
-            crash: f.crash,
+            fault: f.fault,
             message: f.message,
             trace,
         }
@@ -431,17 +466,17 @@ fn trace_seed(fuzz_seed: u64, k: u64, workload_index: u64) -> u64 {
         .wrapping_add(workload_index)
 }
 
-/// Run `cell` over every cell of `grid` × `seeds`, in that nesting order.
-/// A cell answers with its counts or a rendered failure; the report sums
-/// the counts under `shape`, and the sweep stops at [`MAX_FAILURES`].
+/// Run `row`'s cell over every cell of its `tier` grid × `seeds`, in
+/// that nesting order. The report sums the counts under the row's
+/// shape, and the sweep stops at [`MAX_FAILURES`].
 pub(crate) fn sweep_grid(
-    grid: &Grid,
-    shape: &'static str,
+    row: &GridRow,
+    tier: Tier,
     seeds: &[u64],
     progress: &mut Progress,
-    mut cell: impl FnMut(&Cell, &mut Progress) -> Result<Vec<(&'static str, u64)>, String>,
 ) -> Report {
-    let mut report = Report::new(shape, seeds);
+    let grid = tier.pick(row.grids[0], row.grids[1]);
+    let mut report = Report::new(row.shape, seeds);
     'grid: for (wi, workload) in workloads(grid.scale, GEN_SEED).iter().enumerate() {
         for &k in grid.record_limits {
             for &fuzz_seed in seeds {
@@ -453,6 +488,7 @@ pub(crate) fn sweep_grid(
                     let trace =
                         generate_trace(trace_seed(fuzz_seed, k, wi as u64), grid.ops_per_run);
                     let c = Cell {
+                        row: row.name,
                         workload,
                         k,
                         fuzz_seed,
@@ -461,7 +497,7 @@ pub(crate) fn sweep_grid(
                         at,
                     };
                     report.add("runs", 1);
-                    match cell(&c, progress) {
+                    match (row.cell)(&c, tier, progress) {
                         Ok(counts) => {
                             let line: Vec<String> = counts
                                 .iter()
@@ -485,6 +521,69 @@ pub(crate) fn sweep_grid(
         }
     }
     report
+}
+
+/// Replay a script produced by [`Failure::script`]: regenerate the
+/// workload and run the trace through one cell of the row the header
+/// names, at the full tier (every write event swept). Blank lines and
+/// `#` comments are ignored. Answers with the row's name and a one-run
+/// report, or with the failure rendered as a grid campaign renders it.
+pub fn replay(script: &str) -> Result<(&'static str, Report), String> {
+    let mut lines = script
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'));
+    let header = lines.next().ok_or_else(|| "empty script".to_string())?;
+    let toks: Vec<&str> = header.split_whitespace().collect();
+    let row = GRID_ROWS
+        .iter()
+        .find(|r| toks.first() == Some(&r.name))
+        .ok_or_else(|| {
+            let rows: Vec<&str> = GRID_ROWS.iter().map(|r| r.name).collect();
+            format!(
+                "bad header `{header}` (want `<row> workload <name> scale <s> gen-seed <g> \
+                 k <k>`, plus `batch <n>` for group-commit; <row> is one of {})",
+                rows.join(", ")
+            )
+        })?;
+    let trace = lines.map(parse_op).collect::<Result<Vec<_>, _>>()?;
+    let name: String = header_field(&toks, "workload")?;
+    let workload = workload_by_name(
+        &name,
+        header_field(&toks, "scale")?,
+        header_field(&toks, "gen-seed")?,
+    )
+    .ok_or_else(|| format!("unknown workload `{name}`"))?;
+    let cell = Cell {
+        row: row.name,
+        workload: &workload,
+        k: header_field(&toks, "k")?,
+        fuzz_seed: 0,
+        batch: match row.name {
+            "group-commit" => header_field(&toks, "batch")?,
+            _ => 0,
+        },
+        trace,
+        at: header.to_string(),
+    };
+    let mut report = Report::new(row.shape, &[]);
+    report.add("runs", 1);
+    for (name, n) in (row.cell)(&cell, Tier::Full, &mut |_| {})? {
+        report.add(name, n);
+    }
+    Ok((row.name, report))
+}
+
+/// The value after `key` in a script header.
+fn header_field<T: std::str::FromStr>(toks: &[&str], key: &str) -> Result<T, String> {
+    let value = toks
+        .iter()
+        .position(|t| *t == key)
+        .and_then(|i| toks.get(i + 1))
+        .ok_or_else(|| format!("the script header has no `{key}`"))?;
+    value
+        .parse()
+        .map_err(|_| format!("bad {key} `{value}` in the script header"))
 }
 
 /// A fresh, empty directory under the system's temporary one, named for

@@ -24,16 +24,22 @@
 //! error, and `fsck` repair salvages the survivors with an exact
 //! quarantine/damage report.
 //!
-//! Failing traces are shrunk to a minimal reproduction and rendered as a
-//! line-format script replayable with [`replay`], plus a ready-to-paste
-//! regression test ([`Failure::regression_test`]).
+//! Failing traces are rendered as a line-format script whose header
+//! names the row that found them, replayable with [`replay`] through
+//! that row's own sweep, plus a ready-to-paste regression test
+//! ([`Failure::regression_test`]); the power-cut row shrinks them first.
 //!
 //! Campaigns are the rows of [`CAMPAIGNS`] — `fuzz`, `corruption`,
 //! `group-commit`, `bulkload`, `diskfull`, `serve`, `repl`, `chaos`,
 //! `net`, `proxy`, `leak` — each run at a [`Tier`] (quick: the CI smoke
 //! tier, seconds; full: the acceptance tier) through
 //! [`Campaign::plan`] and [`Plan::run`], each answering with one
-//! [`Report`]. The engines they drive are public on their own:
+//! [`Report`]. Two engines carry five of them. One fault sweep (the
+//! private `sweep` module) arms a fault at every write event of every
+//! step and checks recovery against the oracle for `fuzz`,
+//! `group-commit` and `diskfull`; one client fleet (`net.rs`) drives an
+//! in-process server, straight for `net` and through a [`FaultProxy`]
+//! for `proxy`. The per-trace drivers are public on their own:
 //! [`run_trace`], [`run_corruption_trace`], [`run_group_commit_trace`],
 //! [`run_diskfull_trace`] for one trace, [`run_interleaving`] for one
 //! seeded schedule, [`FaultProxy`] for one mistreated TCP link.
@@ -49,16 +55,17 @@ mod net;
 mod ops;
 mod proxy;
 mod repl;
+mod sweep;
 
 pub use chaos::{run_interleaving, ChaosFailure, InterleavingStats};
 pub use exhaust::run_diskfull_trace;
 pub use fuzz::{
-    min_record_limit, replay, run_corruption_trace, run_trace, shrink_trace, workload_by_name,
-    workloads, CorruptionOutcome, CrashMode, Failure, RunOutcome, TraceFailure, Workload,
+    min_record_limit, run_corruption_trace, run_trace, shrink_trace, workload_by_name, workloads,
+    CorruptionOutcome, CrashMode, Failure, RunOutcome, TraceFailure, Workload,
 };
-pub use group::{run_group_commit_trace, GroupFailure, GroupOutcome};
+pub use group::run_group_commit_trace;
 pub use harness::{
-    campaign, is_selector, select, Campaign, Plan, Progress, Report, Tier, CAMPAIGNS,
+    campaign, is_selector, replay, select, Campaign, Plan, Progress, Report, Tier, CAMPAIGNS,
 };
 pub use model::ModelTree;
 pub use ops::{format_op, generate_trace, name_for, parse_op, text_for, Op};

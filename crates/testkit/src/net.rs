@@ -2,13 +2,13 @@
 //!
 //! Three campaigns extend the chaos/stress machinery across the wire:
 //!
-//! * [`net_load`] (`natix stress --net`) — an in-process server under
-//!   closed-loop client fleets of increasing size. Per level it reports
-//!   request latency percentiles, throughput and the shed rate
-//!   (retry-after responses per offered request), while every client
-//!   checks the snapshot contract at the wire: per-connection epochs
-//!   never regress and two clients that dump the same epoch see
-//!   byte-identical documents.
+//! * [`net_load`] (`natix stress --net`) — one closed-loop client
+//!   [`fleet`] against an in-process server, larger than its pin budget
+//!   at full so admission sheds. Every client checks the snapshot
+//!   contract at the wire: reads on a pinned session carry the pin
+//!   epoch, every other epoch never regresses, and two clients that
+//!   dump the same epoch see byte-identical documents. The same fleet
+//!   runs behind a fault proxy for `natix stress --net --proxy`.
 //! * [`serve_soak`] (`natix soak --serve`) — a power-cut campaign against
 //!   a *child process* running `natix serve`. Reader clients and an
 //!   update storm run against the daemon until it is SIGKILLed
@@ -24,7 +24,7 @@
 //!   unstarve the others within one TTL.
 //!
 //! The store builder, the served-store audit and [`ServeChild`] are
-//! shared with the proxy and replication campaigns.
+//! shared with the replication campaign.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -34,16 +34,19 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use natix_core::Ekm;
 use natix_datagen::{xmark, GenConfig};
-use natix_server::{serve, Client, Request, ResponseBody, ServeConfig, ServeSummary, UpdateOp};
+use natix_server::{
+    serve, Client, ClientError, Request, ResponseBody, ServeConfig, ServeSummary, UpdateOp,
+};
 use natix_store::{bulkload_with, fsck, FilePager, StoreConfig, XmlStore};
 use natix_xml::Document;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::harness::{scratch_dir, Plan, Progress, Report};
+use crate::proxy::{FaultProxy, ProxyPlan};
 
 // ------------------------------------------------------ shared plumbing
 
@@ -66,7 +69,7 @@ pub(crate) fn served_store(dir: &Path, scale: f64, seed: u64) -> PathBuf {
 /// The closing audit of a campaign over an in-process server, on a
 /// direct connection: the store must scrub clean, then the daemon is
 /// told to drain.
-pub(crate) fn scrub_and_stop(addr: SocketAddr, when: &str, failures: &mut Vec<String>) {
+fn scrub_and_stop(addr: SocketAddr, when: &str, failures: &mut Vec<String>) {
     match Client::connect(addr).and_then(|mut c| {
         let r = c.fsck()?;
         c.shutdown_server()?;
@@ -80,7 +83,7 @@ pub(crate) fn scrub_and_stop(addr: SocketAddr, when: &str, failures: &mut Vec<St
 
 /// Note the drained server's counters; a protocol error or a handler
 /// panic fails the campaign whatever the clients saw.
-pub(crate) fn audit_server(report: &mut Report, server: &ServeSummary) {
+fn audit_server(report: &mut Report, server: &ServeSummary) {
     report.notes.push(format!("  server: {server}"));
     if server.proto_errors > 0 || server.worker_panics > 0 {
         report.failures.push(format!(
@@ -145,250 +148,248 @@ impl Drop for ServeChild {
     }
 }
 
-// ------------------------------------------------------------- net load
+// ------------------------------------------------------------ the fleet
 
-/// One tier of the load sweep.
-struct LoadSweep {
-    /// Client-fleet sizes to sweep (offered-load levels).
-    levels: &'static [usize],
-    /// Requests each client completes per level.
-    requests_per_client: usize,
+/// One closed-loop client fleet against an in-process server.
+pub(crate) struct Fleet {
+    pub clients: usize,
+    /// Requests each client completes (reconnects not counted).
+    pub requests: usize,
     /// XMark scale of the served document.
-    scale: f64,
-    /// Server connection workers.
-    workers: usize,
-    /// Snapshot-pin budget.
-    max_pins: u32,
+    pub scale: f64,
+    /// The server's snapshot-pin budget, its one overload gate.
+    pub max_pins: u32,
 }
 
-/// CI smoke tier: two small levels, seconds.
-const QUICK_LOAD: LoadSweep = LoadSweep {
-    levels: &[1, 4],
-    requests_per_client: 40,
-    scale: 0.005,
-    workers: 6,
-    max_pins: 64,
-};
-
-/// The acceptance tier: a full offered-load sweep.
-const FULL_LOAD: LoadSweep = LoadSweep {
-    levels: &[1, 2, 4, 8, 16],
-    requests_per_client: 250,
-    scale: 0.02,
-    // One worker per client at the top level: contention is measured at
-    // the store, not the accept queue.
-    workers: 16,
-    // Small enough that the 8- and 16-client levels contend for
-    // admission and the shed-rate column comes alive.
-    max_pins: 8,
-};
-
-/// Nearest-rank percentile of an ascending-sorted sample.
-fn percentile_us(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// What one closed-loop client observed during a level.
-struct ClientObservation {
-    latencies_us: Vec<u64>,
+/// What one client of a fleet observed.
+#[derive(Default)]
+struct Observed {
     completed: u64,
     sheds: u64,
+    reconnects: u64,
     /// `(epoch, document hash)` per dump, for cross-client comparison.
     dumps: Vec<(u64, u64)>,
     failures: Vec<String>,
 }
 
-fn client_loop(
-    addr: std::net::SocketAddr,
-    id: usize,
-    level: usize,
-    requests: usize,
-    seed: u64,
-) -> ClientObservation {
-    let mut obs = ClientObservation {
-        latencies_us: Vec::with_capacity(requests),
-        completed: 0,
-        sheds: 0,
-        dumps: Vec::new(),
-        failures: Vec::new(),
-    };
-    let mut rng = StdRng::seed_from_u64(seed ^ (level as u64) << 24 ^ id as u64);
-    let mut c = match Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            obs.failures.push(format!("client {id}: connect: {e}"));
-            return obs;
-        }
-    };
-    let mut last_epoch = 0u64;
-    // While a session is pinned, reads come from its snapshot and must
-    // all report the pin epoch; between pins, epochs are monotone.
-    let mut pin_epoch: Option<u64> = None;
-    for i in 0..requests {
-        let req = if pin_epoch.is_some() {
-            match rng.gen_range(0..100u32) {
-                0..=19 => Request::End,
-                20..=59 => Request::Query {
-                    xpath: "//keyword".to_string(),
-                    count_only: true,
-                },
-                60..=79 => Request::Query {
-                    xpath: "//item".to_string(),
-                    count_only: false,
-                },
-                _ => Request::Dump,
-            }
-        } else {
-            match rng.gen_range(0..100u32) {
-                0..=19 => Request::Begin,
-                20..=44 => Request::Query {
-                    xpath: "//keyword".to_string(),
-                    count_only: true,
-                },
-                45..=54 => Request::Query {
-                    xpath: "//item".to_string(),
-                    count_only: false,
-                },
-                55..=69 => Request::Dump,
-                70..=74 => Request::Stats,
-                75..=79 => Request::Fsck,
-                _ => Request::Update {
-                    target: "/site".to_string(),
-                    op: UpdateOp::AppendText {
-                        text: format!("load marker {level}.{id}.{i}"),
-                    },
-                },
+/// The one request mix: every verb a client may send, updates included.
+fn request(rng: &mut StdRng, id: usize, n: u64) -> Request {
+    match rng.gen_range(0..100u32) {
+        0..=9 => Request::Ping,
+        10..=24 => Request::Begin,
+        25..=54 => Request::Query {
+            xpath: "//keyword".to_string(),
+            count_only: true,
+        },
+        55..=64 => Request::Dump,
+        65..=79 => Request::End,
+        80..=84 => Request::Stats,
+        85..=87 => Request::Fsck,
+        _ => Request::Update {
+            target: "/site".to_string(),
+            op: UpdateOp::AppendText {
+                text: format!("fleet marker {id}.{n}"),
+            },
+        },
+    }
+}
+
+/// One client: `requests` requests of the mix at `addr`, re-`begin`ning
+/// on an expired lease and, when `reconnect` (a fault proxy tears
+/// streams), reconnecting on every torn one. The epoch rule: a read on a
+/// pinned session carries the pin epoch, and every other response's
+/// epoch never decreases.
+fn client(addr: SocketAddr, id: usize, requests: usize, seed: u64, reconnect: bool) -> Observed {
+    let mut obs = Observed::default();
+    let mut rng = StdRng::seed_from_u64(seed ^ (id as u64) << 32);
+    let mut conn: Option<Client> = None;
+    let mut pin: Option<u64> = None;
+    let mut last = 0u64;
+    let mut refused = 0usize;
+    while obs.completed < requests as u64 {
+        let c = match &mut conn {
+            Some(c) => c,
+            None => {
+                pin = None;
+                match Client::connect(addr) {
+                    Ok(c) => conn.insert(c),
+                    Err(_) if reconnect && refused < 20 * requests => {
+                        refused += 1;
+                        std::thread::sleep(Duration::from_millis(10));
+                        continue;
+                    }
+                    Err(e) => {
+                        obs.failures.push(format!("client {id}: connect: {e}"));
+                        return obs;
+                    }
+                }
             }
         };
-        let started = Instant::now();
-        match c.request_retry(&req, 200) {
+        let req = request(&mut rng, id, obs.completed);
+        let resp = match c.request_retry(&req, 200) {
             Ok((resp, retries)) => {
-                obs.latencies_us.push(started.elapsed().as_micros() as u64);
-                obs.completed += 1;
                 obs.sheds += retries as u64;
-                match (&req, pin_epoch) {
-                    (Request::Begin, _) => pin_epoch = Some(resp.epoch),
-                    (Request::End, _) => pin_epoch = None,
-                    (_, Some(pinned)) => {
-                        // Snapshot isolation at the wire: a pinned
-                        // session never sees another epoch.
-                        if resp.epoch != pinned {
-                            obs.failures.push(format!(
-                                "client {id}: pinned at epoch {pinned} but {req:?} reported {}",
-                                resp.epoch
-                            ));
-                        }
-                    }
-                    (_, None) => {
-                        if resp.epoch > 0 && resp.epoch < last_epoch {
-                            obs.failures.push(format!(
-                                "client {id}: epoch regressed {last_epoch} -> {} on {req:?}",
-                                resp.epoch
-                            ));
-                        }
-                    }
-                }
-                last_epoch = last_epoch.max(resp.epoch);
-                match &resp.body {
-                    ResponseBody::DumpResult { xml } => {
-                        let mut h = DefaultHasher::new();
-                        xml.hash(&mut h);
-                        obs.dumps.push((resp.epoch, h.finish()));
-                    }
-                    ResponseBody::Error { kind, message } => {
-                        obs.failures
-                            .push(format!("client {id}: {kind} error on {req:?}: {message}"));
-                    }
-                    _ => {}
-                }
+                resp
+            }
+            Err(ClientError::SessionExpired) => {
+                pin = None;
+                continue;
+            }
+            Err(_) if reconnect => {
+                conn = None;
+                obs.reconnects += 1;
+                continue;
             }
             Err(e) => {
-                obs.failures.push(format!("client {id}: request {i}: {e}"));
+                obs.failures
+                    .push(format!("client {id}: request {}: {e}", obs.completed));
                 return obs;
             }
+        };
+        match (&resp.body, &req, pin) {
+            // Typed lease expiry: the well-behaved path is a fresh
+            // begin; not a failure, not a completed request.
+            (ResponseBody::SessionExpired, ..) => {
+                pin = None;
+                continue;
+            }
+            (ResponseBody::Error { kind, message }, ..) => obs
+                .failures
+                .push(format!("client {id}: {kind} error on {req:?}: {message}")),
+            (_, Request::Query { .. } | Request::Dump, Some(pinned)) if resp.epoch != pinned => {
+                obs.failures.push(format!(
+                    "client {id}: pinned at epoch {pinned} but {req:?} reported {}",
+                    resp.epoch
+                ));
+            }
+            (_, Request::Query { .. } | Request::Dump, Some(_)) => {}
+            _ if resp.epoch < last => obs.failures.push(format!(
+                "client {id}: epoch regressed {last} -> {} on {req:?}",
+                resp.epoch
+            )),
+            _ => last = resp.epoch,
         }
+        match (&req, &resp.body) {
+            (Request::Begin, _) => pin = Some(resp.epoch),
+            (Request::End, _) => pin = None,
+            (_, ResponseBody::DumpResult { xml }) => {
+                let mut h = DefaultHasher::new();
+                xml.hash(&mut h);
+                obs.dumps.push((resp.epoch, h.finish()));
+            }
+            _ => {}
+        }
+        obs.completed += 1;
     }
     obs
 }
 
-/// `natix stress --net`: sweep the tier's fleet sizes against one
-/// in-process server and report latency, throughput and shed behaviour
-/// per level.
-pub(crate) fn net_load(plan: &Plan, progress: &mut Progress) -> Report {
-    let seed = plan.seeds[0];
-    let cfg = plan.tier.pick(QUICK_LOAD, FULL_LOAD);
+/// Server, optional fault proxy, fleet: every client runs [`client`]
+/// through the proxy when there is one. Two clients that dump the same
+/// epoch must see the same document. The audit and the shutdown go over
+/// a direct connection: the store must scrub clean, and the server must
+/// drain within 30 s (a wedged worker would not). The report counts
+/// `clients`, `requests`, `sheds` and `reconnects`, plus the proxy's
+/// `conns`, `resets`, `stalls` and `bytes`, under `shape`.
+pub(crate) fn fleet(
+    seed: u64,
+    f: Fleet,
+    proxy: Option<ProxyPlan>,
+    shape: &'static str,
+    progress: &mut Progress,
+) -> Report {
     progress(&format!(
-        "net load: levels {:?}, {} requests/client, xmark scale {}, {} workers, {} pins",
-        cfg.levels, cfg.requests_per_client, cfg.scale, cfg.workers, cfg.max_pins
+        "fleet: {} clients x {} requests, xmark scale {}, {} pins, {}",
+        f.clients,
+        f.requests,
+        f.scale,
+        f.max_pins,
+        match proxy {
+            Some(p) => format!("behind a fault proxy (seed {:#x})", p.seed),
+            None => "direct".to_string(),
+        }
     ));
-    let mut report = Report::new(
-        "{levels} levels, {requests} requests, {sheds} sheds, {failures} failures",
-        &plan.seeds,
-    );
-    let dir = scratch_dir("net-load");
+    let dir = scratch_dir("fleet");
     let handle = serve(ServeConfig {
-        store: served_store(&dir, cfg.scale, seed),
-        workers: cfg.workers,
-        max_pins: cfg.max_pins,
+        store: served_store(&dir, f.scale, seed),
+        // One worker per client, and spares for the audit and the
+        // connections a torn stream leaves behind.
+        workers: f.clients + 2,
+        max_pins: f.max_pins,
         ..ServeConfig::default()
     })
-    .expect("start load server");
-    let addr = handle.addr();
+    .expect("start fleet server");
+    let direct = handle.addr();
+    let proxy = proxy.map(|p| FaultProxy::start(direct, p).expect("start fault proxy"));
+    let addr = proxy.as_ref().map_or(direct, FaultProxy::addr);
+    let reconnect = proxy.is_some();
+    let threads: Vec<_> = (0..f.clients)
+        .map(|id| std::thread::spawn(move || client(addr, id, f.requests, seed, reconnect)))
+        .collect();
 
-    for &clients in cfg.levels {
-        let started = Instant::now();
-        let threads: Vec<_> = (0..clients)
-            .map(|id| {
-                let requests = cfg.requests_per_client;
-                std::thread::spawn(move || client_loop(addr, id, clients, requests, seed))
-            })
-            .collect();
-        let observations: Vec<ClientObservation> =
-            threads.into_iter().map(|t| t.join().unwrap()).collect();
-        let elapsed_s = started.elapsed().as_secs_f64();
-
-        let mut latencies: Vec<u64> = Vec::new();
-        let mut completed = 0u64;
-        let mut sheds = 0u64;
-        let mut by_epoch: HashMap<u64, u64> = HashMap::new();
-        for obs in observations {
-            latencies.extend(obs.latencies_us);
-            completed += obs.completed;
-            sheds += obs.sheds;
-            report.failures.extend(obs.failures);
-            for (epoch, hash) in obs.dumps {
-                if let Some(prev) = by_epoch.insert(epoch, hash) {
-                    if prev != hash {
-                        report.failures.push(format!(
-                            "level {clients}: two clients saw different documents at epoch {epoch}"
-                        ));
-                    }
-                }
+    let mut report = Report::new(shape, &[seed]);
+    report.add("clients", f.clients as u64);
+    let mut by_epoch: HashMap<u64, u64> = HashMap::new();
+    for t in threads {
+        let obs = t.join().expect("fleet client panicked");
+        report.add("requests", obs.completed);
+        report.add("sheds", obs.sheds);
+        report.add("reconnects", obs.reconnects);
+        report.failures.extend(obs.failures);
+        for (epoch, hash) in obs.dumps {
+            if by_epoch
+                .insert(epoch, hash)
+                .is_some_and(|prev| prev != hash)
+            {
+                report.failures.push(format!(
+                    "two clients saw different documents at epoch {epoch}"
+                ));
             }
         }
-        latencies.sort_unstable();
-        report.add("levels", 1);
-        report.add("requests", completed);
-        report.add("sheds", sheds);
-        // Sheds per offered request; completed requests per second.
-        report.notes.push(format!(
-            "  {clients:>2} clients: {completed:>6} req, p50 {:>6} us, p99 {:>7} us, {:>7.0} req/s, shed rate {:.3}",
-            percentile_us(&latencies, 50.0),
-            percentile_us(&latencies, 99.0),
-            completed as f64 / elapsed_s.max(1e-9),
-            sheds as f64 / ((completed + sheds) as f64).max(1.0),
-        ));
+    }
+    if let Some(proxy) = proxy {
+        let injected = proxy.stop();
+        report.add("conns", injected.connections);
+        report.add("resets", injected.resets);
+        report.add("stalls", injected.stalls);
+        report.add("bytes", injected.forwarded);
     }
 
-    // The store under load must still scrub clean before shutdown.
-    scrub_and_stop(addr, "post-load", &mut report.failures);
-    audit_server(&mut report, &handle.join());
+    scrub_and_stop(direct, "post-fleet", &mut report.failures);
+    let (sum_tx, sum_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = sum_tx.send(handle.join());
+    });
+    match sum_rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(server) => audit_server(&mut report, &server),
+        Err(_) => report
+            .failures
+            .push("server did not drain within 30 s (wedged worker)".to_string()),
+    }
     let _ = std::fs::remove_dir_all(&dir);
     report
+}
+
+/// `natix stress --net`: one fleet straight at the server — 4 clients of
+/// 50 requests at quick (XMark scale 0.005, 64 pins); 16 of 250 at full
+/// (0.02), twice as many clients as its 8 pins, so admission sheds.
+pub(crate) fn net_load(plan: &Plan, progress: &mut Progress) -> Report {
+    let f = plan.tier.pick(
+        Fleet {
+            clients: 4,
+            requests: 50,
+            scale: 0.005,
+            max_pins: 64,
+        },
+        Fleet {
+            clients: 16,
+            requests: 250,
+            scale: 0.02,
+            max_pins: 8,
+        },
+    );
+    let shape = "{clients} clients, {requests} requests, {sheds} sheds, {failures} failures";
+    fleet(plan.seeds[0], f, None, shape, progress)
 }
 
 // ----------------------------------------------------------- serve soak

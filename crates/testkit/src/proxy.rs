@@ -11,29 +11,27 @@
 //! of connections.
 //!
 //! [`proxy_chaos`] is the harness behind `natix stress --net
-//! --proxy`: an in-process server, a proxy in front of it, and a fleet
-//! of clients running the full verb sweep *through* the proxy,
-//! reconnecting whenever the proxy tears their connection. The contract:
+//! --proxy`: the client fleet of [`crate::net`] run *through* a proxy in
+//! front of an in-process server, its clients reconnecting whenever the
+//! proxy tears their connection. The contract:
 //! the server finishes with **zero protocol errors** (a torn TCP stream
 //! must never be misread as a protocol violation), **zero worker
 //! panics**, a clean drain (no wedged workers), and epoch consistency —
-//! per-connection epochs never regress and two clients that dump the
-//! same epoch see byte-identical documents.
+//! reads on a pinned session carry the pin epoch, no other epoch
+//! regresses, and two clients that dump the same epoch see
+//! byte-identical documents.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use natix_server::{serve, Client, ClientError, Request, ResponseBody, ServeConfig, UpdateOp};
+use natix_server::ServeConfig;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::harness::{scratch_dir, Plan, Progress, Report};
-use crate::net::{audit_server, scrub_and_stop, served_store};
+use crate::harness::{Plan, Progress, Report};
+use crate::net::{fleet, Fleet};
 
 // ------------------------------------------------------------ the proxy
 
@@ -319,212 +317,28 @@ fn pump(
 
 // ----------------------------------------------------- the chaos harness
 
-struct ChaosObservation {
-    completed: u64,
-    reconnects: u64,
-    dumps: Vec<(u64, u64)>,
-    failures: Vec<String>,
-}
+/// The proxy row's summary line.
+const SHAPE: &str = "{requests} completed, {reconnects} reconnects; proxy: {conns} conns, \
+                     {resets} resets, {stalls} stalls, {bytes} bytes; {failures} failures";
 
-/// One client: the full verb sweep through the proxy, reconnecting on
-/// every transport tear, re-`begin`ning on every expired lease.
-fn chaos_client(proxy_addr: SocketAddr, id: usize, requests: usize, seed: u64) -> ChaosObservation {
-    let mut obs = ChaosObservation {
-        completed: 0,
-        reconnects: 0,
-        dumps: Vec::new(),
-        failures: Vec::new(),
-    };
-    let mut rng = StdRng::seed_from_u64(seed ^ (id as u64) << 32);
-    let mut client: Option<Client> = None;
-    let mut pin_epoch: Option<u64> = None;
-    let mut last_epoch = 0u64;
-    let mut done = 0usize;
-    let mut tears = 0u64;
-    while done < requests {
-        let c = match client.as_mut() {
-            Some(c) => c,
-            None => {
-                pin_epoch = None;
-                match Client::connect(proxy_addr) {
-                    Ok(c) => {
-                        client = Some(c);
-                        client.as_mut().unwrap()
-                    }
-                    Err(_) => {
-                        tears += 1;
-                        if tears > (requests as u64) * 20 {
-                            obs.failures
-                                .push(format!("client {id}: could not reconnect through proxy"));
-                            return obs;
-                        }
-                        std::thread::sleep(Duration::from_millis(10));
-                        continue;
-                    }
-                }
-            }
-        };
-        let req = match rng.gen_range(0..100u32) {
-            0..=9 => Request::Ping,
-            10..=24 => Request::Begin,
-            25..=49 => Request::Query {
-                xpath: "//keyword".to_string(),
-                count_only: true,
-            },
-            50..=59 => Request::Dump,
-            60..=69 => Request::End,
-            70..=77 => Request::Stats,
-            78..=84 => Request::Fsck,
-            _ => Request::Update {
-                target: "/site".to_string(),
-                op: UpdateOp::AppendText {
-                    text: format!("chaos marker {id}.{done}"),
-                },
-            },
-        };
-        match c.request_retry(&req, 100) {
-            Ok((resp, _)) => {
-                if matches!(resp.body, ResponseBody::SessionExpired) {
-                    // Typed lease expiry: the well-behaved path is a
-                    // fresh begin; not a failure, not a completed verb.
-                    pin_epoch = None;
-                    continue;
-                }
-                if let ResponseBody::Error { kind, message } = &resp.body {
-                    obs.failures
-                        .push(format!("client {id}: {kind} error on {req:?}: {message}"));
-                }
-                match (&req, pin_epoch) {
-                    (Request::Begin, _) => pin_epoch = Some(resp.epoch),
-                    (Request::End, _) => pin_epoch = None,
-                    // Only reads are served from the session snapshot;
-                    // the other verbs report the committed epoch.
-                    (Request::Query { .. } | Request::Dump, Some(p)) if resp.epoch != p => {
-                        obs.failures.push(format!(
-                            "client {id}: pinned at {p} but {req:?} reported {}",
-                            resp.epoch
-                        ));
-                    }
-                    (_, None) if resp.epoch > 0 && resp.epoch < last_epoch => {
-                        obs.failures.push(format!(
-                            "client {id}: epoch regressed {last_epoch} -> {}",
-                            resp.epoch
-                        ));
-                    }
-                    _ => {}
-                }
-                if pin_epoch.is_none() {
-                    last_epoch = last_epoch.max(resp.epoch);
-                }
-                if let ResponseBody::DumpResult { xml } = &resp.body {
-                    let mut h = DefaultHasher::new();
-                    xml.hash(&mut h);
-                    obs.dumps.push((resp.epoch, h.finish()));
-                }
-                obs.completed += 1;
-                done += 1;
-            }
-            Err(ClientError::SessionExpired) => {
-                pin_epoch = None;
-            }
-            Err(_) => {
-                // The proxy tore the stream (reset, or a stall past the
-                // client timeout): reconnect and keep going.
-                client = None;
-                obs.reconnects += 1;
-            }
-        }
-    }
-    obs
-}
-
-/// Session lease TTL handed to the server (ms): long enough that no
-/// stall expires a lease.
-const LEASE_TTL_MS: u64 = 30_000;
-
-/// `natix stress --net --proxy`: 3 clients of 60 requests behind the
-/// gentle plan at quick (XMark scale 0.003); 6 of 250 behind the harsh
-/// plan at full (0.01). See the module docs for the contract.
+/// `natix stress --net --proxy`: the one client fleet of
+/// [`crate::net`] behind a [`FaultProxy`] — 3 clients of 60 requests
+/// behind the gentle plan at quick (XMark scale 0.003); 6 of 250 behind
+/// the harsh plan at full (0.01). See the module docs for the contract.
 pub(crate) fn proxy_chaos(plan: &Plan, progress: &mut Progress) -> Report {
     let seed = plan.seeds[0];
     let (clients, requests, scale, mistreat) = plan.tier.pick(
         (3, 60, 0.003, ProxyPlan::gentle(seed)),
         (6, 250, 0.01, ProxyPlan::harsh(seed)),
     );
-    progress(&format!(
-        "proxy chaos: {clients} clients x {requests} requests, xmark scale {scale}, plan seed {seed:#x}"
-    ));
-    fleet(seed, clients, requests, scale, mistreat)
-}
-
-/// Server, proxy, fleet: `clients` clients complete `requests_per_client`
-/// requests each (reconnects not counted) through `plan`.
-fn fleet(
-    seed: u64,
-    clients: usize,
-    requests_per_client: usize,
-    scale: f64,
-    plan: ProxyPlan,
-) -> Report {
-    let dir = scratch_dir("proxy");
-    let handle = serve(ServeConfig {
-        store: served_store(&dir, scale, seed),
-        workers: clients + 2,
-        lease_ttl_ms: LEASE_TTL_MS,
-        ..ServeConfig::default()
-    })
-    .expect("start chaos server");
-    let direct_addr = handle.addr();
-    let proxy = FaultProxy::start(direct_addr, plan).expect("start fault proxy");
-    let proxy_addr = proxy.addr();
-
-    let mut report = Report::new(
-        "{completed} completed, {reconnects} reconnects; proxy: {conns} conns, {resets} resets, \
-         {stalls} stalls, {bytes} bytes; {failures} failures",
-        &[seed],
-    );
-    let threads: Vec<_> = (0..clients)
-        .map(|id| {
-            std::thread::spawn(move || chaos_client(proxy_addr, id, requests_per_client, seed))
-        })
-        .collect();
-    let mut by_epoch: HashMap<u64, u64> = HashMap::new();
-    for t in threads {
-        let obs = t.join().expect("chaos client panicked");
-        report.add("completed", obs.completed);
-        report.add("reconnects", obs.reconnects);
-        report.failures.extend(obs.failures);
-        for (epoch, hash) in obs.dumps {
-            if let Some(prev) = by_epoch.insert(epoch, hash) {
-                if prev != hash {
-                    report.failures.push(format!(
-                        "two clients saw different documents at epoch {epoch}"
-                    ));
-                }
-            }
-        }
-    }
-    let injected = proxy.stop();
-    report.add("conns", injected.connections);
-    report.add("resets", injected.resets);
-    report.add("stalls", injected.stalls);
-    report.add("bytes", injected.forwarded);
-
-    // Audit and shutdown over a *direct* connection: the store must
-    // scrub clean, and the server must drain without wedged workers.
-    scrub_and_stop(direct_addr, "post-chaos", &mut report.failures);
-    let (sum_tx, sum_rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = sum_tx.send(handle.join());
-    });
-    match sum_rx.recv_timeout(Duration::from_secs(30)) {
-        Ok(server) => audit_server(&mut report, &server),
-        Err(_) => report
-            .failures
-            .push("server did not drain within 30s (wedged worker)".to_string()),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    report
+    let max_pins = ServeConfig::default().max_pins;
+    let f = Fleet {
+        clients,
+        requests,
+        scale,
+        max_pins,
+    };
+    fleet(seed, f, Some(mistreat), SHAPE, progress)
 }
 
 #[cfg(test)]
@@ -534,13 +348,25 @@ mod tests {
     #[test]
     fn proxy_chaos_quick_runs_clean() {
         // A trimmed quick tier: two clients, half the requests.
-        let report = fleet(0xFA_117, 2, 30, 0.003, ProxyPlan::gentle(0xFA_117));
+        let f = Fleet {
+            clients: 2,
+            requests: 30,
+            scale: 0.003,
+            max_pins: ServeConfig::default().max_pins,
+        };
+        let report = fleet(
+            0xFA_117,
+            f,
+            Some(ProxyPlan::gentle(0xFA_117)),
+            SHAPE,
+            &mut |_| {},
+        );
         assert!(
             report.ok(),
             "proxy chaos failed: {}\n{}",
             report.summary(),
             report.failures.join("\n")
         );
-        assert_eq!(report.count("completed"), 60);
+        assert_eq!(report.count("requests"), 60);
     }
 }

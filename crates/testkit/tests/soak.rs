@@ -2,9 +2,10 @@
 //! smoke tier) must pass cleanly and deterministically, and scripts
 //! must replay.
 
+use natix_store::FaultSchedule;
 use natix_testkit::{
-    campaign, replay, run_corruption_trace, run_trace, workload_by_name, CrashMode, Failure, Op,
-    Report, Tier,
+    campaign, generate_trace, replay, run_corruption_trace, run_diskfull_trace,
+    run_group_commit_trace, run_trace, workload_by_name, CrashMode, Failure, Op, Report, Tier,
 };
 
 /// The quick tier of the row called `name`.
@@ -38,10 +39,10 @@ fn campaign_outcomes_are_reproducible() {
 
 #[test]
 fn handwritten_script_replays_clean() {
-    let outcome = replay(
+    let (row, report) = replay(
         "\
 # exercise appends, a split-prone text run, an insert and a delete
-workload SigmodRecord.xml scale 0.001 gen-seed 1 k 24
+fuzz workload SigmodRecord.xml scale 0.001 gen-seed 1 k 24
 append-element 3 0
 append-text 3 1
 append-text 3 2
@@ -50,17 +51,25 @@ delete 7
 ",
     )
     .unwrap();
-    assert_eq!(outcome.ops_applied + outcome.ops_skipped, 5);
-    assert!(outcome.crash_points > 10);
+    assert_eq!(row, "fuzz");
+    assert_eq!(report.count("ops applied") + report.count("skipped"), 5);
+    assert!(report.count("crash points") > 10);
 }
 
 #[test]
 fn replay_rejects_malformed_scripts() {
     assert!(replay("").is_err());
-    assert!(replay("workload nope.xml scale 0.001 gen-seed 1 k 24\n").is_err());
-    assert!(replay("workload SigmodRecord.xml scale x gen-seed 1 k 24").is_err());
+    assert!(replay("fuzz workload nope.xml scale 0.001 gen-seed 1 k 24\n").is_err());
+    assert!(replay("fuzz workload SigmodRecord.xml scale x gen-seed 1 k 24").is_err());
     assert!(
-        replay("workload SigmodRecord.xml scale 0.001 gen-seed 1 k 24\nfrobnicate 1\n").is_err()
+        replay("fuzz workload SigmodRecord.xml scale 0.001 gen-seed 1 k 24\nfrobnicate 1\n")
+            .is_err()
+    );
+    // A header must name its row; a group-commit one, its batch size.
+    assert!(replay("workload SigmodRecord.xml scale 0.001 gen-seed 1 k 24\n").is_err());
+    assert!(replay("chaos workload SigmodRecord.xml scale 0.001 gen-seed 1 k 24\n").is_err());
+    assert!(
+        replay("group-commit workload SigmodRecord.xml scale 0.001 gen-seed 1 k 24\n").is_err()
     );
 }
 
@@ -93,13 +102,15 @@ fn uncapped_sweep_covers_every_write_of_a_splitting_run() {
 #[test]
 fn failure_rendering_is_replayable_and_pasteable() {
     let f = Failure {
+        row: "fuzz",
         workload: "SigmodRecord.xml".to_string(),
         scale: 0.001,
         gen_seed: 1,
         k: 24,
+        batch: 0,
         fuzz_seed: 9,
         step: 1,
-        crash: Some((3, true)),
+        fault: Some(FaultSchedule::power_cut(3, true)),
         message: "example".to_string(),
         trace: vec![
             Op::AppendElement { target: 3, tag: 0 },
@@ -109,7 +120,7 @@ fn failure_rendering_is_replayable_and_pasteable() {
     let script = f.script();
     assert_eq!(
         script,
-        "workload SigmodRecord.xml scale 0.001 gen-seed 1 k 24\nappend-element 3 0\ndelete 5\n"
+        "fuzz workload SigmodRecord.xml scale 0.001 gen-seed 1 k 24\nappend-element 3 0\ndelete 5\n"
     );
     // The rendered regression test embeds the script verbatim.
     let test = f.regression_test();
@@ -161,4 +172,48 @@ fn shrink_returns_passing_traces_unchanged() {
     let trace = natix_testkit::generate_trace(5, 4);
     let shrunk = natix_testkit::shrink_trace(&w.doc, 32, &trace, CrashMode::None);
     assert_eq!(shrunk, trace, "a clean trace must not be shrunk");
+}
+
+#[test]
+fn every_grid_row_replays_its_own_sweep() {
+    // A script replays the row that found it, at the full tier: its
+    // counts are that row's driver's, not the power-cut sweep's.
+    let w = workload_by_name("SigmodRecord.xml", 0.001, 1).unwrap();
+    let trace = generate_trace(11, 6);
+    let script = |row, batch| {
+        Failure {
+            row,
+            workload: w.name.clone(),
+            scale: w.scale,
+            gen_seed: w.gen_seed,
+            k: 32,
+            batch,
+            fuzz_seed: 11,
+            step: 5,
+            fault: None,
+            message: String::new(),
+            trace: trace.clone(),
+        }
+        .script()
+    };
+    let points = |row, batch| {
+        let (replayed, report) = replay(&script(row, batch)).unwrap();
+        assert_eq!(replayed, row);
+        assert_eq!(report.count("runs"), 1);
+        report.count("crash points")
+    };
+    let uncapped = CrashMode::Sweep {
+        max_points_per_op: 0,
+    };
+    let cuts = run_trace(&w.doc, 32, &trace, uncapped).unwrap();
+    assert_eq!(points("fuzz", 0), cuts.crash_points);
+    let rot = run_corruption_trace(&w.doc, 32, &trace).unwrap();
+    assert_eq!(points("corruption", 0), rot.injections);
+    let full = run_diskfull_trace(&w.doc, 32, &trace, 4, 0).unwrap();
+    assert_eq!(points("diskfull", 0), full.crash_points);
+    assert_ne!(full.crash_points, cuts.crash_points);
+    let batched = run_group_commit_trace(&w.doc, 32, &trace, 4, 0).unwrap();
+    assert_eq!(points("group-commit", 4), batched.crash_points);
+    let (_, report) = replay(&script("group-commit", 4)).unwrap();
+    assert_eq!(report.count("batches"), batched.steps);
 }

@@ -54,7 +54,7 @@ cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --
 # finish in seconds run their full tier, so the acceptance counts (3298
 # crash points, 2096 injections, 986 group-commit points, 1936 disk-full
 # points, 1200 interleavings, ...) are checked on every run; the rest
-# keep --quick (full: repl 19 s, net 37 s, proxy 78 s; leak waits out
+# keep --quick (full: repl 19 s, net 17 s, proxy 61 s; leak waits out
 # lease TTLs).
 campaigns=(
   "soak"
@@ -73,6 +73,17 @@ for words in "${campaigns[@]}"; do
   # shellcheck disable=SC2086  # the row's command words, split on purpose
   cargo run --release -q -p natix-cli -- $words
 done
+
+tier "natix soak --replay smoke (a two-op diskfull script replays the disk-full sweep, and the summary names the row)"
+replay_script="$(mktemp)"
+printf 'diskfull workload SigmodRecord.xml scale 0.001 gen-seed 1 k 24\nappend-text 3 1\ndelete 5\n' \
+  > "$replay_script"
+replay_out="$(cargo run --release -q -p natix-cli -- soak --replay "$replay_script")"
+rm -f "$replay_script"
+echo "$replay_out"
+if ! grep -q '^replay (diskfull): 1 runs, ' <<< "$replay_out"; then
+  echo "FAIL: the replay summary does not name the diskfull row" >&2; exit 1
+fi
 
 tier "natix stress, twice (the full chaos summary is deterministic: two runs must print the same line)"
 stress_first="$(cargo run --release -q -p natix-cli -- stress)"
