@@ -388,10 +388,9 @@ fn print_dp_stats(stats: &DpStats) {
         stats.dag_dedup_ratio()
     );
     println!(
-        "cache hits : {} ({:.1}% of nodes), {} cross-run",
+        "cache hits : {} ({:.1}% of nodes)",
         stats.dag_hits,
-        stats.dag_hit_rate() * 100.0,
-        stats.dag_cross_run_hits
+        stats.dag_hit_rate() * 100.0
     );
     println!(
         "pruned     : {} non-improving candidates, {} scans ended early",

@@ -1,6 +1,6 @@
 //! The whole-tree driver of **GHDW** (Fig. 5) and **DHW** (Fig. 7):
-//! hash-consed subtree DAG + `(fingerprint, K)` plan cache around the
-//! profile-driven per-node DP of [`crate::dp`].
+//! hash-consed subtree DAG around the profile-driven per-node DP of
+//! [`crate::dp`].
 //!
 //! The per-node DP is a pure function of the node's *weighted subtree
 //! shape*: its own weight, the ordered shapes of its children, and the run
@@ -13,19 +13,13 @@
 //! **once per distinct shape** and shares the resulting plan between every
 //! occurrence.
 //!
-//! Two layers:
-//!
-//! 1. [`SubtreeDag`] — bottom-up hash-consing of weighted subtree shapes
-//!    into a minimal-DAG node index. Interning is *exact* (structural
-//!    equality on weight + ordered child shape ids, with the 64-bit hash
-//!    only bucketing), so within a run there are no collision risks. Each
-//!    distinct shape also gets a 128-bit [`Fingerprint`] over
-//!    (weight, child fingerprints) for cross-run identity.
-//! 2. [`DagCache`] — a reusable workspace holding the flat-arena
-//!    `DpWorkspace` plus a plan cache keyed by `(fingerprint, K,
-//!    nearly_mode)`. Within a run, each distinct shape's `NodePlan` is
-//!    computed once; across runs (k-sweeps, repeated imports of
-//!    overlapping corpora) plans whose key matches are reused outright.
+//! [`SubtreeDag`] does the hash-consing: weighted subtree shapes are
+//! interned bottom-up into a minimal-DAG node index. Interning is *exact*
+//! (structural equality on weight + ordered child shape ids, with the
+//! 64-bit hash only bucketing), so there are no collision risks. Each
+//! distinct shape also gets a tree-independent 128-bit [`Fingerprint`]
+//! over (weight, child fingerprints). The driver computes each distinct
+//! shape's `NodePlan` once per run, in a fresh flat-arena `DpWorkspace`.
 //!
 //! Output is **byte-identical** to a per-node, unpruned run: plans are pure
 //! per shape, a row scan stops only where no later candidate can improve,
@@ -45,8 +39,8 @@ use crate::{check_input, PartitionError, Partitioner};
 /// Computed bottom-up over (node weight, child fingerprints) — label-free
 /// and tree-independent, so equal shapes in *different* documents collide
 /// deliberately. Within one tree, identity is established by exact
-/// interning; the fingerprint is only trusted across runs, where a spurious
-/// collision needs ~2⁻¹²⁸ luck.
+/// interning; the fingerprint is only trusted across trees, where a
+/// spurious collision needs ~2⁻¹²⁸ luck.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fingerprint {
     lo: u64,
@@ -72,7 +66,7 @@ fn mix64(mut x: u64) -> u64 {
 pub struct SubtreeDag {
     /// Shape id per tree node.
     ids: Vec<u32>,
-    /// Cross-run fingerprint per shape id.
+    /// Tree-independent fingerprint per shape id.
     fps: Vec<Fingerprint>,
     /// Node weight per shape id (for exact interning).
     weights: Vec<Weight>,
@@ -158,54 +152,10 @@ impl SubtreeDag {
         self.ids[v.index()]
     }
 
-    /// Cross-run fingerprint of a shape id.
+    /// Tree-independent fingerprint of a shape id.
     #[inline]
     pub fn fingerprint(&self, shape: u32) -> Fingerprint {
         self.fps[shape as usize]
-    }
-}
-
-/// Cross-run cache key: shape fingerprint plus the run parameters the plan
-/// depends on.
-#[derive(PartialEq, Eq, Hash)]
-struct PlanKey {
-    fp: Fingerprint,
-    k: Weight,
-    nearly_mode: bool,
-}
-
-/// Reusable driver state: the flat-arena DP workspace plus the persistent
-/// `(fingerprint, K)` plan cache.
-///
-/// One `DagCache` serves arbitrarily many trees and limits; repeated runs
-/// over equal shapes (k-sweeps, re-imports) hit the cache outright. Drop
-/// accumulated plans with [`DagCache::clear`] when memory matters more
-/// than reuse.
-#[derive(Default)]
-pub struct DagCache {
-    ws: DpWorkspace,
-    plans: HashMap<PlanKey, NodePlan>,
-}
-
-impl DagCache {
-    /// Fresh, empty cache.
-    pub fn new() -> DagCache {
-        DagCache::default()
-    }
-
-    /// Number of cached `(fingerprint, K, mode)` plans.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// True when no plans are cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
-
-    /// Drop every cached plan (the DP workspace buffers are kept).
-    pub fn clear(&mut self) {
-        self.plans.clear();
     }
 }
 
@@ -213,35 +163,22 @@ impl DagCache {
 ///
 /// `nearly_mode = false` is GHDW; `true` is DHW. Each distinct weighted
 /// subtree shape is processed once; every other occurrence shares its plan.
-fn partition_dag_into(
+fn partition_dag(
     tree: &Tree,
     k: Weight,
     nearly_mode: bool,
-    cache: &mut DagCache,
     mut stats: Option<&mut DpStats>,
-    out: &mut Partitioning,
-) -> Result<(), PartitionError> {
+) -> Result<Partitioning, PartitionError> {
     check_input(tree, k)?;
     let dag = SubtreeDag::build(tree);
-    let DagCache { ws, plans } = cache;
+    let mut ws = DpWorkspace::default();
     let mut run_plans: Vec<Option<NodePlan>> = vec![None; dag.distinct()];
     let mut dag_hits: u64 = 0;
-    let mut cross_run_hits: u64 = 0;
 
     for v in tree.postorder() {
         let sid = dag.id(v) as usize;
         if run_plans[sid].is_some() {
             dag_hits += 1;
-            continue;
-        }
-        let key = PlanKey {
-            fp: dag.fingerprint(sid as u32),
-            k,
-            nearly_mode,
-        };
-        if let Some(p) = plans.get(&key) {
-            cross_run_hits += 1;
-            run_plans[sid] = Some(p.clone());
             continue;
         }
         let children = tree.children(v);
@@ -259,7 +196,7 @@ fn partition_dag_into(
                 }
             }));
             dp::process_node(
-                ws,
+                &mut ws,
                 k,
                 tree.weight(v),
                 nearly_mode,
@@ -267,10 +204,10 @@ fn partition_dag_into(
                 stats.as_deref_mut(),
             );
         }
-        plans.insert(key, plan.clone());
         run_plans[sid] = Some(plan);
     }
 
+    let mut out = Partitioning::new();
     dp::extract_with(
         tree,
         |v| {
@@ -278,38 +215,16 @@ fn partition_dag_into(
                 .as_ref()
                 .expect("every shape resolved")
         },
-        out,
+        &mut out,
     );
 
     if let Some(st) = stats {
         st.dag_nodes += dag.len() as u64;
         st.dag_distinct += dag.distinct() as u64;
         st.dag_hits += dag_hits;
-        st.dag_cross_run_hits += cross_run_hits;
         st.bytes_allocated = ws.bytes();
     }
-    Ok(())
-}
-
-/// DHW into caller-provided buffers: reuses the cache's DP workspace *and*
-/// its cross-run `(fingerprint, K)` plans.
-pub fn dhw_cached_into(
-    tree: &Tree,
-    k: Weight,
-    cache: &mut DagCache,
-    out: &mut Partitioning,
-) -> Result<(), PartitionError> {
-    partition_dag_into(tree, k, true, cache, None, out)
-}
-
-/// GHDW into caller-provided buffers.
-pub fn ghdw_cached_into(
-    tree: &Tree,
-    k: Weight,
-    cache: &mut DagCache,
-    out: &mut Partitioning,
-) -> Result<(), PartitionError> {
-    partition_dag_into(tree, k, false, cache, None, out)
+    Ok(out)
 }
 
 /// Run DHW while collecting [`DpStats`]: table sizes (the Sec. 3.3.6
@@ -337,20 +252,8 @@ fn with_statistics(
     nearly_mode: bool,
 ) -> Result<(Partitioning, DpStats), PartitionError> {
     let mut stats = DpStats::default();
-    let p = partition(tree, k, nearly_mode, Some(&mut stats))?;
+    let p = partition_dag(tree, k, nearly_mode, Some(&mut stats))?;
     Ok((p, stats))
-}
-
-/// One run with a throwaway cache, as a [`Partitioner`] call pays it.
-fn partition(
-    tree: &Tree,
-    k: Weight,
-    nearly_mode: bool,
-    stats: Option<&mut DpStats>,
-) -> Result<Partitioning, PartitionError> {
-    let mut out = Partitioning::new();
-    partition_dag_into(tree, k, nearly_mode, &mut DagCache::new(), stats, &mut out)?;
-    Ok(out)
 }
 
 /// **GHDW** — *Greedy Height / Dynamic Width* (paper Fig. 5, Sec. 3.3.1).
@@ -367,7 +270,7 @@ impl Partitioner for Ghdw {
     }
 
     fn partition(&self, tree: &Tree, k: Weight) -> Result<Partitioning, PartitionError> {
-        partition(tree, k, false, None)
+        partition_dag(tree, k, false, None)
     }
 
     fn is_main_memory_friendly(&self) -> bool {
@@ -390,7 +293,7 @@ impl Partitioner for Dhw {
     }
 
     fn partition(&self, tree: &Tree, k: Weight) -> Result<Partitioning, PartitionError> {
-        partition(tree, k, true, None)
+        partition_dag(tree, k, true, None)
     }
 
     fn is_main_memory_friendly(&self) -> bool {
@@ -434,7 +337,7 @@ mod tests {
     #[test]
     fn fingerprints_are_tree_independent() {
         // The same weighted shape embedded in two different documents gets
-        // the same fingerprint (the cross-run cache key).
+        // the same fingerprint.
         let t1 = parse_spec("r:9(a:1(x:2 y:3) b:5)").unwrap();
         let t2 = parse_spec("q:4(u:7 v:1(p:2 q:3))").unwrap();
         let d1 = SubtreeDag::build(&t1);
@@ -461,36 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_run_cache_reuses_plans() {
-        let t = parse_spec("r:1(a:1(x:2 y:3) b:1(x:2 y:3) c:1(x:2 y:3))").unwrap();
-        let mut cache = DagCache::new();
-        let mut out = Partitioning::new();
-        dhw_cached_into(&t, 8, &mut cache, &mut out).unwrap();
-        let first = out.intervals.clone();
-        let cached_plans = cache.len();
-        assert!(cached_plans > 0);
-        // Same tree, same K: every shape hits the cross-run cache and the
-        // result is unchanged.
-        dhw_cached_into(&t, 8, &mut cache, &mut out).unwrap();
-        assert_eq!(out.intervals, first);
-        assert_eq!(cache.len(), cached_plans, "no new plans on a re-run");
-        // A different K misses (plans depend on K) and adds new entries.
-        dhw_cached_into(&t, 6, &mut cache, &mut out).unwrap();
-        assert!(cache.len() > cached_plans);
-        validate(&t, 6, &out).unwrap();
-        // An overlapping *different* tree reuses the shared row shape.
-        let t2 = parse_spec("top:2(p:1(x:2 y:3) q:1(x:2 y:3))").unwrap();
-        let before = cache.len();
-        dhw_cached_into(&t2, 8, &mut cache, &mut out).unwrap();
-        let expect = Dhw.partition(&t2, 8).unwrap();
-        assert_eq!(out.intervals, expect.intervals);
-        // Only the genuinely new shapes (t2's root, its row element count
-        // differs) were inserted.
-        assert!(cache.len() > before);
-        assert!(cache.len() - before < 3);
-    }
-
-    #[test]
     fn statistics_report_sharing() {
         let t = parse_spec("r:1(a:1(x:2 y:3) b:1(x:2 y:3) c:1(x:2 y:3) d:1(x:2 y:3))").unwrap();
         let (p, stats) = dhw_with_statistics(&t, 8).unwrap();
@@ -499,7 +372,6 @@ mod tests {
         assert_eq!(stats.dag_nodes, 13);
         assert_eq!(stats.dag_distinct, 4);
         assert_eq!(stats.dag_hits, 13 - 4);
-        assert_eq!(stats.dag_cross_run_hits, 0);
         assert!(stats.dag_dedup_ratio() > 2.5);
         assert!(stats.dag_hit_rate() > 0.6);
         // Only distinct inner shapes run the DP: root + one row shape.

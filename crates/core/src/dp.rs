@@ -34,8 +34,8 @@
 //! too large for a dense index). Entries are plain `Copy` structs whose
 //! nearly-optimal member sets are ranges of a shared `u32` pool, so the
 //! `(s, j)` recurrence and the backtracking [`NodeDp::chain`] move indices,
-//! never heap clones. The workspace is reused across nodes and, through
-//! [`crate::DagCache`], across calls. The independent
+//! never heap clones. The workspace is reused across the nodes of one
+//! run. The independent
 //! `HashMap<Weight, Vec<Entry>>` implementation in [`crate::baseline`] is
 //! the reference the differential tests compare against.
 
@@ -564,12 +564,9 @@ pub struct DpStats {
     /// Distinct weighted subtree shapes (minimal-DAG nodes / distinct
     /// fingerprints) among `dag_nodes`.
     pub dag_distinct: u64,
-    /// Nodes whose plan was spliced from the within-run shape cache instead
-    /// of being recomputed (`dag_nodes − dag_distinct` when the cross-run
-    /// cache starts empty).
+    /// Nodes whose plan was shared from an earlier node of the same shape
+    /// instead of being recomputed (`dag_nodes − dag_distinct`).
     pub dag_hits: u64,
-    /// Distinct shapes served by the cross-run `(fingerprint, K)` cache.
-    pub dag_cross_run_hits: u64,
     /// Feasible interval candidates that did not improve on the incumbent
     /// of their cell.
     pub pruned_candidates: u64,

@@ -47,10 +47,7 @@ mod streaming;
 
 pub use bfs::Bfs;
 pub use brute::{brute_force, BruteForce, BruteForceResult};
-pub use dag::{
-    dhw_cached_into, dhw_with_statistics, ghdw_cached_into, ghdw_with_statistics, DagCache, Dhw,
-    Ghdw, SubtreeDag,
-};
+pub use dag::{dhw_with_statistics, ghdw_with_statistics, Dhw, Ghdw, SubtreeDag};
 // Imported by the frozen `benchmark/` package; a later benchmark PR renames and drops them.
 pub use dag::dhw_with_statistics as dhw_cached_with_statistics;
 pub use dag::Dhw as CachedDhw;

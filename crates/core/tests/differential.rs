@@ -12,10 +12,9 @@ mod common;
 
 use common::{flat_tree_and_limit, medium_tree_and_limit, wide_tree_and_limit};
 use natix_core::{
-    baseline, check_input, dhw_cached_into, dhw_with_statistics, ghdw_cached_into,
-    ghdw_with_statistics, DagCache, Dhw, Fdw, Ghdw, Partitioner,
+    baseline, check_input, dhw_with_statistics, ghdw_with_statistics, Dhw, Fdw, Ghdw, Partitioner,
 };
-use natix_tree::{validate, Partitioning};
+use natix_tree::validate;
 use proptest::prelude::*;
 
 const SCALE: f64 = 0.004;
@@ -81,44 +80,20 @@ fn relational_data_dedups_and_prunes() {
     );
 }
 
-#[test]
-fn one_cache_across_the_whole_suite() {
-    // A single cross-run cache serving every document, both algorithms and
-    // several limits stays transparent (k-sweep / re-import scenario).
-    let mut cache = DagCache::new();
-    let mut out = Partitioning::new();
-    for round in 0..2 {
-        for (name, doc) in natix_datagen::evaluation_suite(SCALE, SEED) {
-            let tree = doc.tree();
-            for k in [64u64, 256] {
-                dhw_cached_into(tree, k, &mut cache, &mut out).unwrap();
-                let fresh = Dhw.partition(tree, k).unwrap();
-                assert_eq!(
-                    out.intervals, fresh.intervals,
-                    "round {round}: DHW cache reuse diverged on {name} K={k}"
-                );
-                ghdw_cached_into(tree, k, &mut cache, &mut out).unwrap();
-                let fresh = Ghdw.partition(tree, k).unwrap();
-                assert_eq!(
-                    out.intervals, fresh.intervals,
-                    "round {round}: GHDW cache reuse diverged on {name} K={k}"
-                );
-            }
-        }
-    }
-    assert!(!cache.is_empty());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// DHW and GHDW agree interval-for-interval with the reference.
+    /// DHW and GHDW agree interval-for-interval with the reference, and
+    /// every node not the first of its shape shares that shape's plan.
     #[test]
     fn engine_matches_baseline_on_random_trees((tree, k) in medium_tree_and_limit()) {
         prop_assume!(check_input(&tree, k).is_ok());
-        let dhw = Dhw.partition(&tree, k).unwrap();
+        let (dhw, stats) = dhw_with_statistics(&tree, k).unwrap();
         let base_d = baseline::dhw_hashmap(&tree, k).unwrap();
         prop_assert_eq!(&dhw.intervals, &base_d.intervals, "DHW tree={} K={}", tree, k);
+        prop_assert_eq!(stats.dag_nodes as usize, tree.len());
+        prop_assert!(stats.dag_distinct <= stats.dag_nodes);
+        prop_assert_eq!(stats.dag_hits, stats.dag_nodes - stats.dag_distinct);
         let ghdw = Ghdw.partition(&tree, k).unwrap();
         let base_g = baseline::ghdw_hashmap(&tree, k).unwrap();
         prop_assert_eq!(&ghdw.intervals, &base_g.intervals, "GHDW tree={} K={}", tree, k);
@@ -132,32 +107,6 @@ proptest! {
         let pf = Fdw.partition(&tree, k).unwrap();
         let pd = Dhw.partition(&tree, k).unwrap();
         prop_assert_eq!(&pd.intervals, &pf.intervals, "tree={} K={}", tree, k);
-    }
-
-    /// Reusing one `DagCache` across many trees and limits (the cross-run
-    /// `(fingerprint, K)` plan cache) never changes any result, and its
-    /// statistics stay consistent.
-    #[test]
-    fn dag_cache_reuse_is_transparent(
-        (t1, k1) in medium_tree_and_limit(),
-        (t2, k2) in medium_tree_and_limit(),
-    ) {
-        prop_assume!(check_input(&t1, k1).is_ok());
-        prop_assume!(check_input(&t2, k2).is_ok());
-        let mut cache = DagCache::new();
-        let mut out = Partitioning::new();
-        for (t, k) in [(&t1, k1), (&t2, k2), (&t1, k1), (&t1, k2), (&t2, k1)] {
-            if check_input(t, k).is_err() {
-                continue;
-            }
-            dhw_cached_into(t, k, &mut cache, &mut out).unwrap();
-            let fresh = Dhw.partition(t, k).unwrap();
-            prop_assert_eq!(&out.intervals, &fresh.intervals, "tree={} K={}", t, k);
-        }
-        let (_, stats) = dhw_with_statistics(&t1, k1).unwrap();
-        prop_assert_eq!(stats.dag_nodes as usize, t1.len());
-        prop_assert!(stats.dag_distinct <= stats.dag_nodes);
-        prop_assert_eq!(stats.dag_hits, stats.dag_nodes - stats.dag_distinct);
     }
 }
 

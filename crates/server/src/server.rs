@@ -1125,62 +1125,10 @@ fn handle_request(
     req: Request,
 ) -> Reply {
     match role {
-        Role::Primary {
-            shared,
-            repl,
-            fence,
-        } => {
-            let committed = shared.committed_epoch();
-            Reply::Done(match req {
-                Request::ReplSubscribe { last_epoch } => {
-                    repl.subscribe(conn, last_epoch);
-                    Response {
-                        epoch: committed,
-                        body: ResponseBody::ReplSubscribed,
-                    }
-                }
-                Request::ReplFetch { after_epoch, seq } => {
-                    match repl.fetch(committed, after_epoch, seq) {
-                        Ok(part) => Response {
-                            epoch: committed,
-                            body: ResponseBody::ReplBatchPart {
-                                payload: part.unwrap_or_default(),
-                            },
-                        },
-                        Err(e) => store_error_response(committed, &e),
-                    }
-                }
-                Request::ReplAck { epoch } => {
-                    repl.ack(conn, epoch);
-                    Response {
-                        epoch: committed,
-                        body: ResponseBody::ReplAckOk,
-                    }
-                }
-                // A promoted follower answers a deposed primary's pushes
-                // with its fencing epoch; a never-promoted primary was
-                // simply addressed wrongly.
-                Request::ReplApply { .. } => match *fence {
-                    Some(at) => Response {
-                        epoch: at,
-                        body: ResponseBody::Error {
-                            kind: ErrKind::Fenced,
-                            message: format!("fenced at epoch {at}: this store was promoted"),
-                        },
-                    },
-                    None => bad_request(committed, "not a replica".to_string()),
-                },
-                Request::ReplPromote => bad_request(committed, "already a primary".to_string()),
-                other => {
-                    return handle_primary_request(
-                        shared, repl, sessions, expired, counters, conn, other,
-                    )
-                }
-            })
+        Role::Primary { .. } => {
+            handle_primary_request(role, sessions, expired, counters, conn, req)
         }
-        Role::Replica { .. } => {
-            Reply::Done(handle_replica_request(role, counters, promoted, conn, req))
-        }
+        Role::Replica { .. } => Reply::Done(handle_replica_request(role, counters, promoted, req)),
     }
 }
 
@@ -1188,7 +1136,6 @@ fn handle_replica_request(
     role: &mut Role,
     counters: &Counters,
     promoted: &AtomicBool,
-    conn: u64,
     req: Request,
 ) -> Response {
     let Role::Replica {
@@ -1202,7 +1149,6 @@ fn handle_replica_request(
     else {
         unreachable!("dispatched on role");
     };
-    let _ = conn;
     let applied = follower.epoch();
     // Writes and pins are refused the same way disk-full degradation
     // refuses them: a typed read-only shed the client can back off on
@@ -1365,27 +1311,45 @@ fn replica_reader<'a>(
 }
 
 fn handle_primary_request(
-    shared: &SharedStore,
-    repl: &mut ReplicaSource,
+    role: &mut Role,
     sessions: &mut HashMap<u64, Session>,
     expired: &mut HashSet<u64>,
     counters: &Counters,
     conn: u64,
     req: Request,
 ) -> Reply {
+    let Role::Primary {
+        shared,
+        repl,
+        fence,
+    } = role
+    else {
+        unreachable!("dispatched on role");
+    };
     let committed = shared.committed_epoch();
-    // A session the reaper expired is told so exactly once; `begin`
-    // (re-pin) and `end` (already released) proceed normally so the
-    // recovery path is never itself refused.
-    if expired.remove(&conn) && !matches!(req, Request::Begin | Request::End) {
-        return Reply::Done(Response {
-            epoch: committed,
-            body: ResponseBody::SessionExpired,
-        });
-    }
-    // Any request on a pinned session renews its lease.
-    if let Some(s) = sessions.get_mut(&conn) {
-        s.renewed = Instant::now();
+    let replication = matches!(
+        req,
+        Request::ReplSubscribe { .. }
+            | Request::ReplFetch { .. }
+            | Request::ReplAck { .. }
+            | Request::ReplApply { .. }
+            | Request::ReplPromote
+    );
+    // Replication verbs come from followers, which hold no session, and
+    // skip the lease bookkeeping. A session the reaper expired is told so
+    // exactly once; `begin` (re-pin) and `end` (already released) proceed
+    // normally so the recovery path is never itself refused.
+    if !replication {
+        if expired.remove(&conn) && !matches!(req, Request::Begin | Request::End) {
+            return Reply::Done(Response {
+                epoch: committed,
+                body: ResponseBody::SessionExpired,
+            });
+        }
+        // Any request on a pinned session renews its lease.
+        if let Some(s) = sessions.get_mut(&conn) {
+            s.renewed = Instant::now();
+        }
     }
     Reply::Done(match req {
         Request::Ping => Response {
@@ -1553,13 +1517,43 @@ fn handle_primary_request(
             epoch: committed,
             body: ResponseBody::ShuttingDown,
         },
-        // Replication verbs are answered by the role dispatcher before
-        // this function is reached.
-        Request::ReplSubscribe { .. }
-        | Request::ReplFetch { .. }
-        | Request::ReplAck { .. }
-        | Request::ReplApply { .. }
-        | Request::ReplPromote => bad_request(committed, "replication verb".to_string()),
+        Request::ReplSubscribe { last_epoch } => {
+            repl.subscribe(conn, last_epoch);
+            Response {
+                epoch: committed,
+                body: ResponseBody::ReplSubscribed,
+            }
+        }
+        Request::ReplFetch { after_epoch, seq } => match repl.fetch(committed, after_epoch, seq) {
+            Ok(part) => Response {
+                epoch: committed,
+                body: ResponseBody::ReplBatchPart {
+                    payload: part.unwrap_or_default(),
+                },
+            },
+            Err(e) => store_error_response(committed, &e),
+        },
+        Request::ReplAck { epoch } => {
+            repl.ack(conn, epoch);
+            Response {
+                epoch: committed,
+                body: ResponseBody::ReplAckOk,
+            }
+        }
+        // A promoted follower answers a deposed primary's pushes
+        // with its fencing epoch; a never-promoted primary was
+        // simply addressed wrongly.
+        Request::ReplApply { .. } => match *fence {
+            Some(at) => Response {
+                epoch: at,
+                body: ResponseBody::Error {
+                    kind: ErrKind::Fenced,
+                    message: format!("fenced at epoch {at}: this store was promoted"),
+                },
+            },
+            None => bad_request(committed, "not a replica".to_string()),
+        },
+        Request::ReplPromote => bad_request(committed, "already a primary".to_string()),
     })
 }
 

@@ -747,42 +747,7 @@ impl WriteGuard {
     /// maintenance failures are counted, not surfaced — the commit
     /// itself is already durable).
     pub fn mutate<T>(&mut self, f: impl FnOnce(&mut XmlStore) -> StoreResult<T>) -> StoreResult<T> {
-        self.shared.process_releases();
-        let r = {
-            let mut inner = self.shared.inner.borrow_mut();
-            let inner = &mut *inner;
-            if let Some(reason) = inner.read_only {
-                // The guard was claimed before the store degraded (or is
-                // held across the transition): refuse before touching
-                // the store.
-                return Err(StoreError::ReadOnly { reason });
-            }
-            let before = inner.store.committed_header();
-            let r = f(&mut inner.store);
-            if inner.store.current_epoch() > before.epoch {
-                inner.stats.commits += 1;
-                if inner.store.has_pending_checkpoint() {
-                    inner.stats.checkpoints_deferred += 1;
-                }
-                inner.retire(&before);
-            }
-            match r {
-                // A resource-class failure (disk full) already rolled the
-                // commit back inside the store; degrade to read-only and
-                // answer with the typed long-back-off error.
-                Err(e) if e.is_resource() => {
-                    inner.enter_read_only("disk full");
-                    Err(StoreError::ReadOnly {
-                        reason: "disk full",
-                    })
-                }
-                other => other,
-            }
-        };
-        if let Err(_e) = self.shared.maintain() {
-            self.shared.inner.borrow_mut().stats.maintenance_errors += 1;
-        }
-        r
+        self.write(None, f)
     }
 
     /// Group commit: run every queued operation inside one store batch,
@@ -801,40 +766,58 @@ impl WriteGuard {
     /// commit, a failure after the flip can leave the post-state durable
     /// — the standard "pre or post" crash contract).
     pub fn mutate_batch(&mut self, ops: Vec<BatchOp<'_>>) -> StoreResult<Vec<StoreResult<()>>> {
+        self.write(Some(ops.len() as u64), |store| {
+            store.begin_batch()?;
+            let acks = ops.into_iter().map(|op| op(store)).collect();
+            store.commit_batch()?;
+            Ok(acks)
+        })
+    }
+
+    /// The one write-guard body: `f` runs on the writer store unless it
+    /// is read-only; a committed epoch advance is counted (as a group
+    /// commit of `batched` ops when given) and its superseded chains
+    /// retired; a resource-class failure degrades the store to read-only;
+    /// deferred maintenance runs last.
+    fn write<T>(
+        &mut self,
+        batched: Option<u64>,
+        f: impl FnOnce(&mut XmlStore) -> StoreResult<T>,
+    ) -> StoreResult<T> {
         self.shared.process_releases();
         let r = {
             let mut inner = self.shared.inner.borrow_mut();
             let inner = &mut *inner;
             if let Some(reason) = inner.read_only {
+                // The guard was claimed before the store degraded (or is
+                // held across the transition): refuse before touching
+                // the store.
                 return Err(StoreError::ReadOnly { reason });
             }
             let before = inner.store.committed_header();
-            let op_count = ops.len() as u64;
-            inner.store.begin_batch()?;
-            let mut acks = Vec::with_capacity(ops.len());
-            for op in ops {
-                acks.push(op(&mut inner.store));
-            }
-            let commit = inner.store.commit_batch();
+            let r = f(&mut inner.store);
             if inner.store.current_epoch() > before.epoch {
                 inner.stats.commits += 1;
-                inner.stats.group_commits += 1;
-                inner.stats.batched_ops += op_count;
+                if let Some(ops) = batched {
+                    inner.stats.group_commits += 1;
+                    inner.stats.batched_ops += ops;
+                }
                 if inner.store.has_pending_checkpoint() {
                     inner.stats.checkpoints_deferred += 1;
                 }
                 inner.retire(&before);
             }
-            match commit {
-                Ok(_) => Ok(acks),
+            match r {
+                // A resource-class failure (disk full) already rolled the
+                // commit back inside the store; degrade to read-only and
+                // answer with the typed long-back-off error.
                 Err(e) if e.is_resource() => {
-                    // Nothing was acknowledged; the batch rolled back.
                     inner.enter_read_only("disk full");
                     Err(StoreError::ReadOnly {
                         reason: "disk full",
                     })
                 }
-                Err(e) => Err(e),
+                other => other,
             }
         };
         if let Err(_e) = self.shared.maintain() {
@@ -1242,5 +1225,87 @@ mod tests {
         assert_eq!(shared.active_pins(), 0);
         assert_eq!(check(false), after);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A group commit of three appends under a held pin, so its journal
+    /// stays pending: the disk bytes at that point and the batch's
+    /// post-state.
+    fn pending_group_commit() -> (Vec<u8>, String) {
+        let (shared, disk) = shared(
+            "<list><e>one entry of text</e><e>two entry of text</e></list>",
+            16,
+            AdmissionConfig::default(),
+        );
+        let _pin = shared.begin_read().unwrap();
+        let mut writer = shared.begin_write().unwrap();
+        let ops = (0..3)
+            .map(|i| {
+                Box::new(move |s: &mut XmlStore| {
+                    let root = s.root()?;
+                    let text = format!("batched payload {i}");
+                    s.append_child(root, NodeKind::Text, "#text", Some(&text))
+                        .map(|_| ())
+                }) as BatchOp<'_>
+            })
+            .collect();
+        let acks = writer.mutate_batch(ops).unwrap();
+        assert!(acks.iter().all(Result::is_ok), "{acks:?}");
+        let stats = shared.stats();
+        assert_eq!((stats.group_commits, stats.batched_ops), (1, 3));
+        assert_eq!(stats.checkpoints_deferred, 1);
+        let after = xml_of(&mut shared.begin_read().unwrap());
+        assert!(after.contains("batched payload 2"), "{after}");
+        (disk.snapshot(), after)
+    }
+
+    #[test]
+    fn a_group_commit_journals_one_flat_list_in_page_order() {
+        let (image, _) = pending_group_commit();
+        let mut disk = SharedMemPager::from_snapshot(&image);
+        let header = catalog::read_header(&mut disk).unwrap();
+        assert_ne!(header.journal_len, 0, "the checkpoint is pending");
+        let mut checked = ChecksummingPager::new(Box::new(disk));
+        let len = header.journal_len as usize;
+        let bytes = read_chunked(&mut checked, header.journal_first_page, len).unwrap();
+        assert_eq!(&bytes[..4], b"NJRL");
+        let entries = journal::read_pending(&mut checked, &header).unwrap();
+        assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    /// Older builds journaled a group commit as `NJB1` segments; a store
+    /// such a build left with a pending journal still opens.
+    #[test]
+    fn a_pending_segmented_journal_from_an_older_build_replays() {
+        let (image, after) = pending_group_commit();
+        let disk = SharedMemPager::from_snapshot(&image);
+        let (header, mut checked) = catalog::open_verified(Box::new(disk.clone())).unwrap();
+        let entries = journal::read_pending(&mut checked, &header).unwrap();
+        assert!(entries.len() >= 2, "{} journaled pages", entries.len());
+        // Republish the batch's images under the next epoch, one segment
+        // per op the way an older build cut them (an op can add none).
+        let (first, rest) = entries.split_at(1);
+        let blob = journal::tests::njb1(&[first.to_vec(), Vec::new(), rest.to_vec()]);
+        let mut pool = BufferPool::new(Box::new(checked), 16);
+        let journal_first_page = pool.append_chunked(&blob, PageClass::Journal).unwrap();
+        let header = Header {
+            epoch: header.epoch + 1,
+            journal_first_page,
+            journal_len: blob.len() as u64,
+            ..header
+        };
+        pool.sync_backend().unwrap();
+        pool.write_through(header.slot(), &catalog::encode_header(&header))
+            .unwrap();
+        drop(pool);
+        let scrub = fsck(&disk, false);
+        assert!(scrub.clean(), "{scrub}");
+
+        let mut re = XmlStore::open(Box::new(disk.clone()), StoreConfig::default()).unwrap();
+        re.check_consistency().unwrap();
+        assert_eq!(re.to_document().unwrap().to_xml(), after);
+        assert!(!re.has_pending_checkpoint());
+        drop(re);
+        let scrub = fsck(&disk, false);
+        assert!(scrub.clean(), "{scrub}");
     }
 }

@@ -6,16 +6,13 @@
 //! replays the journal idempotently: every image is the post-commit state
 //! of its page, so applying it any number of times converges.
 //!
-//! Two wire formats share one decoder:
-//!
-//! * `NJRL` — a flat entry list, written by single commits (and by every
-//!   store before group commit existed).
-//! * `NJB1` — a *segmented* list, written by group commit: one segment
-//!   per batched logical commit, in batch order. Segments are purely
-//!   diagnostic — the header flip covers the whole batch, so recovery
-//!   always replays every segment (a page re-dirtied by a later op
-//!   carries its final image wherever it appears, so full replay
-//!   converges), and every reader flattens them.
+//! Every commit, single or group, writes one format: `NJRL`, a flat entry
+//! list in page order. The decoder also reads `NJB1`, the *segmented* list
+//! older builds wrote for a group commit (one segment per batched op, in
+//! batch order), so a journal such a build left pending still replays:
+//! the header flip covers the whole batch, so every segment is replayed,
+//! flattened in batch order. The `NJB1` reader goes at the next format
+//! bump.
 
 use crate::catalog::Header;
 use crate::page::{xxh64, PAGE_SIZE};
@@ -35,29 +32,6 @@ pub(crate) fn encode(entries: &[JournalEntry]) -> Vec<u8> {
     for (page, image) in entries {
         out.extend_from_slice(&page.to_le_bytes());
         out.extend_from_slice(&image[..]);
-    }
-    let sum = xxh64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
-}
-
-/// Serialize a group-commit batch: one segment per logical commit. A
-/// single segment degenerates to the flat `NJRL` format so unbatched
-/// commits stay byte-compatible with every existing store.
-pub(crate) fn encode_batched(segments: &[Vec<JournalEntry>]) -> Vec<u8> {
-    if segments.len() <= 1 {
-        return encode(segments.first().map(Vec::as_slice).unwrap_or(&[]));
-    }
-    let total: usize = segments.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(8 + segments.len() * 4 + total * (4 + PAGE_SIZE) + 8);
-    out.extend_from_slice(MAGIC_BATCH);
-    out.extend_from_slice(&(segments.len() as u32).to_le_bytes());
-    for seg in segments {
-        out.extend_from_slice(&(seg.len() as u32).to_le_bytes());
-        for (page, image) in seg {
-            out.extend_from_slice(&page.to_le_bytes());
-            out.extend_from_slice(&image[..]);
-        }
     }
     let sum = xxh64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
@@ -88,8 +62,9 @@ fn decode(bytes: &[u8]) -> StoreResult<Vec<JournalEntry>> {
     Ok(decode_segments(bytes)?.into_iter().flatten().collect())
 }
 
-/// Decode and verify a journal blob, preserving group-commit segment
-/// boundaries. Flat `NJRL` blobs come back as one segment.
+/// Decode and verify a journal blob, preserving the segment boundaries of
+/// an older build's `NJB1` group-commit journal. Flat `NJRL` blobs come
+/// back as one segment.
 fn decode_segments(bytes: &[u8]) -> StoreResult<Vec<Vec<JournalEntry>>> {
     if bytes.len() < 16 {
         return Err(StoreError::corrupt("journal header invalid"));
@@ -148,7 +123,7 @@ fn decode_entries(body: &[u8], count: usize) -> StoreResult<Vec<JournalEntry>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -179,6 +154,24 @@ mod tests {
         assert!(decode(short).is_err());
     }
 
+    /// An `NJB1` journal as older builds wrote it for a group commit:
+    /// magic, segment count, each segment's entry count and entries, then
+    /// the XXH64 of everything before it.
+    pub(crate) fn njb1(segments: &[Vec<JournalEntry>]) -> Vec<u8> {
+        let mut out = b"NJB1".to_vec();
+        out.extend_from_slice(&(segments.len() as u32).to_le_bytes());
+        for seg in segments {
+            out.extend_from_slice(&(seg.len() as u32).to_le_bytes());
+            for (page, image) in seg {
+                out.extend_from_slice(&page.to_le_bytes());
+                out.extend_from_slice(&image[..]);
+            }
+        }
+        let sum = xxh64(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
+
     #[test]
     fn batched_journal_roundtrips_with_boundaries() {
         let segments: Vec<Vec<JournalEntry>> = vec![
@@ -189,7 +182,7 @@ mod tests {
                 (9, Box::new([5u8; PAGE_SIZE])),
             ],
         ];
-        let bytes = encode_batched(&segments);
+        let bytes = njb1(&segments);
         let segs = decode_segments(&bytes).unwrap();
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[0].len(), 1);
@@ -204,27 +197,17 @@ mod tests {
     }
 
     #[test]
-    fn single_segment_batch_is_wire_compatible_with_flat_format() {
-        let seg: Vec<JournalEntry> = vec![(5, Box::new([7u8; PAGE_SIZE]))];
-        let batched = encode_batched(std::slice::from_ref(&seg));
-        assert_eq!(batched, encode(&seg));
-        let segs = decode_segments(&batched).unwrap();
-        assert_eq!(segs.len(), 1);
-        assert_eq!(segs[0][0].0, 5);
-    }
-
-    #[test]
     fn corrupted_batched_journal_rejected() {
         let segments: Vec<Vec<JournalEntry>> = vec![
             vec![(1, Box::new([9u8; PAGE_SIZE]))],
             vec![(2, Box::new([8u8; PAGE_SIZE]))],
         ];
-        let mut bytes = encode_batched(&segments);
+        let mut bytes = njb1(&segments);
         bytes[30] ^= 0xFF;
         assert!(decode_segments(&bytes).is_err());
         // A truncated segment table must be caught by the length checks
         // even when the checksum is recomputed to match.
-        let mut truncated = encode_batched(&segments);
+        let mut truncated = njb1(&segments);
         truncated[4..8].copy_from_slice(&5u32.to_le_bytes());
         let body_len = truncated.len() - 8;
         let sum = xxh64(&truncated[..body_len]);

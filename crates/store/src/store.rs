@@ -27,7 +27,7 @@ use natix_xml::{Document, DocumentBuilder, NodeKind};
 
 use crate::catalog::{self, Catalog, Header, RecordLoc};
 use crate::concurrent::{PagerFactory, SnapshotSeed};
-use crate::journal;
+use crate::journal::{self, JournalEntry};
 use crate::page::{set_page_class, PageClass, SlottedPage, MAX_IN_PAGE, PAGE_SIZE, PAYLOAD_SIZE};
 use crate::pager::{
     read_chunked, BufferPool, BufferStats, ChecksummingPager, PageId, Pager, StoreError,
@@ -321,31 +321,18 @@ pub struct XmlStore {
 }
 
 /// A consistent point inside a group-commit batch that a failing
-/// operation can roll back to without losing earlier staged operations.
-/// Captures everything [`XmlStore::rollback`] would otherwise restore
-/// from the *committed* state: dirty page images plus the in-memory
-/// catalog projections.
+/// operation can roll back to without losing earlier staged operations:
+/// the dirty page images plus the catalog projections an update writes.
 pub(crate) struct Savepoint {
-    dirty: Vec<(PageId, Box<[u8; PAGE_SIZE]>)>,
+    dirty: Vec<JournalEntry>,
     directory: Vec<RecordLoc>,
     labels: Vec<Box<str>>,
-    label_ids: HashMap<Box<str>, u16>,
-    quarantined: BTreeSet<u32>,
     open_page: Option<PageId>,
-    root_record: u32,
 }
 
-/// In-flight group-commit batch state: one journal segment (page-id set)
-/// per staged operation, plus the savepoint guarding the operation in
-/// flight.
+/// In-flight group-commit batch state: the savepoint guarding the
+/// operation in flight and how many operations are staged.
 pub(crate) struct BatchState {
-    /// Newly dirtied pages per staged op, in batch order. Diagnostic
-    /// only — the single header flip covers the whole batch (see
-    /// `journal::encode_batched`).
-    segments: Vec<Vec<PageId>>,
-    /// Pages already claimed by an earlier segment (or dirty before the
-    /// batch began), so each page is attributed to one segment.
-    claimed: HashSet<PageId>,
     save: Savepoint,
     ops: usize,
 }
@@ -705,6 +692,13 @@ impl XmlStore {
                 "commit() inside an open group-commit batch; use commit_batch()",
             ));
         }
+        self.publish()
+    }
+
+    /// The one publish behind [`XmlStore::commit`] and
+    /// [`XmlStore::commit_batch`]: make the dirty state durable, then
+    /// checkpoint it or, under snapshot pins, leave the checkpoint pending.
+    fn publish(&mut self) -> StoreResult<()> {
         if let Err(e) = self.commit_durable() {
             // Nothing was published: put the in-memory state back to the
             // last committed one. If the backend is dead (power cut) the
@@ -726,20 +720,13 @@ impl XmlStore {
     }
 
     /// Phases (1)–(3) of the commit protocol, up to and including the
-    /// commit point.
-    fn commit_durable(&mut self) -> StoreResult<()> {
-        self.commit_durable_with(None)
-    }
-
-    /// [`XmlStore::commit_durable`] with optional group-commit journal
-    /// segmentation: `segments` lists the pages each batched operation
-    /// newly dirtied, in batch order. Pages dirty before the batch began
-    /// (deferred-checkpoint overlay images being re-journaled) lead the
-    /// batch as a carry segment; pages that eviction already wrote back
-    /// are clean again and need no journal entry (they sit past the
+    /// commit point. The journal holds every dirty page in page order:
+    /// under a deferred checkpoint that includes the overlay images of
+    /// earlier epochs, journaled again. Pages that eviction already wrote
+    /// back are clean again and need no journal entry (they sit past the
     /// write-back floor, where recovery never looks before the flip and
     /// the backend already holds their final image after it).
-    fn commit_durable_with(&mut self, segments: Option<Vec<Vec<PageId>>>) -> StoreResult<()> {
+    fn commit_durable(&mut self) -> StoreResult<()> {
         let quarantined: Vec<u32> = self.quarantined.iter().copied().collect();
         let catalog_bytes = catalog::encode_catalog(
             &self.directory,
@@ -753,35 +740,8 @@ impl XmlStore {
             .pool
             .append_chunked(&catalog_bytes, PageClass::Catalog)?;
 
-        let dirty = self.pool.dirty_pages();
-        let segment_ids: Vec<Vec<PageId>> = match segments {
-            None => vec![dirty.clone()],
-            Some(mut segs) => {
-                let dirty_set: HashSet<PageId> = dirty.iter().copied().collect();
-                let claimed: HashSet<PageId> = segs.iter().flatten().copied().collect();
-                let carry: Vec<PageId> = dirty
-                    .iter()
-                    .copied()
-                    .filter(|id| !claimed.contains(id))
-                    .collect();
-                for seg in &mut segs {
-                    seg.retain(|id| dirty_set.contains(id));
-                }
-                if !carry.is_empty() {
-                    segs.insert(0, carry);
-                }
-                segs
-            }
-        };
-        let mut entry_segments = Vec::with_capacity(segment_ids.len());
-        for ids in &segment_ids {
-            let mut seg = Vec::with_capacity(ids.len());
-            for &id in ids {
-                seg.push((id, self.pool.page_image(id)?));
-            }
-            entry_segments.push(seg);
-        }
-        let journal_bytes = journal::encode_batched(&entry_segments);
+        let entries = self.dirty_images()?;
+        let journal_bytes = journal::encode(&entries);
         let journal_first_page = self
             .pool
             .append_chunked(&journal_bytes, PageClass::Journal)?;
@@ -816,7 +776,7 @@ impl XmlStore {
             // snapshot readers can overlay them without replaying the
             // journal from disk.
             let overlay = Arc::make_mut(&mut self.committed_overlay);
-            for (id, image) in entry_segments.into_iter().flatten() {
+            for (id, image) in entries {
                 overlay.insert(id, Arc::from(image));
             }
         }
@@ -898,13 +858,7 @@ impl XmlStore {
             ));
         }
         let save = self.savepoint()?;
-        let claimed: HashSet<PageId> = save.dirty.iter().map(|&(id, _)| id).collect();
-        self.batch = Some(BatchState {
-            segments: Vec::new(),
-            claimed,
-            save,
-            ops: 0,
-        });
+        self.batch = Some(BatchState { save, ops: 0 });
         Ok(())
     }
 
@@ -922,15 +876,7 @@ impl XmlStore {
         if batch.ops == 0 {
             return Ok(0);
         }
-        if let Err(e) = self.commit_durable_with(Some(batch.segments)) {
-            let _ = self.rollback();
-            return Err(e);
-        }
-        if self.defer_checkpoint {
-            self.pending_checkpoint = true;
-            return Ok(batch.ops);
-        }
-        self.checkpoint()?;
+        self.publish()?;
         Ok(batch.ops)
     }
 
@@ -944,64 +890,48 @@ impl XmlStore {
 
     /// Capture everything a mid-batch rollback must restore.
     fn savepoint(&mut self) -> StoreResult<Savepoint> {
-        let mut dirty = Vec::new();
-        for id in self.pool.dirty_pages() {
-            dirty.push((id, self.pool.page_image(id)?));
-        }
         Ok(Savepoint {
-            dirty,
+            dirty: self.dirty_images()?,
             directory: self.directory.clone(),
             labels: self.labels.clone(),
-            label_ids: self.label_ids.clone(),
-            quarantined: self.quarantined.clone(),
             open_page: self.open_page,
-            root_record: self.root_record,
         })
     }
 
-    /// Operation boundary inside a batch: attribute the pages this op
-    /// newly dirtied to its journal segment and take a fresh savepoint.
-    /// Raises the write-back floor to the current page count so pages
-    /// now owned by *staged* (but uncommitted) operations are never
+    /// Every dirty page with its image, in page order.
+    fn dirty_images(&mut self) -> StoreResult<Vec<JournalEntry>> {
+        let ids = self.pool.dirty_pages();
+        ids.into_iter()
+            .map(|id| Ok((id, self.pool.page_image(id)?)))
+            .collect()
+    }
+
+    /// Operation boundary inside a batch: take a fresh savepoint and count
+    /// the op. Raises the write-back floor to the current page count so
+    /// pages now owned by *staged* (but uncommitted) operations are never
     /// evicted dirty — their only safe copy is the resident frame until
     /// the batch commits.
     pub(crate) fn batch_op_staged(&mut self) -> StoreResult<()> {
         let save = self.savepoint()?;
         self.pool.set_writeback_floor(self.pool.page_count());
         let batch = self.batch.as_mut().expect("staging requires an open batch");
-        let seg: Vec<PageId> = save
-            .dirty
-            .iter()
-            .map(|&(id, _)| id)
-            .filter(|id| !batch.claimed.contains(id))
-            .collect();
-        batch.claimed.extend(seg.iter().copied());
-        batch.segments.push(seg);
         batch.ops += 1;
         batch.save = save;
         Ok(())
     }
 
     /// Roll back to the savepoint of the last staged operation, keeping
-    /// the batch open. Touches no backend pages (savepoint images live in
-    /// memory), mirroring [`XmlStore::rollback`].
-    pub(crate) fn rollback_to_savepoint(&mut self) -> StoreResult<()> {
-        self.pool.discard_dirty();
-        let batch = self
-            .batch
-            .as_ref()
-            .expect("savepoint requires an open batch");
-        for (id, image) in &batch.save.dirty {
-            self.pool.restore_dirty(*id, image);
-        }
-        self.directory = batch.save.directory.clone();
-        self.labels = batch.save.labels.clone();
-        self.label_ids = batch.save.label_ids.clone();
-        self.quarantined = batch.save.quarantined.clone();
-        self.open_page = batch.save.open_page;
-        self.root_record = batch.save.root_record;
-        self.chain.clear();
-        Ok(())
+    /// the batch open.
+    pub(crate) fn rollback_to_savepoint(&mut self) {
+        let batch = self.batch.take().expect("savepoint requires an open batch");
+        let save = &batch.save;
+        self.restore(
+            save.dirty.iter().map(|(id, image)| (*id, &**image)),
+            save.directory.clone(),
+            save.labels.clone(),
+            save.open_page,
+        );
+        self.batch = Some(batch);
     }
 
     /// Epoch of the current committed header.
@@ -1036,23 +966,41 @@ impl XmlStore {
         // A full rollback abandons any open batch: the savepoint chain is
         // meaningless once the committed state is restored.
         self.batch = None;
-        self.pool.discard_dirty();
-        // Under a deferred checkpoint the committed images of earlier
-        // epochs still live in dirty frames (discarded just above): put
-        // them back, or the eventual checkpoint would silently skip them
-        // and reads between now and then would see pre-commit backend
-        // bytes.
-        for (id, image) in self.committed_overlay.iter() {
-            self.pool.restore_dirty(*id, image);
-        }
-        self.chain.clear();
-        self.open_page = None;
         let cat = catalog::decode_catalog(&self.committed_catalog_bytes)?;
-        self.label_ids = label_index(&cat.labels);
-        self.directory = cat.directory;
-        self.labels = cat.labels;
-        self.quarantined = cat.quarantined.into_iter().collect();
+        // Under a deferred checkpoint the committed images of earlier
+        // epochs live only in dirty frames: put them back, or the
+        // eventual checkpoint would silently skip them and reads between
+        // now and then would see pre-commit backend bytes.
+        let overlay = Arc::clone(&self.committed_overlay);
+        self.restore(
+            overlay.iter().map(|(id, image)| (*id, &**image)),
+            cat.directory,
+            cat.labels,
+            None,
+        );
         Ok(())
+    }
+
+    /// The one restore behind [`XmlStore::rollback`] and
+    /// [`XmlStore::rollback_to_savepoint`]: drop every dirty frame,
+    /// re-admit `images` as dirty frames and reinstate the catalog
+    /// projections an update writes. Touches no backend page.
+    fn restore<'a>(
+        &mut self,
+        images: impl Iterator<Item = (PageId, &'a [u8; PAGE_SIZE])>,
+        directory: Vec<RecordLoc>,
+        labels: Vec<Box<str>>,
+        open_page: Option<PageId>,
+    ) {
+        self.pool.discard_dirty();
+        for (id, image) in images {
+            self.pool.restore_dirty(id, image);
+        }
+        self.label_ids = label_index(&labels);
+        self.directory = directory;
+        self.labels = labels;
+        self.open_page = open_page;
+        self.chain.clear();
     }
 
     /// Reopen a previously committed store from its page file for

@@ -44,9 +44,9 @@ impl XmlStore {
     /// or post" crash contract.)
     fn transactional<T>(&mut self, r: StoreResult<T>) -> StoreResult<T> {
         // Inside a group-commit batch no commit happens here: a
-        // successful op is staged (its pages become the next journal
-        // segment) and a failed op rolls back to the previous op's
-        // savepoint, so the batch's earlier operations survive.
+        // successful op is staged (its pages wait in the pool for the
+        // batch's one journal) and a failed op rolls back to the previous
+        // op's savepoint, so the batch's earlier operations survive.
         if self.batch.is_some() {
             return match r {
                 Ok(v) => {
@@ -54,7 +54,7 @@ impl XmlStore {
                     Ok(v)
                 }
                 Err(e) => {
-                    let _ = self.rollback_to_savepoint();
+                    self.rollback_to_savepoint();
                     Err(e)
                 }
             };

@@ -51,11 +51,8 @@ cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --
 
 # The campaign table (natix_testkit::CAMPAIGNS; `natix` with no arguments
 # prints each row's contract, DESIGN.md §7 its counts). The rows that
-# finish in seconds run their full tier, so the acceptance counts (3298
-# crash points, 2096 injections, 986 group-commit points, 1936 disk-full
-# points, 1200 interleavings, ...) are checked on every run; the rest
-# keep --quick (full: repl 19 s, net 17 s, proxy 61 s; leak waits out
-# lease TTLs).
+# finish in seconds run their full tier; the rest keep --quick (full:
+# repl 19 s, net 17 s, proxy 61 s; leak waits out lease TTLs).
 campaigns=(
   "soak"
   "soak --corruption"
@@ -68,10 +65,28 @@ campaigns=(
   "stress --net --proxy --quick"
   "stress --net --leak --quick"
 )
+# The deterministic rows' summaries, checked line for line on every run
+# (the full `natix stress` line is checked in its own tier below). A
+# change that moves a count changes its line here, in the same diff.
+declare -A summary=(
+  ["soak"]="soak (full): 24 runs, 238 ops applied (2 skipped), 3298 crash points, 0 failure(s)"
+  ["soak --corruption"]="soak (full, corruption): 24 runs, 238 ops applied (2 skipped), 2096 crash points, 0 failure(s)"
+  ["soak --group-commit"]="soak (full, group-commit): 24 runs, 72 batches (384 ops, 0 skipped), 986 crash points, 0 failure(s)"
+  ["soak --bulkload"]="soak (full, bulkload): 180 docs, horizon 62 write events, 62 cuts swept, 0 failure(s)"
+  ["soak --diskfull"]="soak (full, diskfull): 24 runs, 191 ops applied (1 skipped), 1936 crash points, 0 failure(s)"
+  ["soak --serve"]="soak (full, serve): 8 rounds, 545 acked updates, 545 recovered, 0 failures"
+)
+stress_summary="stress (full): 1200 interleavings (589 one-shot-fault, 304 permanent-fault), 71760 steps, 12291 snapshot reads verified, 19233 group commits (38422 ops), 205 rolled back, 12 with a rejected op, 4 open failures, 3166 evictions, 8160 shed, 12007 scrubs, 68401 pages reclaimed, 0 failures"
 for words in "${campaigns[@]}"; do
   tier "natix $words"
   # shellcheck disable=SC2086  # the row's command words, split on purpose
-  cargo run --release -q -p natix-cli -- $words
+  rc=0; out="$(cargo run --release -q -p natix-cli -- $words)" || rc=$?
+  echo "$out"
+  [ "$rc" -eq 0 ] || exit "$rc"
+  want="${summary[$words]:-}"
+  if [ -n "$want" ] && [ "$(tail -n 1 <<< "$out")" != "$want" ]; then
+    printf 'FAIL: natix %s summary moved; want:\n%s\n' "$words" "$want" >&2; exit 1
+  fi
 done
 
 tier "natix soak --replay smoke (a two-op diskfull script replays the disk-full sweep, and the summary names the row)"
@@ -85,13 +100,16 @@ if ! grep -q '^replay (diskfull): 1 runs, ' <<< "$replay_out"; then
   echo "FAIL: the replay summary does not name the diskfull row" >&2; exit 1
 fi
 
-tier "natix stress, twice (the full chaos summary is deterministic: two runs must print the same line)"
+tier "natix stress, twice (the full chaos summary is deterministic: two runs must print the same line, the one pinned above)"
 stress_first="$(cargo run --release -q -p natix-cli -- stress)"
 echo "$stress_first"
 stress_second="$(cargo run --release -q -p natix-cli -- stress 2> /dev/null)"
 if [ "$stress_first" != "$stress_second" ]; then
   printf 'FAIL: two full stress runs differ:\n%s\n%s\n' "$stress_first" "$stress_second" >&2
   exit 1
+fi
+if [ "$(tail -n 1 <<< "$stress_first")" != "$stress_summary" ]; then
+  printf 'FAIL: the full stress summary moved; want:\n%s\n' "$stress_summary" >&2; exit 1
 fi
 
 tier "natix fsck smoke (scrub a fresh store, destroy its header, repair, verify the dump round-trips)"
