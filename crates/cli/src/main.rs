@@ -120,8 +120,8 @@ use natix_server::{
     ServeConfig, ServeError, ShedKind, UpdateOp,
 };
 use natix_store::{
-    bulkload_collection, bulkload_with, fsck, fsck_collection, BulkloadOptions, Collection,
-    ErrorCategory, FilePager, PagerFactory, StoreConfig, StoreError, XmlStore,
+    bulkload_collection, fsck, fsck_collection, BulkloadOptions, Collection, ErrorCategory,
+    FilePager, PagerFactory, StoreConfig, StoreError, XmlStore,
 };
 use natix_testkit::Tier;
 use natix_tree::{validate, Partitioning, Tree, Weight};
@@ -414,11 +414,16 @@ fn cmd_load(args: &[String]) -> Result<(), CliError> {
     let out = args.get(1).ok_or("missing <store.natix>")?;
     let flags = parse_flags(&args[2..])?;
     let doc = read_xml_file(file)?;
+    // Partition first: an infeasible K fails as `natix partition` does,
+    // before the output file exists.
+    let partitioning = flags
+        .alg
+        .partition(doc.tree(), flags.k)
+        .map_err(|e| e.to_string())?;
     let pager = FilePager::create(Path::new(out)).map_err(|e| CliError::store_at(out, &e))?;
-    let store = bulkload_with(
+    let store = XmlStore::bulkload(
         &doc,
-        flags.alg.as_ref(),
-        flags.k,
+        &partitioning,
         Box::new(pager),
         StoreConfig {
             record_limit_slots: flags.k,

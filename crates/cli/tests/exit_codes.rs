@@ -100,6 +100,54 @@ fn partition_option_errors_exit_2_before_any_output() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// What the batch loader cannot store is an ordinary failure (exit 1
+/// with the reason), never a panic: a K no partitioning fits, refused
+/// with `natix partition`'s message before the output file exists; a
+/// fragment of more than u16::MAX nodes; more than u16::MAX labels.
+#[test]
+fn load_limits_exit_1_without_a_panic() {
+    let dir = tmpdir("load-limits");
+    let write = |name: &str, xml: String| {
+        let path = dir.join(name);
+        std::fs::write(&path, xml).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let text = write("text.xml", "<a><b>some text here</b></a>".into());
+    let wide = write("wide.xml", format!("<r>{}</r>", "<e/>".repeat(70_000)));
+    let names: String = (0..66_000).map(|i| format!("<n{i}/>")).collect();
+    let names = write("names.xml", format!("<r>{names}</r>"));
+    let store = dir.join("out.natix");
+    let store = store.to_str().unwrap();
+
+    let partition = natix(&["partition", &text, "--k", "1"]);
+    assert_eq!(code(&partition), 1);
+    let out = natix(&["load", &text, store, "--k", "1"]);
+    assert_eq!(code(&out), 1);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        String::from_utf8_lossy(&partition.stderr)
+    );
+    assert!(
+        !Path::new(store).exists(),
+        "an infeasible load created a store"
+    );
+
+    for (xml, k, reason) in [
+        (&wide, "100000", "fragment larger than u16::MAX nodes"),
+        (&names, "256", "label table full"),
+    ] {
+        let out = natix(&["load", xml, store, "--k", k]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(code(&out), 1, "{xml}: {stderr}");
+        assert!(
+            stderr.contains(reason) && !stderr.contains("panicked"),
+            "{xml}: {stderr}"
+        );
+        let _ = std::fs::remove_file(store);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// One rule for `soak`/`stress` flags: exactly one campaign per
 /// invocation, and a flag the selected row cannot honour is a usage
 /// error naming the row. Nothing runs, nothing is printed to stdout.

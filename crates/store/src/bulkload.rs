@@ -598,14 +598,7 @@ impl RecordSink for FreshSink {
     }
 
     fn intern(&mut self, name: &str) -> StoreResult<u16> {
-        if let Some(&id) = self.label_ids.get(name) {
-            return Ok(id);
-        }
-        let id = u16::try_from(self.labels.len())
-            .map_err(|_| StoreError::InvalidUpdate("label table full"))?;
-        self.labels.push(name.into());
-        self.label_ids.insert(name.into(), id);
-        Ok(id)
+        store::intern_label(&mut self.labels, &mut self.label_ids, name)
     }
 
     fn emit(&mut self, no: u32, img: &RecordImage) -> StoreResult<()> {

@@ -22,6 +22,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
+use natix_core::PartitionError;
 use natix_tree::{NodeId, Partitioning};
 use natix_xml::{Document, DocumentBuilder, NodeKind};
 
@@ -411,6 +412,22 @@ fn label_index(labels: &[Box<str>]) -> HashMap<Box<str>, u16> {
         .collect()
 }
 
+/// The one label interner: `name`'s id in the table, appending it if new.
+pub(crate) fn intern_label(
+    labels: &mut Vec<Box<str>>,
+    ids: &mut HashMap<Box<str>, u16>,
+    name: &str,
+) -> StoreResult<u16> {
+    if let Some(&id) = ids.get(name) {
+        return Ok(id);
+    }
+    let id =
+        u16::try_from(labels.len()).map_err(|_| StoreError::InvalidUpdate("label table full"))?;
+    labels.push(name.into());
+    ids.insert(name.into(), id);
+    Ok(id)
+}
+
 /// First half of the fresh-store writer: every page written through the
 /// returned pool is sealed (class + XXH64) on its way to `backend`, and
 /// pages 0 and 1 are reserved as the header slots.
@@ -558,8 +575,9 @@ impl XmlStore {
                 // DFS over the fragment, skipping cut children.
                 let mut stack = vec![root];
                 while let Some(v) = stack.pop() {
-                    local_idx[v.index()] =
-                        u16::try_from(list.len()).expect("fragment larger than u16::MAX nodes");
+                    local_idx[v.index()] = u16::try_from(list.len()).map_err(|_| {
+                        StoreError::InvalidUpdate("fragment larger than u16::MAX nodes")
+                    })?;
                     list.push(v);
                     for &c in tree.children(v).iter().rev() {
                         if owner[c.index()] == NONE_U32 {
@@ -573,32 +591,25 @@ impl XmlStore {
         // Build record images and discover proxy positions.
         let mut labels: Vec<Box<str>> = Vec::new();
         let mut label_ids: HashMap<Box<str>, u16> = HashMap::new();
-        let mut label_of = |name: &str| -> u16 {
-            if let Some(&id) = label_ids.get(name) {
-                return id;
-            }
-            let id = u16::try_from(labels.len()).expect("more than u16::MAX labels");
-            labels.push(name.into());
-            label_ids.insert(name.into(), id);
-            id
-        };
 
         let mut records: Vec<RecordImage> = Vec::with_capacity(p_count);
         // (parent_record, parent_local, proxy_pos) per record.
         let mut proxy_info = vec![(NONE_U32, NONE_U16, NONE_U16); p_count];
 
         for (i, list) in locals.iter().enumerate() {
-            let mut nodes: Vec<ImageNode> = list
+            let mut nodes = list
                 .iter()
-                .map(|&v| ImageNode {
-                    kind: doc.kind(v),
-                    label: label_of(doc.name(v)),
-                    parent_local: NONE_U16,
-                    entry_pos: NONE_U16,
-                    content: doc.content(v).map(Into::into),
-                    entries: Vec::new(),
+                .map(|&v| {
+                    Ok(ImageNode {
+                        kind: doc.kind(v),
+                        label: intern_label(&mut labels, &mut label_ids, doc.name(v))?,
+                        parent_local: NONE_U16,
+                        entry_pos: NONE_U16,
+                        content: doc.content(v).map(Into::into),
+                        entries: Vec::new(),
+                    })
                 })
-                .collect();
+                .collect::<StoreResult<Vec<ImageNode>>>()?;
 
             for (li, &v) in list.iter().enumerate() {
                 let children = tree.children(v);
@@ -1528,8 +1539,12 @@ pub fn bulkload_with(
     backend: Box<dyn Pager>,
     config: StoreConfig,
 ) -> StoreResult<XmlStore> {
-    let partitioning = partitioner
-        .partition(doc.tree(), k)
-        .unwrap_or_else(|e| panic!("partitioner {} failed: {e}", partitioner.name()));
+    let partitioning = partitioner.partition(doc.tree(), k).map_err(|e| {
+        StoreError::InvalidUpdate(match e {
+            PartitionError::ZeroLimit => "weight limit K must be positive",
+            PartitionError::NodeTooHeavy { .. } => "node heavier than the record weight limit K",
+            PartitionError::NotFlat { .. } => "the partitioner needs a flat tree",
+        })
+    })?;
     XmlStore::bulkload(doc, &partitioning, backend, config)
 }

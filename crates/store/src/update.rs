@@ -9,7 +9,10 @@
 //! **split** by evicting a subtree (KM-style, heaviest first, descending
 //! until the candidate fits) into a fresh record behind a proxy — or, when
 //! the fragment is only interval roots, by splitting the sibling interval
-//! itself into two records.
+//! itself into two records. Both kinds are one extraction
+//! ([`XmlStore::move_out`]) of a list of fragment roots; they differ only
+//! in the new record's back-link and where its proxy goes ([`ProxyAt`]).
+//! Every public op runs inside [`XmlStore::transactional`].
 //!
 //! Updates rewrite whole records (they are ≤ K slots, i.e. small) and fix
 //! the back-links of every child record whose parent moved. **Structural
@@ -23,7 +26,7 @@ use crate::catalog::RecordLoc;
 use crate::page::{SlottedPage, MAX_IN_PAGE};
 use crate::pager::{StoreError, StoreResult};
 use crate::record::{self, ChildEntry, ImageNode, RecordData, RecordImage, NONE_U16, NONE_U32};
-use crate::store::{write_overflow_chain, NodeRef, XmlStore};
+use crate::store::{intern_label, write_overflow_chain, NodeRef, XmlStore};
 
 /// Where to place a newly inserted node.
 enum InsertPos {
@@ -35,14 +38,29 @@ enum InsertPos {
     BeforeRoot(usize),
 }
 
+/// Where a split puts the proxy of the record it moves out.
+#[derive(Clone, Copy)]
+enum ProxyAt {
+    /// In place of entry `pos` of local node `parent`: a subtree eviction.
+    Entry { parent: u16, pos: u16 },
+    /// Right after the record's own proxy in its parent record: an
+    /// interval split.
+    AfterOwn,
+}
+
 impl XmlStore {
-    /// Run a structural update as one atomic transaction: on success the
-    /// operation is committed durably; on failure every in-memory and
+    /// Run the structural update `op` as one atomic transaction: on
+    /// success it is committed durably; on failure every in-memory and
     /// on-disk effect is rolled back to the pre-operation state. (An error
     /// from the commit itself can leave the *post*-state durable — the
     /// journal was already published — which is the standard "either pre
     /// or post" crash contract.)
-    fn transactional<T>(&mut self, r: StoreResult<T>) -> StoreResult<T> {
+    fn transactional<T>(
+        &mut self,
+        op: impl FnOnce(&mut XmlStore) -> StoreResult<T>,
+    ) -> StoreResult<T> {
+        self.require_writable()?;
+        let r = op(self);
         // Inside a group-commit batch no commit happens here: a
         // successful op is staged (its pages wait in the pool for the
         // batch's one journal) and a failed op rolls back to the previous
@@ -84,31 +102,13 @@ impl XmlStore {
         name: &str,
         content: Option<&str>,
     ) -> StoreResult<NodeRef> {
-        self.require_writable()?;
-        let r = self.append_child_inner(parent, kind, name, content);
-        self.transactional(r)
-    }
-
-    fn append_child_inner(
-        &mut self,
-        parent: NodeRef,
-        kind: NodeKind,
-        name: &str,
-        content: Option<&str>,
-    ) -> StoreResult<NodeRef> {
-        let rec = self.fetch(parent.record)?;
-        let pk = rec.node(parent.node).kind;
-        if pk != NodeKind::Element {
-            return Err(StoreError::InvalidUpdate("parent must be an element"));
-        }
-        drop(rec);
-        self.insert_impl(
-            parent.record,
-            InsertPos::LastChildOf(parent.node),
-            kind,
-            name,
-            content,
-        )
+        self.transactional(|s| {
+            if s.fetch(parent.record)?.node(parent.node).kind != NodeKind::Element {
+                return Err(StoreError::InvalidUpdate("parent must be an element"));
+            }
+            let pos = InsertPos::LastChildOf(parent.node);
+            s.insert_impl(parent.record, pos, kind, name, content)
+        })
     }
 
     /// Insert a new childless node immediately before `sibling` (which
@@ -120,102 +120,79 @@ impl XmlStore {
         name: &str,
         content: Option<&str>,
     ) -> StoreResult<NodeRef> {
-        self.require_writable()?;
-        let r = self.insert_before_inner(sibling, kind, name, content);
-        self.transactional(r)
-    }
-
-    fn insert_before_inner(
-        &mut self,
-        sibling: NodeRef,
-        kind: NodeKind,
-        name: &str,
-        content: Option<&str>,
-    ) -> StoreResult<NodeRef> {
-        let rec = self.fetch(sibling.record)?;
-        let node = rec.node(sibling.node);
-        let pos = if node.parent_local != NONE_U16 {
-            InsertPos::BeforeLocal(sibling.node)
-        } else if rec.parent_record == NONE_U32 {
-            return Err(StoreError::InvalidUpdate(
-                "the document root has no siblings",
-            ));
-        } else {
-            let rp = rec.root_pos(sibling.node).ok_or_else(|| {
-                StoreError::corrupt_record("fragment root not in root list", sibling.record)
-            })?;
-            InsertPos::BeforeRoot(rp)
-        };
-        drop(rec);
-        self.insert_impl(sibling.record, pos, kind, name, content)
+        self.transactional(|s| {
+            let rec = s.fetch(sibling.record)?;
+            let pos = if rec.node(sibling.node).parent_local != NONE_U16 {
+                InsertPos::BeforeLocal(sibling.node)
+            } else if rec.parent_record == NONE_U32 {
+                return Err(StoreError::InvalidUpdate(
+                    "the document root has no siblings",
+                ));
+            } else {
+                let rp = rec.root_pos(sibling.node).ok_or_else(|| {
+                    StoreError::corrupt_record("fragment root not in root list", sibling.record)
+                })?;
+                InsertPos::BeforeRoot(rp)
+            };
+            drop(rec);
+            s.insert_impl(sibling.record, pos, kind, name, content)
+        })
     }
 
     /// Delete the subtree rooted at `node` (all its descendants and their
     /// records included). The document root cannot be deleted. The
     /// operation commits atomically.
     pub fn delete_subtree(&mut self, node: NodeRef) -> StoreResult<()> {
-        self.require_writable()?;
-        let r = self.delete_subtree_inner(node);
-        self.transactional(r)
-    }
+        self.transactional(|s| {
+            let rec = s.fetch(node.record)?;
+            if rec.parent_record == NONE_U32 && rec.root_pos(node.node).is_some() {
+                return Err(StoreError::InvalidUpdate("cannot delete the document root"));
+            }
+            let mut img = rec.to_image();
+            drop(rec);
+            let is_root = img.roots.contains(&node.node);
 
-    fn delete_subtree_inner(&mut self, node: NodeRef) -> StoreResult<()> {
-        let rec = self.fetch(node.record)?;
-        if rec.parent_record == NONE_U32 && rec.root_pos(node.node).is_some() {
-            return Err(StoreError::InvalidUpdate("cannot delete the document root"));
-        }
-        drop(rec);
+            if is_root && img.roots.len() == 1 {
+                // The whole record goes away: unhook our proxy from the parent
+                // record, then free this record and every descendant record.
+                s.edit_entries(img.parent_record, img.parent_local, |entries| {
+                    entries.remove(img.proxy_pos as usize);
+                })?;
+                return s.free_record_tree(node.record);
+            }
 
-        let mut img = self.fetch(node.record)?.to_image();
-        let is_root = img.roots.contains(&node.node);
-
-        if is_root && img.roots.len() == 1 {
-            // The whole record goes away: unhook our proxy from the parent
-            // record, then free this record and every descendant record.
-            let (parent_record, parent_local, proxy_pos) =
-                (img.parent_record, img.parent_local, img.proxy_pos);
-            let mut parent_img = self.fetch(parent_record)?.to_image();
-            parent_img.nodes[parent_local as usize]
-                .entries
-                .remove(proxy_pos as usize);
-            sync_entry_positions(&mut parent_img, parent_local as usize);
-            self.write_record(parent_record, &parent_img)?;
-            self.resync_child_backlinks(parent_record)?;
-            self.free_record_tree(node.record)?;
-            return Ok(());
-        }
-
-        // Drop the subtree inside this record.
-        let removed = collect_local_subtree(&img, node.node);
-        // Free descendant records referenced from the removed region.
-        let mut child_records = Vec::new();
-        for &l in &removed {
-            for e in &img.nodes[l as usize].entries {
-                if let ChildEntry::Proxy(no) = *e {
-                    child_records.push(no);
+            // Drop the subtree inside this record.
+            let removed = collect_local_subtree(&img, node.node);
+            // Free descendant records referenced from the removed region.
+            let mut child_records = Vec::new();
+            for &l in &removed {
+                for e in &img.nodes[l as usize].entries {
+                    if let ChildEntry::Proxy(no) = *e {
+                        child_records.push(no);
+                    }
                 }
             }
-        }
-        if is_root {
-            let rp = img
-                .roots
-                .iter()
-                .position(|&r| r == node.node)
-                .expect("root");
-            img.roots.remove(rp);
-        } else {
-            let p = img.nodes[node.node as usize].parent_local as usize;
-            let e = img.nodes[node.node as usize].entry_pos as usize;
-            img.nodes[p].entries.remove(e);
-            sync_entry_positions(&mut img, p);
-        }
-        remove_and_renumber(&mut img, &removed);
-        self.write_record(node.record, &img)?;
-        self.resync_child_backlinks(node.record)?;
-        for no in child_records {
-            self.free_record_tree(no)?;
-        }
-        Ok(())
+            if is_root {
+                let rp = img
+                    .roots
+                    .iter()
+                    .position(|&r| r == node.node)
+                    .expect("root");
+                img.roots.remove(rp);
+            } else {
+                let p = img.nodes[node.node as usize].parent_local as usize;
+                let e = img.nodes[node.node as usize].entry_pos as usize;
+                img.nodes[p].entries.remove(e);
+                sync_entry_positions(&mut img, p);
+            }
+            remove_and_renumber(&mut img, &removed);
+            s.write_record(node.record, &img)?;
+            s.resync_child_backlinks(node.record)?;
+            for no in child_records {
+                s.free_record_tree(no)?;
+            }
+            Ok(())
+        })
     }
 
     fn insert_impl(
@@ -282,8 +259,9 @@ impl XmlStore {
         Ok(location)
     }
 
-    /// One split step: evict a subtree (or split the root interval) from
-    /// `img` into a fresh record. Returns the tracked node's new location.
+    /// One split step: move a subtree (or a suffix of the root interval)
+    /// out of `img` into a fresh record. Returns the tracked node's new
+    /// location.
     fn split_once(
         &mut self,
         record_no: u32,
@@ -324,65 +302,70 @@ impl XmlStore {
                 }
                 c = next.expect("overweight subtree has local children");
             }
-            return self.evict_subtree(record_no, img, c, tracked);
+            // Evict the subtree behind a proxy in its parent's entry list.
+            let n = &img.nodes[c as usize];
+            let at = ProxyAt::Entry {
+                parent: n.parent_local,
+                pos: n.entry_pos,
+            };
+            return self.move_out(record_no, img, &[c], at, tracked);
         }
 
         // No local child anywhere: the fragment is the interval roots
-        // themselves. Split the interval: move a suffix of the roots.
+        // themselves. Split the interval: move the suffix half of the roots.
         debug_assert!(
             img.roots.len() > 1,
             "a single node never exceeds K (checked on insert)"
         );
-        self.split_roots(record_no, img, tracked)
+        let suffix = img.roots.split_off(img.roots.len() / 2);
+        self.move_out(record_no, img, &suffix, ProxyAt::AfterOwn, tracked)
     }
 
-    /// Move the subtree rooted at local node `c` into a fresh record
-    /// behind a proxy.
-    fn evict_subtree(
+    /// Move `roots` (a local child, or fragment roots already taken out
+    /// of `img.roots`) with their local subtrees into a fresh record whose
+    /// proxy goes `at`. A moved node whose parent stays behind becomes a
+    /// root with no local parent. Returns the tracked node's new location.
+    ///
+    /// Writes the new record, then the old one (back-link fix-up reads
+    /// it), then the back-links of the child records that moved and of
+    /// the ones that stayed; an interval split then inserts its proxy in
+    /// the parent record.
+    fn move_out(
         &mut self,
         record_no: u32,
         img: &mut RecordImage,
-        c: u16,
+        roots: &[u16],
+        at: ProxyAt,
         tracked: NodeRef,
     ) -> StoreResult<NodeRef> {
-        let moved = collect_local_subtree(img, c);
+        let moved: Vec<u16> = roots
+            .iter()
+            .flat_map(|&r| collect_local_subtree(img, r))
+            .collect();
         let new_no = self.reserve_record();
-
-        // Build the new record image.
         let mut remap = vec![NONE_U16; img.nodes.len()];
         for (i, &l) in moved.iter().enumerate() {
             remap[l as usize] = i as u16;
         }
-        let p = img.nodes[c as usize].parent_local;
-        let e = img.nodes[c as usize].entry_pos;
-        let mut new_nodes: Vec<ImageNode> = Vec::with_capacity(moved.len());
+        let mut nodes = Vec::with_capacity(moved.len());
         for &l in &moved {
             let mut n = img.nodes[l as usize].clone();
-            if l == c {
+            if n.parent_local != NONE_U16 && remap[n.parent_local as usize] != NONE_U16 {
+                n.parent_local = remap[n.parent_local as usize];
+            } else {
                 n.parent_local = NONE_U16;
                 n.entry_pos = NONE_U16;
-            } else {
-                n.parent_local = remap[n.parent_local as usize];
             }
             for entry in &mut n.entries {
                 if let ChildEntry::Local(ref mut i) = entry {
                     *i = remap[*i as usize];
                 }
             }
-            new_nodes.push(n);
+            nodes.push(n);
         }
-        let new_img = RecordImage {
-            parent_record: record_no,
-            parent_local: p, // fixed up after renumbering below
-            proxy_pos: e,
-            roots: vec![0],
-            nodes: new_nodes,
-        };
-
-        // Children records inside the moved region now hang off the new
-        // record.
+        // Child records inside the moved region now hang off the new one.
         let mut moved_fixes = Vec::new();
-        for (ni, n) in new_img.nodes.iter().enumerate() {
+        for (ni, n) in nodes.iter().enumerate() {
             for (pos, entry) in n.entries.iter().enumerate() {
                 if let ChildEntry::Proxy(no) = *entry {
                     moved_fixes.push((no, ni as u16, pos as u16));
@@ -390,157 +373,73 @@ impl XmlStore {
             }
         }
 
-        // Remove the moved nodes from the old image, replacing the child
-        // entry with a proxy.
-        img.nodes[p as usize].entries[e as usize] = ChildEntry::Proxy(new_no);
-        let parent_fixes = remove_and_renumber(img, &moved);
-
-        // Parent of the evicted fragment may itself have been renumbered.
-        let new_parent_local = parent_fixes
-            .iter()
-            .find(|&&(old, _)| old == p)
-            .map(|&(_, new)| new)
-            .unwrap_or(p);
-        let mut new_img = new_img;
-        new_img.parent_local = new_parent_local;
+        if let ProxyAt::Entry { parent, pos } = at {
+            img.nodes[parent as usize].entries[pos as usize] = ChildEntry::Proxy(new_no);
+        }
+        let fixes = remove_and_renumber(img, &moved);
+        let renumbered = |l: u16| {
+            fixes
+                .iter()
+                .find(|&&(old, _)| old == l)
+                .map_or(l, |&(_, new)| new)
+        };
+        let (parent_record, parent_local, proxy_pos) = match at {
+            ProxyAt::Entry { parent, pos } => (record_no, renumbered(parent), pos),
+            ProxyAt::AfterOwn => (img.parent_record, img.parent_local, img.proxy_pos + 1),
+        };
+        let new_img = RecordImage {
+            parent_record,
+            parent_local,
+            proxy_pos,
+            roots: roots.iter().map(|&r| remap[r as usize]).collect(),
+            nodes,
+        };
 
         self.write_record(new_no, &new_img)?;
-        // The old image must be on disk before back-link fix-up reads it.
         self.write_record(record_no, img)?;
         for (no, parent_local, proxy_pos) in moved_fixes {
             self.fix_child_header(no, new_no, parent_local, proxy_pos)?;
         }
         self.resync_child_backlinks(record_no)?;
-
-        // Track the location of the node of interest.
-        if tracked.record == record_no {
-            let r = remap[tracked.node as usize];
-            if r != NONE_U16 {
-                return Ok(NodeRef {
-                    record: new_no,
-                    node: r,
-                });
-            }
-            let renumbered = parent_fixes
-                .iter()
-                .find(|&&(old, _)| old == tracked.node)
-                .map(|&(_, new)| new)
-                .unwrap_or(tracked.node);
-            return Ok(NodeRef {
-                record: record_no,
-                node: renumbered,
-            });
+        if let ProxyAt::AfterOwn = at {
+            self.edit_entries(img.parent_record, img.parent_local, |entries| {
+                entries.insert(img.proxy_pos as usize + 1, ChildEntry::Proxy(new_no));
+            })?;
         }
-        Ok(tracked)
+
+        if tracked.record != record_no {
+            return Ok(tracked);
+        }
+        Ok(match remap[tracked.node as usize] {
+            NONE_U16 => NodeRef {
+                record: record_no,
+                node: renumbered(tracked.node),
+            },
+            node => NodeRef {
+                record: new_no,
+                node,
+            },
+        })
     }
 
-    /// Split the root interval: move the suffix half of the roots (and
-    /// their local subtrees) into a fresh record, inserting its proxy right
-    /// after ours in the parent record.
-    fn split_roots(
+    /// Edit the entry list of local node `local` of record `no`, rewrite
+    /// the record and resync its child records' back-links.
+    fn edit_entries(
         &mut self,
-        record_no: u32,
-        img: &mut RecordImage,
-        tracked: NodeRef,
-    ) -> StoreResult<NodeRef> {
-        let mid = img.roots.len() / 2;
-        let suffix: Vec<u16> = img.roots.split_off(mid);
-        let mut moved: Vec<u16> = Vec::new();
-        for &r in &suffix {
-            moved.extend(collect_local_subtree(img, r));
-        }
-        let new_no = self.reserve_record();
-
-        let mut remap = vec![NONE_U16; img.nodes.len()];
-        for (i, &l) in moved.iter().enumerate() {
-            remap[l as usize] = i as u16;
-        }
-        let mut new_nodes = Vec::with_capacity(moved.len());
-        for &l in &moved {
-            let mut n = img.nodes[l as usize].clone();
-            if n.parent_local != NONE_U16 {
-                n.parent_local = remap[n.parent_local as usize];
-            }
-            for entry in &mut n.entries {
-                if let ChildEntry::Local(ref mut i) = entry {
-                    *i = remap[*i as usize];
-                }
-            }
-            new_nodes.push(n);
-        }
-        let new_img = RecordImage {
-            parent_record: img.parent_record,
-            parent_local: img.parent_local,
-            proxy_pos: img.proxy_pos + 1,
-            roots: suffix.iter().map(|&r| remap[r as usize]).collect(),
-            nodes: new_nodes,
-        };
-
-        let mut moved_fixes = Vec::new();
-        for (ni, n) in new_img.nodes.iter().enumerate() {
-            for (pos, entry) in n.entries.iter().enumerate() {
-                if let ChildEntry::Proxy(no) = *entry {
-                    moved_fixes.push((no, ni as u16, pos as u16));
-                }
-            }
-        }
-
-        let parent_fixes = remove_and_renumber(img, &moved);
-
-        // Both halves must be on disk before any back-link resync can read
-        // them.
-        self.write_record(new_no, &new_img)?;
-        self.write_record(record_no, img)?;
-
-        // Insert the new proxy right after ours in the (grand)parent
-        // record's entry list; resyncing then fixes both halves' headers.
-        let parent_record = img.parent_record;
-        let parent_local = img.parent_local;
-        let proxy_pos = img.proxy_pos;
-        let mut parent_img = self.fetch(parent_record)?.to_image();
-        parent_img.nodes[parent_local as usize]
-            .entries
-            .insert(proxy_pos as usize + 1, ChildEntry::Proxy(new_no));
-        sync_entry_positions(&mut parent_img, parent_local as usize);
-        self.write_record(parent_record, &parent_img)?;
-        self.resync_child_backlinks(parent_record)?;
-
-        for (no, pl, pp) in moved_fixes {
-            self.fix_child_header(no, new_no, pl, pp)?;
-        }
-        self.resync_child_backlinks(record_no)?;
-
-        if tracked.record == record_no {
-            let r = remap[tracked.node as usize];
-            if r != NONE_U16 {
-                return Ok(NodeRef {
-                    record: new_no,
-                    node: r,
-                });
-            }
-            let renumbered = parent_fixes
-                .iter()
-                .find(|&&(old, _)| old == tracked.node)
-                .map(|&(_, new)| new)
-                .unwrap_or(tracked.node);
-            return Ok(NodeRef {
-                record: record_no,
-                node: renumbered,
-            });
-        }
-        Ok(tracked)
+        no: u32,
+        local: u16,
+        edit: impl FnOnce(&mut Vec<ChildEntry>),
+    ) -> StoreResult<()> {
+        let mut img = self.fetch(no)?.to_image();
+        edit(&mut img.nodes[local as usize].entries);
+        sync_entry_positions(&mut img, local as usize);
+        self.write_record(no, &img)?;
+        self.resync_child_backlinks(no)
     }
 
     /// Intern a label, growing the persistent label table.
     pub(crate) fn intern_label(&mut self, name: &str) -> StoreResult<u16> {
-        if let Some(id) = self.label_id(name) {
-            return Ok(id);
-        }
-        let id = u16::try_from(self.labels.len())
-            .map_err(|_| StoreError::InvalidUpdate("label table full"))?;
-        self.labels.push(name.into());
-        self.label_ids.insert(name.into(), id);
-        Ok(id)
+        intern_label(&mut self.labels, &mut self.label_ids, name)
     }
 
     /// Reserve a fresh record number.
@@ -917,18 +816,13 @@ fn collect_local_subtree(img: &RecordImage, root: u16) -> Vec<u16> {
     out
 }
 
-/// Recompute the `entry_pos` of every local child of `p` and return
-/// `(child_record, new_proxy_pos)` fixes for the proxies.
-fn sync_entry_positions(img: &mut RecordImage, p: usize) -> Vec<(u32, u16)> {
-    let entries = img.nodes[p].entries.clone();
-    let mut fixes = Vec::new();
-    for (pos, e) in entries.iter().enumerate() {
-        match *e {
-            ChildEntry::Local(c) => img.nodes[c as usize].entry_pos = pos as u16,
-            ChildEntry::Proxy(no) => fixes.push((no, pos as u16)),
+/// Recompute the `entry_pos` of every local child of `p`.
+fn sync_entry_positions(img: &mut RecordImage, p: usize) {
+    for pos in 0..img.nodes[p].entries.len() {
+        if let ChildEntry::Local(c) = img.nodes[p].entries[pos] {
+            img.nodes[c as usize].entry_pos = pos as u16;
         }
     }
-    fixes
 }
 
 /// Remove `removed` locals from the image and renumber the rest

@@ -4,7 +4,9 @@
 
 use natix_core::{Ekm, Km};
 use natix_datagen::{xmark, GenConfig};
-use natix_store::{bulkload_with, MemPager, NodeRef, StoreConfig, XmlStore};
+use natix_store::{
+    bulkload_with, ChildEntry, MemPager, NodeRef, SharedMemPager, StoreConfig, XmlStore,
+};
 use natix_xml::{parse, Document, NodeKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -428,4 +430,88 @@ fn single_node_exactly_at_weight_k_is_accepted() {
         store.to_document().unwrap().to_xml(),
         format!("<a>{text}</a>")
     );
+}
+
+/// Ten childless siblings at K = 4 leave sibling-interval records that
+/// hold nothing but fragment roots. An insert before one of them in a
+/// full record splits the interval: the suffix half of the roots moves
+/// to a fresh record whose proxy follows the old record's in the parent.
+#[test]
+fn insert_before_a_root_of_a_full_interval_splits_it() {
+    const K: u64 = 4;
+    let doc = parse(&format!("<a>{}</a>", "<b/>".repeat(10))).unwrap();
+    let config = StoreConfig {
+        record_limit_slots: K,
+        ..Default::default()
+    };
+    let disk = SharedMemPager::new();
+    let mut store = bulkload_with(&doc, &Ekm, K, Box::new(disk.clone()), config).unwrap();
+    store.check_consistency().unwrap();
+
+    // The first child of `<a>` stored in a record of K roots, and its
+    // position among the children.
+    let root = store.root().unwrap();
+    let mut children = Vec::new();
+    store
+        .for_each_child(root, |c, _, _| children.push(c))
+        .unwrap();
+    let (at_child, target) = children
+        .iter()
+        .copied()
+        .enumerate()
+        .find(|(_, c)| {
+            c.record != root.record
+                && store.with_record(c.record, |r| r.roots.len()).unwrap() == K as usize
+        })
+        .expect("a full interval record");
+    let old = target.record;
+    let (parent, parent_local, proxy_pos, at_root) = store
+        .with_record(old, |r| {
+            let at = r.root_pos(target.node).unwrap();
+            (r.parent_record, r.parent_local, r.proxy_pos, at)
+        })
+        .unwrap();
+    assert_eq!(parent, root.record);
+
+    let new = store
+        .insert_before(target, NodeKind::Element, "new", None)
+        .unwrap();
+    assert_eq!(store.node_kind(new).unwrap(), NodeKind::Element);
+    let label = store.node_label(new).unwrap();
+    assert_eq!(store.label_name(label), "new");
+
+    // The two halves are adjacent proxies in the parent...
+    let entries: Vec<ChildEntry> = store
+        .with_record(parent, |r| r.entries(&r.node(parent_local)).collect())
+        .unwrap();
+    assert_eq!(entries[proxy_pos as usize], ChildEntry::Proxy(old));
+    let ChildEntry::Proxy(half) = entries[proxy_pos as usize + 1] else {
+        panic!("no proxy after the split record's: {entries:?}");
+    };
+    // ...and their root lists together are the old list plus the new node.
+    let mut roots = Vec::new();
+    for no in [old, half] {
+        let locals = store.with_record(no, |r| r.roots.clone()).unwrap();
+        roots.extend(locals.into_iter().map(|node| NodeRef { record: no, node }));
+    }
+    assert_eq!(roots.len(), K as usize + 1);
+    assert_eq!(roots[at_root], new);
+    let b = store.label_id("b").unwrap();
+    for (i, &r) in roots.iter().enumerate() {
+        let want = if i == at_root { label } else { b };
+        assert_eq!(store.node_label(r).unwrap(), want, "root {i}");
+    }
+
+    // Document order holds, before and after a reopen.
+    let want = format!(
+        "<a>{}<new/>{}</a>",
+        "<b/>".repeat(at_child),
+        "<b/>".repeat(10 - at_child)
+    );
+    store.check_consistency().unwrap();
+    assert_eq!(store.to_document().unwrap().to_xml(), want);
+    drop(store);
+    let mut store = XmlStore::open(Box::new(disk), config).unwrap();
+    store.check_consistency().unwrap();
+    assert_eq!(store.to_document().unwrap().to_xml(), want);
 }

@@ -15,8 +15,8 @@
 //!    commit the step so the acked state survives exactly once, and
 //! 4. leave a disk that reopens consistent and scrubs fsck-clean.
 //!
-//! Swept across the six Table 1 evaluation workloads by the `diskfull`
-//! row of [`crate::CAMPAIGNS`].
+//! Swept across the grid workloads ([`crate::workloads`]) by the
+//! `diskfull` row of [`crate::CAMPAIGNS`].
 
 use natix_store::{FaultSchedule, SharedStore, StoreConfig, StoreError};
 use natix_xml::Document;

@@ -22,7 +22,7 @@ use natix_store::{
     corrupt_checksum_of_class, corrupt_page_of_class, fsck, FaultInjectingPager, FaultSchedule,
     NodeRef, PageClass, SharedMemPager, StoreConfig, StoreResult, XmlStore,
 };
-use natix_xml::{node_weight, Document, NodeKind};
+use natix_xml::{node_weight, Document, DocumentBuilder, NodeId, NodeKind};
 
 use crate::harness::{Cell, Counts, Grid, GridRow, Progress, Tier};
 use crate::model::ModelTree;
@@ -83,11 +83,13 @@ pub struct Workload {
     pub doc: Document,
 }
 
-/// The six Table 1 evaluation documents at `scale`, deterministically
-/// regenerable from `(name, scale, gen_seed)`.
+/// The six Table 1 evaluation documents at `scale`, then [`flat`],
+/// deterministically regenerable from `(name, scale, gen_seed)`. `flat`
+/// comes last so the Table 1 cells keep their trace seeds.
 pub fn workloads(scale: f64, gen_seed: u64) -> Vec<Workload> {
     evaluation_suite(scale, gen_seed)
         .into_iter()
+        .chain([("flat", flat(scale))])
         .map(|(name, doc)| Workload {
             name: name.to_string(),
             scale,
@@ -95,6 +97,20 @@ pub fn workloads(scale: f64, gen_seed: u64) -> Vec<Workload> {
             doc,
         })
         .collect()
+}
+
+/// A `<list>` of `100 000 × scale` childless elements, the first few with
+/// one short text child. Its interval records hold only fragment roots,
+/// so an insert before one of them splits the sibling interval.
+fn flat(scale: f64) -> Document {
+    let mut b = DocumentBuilder::new("list");
+    for i in 0..(scale * 100_000.0) as usize {
+        let e = b.element(NodeId::ROOT, "e");
+        if i < 8 {
+            b.text(e, "leaf");
+        }
+    }
+    b.build()
 }
 
 pub fn workload_by_name(name: &str, scale: f64, gen_seed: u64) -> Option<Workload> {

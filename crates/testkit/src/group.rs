@@ -16,7 +16,7 @@
 //! additionally followed by an `fsck` scrub that must come back clean.
 //!
 //! Entry points: [`run_group_commit_trace`] for one trace, and the
-//! `group-commit` row of [`crate::CAMPAIGNS`] over the Table 1 workloads.
+//! `group-commit` row of [`crate::CAMPAIGNS`] over the grid workloads.
 
 use natix_store::{BatchOp, FaultSchedule, SharedStore, StoreConfig, StoreResult, XmlStore};
 use natix_xml::Document;
@@ -186,7 +186,11 @@ mod tests {
         };
         let report = sweep_grid(&row, Tier::Quick, &[1], &mut |_| {});
         assert!(report.ok(), "{}", report.summary());
-        assert_eq!(report.count("runs"), 6, "one run per Table 1 workload");
+        assert_eq!(
+            report.count("runs"),
+            7,
+            "one run per workload: Table 1 and flat"
+        );
         assert!(report.count("crash points") > 0);
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! The harness drives [`natix_store::XmlStore`] and an in-memory oracle
 //! ([`ModelTree`]) through identical seeded traces of update operations
-//! over the Table 1 evaluation documents, checking after every step:
+//! over the Table 1 evaluation documents and a flat list (the workloads
+//! whose records split by subtree eviction and by sibling interval),
+//! checking after every step:
 //!
 //! 1. **Oracle equivalence** — the store serializes to exactly the
 //!    oracle's document;

@@ -24,7 +24,11 @@ fn quick_campaign_is_clean() {
         eprintln!("{f}");
     }
     assert!(report.ok(), "{}", report.summary());
-    assert_eq!(report.count("runs"), 6, "one run per Table 1 workload");
+    assert_eq!(
+        report.count("runs"),
+        7,
+        "one run per workload: Table 1 and flat"
+    );
     assert!(
         report.count("crash points") > 50,
         "sweep exercised too few crash points: {}",
@@ -138,7 +142,11 @@ fn quick_corruption_campaign_is_clean() {
         eprintln!("{f}");
     }
     assert!(report.ok(), "{}", report.summary());
-    assert_eq!(report.count("runs"), 6, "one run per Table 1 workload");
+    assert_eq!(
+        report.count("runs"),
+        7,
+        "one run per workload: Table 1 and flat"
+    );
     // 12 injection slots per committed state; every run commits several
     // states, so the sweep must pile up real coverage.
     assert!(

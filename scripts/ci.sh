@@ -69,11 +69,11 @@ campaigns=(
 # (the full `natix stress` line is checked in its own tier below). A
 # change that moves a count changes its line here, in the same diff.
 declare -A summary=(
-  ["soak"]="soak (full): 24 runs, 238 ops applied (2 skipped), 3298 crash points, 0 failure(s)"
-  ["soak --corruption"]="soak (full, corruption): 24 runs, 238 ops applied (2 skipped), 2096 crash points, 0 failure(s)"
-  ["soak --group-commit"]="soak (full, group-commit): 24 runs, 72 batches (384 ops, 0 skipped), 986 crash points, 0 failure(s)"
+  ["soak"]="soak (full): 28 runs, 278 ops applied (2 skipped), 3880 crash points, 0 failure(s)"
+  ["soak --corruption"]="soak (full, corruption): 28 runs, 278 ops applied (2 skipped), 2448 crash points, 0 failure(s)"
+  ["soak --group-commit"]="soak (full, group-commit): 28 runs, 84 batches (448 ops, 0 skipped), 1132 crash points, 0 failure(s)"
   ["soak --bulkload"]="soak (full, bulkload): 180 docs, horizon 62 write events, 62 cuts swept, 0 failure(s)"
-  ["soak --diskfull"]="soak (full, diskfull): 24 runs, 191 ops applied (1 skipped), 1936 crash points, 0 failure(s)"
+  ["soak --diskfull"]="soak (full, diskfull): 28 runs, 223 ops applied (1 skipped), 2272 crash points, 0 failure(s)"
   ["soak --serve"]="soak (full, serve): 8 rounds, 545 acked updates, 545 recovered, 0 failures"
 )
 stress_summary="stress (full): 1200 interleavings (589 one-shot-fault, 304 permanent-fault), 71760 steps, 12291 snapshot reads verified, 19233 group commits (38422 ops), 205 rolled back, 12 with a rejected op, 4 open failures, 3166 evictions, 8160 shed, 12007 scrubs, 68401 pages reclaimed, 0 failures"
@@ -98,6 +98,18 @@ rm -f "$replay_script"
 echo "$replay_out"
 if ! grep -q '^replay (diskfull): 1 runs, ' <<< "$replay_out"; then
   echo "FAIL: the replay summary does not name the diskfull row" >&2; exit 1
+fi
+
+tier "natix soak --replay interval-split smoke (a two-op fuzz script on the flat workload: each insert lands before a root of a full interval record and splits the sibling interval)"
+replay_script="$(mktemp)"
+printf 'fuzz workload flat scale 0.001 gen-seed 1 k 24\ninsert-before 40 1\ninsert-before 80 2\n' \
+  > "$replay_script"
+replay_out="$(cargo run --release -q -p natix-cli -- soak --replay "$replay_script")"
+rm -f "$replay_script"
+echo "$replay_out"
+want="replay (fuzz): 1 runs, 2 ops applied (0 skipped), 30 crash points, 0 failure(s)"
+if [ "$replay_out" != "$want" ]; then
+  printf 'FAIL: the interval-split replay moved; want:\n%s\n' "$want" >&2; exit 1
 fi
 
 tier "natix stress, twice (the full chaos summary is deterministic: two runs must print the same line, the one pinned above)"
