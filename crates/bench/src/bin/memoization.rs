@@ -12,7 +12,7 @@
 //! reports the peak workspace bytes of the flat-arena tables and the
 //! structure sharing of `natix_core::dag`: distinct weighted subtree shapes
 //! (fingerprints), nodes-per-shape dedup ratio, shape-cache hit rate, and
-//! the count of non-improving interval candidates.
+//! the interval start positions the cells' scans never compared.
 
 use natix_bench::json_row;
 use natix_bench::{natix_core, natix_datagen, write_json, Args, Table};
@@ -114,7 +114,9 @@ fn main() {
          table = the naive table over every inner node. arena KB = peak reusable workspace of\n\
          the flat-arena DP. shapes = distinct weighted subtree fingerprints (minimal-DAG\n\
          nodes); dedup = nodes per shape; hit = fraction of nodes served from the shape cache;\n\
-         pruned = interval candidates compared that did not improve their cell."
+         pruned = interval start positions in the cells' windows that the scan never compared\n\
+         (one candidate per card run is compared; the rest of the run, and every position after\n\
+         the exit, are pruned)."
     );
     write_json(&args, &results);
 }

@@ -393,8 +393,8 @@ fn print_dp_stats(stats: &DpStats) {
         stats.dag_hit_rate() * 100.0
     );
     println!(
-        "pruned     : {} non-improving candidates, {} scans ended early",
-        stats.pruned_candidates, stats.pruned_scans
+        "pruned     : {} window positions never compared ({} compared), {} scans ended early",
+        stats.pruned_candidates, stats.compared_candidates, stats.pruned_scans
     );
     println!(
         "dp tables  : {} inner shapes, {} rows (avg {:.2} s values), {} cells",

@@ -15,8 +15,9 @@
 //!
 //! [`SubtreeDag`] does the hash-consing: weighted subtree shapes are
 //! interned bottom-up into a minimal-DAG node index. Interning is *exact*
-//! (structural equality on weight + ordered child shape ids, with the
-//! 64-bit hash only bucketing), so there are no collision risks. Each
+//! (structural equality on weight + ordered child shape ids; the
+//! fingerprint's low word only picks where an open-addressing table of
+//! shape ids starts probing), so there are no collision risks. Each
 //! distinct shape also gets a tree-independent 128-bit [`Fingerprint`]
 //! over (weight, child fingerprints). The driver computes each distinct
 //! shape's `NodePlan` once per run, in a fresh flat-arena `DpWorkspace`.
@@ -26,8 +27,6 @@
 //! and extraction walks the same chains. `tests/differential.rs` enforces this
 //! against the independent `natix_core::baseline` implementation across the
 //! `natix-datagen` corpus and random trees.
-
-use std::collections::HashMap;
 
 use natix_tree::{NodeId, Partitioning, Tree, Weight};
 
@@ -56,6 +55,16 @@ fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
     x
+}
+
+/// Free slot of the shape-interning table.
+const EMPTY: u32 = u32::MAX;
+
+/// Where the probe for a shape whose fingerprint's low word is `lo` starts
+/// in `table` (a power-of-two length).
+#[inline]
+fn probe_start(lo: u64, table: &[u32]) -> usize {
+    lo as usize & (table.len() - 1)
 }
 
 /// Minimal-DAG index of a tree's weighted subtree shapes.
@@ -87,8 +96,9 @@ impl SubtreeDag {
             child_ids: Vec::new(),
             child_range: Vec::new(),
         };
-        // 64-bit bucket hash → candidate shape ids (almost always one).
-        let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
+        // Open-addressing table of shape ids, probed linearly from the
+        // fingerprint's low word and kept at most half full.
+        let mut table: Vec<u32> = vec![EMPTY; 64];
         let mut kids: Vec<u32> = Vec::new();
         // Child ids exceed parent ids, so a reverse scan is bottom-up.
         for i in (0..n).rev() {
@@ -108,12 +118,21 @@ impl SubtreeDag {
             hi = mix64(hi ^ (kids.len() as u64).rotate_left(32));
             let fp = Fingerprint { lo, hi };
 
-            let bucket = buckets.entry(lo).or_default();
-            let found = bucket.iter().copied().find(|&sid| {
-                let sid = sid as usize;
-                let (cs, ce) = dag.child_range[sid];
-                dag.weights[sid] == w && dag.child_ids[cs as usize..ce as usize] == kids[..]
-            });
+            let mut slot = probe_start(lo, &table);
+            let found = loop {
+                let sid = table[slot];
+                if sid == EMPTY {
+                    break None;
+                }
+                let (cs, ce) = dag.child_range[sid as usize];
+                if dag.fps[sid as usize].lo == lo
+                    && dag.weights[sid as usize] == w
+                    && dag.child_ids[cs as usize..ce as usize] == kids[..]
+                {
+                    break Some(sid);
+                }
+                slot = (slot + 1) & (table.len() - 1);
+            };
             dag.ids[i] = match found {
                 Some(sid) => sid,
                 None => {
@@ -123,7 +142,17 @@ impl SubtreeDag {
                     let cs = dag.child_ids.len() as u32;
                     dag.child_ids.extend_from_slice(&kids);
                     dag.child_range.push((cs, dag.child_ids.len() as u32));
-                    bucket.push(sid);
+                    table[slot] = sid;
+                    if 2 * dag.fps.len() > table.len() {
+                        table = vec![EMPTY; 2 * table.len()];
+                        for (sid, fp) in dag.fps.iter().enumerate() {
+                            let mut slot = probe_start(fp.lo, &table);
+                            while table[slot] != EMPTY {
+                                slot = (slot + 1) & (table.len() - 1);
+                            }
+                            table[slot] = sid as u32;
+                        }
+                    }
                     sid
                 }
             };
@@ -260,7 +289,10 @@ fn with_statistics(
 ///
 /// Bottom-up flat-tree DP using the locally optimal partitioning of every
 /// subtree. Near-optimal in practice (within 4% of DHW on the paper's
-/// documents) but not always optimal (Fig. 6). `O(nK²)`.
+/// documents) but not always optimal (Fig. 6). `O(nK)`: at most
+/// `(K − w(v) + 1) · (nc + 1)` table cells per node, and a cell compares at
+/// most two candidates, since without forced members the cardinalities in
+/// its window span two values (DESIGN.md §8.5).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Ghdw;
 
@@ -283,7 +315,11 @@ impl Partitioner for Ghdw {
 
 /// **DHW** — *Dynamic Height and Width* (paper Fig. 7, Sec. 3.3.5): the
 /// linear-time algorithm for **optimal** (minimal and lean) tree sibling
-/// partitioning. `O(nK³)`.
+/// partitioning. `O(nK²)`: `O(nK)` table cells, each comparing one candidate
+/// per run of equal cardinality in its window — at most two plus the
+/// members forced in the window's widest interval (DESIGN.md §8.5) — where
+/// the paper's scan of every start position with a fresh forcing pass is
+/// `O(nK³)`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dhw;
 

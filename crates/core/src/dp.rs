@@ -8,7 +8,9 @@
 //! (`v`'s own weight plus the children placed with it) and `j` is the number
 //! of children processed. Each entry stores the best (minimum cardinality,
 //! then minimum root weight — i.e. *lean*) partitioning of the first `j`
-//! children, represented as the last added interval plus a chain pointer.
+//! children, represented as the last added interval; the chain goes on in
+//! the same row at the interval's first column, or, for an entry that
+//! places child `j − 1` with the root, at `(s + rw(c_{j-1}), j − 1)`.
 //!
 //! GHDW greedily uses the locally optimal partitioning of every subtree;
 //! DHW additionally considers the *nearly optimal* partitioning `Q(v)`
@@ -17,7 +19,16 @@
 //! result globally optimal. How many members Lemma 5 forces for an interval
 //! depends on the column `j` and the interval's width only, never on the
 //! row `s`, so it is computed once per column into a *forcing profile*
-//! ([`NodeDp::compute`]); a cell's scan then reads it.
+//! ([`DpWorkspace::build_profiles`]); a cell's scan then reads it.
+//!
+//! ## Card runs
+//!
+//! Within one row, `(card, rootweight)` of `D(s, c)` never decreases as
+//! `c` grows (DESIGN.md §8.5), and the forced count never falls as an
+//! interval widens. So every maximal run of equal cardinality inside a
+//! cell's window offers exactly one candidate worth comparing, and
+//! [`NodeDp::compute`] compares one candidate per run, not one per start
+//! position.
 //!
 //! ## Memoization and memory layout
 //!
@@ -25,68 +36,63 @@
 //! actually requested are materialized (on a 20 MB document the authors
 //! measured fewer than 4 distinct `s` values per inner node, against a
 //! possible 256). The cross-row dependency `(s + rw(c_j), j-1)` strictly
-//! increases `s`, so the lazy-fill recursion depth is bounded by `K`.
+//! increases `s`, so [`NodeDp::fill`] finds the requested rows in
+//! ascending `s` and then computes them in descending `s`, without
+//! recursion.
 //!
-//! Materialized rows live in a single flat arena shared by all nodes of a
-//! run (see [`DpWorkspace`]): each row is a fixed-capacity slab of `nc + 1`
-//! [`Entry`] cells in one `Vec<Entry>`, located through a dense
-//! `s − w(v) → row` index (with a linear-scan fallback when `K − w(v)` is
-//! too large for a dense index). Entries are plain `Copy` structs whose
-//! nearly-optimal member sets are ranges of a shared `u32` pool, so the
-//! `(s, j)` recurrence and the backtracking [`NodeDp::chain`] move indices,
-//! never heap clones. The workspace is reused across the nodes of one
-//! run. The independent
+//! Materialized rows live in a single flat arena reused by all nodes of a
+//! run (see [`DpWorkspace`]): each row is a slab sized to the columns the
+//! fill needs, located through a [`RowIndex`].
+//! Entries are plain `Copy` structs, so the `(s, j)` recurrence and the
+//! backtracking [`NodeDp::chain`] move indices, never heap clones; the
+//! nearly-optimal member set of an interval is recomputed from the profile
+//! for the intervals of the two final chains only. The independent
 //! `HashMap<Weight, Vec<Entry>>` implementation in [`crate::baseline`] is
 //! the reference the differential tests compare against.
+
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 use natix_tree::{NodeId, Partitioning, SiblingInterval, Tree, Weight};
 
 /// Sentinel for "no interval introduced by this entry".
 const NO_IV: u32 = u32::MAX;
 /// Cardinality of infeasible entries.
-const INFEASIBLE: u64 = u64::MAX;
-/// Largest `K − w(v)` span for which the dense row index is used; above
-/// this the per-node row directory is scanned linearly (row counts stay
-/// tiny — see `DpStats::avg_rows`).
+const INFEASIBLE: u32 = u32::MAX;
+/// Largest `K − w(v)` span for which [`RowIndex`] uses a dense array.
 const DENSE_LIMIT: u64 = 1 << 16;
 
-/// One cell of the dynamic programming table `D(v, s, j)`.
+/// One cell of the dynamic programming table `D(v, s, j)`, 24 bytes.
 ///
-/// Plain old data: the chain continues at table coordinates
-/// `(next_s, begin)` and the nearly-optimal member set is a range of
-/// [`DpWorkspace::nearly_pool`], so copying an entry is a register move.
+/// Besides the cell's value, it records where the cell sits among the equal
+/// values of its row, which [`NodeDp::compute`] reads to jump over runs.
 #[derive(Clone, Copy)]
 struct Entry {
-    /// Child index (into `v`'s child list) of the interval begin, or
-    /// [`NO_IV`] if this entry introduces no interval.
+    /// Child index of the first member of the interval `(begin, j − 1)`
+    /// this entry adds, or [`NO_IV`] if it adds none: at `j = 0`, and where
+    /// child `j − 1` joins the root partition.
     begin: u32,
-    /// Child index of the interval end.
-    end: u32,
     /// Number of intervals in the chain, plus one per subtree forced to a
     /// nearly-optimal partitioning. [`INFEASIBLE`] marks the dummy entry.
-    card: u64,
+    card: u32,
+    /// First column of this cell's run of equal `card` in its row.
+    card_start: u32,
+    /// The run of equal `(card, rootweight)` holding this cell: in the
+    /// run's first column, the run's last column so far; in every other
+    /// column, the run's first column.
+    pair_link: u32,
     /// Weight of the root partition of this (partial) solution.
     rootweight: Weight,
-    /// Row key `s` of the remainder of the interval chain, found in
-    /// column `begin`.
-    next_s: Weight,
-    /// Start of this entry's nearly-forced member range in the pool.
-    nearly_start: u32,
-    /// Length of the nearly-forced member range (`N` in Fig. 7; always
-    /// empty under GHDW).
-    nearly_len: u32,
 }
 
 /// The paper's "card = ∞" dummy, returned for out-of-bounds lookups and
 /// used to pre-fill fresh row slabs.
 const INFEASIBLE_ENTRY: Entry = Entry {
     begin: NO_IV,
-    end: NO_IV,
     card: INFEASIBLE,
+    card_start: 0,
+    pair_link: 0,
     rootweight: Weight::MAX,
-    next_s: 0,
-    nearly_start: 0,
-    nearly_len: 0,
 };
 
 /// Collapsed summary of an already-processed child subtree.
@@ -139,20 +145,100 @@ impl NodePlan {
     }
 }
 
-/// Directory entry for one materialized row (a fixed-capacity slab of
-/// `nc + 1` entries in [`DpWorkspace::entries`]).
+/// Directory entry for one materialized row: a slab of `want` entries in
+/// [`DpWorkspace::entries`], of which the first `len` are computed.
 #[derive(Clone, Copy)]
 struct RowMeta {
     /// Root-partition weight `s` this row is keyed by.
     s: Weight,
-    /// Slab start offset in the entry arena.
+    /// Slab start offset in the entry arena, once a fill has sized it.
     start: usize,
     /// Number of computed cells (`j` prefix).
     len: u32,
+    /// Number of cells the fill under way needs; above `len` exactly while
+    /// the row waits to be computed.
+    want: u32,
+}
+
+/// The `s → row id` map of the current node, in ascending `s`.
+///
+/// While `K − w(v)` is below [`DENSE_LIMIT`] the offset `s − w(v)` indexes
+/// a dense array; beyond that an ordered map holds the few rows that
+/// materialize.
+#[derive(Default)]
+struct RowIndex {
+    /// `w(v)`, the smallest `s` a node reaches.
+    base: Weight,
+    /// Whether `slots` is in use for this node.
+    dense: bool,
+    /// Dense `s − base → row id + 1` (0 = absent).
+    slots: Vec<u32>,
+    /// One past the highest offset of `slots` holding a row.
+    end: usize,
+    /// `s → row id` when the node's `s` range is too wide for `slots`.
+    sparse: BTreeMap<Weight, u32>,
+}
+
+impl RowIndex {
+    /// Empty the index for a node of weight `base` under limit `k`.
+    fn reset(&mut self, base: Weight, k: Weight) {
+        self.slots[..self.end].fill(0);
+        self.end = 0;
+        self.sparse.clear();
+        self.base = base;
+        self.dense = k - base < DENSE_LIMIT;
+        if self.dense && self.slots.len() <= (k - base) as usize {
+            self.slots.resize((k - base) as usize + 1, 0);
+        }
+    }
+
+    fn get(&self, s: Weight) -> Option<usize> {
+        if self.dense {
+            match self.slots[(s - self.base) as usize] {
+                0 => None,
+                slot => Some(slot as usize - 1),
+            }
+        } else {
+            self.sparse.get(&s).map(|&rid| rid as usize)
+        }
+    }
+
+    fn insert(&mut self, s: Weight, rid: usize) {
+        if self.dense {
+            let off = (s - self.base) as usize;
+            self.slots[off] = rid as u32 + 1;
+            self.end = self.end.max(off + 1);
+        } else {
+            self.sparse.insert(s, rid as u32);
+        }
+    }
+
+    /// The row with the smallest key at or above `s`.
+    fn first_from(&self, s: Weight) -> Option<usize> {
+        if self.dense {
+            let off = (s - self.base) as usize;
+            let found = self
+                .slots
+                .get(off..self.end)?
+                .iter()
+                .find(|&&slot| slot != 0);
+            found.map(|&slot| slot as usize - 1)
+        } else {
+            self.sparse.range(s..).next().map(|(_, &rid)| rid as usize)
+        }
+    }
+}
+
+/// One segment of a forcing profile: `taken(j, m) = taken` for every `m`
+/// below `m_end` and at or above the previous segment's `m_end`.
+#[derive(Clone, Copy)]
+struct Segment {
+    m_end: u32,
+    taken: u32,
 }
 
 /// Reusable scratch space for the DP engine: the flat entry arena, the row
-/// directory/index, the nearly-member pool and the per-node buffers.
+/// directory and its index, the forcing profiles and the per-node buffers.
 ///
 /// One workspace serves arbitrarily many nodes and calls; buffers are
 /// cleared (capacity kept) per node, so steady-state partitioning performs
@@ -163,20 +249,19 @@ pub(crate) struct DpWorkspace {
     entries: Vec<Entry>,
     /// Directory of materialized rows for the current node.
     rows: Vec<RowMeta>,
-    /// Dense `s − w(v) → row id + 1` map (0 = absent); zeroed per node by
-    /// walking the touched rows.
-    index: Vec<u32>,
-    /// Nearly-forced child indices referenced by entry ranges.
-    nearly_pool: Vec<u32>,
-    /// Forcing profiles of the current node, column after column: the
-    /// `taken(j, m)` of [`DpWorkspace::build_profiles`].
-    profiles: Vec<u32>,
+    /// `s → row id` of the current node.
+    index: RowIndex,
+    /// Rows the fill under way computes cells of, in ascending `s`.
+    order: Vec<u32>,
+    /// Forcing profiles of the current node, column after column, as
+    /// segments of equal `taken(j, m)` (see [`DpWorkspace::build_profiles`]).
+    profiles: Vec<Segment>,
     /// `profile_at[j]` ends column `j`'s profile in `profiles` (and starts
     /// column `j + 1`'s); `profile_at[0] = 0`.
     profile_at: Vec<usize>,
-    /// The ΔW values of the list `C` of Fig. 7, sorted descending, while a
-    /// profile is built.
-    cand: Vec<Weight>,
+    /// The ΔW of the members a profile under construction leaves
+    /// unforced, ascending: the list `C` of Fig. 7 less its forced head.
+    unforced: Vec<Weight>,
     /// Collapsed child summaries of the current node.
     child_stats: Vec<ChildStats>,
 }
@@ -194,24 +279,32 @@ impl DpWorkspace {
     pub(crate) fn bytes(&self) -> u64 {
         (self.entries.capacity() * std::mem::size_of::<Entry>()
             + self.rows.capacity() * std::mem::size_of::<RowMeta>()
-            + self.index.capacity() * std::mem::size_of::<u32>()
-            + self.nearly_pool.capacity() * std::mem::size_of::<u32>()
-            + self.profiles.capacity() * std::mem::size_of::<u32>()
+            + self.index.slots.capacity() * std::mem::size_of::<u32>()
+            + self.index.sparse.len() * std::mem::size_of::<(Weight, u32)>()
+            + self.order.capacity() * std::mem::size_of::<u32>()
+            + self.profiles.capacity() * std::mem::size_of::<Segment>()
             + self.profile_at.capacity() * std::mem::size_of::<usize>()
-            + self.cand.capacity() * std::mem::size_of::<Weight>()
+            + self.unforced.capacity() * std::mem::size_of::<Weight>()
             + self.child_stats.capacity() * std::mem::size_of::<ChildStats>()) as u64
     }
 
     /// Fill `profiles`/`profile_at` with every column's forcing profile: for
-    /// `m = 0, 1, …`, the number of members the greedy of Lemma 5 forces
-    /// (largest ΔW first) to fit the interval `(c_{j-1-m}, c_{j-1})` into `k`.
-    /// A profile ends where the scan of [`NodeDp::compute`] does: at `m = j`,
-    /// at `m = k`, or once even forcing every member cannot fit the interval.
+    /// `m = 0, 1, …`, the number of members `taken(j, m)` the greedy of
+    /// Lemma 5 forces (largest ΔW first) to fit the interval
+    /// `(c_{j-1-m}, c_{j-1})` into `k`, stored as segments of equal `taken`.
+    /// A profile ends where the window of [`NodeDp::compute`] does: at
+    /// `m = j`, at `m = k`, or once even forcing every member cannot fit the
+    /// interval.
+    ///
+    /// The build is incremental in `m` (DESIGN.md §8.3): it keeps the
+    /// members left unforced, the smallest ΔW, with their sum. A new member
+    /// joins them, and the largest leave (are forced) while the interval
+    /// does not fit; nothing is recounted from zero.
     fn build_profiles(&mut self, k: Weight) {
         let Self {
             profiles,
             profile_at,
-            cand,
+            unforced,
             child_stats,
             ..
         } = self;
@@ -219,9 +312,12 @@ impl DpWorkspace {
         profile_at.clear();
         profile_at.push(0);
         for j in 1..=child_stats.len() {
-            cand.clear();
+            unforced.clear();
             let mut w: Weight = 0; // Σ optimal root weights of members
             let mut dw_sum: Weight = 0; // Σ ΔW of members
+            let mut unforced_sum: Weight = 0; // Σ ΔW of `unforced`
+            let mut forceable = 0; // members with ΔW > 0
+            let mut seg = Segment { m_end: 0, taken: 0 };
             for (m, cs) in child_stats[..j].iter().rev().enumerate() {
                 if m as u64 >= k || w - dw_sum >= k {
                     break;
@@ -232,16 +328,24 @@ impl DpWorkspace {
                     break;
                 }
                 if cs.dw > 0 {
-                    let pos = cand.partition_point(|&d| d > cs.dw);
-                    cand.insert(pos, cs.dw);
+                    forceable += 1;
+                    let pos = unforced.partition_point(|&d| d < cs.dw);
+                    unforced.insert(pos, cs.dw);
+                    unforced_sum += cs.dw;
                 }
-                let (mut excess, mut taken) = (w, 0);
-                while excess > k {
-                    excess -= cand[taken];
-                    taken += 1;
+                // The interval weighs its members' nearly-optimal root
+                // weights plus the ΔW of those left optimal.
+                while w - dw_sum + unforced_sum > k {
+                    unforced_sum -= unforced.pop().expect("forcing all fits");
                 }
-                profiles.push(taken as u32);
+                let taken = (forceable - unforced.len()) as u32;
+                if taken != seg.taken {
+                    profiles.push(seg);
+                    seg.taken = taken;
+                }
+                seg.m_end = m as u32 + 1;
             }
+            profiles.push(seg);
             profile_at.push(profiles.len());
         }
     }
@@ -251,51 +355,47 @@ impl DpWorkspace {
 /// plus the node parameters.
 struct NodeDp<'a> {
     k: Weight,
-    /// `w(v)`: the smallest reachable `s`, used as the index base.
-    base: Weight,
-    /// Row slab capacity, `nc + 1`.
-    slab: usize,
-    /// Whether the dense `s`-index is in use for this node.
-    dense: bool,
-    /// Feasible interval candidates that did not improve on the incumbent.
+    /// Window positions the scans never compared.
     pruned_candidates: u64,
-    /// `m`-scans ended by the exact early exit of [`NodeDp::compute`].
+    /// Window scans ended by the exact early exit of [`NodeDp::compute`].
     pruned_scans: u64,
+    /// Candidates the scans compared, one per card run visited.
+    compared_candidates: u64,
     children: &'a [ChildStats],
     entries: &'a mut Vec<Entry>,
     rows: &'a mut Vec<RowMeta>,
-    index: &'a mut Vec<u32>,
-    nearly_pool: &'a mut Vec<u32>,
-    profiles: &'a [u32],
+    index: &'a mut RowIndex,
+    order: &'a mut Vec<u32>,
+    profiles: &'a [Segment],
     profile_at: &'a [usize],
 }
 
-impl NodeDp<'_> {
-    /// Row id for `s`, if materialized.
-    fn row_id(&self, s: Weight) -> Option<usize> {
-        if self.dense {
-            match self.index[(s - self.base) as usize] {
-                0 => None,
-                slot => Some(slot as usize - 1),
-            }
-        } else {
-            self.rows.iter().position(|r| r.s == s)
-        }
+/// Last column so far of the equal-pair run holding column `t` of `row`
+/// (see [`Entry::pair_link`]).
+#[inline]
+fn pair_end(row: &[Entry], t: usize) -> usize {
+    let link = row[t].pair_link as usize;
+    if link < t {
+        row[link].pair_link as usize
+    } else {
+        link
     }
+}
 
-    /// Materialize an empty row slab for `s`.
-    fn new_row(&mut self, s: Weight) -> usize {
+impl NodeDp<'_> {
+    /// Row id for `s`, materializing an empty row if there is none.
+    fn row_or_insert(&mut self, s: Weight) -> usize {
+        if let Some(rid) = self.index.get(s) {
+            return rid;
+        }
         let rid = self.rows.len();
         self.rows.push(RowMeta {
             s,
-            start: self.entries.len(),
+            start: 0,
             len: 0,
+            want: 0,
         });
-        self.entries
-            .resize(self.entries.len() + self.slab, INFEASIBLE_ENTRY);
-        if self.dense {
-            self.index[(s - self.base) as usize] = (rid + 1) as u32;
-        }
+        self.index.insert(s, rid);
         rid
     }
 
@@ -304,134 +404,210 @@ impl NodeDp<'_> {
         if s > self.k {
             return INFEASIBLE_ENTRY;
         }
-        let rid = self.row_id(s).expect("row materialized before lookup");
+        let rid = self.index.get(s).expect("row materialized before lookup");
         self.entries[self.rows[rid].start + j]
     }
 
-    /// Make sure entries `(s, 0..=upto_j)` exist. Recursion strictly
-    /// increases `s`, bounding the depth by `K`.
-    fn ensure(&mut self, s: Weight, upto_j: usize) {
-        if s > self.k {
+    /// Compute the cells `(s0, 0..=upto)` and every cell they depend on.
+    ///
+    /// Cell `(s, j)` reads `(s, 0..j)` and `(s + rw(c_{j-1}), j − 1)`, so a
+    /// row is only ever asked for cells by rows of smaller `s`. The first
+    /// pass visits the rows in ascending `s`: when a row comes up, every row
+    /// that asks it for cells has been visited, so its demand is final, and
+    /// it passes on the demands of the cells it lacks. Each row's slab is
+    /// then sized to its demand (a row an earlier fill computed in part
+    /// moves to the arena's end with its computed cells), and the rows are
+    /// computed in descending `s`, each from its first missing column on.
+    fn fill(&mut self, s0: Weight, upto: usize) {
+        if s0 > self.k {
             return;
         }
-        let rid = match self.row_id(s) {
-            Some(rid) => rid,
-            None => self.new_row(s),
-        };
-        let have = self.rows[rid].len as usize;
-        if have > upto_j {
-            return;
+        let r0 = self.row_or_insert(s0);
+        self.rows[r0].want = self.rows[r0].want.max(upto as u32 + 1);
+        let mut next = Some(s0);
+        while let Some(rid) = next.and_then(|s| self.index.first_from(s)) {
+            let RowMeta { s, len, want, .. } = self.rows[rid];
+            next = s.checked_add(1);
+            if want == len {
+                continue;
+            }
+            self.order.push(rid as u32);
+            for j in (len as usize).max(1)..want as usize {
+                let s2 = s + self.children[j - 1].rw;
+                if s2 <= self.k {
+                    let r2 = self.row_or_insert(s2);
+                    self.rows[r2].want = self.rows[r2].want.max(j as u32);
+                }
+            }
         }
-        if have == 0 {
-            // j = 0: only the (empty) root partition of weight s.
-            let start = self.rows[rid].start;
-            self.entries[start] = Entry {
-                begin: NO_IV,
-                end: NO_IV,
-                card: 0,
-                rootweight: s,
-                ..INFEASIBLE_ENTRY
-            };
-            self.rows[rid].len = 1;
+        let rows = &mut *self.rows;
+        let cells: usize = self
+            .order
+            .iter()
+            .map(|&rid| rows[rid as usize].want as usize)
+            .sum();
+        let mut slab = self.entries.len();
+        self.entries.reserve_exact(cells);
+        self.entries.resize(slab + cells, INFEASIBLE_ENTRY);
+        for &rid in self.order.iter() {
+            let row = &mut rows[rid as usize];
+            self.entries
+                .copy_within(row.start..row.start + row.len as usize, slab);
+            row.start = slab;
+            slab += row.want as usize;
         }
-        for j in have.max(1)..=upto_j {
-            // Cross-row dependency: child j-1 joins the root partition.
-            let s2 = s + self.children[j - 1].rw;
-            self.ensure(s2, j - 1);
-            let e = self.compute(s, j);
-            let start = self.rows[rid].start;
-            self.entries[start + j] = e;
-            self.rows[rid].len = (j + 1) as u32;
+        while let Some(rid) = self.order.pop() {
+            self.fill_row(rid as usize);
         }
     }
 
-    /// The Fig. 7 inner loops: choose between copying `D(s', j-1)` (child
-    /// `j-1` joins the root partition) and adding one of the intervals
+    /// Compute row `rid` from its first missing column up to its demand,
+    /// recording each cell's card run and equal-pair run.
+    fn fill_row(&mut self, rid: usize) {
+        let RowMeta {
+            s,
+            start,
+            len,
+            want,
+            ..
+        } = self.rows[rid];
+        for j in len as usize..want as usize {
+            if j == 0 {
+                // Only the (empty) root partition of weight s.
+                self.entries[start] = Entry {
+                    begin: NO_IV,
+                    card: 0,
+                    card_start: 0,
+                    pair_link: 0,
+                    rootweight: s,
+                };
+                continue;
+            }
+            let mut e = self.compute(s, start, j);
+            let prev = self.entries[start + j - 1];
+            debug_assert!(
+                (e.card, e.rootweight) >= (prev.card, prev.rootweight),
+                "rows are non-decreasing in (card, rootweight) (DESIGN.md §8.5)"
+            );
+            let same_card = e.card == prev.card;
+            e.card_start = if same_card { prev.card_start } else { j as u32 };
+            e.pair_link = j as u32;
+            if same_card && e.rootweight == prev.rootweight {
+                // `prev` ends its run: its link is the run's head, or the
+                // run's end, `j − 1`, if it is the head itself.
+                let head = prev.pair_link.min(j as u32 - 1);
+                e.pair_link = head;
+                self.entries[start + head as usize].pair_link = j as u32;
+            }
+            self.entries[start + j] = e;
+        }
+        self.rows[rid].len = want;
+    }
+
+    /// The Fig. 7 inner loops for cell `(s, j)` of the row whose slab starts
+    /// at `start`: choose between copying `D(s', j-1)` (child `j-1` joins
+    /// the root partition) and adding one of the intervals
     /// `(c_{j-1-m}, c_{j-1})`, possibly forcing some members to
     /// nearly-optimal subtree partitionings.
     ///
-    /// ## Forcing profiles
+    /// ## One candidate per card run
     ///
-    /// How many members the greedy forcing of Lemma 5 takes for the interval
-    /// of width `m + 1` ending at `c_{j-1}` does not depend on the row `s`,
-    /// so [`DpWorkspace::build_profiles`] computes it once per column:
-    /// `taken(j, m)` for every `m` the scan reaches. A start position then
-    /// costs a profile read, a predecessor read and a compare.
+    /// The interval starting at column `c` costs `card(s, c) + 1 +
+    /// taken(j, j − 1 − c)` and leaves root weight `rootweight(s, c)`.
+    /// Inside a run of equal `card`, `taken` is smallest at the run's top,
+    /// and among the columns sharing the top's profile segment the root
+    /// weight is smallest at the lowest one, `t`. Of the columns that tie
+    /// with `t` in `(card, rootweight)`, the paper-literal scan (`m = 0, 1,
+    /// …`, strict improvement, the copy first) meets the highest first: the
+    /// last column of `t`'s equal-pair run, which never passes the card
+    /// run's top. So the runs are visited from column `j − 1` down, one
+    /// candidate each.
     ///
-    /// `taken` is non-decreasing in `m`: growing the interval by one member
-    /// raises the excess weight by `rw` while the new ΔW candidate
-    /// contributes at most `dw ≤ rw`, so a prefix that was too small stays
-    /// too small. Once `taken + 1 > best.card`, not even a predecessor of
-    /// cardinality 0 reaches `best.card`, and the scan stops exactly.
-    ///
-    /// The forced members are the `taken` largest ΔW, ties going to the
-    /// later child; they are written to the pool once, for the final winner.
-    /// The selected entry is the one the full scan of [`crate::baseline`]
-    /// selects; the differential suite enforces this.
-    fn compute(&mut self, s: Weight, j: usize) -> Entry {
+    /// The scan stops exactly once `card(s, lo) + taken + 1 > best.card`:
+    /// the window's lowest column `lo` has the smallest card of the window
+    /// and `taken` only grows further down. The selected entry is the one
+    /// the full scan of [`crate::baseline`] selects; the differential suite
+    /// enforces this.
+    fn compute(&mut self, s: Weight, start: usize, j: usize) -> Entry {
         let s2 = s + self.children[j - 1].rw;
-        let mut best = self.get(s2, j - 1);
-        // Cells (s, 0..j) exist while computing (s, j); resolve the row once.
-        let s_start = self.rows[self.row_id(s).expect("current row")].start;
-        let pool_base = self.nearly_pool.len();
-        let mut improved = false;
+        let copy = self.get(s2, j - 1);
+        let mut best = Entry {
+            begin: NO_IV,
+            ..copy
+        };
+        let row = &self.entries[start..start + j];
         let profile = &self.profiles[self.profile_at[j - 1]..self.profile_at[j]];
-        for (m, &taken) in profile.iter().enumerate() {
-            if u64::from(taken) + 1 > best.card {
+        let width = profile[profile.len() - 1].m_end as usize;
+        let lo = j - width;
+        let floor = u64::from(row[lo].card);
+        let (mut top, mut seg) = (j - 1, 0);
+        let mut compared = 0;
+        loop {
+            let m = (j - 1 - top) as u32;
+            while profile[seg].m_end <= m {
+                seg += 1;
+            }
+            let Segment { m_end, taken } = profile[seg];
+            if floor + u64::from(taken) + 1 > u64::from(best.card) {
                 self.pruned_scans += 1;
                 break;
             }
-            let ci = j - 1 - m;
-            let prev = self.entries[s_start + ci];
-            if prev.card == INFEASIBLE {
-                continue;
-            }
-            let crd = prev.card + 1 + u64::from(taken);
-            if crd < best.card || (crd == best.card && prev.rootweight < best.rootweight) {
-                improved = true;
+            compared += 1;
+            let run_start = (row[top].card_start as usize).max(lo);
+            let t = run_start.max(j - m_end as usize);
+            let card = row[top].card + 1 + taken;
+            let rootweight = row[t].rootweight;
+            if card < best.card || (card == best.card && rootweight < best.rootweight) {
                 best = Entry {
-                    begin: ci as u32,
-                    end: (j - 1) as u32,
-                    card: crd,
-                    rootweight: prev.rootweight,
-                    next_s: s,
-                    nearly_start: pool_base as u32,
-                    nearly_len: taken,
+                    begin: pair_end(row, t) as u32,
+                    card,
+                    rootweight,
+                    ..best
                 };
-            } else {
-                self.pruned_candidates += 1;
             }
+            if run_start == lo {
+                break;
+            }
+            top = run_start - 1;
         }
-        if improved && best.nearly_len > 0 {
-            let children = self.children;
-            let key = |&i: &u32| std::cmp::Reverse((children[i as usize].dw, i));
-            self.nearly_pool
-                .extend((best.begin..=best.end).filter(|&i| children[i as usize].dw > 0));
-            self.nearly_pool[pool_base..].sort_unstable_by_key(key);
-            self.nearly_pool
-                .truncate(pool_base + best.nearly_len as usize);
-        }
+        self.compared_candidates += compared;
+        self.pruned_candidates += width as u64 - compared;
         best
     }
 
-    /// Collect the interval chain starting at `(s, j)` into `out`.
+    /// `taken(j, m)` of column `j`'s forcing profile.
+    fn taken(&self, j: usize, m: usize) -> usize {
+        let profile = &self.profiles[self.profile_at[j - 1]..self.profile_at[j]];
+        let seg = profile.partition_point(|seg| seg.m_end as usize <= m);
+        profile[seg].taken as usize
+    }
+
+    /// Collect the interval chain starting at `(s, j)` into `out`. The
+    /// forced members of each interval are its `taken` largest ΔW, ties
+    /// going to the later child, as in the paper-literal scan.
     fn chain(&self, mut s: Weight, mut j: usize, out: &mut Vec<PlanInterval>) {
         out.clear();
-        loop {
+        let mut members: Vec<u32> = Vec::new();
+        while j > 0 {
             let e = self.get(s, j);
             if e.begin == NO_IV {
-                // Entries without an interval are pure copies whose whole
-                // chain is interval-free: done.
-                break;
+                // Child j − 1 sits with the root; the chain goes on where
+                // the entry was copied from.
+                s += self.children[j - 1].rw;
+                j -= 1;
+                continue;
             }
-            let range = &self.nearly_pool
-                [e.nearly_start as usize..(e.nearly_start + e.nearly_len) as usize];
+            let end = j as u32 - 1;
+            let taken = self.taken(j, (end - e.begin) as usize);
+            let children = self.children;
+            members.clear();
+            members.extend((e.begin..=end).filter(|&i| children[i as usize].dw > 0));
+            members.sort_unstable_by_key(|&i| Reverse((children[i as usize].dw, i)));
             out.push(PlanInterval {
                 begin: e.begin,
-                end: e.end,
-                nearly: range.into(),
+                end,
+                nearly: members[..taken].into(),
             });
-            s = e.next_s;
             j = e.begin as usize;
         }
     }
@@ -453,7 +629,7 @@ pub(crate) fn process_node(
         entries,
         rows,
         index,
-        nearly_pool,
+        order,
         profiles,
         profile_at,
         child_stats,
@@ -463,32 +639,22 @@ pub(crate) fn process_node(
     debug_assert!(nc > 0, "leaves are handled by NodePlan::set_leaf");
     entries.clear();
     rows.clear();
-    nearly_pool.clear();
-    // `w_v <= k` is guaranteed by check_input; all reachable `s` lie in
-    // `w_v..=k`, so the dense index spans `k - w_v + 1` slots.
-    let dense = k - w_v < DENSE_LIMIT;
-    if dense {
-        let span = (k - w_v + 1) as usize;
-        if index.len() < span {
-            index.resize(span, 0);
-        }
-    }
+    // `w_v <= k` is guaranteed by check_input.
+    index.reset(w_v, k);
     let mut dp = NodeDp {
         k,
-        base: w_v,
-        slab: nc + 1,
-        dense,
         pruned_candidates: 0,
         pruned_scans: 0,
+        compared_candidates: 0,
         children: child_stats,
         entries,
         rows,
         index,
-        nearly_pool,
+        order,
         profiles,
         profile_at,
     };
-    dp.ensure(w_v, nc);
+    dp.fill(w_v, nc);
     let final_entry = dp.get(w_v, nc);
     debug_assert_ne!(
         final_entry.card, INFEASIBLE,
@@ -507,7 +673,7 @@ pub(crate) fn process_node(
         // w(v) + K - D(v).rootweight + 1.
         let s_q = w_v + k - final_entry.rootweight + 1;
         if s_q <= k {
-            dp.ensure(s_q, nc);
+            dp.fill(s_q, nc);
             let qe = dp.get(s_q, nc);
             if qe.card != INFEASIBLE {
                 let rw_nearly = qe.rootweight - (s_q - w_v);
@@ -526,17 +692,11 @@ pub(crate) fn process_node(
         st.inner_nodes += 1;
         st.total_rows += dp.rows.len() as u64;
         st.max_rows = st.max_rows.max(dp.rows.len());
-        st.total_entries += dp.rows.iter().map(|r| r.len as u64).sum::<u64>();
-        st.arena_entries += (dp.rows.len() * dp.slab) as u64;
+        st.total_entries += dp.rows.iter().map(|r| u64::from(r.len)).sum::<u64>();
+        st.arena_entries += dp.entries.len() as u64;
         st.pruned_candidates += dp.pruned_candidates;
         st.pruned_scans += dp.pruned_scans;
-    }
-
-    // Leave the dense index all-zero for the next node.
-    if dense {
-        for r in dp.rows.iter() {
-            dp.index[(r.s - w_v) as usize] = 0;
-        }
+        st.compared_candidates += dp.compared_candidates;
     }
 }
 
@@ -554,8 +714,9 @@ pub struct DpStats {
     pub max_rows: usize,
     /// Total table cells `(s, j)` computed.
     pub total_entries: u64,
-    /// Total arena slab cells reserved (rows × (nc + 1)); the gap to
-    /// `total_entries` is the cost of fixed-capacity row slabs.
+    /// Total arena slab cells reserved. Slabs are sized to the cells a fill
+    /// needs, so the gap to `total_entries` is the slabs the nearly-optimal
+    /// fill outgrew and moved.
     pub arena_entries: u64,
     /// Peak bytes held by the DP workspace buffers over the run.
     pub bytes_allocated: u64,
@@ -567,12 +728,15 @@ pub struct DpStats {
     /// Nodes whose plan was shared from an earlier node of the same shape
     /// instead of being recomputed (`dag_nodes − dag_distinct`).
     pub dag_hits: u64,
-    /// Feasible interval candidates that did not improve on the incumbent
-    /// of their cell.
+    /// Window positions (interval start columns) the cells' scans never
+    /// compared: passed over inside a card run, or after the exit.
     pub pruned_candidates: u64,
-    /// Candidate scans ended early: the column's forced-member count alone
-    /// ruled out every remaining start position.
+    /// Candidate scans ended early: the window's smallest cardinality plus
+    /// the forced-member count ruled out every remaining start position.
     pub pruned_scans: u64,
+    /// Interval candidates the cells' scans compared, at most one per card
+    /// run of the window.
+    pub compared_candidates: u64,
 }
 
 impl DpStats {
@@ -788,7 +952,7 @@ mod tests {
 
     #[test]
     fn sparse_row_index_used_for_huge_limits() {
-        // K - w(v) beyond DENSE_LIMIT exercises the linear-scan row lookup.
+        // K - w(v) beyond DENSE_LIMIT exercises the ordered-map row index.
         let t = parse_spec("a:1(b:4 c:4 d:1)").unwrap();
         let k = DENSE_LIMIT + 100;
         let p = Dhw.partition(&t, k).unwrap();
@@ -799,8 +963,8 @@ mod tests {
 
 #[cfg(test)]
 mod memo_tests {
-    use crate::{dhw_with_statistics, Dhw, Partitioner};
-    use natix_tree::{parse_spec, validate};
+    use crate::{dhw_with_statistics, ghdw_with_statistics, Dhw, Partitioner};
+    use natix_tree::{parse_spec, validate, NodeId, TreeBuilder};
 
     #[test]
     fn statistics_match_plain_dhw() {
@@ -845,5 +1009,30 @@ mod memo_tests {
             "avg rows {} should be well below K = 64",
             stats.avg_rows()
         );
+    }
+
+    #[test]
+    fn scans_compare_a_few_candidates_per_cell() {
+        // A flat list of 2000 unit leaves at K = 256: about 490 000 cells,
+        // each with a window of up to 255 start positions. Leaves force no
+        // members, so a window holds at most two card runs (DESIGN.md §8.5)
+        // and the scan compares at most two candidates per cell, whatever
+        // the window's width; the per-position scan compared about 237.
+        let mut b = TreeBuilder::new("list", 1).unwrap();
+        for _ in 0..2000 {
+            b.add_child(NodeId::ROOT, "item", 1).unwrap();
+        }
+        let t = b.build();
+        let (_, dhw) = dhw_with_statistics(&t, 256).unwrap();
+        let (_, ghdw) = ghdw_with_statistics(&t, 256).unwrap();
+        for (alg, stats) in [("DHW", dhw), ("GHDW", ghdw)] {
+            assert!(stats.total_entries > 400_000, "{alg}: {stats:?}");
+            assert!(
+                stats.compared_candidates <= 4 * stats.total_entries,
+                "{alg}: {} candidates compared over {} cells",
+                stats.compared_candidates,
+                stats.total_entries
+            );
+        }
     }
 }

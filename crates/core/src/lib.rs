@@ -7,8 +7,8 @@
 //! | Algorithm | Paper | Quality | Complexity |
 //! |-----------|-------|---------|------------|
 //! | [`Fdw`]   | Fig. 4, Sec. 3.2 | optimal (flat trees only) | `O(nK²)` |
-//! | [`Ghdw`]  | Fig. 5, Sec. 3.3.1 | near-optimal heuristic | `O(nK²)` |
-//! | [`Dhw`]   | Fig. 7, Sec. 3.3.5 | **optimal** (minimal + lean) | `O(nK³)` |
+//! | [`Ghdw`]  | Fig. 5, Sec. 3.3.1 | near-optimal heuristic | `O(nK)` |
+//! | [`Dhw`]   | Fig. 7, Sec. 3.3.5 | **optimal** (minimal + lean) | `O(nK²)` |
 //! | [`Km`]    | Sec. 4.3.3 | minimal among parent-child-only partitionings | `O(n log n)` |
 //! | [`Ekm`]   | Sec. 4.3.4 | near-optimal heuristic (Natix default) | `O(n)` |
 //! | [`Rs`]    | Sec. 4.3.2 | simple heuristic (old Natix bulkloader) | `O(n)` |

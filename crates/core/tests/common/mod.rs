@@ -90,3 +90,49 @@ pub fn wide_tree_and_limit() -> impl Strategy<Value = (Tree, Weight)> {
             (b.build(), k)
         })
 }
+
+/// Tie-heavy sibling lists: a root with 20–200 children whose weights, and
+/// the weights of their 0–2 leaves, come from 1–3 repeated values. Equal
+/// `(card, rootweight)` runs get long in every row, and the children with
+/// leaves have ΔW > 0, so the forced count changes inside card runs.
+pub fn tie_tree_and_limit() -> impl Strategy<Value = (Tree, Weight)> {
+    (
+        1..=4u64,
+        prop::collection::vec(1..=3u64, 1..=3),
+        prop::collection::vec(any::<u32>(), 20..=200),
+        8..=64u64,
+    )
+        .prop_map(|(rw, weights, picks, k)| {
+            let weight = |pick: u32| weights[pick as usize % weights.len()];
+            let mut b = TreeBuilder::new("r", rw).unwrap();
+            for (i, &pick) in picks.iter().enumerate() {
+                let c = b
+                    .add_child(NodeId::ROOT, &format!("c{i}"), weight(pick))
+                    .unwrap();
+                for l in 0..(pick >> 8) % 3 {
+                    b.add_child(c, &format!("c{i}_{l}"), weight(pick >> (10 + 2 * l)))
+                        .unwrap();
+                }
+            }
+            (b.build(), k)
+        })
+}
+
+/// Random trees as [`medium_tree_and_limit`], every weight scaled by 2¹⁴
+/// plus a small offset and K in 12·2¹⁴..=40·2¹⁴, so `K − w(v)` exceeds 2¹⁶
+/// at every node and the `s` values spread far apart.
+pub fn sparse_tree_and_limit() -> impl Strategy<Value = (Tree, Weight)> {
+    const UNIT: Weight = 1 << 14;
+    (
+        (1..=6u64, 0..16u64),
+        prop::collection::vec((any::<u32>(), 1..=6u64, 0..16u64), 0..30),
+        12..=40u64,
+    )
+        .prop_map(|((rw, ro), nodes, k)| {
+            let nodes: Vec<(u32, Weight)> = nodes
+                .into_iter()
+                .map(|(psel, w, off)| (psel, w * UNIT + off))
+                .collect();
+            (build_tree(rw * UNIT + ro, &nodes), k * UNIT)
+        })
+}

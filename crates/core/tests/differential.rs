@@ -10,7 +10,10 @@
 
 mod common;
 
-use common::{flat_tree_and_limit, medium_tree_and_limit, wide_tree_and_limit};
+use common::{
+    flat_tree_and_limit, medium_tree_and_limit, sparse_tree_and_limit, tie_tree_and_limit,
+    wide_tree_and_limit,
+};
 use natix_core::{
     baseline, check_input, dhw_with_statistics, ghdw_with_statistics, Dhw, Fdw, Ghdw, Partitioner,
 };
@@ -119,6 +122,34 @@ proptest! {
     /// reference.
     #[test]
     fn engine_matches_baseline_on_wide_trees((tree, k) in wide_tree_and_limit()) {
+        let dhw = Dhw.partition(&tree, k).unwrap();
+        let base_d = baseline::dhw_hashmap(&tree, k).unwrap();
+        prop_assert_eq!(&dhw.intervals, &base_d.intervals, "DHW tree={} K={}", tree, k);
+        let ghdw = Ghdw.partition(&tree, k).unwrap();
+        let base_g = baseline::ghdw_hashmap(&tree, k).unwrap();
+        prop_assert_eq!(&ghdw.intervals, &base_g.intervals, "GHDW tree={} K={}", tree, k);
+    }
+
+    /// Long sibling lists over 1–3 repeated weights: long runs of equal
+    /// `(card, rootweight)`, where the scan must pick the tie the
+    /// paper-literal scan meets first, and forced counts that change inside
+    /// a card run.
+    #[test]
+    fn engine_matches_baseline_on_tie_heavy_trees((tree, k) in tie_tree_and_limit()) {
+        let dhw = Dhw.partition(&tree, k).unwrap();
+        let base_d = baseline::dhw_hashmap(&tree, k).unwrap();
+        prop_assert_eq!(&dhw.intervals, &base_d.intervals, "DHW tree={} K={}", tree, k);
+        let ghdw = Ghdw.partition(&tree, k).unwrap();
+        let base_g = baseline::ghdw_hashmap(&tree, k).unwrap();
+        prop_assert_eq!(&ghdw.intervals, &base_g.intervals, "GHDW tree={} K={}", tree, k);
+    }
+
+    /// Weights and K so large that no node's `s` range fits a dense row
+    /// index: the rows live in the ordered map, and the fill still visits
+    /// them in ascending `s`.
+    #[test]
+    fn engine_matches_baseline_beyond_the_dense_row_index((tree, k) in sparse_tree_and_limit()) {
+        prop_assume!(check_input(&tree, k).is_ok());
         let dhw = Dhw.partition(&tree, k).unwrap();
         let base_d = baseline::dhw_hashmap(&tree, k).unwrap();
         prop_assert_eq!(&dhw.intervals, &base_d.intervals, "DHW tree={} K={}", tree, k);

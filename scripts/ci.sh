@@ -26,10 +26,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 tier "cargo test"
 cargo test -q
 
-tier "results are current (table1 --paper, table3 --paper, sweep_k, related_work vs results/*.json: every field but the times is deterministic and must match what is checked in; re-record with the commands in EXPERIMENTS.md)"
+tier "results are current (table1 --paper, table3 --paper, sweep_k, related_work, memoization --scale 0.2 vs results/*.json: every field but the times is deterministic and must match what is checked in; re-record with the commands in EXPERIMENTS.md)"
 fresh_json="$(mktemp)"
 deterministic() { grep -vE '"(km_seconds|ekm_seconds|speedup)"' "$1"; }
-for run in "table1 --paper" "table3 --paper" "sweep_k" "related_work"; do
+# memoization has no time field: its row, cell and scan counts pin the DP's work.
+for run in "table1 --paper" "table3 --paper" "sweep_k" "related_work" "memoization --scale 0.2"; do
   bin="${run%% *}"
   # shellcheck disable=SC2086  # the binary's flags, split on purpose
   cargo run --release -q -p natix-bench --bin "$bin" -- ${run#"$bin"} --json "$fresh_json" > /dev/null 2>&1
