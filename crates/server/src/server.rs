@@ -1470,7 +1470,7 @@ fn handle_primary_request(
                  sheds        : {} reads\n\
                  commits      : {} ({} group, {} batched ops)\n\
                  checkpoints  : {} deferred, {} applied\n\
-                 reclaimed    : {} pages ({} rounds pin-blocked)\n\
+                 reclaimed    : {} pages ({} rounds pin-blocked, {} free)\n\
                  replication  : {}\n",
                 storage.epoch,
                 storage.live_records,
@@ -1494,6 +1494,7 @@ fn handle_primary_request(
                 c.checkpoints_applied,
                 c.pages_reclaimed,
                 c.reclaim_blocked_by_pins,
+                storage.free_pages,
                 replication,
             );
             Response {

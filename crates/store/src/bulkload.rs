@@ -518,8 +518,9 @@ impl<S: RecordSink> LoaderInner<'_, S> {
 }
 
 /// Overwrite the 8-byte parent back-link of an already-placed record.
-/// In-page payload offsets are stable (inserts append, deletes
-/// tombstone), so this is a pure byte patch.
+/// The slot id is stable and [`SlottedPage::get_mut`] resolves the
+/// payload's current offset, so this is a pure byte patch (a load never
+/// deletes, so its pages are never compacted either).
 fn patch_backlink_in_pool(
     pool: &mut BufferPool,
     loc: RecordLoc,

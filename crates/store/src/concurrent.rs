@@ -10,9 +10,10 @@
 //!   [`XmlStore`] over its *own* pager (from the [`PagerFactory`]), the
 //!   pinned catalog served from memory and the pending journal's page
 //!   images overlaid above the checksum layer. While any pin is held the
-//!   writer defers checkpoints, so the backend only ever sees appends to
-//!   fresh pages plus header-slot writes — no page a snapshot references
-//!   is ever overwritten. It is exactly [`SharedStore::pin_read`] (take
+//!   writer defers checkpoints, so the backend only ever sees chains
+//!   written to fresh or reclaimed pages plus header-slot writes — no
+//!   page a snapshot references is ever overwritten. It is exactly
+//!   [`SharedStore::pin_read`] (take
 //!   the pin and a [`SnapshotSeed`] on the writer's thread) followed by
 //!   [`SnapshotSeed::open`]; the seed is `Send`, so a server opens and
 //!   evaluates the view on another thread and hands the pin back with
@@ -28,7 +29,10 @@
 //!   references the chain. Freed pages are checked against every pinned
 //!   snapshot's reachable-page set; a hit is counted in
 //!   [`ConcurrencyStats::pinned_free_violations`] (and the page kept) —
-//!   the chaos harness asserts this counter stays zero.
+//!   the chaos harness asserts this counter stays zero. A zero-filled
+//!   page joins the pool's free extents, where the next catalog or
+//!   journal chain that fits overwrites it: reuse is exactly as safe as
+//!   the zero-fill that came first.
 //! * **Admission control** — bounded in-flight reads
 //!   ([`AdmissionConfig::max_inflight_reads`]); the next read is shed
 //!   with [`StoreError::Overloaded`] and retried by its caller. No read
@@ -140,6 +144,8 @@ pub struct StorageStats {
     pub pages: u32,
     /// Bytes occupied by allocated pages.
     pub occupied_bytes: u64,
+    /// Reclaimed pages waiting in the free extents for a new chain.
+    pub free_pages: u64,
 }
 
 /// A superseded catalog/journal chain awaiting reclamation.
@@ -278,6 +284,7 @@ impl SharedStore {
             live_records: inner.store.live_record_count(),
             pages: inner.store.page_count(),
             occupied_bytes: inner.store.occupied_bytes(),
+            free_pages: inner.store.pool.free_pages(),
         }
     }
 
@@ -294,11 +301,16 @@ impl SharedStore {
         self.inner.borrow().stats.snapshots_active
     }
 
-    /// Superseded catalog/journal chains awaiting reclamation — the
-    /// backlog pins keep alive. Bounded in healthy operation; a number
+    /// Pages of superseded catalog/journal chains awaiting reclamation —
+    /// the backlog pins keep alive. Bounded in healthy operation; a number
     /// that only grows means a pin is stuck (e.g. a leaked session).
     pub fn reclaim_backlog(&self) -> usize {
-        self.inner.borrow().garbage.len()
+        self.inner
+            .borrow()
+            .garbage
+            .iter()
+            .map(|g| g.pages.len())
+            .sum()
     }
 
     /// Pin the current committed epoch and return a read-only snapshot
@@ -562,12 +574,13 @@ impl Inner {
         self.reclaim()
     }
 
-    /// Zero-fill retired chains that are provably unreachable: a later
+    /// Zero-fill retired chains that are provably unreachable — a later
     /// epoch has been published (so neither header slot references the
     /// chain any more) and no reader pins an epoch at or below the
-    /// retirement epoch. Every page is additionally checked against all
-    /// pinned snapshots' reachable sets; a hit is a reclaimer bug —
-    /// counted, skipped, never freed.
+    /// retirement epoch — and hand their pages to the pool's free
+    /// extents. Every page is additionally checked against all pinned
+    /// snapshots' reachable sets; a hit is a reclaimer bug — counted,
+    /// skipped, never freed.
     fn reclaim(&mut self) -> StoreResult<()> {
         if self.garbage.is_empty() {
             return Ok(());
@@ -599,6 +612,7 @@ impl Inner {
             // sealed Free-class frame, so scrubs see retired space, not
             // torn debris.
             self.store.pool.backend_write(id, &zero)?;
+            self.store.pool.release(id);
             self.stats.pages_reclaimed += 1;
         }
         Ok(())
@@ -873,7 +887,7 @@ impl Pager for OverlayPager {
 mod tests {
     use super::*;
     use crate::pager::SharedMemPager;
-    use crate::store::bulkload_with;
+    use crate::store::{bulkload_with, NodeRef};
     use natix_core::Ekm;
     use natix_xml::{parse, NodeKind};
 
@@ -1034,6 +1048,125 @@ mod tests {
         drop(shared);
         let mut re = XmlStore::open(Box::new(disk.clone()), StoreConfig::default()).unwrap();
         assert!(re.to_document().unwrap().to_xml().contains("x19"));
+    }
+
+    /// A `<site>` of six `<region>`s of thirty `<item>`s each: a store
+    /// of several record pages.
+    fn regions_xml() -> String {
+        let mut xml = String::from("<site>");
+        for r in 0..6 {
+            xml.push_str("<region>");
+            for i in 0..30 {
+                xml.push_str(&format!(
+                    "<item><name>item {r} {i}</name><qty>{i}</qty></item>"
+                ));
+            }
+            xml.push_str("</region>");
+        }
+        xml + "</site>"
+    }
+
+    fn children(s: &mut XmlStore, parent: NodeRef) -> StoreResult<Vec<NodeRef>> {
+        let mut out = Vec::new();
+        s.for_each_child(parent, |c, _, _| out.push(c))?;
+        Ok(out)
+    }
+
+    /// Update pair `n`: append `<pair/>` as the last child of a region,
+    /// commit, then delete it, commit. The document ends as it began.
+    fn update_pair(writer: &mut WriteGuard, n: usize) {
+        let region = |s: &mut XmlStore| {
+            let root = s.root()?;
+            Ok::<_, StoreError>(children(s, root)?[n % 6])
+        };
+        writer
+            .mutate(|s| {
+                let r = region(s)?;
+                s.append_child(r, NodeKind::Element, "pair", None)
+                    .map(|_| ())
+            })
+            .unwrap();
+        writer
+            .mutate(|s| {
+                let r = region(s)?;
+                let last = *children(s, r)?.last().expect("the appended child");
+                s.delete_subtree(last)
+            })
+            .unwrap();
+    }
+
+    /// Pages of the catalog and journal chains the committed header names.
+    fn chains(shared: &SharedStore) -> HashSet<PageId> {
+        let header = shared.inner.borrow().store.committed_header();
+        catalog::referenced(&header, &[]).into_keys().collect()
+    }
+
+    #[test]
+    fn a_pinned_update_loop_keeps_the_file_flat() {
+        // The serve-write pattern: a pin session of five update pairs,
+        // release, repeat. Each release lets the deferred checkpoint run
+        // and the session's chains be reclaimed; the next session's
+        // chains fill those pages, and rewrites stay in their pages.
+        let (shared, _disk) = shared(&regions_xml(), 64, AdmissionConfig::default());
+        let mut writer = shared.begin_write().unwrap();
+        let mut pages = Vec::new();
+        for session in 0..120 {
+            let pin = shared.begin_read().unwrap();
+            for pair in 0..5 {
+                update_pair(&mut writer, session * 5 + pair);
+            }
+            drop(pin);
+            if session % 60 == 59 {
+                pages.push(shared.storage_stats().pages);
+            }
+        }
+        assert_eq!(pages[0], pages[1], "pages after 300 and 600 pairs");
+        let stats = shared.stats();
+        assert_eq!(stats.pinned_free_violations, 0, "{stats:?}");
+        assert!(shared.storage_stats().free_pages > 0);
+        let mut snap = shared.begin_read().unwrap();
+        assert_eq!(xml_of(&mut snap), regions_xml());
+    }
+
+    #[test]
+    fn a_pinned_chain_is_never_reused_and_freed_chains_are() {
+        let (shared, disk) = shared(&regions_xml(), 64, AdmissionConfig::default());
+        let mut writer = shared.begin_write().unwrap();
+        // Free some chains first, so the free extents are not empty
+        // while the pin is held.
+        for n in 0..4 {
+            update_pair(&mut writer, n);
+        }
+        shared.maintain().unwrap();
+        assert!(shared.storage_stats().free_pages > 0);
+        // Every chain named while the pin is held retires at an epoch at
+        // or above the pinned one, so none of them may be reused.
+        let mut held = chains(&shared);
+        let pin = shared.begin_read().unwrap();
+        for n in 4..14 {
+            update_pair(&mut writer, n);
+            let now = chains(&shared);
+            assert!(now.is_disjoint(&held), "a chain the pin holds was reused");
+            held.extend(now);
+        }
+        assert_eq!(shared.stats().pinned_free_violations, 0);
+        // The backlog counts pages: at least every page the pin held back.
+        let waiting = held.difference(&chains(&shared)).count();
+        assert!(shared.reclaim_backlog() >= waiting, "{waiting} pages held");
+        let len = shared.storage_stats().pages;
+        drop(pin);
+        assert!(shared.storage_stats().free_pages > 0);
+        // Released: the next commit lands inside the old file length.
+        update_pair(&mut writer, 14);
+        assert!(chains(&shared).iter().all(|&p| p < len));
+        assert_eq!(shared.storage_stats().pages, len);
+        assert_eq!(shared.stats().pinned_free_violations, 0);
+        drop(writer);
+        drop(shared);
+        let scrub = fsck(&disk, false);
+        assert!(scrub.clean(), "{scrub}");
+        let mut re = XmlStore::open(Box::new(disk.clone()), StoreConfig::default()).unwrap();
+        assert_eq!(re.to_document().unwrap().to_xml(), regions_xml());
     }
 
     #[test]

@@ -265,32 +265,59 @@ impl<'a> SlottedPage<'a> {
         self.free_end().saturating_sub(used_head)
     }
 
-    /// True if `payload_len` bytes can be inserted.
+    /// True if `payload_len` bytes can be inserted, compacting first if
+    /// need be (see [`SlottedPage::insert`]).
     pub fn fits(&self, payload_len: usize) -> bool {
-        self.free_space() >= payload_len + SLOT
+        self.plan(payload_len).is_some()
+    }
+
+    /// Where an insert of `payload_len` bytes goes: the slot id it takes
+    /// (the lowest tombstoned one, else a new one) and whether the page
+    /// must be compacted first. `None` if it does not fit even then.
+    fn plan(&self, payload_len: usize) -> Option<(u16, bool)> {
+        let count = self.slot_count();
+        let reused = (0..count).find(|&s| self.is_dead(s));
+        let need = payload_len + if reused.is_some() { 0 } else { SLOT };
+        let compact = self.free_space() < need;
+        if compact && self.free_space() + self.dead_bytes() < need {
+            return None;
+        }
+        Some((reused.unwrap_or(count), compact))
     }
 
     /// Insert a record payload; returns the slot number or `None` if the
-    /// page is full.
+    /// page cannot hold it. The lowest tombstoned slot id is reused before
+    /// the slot array grows, and when the contiguous gap is short but the
+    /// tombstoned payloads cover the rest, the live payloads slide to the
+    /// payload end first. Slot ids never change, so a `(page, slot)`
+    /// directory entry stays valid. A page without tombstones only ever
+    /// appends.
     pub fn insert(&mut self, payload: &[u8]) -> Option<u16> {
-        if !self.fits(payload.len()) {
-            return None;
+        let (slot, compact) = self.plan(payload.len())?;
+        if compact {
+            self.compact();
         }
-        let slot = self.slot_count();
         let start = self.free_end() - payload.len();
         self.buf[start..start + payload.len()].copy_from_slice(payload);
         let slot_off = HEADER + SLOT * slot as usize;
         self.write_u16(slot_off, start as u16);
         self.write_u16(slot_off + 2, payload.len() as u16);
-        self.write_u16(0, slot + 1);
+        if slot == self.slot_count() {
+            self.write_u16(0, slot + 1);
+        }
         self.write_u16(2, start as u16);
         Some(slot)
     }
 
-    /// Read a record payload. Returns `None` for missing/dead slots and
-    /// for slot entries whose bounds do not fit the page (torn or
-    /// corrupted pages must not panic).
-    pub fn get(&self, slot: u16) -> Option<&[u8]> {
+    fn is_dead(&self, slot: u16) -> bool {
+        let slot_off = HEADER + SLOT * slot as usize;
+        slot_off + SLOT <= PAGE_SIZE && self.read_u16(slot_off + 2) == DEAD
+    }
+
+    /// `(start, len)` of a live slot's payload, or `None` for missing and
+    /// dead slots and for entries whose bounds do not fit the page (torn
+    /// or corrupted pages must not panic).
+    fn live(&self, slot: u16) -> Option<(usize, usize)> {
         if slot >= self.slot_count() {
             return None;
         }
@@ -304,68 +331,68 @@ impl<'a> SlottedPage<'a> {
         }
         let start = self.read_u16(slot_off) as usize;
         let end = start.checked_add(len as usize)?;
-        if end > PAGE_SIZE {
-            return None;
-        }
-        Some(&self.buf[start..end])
+        (end <= PAGE_SIZE).then_some((start, len as usize))
+    }
+
+    /// Read a record payload. Returns `None` for missing/dead slots and
+    /// for slot entries whose bounds do not fit the page.
+    pub fn get(&self, slot: u16) -> Option<&[u8]> {
+        let (start, len) = self.live(slot)?;
+        Some(&self.buf[start..start + len])
     }
 
     /// Mutable view of a record payload, for in-place byte patches (the
-    /// streaming bulkloader fixes up parent back-links this way). Payload
-    /// offsets are stable — deletes only tombstone, nothing is ever
-    /// compacted — so a patch can land any time after the insert. Same
-    /// bounds rules as [`SlottedPage::get`].
+    /// streaming bulkloader fixes up parent back-links this way). The
+    /// offset is resolved on every call: an insert into a page with
+    /// tombstones may have compacted it since, moving the payload but
+    /// never its slot id. Same bounds rules as [`SlottedPage::get`].
     pub fn get_mut(&mut self, slot: u16) -> Option<&mut [u8]> {
-        if slot >= self.slot_count() {
-            return None;
-        }
-        let slot_off = HEADER + SLOT * slot as usize;
-        if slot_off + SLOT > PAGE_SIZE {
-            return None;
-        }
-        let len = self.read_u16(slot_off + 2);
-        if len == DEAD {
-            return None;
-        }
-        let start = self.read_u16(slot_off) as usize;
-        let end = start.checked_add(len as usize)?;
-        if end > PAGE_SIZE {
-            return None;
-        }
-        Some(&mut self.buf[start..end])
+        let (start, len) = self.live(slot)?;
+        Some(&mut self.buf[start..start + len])
     }
 
-    /// Tombstone a record (space is not compacted; bulkload never reuses
-    /// it, matching an append-only import).
+    /// Tombstone a record. Its slot id is the next one
+    /// [`SlottedPage::insert`] reuses, and its payload bytes are reclaimed
+    /// by the next insert that needs them.
     pub fn delete(&mut self, slot: u16) -> bool {
-        if slot >= self.slot_count() {
+        if self.live(slot).is_none() {
             return false;
         }
-        let slot_off = HEADER + SLOT * slot as usize;
-        if slot_off + SLOT > PAGE_SIZE {
-            return false;
-        }
-        if self.read_u16(slot_off + 2) == DEAD {
-            return false;
-        }
-        self.write_u16(slot_off + 2, DEAD);
+        self.write_u16(HEADER + SLOT * slot as usize + 2, DEAD);
         true
     }
 
     /// Bytes in use (header + slots + live payloads); for occupancy stats.
     pub fn used_bytes(&self) -> usize {
-        let mut used = HEADER + SLOT * self.slot_count() as usize;
-        for s in 0..self.slot_count() {
-            let slot_off = HEADER + SLOT * s as usize;
-            if slot_off + SLOT > PAGE_SIZE {
-                break;
-            }
-            let len = self.read_u16(slot_off + 2);
-            if len != DEAD {
-                used += len as usize;
-            }
+        let live: usize = (0..self.slot_count())
+            .filter_map(|s| self.live(s))
+            .map(|(_, len)| len)
+            .sum();
+        HEADER + SLOT * self.slot_count() as usize + live
+    }
+
+    /// Payload-area bytes no live slot holds: tombstoned payloads.
+    fn dead_bytes(&self) -> usize {
+        let live = self.used_bytes() - HEADER - SLOT * self.slot_count() as usize;
+        (PAYLOAD_SIZE.saturating_sub(self.free_end())).saturating_sub(live)
+    }
+
+    /// Slide every live payload to the payload end, highest offset first
+    /// (each one moves up, so the copy never overwrites a payload not yet
+    /// moved), so the tombstoned bytes join the contiguous gap. Slot ids
+    /// and payload bytes do not change; only the offsets do.
+    fn compact(&mut self) {
+        let mut live: Vec<(u16, usize, usize)> = (0..self.slot_count())
+            .filter_map(|s| self.live(s).map(|(start, len)| (s, start, len)))
+            .collect();
+        live.sort_unstable_by_key(|&(_, start, _)| std::cmp::Reverse(start));
+        let mut end = PAYLOAD_SIZE;
+        for (slot, start, len) in live {
+            end -= len;
+            self.buf.copy_within(start..start + len, end);
+            self.write_u16(HEADER + SLOT * slot as usize, end as u16);
         }
-        used
+        self.write_u16(2, end as u16);
     }
 }
 
@@ -410,12 +437,33 @@ mod tests {
         let mut buf = fresh();
         let mut p = SlottedPage::new(&mut buf);
         let a = p.insert(b"abc").unwrap();
+        let b = p.insert(b"xyz").unwrap();
         assert!(p.delete(a));
         assert_eq!(p.get(a), None);
         assert!(!p.delete(a));
-        // Slot ids are not reused.
-        let b = p.insert(b"def").unwrap();
-        assert_ne!(a, b);
+        // The tombstoned id is reused and reads the new payload, never
+        // the old one.
+        let c = p.insert(b"de").unwrap();
+        assert_eq!(c, a);
+        assert_eq!(p.get(c), Some(&b"de"[..]));
+        assert_eq!(p.get(b), Some(&b"xyz"[..]));
+        assert_eq!(p.slot_count(), 2);
+    }
+
+    #[test]
+    fn a_full_page_compacts_its_tombstones() {
+        let mut buf = fresh();
+        let mut p = SlottedPage::new(&mut buf);
+        let slots: Vec<u16> = (1..=4).map(|i| p.insert(&[i; 2000]).unwrap()).collect();
+        assert!(!p.fits(2000));
+        assert!(p.delete(slots[1]));
+        // The gap is 160 bytes; the tombstone's 2000 make up the rest.
+        assert_eq!(p.insert(&[9; 2000]), Some(slots[1]));
+        for (i, &s) in slots.iter().enumerate() {
+            let want = if i == 1 { 9 } else { i as u8 + 1 };
+            assert_eq!(p.get(s), Some(&[want; 2000][..]));
+        }
+        assert_eq!(p.insert(&[0; 200]), None);
     }
 
     #[test]
@@ -446,6 +494,57 @@ mod tests {
         assert_eq!(p.used_bytes(), HEADER + SLOT + 100);
         p.delete(a);
         assert_eq!(p.used_bytes(), HEADER + SLOT);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random inserts, deletes and reads against a map from slot id to
+        /// payload: every live payload survives every compaction, an
+        /// insert is refused only when the live bytes leave no room, and
+        /// no payload byte enters the frame.
+        #[test]
+        fn inserts_and_deletes_agree_with_a_model(
+            ops in proptest::collection::vec((0u8..3, 0usize..48, 0usize..2600), 1..300)
+        ) {
+            let mut buf = fresh();
+            let frame = buf[FRAME_AT..].to_vec();
+            let mut model: std::collections::BTreeMap<u16, Vec<u8>> = Default::default();
+            let mut p = SlottedPage::new(&mut buf);
+            for (i, (op, pick, len)) in ops.into_iter().enumerate() {
+                let victim = model.keys().nth(pick % model.len().max(1)).copied();
+                match (op, victim) {
+                    (0, Some(slot)) => {
+                        assert!(p.delete(slot));
+                        model.remove(&slot);
+                        assert_eq!(p.get(slot), None);
+                    }
+                    (1, Some(slot)) => assert_eq!(p.get(slot), model.get(&slot).map(Vec::as_slice)),
+                    _ => {
+                        let payload: Vec<u8> = (0..len).map(|b| (i * 31 + b) as u8).collect();
+                        let count = p.slot_count();
+                        let reused = (0..count).find(|s| !model.contains_key(s));
+                        let need = len + if reused.is_some() { 0 } else { SLOT };
+                        let live: usize = model.values().map(Vec::len).sum();
+                        let room = PAYLOAD_SIZE - HEADER - SLOT * count as usize - live;
+                        match p.insert(&payload) {
+                            Some(slot) => {
+                                assert!(need <= room);
+                                assert_eq!(slot, reused.unwrap_or(count));
+                                model.insert(slot, payload);
+                            }
+                            None => assert!(need > room),
+                        }
+                    }
+                }
+                for (&slot, want) in &model {
+                    assert_eq!(p.get(slot), Some(want.as_slice()));
+                }
+            }
+            assert_eq!(p.used_bytes(), HEADER + SLOT * p.slot_count() as usize
+                + model.values().map(Vec::len).sum::<usize>());
+            assert_eq!(buf[FRAME_AT..], frame[..]);
+        }
     }
 
     #[test]

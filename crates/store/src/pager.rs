@@ -17,7 +17,7 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -1147,6 +1147,10 @@ struct Frame {
 ///   path (see `store::XmlStore::commit`). If every frame is such, the
 ///   pool temporarily grows past capacity — these working sets are
 ///   bounded by the dirty set of one commit window.
+///
+/// The pool also keeps the backend's **free extents**: pages the
+/// reclaimer of `concurrent::SharedStore` zero-filled, which
+/// [`BufferPool::append_chunked`] fills before it grows the backend.
 pub struct BufferPool {
     backend: Box<dyn Pager>,
     frames: HashMap<PageId, Frame>,
@@ -1157,6 +1161,9 @@ pub struct BufferPool {
     /// to `u32::MAX` (never); the store lowers it to the committed page
     /// count.
     writeback_floor: PageId,
+    /// Reclaimed pages as extents `start → length`, adjacent extents
+    /// coalesced. In memory only: empty at open.
+    free: BTreeMap<PageId, u32>,
     stats: BufferStats,
 }
 
@@ -1170,6 +1177,7 @@ impl BufferPool {
             hand: 0,
             capacity: capacity.max(1),
             writeback_floor: u32::MAX,
+            free: BTreeMap::new(),
             stats: BufferStats::default(),
         }
     }
@@ -1387,23 +1395,58 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Append `bytes` across freshly allocated pages tagged with `class`,
-    /// writing the backend directly (no frames — append-only data is only
-    /// read on reopen). Chunks at [`PAYLOAD_SIZE`] so the page frame
-    /// stays free for the checksum seam. Returns the first page id.
+    /// Write `bytes` across consecutive pages tagged with `class`: the
+    /// first free extent that holds the whole chain (its remainder stays
+    /// free), else pages appended to the backend. The backend is written
+    /// directly (no frames — chains are only read on reopen). Chunks at
+    /// [`PAYLOAD_SIZE`] so the page frame stays free for the checksum
+    /// seam. Returns the first page id; an empty chain takes no page.
     pub fn append_chunked(&mut self, bytes: &[u8], class: PageClass) -> StoreResult<PageId> {
-        let first = self.backend.page_count();
-        for chunk in bytes.chunks(PAYLOAD_SIZE) {
-            let id = self.backend.allocate()?;
+        let n = bytes.len().div_ceil(PAYLOAD_SIZE) as u32;
+        let reused = self
+            .free
+            .iter()
+            .find(|&(_, &len)| n > 0 && len >= n)
+            .map(|(&start, &len)| (start, len));
+        if let Some((start, len)) = reused {
+            self.free.remove(&start);
+            if len > n {
+                self.free.insert(start + n, len - n);
+            }
+        }
+        let first = reused.map_or_else(|| self.backend.page_count(), |(start, _)| start);
+        for (next, chunk) in (first..).zip(bytes.chunks(PAYLOAD_SIZE)) {
+            let id = match reused {
+                Some(_) => next,
+                None => self.backend.allocate()?,
+            };
             let mut page = Box::new([0u8; PAGE_SIZE]);
             page[..chunk.len()].copy_from_slice(chunk);
             crate::page::set_page_class(&mut page, class);
             self.backend.write(id, &page)?;
-            // A stale clean frame at this id cannot exist (fresh page),
-            // but drop one defensively if the backend recycled ids.
+            // A reclaimed page keeps no frame, but drop a stale one
+            // defensively.
             self.frames.remove(&id);
         }
         Ok(first)
+    }
+
+    /// Hand page `id` to the free extents (the reclaimer calls this for
+    /// each page it zero-filled, so a later chain may overwrite it).
+    pub(crate) fn release(&mut self, id: PageId) {
+        let before = self.free.range(..=id).next_back().map(|(&s, &l)| (s, l));
+        let (start, len) = match before {
+            Some((s, l)) if s + l > id => return,
+            Some((s, l)) if s + l == id => (s, l + 1),
+            _ => (id, 1),
+        };
+        let after = self.free.remove(&(id + 1)).unwrap_or(0);
+        self.free.insert(start, len + after);
+    }
+
+    /// Pages in the free extents.
+    pub fn free_pages(&self) -> u64 {
+        self.free.values().map(|&len| u64::from(len)).sum()
     }
 
     /// Drop every dirty frame without writing it back (transaction

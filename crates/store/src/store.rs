@@ -296,9 +296,9 @@ pub struct XmlStore {
     /// strict reads of them fail, degraded reads skip and report them.
     pub(crate) quarantined: BTreeSet<u32>,
     /// When set, `commit` stops at the commit point (phases 1–3) and does
-    /// not checkpoint: the backend only ever sees appends to fresh pages
-    /// plus header-slot writes, so every data page a concurrent snapshot
-    /// reader references stays byte-stable. The `concurrent::SharedStore`
+    /// not checkpoint: the backend only ever sees chains written to fresh
+    /// or reclaimed pages plus header-slot writes, so every data page a
+    /// concurrent snapshot reader references stays byte-stable. The `concurrent::SharedStore`
     /// layer sets this while readers hold epoch pins and runs
     /// [`XmlStore::apply_pending_checkpoint`] once they drain.
     pub(crate) defer_checkpoint: bool,
@@ -690,8 +690,10 @@ impl XmlStore {
     /// Atomically commit every pending change (dirty pages, catalog and
     /// label-table growth) to the backend.
     ///
-    /// Shadow-commit protocol: (1) append the new catalog, (2) append a
-    /// redo journal holding the full image of every dirty page, (3) publish
+    /// Shadow-commit protocol: (1) write the new catalog, (2) write a
+    /// redo journal holding the full image of every dirty page (each to a
+    /// free extent, else appended; see [`BufferPool::append_chunked`]),
+    /// (3) publish
     /// a header referencing both into the inactive header slot — **this
     /// single page write is the commit point** — then (4) checkpoint the
     /// dirty pages in place and (5) publish a journal-free header. A crash

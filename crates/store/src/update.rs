@@ -474,8 +474,10 @@ impl XmlStore {
                 len: bytes.len() as u32,
             }
         } else {
-            // Try the record's previous page, then the store's open page
-            // hint, then a fresh page.
+            // Try the record's previous page (the delete above made room
+            // there: the insert reuses the slot, compacting the page if
+            // the gap is short), then the store's open page hint, then a
+            // fresh page.
             let prev_page = match self.directory[no as usize] {
                 RecordLoc::InPage { page, .. } => Some(page),
                 _ => None,

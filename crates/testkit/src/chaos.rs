@@ -123,17 +123,19 @@ fn splitmix(mut x: u64) -> u64 {
 /// write-back) runs throughout every interleaving.
 pub const CHAOS_POOL_PAGES: usize = 2;
 
-/// The base document every interleaving starts from. Large enough that
-/// its page set exceeds [`CHAOS_POOL_PAGES`], so every interleaving runs
-/// with eviction active.
-const BASE_XML: &str = concat!(
-    "<list><e>one entry of text</e><e>two entry of text</e>",
-    "<e>three entries of text</e><e>four entries of text</e>",
-    "<e>five entries of text</e><e>six entries of text</e>",
-    "<e>seven entries of text</e><e>eight entries of text</e>",
-    "<e>nine entries of text</e><e>ten entries of text</e>",
-    "<e>eleven entries of text</e><e>twelve entries of text</e></list>"
-);
+/// Entries of the base document: enough that its bulkloaded records
+/// fill three pages, one more than [`CHAOS_POOL_PAGES`] frames hold.
+const BASE_ENTRIES: usize = 360;
+
+/// The base document every interleaving starts from, a `<list>` of
+/// [`BASE_ENTRIES`] `<e>` entries: its page set exceeds the pool, so
+/// every interleaving runs with eviction active.
+fn base_xml() -> String {
+    let entries: String = (1..=BASE_ENTRIES)
+        .map(|i| format!("<e>entry {i} of text</e>"))
+        .collect();
+    format!("<list>{entries}</list>")
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FaultPlan {
@@ -240,7 +242,7 @@ pub fn run_interleaving(
     let injected = |e: &StoreError| plan != FaultPlan::None && e.category() == ErrorCategory::Io;
 
     // Base state on a clean shared disk.
-    let doc = parse(BASE_XML).expect("base xml parses");
+    let doc = parse(&base_xml()).expect("base xml parses");
     let k = min_record_limit(&doc).max(48);
     let config = StoreConfig {
         record_limit_slots: k,

@@ -70,14 +70,14 @@ campaigns=(
 # (the full `natix stress` line is checked in its own tier below). A
 # change that moves a count changes its line here, in the same diff.
 declare -A summary=(
-  ["soak"]="soak (full): 28 runs, 278 ops applied (2 skipped), 3880 crash points, 0 failure(s)"
+  ["soak"]="soak (full): 28 runs, 278 ops applied (2 skipped), 3413 crash points, 0 failure(s)"
   ["soak --corruption"]="soak (full, corruption): 28 runs, 278 ops applied (2 skipped), 2448 crash points, 0 failure(s)"
-  ["soak --group-commit"]="soak (full, group-commit): 28 runs, 84 batches (448 ops, 0 skipped), 1132 crash points, 0 failure(s)"
+  ["soak --group-commit"]="soak (full, group-commit): 28 runs, 84 batches (448 ops, 0 skipped), 1045 crash points, 0 failure(s)"
   ["soak --bulkload"]="soak (full, bulkload): 180 docs, horizon 62 write events, 62 cuts swept, 0 failure(s)"
-  ["soak --diskfull"]="soak (full, diskfull): 28 runs, 223 ops applied (1 skipped), 2272 crash points, 0 failure(s)"
+  ["soak --diskfull"]="soak (full, diskfull): 28 runs, 223 ops applied (1 skipped), 1985 crash points, 0 failure(s)"
   ["soak --serve"]="soak (full, serve): 8 rounds, 545 acked updates, 545 recovered, 0 failures"
 )
-stress_summary="stress (full): 1200 interleavings (589 one-shot-fault, 304 permanent-fault), 71760 steps, 12291 snapshot reads verified, 19233 group commits (38422 ops), 205 rolled back, 12 with a rejected op, 4 open failures, 3166 evictions, 8160 shed, 12007 scrubs, 68401 pages reclaimed, 0 failures"
+stress_summary="stress (full): 1200 interleavings (589 one-shot-fault, 304 permanent-fault), 71760 steps, 12319 snapshot reads verified, 19028 group commits (38009 ops), 192 rolled back, 72 with a rejected op, 4 open failures, 39267 evictions, 8148 shed, 12007 scrubs, 86234 pages reclaimed, 0 failures"
 for words in "${campaigns[@]}"; do
   tier "natix $words"
   # shellcheck disable=SC2086  # the row's command words, split on purpose
