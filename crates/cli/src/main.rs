@@ -117,7 +117,7 @@ use natix_core::{
 };
 use natix_server::{
     query_lines, serve as serve_daemon, Client, ClientError, ProtoError, Request, ResponseBody,
-    ServeConfig, ServeError, ShedKind, UpdateOp,
+    ServeConfig, ServeError, ShedKind, Stats, UpdateOp,
 };
 use natix_store::{
     bulkload_collection, fsck, fsck_collection, BulkloadOptions, Collection, ErrorCategory,
@@ -524,15 +524,15 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     refuse_unknown(&args[1..], &[])?;
     let mut store = open_store(store_path, pool_pages)?;
     let doc = store.to_document().map_err(|e| CliError::store(&e))?;
-    println!("nodes        : {}", doc.len());
-    println!("tree weight  : {} slots", doc.total_weight());
-    println!("records      : {} live", store.live_record_count());
-    println!("pages        : {}", store.page_count());
-    println!("occupied     : {} KB", store.occupied_bytes() / 1024);
-    println!(
-        "avg record   : {:.1} slots",
-        doc.total_weight() as f64 / store.live_record_count().max(1) as f64
-    );
+    let mut stats = Stats::default();
+    stats.push("doc.nodes", doc.len());
+    stats.push("doc.weight_slots", doc.total_weight());
+    stats.push("store.live_records", store.live_record_count());
+    stats.push("store.pages", store.page_count());
+    stats.push("store.occupied_bytes", store.occupied_bytes());
+    let avg = doc.total_weight() as f64 / store.live_record_count().max(1) as f64;
+    stats.push("doc.avg_record_slots", format!("{avg:.1}"));
+    print!("{stats}");
     Ok(())
 }
 
@@ -980,12 +980,7 @@ fn cmd_net(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "stats" => {
-            let mut c = connect()?;
-            let resp = exchange(&mut c, &Request::Stats)?;
-            let ResponseBody::StatsText(text) = resp.body else {
-                return Err(format!("unexpected response: {:?}", resp.body).into());
-            };
-            print!("{text}");
+            print!("{}", connect()?.stats().map_err(|e| CliError::client(&e))?);
             Ok(())
         }
         "fsck" => {

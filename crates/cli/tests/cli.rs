@@ -125,7 +125,8 @@ fn load_query_dump_roundtrip() {
     let out = natix(&["stats", store.to_str().unwrap()]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("records"), "{stdout}");
+    let stats = natix_server::Stats::parse(&stdout).unwrap();
+    assert!(stats.u64("store.live_records").unwrap() > 0, "{stdout}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

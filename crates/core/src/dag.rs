@@ -15,12 +15,11 @@
 //!
 //! [`SubtreeDag`] does the hash-consing: weighted subtree shapes are
 //! interned bottom-up into a minimal-DAG node index. Interning is *exact*
-//! (structural equality on weight + ordered child shape ids; the
-//! fingerprint's low word only picks where an open-addressing table of
-//! shape ids starts probing), so there are no collision risks. Each
-//! distinct shape also gets a tree-independent 128-bit [`Fingerprint`]
-//! over (weight, child fingerprints). The driver computes each distinct
-//! shape's `NodePlan` once per run, in a fresh flat-arena `DpWorkspace`.
+//! (structural equality on weight + ordered child shape ids; a 64-bit
+//! hash over (weight, child hashes) only picks where an open-addressing
+//! table of shape ids starts probing), so there are no collision risks.
+//! The driver computes each distinct shape's `NodePlan` once per run, in
+//! a fresh flat-arena `DpWorkspace`.
 //!
 //! Output is **byte-identical** to a per-node, unpruned run: plans are pure
 //! per shape, a row scan stops only where no later candidate can improve,
@@ -32,19 +31,6 @@ use natix_tree::{NodeId, Partitioning, Tree, Weight};
 
 use crate::dp::{self, ChildStats, DpStats, DpWorkspace, NodePlan};
 use crate::{check_input, PartitionError, Partitioner};
-
-/// 128-bit structural fingerprint of a weighted subtree shape.
-///
-/// Computed bottom-up over (node weight, child fingerprints) — label-free
-/// and tree-independent, so equal shapes in *different* documents collide
-/// deliberately. Within one tree, identity is established by exact
-/// interning; the fingerprint is only trusted across trees, where a
-/// spurious collision needs ~2⁻¹²⁸ luck.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Fingerprint {
-    lo: u64,
-    hi: u64,
-}
 
 /// `splitmix64` finalizer: cheap, well-distributed 64-bit mixing.
 #[inline]
@@ -60,11 +46,11 @@ fn mix64(mut x: u64) -> u64 {
 /// Free slot of the shape-interning table.
 const EMPTY: u32 = u32::MAX;
 
-/// Where the probe for a shape whose fingerprint's low word is `lo` starts
-/// in `table` (a power-of-two length).
+/// Where the probe for a shape whose hash is `hash` starts in `table` (a
+/// power-of-two length).
 #[inline]
-fn probe_start(lo: u64, table: &[u32]) -> usize {
-    lo as usize & (table.len() - 1)
+fn probe_start(hash: u64, table: &[u32]) -> usize {
+    hash as usize & (table.len() - 1)
 }
 
 /// Minimal-DAG index of a tree's weighted subtree shapes.
@@ -75,8 +61,8 @@ fn probe_start(lo: u64, table: &[u32]) -> usize {
 pub struct SubtreeDag {
     /// Shape id per tree node.
     ids: Vec<u32>,
-    /// Tree-independent fingerprint per shape id.
-    fps: Vec<Fingerprint>,
+    /// Structural hash per shape id: picks the probe start.
+    hashes: Vec<u64>,
     /// Node weight per shape id (for exact interning).
     weights: Vec<Weight>,
     /// Flattened ordered child shape ids of every shape.
@@ -91,13 +77,13 @@ impl SubtreeDag {
         let n = tree.len();
         let mut dag = SubtreeDag {
             ids: vec![0; n],
-            fps: Vec::new(),
+            hashes: Vec::new(),
             weights: Vec::new(),
             child_ids: Vec::new(),
             child_range: Vec::new(),
         };
         // Open-addressing table of shape ids, probed linearly from the
-        // fingerprint's low word and kept at most half full.
+        // shape's hash and kept at most half full.
         let mut table: Vec<u32> = vec![EMPTY; 64];
         let mut kids: Vec<u32> = Vec::new();
         // Child ids exceed parent ids, so a reverse scan is bottom-up.
@@ -107,25 +93,20 @@ impl SubtreeDag {
             kids.clear();
             kids.extend(tree.children(v).iter().map(|c| dag.ids[c.index()]));
 
-            let mut lo = mix64(0x6461_675f_6c6f_5f30 ^ w); // "dag_lo_0"
-            let mut hi = mix64(0x6461_675f_6869_5f31 ^ w); // "dag_hi_1"
+            let mut hash = mix64(0x6461_675f_6c6f_5f30 ^ w); // "dag_lo_0"
             for &cid in &kids {
-                let cfp = dag.fps[cid as usize];
-                lo = mix64(lo ^ cfp.lo);
-                hi = mix64(hi ^ cfp.hi);
+                hash = mix64(hash ^ dag.hashes[cid as usize]);
             }
-            lo = mix64(lo ^ kids.len() as u64);
-            hi = mix64(hi ^ (kids.len() as u64).rotate_left(32));
-            let fp = Fingerprint { lo, hi };
+            hash = mix64(hash ^ kids.len() as u64);
 
-            let mut slot = probe_start(lo, &table);
+            let mut slot = probe_start(hash, &table);
             let found = loop {
                 let sid = table[slot];
                 if sid == EMPTY {
                     break None;
                 }
                 let (cs, ce) = dag.child_range[sid as usize];
-                if dag.fps[sid as usize].lo == lo
+                if dag.hashes[sid as usize] == hash
                     && dag.weights[sid as usize] == w
                     && dag.child_ids[cs as usize..ce as usize] == kids[..]
                 {
@@ -136,17 +117,17 @@ impl SubtreeDag {
             dag.ids[i] = match found {
                 Some(sid) => sid,
                 None => {
-                    let sid = dag.fps.len() as u32;
-                    dag.fps.push(fp);
+                    let sid = dag.hashes.len() as u32;
+                    dag.hashes.push(hash);
                     dag.weights.push(w);
                     let cs = dag.child_ids.len() as u32;
                     dag.child_ids.extend_from_slice(&kids);
                     dag.child_range.push((cs, dag.child_ids.len() as u32));
                     table[slot] = sid;
-                    if 2 * dag.fps.len() > table.len() {
+                    if 2 * dag.hashes.len() > table.len() {
                         table = vec![EMPTY; 2 * table.len()];
-                        for (sid, fp) in dag.fps.iter().enumerate() {
-                            let mut slot = probe_start(fp.lo, &table);
+                        for (sid, &hash) in dag.hashes.iter().enumerate() {
+                            let mut slot = probe_start(hash, &table);
                             while table[slot] != EMPTY {
                                 slot = (slot + 1) & (table.len() - 1);
                             }
@@ -172,19 +153,13 @@ impl SubtreeDag {
 
     /// Number of distinct weighted subtree shapes (minimal-DAG nodes).
     pub fn distinct(&self) -> usize {
-        self.fps.len()
+        self.hashes.len()
     }
 
     /// Shape id of a tree node.
     #[inline]
     pub fn id(&self, v: NodeId) -> u32 {
         self.ids[v.index()]
-    }
-
-    /// Tree-independent fingerprint of a shape id.
-    #[inline]
-    pub fn fingerprint(&self, shape: u32) -> Fingerprint {
-        self.fps[shape as usize]
     }
 }
 
@@ -356,10 +331,6 @@ mod tests {
         assert_eq!(dag.id(rows[0]), dag.id(rows[1]));
         assert_eq!(dag.id(rows[0]), dag.id(rows[2]));
         assert_ne!(dag.id(rows[0]), dag.id(rows[3]));
-        assert_eq!(
-            dag.fingerprint(dag.id(rows[0])),
-            dag.fingerprint(dag.id(rows[1]))
-        );
     }
 
     #[test]
@@ -368,27 +339,6 @@ mod tests {
         let dag = SubtreeDag::build(&t);
         let cs = t.children(t.root());
         assert_eq!(dag.id(cs[0]), dag.id(cs[1]));
-    }
-
-    #[test]
-    fn fingerprints_are_tree_independent() {
-        // The same weighted shape embedded in two different documents gets
-        // the same fingerprint.
-        let t1 = parse_spec("r:9(a:1(x:2 y:3) b:5)").unwrap();
-        let t2 = parse_spec("q:4(u:7 v:1(p:2 q:3))").unwrap();
-        let d1 = SubtreeDag::build(&t1);
-        let d2 = SubtreeDag::build(&t2);
-        let a = t1.children(t1.root())[0];
-        let v = t2.children(t2.root())[1];
-        assert_eq!(
-            d1.fingerprint(d1.id(a)),
-            d2.fingerprint(d2.id(v)),
-            "equal shapes in different trees must share fingerprints"
-        );
-        assert_ne!(
-            d1.fingerprint(d1.id(t1.root())),
-            d2.fingerprint(d2.id(t2.root()))
-        );
     }
 
     #[test]

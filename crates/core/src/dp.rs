@@ -722,8 +722,8 @@ pub struct DpStats {
     pub bytes_allocated: u64,
     /// Tree nodes covered by the run.
     pub dag_nodes: u64,
-    /// Distinct weighted subtree shapes (minimal-DAG nodes / distinct
-    /// fingerprints) among `dag_nodes`.
+    /// Distinct weighted subtree shapes (minimal-DAG nodes) among
+    /// `dag_nodes`.
     pub dag_distinct: u64,
     /// Nodes whose plan was shared from an earlier node of the same shape
     /// instead of being recomputed (`dag_nodes − dag_distinct`).

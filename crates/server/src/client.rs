@@ -12,6 +12,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::server::read_response;
+use crate::stats::Stats;
 use crate::wire::{write_frame, ProtoError, Request, Response, ResponseBody};
 
 /// Socket-level timeout for client reads and writes.
@@ -170,11 +171,14 @@ impl Client {
         }
     }
 
-    /// Fetch the server's stats text.
-    pub fn stats(&mut self) -> Result<String, ClientError> {
+    /// Fetch the server's named counters (see [`Stats`]). Text that
+    /// does not parse is a protocol error.
+    pub fn stats(&mut self) -> Result<Stats, ClientError> {
         let resp = self.request(&Request::Stats)?;
         match resp.body {
-            ResponseBody::StatsText(text) => Ok(text),
+            ResponseBody::StatsText(text) => {
+                Stats::parse(&text).map_err(|e| std::io::Error::other(e).into())
+            }
             other => Err(unexpected("stats", &other)),
         }
     }

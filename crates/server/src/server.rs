@@ -52,6 +52,7 @@ use natix_store::{
 use natix_xml::NodeKind;
 use natix_xpath::{eval, eval_with};
 
+use crate::stats::Stats;
 use crate::wire::{
     read_frame, write_frame, ErrKind, ProtoError, Request, Response, ResponseBody, ShedKind,
     UpdateOp, MAX_FRAME,
@@ -126,6 +127,14 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+/// Push each `$from.$field` into `$stats` under `$prefix` and the
+/// field's own name, so a served name is the name of what it counts.
+macro_rules! push_fields {
+    ($stats:ident, $prefix:literal, $from:ident: $($field:ident)+) => {
+        $($stats.push(concat!($prefix, stringify!($field)), $from.$field);)+
+    };
+}
+
 /// Monotonic counters kept by the server, snapshot into [`ServeSummary`].
 #[derive(Default)]
 struct Counters {
@@ -140,6 +149,27 @@ struct Counters {
     write_timeout_kills: AtomicU64,
     reads_in_flight: AtomicU64,
     peak_reads_in_flight: AtomicU64,
+}
+
+impl Counters {
+    /// Snapshot of the counters so far: what [`ServerHandle::summary`]
+    /// returns and what the `server.*` stats entries are rendered from.
+    fn summary(&self) -> ServeSummary {
+        ServeSummary {
+            connections: self.connections.load(Ordering::Relaxed),
+            requests: self.requests.load(Ordering::Relaxed),
+            ok: self.ok.load(Ordering::Relaxed),
+            errors: self.errors.load(Ordering::Relaxed),
+            shed: self.shed.load(Ordering::Relaxed),
+            queue_shed: 0,
+            proto_errors: self.proto_errors.load(Ordering::Relaxed),
+            worker_panics: self.worker_panics.load(Ordering::Relaxed),
+            lease_expirations: self.lease_expirations.load(Ordering::Relaxed),
+            write_timeout_kills: self.write_timeout_kills.load(Ordering::Relaxed),
+            reads_in_flight: self.reads_in_flight.load(Ordering::Relaxed),
+            peak_reads_in_flight: self.peak_reads_in_flight.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// Point-in-time snapshot of the server's counters.
@@ -273,21 +303,7 @@ impl ServerHandle {
 
     /// Snapshot of the counters so far.
     pub fn summary(&self) -> ServeSummary {
-        let c = &self.counters;
-        ServeSummary {
-            connections: c.connections.load(Ordering::Relaxed),
-            requests: c.requests.load(Ordering::Relaxed),
-            ok: c.ok.load(Ordering::Relaxed),
-            errors: c.errors.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            queue_shed: 0,
-            proto_errors: c.proto_errors.load(Ordering::Relaxed),
-            worker_panics: c.worker_panics.load(Ordering::Relaxed),
-            lease_expirations: c.lease_expirations.load(Ordering::Relaxed),
-            write_timeout_kills: c.write_timeout_kills.load(Ordering::Relaxed),
-            reads_in_flight: c.reads_in_flight.load(Ordering::Relaxed),
-            peak_reads_in_flight: c.peak_reads_in_flight.load(Ordering::Relaxed),
-        }
+        self.counters.summary()
     }
 
     /// Wait for the server to finish (after a shutdown was requested) and
@@ -1128,12 +1144,15 @@ fn handle_request(
         Role::Primary { .. } => {
             handle_primary_request(role, sessions, expired, counters, conn, req)
         }
-        Role::Replica { .. } => Reply::Done(handle_replica_request(role, counters, promoted, req)),
+        Role::Replica { .. } => Reply::Done(handle_replica_request(
+            role, sessions, counters, promoted, req,
+        )),
     }
 }
 
 fn handle_replica_request(
     role: &mut Role,
+    sessions: &HashMap<u64, Session>,
     counters: &Counters,
     promoted: &AtomicBool,
     req: Request,
@@ -1202,24 +1221,18 @@ fn handle_replica_request(
             }
         }
         Request::Stats => {
-            let (batches, snapshots, tails) = follower.counters();
-            let text = format!(
-                "role         : replica (of {source})\n\
-                 applied epoch: {applied}\n\
-                 batches      : {batches} applied, {snapshots} snapshots\n\
-                 tails        : {tails} discarded\n\
-                 fenced       : {}\n\
-                 leases       : {} expired\n",
-                match follower.fence() {
-                    Some(at) => format!("yes (epoch {at})"),
-                    None => "no".to_string(),
-                },
-                counters.lease_expirations.load(Ordering::Relaxed),
-            );
-            Response {
-                epoch: applied,
-                body: ResponseBody::StatsText(text),
-            }
+            let c = follower.counters();
+            let mut s = Stats::default();
+            s.push("role", "replica");
+            s.push("store.epoch", applied);
+            s.push("store.replicate.source", &*source);
+            push_fields!(s, "store.replicate.", c:
+                batches_applied snapshots_applied tails_discarded);
+            let fenced = follower
+                .fence()
+                .map_or("no".to_string(), |at| at.to_string());
+            s.push("store.replicate.fenced_epoch", fenced);
+            stats_response(applied, s, counters, sessions)
         }
         Request::Fsck => {
             if applied == 0 {
@@ -1296,6 +1309,28 @@ fn handle_replica_request(
             epoch: applied,
             body: ResponseBody::ShuttingDown,
         },
+    }
+}
+
+/// Answer `stats` with a role's `store.*` entries followed by the
+/// `server.*` block both roles share: the counters
+/// [`ServerHandle::summary`] reads, then the live session pins.
+fn stats_response(
+    epoch: u64,
+    mut s: Stats,
+    counters: &Counters,
+    sessions: &HashMap<u64, Session>,
+) -> Response {
+    let c = counters.summary();
+    push_fields!(s, "server.", c: connections requests ok errors shed proto_errors worker_panics
+        lease_expirations write_timeout_kills reads_in_flight peak_reads_in_flight);
+    s.push("server.session_pins", sessions.len());
+    let oldest_pin = sessions.values().map(|s| s.pinned_at.elapsed()).max();
+    let oldest_pin_ms = oldest_pin.unwrap_or_default().as_millis();
+    s.push("server.oldest_pin_ms", oldest_pin_ms);
+    Response {
+        epoch,
+        body: ResponseBody::StatsText(s.to_string()),
     }
 }
 
@@ -1440,67 +1475,19 @@ fn handle_primary_request(
         Request::Stats => {
             let storage = shared.storage_stats();
             let c = shared.stats();
-            let oldest_pin_ms = sessions
-                .values()
-                .map(|s| s.pinned_at.elapsed().as_millis() as u64)
-                .max()
-                .unwrap_or(0);
-            let read_only = match shared.read_only_reason() {
-                Some(reason) => format!("yes ({reason})"),
-                None => "no".to_string(),
-            };
-            let replication = match repl.lag(committed) {
-                Some((followers, lag)) => {
-                    format!("{followers} followers, lag {lag} epochs")
-                }
-                None => "0 followers, lag 0 epochs".to_string(),
-            };
-            let text = format!(
-                "epoch        : {}\n\
-                 live records : {}\n\
-                 pages        : {}\n\
-                 occupied     : {} KB\n\
-                 snapshots    : {} opened, {} active\n\
-                 reads        : {} in flight, peak {} in flight\n\
-                 pins         : {} session-pinned, oldest {} ms\n\
-                 leases       : {} expired\n\
-                 write kills  : {} connections\n\
-                 backlog      : {} superseded pages\n\
-                 read-only    : {}\n\
-                 sheds        : {} reads\n\
-                 commits      : {} ({} group, {} batched ops)\n\
-                 checkpoints  : {} deferred, {} applied\n\
-                 reclaimed    : {} pages ({} rounds pin-blocked, {} free)\n\
-                 replication  : {}\n",
-                storage.epoch,
-                storage.live_records,
-                storage.pages,
-                storage.occupied_bytes / 1024,
-                c.snapshots_opened,
-                c.snapshots_active,
-                counters.reads_in_flight.load(Ordering::Relaxed),
-                counters.peak_reads_in_flight.load(Ordering::Relaxed),
-                sessions.len(),
-                oldest_pin_ms,
-                counters.lease_expirations.load(Ordering::Relaxed),
-                counters.write_timeout_kills.load(Ordering::Relaxed),
-                shared.reclaim_backlog(),
-                read_only,
-                c.reads_shed,
-                c.commits,
-                c.group_commits,
-                c.batched_ops,
-                c.checkpoints_deferred,
-                c.checkpoints_applied,
-                c.pages_reclaimed,
-                c.reclaim_blocked_by_pins,
-                storage.free_pages,
-                replication,
-            );
-            Response {
-                epoch: storage.epoch,
-                body: ResponseBody::StatsText(text),
-            }
+            let (followers, lag) = repl.lag(committed).unwrap_or((0, 0));
+            let mut s = Stats::default();
+            s.push("role", "primary");
+            push_fields!(s, "store.", storage: epoch live_records pages occupied_bytes free_pages
+                reclaim_backlog_pages);
+            push_fields!(s, "store.", c: snapshots_opened snapshots_active reads_shed
+                writer_conflicts commits checkpoints_deferred checkpoints_applied pages_reclaimed
+                reclaim_blocked_by_pins pinned_free_violations maintenance_errors group_commits
+                batched_ops read_only_entered read_only_recovered);
+            s.push("store.read_only", shared.read_only_reason().unwrap_or("no"));
+            s.push("store.replicate.followers", followers);
+            s.push("store.replicate.lag_epochs", lag);
+            stats_response(storage.epoch, s, counters, sessions)
         }
         Request::Fsck => {
             let report = shared.scrub();
@@ -1746,17 +1733,6 @@ mod tests {
     /// pin lent (see `run_read`).
     pub(super) const PANIC_PROBE: &str = "injected-worker-panic";
 
-    /// The number in front of `what` on the stats line labelled `line`.
-    fn gauge(stats: &str, line: &str, what: &str) -> u64 {
-        let row = stats
-            .lines()
-            .find(|l| l.trim_start().starts_with(line))
-            .unwrap_or_else(|| panic!("no {line} line in {stats}"));
-        let words: Vec<&str> = row.split(&[' ', ','][..]).collect();
-        let at = words.iter().position(|w| *w == what).expect(what);
-        words[at - 1].parse().expect("number")
-    }
-
     /// Satellite: a worker that panics mid-read — unpinned, and inside a
     /// session that commits have piled up behind — hands its pin back.
     /// Hits are rendered where the walk finds them, in walk order; the
@@ -1843,22 +1819,29 @@ mod tests {
         pinned.begin().unwrap();
         (0..6).for_each(&mut commit);
         let mut observer = Client::connect(handle.addr()).unwrap();
-        let peak = gauge(&observer.stats().unwrap(), "backlog", "superseded");
+        let backlog = |s: &Stats| s.u64("store.reclaim_backlog_pages").unwrap();
+        let peak = backlog(&observer.stats().unwrap());
         assert!(peak > 0, "the session pin must hold reclamation back");
         assert!(pinned.query(&probe).is_err(), "connection must drop");
 
         // The worker sends its disconnect after the socket closes: wait
         // for the service to have seen it.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while gauge(&observer.stats().unwrap(), "snapshots", "active") > 0 {
+        while observer
+            .stats()
+            .unwrap()
+            .u64("store.snapshots_active")
+            .unwrap()
+            > 0
+        {
             assert!(Instant::now() < deadline, "pin never came back");
             std::thread::sleep(Duration::from_millis(5));
         }
         commit(6);
         let stats = observer.stats().unwrap();
-        assert_eq!(gauge(&stats, "snapshots", "active"), 0, "{stats}");
-        assert_eq!(gauge(&stats, "reads", "in"), 0, "{stats}");
-        assert!(gauge(&stats, "backlog", "superseded") < peak, "{stats}");
+        assert_eq!(stats.u64("store.snapshots_active"), Ok(0), "{stats}");
+        assert_eq!(stats.u64("server.reads_in_flight"), Ok(0), "{stats}");
+        assert!(backlog(&stats) < peak, "{stats}");
 
         observer.shutdown_server().unwrap();
         let summary = handle.join();

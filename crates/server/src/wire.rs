@@ -214,7 +214,8 @@ pub enum ResponseBody {
     },
     /// Answer to [`Request::Update`]; the new epoch is in the header.
     UpdateDone,
-    /// Answer to [`Request::Stats`]: rendered counter table.
+    /// Answer to [`Request::Stats`]: a [`crate::Stats`] rendering, one
+    /// `name value` line per counter; [`crate::Stats::parse`] reads it.
     StatsText(String),
     /// Answer to [`Request::Fsck`].
     FsckResult {

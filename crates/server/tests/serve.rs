@@ -15,6 +15,7 @@ use natix_core::Ekm;
 use natix_server::wire::{read_frame, write_frame, OP_SHUTDOWN};
 use natix_server::{
     serve, Client, ErrKind, Request, Response, ResponseBody, ServeConfig, ServerHandle, ShedKind,
+    Stats,
 };
 use natix_store::{bulkload_with, FilePager, StoreConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -85,8 +86,8 @@ fn verbs_round_trip_and_graceful_shutdown() {
     assert_eq!(xml, natix_xml::parse(SEED_XML).unwrap().to_xml());
 
     let stats = c.stats().unwrap();
-    assert!(stats.contains("epoch"), "{stats}");
-    assert!(stats.contains("snapshots"), "{stats}");
+    stats.u64("store.epoch").unwrap();
+    stats.u64("store.snapshots_opened").unwrap();
 
     let (clean, report) = c.fsck().unwrap();
     assert!(clean, "{report}");
@@ -480,17 +481,6 @@ fn concurrent_clients_observe_single_epoch_states() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The number in front of `what` on the stats line labelled `line`.
-fn gauge(stats: &str, line: &str, what: &str) -> u64 {
-    let row = stats
-        .lines()
-        .find(|l| l.trim_start().starts_with(line))
-        .unwrap_or_else(|| panic!("no {line} line in {stats}"));
-    let words: Vec<&str> = row.split(&[' ', ','][..]).collect();
-    let at = words.iter().position(|w| *w == what).expect(what);
-    words[at - 1].parse().expect("number")
-}
-
 /// A session that goes idle past its lease TTL has its pin reaped: the
 /// freed slot admits another client, the leaker's next request gets the
 /// typed session-expired answer exactly once, and a fresh `begin` on the
@@ -562,8 +552,8 @@ fn shutdown_does_not_double_release_a_reaped_pin() {
     probe.begin().unwrap();
     probe.end().unwrap();
     let stats = probe.stats().unwrap();
-    assert!(stats.contains("0 session-pinned"), "{stats}");
-    assert!(gauge(&stats, "snapshots", "active") <= 1, "{stats}");
+    assert_eq!(stats.u64("server.session_pins"), Ok(0), "{stats}");
+    assert!(stats.u64("store.snapshots_active").unwrap() <= 1, "{stats}");
 
     // Shutdown immediately after: the drain clears a session table that
     // no longer holds the reaped pin.
@@ -582,7 +572,7 @@ fn shutdown_does_not_double_release_a_reaped_pin() {
 /// Poll the stats verb until `ready` holds (the conditions below are
 /// all reached by the server on its own; the deadline only bounds a
 /// failing run).
-fn await_stats(c: &mut Client, what: &str, ready: impl Fn(&str) -> bool) -> String {
+fn await_stats(c: &mut Client, what: &str, ready: impl Fn(&Stats) -> bool) -> Stats {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
     loop {
         let stats = c.stats().unwrap();
@@ -712,8 +702,8 @@ fn parallel_unpinned_reads_match_the_model_of_their_epoch() {
     }
 
     let stats = w.stats().unwrap();
-    assert_eq!(gauge(&stats, "snapshots", "active"), 0, "{stats}");
-    assert_eq!(gauge(&stats, "reads", "in"), 0, "{stats}");
+    assert_eq!(stats.u64("store.snapshots_active"), Ok(0), "{stats}");
+    assert_eq!(stats.u64("server.reads_in_flight"), Ok(0), "{stats}");
     w.shutdown_server().unwrap();
     let summary = handle.join();
     assert_eq!(summary.worker_panics + summary.errors, 0, "{summary}");
@@ -741,10 +731,11 @@ fn lease_is_not_reaped_under_a_read_in_flight() {
     // The read is in flight, its lease long overdue, its pin still held.
     let mut observer = Client::connect(addr).unwrap();
     let overdue = await_stats(&mut observer, "an overdue read in flight", |s| {
-        gauge(s, "reads", "in") == 1 && gauge(s, "pins", "ms") >= 3 * TTL_MS
+        s.u64("server.reads_in_flight").unwrap() == 1
+            && s.u64("server.oldest_pin_ms").unwrap() >= 3 * TTL_MS
     });
-    assert_eq!(gauge(&overdue, "pins", "session-pinned"), 1, "{overdue}");
-    assert_eq!(gauge(&overdue, "leases", "expired"), 0, "{overdue}");
+    assert_eq!(overdue.u64("server.session_pins"), Ok(1), "{overdue}");
+    assert_eq!(overdue.u64("server.lease_expirations"), Ok(0), "{overdue}");
 
     let (resp, pinned, mut c) = reader.join().unwrap();
     let pairs = (SLOW_SIBLINGS - 1) as u32;
@@ -758,10 +749,10 @@ fn lease_is_not_reaped_under_a_read_in_flight() {
     assert_eq!(resp.epoch, pinned);
     // Back with the service, the overdue lease is fair game.
     let reaped = await_stats(&mut observer, "the lease reaped", |s| {
-        gauge(s, "leases", "expired") == 1
+        s.u64("server.lease_expirations").unwrap() == 1
     });
-    assert_eq!(gauge(&reaped, "pins", "session-pinned"), 0, "{reaped}");
-    assert_eq!(gauge(&reaped, "reads", "in"), 0, "{reaped}");
+    assert_eq!(reaped.u64("server.session_pins"), Ok(0), "{reaped}");
+    assert_eq!(reaped.u64("server.reads_in_flight"), Ok(0), "{reaped}");
     match c.query("//e") {
         Err(natix_server::ClientError::SessionExpired) => {}
         other => panic!("expected the typed session-expired answer, got {other:?}"),
@@ -784,12 +775,13 @@ fn hung_up_client_returns_its_lent_pin() {
     write_frame(&mut gone, &slow_request().encode()).unwrap();
     let mut observer = Client::connect(handle.addr()).unwrap();
     let busy = await_stats(&mut observer, "the read in flight", |s| {
-        gauge(s, "reads", "in") == 1
+        s.u64("server.reads_in_flight").unwrap() == 1
     });
-    assert_eq!(gauge(&busy, "snapshots", "active"), 1, "{busy}");
+    assert_eq!(busy.u64("store.snapshots_active"), Ok(1), "{busy}");
     drop(gone);
     await_stats(&mut observer, "the pin back", |s| {
-        gauge(s, "reads", "in") == 0 && gauge(s, "snapshots", "active") == 0
+        s.u64("server.reads_in_flight").unwrap() == 0
+            && s.u64("store.snapshots_active").unwrap() == 0
     });
     observer.shutdown_server().unwrap();
     let summary = handle.join();
@@ -823,7 +815,7 @@ fn shutdown_answers_reads_in_flight_before_releasing_pins() {
     write_frame(&mut gone, &slow_request().encode()).unwrap();
     let mut observer = Client::connect(addr).unwrap();
     await_stats(&mut observer, "three reads in flight", |s| {
-        gauge(s, "reads", "in") == 3
+        s.u64("server.reads_in_flight").unwrap() == 3
     });
     drop(gone);
     observer.shutdown_server().unwrap();
@@ -860,5 +852,171 @@ fn serve_reports_missing_store() {
         Err(natix_server::ServeError::Store(_)) => {}
         other => panic!("expected store error, got {:?}", other.map(|h| h.addr())),
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The `store.*` names a primary serves, in order, after `role`.
+const PRIMARY_STORE_NAMES: &[&str] = &[
+    "store.epoch",
+    "store.live_records",
+    "store.pages",
+    "store.occupied_bytes",
+    "store.free_pages",
+    "store.reclaim_backlog_pages",
+    "store.snapshots_opened",
+    "store.snapshots_active",
+    "store.reads_shed",
+    "store.writer_conflicts",
+    "store.commits",
+    "store.checkpoints_deferred",
+    "store.checkpoints_applied",
+    "store.pages_reclaimed",
+    "store.reclaim_blocked_by_pins",
+    "store.pinned_free_violations",
+    "store.maintenance_errors",
+    "store.group_commits",
+    "store.batched_ops",
+    "store.read_only_entered",
+    "store.read_only_recovered",
+    "store.read_only",
+    "store.replicate.followers",
+    "store.replicate.lag_epochs",
+];
+
+/// The `store.*` names a replica serves, in order, after `role`.
+const REPLICA_STORE_NAMES: &[&str] = &[
+    "store.epoch",
+    "store.replicate.source",
+    "store.replicate.batches_applied",
+    "store.replicate.snapshots_applied",
+    "store.replicate.tails_discarded",
+    "store.replicate.fenced_epoch",
+];
+
+/// The `server.*` block both roles end with.
+const SERVER_NAMES: &[&str] = &[
+    "server.connections",
+    "server.requests",
+    "server.ok",
+    "server.errors",
+    "server.shed",
+    "server.proto_errors",
+    "server.worker_panics",
+    "server.lease_expirations",
+    "server.write_timeout_kills",
+    "server.reads_in_flight",
+    "server.peak_reads_in_flight",
+    "server.session_pins",
+    "server.oldest_pin_ms",
+];
+
+/// A primary and its replica each serve exactly their pinned names, in
+/// that order, and both end with the same `server.*` block.
+#[test]
+fn primary_and_replica_serve_the_pinned_names() {
+    let dir = scratch_dir("names");
+    let primary = start(build_store(&dir), |_| {});
+    let replica = start(dir.join("replica.natix"), |c| {
+        c.replica_of = Some(primary.addr().to_string())
+    });
+    let expect = |store: &[&'static str]| -> Vec<&str> {
+        ["role"]
+            .iter()
+            .chain(store)
+            .chain(SERVER_NAMES)
+            .copied()
+            .collect()
+    };
+    let p = Client::connect(primary.addr()).unwrap().stats().unwrap();
+    let r = Client::connect(replica.addr()).unwrap().stats().unwrap();
+    assert_eq!(p.names().collect::<Vec<_>>(), expect(PRIMARY_STORE_NAMES));
+    assert_eq!(r.names().collect::<Vec<_>>(), expect(REPLICA_STORE_NAMES));
+    assert_eq!(p.get("role"), Some("primary"));
+    assert_eq!(r.get("role"), Some("replica"));
+    assert_eq!(p.get("store.read_only"), Some("no"));
+    let source = primary.addr().to_string();
+    assert_eq!(r.get("store.replicate.source"), Some(source.as_str()));
+    assert_eq!(r.get("store.replicate.fenced_epoch"), Some("no"));
+
+    replica.shutdown();
+    replica.join();
+    primary.shutdown();
+    primary.join();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The `server.*` entries of a `stats` answer are the counters
+/// `ServerHandle::summary` reads. After a scripted session (begin,
+/// query, end, update, one malformed frame) the server is quiet, so a
+/// summary taken right after the answer agrees with it on every field;
+/// the one offset is the stats request's own `ok`, counted once its
+/// answer is on its way.
+#[test]
+fn stats_serve_the_counters_the_summary_reads() {
+    let dir = scratch_dir("two-ways");
+    let handle = start(build_store(&dir), |_| {});
+    let mut c = Client::connect(handle.addr()).unwrap();
+    c.begin().unwrap();
+    c.query("//e").unwrap();
+    c.end().unwrap();
+    let resp = c
+        .request(&Request::Update {
+            target: "/list".to_string(),
+            op: natix_server::UpdateOp::AppendElement {
+                name: "fresh".to_string(),
+            },
+        })
+        .unwrap();
+    assert_eq!(resp.body, ResponseBody::UpdateDone);
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    write_frame(&mut raw, &[0xEE]).unwrap();
+    read_frame(&mut raw).unwrap();
+    drop(raw);
+
+    let stats = c.stats().unwrap();
+    let summary = handle.summary();
+    let served = |name: &str| stats.u64(&format!("server.{name}")).unwrap();
+    assert_eq!(served("connections"), summary.connections, "{stats}");
+    assert_eq!(served("requests"), summary.requests, "{stats}");
+    assert_eq!(served("ok") + 1, summary.ok, "{stats}");
+    assert_eq!(served("errors"), summary.errors, "{stats}");
+    assert_eq!(served("shed"), summary.shed, "{stats}");
+    assert_eq!(served("proto_errors"), summary.proto_errors, "{stats}");
+    assert_eq!(served("worker_panics"), summary.worker_panics, "{stats}");
+    assert_eq!(
+        served("lease_expirations"),
+        summary.lease_expirations,
+        "{stats}"
+    );
+    assert_eq!(
+        served("write_timeout_kills"),
+        summary.write_timeout_kills,
+        "{stats}"
+    );
+    assert_eq!(
+        served("reads_in_flight"),
+        summary.reads_in_flight,
+        "{stats}"
+    );
+    assert_eq!(
+        served("peak_reads_in_flight"),
+        summary.peak_reads_in_flight,
+        "{stats}"
+    );
+    // The script's own counts: four requests and `stats`, all ok; one
+    // malformed frame; one read lent.
+    assert_eq!(
+        (summary.connections, summary.requests, summary.ok),
+        (2, 5, 5),
+        "{summary}"
+    );
+    assert_eq!(
+        (summary.proto_errors, summary.peak_reads_in_flight),
+        (1, 1),
+        "{summary}"
+    );
+
+    c.shutdown_server().unwrap();
+    handle.join();
     std::fs::remove_dir_all(&dir).unwrap();
 }

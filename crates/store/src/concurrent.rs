@@ -146,6 +146,11 @@ pub struct StorageStats {
     pub occupied_bytes: u64,
     /// Reclaimed pages waiting in the free extents for a new chain.
     pub free_pages: u64,
+    /// Pages of superseded catalog/journal chains awaiting reclamation —
+    /// the backlog pins keep alive. Bounded in healthy operation; a
+    /// number that only grows means a pin is stuck (e.g. a leaked
+    /// session).
+    pub reclaim_backlog_pages: u64,
 }
 
 /// A superseded catalog/journal chain awaiting reclamation.
@@ -285,6 +290,7 @@ impl SharedStore {
             pages: inner.store.page_count(),
             occupied_bytes: inner.store.occupied_bytes(),
             free_pages: inner.store.pool.free_pages(),
+            reclaim_backlog_pages: inner.garbage.iter().map(|g| g.pages.len() as u64).sum(),
         }
     }
 
@@ -293,24 +299,6 @@ impl SharedStore {
     /// once the backend accepts writes again.
     pub fn read_only_reason(&self) -> Option<&'static str> {
         self.inner.borrow().read_only
-    }
-
-    /// Snapshot pins currently held (each one blocks checkpointing and
-    /// gates reclamation).
-    pub fn active_pins(&self) -> u32 {
-        self.inner.borrow().stats.snapshots_active
-    }
-
-    /// Pages of superseded catalog/journal chains awaiting reclamation —
-    /// the backlog pins keep alive. Bounded in healthy operation; a number
-    /// that only grows means a pin is stuck (e.g. a leaked session).
-    pub fn reclaim_backlog(&self) -> usize {
-        self.inner
-            .borrow()
-            .garbage
-            .iter()
-            .map(|g| g.pages.len())
-            .sum()
     }
 
     /// Pin the current committed epoch and return a read-only snapshot
@@ -995,7 +983,7 @@ mod tests {
         );
         assert!(err.retry_after_hint_ms().unwrap() > 0, "{err}");
         assert!(matches!(shared.pin_read(), Err(e) if e.is_overload()));
-        assert_eq!(shared.active_pins(), 2);
+        assert_eq!(shared.stats().snapshots_active, 2);
         drop(s1);
         // A slot freed: the retried read is admitted.
         let (pin_id, seed) = shared.pin_read().unwrap();
@@ -1152,7 +1140,8 @@ mod tests {
         assert_eq!(shared.stats().pinned_free_violations, 0);
         // The backlog counts pages: at least every page the pin held back.
         let waiting = held.difference(&chains(&shared)).count();
-        assert!(shared.reclaim_backlog() >= waiting, "{waiting} pages held");
+        let backlog = shared.storage_stats().reclaim_backlog_pages as usize;
+        assert!(backlog >= waiting, "{waiting} pages held");
         let len = shared.storage_stats().pages;
         drop(pin);
         assert!(shared.storage_stats().free_pages > 0);
@@ -1355,7 +1344,7 @@ mod tests {
         assert!(after.contains("payload 2"));
         drop(pin);
         shared.maintain().unwrap();
-        assert_eq!(shared.active_pins(), 0);
+        assert_eq!(shared.stats().snapshots_active, 0);
         assert_eq!(check(false), after);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -60,8 +60,8 @@ pub use pager::{
 };
 pub use record::{decode as decode_record, ChildEntry, Entries, RecNode, RecordData};
 pub use replicate::{
-    decode_part, ApplyOutcome, BatchKind, CaptureHandle, CapturePager, Follower, ReplBatch,
-    ReplPart, ReplicaSource, REPL_LOG_BATCHES, REPL_PART_MAGIC, REPL_PART_MAX_PAGES,
+    decode_part, ApplyOutcome, BatchKind, CaptureHandle, CapturePager, Follower, FollowerCounters,
+    ReplBatch, ReplPart, ReplicaSource, REPL_LOG_BATCHES, REPL_PART_MAGIC, REPL_PART_MAX_PAGES,
 };
 pub use store::{
     bulkload_with, DamageReport, MissingInterval, NavStats, NodeRef, StoreConfig, XmlStore,

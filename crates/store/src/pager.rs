@@ -758,11 +758,6 @@ impl FaultInjectingPager {
         self.dead
     }
 
-    /// Unwrap the backend (the surviving "disk").
-    pub fn into_inner(self) -> Box<dyn Pager> {
-        self.inner
-    }
-
     /// `Err` if the power is out; otherwise count a write event and apply
     /// the schedule. Returns `Ok(torn)` where `torn` says the caller must
     /// apply only the first half of the page before dying.

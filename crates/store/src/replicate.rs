@@ -428,6 +428,18 @@ pub enum ApplyOutcome {
     },
 }
 
+/// What a [`Follower`] has applied and discarded so far.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct FollowerCounters {
+    /// Incremental batches applied.
+    pub batches_applied: u64,
+    /// Snapshot batches applied (bootstraps).
+    pub snapshots_applied: u64,
+    /// Staged partial batches thrown away (a broken chain or a push
+    /// after promotion).
+    pub tails_discarded: u64,
+}
+
 /// The follower's half: stages incoming parts, applies complete batches
 /// (data pages, barrier, header slots, barrier), serves read-only
 /// snapshots of the applied state, and promotes by running the store's
@@ -438,9 +450,7 @@ pub struct Follower {
     epoch: u64,
     staged: Vec<ReplPart>,
     fence: Option<u64>,
-    batches_applied: u64,
-    snapshots_applied: u64,
-    tails_discarded: u64,
+    counters: FollowerCounters,
 }
 
 impl Follower {
@@ -454,9 +464,7 @@ impl Follower {
             epoch,
             staged: Vec::new(),
             fence: None,
-            batches_applied: 0,
-            snapshots_applied: 0,
-            tails_discarded: 0,
+            counters: FollowerCounters::default(),
         }
     }
 
@@ -470,13 +478,9 @@ impl Follower {
         self.fence
     }
 
-    /// `(batches, snapshots, tails discarded)` applied so far.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.batches_applied,
-            self.snapshots_applied,
-            self.tails_discarded,
-        )
+    /// What this follower has applied and discarded so far.
+    pub fn counters(&self) -> FollowerCounters {
+        self.counters
     }
 
     /// Stage one wire part; apply the batch when its last part arrives.
@@ -496,7 +500,7 @@ impl Follower {
         if part.seq == 0 {
             self.discard_tail();
             if part.kind == BatchKind::Incremental && part.prev_epoch != self.epoch {
-                self.tails_discarded += 1;
+                self.counters.tails_discarded += 1;
                 return Ok(ApplyOutcome::Rejected {
                     reason: format!(
                         "chain mismatch: batch follows epoch {}, store is at {}",
@@ -516,7 +520,7 @@ impl Follower {
                 || part.kind != first.kind
             {
                 self.discard_tail();
-                self.tails_discarded += 1;
+                self.counters.tails_discarded += 1;
                 return Ok(ApplyOutcome::Rejected {
                     reason: "part does not continue the staged batch".to_string(),
                 });
@@ -537,8 +541,8 @@ impl Follower {
         self.install(kind, &pages)?;
         self.epoch = epoch;
         match kind {
-            BatchKind::Snapshot => self.snapshots_applied += 1,
-            BatchKind::Incremental => self.batches_applied += 1,
+            BatchKind::Snapshot => self.counters.snapshots_applied += 1,
+            BatchKind::Incremental => self.counters.batches_applied += 1,
         }
         Ok(ApplyOutcome::Applied { epoch })
     }
@@ -574,7 +578,7 @@ impl Follower {
     fn discard_tail(&mut self) {
         if !self.staged.is_empty() {
             self.staged.clear();
-            self.tails_discarded += 1;
+            self.counters.tails_discarded += 1;
         }
     }
 
@@ -847,8 +851,7 @@ mod tests {
             std::fs::read(&primary).unwrap(),
             std::fs::read(&replica).unwrap()
         );
-        let (_, snapshots, _) = follower.counters();
-        assert_eq!(snapshots, 1);
+        assert_eq!(follower.counters().snapshots_applied, 1);
 
         // Promotion runs recovery and fences.
         let fence = follower.promote().unwrap();
@@ -906,8 +909,10 @@ mod tests {
         ));
         let before = std::fs::read(&replica).unwrap();
         let fence = follower.promote().unwrap();
-        let (_, _, tails) = follower.counters();
-        assert!(tails >= 1, "staged tail must be counted as discarded");
+        assert!(
+            follower.counters().tails_discarded >= 1,
+            "staged tail must be counted as discarded"
+        );
         // Post-promote, even a correctly chaining batch is fenced.
         let late = ReplBatch {
             kind: BatchKind::Incremental,

@@ -569,20 +569,6 @@ fn soak_round(
 
 // ----------------------------------------------------------- lease leak
 
-/// Pull the `backlog : N superseded pages` figure out of the stats text.
-fn parse_backlog(stats: &str) -> Option<u64> {
-    let line = stats
-        .lines()
-        .find(|l| l.trim_start().starts_with("backlog"))?;
-    line.split(':')
-        .nth(1)?
-        .trim()
-        .split(' ')
-        .next()?
-        .parse()
-        .ok()
-}
-
 /// `natix stress --net --leak`: one deliberate leaker must never starve
 /// the other clients for more than a lease TTL. It pins the *only*
 /// admission slot and goes silent; well-behaved victims shed until the
@@ -660,13 +646,14 @@ pub(crate) fn lease_leak(plan: &Plan, progress: &mut Progress) -> Report {
         }
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
-    let backlog_peak = match writer.stats() {
-        Ok(text) => parse_backlog(&text).unwrap_or(0),
-        Err(e) => {
-            failures.push(format!("stats at leak peak: {e}"));
-            0
-        }
+    let backlog = |c: &mut Client| -> Result<u64, String> {
+        let stats = c.stats().map_err(|e| e.to_string())?;
+        stats.u64("store.reclaim_backlog_pages")
     };
+    let backlog_peak = backlog(&mut writer).unwrap_or_else(|e| {
+        failures.push(format!("stats at leak peak: {e}"));
+        0
+    });
     if backlog_peak == 0 {
         failures.push("stuck pin did not accumulate a reclamation backlog".to_string());
     }
@@ -737,13 +724,10 @@ pub(crate) fn lease_leak(plan: &Plan, progress: &mut Progress) -> Report {
             failures.push(format!("post-leak update {i}: {e}"));
         }
     }
-    let backlog_after = match writer.stats() {
-        Ok(text) => parse_backlog(&text).unwrap_or(u64::MAX),
-        Err(e) => {
-            failures.push(format!("stats after recovery: {e}"));
-            u64::MAX
-        }
-    };
+    let backlog_after = backlog(&mut writer).unwrap_or_else(|e| {
+        failures.push(format!("stats after recovery: {e}"));
+        u64::MAX
+    });
     if backlog_peak > 0 && backlog_after >= backlog_peak {
         failures.push(format!(
             "reclamation backlog did not drain ({backlog_peak} -> {backlog_after})"

@@ -30,7 +30,7 @@
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use natix_server::{Client, ErrKind, Request, ResponseBody, ShedKind, UpdateOp};
+use natix_server::{Client, ErrKind, Request, ResponseBody, ShedKind, Stats, UpdateOp};
 use natix_store::{BatchKind, ReplBatch, PAGE_SIZE};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -49,6 +49,14 @@ fn divergent_part(beyond_epoch: u64) -> Vec<u8> {
         pages: vec![(2, Box::new([0u8; PAGE_SIZE]))],
     };
     batch.encode_parts().remove(0)
+}
+
+/// A primary's follower count and replication lag in epochs.
+fn followers_and_lag(stats: &Stats) -> Result<(u64, u64), String> {
+    Ok((
+        stats.u64("store.replicate.followers")?,
+        stats.u64("store.replicate.lag_epochs")?,
+    ))
 }
 
 /// Poll the replica until its applied epoch is nonzero (bootstrapped).
@@ -186,11 +194,8 @@ fn repl_round(
         Err(e) => fail(failures, format!("replica write probe: {e}")),
     }
     match Client::connect(replica.addr.as_str()).and_then(|mut c| c.stats()) {
-        Ok(text) => {
-            if !text.contains("role         : replica") || !text.contains("applied epoch") {
-                fail(failures, format!("replica stats missing role:\n{text}"));
-            }
-        }
+        Ok(s) if s.get("role") == Some("replica") && s.u64("store.epoch").is_ok() => {}
+        Ok(s) => fail(failures, format!("not a replica's stats:\n{s}")),
         Err(e) => fail(failures, format!("replica stats: {e}")),
     }
 
@@ -230,16 +235,10 @@ fn repl_round(
                 // be between proxy-induced reconnects on any single
                 // poll, so it only has to show up once per round.
                 if !lag_line_seen && i % 8 == 4 {
-                    if let Ok(text) = w.stats() {
-                        if let Some(line) = text.lines().find(|l| l.starts_with("replication")) {
-                            if line.contains("1 followers") && line.contains("lag") {
-                                lag_line_seen = true;
-                            }
-                        } else {
-                            fail(
-                                failures,
-                                "primary stats lost the replication line".to_string(),
-                            );
+                    if let Ok(stats) = w.stats() {
+                        match followers_and_lag(&stats) {
+                            Ok((followers, _)) => lag_line_seen = followers == 1,
+                            Err(e) => fail(failures, format!("primary stats: {e}")),
                         }
                     }
                 }
@@ -251,11 +250,8 @@ fn repl_round(
         // Last chance before the kill: poll a few more times — harsh
         // rounds can keep the follower disconnected for a while.
         for _ in 0..40 {
-            if let Ok(text) = Client::connect(primary.addr.as_str()).and_then(|mut c| c.stats()) {
-                if text
-                    .lines()
-                    .any(|l| l.starts_with("replication") && l.contains("1 followers"))
-                {
+            if let Ok(stats) = Client::connect(primary.addr.as_str()).and_then(|mut c| c.stats()) {
+                if followers_and_lag(&stats).is_ok_and(|(followers, _)| followers == 1) {
                     lag_line_seen = true;
                     break;
                 }
@@ -279,15 +275,11 @@ fn repl_round(
         let deadline = Instant::now() + Duration::from_secs(30);
         let mut caught_up = false;
         while Instant::now() < deadline {
-            if let Ok(text) = Client::connect(primary.addr.as_str()).and_then(|mut c| c.stats()) {
-                // Both clauses matter: a momentarily-disconnected
-                // follower reports "0 followers, lag 0 epochs", which
-                // must not count as caught up.
-                if text.lines().any(|l| {
-                    l.starts_with("replication")
-                        && l.contains("1 followers")
-                        && l.contains("lag 0 epochs")
-                }) {
+            if let Ok(stats) = Client::connect(primary.addr.as_str()).and_then(|mut c| c.stats()) {
+                // Both figures matter: a momentarily-disconnected
+                // follower leaves 0 followers at lag 0, which must not
+                // count as caught up.
+                if followers_and_lag(&stats) == Ok((1, 0)) {
                     caught_up = true;
                     break;
                 }

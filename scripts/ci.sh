@@ -184,6 +184,11 @@ if grep -q "shard 1: clean" "$fsck_dir/collfsck.out"; then
   echo "FAIL: collection fsck called the corrupted shard clean" >&2; exit 1
 fi
 
+# A served stats answer is one `name value` line per counter, each name once.
+stats_well_formed() {
+  ! grep -qvE '^[a-z_.]+ [^ ].*$' "$1" && [ -z "$(cut -d ' ' -f 1 "$1" | sort | uniq -d)" ]
+}
+
 tier "natix serve smoke (daemon on an ephemeral port: one of each verb over the wire, a deterministic shed + honored retry-after, structured exit codes, clean drain)"
 serve_dir="$fsck_dir/serve"
 mkdir -p "$serve_dir"
@@ -210,13 +215,14 @@ diff "$serve_dir/local-query.out" "$serve_dir/wire-query.out"
 natix net "$addr" update '//library' append-element annex
 test "$(natix net "$addr" query '//annex' --count)" = 1
 natix net "$addr" stats > "$serve_dir/stats.out"
-grep -q "live records" "$serve_dir/stats.out"
+stats_well_formed "$serve_dir/stats.out" || { echo "FAIL: malformed primary stats" >&2; exit 1; }
+grep -qxE 'store\.live_records [0-9]+' "$serve_dir/stats.out"
 # Resource observability: pin/lease/backlog/read-only gauges are served.
-grep -q "session-pinned" "$serve_dir/stats.out"
+grep -qx 'server.session_pins 0' "$serve_dir/stats.out"
 # Reads run on the workers; with nothing running the gauge reads zero.
-grep -q "reads        : 0 in flight, peak" "$serve_dir/stats.out"
-grep -q "read-only    : no" "$serve_dir/stats.out"
-grep -q "superseded pages" "$serve_dir/stats.out"
+grep -qx 'server.reads_in_flight 0' "$serve_dir/stats.out"
+grep -qx 'store.read_only no' "$serve_dir/stats.out"
+grep -qxE 'store\.reclaim_backlog_pages [0-9]+' "$serve_dir/stats.out"
 natix net "$addr" fsck > /dev/null
 # Deterministic backpressure round trip: saturate the 4 session pins,
 # observe a typed retry-after for the next begin and for an unpinned
@@ -265,19 +271,24 @@ for i in $(seq 1 8); do
   natix net "$primary_addr" update '//library' append-element "wing$i"
 done
 # The primary's lag gauge must drain to 0 (every committed epoch acked);
-# "1 followers" guards against matching the vacuous 0-follower line
-# during a follower reconnect.
+# one follower guards against the vacuous lag 0 of no followers during a
+# follower reconnect.
 caught_up=0
 for _ in $(seq 1 200); do
-  if natix net "$primary_addr" stats | grep -q "1 followers, lag 0 epochs"; then caught_up=1; break; fi
+  natix net "$primary_addr" stats > "$repl_dir/primary-stats.out"
+  if grep -qx 'store.replicate.followers 1' "$repl_dir/primary-stats.out" &&
+    grep -qx 'store.replicate.lag_epochs 0' "$repl_dir/primary-stats.out"; then caught_up=1; break; fi
   sleep 0.05
 done
 test "$caught_up" -eq 1 || { echo "FAIL: standby never reached lag 0" >&2; exit 1; }
+stats_well_formed "$repl_dir/primary-stats.out" || { echo "FAIL: malformed primary stats" >&2; exit 1; }
 # ...at which point same-epoch dumps must be byte-identical.
 natix net "$primary_addr" dump > "$repl_dir/primary.xml"
 natix net "$standby_addr" dump > "$repl_dir/standby.xml"
 diff "$repl_dir/primary.xml" "$repl_dir/standby.xml"
-natix net "$standby_addr" stats | grep -q "role         : replica"
+natix net "$standby_addr" stats > "$repl_dir/standby-stats.out"
+stats_well_formed "$repl_dir/standby-stats.out" || { echo "FAIL: malformed standby stats" >&2; exit 1; }
+grep -qx 'role replica' "$repl_dir/standby-stats.out"
 # Writes to the standby shed with the typed read-only retry-after (exit 3).
 rc=0; natix net "$standby_addr" update '//library' append-element nope --retries 0 2> /dev/null || rc=$?
 test "$rc" -eq 3 || { echo "FAIL: standby write exited $rc, want 3 (read-only shed)" >&2; exit 1; }
