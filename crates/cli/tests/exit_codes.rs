@@ -78,18 +78,45 @@ fn partition_option_errors_exit_2_before_any_output() {
     assert_eq!(code(&out), 0);
 
     // Unknown options — the retired engine knobs among them; `--threads`
-    // survives on `bulkload` only — are usage errors.
-    for args in [
-        &["partition", xml, "--alg", "dhw", "--threads", "2"][..],
-        &["partition", xml, "--alg", "dhw", "--frobnicate"],
-        &["load", xml, store, "--alg", "dhw", "--threads", "2"],
-        &["load", xml, store, "--frobnicate"],
+    // survives on `bulkload` only — are usage errors. So are the flags a
+    // verb used to accept and never read (`partition --pool-pages`,
+    // `--count` outside `query`, `load --stats`), a missing positional and
+    // a K no record can have.
+    for (args, needle) in [
+        (
+            &["partition", xml, "--alg", "dhw", "--threads", "2"][..],
+            "unknown option",
+        ),
+        (
+            &["partition", xml, "--alg", "dhw", "--frobnicate"],
+            "unknown option",
+        ),
+        (
+            &["load", xml, store, "--alg", "dhw", "--threads", "2"],
+            "unknown option",
+        ),
+        (&["load", xml, store, "--frobnicate"], "unknown option"),
+        (
+            &["partition", xml, "--pool-pages", "3"],
+            "unknown option --pool-pages",
+        ),
+        (&["partition", xml, "--count"], "unknown option --count"),
+        (&["load", xml, store, "--count"], "unknown option --count"),
+        (
+            &["load", xml, store, "--alg", "dhw", "--stats"],
+            "unknown option --stats",
+        ),
+        (&["load", xml], "missing <store.natix>"),
+        (
+            &["partition", xml, "--k", "0"],
+            "--k expects a positive integer",
+        ),
     ] {
         let out = natix(args);
         assert_eq!(code(&out), 2, "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}");
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains("unknown option"),
+            String::from_utf8_lossy(&out.stderr).contains(needle),
             "{args:?}"
         );
     }
@@ -191,6 +218,11 @@ fn campaign_flag_errors_exit_2_and_name_the_row() {
         // A selector of the other verb is no option of this one.
         (&["soak", "--net"], "unknown option --net"),
         (&["stress", "--replay", "x"], "unknown option --replay"),
+        // A replay runs the script's own row and tier.
+        (
+            &["soak", "--replay", "x", "--quick"],
+            "unknown option --quick",
+        ),
         (&["stress", "--seed"], "missing value for --seed"),
         (
             &["stress", "--runs", "many"],
@@ -212,19 +244,31 @@ fn campaign_flag_errors_exit_2_and_name_the_row() {
 fn store_verb_option_errors_exit_2_before_any_output() {
     let dir = tmpdir("store-flags");
     let store = build_store(&dir);
-    for args in [
-        &["query", &store, "//e", "--cuont"][..],
-        &["query", &store, "//e", "--count", "extra"],
-        &["stats", &store, "--frobnicate"],
-        &["dump", &store, "--frobnicate"],
-        &["fsck", &store, "--frobnicate"],
+    let before = std::fs::read(&store).unwrap();
+    for (args, needle) in [
+        (&["query", &store, "//e", "--cuont"][..], "unknown option"),
+        (
+            &["query", &store, "//e", "--count", "extra"],
+            "unknown option",
+        ),
+        (&["stats", &store, "--frobnicate"], "unknown option"),
+        (&["dump", &store, "--frobnicate"], "unknown option"),
+        (&["fsck", &store, "--frobnicate"], "unknown option"),
+        (
+            &["query", &store, "//e", "--pool-pages", "0"],
+            "--pool-pages expects a positive integer",
+        ),
     ] {
         let out = natix(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(code(&out), 2, "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed a result");
-        assert!(stderr.contains("unknown option"), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
     }
+    assert!(
+        std::fs::read(&store).unwrap() == before,
+        "a refused verb wrote"
+    );
     let out = natix(&["query", &store, "//e", "--count"]);
     assert_eq!(code(&out), 0);
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "3");
@@ -235,7 +279,10 @@ fn store_verb_option_errors_exit_2_before_any_output() {
 /// `serve --queue-depth`/`--read-budget` and `net dump --degraded`, which
 /// older scripts may still pass, among them — with the usage code before
 /// they bind, connect or open anything (the store and the port below do
-/// not exist).
+/// not exist). So are a malformed or out-of-range value, a flag or word
+/// another `net` verb takes, and `bulkload --input` with the synthetic
+/// corpus's `--docs`/`--seed`: no OS error shows, so nothing was opened
+/// or connected to.
 #[test]
 fn daemon_and_collection_option_errors_exit_2_before_anything_opens() {
     let dir = tmpdir("verb-flags");
@@ -243,22 +290,84 @@ fn daemon_and_collection_option_errors_exit_2_before_anything_opens() {
     let missing = missing.to_str().unwrap();
     let coll = dir.join("coll");
     let coll = coll.to_str().unwrap();
-    for args in [
-        &["serve", missing, "--queue-depth", "4"][..],
-        &["serve", missing, "--read-budget", "1"],
-        &["net", "127.0.0.1:9", "dump", "--degraded"],
-        &["bulkload", coll, "--frobnicate"],
-        &["collection", "fsck", coll, "--frobnicate"],
-        &["collection", "stats", coll, "--frobnicate"],
-        &["collection", "dump", coll, "0", "--frobnicate"],
+    let xml = dir.join("doc.xml");
+    std::fs::write(&xml, "<list><e>alpha</e></list>").unwrap();
+    let xml = xml.to_str().unwrap();
+    let positive = "expects a positive integer";
+    for (args, needle) in [
+        (
+            &["serve", missing, "--queue-depth", "4"][..],
+            "unknown option",
+        ),
+        (&["serve", missing, "--read-budget", "1"], "unknown option"),
+        (
+            &["net", "127.0.0.1:9", "dump", "--degraded"],
+            "unknown option",
+        ),
+        (&["bulkload", coll, "--frobnicate"], "unknown option"),
+        (
+            &["collection", "fsck", coll, "--frobnicate"],
+            "unknown option",
+        ),
+        (
+            &["collection", "stats", coll, "--frobnicate"],
+            "unknown option",
+        ),
+        (
+            &["collection", "dump", coll, "0", "--frobnicate"],
+            "unknown option",
+        ),
+        (&["serve", missing, "--workers", "abc"], positive),
+        (&["serve", missing, "--workers", "0"], positive),
+        (
+            &["bulkload", coll, "--docs", "abc"],
+            "expects a non-negative integer",
+        ),
+        (&["bulkload", coll, "--shards", "0"], positive),
+        (
+            &["collection", "dump", coll, "abc"],
+            "expects a non-negative integer",
+        ),
+        (
+            &["net", "127.0.0.1:9", "ping", "--pins", "2"],
+            "unknown option --pins",
+        ),
+        (
+            &["net", "127.0.0.1:9", "ping", "extra"],
+            "unknown option extra",
+        ),
+        (
+            &["net", "127.0.0.1:9", "ping", "--count"],
+            "unknown option --count",
+        ),
+        (
+            &["net", "127.0.0.1:9", "stats", "--retries", "3"],
+            "unknown option --retries",
+        ),
+        // 2^32 + 1 shards used to wrap to one.
+        (
+            &["bulkload", coll, "--shards", "4294967297"],
+            "out of range",
+        ),
+        (
+            &[
+                "bulkload", coll, "--input", xml, "--docs", "5", "--seed", "3",
+            ],
+            "with --input the corpus is the files",
+        ),
     ] {
         let out = natix(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(code(&out), 2, "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed something");
-        assert!(stderr.contains("unknown option"), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(!stderr.contains("os error"), "{args:?}: {stderr}");
     }
     assert!(!Path::new(coll).exists(), "a rejected bulkload wrote");
+    assert!(
+        !Path::new(missing).exists(),
+        "a rejected serve created a store"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

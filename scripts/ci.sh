@@ -235,6 +235,20 @@ grep -q "retry honored" "$serve_dir/shed.out"
 # Structured exit codes: usage errors are 2, transport failures are 5.
 rc=0; natix net "$addr" frobnicate 2> /dev/null || rc=$?
 test "$rc" -eq 2 || { echo "FAIL: unknown net verb exited $rc, want 2" >&2; exit 1; }
+# A flag or word the verb does not take is refused before the connect:
+# between two `stats` calls the daemon accepts exactly one connection,
+# the second `stats` call's own.
+connections() { natix net "$addr" stats | sed -n 's/^server\.connections //p'; }
+connections_before="$(connections)"
+for refused in "ping --pins 2" "ping extra"; do
+  # shellcheck disable=SC2086  # the verb and its arguments, split on purpose
+  rc=0; natix net "$addr" $refused 2> /dev/null || rc=$?
+  test "$rc" -eq 2 || { echo "FAIL: natix net ADDR $refused exited $rc, want 2" >&2; exit 1; }
+done
+connections_after="$(connections)"
+test "$connections_after" -eq $((connections_before + 1)) || {
+  echo "FAIL: refused net calls connected ($connections_before -> $connections_after)" >&2; exit 1
+}
 rc=0; natix query "$serve_dir/no-such.natix" '//x' 2> /dev/null || rc=$?
 test "$rc" -eq 5 || { echo "FAIL: missing store exited $rc, want 5" >&2; exit 1; }
 # Clean drain: the shutdown verb must stop the daemon with exit 0.
