@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 use natix_core::Ekm;
 use natix_server::wire::{read_frame, write_frame, OP_SHUTDOWN};
 use natix_server::{
-    serve, Client, ErrKind, Request, Response, ResponseBody, ServeConfig, ServerHandle, ShedKind,
-    Stats,
+    serve, Client, ClientError, ErrKind, ProtoError, Request, Response, ResponseBody, ServeConfig,
+    ServerHandle, ShedKind, Stats,
 };
 use natix_store::{bulkload_with, FilePager, StoreConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -839,8 +839,8 @@ fn shutdown_answers_reads_in_flight_before_releasing_pins() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `serve` reports store-open failures as errors instead of panicking
-/// or leaking threads.
+/// `serve` reports store-open failures as errors whose message names the
+/// store, instead of panicking or leaking threads.
 #[test]
 fn serve_reports_missing_store() {
     let dir = scratch_dir("missing");
@@ -849,7 +849,9 @@ fn serve_reports_missing_store() {
         ..ServeConfig::default()
     };
     match serve(config) {
-        Err(natix_server::ServeError::Store(_)) => {}
+        Err(e @ natix_server::ServeError::Store(_)) => {
+            assert!(e.to_string().starts_with("store: "), "{e}");
+        }
         other => panic!("expected store error, got {:?}", other.map(|h| h.addr())),
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -1018,5 +1020,106 @@ fn stats_serve_the_counters_the_summary_reads() {
 
     c.shutdown_server().unwrap();
     handle.join();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A standby answers `query` and `dump` from its applied state. Each
+/// time its applied epoch reaches the primary's committed one (after
+/// the bootstrap, and again after an update), its answers equal the
+/// primary's at that epoch: count, lines and document.
+#[test]
+fn standby_reads_equal_the_primarys_at_its_applied_epoch() {
+    let dir = scratch_dir("standby-reads");
+    let primary = start(build_store(&dir), |_| {});
+    let replica = start(dir.join("replica.natix"), |c| {
+        c.replica_of = Some(primary.addr().to_string())
+    });
+    let mut p = Client::connect(primary.addr()).unwrap();
+    let mut r = Client::connect(replica.addr()).unwrap();
+    for round in 0..2 {
+        if round == 1 {
+            let resp = p
+                .request(&Request::Update {
+                    target: "/list".to_string(),
+                    op: natix_server::UpdateOp::AppendElement {
+                        name: "e".to_string(),
+                    },
+                })
+                .unwrap();
+            assert_eq!(resp.body, ResponseBody::UpdateDone);
+        }
+        let committed = p.stats().unwrap().u64("store.epoch").unwrap();
+        await_stats(&mut r, "the standby at the primary's epoch", |s| {
+            s.u64("store.epoch") == Ok(committed)
+        });
+        let primary_query = p.query("//e").unwrap();
+        let standby_query = r.query("//e").unwrap();
+        assert_eq!(primary_query.0, committed);
+        assert_eq!(standby_query, primary_query, "round {round}");
+        assert_eq!(standby_query.1, 3 + round);
+        let primary_dump = p.dump().unwrap();
+        assert_eq!(r.dump().unwrap(), primary_dump, "round {round}");
+        assert_eq!(primary_dump.0, committed);
+    }
+    replica.shutdown();
+    replica.join();
+    primary.shutdown();
+    primary.join();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An address nobody listens on: a port bound and let go at once.
+fn dead_addr() -> std::net::SocketAddr {
+    std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+}
+
+/// Connecting to a dead address is a typed I/O error.
+#[test]
+fn connecting_to_a_dead_address_is_a_typed_io_error() {
+    let err = Client::connect(dead_addr()).err().expect("nobody listens");
+    assert!(
+        matches!(err, ClientError::Proto(ProtoError::Io(_))),
+        "{err}"
+    );
+}
+
+/// A standby whose primary is a dead address never bootstraps: a
+/// `query` or `dump` sent to it gets a typed error at once, not a hang.
+#[test]
+fn standby_reads_before_bootstrap_answer_typed() {
+    let dead = dead_addr();
+    let dir = scratch_dir("standby-unbooted");
+    let replica = start(dir.join("replica.natix"), |c| {
+        c.replica_of = Some(dead.to_string())
+    });
+    let addr = replica.addr();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut c = Client::connect(addr).unwrap();
+        let query = c.request(&Request::Query {
+            xpath: "//e".to_string(),
+            count_only: false,
+        });
+        let _ = tx.send((query, c.request(&Request::Dump)));
+    });
+    let (query, dump) = rx
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("an unbootstrapped standby answers reads");
+    for resp in [query.unwrap(), dump.unwrap()] {
+        assert_eq!(resp.epoch, 0, "{resp:?}");
+        assert!(
+            matches!(
+                &resp.body,
+                ResponseBody::Error { kind: ErrKind::InvalidUpdate, message }
+                    if message.contains("not bootstrapped")
+            ),
+            "{resp:?}"
+        );
+    }
+    replica.shutdown();
+    replica.join();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -68,12 +68,6 @@ impl fmt::Display for BulkloadError {
 
 impl std::error::Error for BulkloadError {}
 
-impl From<XmlError> for BulkloadError {
-    fn from(e: XmlError) -> Self {
-        BulkloadError::Xml(e)
-    }
-}
-
 impl From<StoreError> for BulkloadError {
     fn from(e: StoreError) -> Self {
         BulkloadError::Store(e)
@@ -708,12 +702,18 @@ mod tests {
 
     #[test]
     fn tiny_document_round_trips() {
-        let (mut store, stats) = load("<a x='1'><b>hi</b><c/></a>", 4, 0);
+        let xml = "<a x='1'><b>hi</b><!--note--><?pi go?><c/></a>";
+        let (mut store, stats) = load(xml, 4, 0);
         assert!(stats.records >= 1);
         assert!(stats.peak_resident_bytes > 0);
         store.check_consistency().expect("consistent");
         let doc = store.to_document().expect("to_document");
-        assert_eq!(doc.to_xml(), "<a x=\"1\"><b>hi</b><c/></a>");
+        assert_eq!(doc.to_xml(), natix_xml::parse(xml).unwrap().to_xml());
+        assert!(
+            doc.to_xml().contains("<!--note--><?pi go?>"),
+            "{}",
+            doc.to_xml()
+        );
     }
 
     #[test]

@@ -713,15 +713,6 @@ impl Snapshot {
     }
 }
 
-impl std::fmt::Debug for Snapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Snapshot")
-            .field("epoch", &self.store.current_epoch())
-            .field("pin_id", &self.pin_id)
-            .finish_non_exhaustive()
-    }
-}
-
 impl Drop for Snapshot {
     fn drop(&mut self) {
         if !self.released {
@@ -829,12 +820,6 @@ impl WriteGuard {
     }
 }
 
-impl std::fmt::Debug for WriteGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WriteGuard").finish_non_exhaustive()
-    }
-}
-
 impl Drop for WriteGuard {
     fn drop(&mut self) {
         self.shared.release(Release::Writer);
@@ -874,7 +859,7 @@ impl Pager for OverlayPager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pager::SharedMemPager;
+    use crate::pager::{MemPager, SharedMemPager};
     use crate::store::{bulkload_with, NodeRef};
     use natix_core::Ekm;
     use natix_xml::{parse, NodeKind};
@@ -976,7 +961,9 @@ mod tests {
         );
         let s1 = shared.begin_read().unwrap();
         let _s2 = shared.begin_read().unwrap();
-        let err = shared.begin_read().unwrap_err();
+        let Err(err) = shared.begin_read() else {
+            panic!("a third read is shed")
+        };
         assert!(
             matches!(err, StoreError::Overloaded { what: "read", .. }),
             "{err}"
@@ -999,7 +986,9 @@ mod tests {
     fn single_writer_is_enforced() {
         let (shared, _disk) = shared("<a><b/></a>", 64, AdmissionConfig::default());
         let w1 = shared.begin_write().unwrap();
-        let err = shared.begin_write().unwrap_err();
+        let Err(err) = shared.begin_write() else {
+            panic!("a second writer is refused")
+        };
         assert!(
             matches!(err, StoreError::Overloaded { what: "write", .. }),
             "{err}"
@@ -1238,6 +1227,34 @@ mod tests {
         assert_eq!(stats.read_only_recovered, 1, "{stats:?}");
         let scrub = fsck(&disk, false);
         assert!(scrub.clean(), "{scrub}");
+    }
+
+    #[test]
+    fn the_snapshot_pager_reads_through_its_overlay_and_refuses_writes() {
+        let mut disk = MemPager::new();
+        for byte in [1u8, 2] {
+            let id = disk.allocate().unwrap();
+            disk.write(id, &[byte; PAGE_SIZE]).unwrap();
+        }
+        let overlay = Overlay::from([(1, Arc::new([9u8; PAGE_SIZE]))]);
+        let mut pager = OverlayPager {
+            inner: Box::new(disk),
+            overlay: Arc::new(overlay),
+        };
+        let mut buf = [0u8; PAGE_SIZE];
+        pager.read(0, &mut buf).unwrap();
+        assert_eq!(buf[0], 1);
+        pager.read(1, &mut buf).unwrap();
+        assert_eq!(buf[0], 9, "the overlay's image wins");
+        assert!(matches!(
+            pager.allocate(),
+            Err(StoreError::InvalidUpdate(_))
+        ));
+        assert!(matches!(
+            pager.write(0, &buf),
+            Err(StoreError::InvalidUpdate(_))
+        ));
+        assert_eq!(pager.page_count(), 2);
     }
 
     #[test]

@@ -376,7 +376,7 @@ mod tests {
         assert_eq!(after.matches("<fresh/>").count(), 1, "{after}");
         store.commit().unwrap();
 
-        // Inside a batch the staged bytes are read, after its abort the
+        // Inside a batch the staged bytes are read, after a rollback the
         // committed ones again.
         store.begin_batch().unwrap();
         climb(&mut store);
@@ -385,7 +385,7 @@ mod tests {
             .unwrap();
         let staged = store.to_document().unwrap().to_xml();
         assert_eq!(staged.matches("<staged/>").count(), 1);
-        store.abort_batch().unwrap();
+        store.rollback().unwrap();
         assert!(store.chain.is_empty(), "a rollback lets go of every record");
         assert_eq!(store.to_document().unwrap().to_xml(), after);
         assert_ne!(after, before);

@@ -619,16 +619,6 @@ pub struct FaultSchedule {
 }
 
 impl FaultSchedule {
-    /// No fault at all (useful for counting writes deterministically).
-    pub fn none() -> FaultSchedule {
-        FaultSchedule {
-            fault: Fault::PowerCut {
-                at: u64::MAX,
-                torn: false,
-            },
-        }
-    }
-
     /// Power cut at the `at`-th write event.
     pub fn power_cut(at: u64, torn: bool) -> FaultSchedule {
         FaultSchedule {
@@ -1187,20 +1177,10 @@ impl BufferPool {
         self.backend.page_count()
     }
 
-    /// Configured frame budget.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Resident frames right now (may exceed capacity under an all-dirty
     /// working set).
     pub fn resident(&self) -> usize {
         self.frames.len()
-    }
-
-    /// First page id that eviction may write back dirty (see type docs).
-    pub fn writeback_floor(&self) -> PageId {
-        self.writeback_floor
     }
 
     /// Allow dirty write-back eviction for pages `>= floor`. The store

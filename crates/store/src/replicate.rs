@@ -209,11 +209,6 @@ impl CaptureHandle {
         set.clear();
         out
     }
-
-    /// Pages captured and not yet drained.
-    pub fn pending(&self) -> usize {
-        self.0.borrow().len()
-    }
 }
 
 /// A pass-through [`Pager`] that records the id of every page written

@@ -62,11 +62,6 @@ pub struct DamageReport {
 }
 
 impl DamageReport {
-    /// True when the degraded read served the full document.
-    pub fn is_empty(&self) -> bool {
-        self.missing.is_empty()
-    }
-
     /// The set of missing record numbers.
     pub fn records(&self) -> HashSet<u32> {
         self.missing.iter().map(|m| m.record).collect()
@@ -891,14 +886,6 @@ impl XmlStore {
         }
         self.publish()?;
         Ok(batch.ops)
-    }
-
-    /// Abandon the open batch (if any), discarding every staged op.
-    pub fn abort_batch(&mut self) -> StoreResult<()> {
-        if self.batch.take().is_some() {
-            self.rollback()?;
-        }
-        Ok(())
     }
 
     /// Capture everything a mid-batch rollback must restore.

@@ -60,6 +60,17 @@ fn collection_round_trips_every_document() {
         assert_eq!(&doc.to_xml(), xml, "doc {i} round-trip");
     }
     assert!(coll.check().expect("check").is_empty(), "shards consistent");
+    // The per-shard table `natix collection stats` prints: the loader's
+    // doc split, and a non-empty store behind every shard.
+    let stats = coll.stats().expect("stats");
+    let docs: Vec<u64> = stats.iter().map(|s| s.0).collect();
+    assert_eq!(docs, report.shard_docs);
+    assert!(
+        stats
+            .iter()
+            .all(|&(_, records, pages)| records > 0 && pages > 0),
+        "{stats:?}"
+    );
 
     for (shard, report) in fsck_collection(&dir, false).expect("fsck") {
         assert!(report.clean(), "shard {shard} not clean:\n{report}");

@@ -80,6 +80,14 @@ mod tests {
     }
 
     #[test]
+    fn a_query_that_does_not_parse_reports_the_parse_error() {
+        let d = doc();
+        let err = eval_query(&mut MemNavigator::new(&d), "/site[").unwrap_err();
+        assert!(matches!(err, EvalError::Parse(_)), "{err:?}");
+        assert_eq!(err.to_string(), parse("/site[").unwrap_err().to_string());
+    }
+
+    #[test]
     fn child_paths() {
         assert_eq!(count("/site"), 1);
         assert_eq!(count("/site/regions/*/item"), 3);

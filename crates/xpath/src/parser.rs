@@ -404,6 +404,7 @@ mod tests {
             "//keyword",
             "/descendant-or-self::listitem/descendant-or-self::keyword",
             "//keyword/ancestor-or-self::mail",
+            "//item[@id = 'item0' or name and .//keyword]/name",
         ] {
             let p1 = parse(q).unwrap();
             let p2 = parse(&p1.to_string()).unwrap();
