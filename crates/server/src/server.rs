@@ -32,6 +32,13 @@
 //! everything already queued, and only then releases the remaining
 //! session pins and runs deferred store maintenance — in-flight requests
 //! drain before pins are torn down.
+//!
+//! A panic on the store service is fail-stop: the writer store may be
+//! left mid-operation, while the file holds the last durable commit. The
+//! service counts it as a handler panic, answers the request with an
+//! error, starts the shutdown above and touches the store no more: every
+//! later request is answered with an error, and no pin release, reap or
+//! maintenance runs. The next open recovers from the file.
 
 use std::collections::{HashMap, HashSet};
 use std::io::Read;
@@ -190,8 +197,9 @@ pub struct ServeSummary {
     pub queue_shed: u64,
     /// Malformed frames answered with a protocol error.
     pub proto_errors: u64,
-    /// Connection handlers that panicked (must stay 0; the pool
-    /// survives them).
+    /// Connection handlers and store-service requests that panicked
+    /// (must stay 0; the pool survives a handler's, the daemon stops
+    /// after a store-service one).
     pub worker_panics: u64,
     /// Session pins released by the lease reaper because the session
     /// went idle past its TTL.
@@ -342,10 +350,13 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, ServeError> {
         let config = config.clone();
         let counters = Arc::clone(&counters);
         let promoted = Arc::clone(&promoted);
+        let shutdown = Arc::clone(&shutdown);
         threads.push(
             std::thread::Builder::new()
                 .name("natix-store-svc".into())
-                .spawn(move || store_service(config, store_rx, ready_tx, counters, promoted))
+                .spawn(move || {
+                    store_service(config, store_rx, ready_tx, counters, promoted, shutdown)
+                })
                 .expect("spawn store service"),
         );
     }
@@ -955,6 +966,7 @@ fn store_service(
     ready: Sender<Result<(), StoreError>>,
     counters: Arc<Counters>,
     promoted: Arc<AtomicBool>,
+    shutdown: Arc<AtomicBool>,
 ) {
     let mut store_config = StoreConfig::default();
     if let Some(n) = config.pool_pages {
@@ -996,6 +1008,7 @@ fn store_service(
 
     let mut sessions: HashMap<u64, Session> = HashMap::new();
     let mut expired: HashSet<u64> = HashSet::new();
+    let mut panicked = false;
     // Drain until every worker has dropped its sender: all in-flight
     // requests are answered — and every lent pin is back, a worker sends
     // its `ReadDone` before it can exit — before the session pins below
@@ -1003,18 +1016,47 @@ fn store_service(
     loop {
         match rx.recv_timeout(tick) {
             Ok(ServiceMsg::Request { conn, req, reply }) => {
-                let r = handle_request(
-                    &mut role,
-                    &mut sessions,
-                    &mut expired,
-                    &counters,
-                    &promoted,
-                    conn,
-                    req,
-                );
+                let mut r = None;
+                if !panicked {
+                    r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        handle_request(
+                            &mut role,
+                            &mut sessions,
+                            &mut expired,
+                            &counters,
+                            &promoted,
+                            conn,
+                            req,
+                        )
+                    }))
+                    .ok();
+                    if r.is_none() {
+                        // Fail-stop (see the module docs): a dropped
+                        // session would release its pin and run
+                        // maintenance over the unknown writer state, so
+                        // the sessions are leaked.
+                        panicked = true;
+                        counters.worker_panics.fetch_add(1, Ordering::Relaxed);
+                        shutdown.store(true, Ordering::SeqCst);
+                        std::mem::forget(std::mem::take(&mut sessions));
+                    }
+                }
+                let r = r.unwrap_or_else(|| {
+                    Reply::Done(Response {
+                        epoch: 0,
+                        body: ResponseBody::Error {
+                            kind: ErrKind::Internal,
+                            message: "store service stopped after a panic".to_string(),
+                        },
+                    })
+                });
                 let back = reply.clone();
                 let _ = reply.send(Envelope { reply: r, back });
             }
+            Ok(ServiceMsg::ReadDone { .. }) if panicked => {
+                counters.reads_in_flight.fetch_sub(1, Ordering::Relaxed);
+            }
+            Ok(ServiceMsg::Disconnect { .. }) if panicked => {}
             // A lent pin is back: a session's stays pinned for its next
             // read, an unpinned read's is released.
             Ok(ServiceMsg::ReadDone { conn, pin }) => {
@@ -1041,6 +1083,10 @@ fn store_service(
         if let Some(ttl) = lease_ttl {
             reap_leases(&mut sessions, &mut expired, &counters, ttl);
         }
+    }
+    if panicked {
+        std::mem::forget(role);
+        return;
     }
     // Shutdown drain: release the pins still held only now, then run the
     // deferred checkpoint/reclamation those releases unblock. A pin the
@@ -1450,6 +1496,10 @@ fn handle_primary_request(
                 let Some(node) = hit else {
                     return Err(StoreError::InvalidUpdate("update target matched no node"));
                 };
+                #[cfg(test)]
+                if let UpdateOp::AppendElement { name } = &op {
+                    assert!(!name.contains(tests::PANIC_PROBE), "injected");
+                }
                 match &op {
                     UpdateOp::AppendElement { name } => store
                         .append_child(node, NodeKind::Element, name, None)
@@ -1848,6 +1898,87 @@ mod tests {
         assert_eq!(summary.worker_panics, 2, "{summary}");
         assert_eq!(summary.reads_in_flight, 0, "{summary}");
         assert!(summary.peak_reads_in_flight >= 1, "{summary}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A panic on the store-service thread, in the middle of an update, is
+    /// fail-stop: the probing client gets an error, an idle connection is
+    /// closed instead of left hanging, `serve()`'s threads all end, and
+    /// the file reopens at its last commit.
+    #[test]
+    fn a_store_service_panic_stops_the_daemon() {
+        let dir = std::env::temp_dir().join(format!("natix-serve-svc-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = dir.join("store.natix");
+        let doc = natix_xml::parse("<list><e>one entry</e><e>two entry</e></list>").unwrap();
+        let pager = FilePager::create(&store).unwrap();
+        drop(
+            natix_store::bulkload_with(
+                &doc,
+                &natix_core::Ekm,
+                16,
+                Box::new(pager),
+                StoreConfig::default(),
+            )
+            .unwrap(),
+        );
+        let handle = serve(ServeConfig {
+            store: store.clone(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = handle.addr();
+        let deadline = Duration::from_secs(20);
+        // Run `f` on its own thread; its answer must come within the
+        // deadline.
+        fn within<T: Send + 'static>(
+            deadline: Duration,
+            what: &str,
+            f: impl FnOnce() -> T + Send + 'static,
+        ) -> T {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || tx.send(f()));
+            rx.recv_timeout(deadline)
+                .unwrap_or_else(|_| panic!("{what}: no answer within {deadline:?}"))
+        }
+
+        let mut bystander = Client::connect(addr).unwrap();
+        bystander.ping().unwrap();
+        let body = within(deadline, "probing update", move || {
+            let mut prober = Client::connect(addr).unwrap();
+            prober.request(&Request::Update {
+                target: "/list".to_string(),
+                op: UpdateOp::AppendElement {
+                    name: PANIC_PROBE.to_string(),
+                },
+            })
+        })
+        .unwrap()
+        .body;
+        assert!(
+            matches!(
+                &body,
+                ResponseBody::Error {
+                    kind: ErrKind::Internal,
+                    ..
+                }
+            ),
+            "{body:?}"
+        );
+        let answered = within(deadline, "bystander", move || bystander.ping());
+        assert!(answered.is_err(), "{answered:?}");
+        let summary = within(deadline, "serve() join", move || handle.join());
+        assert_eq!(summary.worker_panics, 1, "{summary}");
+
+        let mut reopened = XmlStore::open(
+            Box::new(FilePager::open(&store).unwrap()),
+            StoreConfig::default(),
+        )
+        .unwrap();
+        reopened.check_consistency().unwrap();
+        let xml = reopened.to_document().unwrap().to_xml();
+        assert_eq!(xml, doc.to_xml());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -822,6 +822,13 @@ impl WriteGuard {
 
 impl Drop for WriteGuard {
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Unwinding out of `mutate` leaves the writer store
+            // mid-operation: free the slot, but run no maintenance, which
+            // would checkpoint its dirty frames.
+            self.shared.releases.borrow_mut().push(Release::Writer);
+            return;
+        }
         self.shared.release(Release::Writer);
     }
 }
@@ -859,6 +866,7 @@ impl Pager for OverlayPager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::page_class_of;
     use crate::pager::{MemPager, SharedMemPager};
     use crate::store::{bulkload_with, NodeRef};
     use natix_core::Ekm;
@@ -1366,24 +1374,81 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A group commit of three appends under a held pin, so its journal
-    /// stays pending: the disk bytes at that point and the batch's
-    /// post-state.
-    fn pending_group_commit() -> (Vec<u8>, String) {
+    /// A panic unwinding out of a write runs no maintenance: with a
+    /// checkpoint pending and the last pin released inside the write,
+    /// maintenance would write the panicked batch's staged frames in
+    /// place, and the unacknowledged op would reopen as committed.
+    #[test]
+    fn a_panic_inside_a_write_checkpoints_nothing() {
         let (shared, disk) = shared(
-            "<list><e>one entry of text</e><e>two entry of text</e></list>",
+            "<list><e>one entry of text</e></list>",
             16,
             AdmissionConfig::default(),
         );
+        let pin = shared.begin_read().unwrap();
+        let mut writer = shared.begin_write().unwrap();
+        writer
+            .mutate(|s| {
+                let root = s.root()?;
+                s.append_child(root, NodeKind::Text, "#text", Some("acked"))
+                    .map(|_| ())
+            })
+            .unwrap();
+        let acked = xml_of(&mut shared.begin_read().unwrap());
+        let ops: Vec<BatchOp<'_>> = vec![
+            Box::new(|s: &mut XmlStore| {
+                let root = s.root()?;
+                s.append_child(root, NodeKind::Text, "#text", Some("never acked"))
+                    .map(|_| ())
+            }),
+            Box::new(move |_: &mut XmlStore| {
+                drop(pin);
+                panic!("injected");
+            }),
+        ];
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _ = writer.mutate_batch(ops);
+        }));
+        assert!(unwound.is_err());
+        let disk = SharedMemPager::from_snapshot(&disk.snapshot());
+        let mut reopened = XmlStore::open(Box::new(disk), StoreConfig::default()).unwrap();
+        assert_eq!(reopened.to_document().unwrap().to_xml(), acked);
+    }
+
+    /// A list whose entries span several record pages.
+    fn spread_list() -> String {
+        let entries: String = (0..80)
+            .map(|i| format!("<e>entry {i} carries a line of text long enough to fill pages</e>"))
+            .collect();
+        format!("<list>{entries}</list>")
+    }
+
+    /// Append a text node under the first entry of [`spread_list`], or
+    /// under its last one: a rewrite of a published page.
+    fn append_under_entry(s: &mut XmlStore, last: bool, text: &str) -> StoreResult<()> {
+        let root = s.root()?;
+        let mut target = s.first_child(root)?.expect("a first entry");
+        while let Some(next) = s.next_sibling(target)?.filter(|_| last) {
+            target = next;
+        }
+        s.append_child(target, NodeKind::Text, "#text", Some(text))
+            .map(|_| ())
+    }
+
+    /// A group commit of three appends under a held pin, so its journal
+    /// stays pending: the disk bytes at that point and the batch's
+    /// post-state. The appends alternate between the first and the last
+    /// entry of a list that spans several pages, so the batch rewrites
+    /// published pages in two places (a commit journals only those).
+    fn pending_group_commit() -> (Vec<u8>, String) {
+        let (shared, disk) = shared(&spread_list(), 16, AdmissionConfig::default());
         let _pin = shared.begin_read().unwrap();
         let mut writer = shared.begin_write().unwrap();
         let ops = (0..3)
             .map(|i| {
                 Box::new(move |s: &mut XmlStore| {
-                    let root = s.root()?;
                     let text = format!("batched payload {i}");
-                    s.append_child(root, NodeKind::Text, "#text", Some(&text))
-                        .map(|_| ())
+                    append_under_entry(s, i % 2 == 1, &text)
                 }) as BatchOp<'_>
             })
             .collect();
@@ -1444,6 +1509,77 @@ mod tests {
         assert_eq!(re.to_document().unwrap().to_xml(), after);
         assert!(!re.has_pending_checkpoint());
         drop(re);
+        let scrub = fsck(&disk, false);
+        assert!(scrub.clean(), "{scrub}");
+    }
+
+    /// A commit journals only the published pages it overwrites. A batch
+    /// under a held pin rewrites two published entries and fills fresh
+    /// pages with a new subtree: its pending journal names exactly the
+    /// record pages the deferred checkpoint later rewrites, all below the
+    /// prior page count, and before that checkpoint the backend already
+    /// holds every fresh record page's committed image.
+    #[test]
+    fn a_commit_journals_only_the_published_pages_it_overwrites() {
+        let (shared, disk) = shared(&spread_list(), 16, AdmissionConfig::default());
+        let before = disk.snapshot();
+        let prior = (before.len() / PAGE_SIZE) as PageId;
+        let pin = shared.begin_read().unwrap();
+        let mut writer = shared.begin_write().unwrap();
+        let ops: Vec<BatchOp<'_>> = vec![
+            Box::new(|s: &mut XmlStore| append_under_entry(s, false, "first rewrite")),
+            Box::new(|s: &mut XmlStore| append_under_entry(s, true, "last rewrite")),
+            Box::new(|s: &mut XmlStore| {
+                let root = s.root()?;
+                s.append_child(root, NodeKind::Element, "bulk", None)?;
+                // An append may split records and move nodes: find the new
+                // last entry again each time.
+                for i in 0..400 {
+                    append_under_entry(s, true, &format!("fresh line {i}"))?;
+                }
+                Ok(())
+            }),
+        ];
+        let acks = writer.mutate_batch(ops).unwrap();
+        assert!(acks.iter().all(Result::is_ok), "{acks:?}");
+        drop(writer);
+        assert!(shared.inner.borrow().store.has_pending_checkpoint());
+        let pending = disk.snapshot();
+        let mut on_disk = ChecksummingPager::new(Box::new(SharedMemPager::from_snapshot(&pending)));
+        let header = catalog::read_header(&mut on_disk).unwrap();
+        let journaled: Vec<PageId> = journal::read_pending(&mut on_disk, &header)
+            .unwrap()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
+
+        drop(pin);
+        shared.maintain().unwrap();
+        assert_eq!(shared.stats().checkpoints_applied, 1);
+        let after = disk.snapshot();
+        let page = |image: &[u8], id: PageId| -> [u8; PAGE_SIZE] {
+            image[id as usize * PAGE_SIZE..][..PAGE_SIZE]
+                .try_into()
+                .unwrap()
+        };
+        let holds_records = |image: &[u8], id: PageId| {
+            matches!(
+                page_class_of(&page(image, id)),
+                PageClass::Record | PageClass::Overflow
+            )
+        };
+        let rewritten: Vec<PageId> = (0..prior)
+            .filter(|&id| holds_records(&before, id) && page(&before, id) != page(&after, id))
+            .collect();
+        assert!(rewritten.len() >= 2, "{rewritten:?}");
+        assert_eq!(journaled, rewritten);
+        let fresh: Vec<PageId> = (prior..(after.len() / PAGE_SIZE) as PageId)
+            .filter(|&id| holds_records(&after, id))
+            .collect();
+        assert!(!fresh.is_empty(), "the batch filled no fresh page");
+        for id in fresh {
+            assert!(page(&pending, id) == page(&after, id), "fresh page {id}");
+        }
         let scrub = fsck(&disk, false);
         assert!(scrub.clean(), "{scrub}");
     }

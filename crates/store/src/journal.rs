@@ -1,8 +1,10 @@
 //! Redo journal for atomic multi-page commits.
 //!
-//! A commit appends full images of every dirty page as a journal blob at
-//! the end of the page file, *then* publishes a header that points at it
-//! (the commit point), *then* checkpoints the images in place. Recovery
+//! A commit appends full images of every dirty page it overwrites in
+//! place (the pages below the published page count; fresh pages are
+//! written in place before the flip instead) as a journal blob at the end
+//! of the page file, *then* publishes a header that points at it (the
+//! commit point), *then* checkpoints the images in place. Recovery
 //! replays the journal idempotently: every image is the post-commit state
 //! of its page, so applying it any number of times converges.
 //!

@@ -1125,9 +1125,15 @@ struct Frame {
 ///   flip, so writing them early is crash-safe and needs no journal
 ///   entry — recovery never reads them, and if the commit lands they
 ///   already hold their final image. This is what bounds memory during
-///   bulkload, where *every* page is past the floor.
+///   bulkload, where *every* page is past the floor. The same argument
+///   lets a commit write the rest of its fresh pages (every dirty frame
+///   at or past the page count of the last published state, which a
+///   group-commit batch may have raised the floor above) in place ahead
+///   of its first barrier, through [`BufferPool::flush_from`]: no fresh
+///   page is journaled.
 /// * **Dirty frames below the floor** (in-place updates of committed
-///   pages) are never written back by eviction: they must reach the
+///   pages, and pages a group-commit batch has staged) are never written
+///   back by eviction: an overwrite of a published page reaches the
 ///   backend only through the commit protocol's journal-then-checkpoint
 ///   path (see `store::XmlStore::commit`). If every frame is such, the
 ///   pool temporarily grows past capacity — these working sets are
@@ -1463,13 +1469,21 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Write back every dirty frame, in ascending page order (the backend
-    /// write sequence stays deterministic for fault schedules), then issue
-    /// a durability barrier. A frame turns clean only once the barrier
-    /// returns: if it fails, the device may have dropped the writes, and
-    /// the still-dirty images are what the next commit journals again.
+    /// Write back every dirty frame: [`BufferPool::flush_from`] page 0.
     pub fn flush(&mut self) -> StoreResult<()> {
-        let dirty = self.dirty_pages();
+        self.flush_from(0)
+    }
+
+    /// Write back every dirty frame at or past `first`, in ascending page
+    /// order (the backend write sequence stays deterministic for fault
+    /// schedules), then issue a durability barrier. A frame turns clean
+    /// only once the barrier returns: if it fails, the device may have
+    /// dropped the writes, and the still-dirty images are what the next
+    /// commit writes again. The commit protocol passes the published page
+    /// count: the fresh pages past it go in place, unjournaled.
+    pub fn flush_from(&mut self, first: PageId) -> StoreResult<()> {
+        let mut dirty = self.dirty_pages();
+        dirty.retain(|&id| id >= first);
         for &id in &dirty {
             self.backend.write(id, &self.frames[&id].data)?;
             self.stats.writebacks += 1;

@@ -93,7 +93,7 @@ pub(crate) const OVERFLOW_MAGIC: &[u8; 4] = b"NOV3";
 pub(crate) const OVERFLOW_HEAD: usize = PAYLOAD_SIZE - 8;
 
 /// Write `bytes` as an overflow chain on freshly allocated pages
-/// (dirty frames: they commit through the journal like any other page).
+/// (dirty frames: fresh pages, which the next commit writes in place).
 /// Returns the first page id.
 pub(crate) fn write_overflow_chain(pool: &mut BufferPool, bytes: &[u8]) -> StoreResult<PageId> {
     let first = pool.allocate()?;
@@ -312,6 +312,12 @@ pub struct XmlStore {
     /// durable commit, for reconstructing the committed header while its
     /// checkpoint is pending.
     pub(crate) last_commit_journal: (PageId, u64),
+    /// Page count of the last published state (set at open and after
+    /// every commit flip). A commit journals the dirty pages below it and
+    /// writes the fresh ones at or past it in place. Not the pool's
+    /// write-back floor, which a group-commit batch raises over its
+    /// staged, still unpublished pages.
+    published_pages: PageId,
     /// Open group-commit batch, if any (see [`XmlStore::begin_batch`]).
     pub(crate) batch: Option<BatchState>,
 }
@@ -498,6 +504,7 @@ impl XmlStore {
         cat: Catalog,
     ) -> XmlStore {
         XmlStore {
+            published_pages: pool.page_count(),
             pool,
             label_ids: label_index(&cat.labels),
             directory: cat.directory,
@@ -686,14 +693,17 @@ impl XmlStore {
     /// label-table growth) to the backend.
     ///
     /// Shadow-commit protocol: (1) write the new catalog, (2) write a
-    /// redo journal holding the full image of every dirty page (each to a
-    /// free extent, else appended; see [`BufferPool::append_chunked`]),
-    /// (3) publish
+    /// redo journal holding the full image of every dirty page the commit
+    /// overwrites in place, i.e. below the published page count (the
+    /// catalog and the journal each go to a free extent, else are
+    /// appended; see [`BufferPool::append_chunked`]), and write the dirty
+    /// pages at or past that count, which no published state reaches, in
+    /// place, all behind one barrier, (3) publish
     /// a header referencing both into the inactive header slot — **this
     /// single page write is the commit point** — then (4) checkpoint the
-    /// dirty pages in place and (5) publish a journal-free header. A crash
-    /// before (3) leaves the previous commit intact; a crash after it is
-    /// repaired by replaying the journal in [`XmlStore::open`].
+    /// journaled pages in place and (5) publish a journal-free header. A
+    /// crash before (3) leaves the previous commit intact; a crash after
+    /// it is repaired by replaying the journal in [`XmlStore::open`].
     pub fn commit(&mut self) -> StoreResult<()> {
         if self.batch.is_some() {
             return Err(StoreError::InvalidUpdate(
@@ -728,12 +738,14 @@ impl XmlStore {
     }
 
     /// Phases (1)–(3) of the commit protocol, up to and including the
-    /// commit point. The journal holds every dirty page in page order:
-    /// under a deferred checkpoint that includes the overlay images of
-    /// earlier epochs, journaled again. Pages that eviction already wrote
-    /// back are clean again and need no journal entry (they sit past the
-    /// write-back floor, where recovery never looks before the flip and
-    /// the backend already holds their final image after it).
+    /// commit point. The journal holds every dirty page below the
+    /// published page count in page order: under a deferred checkpoint
+    /// that includes the overlay images of earlier epochs, journaled
+    /// again. The dirty pages at or past that count are fresh: they go in
+    /// place ahead of the first barrier, like the ones eviction already
+    /// wrote back. Recovery never reads them before the flip, the backend
+    /// holds their final image after it, and no pinned snapshot reaches
+    /// them, so they need no journal entry and no overlay image.
     fn commit_durable(&mut self) -> StoreResult<()> {
         let quarantined: Vec<u32> = self.quarantined.iter().copied().collect();
         let catalog_bytes = catalog::encode_catalog(
@@ -748,7 +760,7 @@ impl XmlStore {
             .pool
             .append_chunked(&catalog_bytes, PageClass::Catalog)?;
 
-        let entries = self.dirty_images()?;
+        let entries = self.dirty_images(self.published_pages)?;
         let journal_bytes = journal::encode(&entries);
         let journal_first_page = self
             .pool
@@ -763,11 +775,13 @@ impl XmlStore {
             journal_first_page,
             journal_len: journal_bytes.len() as u64,
         };
-        // Durability barriers around the commit point: the catalog and
-        // journal must be stable before the flip can name them, and the
-        // flip must be stable before the commit is acked. These two
-        // fsyncs are what group commit amortizes across a batch.
-        self.pool.sync_backend()?;
+        // Durability barriers around the commit point: the catalog,
+        // journal and fresh pages must be stable before the flip can name
+        // them (`flush_from` writes the fresh pages and ends with that
+        // barrier; they turn clean only once it returns), and the flip
+        // must be stable before the commit is acked. These two fsyncs are
+        // what group commit amortizes across a batch.
+        self.pool.flush_from(self.published_pages)?;
         self.pool
             .write_through(header.slot(), &catalog::encode_header(&header))?;
         self.pool.sync_backend()?;
@@ -777,7 +791,8 @@ impl XmlStore {
         self.last_commit_journal = (journal_first_page, header.journal_len);
         // Every page on the backend now belongs to the committed state
         // (the flip published the catalog and journal just appended).
-        self.pool.set_writeback_floor(self.pool.page_count());
+        self.published_pages = self.pool.page_count();
+        self.pool.set_writeback_floor(self.published_pages);
         if self.defer_checkpoint {
             // The journaled images *are* the committed page states; keep
             // them so rollback of a later failed op cannot lose them and
@@ -891,17 +906,18 @@ impl XmlStore {
     /// Capture everything a mid-batch rollback must restore.
     fn savepoint(&mut self) -> StoreResult<Savepoint> {
         Ok(Savepoint {
-            dirty: self.dirty_images()?,
+            dirty: self.dirty_images(PageId::MAX)?,
             directory: self.directory.clone(),
             labels: self.labels.clone(),
             open_page: self.open_page,
         })
     }
 
-    /// Every dirty page with its image, in page order.
-    fn dirty_images(&mut self) -> StoreResult<Vec<JournalEntry>> {
+    /// Every dirty page below `end` with its image, in page order.
+    fn dirty_images(&mut self, end: PageId) -> StoreResult<Vec<JournalEntry>> {
         let ids = self.pool.dirty_pages();
         ids.into_iter()
+            .filter(|&id| id < end)
             .map(|id| Ok((id, self.pool.page_image(id)?)))
             .collect()
     }

@@ -6,8 +6,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use natix_store::{
-    bulkload_collection, fsck_collection, shard_path, BulkloadOptions, Collection, StoreConfig,
-    PAGE_SIZE,
+    bulkload_collection, fsck_collection, page_class_of, shard_path, BulkloadOptions, Collection,
+    PageClass, StoreConfig, PAGE_SIZE, PAYLOAD_SIZE,
 };
 
 fn corpus(n: usize) -> Vec<String> {
@@ -98,6 +98,43 @@ fn shard_bytes_independent_of_thread_count() {
     }
     fs::remove_dir_all(&d1).ok();
     fs::remove_dir_all(&d3).ok();
+}
+
+/// A shard commits once per segment, and a commit journals only the
+/// published pages it overwrites (the shard root's page and the page the
+/// last segment left open), never the segment's fresh record pages.
+#[test]
+fn streamed_shards_journal_only_what_their_commits_overwrite() {
+    let docs = corpus(1200);
+    let opts = BulkloadOptions {
+        shards: 3,
+        threads: 2,
+        seg_docs: 128,
+        ..BulkloadOptions::default()
+    };
+    // A journal of two page images: magic, count and checksum, then each
+    // image with its page id. It is just over two pages long.
+    let two_images = (16 + 2 * (4 + PAGE_SIZE)).div_ceil(PAYLOAD_SIZE) as u64;
+    let dir = temp_dir("journal");
+    let report = bulkload_collection(&dir, docs.iter().cloned(), config(), opts).expect("load");
+    for (s, &shard_docs) in report.shard_docs.iter().enumerate() {
+        let bytes = fs::read(shard_path(&dir, s as u32)).expect("shard file");
+        let count = |class| {
+            bytes
+                .chunks(PAGE_SIZE)
+                .filter(|&p| page_class_of(p.try_into().unwrap()) == class)
+                .count() as u64
+        };
+        let commits = shard_docs.div_ceil(opts.seg_docs as u64);
+        let (records, journal) = (count(PageClass::Record), count(PageClass::Journal));
+        println!("shard {s}: {commits} commits, {records} record pages, {journal} journal pages");
+        assert!(records > 3 * commits, "shard {s}: {records} record pages");
+        assert!(
+            journal <= two_images * commits,
+            "shard {s}: {journal} journal pages, {commits} commits"
+        );
+    }
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -74,14 +74,14 @@ campaigns=(
 # (the full `natix stress` line is checked in its own tier below). A
 # change that moves a count changes its line here, in the same diff.
 declare -A summary=(
-  ["soak"]="soak (full): 28 runs, 278 ops applied (2 skipped), 3413 crash points, 0 failure(s)"
+  ["soak"]="soak (full): 28 runs, 278 ops applied (2 skipped), 3255 crash points, 0 failure(s)"
   ["soak --corruption"]="soak (full, corruption): 28 runs, 278 ops applied (2 skipped), 2448 crash points, 0 failure(s)"
-  ["soak --group-commit"]="soak (full, group-commit): 28 runs, 84 batches (448 ops, 0 skipped), 1045 crash points, 0 failure(s)"
-  ["soak --bulkload"]="soak (full, bulkload): 180 docs, horizon 62 write events, 62 cuts swept, 0 failure(s)"
-  ["soak --diskfull"]="soak (full, diskfull): 28 runs, 223 ops applied (1 skipped), 1985 crash points, 0 failure(s)"
+  ["soak --group-commit"]="soak (full, group-commit): 28 runs, 84 batches (448 ops, 0 skipped), 974 crash points, 0 failure(s)"
+  ["soak --bulkload"]="soak (full, bulkload): 180 docs, horizon 58 write events, 58 cuts swept, 0 failure(s)"
+  ["soak --diskfull"]="soak (full, diskfull): 28 runs, 223 ops applied (1 skipped), 1924 crash points, 0 failure(s)"
   ["soak --serve"]="soak (full, serve): 8 rounds, 545 acked updates, 545 recovered, 0 failures"
 )
-stress_summary="stress (full): 1200 interleavings (589 one-shot-fault, 304 permanent-fault), 71760 steps, 12319 snapshot reads verified, 19028 group commits (38009 ops), 192 rolled back, 72 with a rejected op, 4 open failures, 39267 evictions, 8148 shed, 12007 scrubs, 86234 pages reclaimed, 0 failures"
+stress_summary="stress (full): 1200 interleavings (589 one-shot-fault, 304 permanent-fault), 71760 steps, 12298 snapshot reads verified, 19067 group commits (38081 ops), 188 rolled back, 80 with a rejected op, 4 open failures, 43772 evictions, 8164 shed, 12007 scrubs, 84885 pages reclaimed, 0 failures"
 for words in "${campaigns[@]}"; do
   tier "natix $words"
   # shellcheck disable=SC2086  # the row's command words, split on purpose
@@ -112,7 +112,7 @@ printf 'fuzz workload flat scale 0.001 gen-seed 1 k 24\ninsert-before 40 1\ninse
 replay_out="$(cargo run --release -q -p natix-cli -- soak --replay "$replay_script")"
 rm -f "$replay_script"
 echo "$replay_out"
-want="replay (fuzz): 1 runs, 2 ops applied (0 skipped), 30 crash points, 0 failure(s)"
+want="replay (fuzz): 1 runs, 2 ops applied (0 skipped), 26 crash points, 0 failure(s)"
 if [ "$replay_out" != "$want" ]; then
   printf 'FAIL: the interval-split replay moved; want:\n%s\n' "$want" >&2; exit 1
 fi
