@@ -1123,3 +1123,176 @@ fn standby_reads_before_bootstrap_answer_typed() {
     replica.join();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Every `Request` variant, in the order the role matrix sends them:
+/// `update` after the reads so they see the starting epoch, the
+/// replication verbs after it, `repl-promote` next to last (it turns a
+/// bootstrapped replica into a primary) and `shutdown` last.
+fn every_request() -> [Request; 14] {
+    [
+        Request::Ping,
+        Request::Query {
+            xpath: "//e".to_string(),
+            count_only: false,
+        },
+        Request::Dump,
+        Request::Stats,
+        Request::Fsck,
+        Request::Begin,
+        Request::End,
+        Request::Update {
+            target: "/list".to_string(),
+            op: natix_server::UpdateOp::AppendElement {
+                name: "m".to_string(),
+            },
+        },
+        Request::ReplSubscribe { last_epoch: 0 },
+        Request::ReplFetch {
+            after_epoch: 0,
+            seq: 0,
+        },
+        Request::ReplAck { epoch: 0 },
+        // Not a replication part: a replica fails to decode it.
+        Request::ReplApply {
+            payload: vec![0xEE; 8],
+        },
+        Request::ReplPromote,
+        Request::Shutdown,
+    ]
+}
+
+/// A body's variant (with its error or shed kind) and the text an error
+/// or a shed carries.
+fn variant(body: &ResponseBody) -> (String, &str) {
+    match body {
+        ResponseBody::Error { kind, message } => (format!("Error {kind:?}"), message),
+        ResponseBody::RetryAfter { kind, what, .. } => (format!("RetryAfter {kind:?}"), what),
+        other => {
+            let debug = format!("{other:?}");
+            let name = debug.split([' ', '(', '{']).next().unwrap_or_default();
+            (name.to_string(), "")
+        }
+    }
+}
+
+/// Send [`every_request`] on one connection and check each answer
+/// against its cell: the body variant, a text the error or shed must
+/// contain, and the epoch.
+fn check_row(daemon: &str, handle: ServerHandle, cells: [(&str, &str, u64); 14]) {
+    let mut c = Client::connect(handle.addr()).unwrap();
+    for (req, (body, says, epoch)) in every_request().iter().zip(cells) {
+        let resp = c.request(req).unwrap();
+        let (got, text) = variant(&resp.body);
+        let cell = format!("{daemon} / {req:?}: {resp:?}");
+        assert_eq!(got, body, "{cell}");
+        assert!(text.contains(says), "{cell}");
+        assert_eq!(resp.epoch, epoch, "{cell}");
+    }
+    handle.join();
+}
+
+/// Each verb's answer on each daemon role: a primary, a replica that
+/// never bootstrapped (its primary is a dead address), a bootstrapped
+/// replica, and a replica promoted to primary. Writes and pins on a
+/// replica are a read-only shed; replication verbs sent to the wrong
+/// role are refused by name; a promoted primary fences `repl-apply` at
+/// its fencing epoch, while a never-promoted one says it is not a
+/// replica.
+#[test]
+fn every_verb_answers_by_role() {
+    let dir = scratch_dir("role-matrix");
+    let primary = start(build_store(&dir), |_| {});
+    let follow =
+        |name: &str, source: String| start(dir.join(name), |c| c.replica_of = Some(source));
+    let unbooted = follow("unbooted.natix", dead_addr().to_string());
+    let booted = follow("booted.natix", primary.addr().to_string());
+    let promoted = follow("promoted.natix", primary.addr().to_string());
+    let e = Client::connect(primary.addr()).unwrap().ping().unwrap();
+    for replica in [&booted, &promoted] {
+        let mut r = Client::connect(replica.addr()).unwrap();
+        await_stats(&mut r, "a bootstrapped replica", |s| {
+            s.u64("store.epoch") == Ok(e)
+        });
+    }
+    // No commit since the bootstrap, so promotion replays no journal and
+    // fences at the applied epoch.
+    let f = Client::connect(promoted.addr()).unwrap().promote().unwrap();
+    assert_eq!(f, e);
+
+    let shed = |at| ("RetryAfter ReadOnly", "replica", at);
+    let not_primary = |at| ("Error BadRequest", "not a primary", at);
+    let unbooted_read = ("Error InvalidUpdate", "not bootstrapped", 0);
+    check_row(
+        "unbootstrapped replica",
+        unbooted,
+        [
+            ("Pong", "", 0),
+            unbooted_read,
+            unbooted_read,
+            ("StatsText", "", 0),
+            ("Error BadRequest", "not bootstrapped", 0),
+            shed(0),
+            ("SessionReleased", "", 0),
+            shed(0),
+            not_primary(0),
+            not_primary(0),
+            not_primary(0),
+            ("Error Corrupt", "replication part", 0),
+            ("Error InvalidUpdate", "no applied state", 0),
+            ("ShuttingDown", "", 0),
+        ],
+    );
+    check_row(
+        "bootstrapped replica",
+        booted,
+        [
+            ("Pong", "", e),
+            ("QueryResult", "", e),
+            ("DumpResult", "", e),
+            ("StatsText", "", e),
+            ("FsckResult", "", e),
+            shed(e),
+            ("SessionReleased", "", e),
+            shed(e),
+            not_primary(e),
+            not_primary(e),
+            not_primary(e),
+            ("Error Corrupt", "replication part", e),
+            ("ReplPromoted", "", e),
+            ("ShuttingDown", "", 0),
+        ],
+    );
+    // No pin is held when `update` commits, so the deferred checkpoint
+    // runs at once and publishes its journal-free header one epoch on.
+    let u = e + 2;
+    for (daemon, handle, fence) in [
+        ("promoted primary", promoted, Some(f)),
+        ("primary", primary, None),
+    ] {
+        let apply = match fence {
+            Some(at) => ("Error Fenced", "promoted", at),
+            None => ("Error BadRequest", "not a replica", u),
+        };
+        check_row(
+            daemon,
+            handle,
+            [
+                ("Pong", "", e),
+                ("QueryResult", "", e),
+                ("DumpResult", "", e),
+                ("StatsText", "", e),
+                ("FsckResult", "", e),
+                ("SessionPinned", "", e),
+                ("SessionReleased", "", e),
+                ("UpdateDone", "", u),
+                ("ReplSubscribed", "", u),
+                ("ReplBatchPart", "", u),
+                ("ReplAckOk", "", u),
+                apply,
+                ("Error BadRequest", "already a primary", u),
+                ("ShuttingDown", "", 0),
+            ],
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

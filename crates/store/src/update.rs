@@ -17,7 +17,10 @@
 //! Updates rewrite whole records (they are ≤ K slots, i.e. small) and fix
 //! the back-links of every child record whose parent moved. **Structural
 //! updates invalidate outstanding [`NodeRef`]s into the touched records**;
-//! the return values carry the fresh locations.
+//! the return values carry the fresh locations. An update handed a stale
+//! ref whose node index is past its record's node count fails with
+//! [`StoreError::InvalidUpdate`]; a stale ref whose index still lands on
+//! some node cannot be told from a live one and updates that node.
 
 use natix_tree::Weight;
 use natix_xml::{node_weight, NodeKind};
@@ -25,8 +28,20 @@ use natix_xml::{node_weight, NodeKind};
 use crate::catalog::RecordLoc;
 use crate::page::{SlottedPage, MAX_IN_PAGE};
 use crate::pager::{StoreError, StoreResult};
-use crate::record::{self, ChildEntry, ImageNode, RecordData, RecordImage, NONE_U16, NONE_U32};
+use crate::record::{
+    self, ChildEntry, ImageNode, RecNode, RecordData, RecordImage, NONE_U16, NONE_U32,
+};
 use crate::store::{intern_label, write_overflow_chain, NodeRef, XmlStore};
+
+/// The node `r` names in its record `rec`, for an update. A ref that an
+/// earlier split left past the record's node count is a caller error,
+/// not damage, so it is [`StoreError::InvalidUpdate`] rather than the
+/// corruption-class error a read's lookup returns.
+fn live_node(rec: &RecordData, r: NodeRef) -> StoreResult<RecNode> {
+    rec.get(r.node).ok_or(StoreError::InvalidUpdate(
+        "node reference outlived its record's layout",
+    ))
+}
 
 /// Where to place a newly inserted node.
 enum InsertPos {
@@ -94,7 +109,8 @@ impl XmlStore {
     ///
     /// Returns the new node's location. May split the containing record;
     /// any previously obtained [`NodeRef`] into the touched records is
-    /// invalidated. The operation commits atomically.
+    /// invalidated (see the module docs for what a stale `parent` does).
+    /// The operation commits atomically.
     pub fn append_child(
         &mut self,
         parent: NodeRef,
@@ -103,7 +119,7 @@ impl XmlStore {
         content: Option<&str>,
     ) -> StoreResult<NodeRef> {
         self.transactional(|s| {
-            if s.fetch(parent.record)?.node(parent.node).kind != NodeKind::Element {
+            if live_node(&*s.fetch(parent.record)?, parent)?.kind != NodeKind::Element {
                 return Err(StoreError::InvalidUpdate("parent must be an element"));
             }
             let pos = InsertPos::LastChildOf(parent.node);
@@ -112,7 +128,8 @@ impl XmlStore {
     }
 
     /// Insert a new childless node immediately before `sibling` (which
-    /// must not be the document root). The operation commits atomically.
+    /// must not be the document root). A stale `sibling` is treated as
+    /// the module docs say. The operation commits atomically.
     pub fn insert_before(
         &mut self,
         sibling: NodeRef,
@@ -122,7 +139,7 @@ impl XmlStore {
     ) -> StoreResult<NodeRef> {
         self.transactional(|s| {
             let rec = s.fetch(sibling.record)?;
-            let pos = if rec.node(sibling.node).parent_local != NONE_U16 {
+            let pos = if live_node(&rec, sibling)?.parent_local != NONE_U16 {
                 InsertPos::BeforeLocal(sibling.node)
             } else if rec.parent_record == NONE_U32 {
                 return Err(StoreError::InvalidUpdate(
@@ -140,11 +157,13 @@ impl XmlStore {
     }
 
     /// Delete the subtree rooted at `node` (all its descendants and their
-    /// records included). The document root cannot be deleted. The
-    /// operation commits atomically.
+    /// records included). The document root cannot be deleted. A stale
+    /// `node` is treated as the module docs say. The operation commits
+    /// atomically.
     pub fn delete_subtree(&mut self, node: NodeRef) -> StoreResult<()> {
         self.transactional(|s| {
             let rec = s.fetch(node.record)?;
+            live_node(&rec, node)?;
             if rec.parent_record == NONE_U32 && rec.root_pos(node.node).is_some() {
                 return Err(StoreError::InvalidUpdate("cannot delete the document root"));
             }

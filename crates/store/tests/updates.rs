@@ -5,7 +5,7 @@
 use natix_core::{Ekm, Km};
 use natix_datagen::{xmark, GenConfig};
 use natix_store::{
-    bulkload_with, ChildEntry, MemPager, NodeRef, SharedMemPager, StoreConfig, XmlStore,
+    bulkload_with, ChildEntry, MemPager, NodeRef, SharedMemPager, StoreConfig, StoreError, XmlStore,
 };
 use natix_xml::{parse, Document, NodeKind};
 use rand::rngs::StdRng;
@@ -514,4 +514,43 @@ fn insert_before_a_root_of_a_full_interval_splits_it() {
     let mut store = XmlStore::open(Box::new(disk), config).unwrap();
     store.check_consistency().unwrap();
     assert_eq!(store.to_document().unwrap().to_xml(), want);
+}
+
+/// A `NodeRef` a split left past its record's node count is refused with
+/// `InvalidUpdate` by every update, and the store is left as it was.
+#[test]
+fn a_ref_a_split_invalidated_is_an_invalid_update() {
+    let (_, mut store) = load("<a><b/></a>", 64);
+    let root = store.root().unwrap();
+    let held = store
+        .append_child(root, NodeKind::Element, "x", None)
+        .unwrap();
+    // Grow `x` through a fresh ref each time, until a split moves it
+    // out from under the held one.
+    let mut appended = 0;
+    while store.node_kind(held).is_ok() {
+        assert!(appended < 400, "no split invalidated the held ref");
+        let x = find_element(&mut store, "x").unwrap();
+        store
+            .append_child(x, NodeKind::Text, "#text", Some("some text"))
+            .unwrap();
+        appended += 1;
+    }
+    let before = store.to_document().unwrap().to_xml();
+    let stale = |r: Result<(), StoreError>| {
+        assert!(matches!(r, Err(StoreError::InvalidUpdate(_))), "{r:?}");
+    };
+    stale(
+        store
+            .append_child(held, NodeKind::Element, "y", None)
+            .map(|_| ()),
+    );
+    stale(
+        store
+            .insert_before(held, NodeKind::Element, "y", None)
+            .map(|_| ()),
+    );
+    stale(store.delete_subtree(held));
+    store.check_consistency().unwrap();
+    assert_eq!(store.to_document().unwrap().to_xml(), before);
 }

@@ -20,9 +20,11 @@ tier() {
 tier "cargo fmt --check"
 cargo fmt --all -- --check
 
-tier "reach listing (scripts/reach.sh parses and finds the body of every non-test fn of store, server and xpath; builds nothing)"
+tier "reach listing (scripts/reach.sh parses and finds the body of every non-test fn of store, server and xpath; builds nothing) and pair driver syntax"
 bash -n scripts/reach.sh
 scripts/reach.sh --list natix-store natix-server natix-xpath > /dev/null
+bash -n scripts/pair.sh
+scripts/pair.sh --help > /dev/null
 
 tier "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
