@@ -58,7 +58,7 @@ pub use pager::{
     FaultSchedule, FilePager, MemPager, PageId, Pager, SharedMemPager, StoreError, StoreResult,
     READ_ONLY_RETRY_HINT_MS,
 };
-pub use record::{decode as decode_record, ChildEntry, Entries, RecNode, RecordData};
+pub use record::{decode as decode_record, ChildEntry, Entries, EntryCursor, RecNode, RecordData};
 pub use replicate::{
     decode_part, ApplyOutcome, BatchKind, CaptureHandle, CapturePager, Follower, FollowerCounters,
     ReplBatch, ReplPart, ReplicaSource, REPL_LOG_BATCHES, REPL_PART_MAGIC, REPL_PART_MAX_PAGES,

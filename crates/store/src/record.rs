@@ -32,6 +32,10 @@ pub const NONE_U32: u32 = u32::MAX;
 /// resolve duplicate claims to a record number by the highest epoch.
 pub(crate) const RECORD_MAGIC: &[u8; 4] = b"NRC3";
 
+/// Offset of the root list: the prefix (magic, self number, epoch) and
+/// the header (parent record, parent index, proxy position, root and node
+/// counts) come first.
+const ROOTS_AT: usize = RECORD_MAGIC.len() + 4 + 8 + 12;
 /// Bytes of a node before its content length: kind, label, parent index,
 /// entry position.
 const NODE_HEAD: usize = 7;
@@ -93,11 +97,17 @@ pub struct RecordData {
     raw: Box<[u8]>,
 }
 
-#[inline]
+#[inline(always)]
 fn u16_at(bytes: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([bytes[at], bytes[at + 1]])
 }
 
+// The accessors a walk calls for every node (`get`, `node`,
+// `child_cursor`, `next_entry` and what they call) are
+// `#[inline(always)]`: the workspace has no LTO, and the evaluator's
+// loop, large and generic, is past where LLVM inlines a plain `#[inline]`
+// function from another crate, and a call a node shows in the time of a
+// `//` query (DESIGN.md §15).
 impl RecordData {
     /// Number of nodes in the fragment.
     pub fn node_count(&self) -> usize {
@@ -105,7 +115,7 @@ impl RecordData {
     }
 
     /// Node `local`, if the fragment has that many.
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, local: u16) -> Option<RecNode> {
         let at = *self.offsets.get(local as usize)? as usize;
         let head = &self.raw[at..at + NODE_HEAD];
@@ -120,7 +130,7 @@ impl RecordData {
 
     /// Node `local`. Panics when the fragment has no such node, as
     /// indexing does.
-    #[inline]
+    #[inline(always)]
     pub fn node(&self, local: u16) -> RecNode {
         self.get(local).expect("local node index in range")
     }
@@ -132,7 +142,7 @@ impl RecordData {
 
     /// Content bytes of `node` and the offset just past them, where its
     /// entry list starts.
-    #[inline]
+    #[inline(always)]
     fn content_bytes(&self, node: &RecNode) -> (Option<&[u8]>, usize) {
         let start = node.at as usize + 2;
         match u16_at(&self.raw, node.at as usize) {
@@ -147,11 +157,51 @@ impl RecordData {
     /// Child entries of `node`, in document order.
     #[inline]
     pub fn entries(&self, node: &RecNode) -> Entries<'_> {
-        let (_, at) = self.content_bytes(node);
         Entries {
-            bytes: &self.raw[at + 2..],
-            left: u16_at(&self.raw, at),
+            rec: self,
+            at: self.child_cursor(node),
         }
+    }
+
+    /// A cursor at the first of `node`'s child entries.
+    #[inline(always)]
+    pub fn child_cursor(&self, node: &RecNode) -> EntryCursor {
+        let (_, at) = self.content_bytes(node);
+        EntryCursor {
+            at: at as u32 + 2,
+            left: u16_at(&self.raw, at),
+            roots: false,
+        }
+    }
+
+    /// A cursor at the first fragment root, the run of children a proxy
+    /// entry for this record stands for: it yields them as
+    /// [`ChildEntry::Local`].
+    #[inline(always)]
+    pub fn root_cursor(&self) -> EntryCursor {
+        EntryCursor {
+            at: ROOTS_AT as u32,
+            left: self.roots.len() as u16,
+            roots: true,
+        }
+    }
+
+    /// The entry at `cursor`, which moves past it; `None` at the end of
+    /// its list. `cursor` must come from this record.
+    #[inline(always)]
+    pub fn next_entry(&self, cursor: &mut EntryCursor) -> Option<ChildEntry> {
+        cursor.left = cursor.left.checked_sub(1)?;
+        let b = &self.raw[cursor.at as usize..];
+        let (entry, width) = match (cursor.roots, b[0]) {
+            (true, _) => (ChildEntry::Local(u16_at(b, 0)), 2),
+            (false, ENTRY_LOCAL) => (ChildEntry::Local(u16_at(b, 1)), 3),
+            (false, _) => (
+                ChildEntry::Proxy(u32::from_le_bytes([b[1], b[2], b[3], b[4]])),
+                5,
+            ),
+        };
+        cursor.at += width;
+        Some(entry)
     }
 
     /// Content string of `node`, if any.
@@ -195,14 +245,28 @@ impl RecordData {
     }
 }
 
-/// The child entries of one node, read off the record's bytes. Entries
-/// are three or five bytes wide, so reaching position `i` (`nth`) scans
-/// the `i` before it — one node's list, which K bounds.
+/// A place in one of a record's sibling lists — a node's child entries,
+/// or the fragment roots — that does not borrow the record: a byte offset
+/// and a count, read through [`RecordData::next_entry`] of the record
+/// that made it. A walk keeps one per level of the tree below it while it
+/// holds the record itself behind an `Rc`. Entries are three or five
+/// bytes wide, so reaching position `i` scans the `i` before it — one
+/// node's list, which K bounds.
+#[derive(Debug, Clone, Copy)]
+pub struct EntryCursor {
+    /// Offset of the next entry in the record's bytes.
+    at: u32,
+    /// Entries left in the list.
+    left: u16,
+    /// A root list: untagged two-byte local indices.
+    roots: bool,
+}
+
+/// The child entries of one node, read off the record's bytes.
 #[derive(Debug, Clone)]
 pub struct Entries<'a> {
-    /// From the next entry to the end of the record.
-    bytes: &'a [u8],
-    left: u16,
+    rec: &'a RecordData,
+    at: EntryCursor,
 }
 
 impl Iterator for Entries<'_> {
@@ -210,22 +274,12 @@ impl Iterator for Entries<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<ChildEntry> {
-        self.left = self.left.checked_sub(1)?;
-        let b = self.bytes;
-        let (entry, width) = match b[0] {
-            ENTRY_LOCAL => (ChildEntry::Local(u16_at(b, 1)), 3),
-            _ => (
-                ChildEntry::Proxy(u32::from_le_bytes([b[1], b[2], b[3], b[4]])),
-                5,
-            ),
-        };
-        self.bytes = &b[width..];
-        Some(entry)
+        self.rec.next_entry(&mut self.at)
     }
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left as usize, Some(self.left as usize))
+        (self.at.left as usize, Some(self.at.left as usize))
     }
 }
 
@@ -273,7 +327,7 @@ fn kind_to_u8(k: NodeKind) -> u8 {
     }
 }
 
-#[inline]
+#[inline(always)]
 fn kind_from_u8(b: u8) -> Option<NodeKind> {
     Some(match b {
         0 => NodeKind::Element,
@@ -409,6 +463,7 @@ pub fn decode(bytes: Vec<u8>, labels: usize) -> StoreResult<RecordData> {
     let proxy_pos = r.u16()?;
     let root_count = r.u16()? as usize;
     let node_count = r.u16()?;
+    debug_assert_eq!(r.pos, ROOTS_AT);
     let mut roots = Vec::with_capacity(root_count);
     for _ in 0..root_count {
         let root = r.u16()?;
@@ -609,6 +664,9 @@ mod tests {
         for &root in &view.roots {
             assert!(view.get(root).is_some());
         }
+        let mut roots = view.root_cursor();
+        let listed = std::iter::from_fn(|| view.next_entry(&mut roots));
+        assert!(listed.eq(view.roots.iter().map(|&r| ChildEntry::Local(r))));
         assert!(view.get(view.node_count() as u16).is_none());
         for (local, n) in view.nodes().enumerate() {
             if n.parent_local != NONE_U16 {

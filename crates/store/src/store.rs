@@ -1069,8 +1069,12 @@ impl XmlStore {
         Ok(())
     }
 
-    /// Fetch (and decode if necessary) a record.
-    pub(crate) fn fetch(&mut self, no: u32) -> StoreResult<Rc<RecordData>> {
+    /// Record `no`, decoded and held: read from pages and decoded on a
+    /// miss, a compare and an `Rc` clone when it is the record last
+    /// fetched. A walk that keeps the `Rc` reads the record's nodes and
+    /// entry lists without coming back here — what following a proxy
+    /// entry costs is one call.
+    pub fn fetch(&mut self, no: u32) -> StoreResult<Rc<RecordData>> {
         if let Some(rec) = self.chain.get(self.cursor).filter(|r| r.self_no == no) {
             return Ok(rec.clone());
         }
@@ -1203,11 +1207,13 @@ impl XmlStore {
     ///
     /// Local children cost nothing beyond the already-held record, and
     /// each cut child *interval* (proxy) costs one record fetch, paid at
-    /// listing time. Tests and campaigns list children this way; the
-    /// evaluator and `dump` read a node's entries off its record
-    /// ([`XmlStore::with_node_in`]) and enter a proxied record
-    /// ([`XmlStore::with_record`]) when their walk gets to it, which
-    /// reads each record once, in the order bulkload laid them out.
+    /// listing time. Tests and campaigns list children this way. The
+    /// evaluator keeps the records it walks ([`XmlStore::fetch`]) and
+    /// reads entry lists off them through an
+    /// [`EntryCursor`](crate::EntryCursor), and `dump` reads a node's
+    /// entries off its record; both enter a proxied record when their
+    /// walk gets to its entry, which reads each record once, in the
+    /// order bulkload laid them out.
     pub fn for_each_child(
         &mut self,
         r: NodeRef,

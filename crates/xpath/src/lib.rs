@@ -32,7 +32,7 @@ pub mod xpathmark;
 
 pub use ast::{Axis, Expr, NodeTest, Path, Step};
 pub use eval::{eval, eval_query, eval_with};
-pub use navigator::{MemNavigator, Navigator, StoreNavigator};
+pub use navigator::{MemNavigator, MemWalk, Navigator, StoreNavigator, StoreWalk};
 pub use parser::{parse, XPathError};
 
 /// Error from [`eval_query`]: parse or storage failure.
