@@ -1266,7 +1266,14 @@ impl Service {
             })
         };
         let not_primary = || bad_request(epoch, "not a primary");
+        // Every store starts at epoch 1, so epoch 0 is a replica with no
+        // file yet: it has nothing to read, which is the request's fault
+        // for coming too early, not a damaged or failing store.
+        let readable = epoch != 0 || matches!(role, Role::Primary { .. });
         Reply::Done(match req {
+            Request::Query { .. } | Request::Dump | Request::Fsck if !readable => {
+                bad_request(0, "replica has not bootstrapped yet")
+            }
             Request::Ping => at(ResponseBody::Pong),
             // Shutdown never reaches the store service (handled at the
             // worker); answer defensively anyway.
@@ -1283,15 +1290,11 @@ impl Service {
                 Err(e) => bad_request(epoch, &format!("xpath: {e}")),
             },
             Request::Dump => return read(role, sessions, counters, conn, ReadOp::Dump),
-            // Every store starts at epoch 1, so epoch 0 is a replica with
-            // no file yet. A replica's file that does not open is an I/O
-            // failure, not a damaged store — as `natix fsck` answers it.
+            // A replica's file that does not open is an I/O failure, not
+            // a damaged store — as `natix fsck` answers it.
             Request::Fsck => {
                 let report = match role {
                     Role::Primary { shared, .. } => Ok(shared.scrub()),
-                    Role::Replica { .. } if epoch == 0 => {
-                        Err(bad_request(0, "replica has not bootstrapped yet"))
-                    }
                     Role::Replica { .. } => FilePager::open(&config.store)
                         .map(|_| fsck(&config.store, false))
                         .map_err(|e| store_error_response(epoch, &e)),
@@ -1676,17 +1679,18 @@ fn repl_client_loop(
 }
 
 /// Render one query hit: an element as `<name>`, an attribute as
-/// `@name="value"`, any other node as its content.
+/// `@name="value"`, any other node as its content. (Joined, not
+/// `format!`ted: a `//` query renders thousands of hits, and the
+/// formatting machinery cost about a fifth of its walk.)
 fn render_hit(store: &mut XmlStore, r: natix_store::NodeRef) -> Result<String, StoreError> {
     let (kind, label, content) = store.with_node_in(r, |rec, n| {
         (n.kind, n.label, rec.content(n).map(str::to_string))
     })?;
     let name = store.label_name(label);
     Ok(match (kind, content) {
-        (NodeKind::Element, _) => format!("<{name}>"),
-        (NodeKind::Attribute, Some(v)) => format!("@{name}=\"{v}\""),
+        (NodeKind::Attribute, Some(v)) => ["@", name, "=\"", &v, "\""].concat(),
+        (NodeKind::Element, _) | (_, None) => ["<", name, ">"].concat(),
         (_, Some(v)) => v,
-        (_, None) => format!("<{name}>"),
     })
 }
 

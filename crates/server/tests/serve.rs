@@ -1087,7 +1087,8 @@ fn connecting_to_a_dead_address_is_a_typed_io_error() {
 }
 
 /// A standby whose primary is a dead address never bootstraps: a
-/// `query` or `dump` sent to it gets a typed error at once, not a hang.
+/// `query`, `dump` or `fsck` sent to it gets the same typed refusal at
+/// once, not a hang.
 #[test]
 fn standby_reads_before_bootstrap_answer_typed() {
     let dead = dead_addr();
@@ -1103,17 +1104,19 @@ fn standby_reads_before_bootstrap_answer_typed() {
             xpath: "//e".to_string(),
             count_only: false,
         });
-        let _ = tx.send((query, c.request(&Request::Dump)));
+        let dump = c.request(&Request::Dump);
+        let _ = tx.send([query, dump, c.request(&Request::Fsck)]);
     });
-    let (query, dump) = rx
+    let reads = rx
         .recv_timeout(std::time::Duration::from_secs(20))
         .expect("an unbootstrapped standby answers reads");
-    for resp in [query.unwrap(), dump.unwrap()] {
+    for resp in reads {
+        let resp = resp.unwrap();
         assert_eq!(resp.epoch, 0, "{resp:?}");
         assert!(
             matches!(
                 &resp.body,
-                ResponseBody::Error { kind: ErrKind::InvalidUpdate, message }
+                ResponseBody::Error { kind: ErrKind::BadRequest, message }
                     if message.contains("not bootstrapped")
             ),
             "{resp:?}"
@@ -1221,7 +1224,7 @@ fn every_verb_answers_by_role() {
 
     let shed = |at| ("RetryAfter ReadOnly", "replica", at);
     let not_primary = |at| ("Error BadRequest", "not a primary", at);
-    let unbooted_read = ("Error InvalidUpdate", "not bootstrapped", 0);
+    let unbooted_read = ("Error BadRequest", "not bootstrapped", 0);
     check_row(
         "unbootstrapped replica",
         unbooted,
@@ -1230,7 +1233,7 @@ fn every_verb_answers_by_role() {
             unbooted_read,
             unbooted_read,
             ("StatsText", "", 0),
-            ("Error BadRequest", "not bootstrapped", 0),
+            unbooted_read,
             shed(0),
             ("SessionReleased", "", 0),
             shed(0),
