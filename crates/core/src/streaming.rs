@@ -69,9 +69,16 @@ struct OpenFrame<H: Copy> {
 /// materialized tree, the store's bulkloader uses ids into its bounded
 /// node slab. Handles only need to be `Copy`; the driver never inspects
 /// them.
+///
+/// Frames are kept once opened: a frame past the open path keeps its
+/// pending list for the next element opened at that depth, so a driver
+/// fed document after document stops allocating once it has seen the
+/// deepest and widest of them.
 pub struct SekmDriver<H: Copy> {
     sibling_budget: usize,
-    stack: Vec<OpenFrame<H>>,
+    /// The open path is `frames[..depth]`.
+    frames: Vec<OpenFrame<H>>,
+    depth: usize,
 }
 
 impl<H: Copy> SekmDriver<H> {
@@ -81,7 +88,8 @@ impl<H: Copy> SekmDriver<H> {
     pub fn new(budget: usize) -> SekmDriver<H> {
         SekmDriver {
             sibling_budget: if budget == 0 { usize::MAX } else { budget },
-            stack: Vec::new(),
+            frames: Vec::new(),
+            depth: 0,
         }
     }
 
@@ -89,11 +97,19 @@ impl<H: Copy> SekmDriver<H> {
     /// element; childless kinds — attributes, text, comments, PIs — are
     /// delivered as an open immediately followed by a close).
     pub fn open(&mut self, handle: H, weight: Weight) {
-        self.stack.push(OpenFrame {
-            handle,
-            weight,
-            pending: Vec::new(),
-        });
+        match self.frames.get_mut(self.depth) {
+            Some(frame) => {
+                frame.handle = handle;
+                frame.weight = weight;
+                frame.pending.clear();
+            }
+            None => self.frames.push(OpenFrame {
+                handle,
+                weight,
+                pending: Vec::new(),
+            }),
+        }
+        self.depth += 1;
     }
 
     /// Close-tag event for the innermost open node. Every sibling
@@ -104,13 +120,17 @@ impl<H: Copy> SekmDriver<H> {
     /// The caller must have verified `weight(v) <= k` for every node (see
     /// [`check_input`]); the driver debug-asserts it.
     pub fn close(&mut self, k: Weight, cut: &mut dyn FnMut(H, H)) -> bool {
-        let frame = self.stack.pop().expect("close without matching open");
-        let summary = close_frame(k, frame, cut);
-        match self.stack.last_mut() {
+        self.depth = self
+            .depth
+            .checked_sub(1)
+            .expect("close without matching open");
+        let summary = close_frame(k, &self.frames[self.depth], cut);
+        match self.depth.checked_sub(1) {
             Some(parent) => {
-                parent.pending.push(summary);
-                if parent.pending.len() > self.sibling_budget {
-                    flush_oldest(k, &mut parent.pending, self.sibling_budget, cut);
+                let pending = &mut self.frames[parent].pending;
+                pending.push(summary);
+                if pending.len() > self.sibling_budget {
+                    flush_oldest(k, pending, self.sibling_budget, cut);
                 }
                 false
             }
@@ -131,16 +151,21 @@ impl<H: Copy> SekmDriver<H> {
         }
     }
 
-    /// Number of currently open elements (the ancestor path).
-    pub fn depth(&self) -> usize {
-        self.stack.len()
+    /// Forget the open path (a load that failed mid-document), keeping
+    /// the frames for the next document.
+    pub fn reset(&mut self) {
+        self.depth = 0;
     }
 
-    /// Total buffered pending-child summaries across all open elements —
-    /// the `O(depth + sibling_budget)` part of the loader's resident
-    /// state.
-    pub fn buffered_entries(&self) -> usize {
-        self.stack.iter().map(|f| f.pending.len()).sum()
+    /// Bytes the driver holds: every frame it has opened and the
+    /// capacity of their pending lists, in use or not.
+    pub fn held_bytes(&self) -> usize {
+        self.frames.capacity() * std::mem::size_of::<OpenFrame<H>>()
+            + self
+                .frames
+                .iter()
+                .map(|f| f.pending.capacity() * std::mem::size_of::<PendingChild<H>>())
+                .sum::<usize>()
     }
 }
 
@@ -150,7 +175,7 @@ impl<H: Copy> SekmDriver<H> {
 /// on the binary representation, scheduled at parent-close time.
 fn close_frame<H: Copy>(
     k: Weight,
-    frame: OpenFrame<H>,
+    frame: &OpenFrame<H>,
     cut: &mut dyn FnMut(H, H),
 ) -> PendingChild<H> {
     // The still-attached run to our right: (first, last, weight).

@@ -10,8 +10,8 @@
 //!
 //! Inside a shard, documents hang off a synthetic `<natix-shard/>` root
 //! through per-batch `<seg>` records: the loader reserves a segment
-//! record number up front, streams each document's records in with
-//! [`stream_append_document`] (their root back-links point at the
+//! record number up front, streams each document's records in with the
+//! shard's [`StreamLoader`] (their root back-links point at the
 //! not-yet-written segment record), then writes the segment record (one
 //! element whose entries are proxies to the document roots), links it
 //! under the shard root, and commits through the normal journal +
@@ -42,7 +42,7 @@ use std::sync::mpsc;
 
 use natix_xml::Document;
 
-use crate::bulkload::{stream_append_document, stream_bulkload, BulkloadError, LoadStats};
+use crate::bulkload::{stream_bulkload, BulkloadError, StreamLoader};
 use crate::fsck::{fsck, FsckReport};
 use crate::page::{fnv64, PAGE_SIZE};
 use crate::pager::{FilePager, Pager, StoreError, StoreResult};
@@ -108,8 +108,10 @@ pub struct BulkloadReport {
     pub docs: u64,
     /// Records written across all shards.
     pub records: u64,
-    /// Max over workers of the streaming loader's peak resident bytes
-    /// (buffered nodes + driver state) for any single document.
+    /// Max over workers of the bytes their shards' streaming loaders
+    /// hold (node slabs, partitioner frames, name tables and scratch,
+    /// spare capacity included). Loaders keep what they grow, so this is
+    /// also their peak.
     pub peak_loader_resident: usize,
     /// Max over workers of their shards' combined buffer-pool resident
     /// bytes at segment boundaries.
@@ -198,6 +200,8 @@ pub fn read_catalog(dir: &Path) -> StoreResult<(u32, Vec<ShardSegment>)> {
 struct ShardWriter {
     shard: u32,
     store: XmlStore,
+    /// Loads every document of the shard, reusing its buffers.
+    loader: StreamLoader,
     /// Open (uncommitted) segment, if any.
     seg: Option<OpenSeg>,
     /// Documents committed + staged in this shard.
@@ -222,6 +226,7 @@ impl ShardWriter {
         dir: &Path,
         shard: u32,
         config: &StoreConfig,
+        sibling_budget: usize,
         backend: &ShardBackendFactory<'_>,
     ) -> Result<ShardWriter, BulkloadError> {
         // Every shard starts as a one-record store holding the synthetic
@@ -231,6 +236,7 @@ impl ShardWriter {
         Ok(ShardWriter {
             shard,
             store,
+            loader: StreamLoader::new(sibling_budget),
             seg: None,
             local_docs: 0,
             records: 1,
@@ -240,8 +246,8 @@ impl ShardWriter {
     fn add_doc(
         &mut self,
         xml: &str,
-        opts: &BulkloadOptions,
-    ) -> Result<(LoadStats, Option<ShardSegment>), BulkloadError> {
+        seg_docs: usize,
+    ) -> Result<Option<ShardSegment>, BulkloadError> {
         let seg = match &mut self.seg {
             Some(seg) => seg,
             None => self.seg.insert(OpenSeg {
@@ -252,18 +258,19 @@ impl ShardWriter {
         };
         let pos = seg.doc_roots.len() as u16;
         let root_parent = (seg.seg_record, 0u16, pos);
-        let (doc_root, stats) =
-            stream_append_document(&mut self.store, xml, opts.sibling_budget, root_parent)?;
+        let (doc_root, stats) = self
+            .loader
+            .append_document(&mut self.store, xml, root_parent)?;
         let seg = self.seg.as_mut().expect("segment is open");
         seg.doc_roots.push(doc_root);
         self.local_docs += 1;
         self.records += stats.records as u64;
-        let closed = if seg.doc_roots.len() >= opts.seg_docs {
+        let closed = if seg.doc_roots.len() >= seg_docs {
             Some(self.close_segment()?)
         } else {
             None
         };
-        Ok((stats, closed))
+        Ok(closed)
     }
 
     /// Write the segment record, link it under the shard root, commit.
@@ -340,18 +347,16 @@ fn worker(
     ack: mpsc::Sender<Ack>,
 ) {
     let mut writers: HashMap<u32, ShardWriter> = HashMap::new();
-    let mut peak_loader = 0usize;
     let mut peak_pool = 0usize;
     let mut run = || -> Result<(u64, Vec<(u32, u64)>), BulkloadError> {
         for s in (0..opts.shards).filter(|s| *s as usize % opts.threads == thread) {
-            writers.insert(s, ShardWriter::create(dir, s, config, backend)?);
+            let w = ShardWriter::create(dir, s, config, opts.sibling_budget, backend)?;
+            writers.insert(s, w);
         }
         while let Ok((doc_id, xml)) = rx.recv() {
             let shard = (doc_id % opts.shards as u64) as u32;
             let w = writers.get_mut(&shard).expect("doc routed to wrong thread");
-            let (stats, closed) = w.add_doc(&xml, opts)?;
-            peak_loader = peak_loader.max(stats.peak_resident_bytes);
-            if let Some(seg) = closed {
+            if let Some(seg) = w.add_doc(&xml, opts.seg_docs)? {
                 let pool: usize = writers
                     .values()
                     .map(|w| w.store.pool.resident() * PAGE_SIZE)
@@ -375,6 +380,8 @@ fn worker(
     };
     match run() {
         Ok((records, shard_docs)) => {
+            // Loaders keep what they grow: what they hold now is their peak.
+            let peak_loader = writers.values().map(|w| w.loader.held_bytes()).sum();
             let _ = ack.send(Ack::Done {
                 records,
                 peak_loader_resident: peak_loader,

@@ -38,7 +38,7 @@ mod replicate;
 mod store;
 mod update;
 
-pub use bulkload::{stream_append_document, stream_bulkload, BulkloadError, LoadStats};
+pub use bulkload::{stream_bulkload, BulkloadError, LoadStats, StreamLoader};
 pub use collection::{
     bulkload_collection, bulkload_collection_with, fsck_collection, read_catalog, shard_path,
     BulkloadOptions, BulkloadReport, Collection, ShardBackendFactory, ShardSegment, CATALOG_FILE,

@@ -69,6 +69,10 @@ pub enum StoreError {
     /// An update was rejected (e.g. deleting the document root, or a
     /// single node heavier than the record limit).
     InvalidUpdate(&'static str),
+    /// A request the store cannot serve in its present state (e.g. a read
+    /// of a replica that has not bootstrapped). Not an update, and not
+    /// damage: the same request can succeed later.
+    InvalidRequest(&'static str),
     /// Admission control shed the request: the concurrency limit is
     /// already fully used. The store itself is healthy — retry later.
     Overloaded {
@@ -221,7 +225,9 @@ impl StoreError {
                 ErrorCategory::Corrupt
             }
             StoreError::Io { .. } => ErrorCategory::Io,
-            StoreError::InvalidUpdate(_) => ErrorCategory::InvalidRequest,
+            StoreError::InvalidUpdate(_) | StoreError::InvalidRequest(_) => {
+                ErrorCategory::InvalidRequest
+            }
         }
     }
 
@@ -305,6 +311,7 @@ impl std::fmt::Display for StoreError {
                 Ok(())
             }
             StoreError::InvalidUpdate(what) => write!(f, "invalid update: {what}"),
+            StoreError::InvalidRequest(what) => write!(f, "invalid request: {what}"),
             StoreError::Overloaded {
                 what,
                 inflight,

@@ -339,14 +339,84 @@ fn kind_from_u8(b: u8) -> Option<NodeKind> {
     })
 }
 
-struct Writer {
-    buf: Vec<u8>,
+/// The one record writer: [`encode`] drives it from a [`RecordImage`],
+/// the streaming loader straight from its node buffer into a reused
+/// buffer. Calls come in format order: [`RecordWriter::begin`], one
+/// [`RecordWriter::root`] per fragment root, then per node one
+/// [`RecordWriter::node`] followed by its [`RecordWriter::entry`]s.
+pub(crate) struct RecordWriter<'b> {
+    buf: &'b mut Vec<u8>,
 }
 
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+impl<'b> RecordWriter<'b> {
+    /// Clear `buf` and write the prefix and header of record `self_no`
+    /// written at commit `epoch`, hanging off `(parent record, parent
+    /// local, proxy position)`.
+    pub(crate) fn begin(
+        buf: &'b mut Vec<u8>,
+        self_no: u32,
+        epoch: u64,
+        (parent_record, parent_local, proxy_pos): (u32, u16, u16),
+        root_count: usize,
+        node_count: usize,
+    ) -> RecordWriter<'b> {
+        buf.clear();
+        let mut w = RecordWriter { buf };
+        w.buf.extend_from_slice(RECORD_MAGIC);
+        w.u32(self_no);
+        w.u64(epoch);
+        w.u32(parent_record);
+        w.u16(parent_local);
+        w.u16(proxy_pos);
+        w.u16(root_count as u16);
+        w.u16(node_count as u16);
+        w
     }
+
+    /// Next fragment root's local index.
+    pub(crate) fn root(&mut self, local: u16) {
+        self.u16(local);
+    }
+
+    /// Next node's fixed fields and content; `entry_count` entries follow.
+    pub(crate) fn node(
+        &mut self,
+        kind: NodeKind,
+        label: u16,
+        parent_local: u16,
+        entry_pos: u16,
+        content: Option<&str>,
+        entry_count: usize,
+    ) {
+        self.buf.push(kind_to_u8(kind));
+        self.u16(label);
+        self.u16(parent_local);
+        self.u16(entry_pos);
+        match content {
+            None => self.u16(NONE_U16),
+            Some(s) => {
+                debug_assert!(s.len() < NONE_U16 as usize);
+                self.u16(s.len() as u16);
+                self.buf.extend_from_slice(s.as_bytes());
+            }
+        }
+        self.u16(entry_count as u16);
+    }
+
+    /// Next child entry of the current node.
+    pub(crate) fn entry(&mut self, e: ChildEntry) {
+        match e {
+            ChildEntry::Local(i) => {
+                self.buf.push(ENTRY_LOCAL);
+                self.u16(i);
+            }
+            ChildEntry::Proxy(r) => {
+                self.buf.push(ENTRY_PROXY);
+                self.u32(r);
+            }
+        }
+    }
+
     fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -392,48 +462,33 @@ impl<'a> Reader<'a> {
 /// Serialize a record image as record number `self_no` written at commit
 /// `epoch` (both stored in the self-describing prefix).
 pub fn encode(rec: &RecordImage, self_no: u32, epoch: u64) -> Vec<u8> {
-    let mut w = Writer {
-        buf: Vec::with_capacity(80 + rec.nodes.len() * 16),
-    };
-    w.buf.extend_from_slice(RECORD_MAGIC);
-    w.u32(self_no);
-    w.u64(epoch);
-    w.u32(rec.parent_record);
-    w.u16(rec.parent_local);
-    w.u16(rec.proxy_pos);
-    w.u16(rec.roots.len() as u16);
-    w.u16(rec.nodes.len() as u16);
+    let mut buf = Vec::with_capacity(80 + rec.nodes.len() * 16);
+    let parent = (rec.parent_record, rec.parent_local, rec.proxy_pos);
+    let mut w = RecordWriter::begin(
+        &mut buf,
+        self_no,
+        epoch,
+        parent,
+        rec.roots.len(),
+        rec.nodes.len(),
+    );
     for &r in &rec.roots {
-        w.u16(r);
+        w.root(r);
     }
     for n in &rec.nodes {
-        w.u8(kind_to_u8(n.kind));
-        w.u16(n.label);
-        w.u16(n.parent_local);
-        w.u16(n.entry_pos);
-        match &n.content {
-            None => w.u16(NONE_U16),
-            Some(s) => {
-                debug_assert!(s.len() < NONE_U16 as usize);
-                w.u16(s.len() as u16);
-                w.buf.extend_from_slice(s.as_bytes());
-            }
-        }
-        w.u16(n.entries.len() as u16);
-        for e in &n.entries {
-            match *e {
-                ChildEntry::Local(i) => {
-                    w.u8(ENTRY_LOCAL);
-                    w.u16(i);
-                }
-                ChildEntry::Proxy(r) => {
-                    w.u8(ENTRY_PROXY);
-                    w.u32(r);
-                }
-            }
+        w.node(
+            n.kind,
+            n.label,
+            n.parent_local,
+            n.entry_pos,
+            n.content.as_deref(),
+            n.entries.len(),
+        );
+        for &e in &n.entries {
+            w.entry(e);
         }
     }
-    w.buf
+    buf
 }
 
 /// Deserialize a record, taking ownership of the bytes: the result is a
@@ -749,6 +804,9 @@ mod tests {
             use natix_datagen::{mondial, orders, partsupp, sigmod, uwm, xmark, GenConfig};
             let generate = [sigmod, mondial, partsupp, uwm, orders, xmark][which];
             let doc = generate(GenConfig { scale: 0.001, seed });
+            // A K below the heaviest node has no partitioning at all.
+            let tree = doc.tree();
+            let k = tree.preorder().map(|v| tree.weight(v)).fold(k, u64::max);
             for (no, view) in records_of(&doc, k) {
                 walk(&view);
                 let image = view.to_image();

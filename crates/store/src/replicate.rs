@@ -583,7 +583,7 @@ impl Follower {
     /// batch overlaid from disk.
     pub fn reader(&self) -> StoreResult<XmlStore> {
         if self.epoch == 0 {
-            return Err(StoreError::InvalidUpdate(
+            return Err(StoreError::InvalidRequest(
                 "replica has not bootstrapped yet",
             ));
         }
@@ -769,6 +769,22 @@ mod tests {
         assert!(reader
             .append_child(root, natix_xml::NodeKind::Element, "x", None)
             .is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A follower that has applied nothing refuses a read as a request
+    /// it cannot serve yet, in the category of a bad request, and does
+    /// not call it an update.
+    #[test]
+    fn unbootstrapped_reader_is_refused_as_a_request() {
+        let dir = scratch("unbooted");
+        let follower = Follower::open(dir.join("replica.natix"), StoreConfig::default());
+        assert_eq!(follower.epoch(), 0);
+        let err = follower.reader().err().expect("nothing to read yet");
+        assert_eq!(err.category(), crate::ErrorCategory::InvalidRequest);
+        let text = err.to_string();
+        assert!(!text.contains("invalid update"), "{text}");
+        assert!(text.contains("not bootstrapped"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

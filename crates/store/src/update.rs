@@ -470,10 +470,19 @@ impl XmlStore {
 
     /// Re-encode and re-place a record, invalidating caches.
     pub(crate) fn write_record(&mut self, no: u32, img: &RecordImage) -> StoreResult<()> {
-        // Stamp the record with its directory slot and the epoch of the
-        // in-flight commit, so fsck repair can resolve duplicate claims
-        // by recency.
-        let bytes = record::encode(img, no, self.epoch + 1);
+        let bytes = record::encode(img, no, self.write_epoch());
+        self.place_record(no, &bytes)
+    }
+
+    /// Epoch a record written now is stamped with: the in-flight
+    /// commit's, so fsck repair can resolve duplicate claims by recency.
+    pub(crate) fn write_epoch(&self) -> u64 {
+        self.epoch + 1
+    }
+
+    /// Place the encoded record `bytes` (stamped with `no` and
+    /// [`Self::write_epoch`]) as record `no`, invalidating caches.
+    pub(crate) fn place_record(&mut self, no: u32, bytes: &[u8]) -> StoreResult<()> {
         // Release the old location.
         match self.directory[no as usize] {
             RecordLoc::InPage { page, slot } => {
@@ -487,7 +496,7 @@ impl XmlStore {
             }
         }
         let loc = if bytes.len() > MAX_IN_PAGE {
-            let first_page = write_overflow_chain(&mut self.pool, &bytes)?;
+            let first_page = write_overflow_chain(&mut self.pool, bytes)?;
             RecordLoc::Overflow {
                 first_page,
                 len: bytes.len() as u32,
@@ -505,7 +514,7 @@ impl XmlStore {
             for candidate in [prev_page, self.open_page].into_iter().flatten() {
                 placed = self.pool.with_page(candidate, true, |buf| {
                     SlottedPage::new(buf)
-                        .insert(&bytes)
+                        .insert(bytes)
                         .map(|slot| (candidate, slot))
                 })?;
                 if placed.is_some() {
@@ -518,7 +527,7 @@ impl XmlStore {
                     let page = self.pool.allocate()?;
                     let slot = self.pool.with_page(page, true, |buf| {
                         SlottedPage::format(buf)
-                            .insert(&bytes)
+                            .insert(bytes)
                             .expect("fresh page fits any in-page record")
                     })?;
                     self.open_page = Some(page);

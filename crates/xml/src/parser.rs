@@ -144,9 +144,11 @@ pub fn parse_sax<H: SaxHandler>(
     handler: &mut H,
 ) -> Result<(), SaxError<H::Error>> {
     Parser {
+        input,
         src: input.as_bytes(),
         pos: 0,
         options,
+        buf: String::new(),
     }
     .document(handler)
 }
@@ -218,9 +220,29 @@ impl SaxHandler for DomSink {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     src: &'a [u8],
     pos: usize,
     options: ParseOptions,
+    /// Character data that is not one slice of the input: a run with an
+    /// entity reference in it, or text and CDATA merged. Reused from run
+    /// to run.
+    buf: String,
+}
+
+/// Where the character data read so far lies. Most runs are one slice
+/// of the input and are handed out as such; only decoding and merging
+/// write into [`Parser::buf`].
+#[derive(Clone, Copy)]
+enum Run {
+    Empty,
+    Input(usize, usize),
+    Buf,
+}
+
+/// XML's whitespace (`S`, XML 1.0 §2.3) — not Unicode's: `&#160;` is data.
+fn is_xml_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | b'\n')
 }
 
 impl<'a> Parser<'a> {
@@ -240,7 +262,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
+        while self.peek().is_some_and(is_xml_space) {
             self.pos += 1;
         }
     }
@@ -259,8 +281,7 @@ impl<'a> Parser<'a> {
         let start = self.pos;
         while self.pos < self.src.len() {
             if self.starts_with(end) {
-                let s =
-                    std::str::from_utf8(&self.src[start..self.pos]).expect("input was valid UTF-8");
+                let s = &self.input[start..self.pos];
                 self.pos += end.len();
                 return Ok(s);
             }
@@ -286,37 +307,72 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(c) if Self::is_name_char(c)) {
             self.pos += 1;
         }
-        Ok(std::str::from_utf8(&self.src[start..self.pos]).expect("valid UTF-8 input"))
+        // A name ends at an ASCII byte (or the input's end), so it is
+        // whole characters.
+        Ok(&self.input[start..self.pos])
     }
 
-    /// Decode character data up to (not including) the stop byte, resolving
-    /// entity references.
-    fn char_data(&mut self, stop: &[u8]) -> Result<String, XmlError> {
-        let mut out = String::new();
+    /// Read character data up to (not including) a stop byte into `run`,
+    /// resolving entity references. Plain bytes stay a slice of the
+    /// input while the run is one; they are copied into `buf` only when
+    /// the run already lies there or a reference must be decoded.
+    fn char_data(&mut self, run: &mut Run, stop: &[u8]) -> Result<(), XmlError> {
         loop {
             match self.peek() {
                 None => return self.err("unexpected end of input in character data"),
                 Some(b'&') => {
                     self.pos += 1;
-                    out.push(self.entity()?);
+                    let c = self.entity()?;
+                    self.move_to_buf(run);
+                    self.buf.push(c);
                 }
-                Some(c) => {
-                    if stop.contains(&c) {
-                        return Ok(out);
-                    }
-                    // Copy a run of plain bytes.
+                Some(c) if stop.contains(&c) => return Ok(()),
+                Some(_) => {
                     let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'&' || stop.contains(&c) {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.src[start..self.pos]).expect("valid UTF-8"),
-                    );
+                    let len = self.src[start..]
+                        .iter()
+                        .position(|&c| c == b'&' || stop.contains(&c))
+                        .unwrap_or(self.src.len() - start);
+                    self.pos += len;
+                    self.append(run, start, self.pos);
                 }
             }
+        }
+    }
+
+    /// Add the input's bytes `start..end` to `run`.
+    fn append(&mut self, run: &mut Run, start: usize, end: usize) {
+        if start == end {
+            return;
+        }
+        if let Run::Empty = run {
+            *run = Run::Input(start, end);
+        } else {
+            self.move_to_buf(run);
+            self.buf.push_str(&self.input[start..end]);
+        }
+    }
+
+    /// Move `run` into `buf`, so that more can be written after it.
+    fn move_to_buf(&mut self, run: &mut Run) {
+        match *run {
+            Run::Empty => self.buf.clear(),
+            Run::Input(s, e) => {
+                self.buf.clear();
+                self.buf.push_str(&self.input[s..e]);
+            }
+            Run::Buf => return,
+        }
+        *run = Run::Buf;
+    }
+
+    /// The text of `run`.
+    fn text(&self, run: Run) -> &str {
+        match run {
+            Run::Empty => "",
+            // Runs start and end next to ASCII markup: whole characters.
+            Run::Input(s, e) => &self.input[s..e],
+            Run::Buf => &self.buf,
         }
     }
 
@@ -337,7 +393,7 @@ impl<'a> Parser<'a> {
             if start == self.pos {
                 return self.err("empty character reference");
             }
-            let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii");
+            let text = &self.input[start..self.pos];
             self.expect(b";")?;
             let cp = u32::from_str_radix(text, radix)
                 .ok()
@@ -487,12 +543,14 @@ impl<'a> Parser<'a> {
                         }
                     };
                     self.pos += 1;
-                    let value = self.char_data(&[quote, b'<'])?;
+                    let mut value = Run::Empty;
+                    self.char_data(&mut value, &[quote, b'<'])?;
                     if self.peek() == Some(b'<') {
                         return Err(self.err::<()>("`<` in attribute value").unwrap_err().into());
                     }
                     self.pos += 1; // closing quote
-                    h.attribute(name, &value).map_err(SaxError::Handler)?;
+                    h.attribute(name, self.text(value))
+                        .map_err(SaxError::Handler)?;
                 }
                 _ => return Err(self.err::<()>("malformed start tag").unwrap_err().into()),
             }
@@ -509,18 +567,17 @@ impl<'a> Parser<'a> {
         // Tag names of the open elements, innermost last.
         let mut stack: Vec<&'a str> = vec![name];
         // Adjacent text/CDATA runs are merged into one text node.
-        let mut pending_text = String::new();
+        let mut pending = Run::Empty;
 
         macro_rules! flush_text {
             () => {
-                if !pending_text.is_empty() {
-                    let keep = self.options.keep_whitespace_text
-                        || !pending_text.chars().all(char::is_whitespace);
-                    if keep {
-                        h.text(&pending_text).map_err(SaxError::Handler)?;
-                    }
-                    pending_text.clear();
+                let text = self.text(pending);
+                let keep = !text.is_empty()
+                    && (self.options.keep_whitespace_text || !text.bytes().all(is_xml_space));
+                if keep {
+                    h.text(text).map_err(SaxError::Handler)?;
                 }
+                pending = Run::Empty;
             };
         }
 
@@ -558,8 +615,9 @@ impl<'a> Parser<'a> {
                         }
                     } else if self.starts_with(b"<![CDATA[") {
                         self.pos += 9;
-                        let text = self.until(b"]]>", "CDATA section")?;
-                        pending_text.push_str(text);
+                        let start = self.pos;
+                        self.until(b"]]>", "CDATA section")?;
+                        self.append(&mut pending, start, self.pos - 3);
                     } else if self.starts_with(b"<?") {
                         flush_text!();
                         self.pos += 2;
@@ -588,10 +646,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                Some(_) => {
-                    let text = self.char_data(b"<")?;
-                    pending_text.push_str(&text);
-                }
+                Some(_) => self.char_data(&mut pending, b"<")?,
             }
         }
         Ok(())
@@ -663,6 +718,92 @@ mod tests {
         };
         let d = parse_with_options("<r>\n  <a/>\n  <b/>\n</r>", opts).unwrap();
         assert_eq!(d.len(), 6); // 3 whitespace runs kept
+    }
+
+    /// Only XML's whitespace (space, tab, CR, LF) makes a text run
+    /// formatting; other Unicode spaces are data, written raw or as a
+    /// character reference, through the DOM build and the SAX stream.
+    #[test]
+    fn only_xml_whitespace_is_formatting() {
+        for (src, text) in [
+            ("<a>&#160;</a>", "\u{a0}"),
+            ("<a>\u{a0}</a>", "\u{a0}"),
+            ("<a>\u{3000}</a>", "\u{3000}"),
+            ("<a> &#x3000;\n</a>", " \u{3000}\n"),
+        ] {
+            let d = parse(src).unwrap();
+            assert_eq!(d.len(), 2, "{src:?}");
+            let t = d.tree().children(d.root())[0];
+            assert_eq!(d.content(t), Some(text), "{src:?}");
+            let mut r = Recorder::default();
+            parse_sax(src, ParseOptions::default(), &mut r).unwrap();
+            assert_eq!(
+                r.events,
+                ["<a".to_string(), format!("t:{text}"), ">".into()]
+            );
+        }
+        for src in ["<a> \t\r\n</a>", "<a>&#32;&#x9;&#10;&#13;</a>"] {
+            assert_eq!(parse(src).unwrap().len(), 1, "{src:?}");
+        }
+    }
+
+    /// Text and attribute values without a reference reach the handler
+    /// as slices of the input; decoded and merged ones come from the
+    /// parser's buffer, with the same content the DOM gets.
+    #[test]
+    fn plain_text_is_lent_from_the_input() {
+        struct Lent<'s> {
+            input: &'s str,
+            seen: Vec<(String, bool)>,
+        }
+        impl Lent<'_> {
+            fn note(&mut self, data: &str) {
+                let range = self.input.as_bytes().as_ptr_range();
+                let lent = range.contains(&data.as_ptr()) && !data.is_empty();
+                self.seen.push((data.to_string(), lent));
+            }
+        }
+        impl SaxHandler for Lent<'_> {
+            type Error = std::convert::Infallible;
+            fn start_element(&mut self, _: &str) -> Result<(), Self::Error> {
+                Ok(())
+            }
+            fn attribute(&mut self, _: &str, value: &str) -> Result<(), Self::Error> {
+                self.note(value);
+                Ok(())
+            }
+            fn text(&mut self, data: &str) -> Result<(), Self::Error> {
+                self.note(data);
+                Ok(())
+            }
+            fn comment(&mut self, _: &str) -> Result<(), Self::Error> {
+                Ok(())
+            }
+            fn processing_instruction(&mut self, _: &str, _: &str) -> Result<(), Self::Error> {
+                Ok(())
+            }
+            fn end_element(&mut self) -> Result<(), Self::Error> {
+                Ok(())
+            }
+        }
+        let input = "<r x='plain' y='a&amp;b'>one<b>t&lt;o</b>th<![CDATA[r]]>ee\
+                     <!--c-->four<!--d--><![CDATA[five]]></r>";
+        let mut h = Lent {
+            input,
+            seen: Vec::new(),
+        };
+        parse_sax(input, ParseOptions::default(), &mut h).unwrap();
+        let expect = [
+            ("plain", true),
+            ("a&b", false),
+            ("one", true),
+            ("t<o", false),
+            ("three", false),
+            ("four", true),
+            ("five", true),
+        ];
+        let seen: Vec<_> = h.seen.iter().map(|(s, l)| (s.as_str(), *l)).collect();
+        assert_eq!(seen, expect);
     }
 
     #[test]

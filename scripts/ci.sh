@@ -20,9 +20,9 @@ tier() {
 tier "cargo fmt --check"
 cargo fmt --all -- --check
 
-tier "reach listing (scripts/reach.sh parses and finds the body of every non-test fn of store, server and xpath; builds nothing) and pair driver syntax"
+tier "reach listing (scripts/reach.sh parses and finds the body of every non-test fn of store, server, xpath and xml; builds nothing) and pair driver syntax"
 bash -n scripts/reach.sh
-scripts/reach.sh --list natix-store natix-server natix-xpath > /dev/null
+scripts/reach.sh --list natix-store natix-server natix-xpath natix-xml > /dev/null
 bash -n scripts/pair.sh
 scripts/pair.sh --help > /dev/null
 
